@@ -9,12 +9,9 @@ Results are also written to ``BENCH_kernels.json`` at the repo root (see
 ``conftest.record_kernel``); ``benchmarks/check_regression.py`` diffs a fresh
 file against the committed baseline.
 
-The clustered cases matter: the padded-occupancy candidate generator costs
-O(n_cells * max_count^2) and collapses exactly on the concentrated
-configurations this paper studies (C0/C sweeps, Figures 9-10), which
-uniform-only benchmarks cannot see. The padded generator is retired as a
-production path; its ~13 s/round benchmark only runs under
-``--include-legacy``.
+The clustered cases matter: a candidate generator whose cost follows the
+fullest cell collapses exactly on the concentrated configurations this paper
+studies (C0/C sweeps, Figures 9-10), which uniform-only benchmarks cannot see.
 
 The ``kernel_*`` entries time the force-kernel tiers of
 :mod:`repro.md.kernels` on the clustered configuration's exact pair list;
@@ -43,12 +40,7 @@ from repro.dlb.strategies import create_balancer
 from repro.md.celllist import CellList
 from repro.md.forces import forces_from_pairs
 from repro.md.kernels import create_kernel, numba_available
-from repro.md.neighbors import (
-    candidate_pairs_padded,
-    pairs_celllist,
-    pairs_kdtree,
-)
-from repro.md.pbc import minimum_image
+from repro.md.neighbors import pairs_celllist, pairs_kdtree
 from repro.md.potential import LennardJones
 from repro.md.simulation import SerialSimulation
 
@@ -66,8 +58,8 @@ def positions():
 def clustered_positions():
     """Half the gas collapsed into a blob: the paper's concentration regime.
 
-    The blob's cells hold tens of particles while most cells are near-empty --
-    the occupancy skew that breaks padded broadcasting.
+    The blob's cells hold tens of particles while most cells are near-empty:
+    the occupancy skew a candidate generator has to stay linear under.
     """
     rng = np.random.default_rng(1)
     blob = rng.normal(BOX / 2.0, BOX / 18.0, (N // 2, 3))
@@ -93,35 +85,6 @@ def test_pairs_celllist_clustered(benchmark, clustered_positions, kernel_log):
     cell_list = CellList(BOX, NC)
     pairs = benchmark(pairs_celllist, clustered_positions, cell_list, 2.5)
     record_kernel(kernel_log, benchmark, "pairs_celllist_clustered")
-    assert len(pairs) > N
-
-
-def test_pairs_celllist_clustered_padded(
-    benchmark, clustered_positions, kernel_log, include_legacy
-):
-    """The legacy padded-occupancy generator on the same configuration.
-
-    Retired from the default run (it costs ~13 s/round at quick scale and is
-    no longer a production path); opt in with ``--include-legacy``. When run,
-    the measured ratio lands in BENCH_kernels.json as
-    ``clustered_padded_over_csr`` -- the CSR generator is typically 1-2
-    orders of magnitude ahead.
-    """
-    if not include_legacy:
-        pytest.skip("legacy padded benchmark: opt in with --include-legacy")
-    cell_list = CellList(BOX, NC)
-
-    def padded_search():
-        candidates = candidate_pairs_padded(clustered_positions, cell_list)
-        delta = minimum_image(
-            clustered_positions[candidates[:, 0]] - clustered_positions[candidates[:, 1]],
-            BOX,
-        )
-        r_sq = np.einsum("ij,ij->i", delta, delta)
-        return candidates[r_sq < 2.5 * 2.5]
-
-    pairs = benchmark.pedantic(padded_search, rounds=3, iterations=1)
-    record_kernel(kernel_log, benchmark, "pairs_celllist_clustered_padded")
     assert len(pairs) > N
 
 
@@ -198,7 +161,8 @@ def test_serial_run_verlet(benchmark, kernel_log):
 
 
 def test_serial_run_kdtree(benchmark, kernel_log):
-    """The same multi-step run with per-step searches (the seed behaviour)."""
+    """The same run under the default spelling: one cached path, so this
+    tracks ``serial_run_verlet_20steps`` (it searched every step until PR 12)."""
     config = MDConfig(n_particles=1000, density=0.256)
     sim = SerialSimulation(config, seed=7, backend="kdtree")
 

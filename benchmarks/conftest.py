@@ -7,9 +7,6 @@ paper's qualitative findings. Generated CSVs land in ``benchmarks/out/``.
 
 Scale knobs via environment:
   REPRO_BENCH_SCALE=quick|full   (default quick)
-
-Retired benchmarks (currently the O(n_cells * max^2) padded pair generator,
-~13 s/round at quick scale) only run under ``--include-legacy``.
 """
 
 from __future__ import annotations
@@ -35,21 +32,6 @@ ENGINE_RESULTS_PATH = Path(__file__).parent.parent / "BENCH_engine.json"
 
 #: Machine-readable simulation-service timings tracked across PRs (repo root).
 SERVICE_RESULTS_PATH = Path(__file__).parent.parent / "BENCH_service.json"
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--include-legacy",
-        action="store_true",
-        default=False,
-        help="also run retired legacy benchmarks (padded pair generator)",
-    )
-
-
-@pytest.fixture(scope="session")
-def include_legacy(request: pytest.FixtureRequest) -> bool:
-    """Whether retired legacy benchmarks were opted into."""
-    return bool(request.config.getoption("--include-legacy"))
 
 
 def bench_scale() -> str:
@@ -93,9 +75,6 @@ def kernel_log():
     }
     derived: dict[str, float] = {}
     csr = entries.get("pairs_celllist_clustered")
-    padded = entries.get("pairs_celllist_clustered_padded")
-    if csr and padded and csr["mean_s"] > 0:
-        derived["clustered_padded_over_csr"] = padded["mean_s"] / csr["mean_s"]
     obs_off = entries.get("parallel_step_obs_off")
     obs_on = entries.get("parallel_step_obs_on")
     if obs_off and obs_on and obs_off["mean_s"] > 0:

@@ -217,7 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         stats = result.meta.get("neighbor_stats") or {}
-        if args.backend == "verlet":
+        if stats.get("reuses"):  # any backend that served steps from a cached list
             print(
                 f"  {label}: pair-search rebuilds={stats['rebuilds']} "
                 f"reuses={stats['reuses']} (reuse ratio {stats['reuse_ratio']:.2f}, "
@@ -782,13 +782,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["kdtree", "cells", "verlet"],
         default="kdtree",
-        help="pair-search backend (verlet caches the list across steps)",
+        help="pair-search backend: kdtree (default; a skin-cached neighbour "
+        "list, 'verlet' is the same path) or cells (NumPy reference, searched "
+        "every step)",
     )
     run.add_argument(
         "--skin",
         type=float,
         default=0.4,
-        help="Verlet-list skin radius (verlet backend only)",
+        help="neighbour-list skin radius (kdtree/verlet backends)",
     )
     run.add_argument(
         "--kernel",

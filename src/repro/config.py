@@ -320,14 +320,17 @@ class RunConfig:
     record_interval:
         Instrumentation records are kept every this many steps.
     force_backend:
-        ``"kdtree"`` (fast, scipy), ``"cells"`` (pure-NumPy linked cells,
-        the faithful reference kernel) or ``"verlet"`` (cached neighbour
-        list with a skin radius, rebuilt only on sufficient displacement).
+        ``"kdtree"`` (default; ``"verlet"`` is the same path: a neighbour
+        list built by scipy's cKDTree with a skin radius, rebuilt only on
+        sufficient displacement) or ``"cells"`` (pure-NumPy linked cells,
+        the faithful reference kernel, searched every step). All give
+        bit-identical results.
     skin:
-        Verlet-list search margin beyond the cut-off (``"verlet"`` backend).
-        Larger skins rebuild less often but evaluate more candidates.
+        Neighbour-list search margin beyond the cut-off (clamped to what the
+        box admits). Larger skins rebuild less often but evaluate more
+        candidates.
     neighbor_max_reuse:
-        Cap on consecutive Verlet-list reuses before a forced rebuild
+        Cap on consecutive neighbour-list reuses before a forced rebuild
         (0 disables the cap; the displacement criterion alone decides).
     kernel:
         Force-kernel tier: ``"numpy"`` (full-list reference), ``"half"``

@@ -9,10 +9,12 @@ under the real name.
 
 Restores are bit-identical: the snapshot carries every piece of mutable
 runner state (system arrays, holder map, balancer ledger and timing view,
-pending migration charges, Verlet cache including its cached pair *order*,
+pending migration charges, the neighbour list's build-time positions,
 simulated clocks, partial records), and the fault injector is stateless by
 construction, so replaying steps ``k+1..n`` after a restore at ``k``
-produces the same bytes an uninterrupted run would have.
+produces the same bytes an uninterrupted run would have. The pair list
+itself is not stored: it is kept in canonical order, hence reproducible
+from those positions, and forces do not depend on when it was built.
 """
 
 from __future__ import annotations

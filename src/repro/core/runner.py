@@ -422,7 +422,7 @@ class ParallelMDRunner(_ObservedRunner):
 
     @property
     def neighbor_stats(self):
-        """Pair-search counters (Verlet rebuilds/reuses, candidate ratios)."""
+        """Pair-search counters (list rebuilds/reuses, candidate ratios)."""
         return self.force_field.stats
 
     def _maybe_rebalance(self) -> list:
@@ -462,9 +462,9 @@ class ParallelMDRunner(_ObservedRunner):
                 # per-PE wall-clock instead of computing the forces twice.
                 override = self.force_field.last_pass.per_pe_seconds
             else:
-                # With the Verlet backend the integrator's force pass just
-                # refreshed (or reused) the cached candidate list; hand it to
-                # the decomposed pass so no PE repeats the pair search.
+                # The integrator's force pass just refreshed (or reused)
+                # the cached candidate list; hand it to the decomposed pass
+                # so no PE repeats the pair search ("cells" has no cache).
                 verlet = self.force_field.verlet_list
                 candidates = (
                     verlet.candidates(self.system.positions)
@@ -550,8 +550,8 @@ class ParallelMDRunner(_ObservedRunner):
 
     def state_dict(self, result: RunResult | None = None) -> dict:
         """Everything mutable, deep-copied: system arrays, holder map,
-        balancer ledger and timing view, pending accounting charges, Verlet
-        cache (with pair order), clocks and the partial records."""
+        balancer ledger and timing view, pending accounting charges, the
+        neighbour list's build positions, clocks and the partial records."""
         return {
             "kind": "parallel_md",
             "config_token": self._config_token(),

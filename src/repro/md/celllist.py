@@ -139,10 +139,9 @@ class CellList:
     def cell_sort(self, positions: np.ndarray) -> CellSort:
         """Run the assign/argsort/bincount pipeline once for a snapshot.
 
-        Every occupancy consumer (:meth:`sorted_particles`,
-        :meth:`padded_occupancy`, the candidate generators in
-        :mod:`repro.md.neighbors`) accepts the returned :class:`CellSort`, so
-        one sort serves an arbitrary number of consumers per step.
+        Every occupancy consumer (:meth:`sorted_particles`, the candidate
+        generator in :mod:`repro.md.neighbors`) accepts the returned
+        :class:`CellSort`, so one sort serves any number of consumers per step.
         """
         flat = self.assign(positions)
         order = np.argsort(flat, kind="stable")
@@ -163,29 +162,6 @@ class CellList:
         if sort is None:
             sort = self.cell_sort(positions)
         return sort.order, sort.starts
-
-    def padded_occupancy(
-        self, positions: np.ndarray, sort: CellSort | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Occupancy matrix ``(n_cells, max_count)`` of particle ids, -1 padded.
-
-        Returns ``(occupancy, counts_flat)``. The padded layout lets the
-        legacy reference kernel generate all intra- and inter-cell candidate
-        pairs with pure broadcasting; it degrades to O(n_cells * max_count^2)
-        on skewed occupancies, which is why the CSR generator in
-        :mod:`repro.md.neighbors` is the production path and the padded
-        benchmark is retired behind ``--include-legacy``.
-        """
-        if sort is None:
-            sort = self.cell_sort(positions)
-        counts = sort.counts
-        max_count = int(counts.max(initial=0))
-        occupancy = np.full((self.n_cells, max(max_count, 1)), -1, dtype=np.int64)
-        sorted_cells = sort.flat[sort.order]
-        # Rank of each particle within its cell: position in the sorted run.
-        ranks = np.arange(sort.n) - sort.starts[sorted_cells]
-        occupancy[sorted_cells, ranks] = sort.order
-        return occupancy, counts
 
     def neighbor_count_sum(self, counts_grid: np.ndarray) -> np.ndarray:
         """Sum of particle counts over each cell's 27-cell neighbourhood.

@@ -13,12 +13,19 @@ from .kernels import (  # noqa: F401 -- re-exported; historically defined here
     forces_from_pairs,
     resolve_kernel_name,
 )
-from .neighbors import NeighborStats, VerletList, pairs_celllist, pairs_kdtree
+from .neighbors import (  # noqa: F401 -- pairs_kdtree re-exported for callers/tracers
+    NeighborStats,
+    VerletList,
+    canonical_pairs,
+    pairs_celllist,
+    pairs_kdtree,
+)
 from .pbc import minimum_image
 from .potential import LennardJones
 from .system import ParticleSystem
 
-#: Pair-search backends understood by :class:`ForceField`.
+#: Pair-search backends understood by :class:`ForceField`; ``"verlet"`` is a
+#: second spelling of ``"kdtree"`` (one cached list, one code path).
 BACKENDS = ("kdtree", "cells", "verlet")
 
 
@@ -65,21 +72,29 @@ def check_finite_forces(forces: np.ndarray) -> None:
 class ForceField:
     """LJ force field with interchangeable pair-search backends.
 
+    Both backends hand the kernel a canonically ordered pair list
+    (:func:`~repro.md.neighbors.canonical_pairs`), so forces, energy and
+    virial are bit-identical across them and independent of when the cached
+    list was last rebuilt.
+
     Parameters
     ----------
     potential:
         The pair potential.
     backend:
-        ``"kdtree"`` (scipy, fast default), ``"cells"`` (linked-cell
-        reference kernel) or ``"verlet"`` (cached neighbour list with a skin
-        radius, rebuilt only when a particle moves farther than ``skin/2``).
+        ``"kdtree"`` (default; ``"verlet"`` is the same path): a
+        :class:`~repro.md.neighbors.VerletList` built by the compiled
+        cKDTree search at ``r_c + skin`` and reused until a particle moves
+        farther than ``skin/2``. ``"cells"``: the linked-cell NumPy
+        reference, searched every step.
     cells_per_side:
         Required by the ``"cells"`` backend: grid resolution (cell edge must
         be at least the cut-off).
     skin:
-        Verlet-list search margin beyond the cut-off (``"verlet"`` only).
+        Neighbour-list search margin beyond the cut-off (clamped to what the
+        box admits, see :class:`~repro.md.neighbors.VerletList`).
     max_reuse:
-        Cap on consecutive Verlet-list reuses before a forced rebuild
+        Cap on consecutive list reuses before a forced rebuild
         (0 = displacement criterion only).
     cell_list:
         Optional pre-built :class:`CellList` to share with the caller (the
@@ -174,7 +189,7 @@ class ForceField:
 
     @property
     def verlet_list(self) -> VerletList | None:
-        """The backing Verlet list (``None`` until first use / other backends)."""
+        """The cached neighbour list (``None`` until first use / ``"cells"``)."""
         return self._verlet
 
     def invalidate_cache(self) -> None:
@@ -183,23 +198,21 @@ class ForceField:
             self._verlet.invalidate()
 
     def find_pairs(self, system: ParticleSystem) -> np.ndarray:
-        """Interacting pairs (within the true cut-off) under the configured backend."""
-        if self.backend == "kdtree":
-            pairs = pairs_kdtree(system.positions, system.box_length, self.potential.cutoff)
-            self.stats.record_build(len(pairs))
-            return pairs
-        if self.backend == "verlet":
-            return self._get_verlet(system.box_length).pairs(system.positions)
-        cell_list = self._get_cell_list(system.box_length)
-        pairs = pairs_celllist(system.positions, cell_list, self.potential.cutoff)
-        self.stats.record_build(len(pairs))
-        return pairs
+        """Interacting pairs (within the true cut-off), in canonical order."""
+        if self.backend == "cells":
+            return self._candidate_pairs(system)
+        return self._get_verlet(system.box_length).pairs(system.positions)
 
     def _candidate_pairs(self, system: ParticleSystem) -> np.ndarray:
-        """Pair list for the force kernel (may exceed the cut-off; filtered there)."""
-        if self.backend == "verlet":
-            return self._get_verlet(system.box_length).candidates(system.positions)
-        return self.find_pairs(system)
+        """Canonical pair list for the kernel (may exceed the cut-off; filtered there)."""
+        if self.backend == "cells":
+            cell_list = self._get_cell_list(system.box_length)
+            pairs = canonical_pairs(
+                pairs_celllist(system.positions, cell_list, self.potential.cutoff)
+            )
+            self.stats.record_build(len(pairs))
+            return pairs
+        return self._get_verlet(system.box_length).candidates(system.positions)
 
     def compute(self, system: ParticleSystem) -> ForceResult:
         """Evaluate forces, writing them into ``system.forces`` as well."""
@@ -228,10 +241,10 @@ class ForceField:
     def cache_state(self) -> dict:
         """Snapshot of the pair-search cache and counters.
 
-        The Verlet candidate list is part of this state on purpose: its pair
-        *order* determines the floating-point accumulation order in
-        :func:`forces_from_pairs`, so restoring it (rather than rebuilding)
-        is what makes a resumed run bit-identical to an uninterrupted one.
+        The cached list is saved as its build-time reference positions only:
+        canonical order makes it (and the kernel's accumulation order)
+        reproducible from them, so a resumed run stays bit-identical without
+        pickling the pair array.
         """
         return {
             "stats": self.stats.state_dict(),
@@ -242,5 +255,5 @@ class ForceField:
     def restore_cache_state(self, state: dict, box_length: float) -> None:
         """Restore a snapshot taken by :meth:`cache_state`."""
         self.stats.load_state_dict(state["stats"])
-        if state.get("verlet") is not None and self.backend == "verlet":
+        if state.get("verlet") is not None and self.backend != "cells":
             self._get_verlet(box_length).load_state_dict(state["verlet"])

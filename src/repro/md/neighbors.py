@@ -4,7 +4,7 @@ Interchangeable backends produce identical pair sets (tested against each
 other):
 
 ``pairs_kdtree``
-    scipy's periodic cKDTree -- the fast default (compiled C).
+    scipy's periodic cKDTree -- the compiled search (C).
 ``pairs_celllist``
     the faithful linked-cell search of the paper, vectorised with a CSR
     (sorted-run) candidate generator -- pure NumPy, linear in the actual
@@ -12,14 +12,12 @@ other):
     kernel and by the per-PE decomposed force path.
 ``VerletList``
     a cached pair list built with ``cutoff + skin`` and reused across steps
-    until any particle moves farther than ``skin / 2``; the ``"verlet"``
-    backend of :class:`repro.md.forces.ForceField`.
+    until any particle moves farther than ``skin / 2``; the default
+    (``"kdtree"``/``"verlet"``) backend of
+    :class:`repro.md.forces.ForceField`.
 
-``candidate_pairs_padded`` keeps the legacy padded-occupancy generator,
-which costs O(n_cells * max_count^2) and blows up on the concentrated
-configurations this paper studies; it remains as a correctness oracle only.
-Its benchmark is retired behind ``--include-legacy``
-(see ``benchmarks/bench_kernels.py``).
+:func:`canonical_pairs` fixes the row order every :class:`ForceField` path
+feeds the kernels, so forces are a function of the positions alone.
 """
 
 from __future__ import annotations
@@ -32,7 +30,28 @@ from scipy.spatial import cKDTree
 from ..errors import GeometryError
 from ..obs.profiler import scope
 from .celllist import HALF_STENCIL, CellList, CellSort
-from .pbc import minimum_image
+from .pbc import minimum_image, minimum_image_inplace
+
+
+#: Pairs per block of the cut-off filter: bounds its displacement temporaries
+#: (a few MB) whatever the length of the list, and keeps them cache-resident.
+_FILTER_BLOCK = 32768
+
+
+def _within_cutoff(
+    positions: np.ndarray, pairs: np.ndarray, box_length: float, cutoff: float
+) -> np.ndarray:
+    """Rows of ``pairs`` closer than ``cutoff`` (open interval), order preserved."""
+    keep = np.empty(len(pairs), dtype=bool)
+    for start in range(0, len(pairs), _FILTER_BLOCK):
+        block = pairs[start : start + _FILTER_BLOCK]
+        delta = np.take(positions, block[:, 0], axis=0)
+        delta -= np.take(positions, block[:, 1], axis=0)
+        minimum_image_inplace(delta, box_length)
+        keep[start : start + _FILTER_BLOCK] = (
+            np.einsum("ij,ij->i", delta, delta) < cutoff * cutoff
+        )
+    return np.ascontiguousarray(np.compress(keep, pairs, axis=0), dtype=np.int64)
 
 
 def pairs_kdtree(positions: np.ndarray, box_length: float, cutoff: float) -> np.ndarray:
@@ -52,21 +71,9 @@ def pairs_kdtree(positions: np.ndarray, box_length: float, cutoff: float) -> np.
     with scope("pairs.kdtree"):
         tree = cKDTree(positions, boxsize=box_length)
         pairs = tree.query_pairs(cutoff, output_type="ndarray")
-        if len(pairs) == 0:
-            return np.empty((0, 2), dtype=np.int64)
         # query_pairs uses a closed ball; drop pairs at exactly the cut-off so
         # both backends implement the same open interval r < r_c.
-        delta = minimum_image(positions[pairs[:, 0]] - positions[pairs[:, 1]], box_length)
-        r_sq = np.einsum("ij,ij->i", delta, delta)
-        keep = r_sq < cutoff * cutoff
-        return np.ascontiguousarray(pairs[keep], dtype=np.int64)
-
-
-def _check_grid(cell_list: CellList) -> None:
-    if cell_list.cells_per_side < 3:
-        raise GeometryError(
-            f"cell-list pair search needs >= 3 cells per side, got {cell_list.cells_per_side}"
-        )
+        return _within_cutoff(positions, pairs, box_length, cutoff)
 
 
 def candidate_pairs_celllist(
@@ -81,13 +88,14 @@ def candidate_pairs_celllist(
 
     The generator walks the CSR cell sort (``order``/``starts``) with
     ``np.repeat``-built index arithmetic, so its cost is linear in the number
-    of candidates actually emitted -- unlike the padded-occupancy generator
-    (:func:`candidate_pairs_padded`), whose cost scales with the *square of
-    the fullest cell* across every cell, a pathology on clustered
-    configurations. Pass a precomputed ``sort`` to reuse a snapshot's
+    of candidates actually emitted, however skewed the occupancies. Pass a
+    precomputed ``sort`` to reuse a snapshot's
     :meth:`repro.md.celllist.CellList.cell_sort`.
     """
-    _check_grid(cell_list)
+    if cell_list.cells_per_side < 3:
+        raise GeometryError(
+            f"cell-list pair search needs >= 3 cells per side, got {cell_list.cells_per_side}"
+        )
     if len(positions) == 0:
         return np.empty((0, 2), dtype=np.int64)
     with scope("pairs.csr_candidates"):
@@ -140,60 +148,6 @@ def candidate_pairs_celllist(
         return np.ascontiguousarray(np.concatenate(chunks, axis=0), dtype=np.int64)
 
 
-def candidate_pairs_padded(
-    positions: np.ndarray, cell_list: CellList, sort: CellSort | None = None
-) -> np.ndarray:
-    """Legacy padded-occupancy candidate generator (correctness oracle).
-
-    Same candidate set as :func:`candidate_pairs_celllist` (up to row order)
-    via an ``(n_cells, max_count)`` padded matrix and broadcasting. Cost is
-    O(n_cells * max_count^2): fine for uniform gases, catastrophic once a few
-    cells concentrate most of the particles. Kept for cross-checking; its
-    clustered benchmark only runs under ``--include-legacy`` (it costs ~13 s
-    per round at quick scale).
-    """
-    _check_grid(cell_list)
-    if len(positions) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if sort is None:
-        sort = cell_list.cell_sort(positions)
-    occupancy, counts = cell_list.padded_occupancy(positions, sort=sort)
-    n_cells, max_count = occupancy.shape
-
-    chunks: list[np.ndarray] = []
-
-    # Intra-cell pairs: all i<j combinations inside each cell.
-    if max_count >= 2:
-        iu, ju = np.triu_indices(max_count, k=1)
-        a = occupancy[:, iu].ravel()
-        b = occupancy[:, ju].ravel()
-        valid = (a >= 0) & (b >= 0)
-        if valid.any():
-            chunks.append(np.column_stack((a[valid], b[valid])))
-
-    # Inter-cell pairs: for each of the 13 half offsets, cross products of the
-    # cell's particles with the neighbour cell's particles.
-    occupied = np.flatnonzero(counts > 0)
-    for offset in HALF_STENCIL:
-        neighbor = cell_list.neighbor_ids(offset)
-        cells = occupied[counts[neighbor[occupied]] > 0]
-        if len(cells) == 0:
-            continue
-        a = np.broadcast_to(occupancy[cells][:, :, None], (len(cells), max_count, max_count))
-        b = np.broadcast_to(
-            occupancy[neighbor[cells]][:, None, :], (len(cells), max_count, max_count)
-        )
-        a = a.reshape(-1)
-        b = b.reshape(-1)
-        valid = (a >= 0) & (b >= 0)
-        if valid.any():
-            chunks.append(np.column_stack((a[valid], b[valid])))
-
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.ascontiguousarray(np.concatenate(chunks, axis=0), dtype=np.int64)
-
-
 def pairs_celllist(
     positions: np.ndarray,
     cell_list: CellList,
@@ -207,27 +161,30 @@ def pairs_celllist(
             "the 26-neighbour stencil would miss pairs"
         )
     candidates = candidate_pairs_celllist(positions, cell_list, sort=sort)
-    if len(candidates) == 0:
-        return candidates
-    delta = minimum_image(
-        positions[candidates[:, 0]] - positions[candidates[:, 1]], cell_list.box_length
-    )
-    r_sq = np.einsum("ij,ij->i", delta, delta)
-    return np.ascontiguousarray(candidates[r_sq < cutoff * cutoff], dtype=np.int64)
+    return _within_cutoff(positions, candidates, cell_list.box_length, cutoff)
 
 
 def canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     """Sort a pair list into canonical order (min first, lexicographic rows).
 
-    Utility for comparing backend outputs in tests.
+    Every kernel tier filters candidates *preserving their order*, so feeding
+    it canonical rows makes the accepted-pair sequence -- hence the
+    floating-point accumulation order of forces, energy and virial -- a
+    function of the positions alone, whichever backend found the pairs and
+    whenever the list was last rebuilt. One int64 key per row keeps this a
+    single ``sort`` (about 12x faster than ``lexsort`` on 2e5 rows).
     """
     if len(pairs) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    stacked = np.column_stack((lo, hi))
-    order = np.lexsort((stacked[:, 1], stacked[:, 0]))
-    return stacked[order]
+    keys = np.minimum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
+    hi = np.maximum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
+    base = int(hi.max()) + 1
+    keys *= base
+    keys += hi
+    keys.sort()
+    out = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, base, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 # -- Verlet neighbour-list caching ----------------------------------------
@@ -340,23 +297,28 @@ class NeighborStats:
 
 
 class VerletList:
-    """A reusable pair list with a skin radius (Verlet neighbour list).
+    """A reusable, canonically ordered pair list with a skin radius.
 
     The list is built with search radius ``cutoff + skin`` and stays valid as
     long as no particle has moved farther than ``skin / 2`` from its position
     at build time: two particles outside ``cutoff + skin`` then cannot have
     approached within ``cutoff``. The expensive pair search therefore runs
-    once every ~10-20 steps instead of every step.
+    once every ~10-20 steps instead of every step. Rows are kept in
+    :func:`canonical_pairs` order, so the list is a pure function of its
+    build-time positions.
 
     Parameters
     ----------
     box_length:
-        Periodic box edge.
+        Periodic box edge (``L >= 2 * cutoff``).
     cutoff:
         True interaction cut-off ``r_c``.
     skin:
         Extra search margin (> 0). Larger skins rebuild less often but carry
-        more candidates per evaluation.
+        more candidates per evaluation. The periodic search admits radii up
+        to ``L / 2`` only, so in small boxes the effective :attr:`skin` is
+        clamped to ``L / 2 - cutoff``; at zero the list degrades to a search
+        on every move.
     max_reuse:
         Hard cap on consecutive reuses before a forced rebuild (0 = no cap);
         a safety valve against drift in long NVE stretches.
@@ -385,16 +347,18 @@ class VerletList:
             raise GeometryError(f"skin must be positive, got {skin}")
         if max_reuse < 0:
             raise GeometryError(f"max_reuse must be non-negative, got {max_reuse}")
-        if 2.0 * (cutoff + skin) > box_length:
+        if 2.0 * cutoff > box_length:
             raise GeometryError(
-                f"search radius {cutoff + skin} too large for box {box_length} "
-                "(needs L >= 2*(r_c + skin); shrink the skin)"
+                f"cutoff {cutoff} too large for box {box_length} (needs L >= 2*r_c)"
             )
         if builder not in ("kdtree", "cells"):
             raise GeometryError(f"unknown Verlet builder {builder!r}")
         self.box_length = float(box_length)
         self.cutoff = float(cutoff)
-        self.skin = float(skin)
+        #: Search radius of the cached list: ``cutoff + skin``, at most ``L/2``.
+        self.radius = min(self.cutoff + float(skin), 0.5 * self.box_length)
+        #: Effective skin (the requested one unless the box clamps it).
+        self.skin = self.radius - self.cutoff
         self.max_reuse = int(max_reuse)
         self.builder = builder
         self.stats = stats if stats is not None else NeighborStats()
@@ -413,11 +377,6 @@ class VerletList:
         self._reuse_streak = 0
 
     @property
-    def radius(self) -> float:
-        """Search radius ``cutoff + skin`` of the cached list."""
-        return self.cutoff + self.skin
-
-    @property
     def is_built(self) -> bool:
         """Whether a cached list currently exists."""
         return self._pairs is not None
@@ -429,24 +388,26 @@ class VerletList:
         self._reuse_streak = 0
 
     def state_dict(self) -> dict:
-        """Checkpoint snapshot of the cache, *including the pair order*.
+        """Checkpoint snapshot of the cache: build positions, not the pairs.
 
-        Pair order matters: it fixes the floating-point accumulation order
-        of the force kernel, so a restored run reproduces forces bit-for-bit
-        instead of merely to rounding error.
+        The canonical list is reproducible from its build-time reference
+        positions, so the ``(M, 2)`` array itself is never pickled.
         """
         return {
-            "pairs": None if self._pairs is None else self._pairs.copy(),
             "reference": None if self._reference is None else self._reference.copy(),
             "reuse_streak": self._reuse_streak,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        pairs = state["pairs"]
+        """Restore a :meth:`state_dict` snapshot by re-searching its reference.
+
+        The rebuild is not counted in :attr:`stats` (the original build was).
+        Snapshots from before the canonical order also carry ``pairs``; it is
+        ignored.
+        """
         reference = state["reference"]
-        self._pairs = None if pairs is None else np.array(pairs, copy=True)
         self._reference = None if reference is None else np.array(reference, copy=True)
+        self._pairs = None if reference is None else self._search(self._reference)
         self._reuse_streak = int(state["reuse_streak"])
 
     def max_displacement_sq(self, positions: np.ndarray) -> float:
@@ -465,18 +426,21 @@ class VerletList:
         half_skin = 0.5 * self.skin
         return self.max_displacement_sq(positions) > half_skin * half_skin
 
+    def _search(self, positions: np.ndarray) -> np.ndarray:
+        if self._cell_list is not None:
+            pairs = pairs_celllist(positions, self._cell_list, self.radius)
+        else:
+            pairs = pairs_kdtree(positions, self.box_length, self.radius)
+        return canonical_pairs(pairs)
+
     def build(self, positions: np.ndarray) -> np.ndarray:
         """Run the full pair search at ``cutoff + skin`` and cache the result."""
         with scope("pairs.verlet_build"):
-            if self._cell_list is not None:
-                pairs = pairs_celllist(positions, self._cell_list, self.radius)
-            else:
-                pairs = pairs_kdtree(positions, self.box_length, self.radius)
-            self._pairs = pairs
+            self._pairs = self._search(positions)
             self._reference = np.array(positions, copy=True)
             self._reuse_streak = 0
-            self.stats.record_build(len(pairs))
-            return pairs
+            self.stats.record_build(len(self._pairs))
+            return self._pairs
 
     def candidates(self, positions: np.ndarray) -> np.ndarray:
         """Candidate pairs covering every interaction of ``positions``.
@@ -493,13 +457,6 @@ class VerletList:
 
     def pairs(self, positions: np.ndarray) -> np.ndarray:
         """Exact pairs within ``cutoff`` (cached candidates + distance filter)."""
-        candidates = self.candidates(positions)
-        if len(candidates) == 0:
-            return candidates
-        delta = minimum_image(
-            positions[candidates[:, 0]] - positions[candidates[:, 1]], self.box_length
-        )
-        r_sq = np.einsum("ij,ij->i", delta, delta)
-        return np.ascontiguousarray(
-            candidates[r_sq < self.cutoff * self.cutoff], dtype=np.int64
+        return _within_cutoff(
+            positions, self.candidates(positions), self.box_length, self.cutoff
         )

@@ -93,24 +93,6 @@ class TestOccupancy:
             members = order[starts[c]: starts[c + 1]]
             assert np.all(flat[members] == c)
 
-    def test_padded_occupancy_contains_all_particles(self, gas_positions):
-        pos, box = gas_positions
-        cl = CellList(box, 4)
-        occ, counts = cl.padded_occupancy(pos)
-        listed = occ[occ >= 0]
-        assert len(listed) == len(pos)
-        assert set(listed.tolist()) == set(range(len(pos)))
-
-    def test_padded_occupancy_rows_match_cells(self, gas_positions):
-        pos, box = gas_positions
-        cl = CellList(box, 4)
-        occ, counts = cl.padded_occupancy(pos)
-        flat = cl.assign(pos)
-        for c in range(cl.n_cells):
-            members = occ[c][occ[c] >= 0]
-            assert len(members) == counts[c]
-            assert np.all(flat[members] == c)
-
 
 class TestNeighborCountSum:
     def test_uniform_counts(self):
@@ -146,16 +128,15 @@ def rng():
 
 
 class TestCellSort:
-    def test_matches_sorted_particles_and_padded_occupancy(self, gas_positions):
+    def test_matches_sorted_particles(self, gas_positions):
         pos, box = gas_positions
         cl = CellList(box, 4)
         sort = cl.cell_sort(pos)
         order, starts = cl.sorted_particles(pos, sort=sort)
         assert order is sort.order and starts is sort.starts
-        occ, counts = cl.padded_occupancy(pos, sort=sort)
-        occ2, counts2 = cl.padded_occupancy(pos)
-        assert np.array_equal(occ, occ2)
-        assert np.array_equal(counts, counts2)
+        order2, starts2 = cl.sorted_particles(pos)
+        assert np.array_equal(order, order2)
+        assert np.array_equal(starts, starts2)
 
     def test_counts_consistent_with_grid(self, gas_positions):
         pos, box = gas_positions

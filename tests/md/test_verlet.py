@@ -36,9 +36,24 @@ class TestVerletListConstruction:
         with pytest.raises(GeometryError):
             VerletList(BOX, CUTOFF, -0.1)
 
-    def test_rejects_radius_beyond_half_box(self):
+    def test_clamps_skin_to_half_box(self):
+        v = VerletList(6.0, 2.5, 1.0)  # 2*(2.5+1.0) > 6: only 0.5 of skin fits
+        assert v.radius == 3.0
+        assert v.skin == pytest.approx(0.5)
+
+    def test_rejects_cutoff_beyond_half_box(self):
         with pytest.raises(GeometryError):
-            VerletList(6.0, 2.5, 1.0)  # 2*(2.5+1.0) > 6
+            VerletList(4.0, 2.5, 0.4)
+
+    def test_no_room_for_skin_searches_on_every_move(self, rng):
+        v = VerletList(5.0, 2.5, 0.4)  # L = 2*r_c: what kdtree always accepted
+        assert v.skin == 0.0
+        pos = rng.uniform(0.0, 5.0, (60, 3))
+        for _ in range(3):
+            got = v.pairs(pos)
+            assert np.array_equal(got, canonical_pairs(pairs_kdtree(pos, 5.0, 2.5)))
+            pos = np.mod(pos + 1e-6, 5.0)
+        assert v.stats.rebuilds == 3 and v.stats.reuses == 0
 
     def test_rejects_negative_max_reuse(self):
         with pytest.raises(GeometryError):
@@ -160,6 +175,43 @@ class TestVerletListSemantics:
             canonical_pairs(a.pairs(pos)), canonical_pairs(b.pairs(pos))
         )
 
+    def test_candidates_are_canonically_ordered(self, rng):
+        v = VerletList(BOX, CUTOFF, 0.4)
+        got = v.candidates(clustered_positions(rng))
+        assert np.array_equal(got, canonical_pairs(got))
+
+    def test_state_dict_rebuilds_list_from_reference(self, rng):
+        v = VerletList(BOX, CUTOFF, 0.4)
+        pos = uniform_positions(rng)
+        v.candidates(pos)
+        v.candidates(np.mod(pos + 0.01, BOX))
+        state = v.state_dict()
+        assert set(state) == {"reference", "reuse_streak"}  # no (M, 2) array
+        restored = VerletList(BOX, CUTOFF, 0.4)
+        restored.load_state_dict(state)
+        assert restored.stats.rebuilds == 0  # the original build was counted
+        nudged = np.mod(pos + 0.02, BOX)
+        assert np.array_equal(restored.candidates(nudged), v.candidates(nudged))
+        assert restored.stats.reuses == 1 and restored.state_dict()["reuse_streak"] == 2
+
+    def test_loads_snapshot_that_still_carries_pairs(self, rng):
+        # Pre-canonical snapshots pickled the pair array in search order.
+        pos = uniform_positions(rng)
+        old = {
+            "pairs": pairs_kdtree(pos, BOX, CUTOFF + 0.4)[::-1].copy(),
+            "reference": pos.copy(),
+            "reuse_streak": 4,
+        }
+        v = VerletList(BOX, CUTOFF, 0.4)
+        v.load_state_dict(old)
+        assert np.array_equal(v.candidates(pos), canonical_pairs(old["pairs"]))
+
+    def test_unbuilt_state_round_trips(self):
+        v = VerletList(BOX, CUTOFF, 0.4)
+        restored = VerletList(BOX, CUTOFF, 0.4)
+        restored.load_state_dict(v.state_dict())
+        assert not restored.is_built
+
     def test_shared_stats_object(self, rng):
         stats = NeighborStats()
         v = VerletList(BOX, CUTOFF, 0.4, stats=stats)
@@ -197,11 +249,9 @@ class TestForceFieldVerletBackend:
         fb = ForceField(lj, backend="verlet").compute(
             ParticleSystem(pos.copy(), box_length=BOX)
         )
-        # Clustered blobs contain near-overlaps with enormous forces; compare
-        # relative to the largest magnitude (summation-order rounding).
-        scale = max(np.abs(fa.forces).max(), 1.0)
-        assert np.allclose(fa.forces / scale, fb.forces / scale, atol=1e-12)
-        assert fa.potential_energy == pytest.approx(fb.potential_energy)
+        # One path, two spellings: bit-identical, not merely close.
+        assert np.array_equal(fa.forces, fb.forces)
+        assert fa.potential_energy == fb.potential_energy
         assert fa.n_pairs == fb.n_pairs
 
     def test_stats_count_rebuilds_and_evaluations(self, lj, rng):

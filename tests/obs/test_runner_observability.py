@@ -30,12 +30,14 @@ def small_sim_config(dlb_enabled: bool = True) -> SimulationConfig:
 @pytest.fixture
 def observed_run():
     obs = Observability.create()
-    runner = ParallelMDRunner(
-        small_sim_config(True),
-        RunConfig(steps=12, seed=3),
-        observability=obs,
-    )
+    # Construction evaluates the initial forces -- the run's one pair search
+    # at this length -- so the profile has to cover it.
     with obs.activate():
+        runner = ParallelMDRunner(
+            small_sim_config(True),
+            RunConfig(steps=12, seed=3),
+            observability=obs,
+        )
         result = runner.run()
     return obs, runner, result
 
@@ -90,7 +92,14 @@ class TestParallelMDRunnerObservability:
 
     def test_profiler_saw_host_kernels(self, observed_run):
         obs, _, _ = observed_run
-        assert "pairs.kdtree" in obs.profiler.stats
+        # The default backend searches inside the neighbour-list build, and
+        # only there: most steps reuse the list.
+        assert "pairs.verlet_build" in obs.profiler.stats
+        assert (
+            obs.profiler.stats["pairs.kdtree"].count
+            == obs.profiler.stats["pairs.verlet_build"].count
+            == 1
+        )
         assert "accounting.account_step" in obs.profiler.stats
 
     def test_disabled_observability_records_nothing(self):

@@ -31,9 +31,11 @@ from repro.campaign.store import RunStore
 from repro.errors import ServiceError
 from repro.faults.chaos import Fleet
 
-#: Long enough that the owner is killed mid-run (several checkpoints in),
-#: short enough to keep the test under half a minute.
-N_STEPS = 400
+#: The owner is killed as soon as its first checkpoint is seen; the run must
+#: still be going by then. 19 of its 20 checkpoint windows lie after that
+#: point (~2.5 s of stepping on a 2-core host against a 10 ms poll), so the
+#: kill lands mid-run however fast a step is; still under half a minute.
+N_STEPS = 800
 CHECKPOINT_EVERY = 40
 SPEC = {
     "kind": "preset",
@@ -99,6 +101,7 @@ class TestFailover:
             wait_until(
                 lambda: run_checkpoints.is_dir()
                 and any(run_checkpoints.glob("ckpt-*.pkl")),
+                interval=0.01,
                 message="first checkpoint to land",
             )
             owner.sigkill()

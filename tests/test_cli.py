@@ -204,6 +204,13 @@ class TestBackendFlag:
         assert "Tt" in captured.out
         assert "rebuilds" in captured.err
 
+    @pytest.mark.parametrize("backend, reports", [(None, True), ("cells", False)])
+    def test_rebuild_line_follows_caching_not_the_flag(self, capsys, backend, reports):
+        argv = ["run", "bench-m2", "--mode", "dlb", "--steps", "5",
+                "--record-interval", "1"]
+        assert main(argv + (["--backend", backend] if backend else [])) == 0
+        assert ("pair-search rebuilds=" in capsys.readouterr().err) is reports
+
 
 class TestObservabilityFlags:
     def test_trace_metrics_profile_parse(self):
