@@ -1,11 +1,16 @@
 """Exact decomposed force computation: each PE computes its own cells.
 
 This is the real DDM force pass (as opposed to the cost model's estimate of
-it): every PE gathers its owned cells plus the adjacent ghost cells, finds
-local pairs, and accumulates forces on its owned particles only. Merging the
-per-PE contributions must reproduce the global kernel bit-for-bit modulo
-summation order -- the integration tests assert exactly that -- and the
-per-PE wall-clock times drive the runner's ``"measured"`` mode.
+it). One neighbour structure is shared by the whole decomposition: the
+within-cut-off pairs of the current configuration, in canonical order, with
+both endpoints' owner PEs looked up from the current cell-owner map
+(:class:`PairTable`). Every PE's slice is cut out of that table -- the pairs
+with an owned endpoint, i.e. owned-owned plus owned-ghost -- and accumulates
+forces on its owned particles only. Because local ids are ascending global
+ids, a slice adds up each owned particle's force in the same order as the
+global kernel on the whole list, so the merged forces equal
+:func:`repro.md.kernels.forces_from_pairs` bit for bit; the per-PE wall-clock
+times drive the runner's ``"measured"`` mode.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DecompositionError
-from ..md.celllist import FULL_STENCIL, CellList
+from ..md.celllist import CellList
 from ..md.kernels import KernelBackend, NumpyKernel
-from ..md.neighbors import pairs_kdtree
-from ..md.pbc import minimum_image_inplace
+from ..md.neighbors import _within_cutoff, canonical_pairs, pairs_kdtree
 from ..md.potential import LennardJones
 from ..md.system import ParticleSystem
 from ..obs.profiler import profiled
@@ -36,13 +40,19 @@ class DecomposedForceResult:
     potential_energy:
         Total pair energy (each pair counted once).
     per_pe_seconds:
-        ``(P,)`` wall-clock seconds each PE's pass took on this host.
+        ``(P,)`` wall-clock seconds each PE's slice took on this host
+        (select + pair math + scatter; the shared table is outside it).
     per_pe_pairs:
         ``(P,)`` pairs each PE evaluated (owned-owned and owned-ghost).
     virial:
         Pair virial ``sum(f_ij . r_ij)`` with the same 1.0/0.5 ownership
         weights as the energy (so the merged value matches the global
         kernel's modulo summation order).
+    n_candidates:
+        Length of the candidate list the pass filtered.
+    list_rebuilt:
+        Whether the pass ran a pair search to get that list (as opposed to
+        reusing a cached one).
     """
 
     forces: np.ndarray
@@ -50,6 +60,39 @@ class DecomposedForceResult:
     per_pe_seconds: np.ndarray
     per_pe_pairs: np.ndarray
     virial: float = 0.0
+    n_candidates: int = 0
+    list_rebuilt: bool = True
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """The pair structure one pass shares between all its PE slices.
+
+    ``pairs`` holds the within-cut-off rows of the candidate list in their
+    original (canonical) order, ``owner_i`` / ``owner_j`` the PE owning each
+    row's endpoints and ``particle_owner`` every particle's owner, all under
+    the *current* cell-owner map.
+    """
+
+    pairs: np.ndarray
+    owner_i: np.ndarray
+    owner_j: np.ndarray
+    particle_owner: np.ndarray
+
+
+def pair_table(
+    positions: np.ndarray,
+    cell_list: CellList,
+    cell_owner: np.ndarray,
+    cutoff: float,
+    candidates: np.ndarray,
+) -> PairTable:
+    """Filter ``candidates`` to the cut-off once and look up the owners."""
+    particle_owner = cell_owner[cell_list.assign(positions)]
+    pairs = _within_cutoff(positions, candidates, cell_list.box_length, cutoff)
+    return PairTable(
+        pairs, particle_owner[pairs[:, 0]], particle_owner[pairs[:, 1]], particle_owner
+    )
 
 
 @dataclass(frozen=True)
@@ -75,9 +118,6 @@ class PEForceSlice:
     seconds: float
 
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_FORCES = np.empty((0, 3), dtype=np.float64)
-
 #: Shared fallback kernel tier for callers that do not pass one.
 _REFERENCE_KERNEL = NumpyKernel()
 
@@ -86,19 +126,16 @@ def pe_force_slice(
     pe: int,
     positions: np.ndarray,
     box_length: float,
-    cell_list: CellList,
-    cell_owner: np.ndarray,
-    particle_cell: np.ndarray,
-    particle_owner: np.ndarray,
+    table: PairTable,
     potential: LennardJones,
     kernel: KernelBackend | None = None,
 ) -> PEForceSlice:
-    """Compute PE ``pe``'s force slice from shared read-only inputs.
+    """Cut PE ``pe``'s force slice out of the pass's shared pair table.
 
-    This is the kernel both execution engines run: a sequential engine calls
-    it for every PE in rank order in one process, a multiprocess engine calls
-    it for its shard of PEs in a worker. All inputs are plain arrays so the
-    call is cheap to make against shared memory.
+    This is the one per-PE implementation: :func:`decomposed_force_pass`
+    and the sequential engine call it for every PE in rank order, a
+    multiprocess worker for its shard of PEs. ``seconds`` is the wall clock
+    of this call alone.
 
     ``kernel`` picks the force-kernel tier for the per-pair math (default:
     the full-list NumPy reference). The ownership weighting and the Newton-3
@@ -107,23 +144,12 @@ def pe_force_slice(
     is bit-identical across the ``numpy`` and ``half`` tiers.
     """
     start = time.perf_counter()
-    owned_cells = cell_owner == pe
-    local_cells = owned_cells | ghost_cell_mask(cell_owner, cell_list, pe)
-    local_ids = np.flatnonzero(local_cells[particle_cell])
-    if len(local_ids) == 0:
-        return PEForceSlice(
-            pe, _EMPTY_IDS, _EMPTY_FORCES, 0.0, 0.0, 0,
-            time.perf_counter() - start,
-        )
-    local_pos = positions[local_ids]
-    owned_local = particle_owner[local_ids] == pe
-
-    pairs = pairs_kdtree(local_pos, box_length, potential.cutoff)
-    if len(pairs):
-        keep = owned_local[pairs[:, 0]] | owned_local[pairs[:, 1]]
-        pairs = pairs[keep]
-    owned_ids = local_ids[owned_local]
-    if len(pairs) == 0:
+    owned_ids = np.flatnonzero(table.particle_owner == pe)
+    i_owned = table.owner_i == pe
+    j_owned = table.owner_j == pe
+    touches = i_owned | j_owned
+    pairs = np.compress(touches, table.pairs, axis=0)
+    if len(pairs) == 0:  # a PE that owns nothing, or nothing within reach
         return PEForceSlice(
             pe, owned_ids, np.zeros((len(owned_ids), 3), dtype=np.float64),
             0.0, 0.0, 0, time.perf_counter() - start,
@@ -131,42 +157,29 @@ def pe_force_slice(
 
     backend = _REFERENCE_KERNEL if kernel is None else kernel
     i, j, fvec, energies, f_over_r, r_sq = backend.pair_terms(
-        local_pos, pairs, box_length, potential
+        positions, pairs, box_length, potential
     )
-    n_local = len(local_ids)
-    local_forces = np.zeros((n_local, 3))
+    # Only the owned endpoints' forces are this PE's responsibility; a mixed
+    # pair's other half is computed by the ghost's owner. Every row touching
+    # an owned particle is in the slice, in list order, so its bincount sums
+    # are the global kernel's.
+    n = len(positions)
+    forces = np.empty((len(owned_ids), 3), dtype=np.float64)
     for axis in range(3):
-        local_forces[:, axis] += np.bincount(i, weights=fvec[:, axis], minlength=n_local)
-        local_forces[:, axis] -= np.bincount(j, weights=fvec[:, axis], minlength=n_local)
+        forces[:, axis] = np.bincount(i, weights=fvec[:, axis], minlength=n)[owned_ids]
+        forces[:, axis] -= np.bincount(j, weights=fvec[:, axis], minlength=n)[owned_ids]
     # Energy/virial: both-owned pairs belong fully to this PE; mixed pairs
     # are shared half-half with the neighbouring owner.
-    weight = np.where(owned_local[i] & owned_local[j], 1.0, 0.5)
-    energy = float(np.dot(weight, energies))
-    virial = float(np.dot(weight * f_over_r, r_sq))
+    weight = np.where(np.compress(touches, i_owned & j_owned), 1.0, 0.5)
     return PEForceSlice(
         pe=pe,
         owned_ids=owned_ids,
-        # Only the owned endpoints' forces are this PE's responsibility;
-        # a mixed pair's other half is computed by the ghost's owner.
-        forces=local_forces[owned_local],
-        energy=energy,
-        virial=virial,
-        n_pairs=int(len(pairs)),
+        forces=forces,
+        energy=float(np.dot(weight, energies)),
+        virial=float(np.dot(weight * f_over_r, r_sq)),
+        n_pairs=len(i),
         seconds=time.perf_counter() - start,
     )
-
-
-def ghost_cell_mask(cell_owner: np.ndarray, cell_list: CellList, pe: int) -> np.ndarray:
-    """Boolean mask of the cells PE ``pe`` imports (adjacent, not owned)."""
-    owned = cell_owner == pe
-    ghost = np.zeros_like(owned)
-    for offset in FULL_STENCIL:
-        if offset == (0, 0, 0):
-            continue
-        neighbor = cell_list.neighbor_ids(offset)
-        ghost |= owned[neighbor]
-    ghost &= ~owned
-    return ghost
 
 
 @profiled("ddm.decomposed_force_pass")
@@ -180,38 +193,31 @@ def decomposed_force_pass(
 ) -> DecomposedForceResult:
     """Run the per-PE force computation and merge the results.
 
-    When ``candidate_pairs`` is given (e.g. a cached Verlet list covering
-    every interaction of the current positions), the per-PE kd-tree searches
-    are skipped entirely: each PE's pairs are sliced out of the shared list,
-    which is how a real DDM code reuses one neighbour structure across the
-    decomposition.
+    ``candidate_pairs`` is a pair list covering every interaction of the
+    current positions (e.g. a cached Verlet list; skin pairs beyond the
+    cut-off are filtered here). Without one, a single global search at the
+    cut-off supplies it -- never one search per PE, which is how a real DDM
+    code shares one neighbour structure across the decomposition.
     """
     if cell_owner.shape != (cell_list.n_cells,):
         raise DecompositionError(
             f"owner map shape {cell_owner.shape} != ({cell_list.n_cells},)"
         )
-    if candidate_pairs is not None:
-        return _decomposed_from_candidates(
-            system, cell_list, cell_owner, n_pes, potential, candidate_pairs
-        )
     positions = system.positions
     box = system.box_length
-    particle_cell = cell_list.assign(positions)
-    particle_owner = cell_owner[particle_cell]
+    searched = candidate_pairs is None
+    if searched:
+        candidate_pairs = canonical_pairs(pairs_kdtree(positions, box, potential.cutoff))
+    table = pair_table(positions, cell_list, cell_owner, potential.cutoff, candidate_pairs)
 
     forces = np.zeros_like(positions)
     total_energy = 0.0
     total_virial = 0.0
     per_pe_seconds = np.zeros(n_pes, dtype=np.float64)
     per_pe_pairs = np.zeros(n_pes, dtype=np.int64)
-
     for pe in range(n_pes):
-        piece = pe_force_slice(
-            pe, positions, box, cell_list, cell_owner,
-            particle_cell, particle_owner, potential,
-        )
-        if len(piece.owned_ids):
-            forces[piece.owned_ids] += piece.forces
+        piece = pe_force_slice(pe, positions, box, table, potential)
+        forces[piece.owned_ids] = piece.forces
         total_energy += piece.energy
         total_virial += piece.virial
         per_pe_seconds[pe] = piece.seconds
@@ -223,76 +229,6 @@ def decomposed_force_pass(
         per_pe_seconds=per_pe_seconds,
         per_pe_pairs=per_pe_pairs,
         virial=total_virial,
-    )
-
-
-def _decomposed_from_candidates(
-    system: ParticleSystem,
-    cell_list: CellList,
-    cell_owner: np.ndarray,
-    n_pes: int,
-    potential: LennardJones,
-    candidate_pairs: np.ndarray,
-) -> DecomposedForceResult:
-    """Per-PE pass driven by a shared (possibly skinned) candidate pair list."""
-    positions = system.positions
-    box = system.box_length
-    particle_cell = cell_list.assign(positions)
-    particle_owner = cell_owner[particle_cell]
-
-    forces = np.zeros_like(positions)
-    total_energy = 0.0
-    total_virial = 0.0
-    per_pe_seconds = np.zeros(n_pes, dtype=np.float64)
-    per_pe_pairs = np.zeros(n_pes, dtype=np.int64)
-
-    if len(candidate_pairs) == 0:
-        return DecomposedForceResult(forces, 0.0, per_pe_seconds, per_pe_pairs)
-
-    # The candidate list may carry skin pairs beyond the cut-off; filter once.
-    i_all = candidate_pairs[:, 0]
-    j_all = candidate_pairs[:, 1]
-    delta_all = positions[i_all] - positions[j_all]
-    minimum_image_inplace(delta_all, box)
-    r_sq_all = np.einsum("ij,ij->i", delta_all, delta_all)
-    within = r_sq_all < potential.cutoff_sq
-    i_all, j_all = i_all[within], j_all[within]
-    delta_all, r_sq_all = delta_all[within], r_sq_all[within]
-    owner_i = particle_owner[i_all]
-    owner_j = particle_owner[j_all]
-
-    for pe in range(n_pes):
-        start = time.perf_counter()
-        touches = (owner_i == pe) | (owner_j == pe)
-        per_pe_pairs[pe] = int(touches.sum())
-        if per_pe_pairs[pe]:
-            i, j = i_all[touches], j_all[touches]
-            delta, r_sq = delta_all[touches], r_sq_all[touches]
-            energies, f_over_r = potential.energy_force_sq(r_sq)
-            fvec = delta * f_over_r[:, None]
-            i_owned = owner_i[touches] == pe
-            j_owned = owner_j[touches] == pe
-            n = len(positions)
-            # Only the owned endpoints' forces are this PE's responsibility;
-            # a mixed pair's other half is computed by the ghost's owner.
-            for axis in range(3):
-                forces[:, axis] += np.bincount(
-                    i[i_owned], weights=fvec[i_owned, axis], minlength=n
-                )
-                forces[:, axis] -= np.bincount(
-                    j[j_owned], weights=fvec[j_owned, axis], minlength=n
-                )
-            # Energy: both-owned pairs belong fully to this PE; mixed pairs are
-            # shared half-half with the neighbouring owner.
-            weight = np.where(i_owned & j_owned, 1.0, 0.5)
-            total_energy += float(np.dot(weight, energies))
-            total_virial += float(np.dot(weight * f_over_r, r_sq))
-        per_pe_seconds[pe] = time.perf_counter() - start
-
-    return DecomposedForceResult(
-        forces=forces,
-        potential_energy=total_energy,
-        per_pe_seconds=per_pe_seconds,
-        per_pe_pairs=per_pe_pairs,
-        virial=total_virial,
+        n_candidates=len(candidate_pairs),
+        list_rebuilt=searched,
     )

@@ -364,11 +364,11 @@ class ParallelMDRunner(_ObservedRunner):
         #: is resolved here, once, so engine workers inherit a concrete name.
         self.kernel_name = resolve_kernel_name(run_config.kernel)
         if engine is not None:
-            if run_config.force_backend != "kdtree":
+            if run_config.force_backend == "cells":
                 raise ConfigurationError(
-                    "execution engines run the decomposed per-PE pass with "
-                    "kd-tree pair search; force_backend must be 'kdtree', "
-                    f"got {run_config.force_backend!r}"
+                    "execution engines cut every PE's slice from one cached "
+                    "kd-tree neighbour list; force_backend must be 'kdtree' "
+                    f"(or its other spelling 'verlet'), got {run_config.force_backend!r}"
                 )
             # Observability must be attached before bind so the engine's
             # bind-time lifecycle events (worker spawns) reach the recorder.
@@ -382,6 +382,8 @@ class ParallelMDRunner(_ObservedRunner):
                     potential=self.potential,
                     kernel=self.kernel_name,
                     balancer=self.balancer_name,
+                    skin=run_config.skin,
+                    neighbor_max_reuse=run_config.neighbor_max_reuse,
                 )
             )
             self.force_field = EngineForceField(
@@ -464,7 +466,7 @@ class ParallelMDRunner(_ObservedRunner):
             else:
                 # The integrator's force pass just refreshed (or reused)
                 # the cached candidate list; hand it to the decomposed pass
-                # so no PE repeats the pair search ("cells" has no cache).
+                # ("cells" has no cache: the pass then searches once itself).
                 verlet = self.force_field.verlet_list
                 candidates = (
                     verlet.candidates(self.system.positions)

@@ -1,9 +1,12 @@
 """Execution-engine protocol: how a run's per-PE work actually executes.
 
-An :class:`Engine` executes the decomposed per-PE force pass of
-:func:`repro.core.ddm.pe_force_slice` for all P virtual PEs and folds the
-slices into one :class:`~repro.core.ddm.DecomposedForceResult`. The fold is
-identical across backends — scalars are routed through a
+An :class:`Engine` executes the decomposed per-PE force pass for all P
+virtual PEs and folds the slices into one
+:class:`~repro.core.ddm.DecomposedForceResult`. Each execution unit (the
+sequential engine, each multiprocess worker) is a :class:`SliceCutter`: it
+keeps one cached canonical neighbour list and cuts its PEs' slices out of it
+with :func:`repro.core.ddm.pe_force_slice`. The fold is identical across
+backends — scalars are routed through a
 :class:`~repro.engine.router.DeterministicRouter` and reduced in delivery
 order — so every backend produces bit-identical forces/energies and thus a
 bit-identical run digest. Backends differ only in *where* the slices are
@@ -15,13 +18,17 @@ from __future__ import annotations
 
 import abc
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.ddm import DecomposedForceResult
+from ..core.ddm import DecomposedForceResult, PEForceSlice, pair_table, pe_force_slice
 from ..errors import ConfigurationError, EngineError
+from ..md.celllist import CellList
+from ..md.kernels import create_kernel
+from ..md.neighbors import VerletList
 from ..md.potential import LennardJones
 from .router import DeterministicRouter
 
@@ -50,7 +57,9 @@ class EngineContext:
     (``"numpy"``, ``"half"`` or ``"jit"``) and ``balancer`` the *resolved*
     balancer strategy name; resolving ``"auto"`` (and the respective env
     vars) happens on the driver before the context is built, so every worker
-    sees the same concrete names regardless of its own environment.
+    sees the same concrete names regardless of its own environment. ``skin``
+    and ``neighbor_max_reuse`` are the run's :class:`~repro.config.RunConfig`
+    fields; they set each unit's list-rebuild schedule, never the result.
     """
 
     n_particles: int
@@ -60,6 +69,8 @@ class EngineContext:
     potential: LennardJones
     kernel: str = "numpy"
     balancer: str = "permanent"
+    skin: float = 0.4
+    neighbor_max_reuse: int = 20
 
     def __post_init__(self) -> None:
         if self.n_particles <= 0:
@@ -73,12 +84,58 @@ class EngineContext:
                 f"engine context needs a resolved kernel name, got {self.kernel!r} "
                 "(resolve 'auto' via repro.md.kernels.resolve_kernel_name first)"
             )
+        if self.skin <= 0 or self.neighbor_max_reuse < 0:
+            raise ConfigurationError(
+                "engine context needs skin > 0 and neighbor_max_reuse >= 0, got "
+                f"{self.skin} / {self.neighbor_max_reuse}"
+            )
         if self.balancer not in ("permanent", "diffusion", "sfc", "none"):
             raise ConfigurationError(
                 f"engine context needs a resolved balancer name, got "
                 f"{self.balancer!r} (resolve 'auto' via "
                 "repro.dlb.strategies.resolve_balancer_name first)"
             )
+
+
+class SliceCutter:
+    """What one execution unit keeps between passes, and its per-pass work.
+
+    One :class:`~repro.md.neighbors.VerletList` (canonical order, ``r_c +
+    skin``) per unit, rebuilt from the shared positions alone -- so every
+    unit of a run rebuilds on the same passes -- and filtered once per pass
+    into the :class:`~repro.core.ddm.PairTable` all of the unit's PE slices
+    are cut from. A fresh unit (e.g. after a resume) just builds on its
+    first pass; the slices do not depend on when the list was built.
+    """
+
+    def __init__(self, context: EngineContext) -> None:
+        self.context = context
+        self.cell_list = CellList(context.box_length, context.cells_per_side)
+        # The context carries a resolved tier name, so every unit builds the
+        # same backend whatever its own environment says.
+        self.kernel = create_kernel(context.kernel)
+        self.verlet = VerletList(
+            context.box_length, context.potential.cutoff, context.skin,
+            max_reuse=context.neighbor_max_reuse,
+        )
+
+    def cut(
+        self, positions: np.ndarray, cell_owner: np.ndarray, pe_ids: Iterable[int]
+    ) -> tuple[list[PEForceSlice], tuple[bool, int]]:
+        """Slices of ``pe_ids`` plus ``(list rebuilt?, candidates)`` of the pass."""
+        context = self.context
+        builds = self.verlet.stats.rebuilds
+        candidates = self.verlet.candidates(positions)
+        table = pair_table(
+            positions, self.cell_list, cell_owner, context.potential.cutoff, candidates
+        )
+        pieces = [
+            pe_force_slice(
+                pe, positions, context.box_length, table, context.potential, self.kernel
+            )
+            for pe in pe_ids
+        ]
+        return pieces, (self.verlet.stats.rebuilds > builds, len(candidates))
 
 
 @dataclass(frozen=True)
@@ -231,7 +288,9 @@ class Engine(abc.ABC):
             raise EngineError(f"engine {self.name!r} used before bind()")
         return self._context
 
-    def _fold(self, forces: np.ndarray, step: int) -> DecomposedForceResult:
+    def _fold(
+        self, forces: np.ndarray, step: int, list_info: tuple[bool, int]
+    ) -> DecomposedForceResult:
         """Reduce routed per-PE scalars into one result, in delivery order.
 
         Every backend posts one ``(energy, virial, seconds, n_pairs)`` tuple
@@ -239,6 +298,8 @@ class Engine(abc.ABC):
         sorted by ``(step, tag, src, ...)`` = PE rank order, so the energy
         and virial sums accumulate in exactly the order the sequential
         reference uses — bit-identical regardless of completion order.
+        ``list_info`` is one unit's ``(list rebuilt?, candidates)``; all
+        units of a pass agree on it.
         """
         context = self._require_context()
         n_pes = context.n_pes
@@ -270,6 +331,8 @@ class Engine(abc.ABC):
             per_pe_seconds=per_pe_seconds,
             per_pe_pairs=per_pe_pairs,
             virial=virial,
+            n_candidates=list_info[1],
+            list_rebuilt=list_info[0],
         )
 
 

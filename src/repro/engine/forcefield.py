@@ -55,7 +55,10 @@ class EngineForceField:
         self._owner_map = owner_map
         self.attraction = float(attraction)
         self.attractors = attractors
-        #: Pair-search instrumentation (pass counts, pair totals).
+        #: Pair-search instrumentation, as reported by the engine's passes:
+        #: list builds / reuses and candidates of the units' cached lists;
+        #: ``accepted`` counts per-PE pair evaluations (a pair split between
+        #: two owners is evaluated by both).
         self.stats = NeighborStats()
         #: The most recent engine pass (per-PE seconds feed "measured" mode).
         self.last_pass: DecomposedForceResult | None = None
@@ -65,11 +68,11 @@ class EngineForceField:
 
     @property
     def verlet_list(self) -> VerletList | None:
-        """Engines rebuild pairs per pass; there is no Verlet cache."""
+        """``None``: the cached lists live in the engine's execution units."""
         return None
 
     def invalidate_cache(self) -> None:
-        """No cached neighbour structure to drop."""
+        """Nothing to drop on the driver; the units' lists never shape a result."""
 
     def compute(self, system: ParticleSystem) -> ForceResult:
         """Evaluate forces via the engine, writing ``system.forces`` too."""
@@ -79,10 +82,13 @@ class EngineForceField:
         self._step += 1
         self.last_pass = result
         n_pairs = int(result.per_pe_pairs.sum())
-        self.stats.record_build(n_pairs)
-        self.stats.record_evaluation(n_pairs, n_pairs)
+        if result.list_rebuilt:
+            self.stats.record_build(result.n_candidates)
+        else:
+            self.stats.record_reuse()
+        self.stats.record_evaluation(result.n_candidates, n_pairs)
         if self.kernel_name != "numpy":
-            # Engine passes feed exact (within-cut-off) pairs to the tier, so
+            # The slices feed exact (within-cut-off) pairs to the tier, so
             # evaluated == accepted.
             self.stats.record_half_list(n_pairs, n_pairs)
         forces = result.forces
@@ -113,8 +119,8 @@ class EngineForceField:
 
         Also accepts a classic :class:`~repro.md.forces.ForceField` snapshot
         (no ``engine_step`` key): a checkpoint written without an engine can
-        resume under one, because the engine pass has no carried cache whose
-        absence could perturb the trajectory.
+        resume under one, because the units' lists are rebuilt on the first
+        pass and their age never perturbs the trajectory.
         """
         self.stats.load_state_dict(state["stats"])
         self._step = int(state.get("engine_step", 0))

@@ -8,11 +8,13 @@ spawns ``workers`` long-lived processes, each owning the PE shard
 ``{w, w+W, w+2W, ...}`` (striding balances the spatially-clustered load of
 adjacent PEs). Per step the driver writes positions and the owner map into
 shared memory, zeroes the force block, and broadcasts one tiny ``("force",
-step)`` message per worker pipe. Each worker recomputes its PEs' slices with
-:func:`repro.core.ddm.pe_force_slice`, writes the owned particles' force
-rows straight into shared memory (ownership makes the row sets disjoint, so
-concurrent writes never overlap), and returns only per-PE scalars over its
-pipe.
+step)`` message per worker pipe. Each worker is one
+:class:`~repro.engine.base.SliceCutter`: it keeps its own cached neighbour
+list (every worker decides rebuilds from the same shared positions, so they
+rebuild on the same passes), cuts its PEs' slices out of it, writes the owned
+particles' force rows straight into shared memory (ownership makes the row
+sets disjoint, so concurrent writes never overlap), and returns only per-PE
+scalars and the pass's ``(list rebuilt?, candidates)`` over its pipe.
 
 Determinism
 -----------
@@ -37,12 +39,10 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 
-from ..core.ddm import DecomposedForceResult, pe_force_slice
+from ..core.ddm import DecomposedForceResult
 from ..errors import ConfigurationError, EngineError
-from ..md.celllist import CellList
-from ..md.kernels import create_kernel
 from ..obs.profiler import Profiler, scope
-from .base import FORCE_RESULT_TAG, Engine, EngineContext
+from .base import FORCE_RESULT_TAG, Engine, EngineContext, SliceCutter
 
 #: Default worker cap when the caller does not specify one.
 DEFAULT_WORKERS = 4
@@ -76,12 +76,9 @@ def _worker_main(
         n = context.n_particles
         positions = np.ndarray((n, 3), dtype=np.float64, buffer=positions_shm.buf)
         forces = np.ndarray((n, 3), dtype=np.float64, buffer=forces_shm.buf)
-        cell_list = CellList(context.box_length, context.cells_per_side)
-        # The context carries a resolved tier name, so every worker builds
-        # the same backend the driver (and sequential reference) uses.
-        kernel = create_kernel(context.kernel)
+        cutter = SliceCutter(context)
         cell_owner = np.ndarray(
-            (cell_list.n_cells,), dtype=np.int64, buffer=owner_shm.buf
+            (cutter.cell_list.n_cells,), dtype=np.int64, buffer=owner_shm.buf
         )
         while True:
             message = conn.recv()
@@ -94,22 +91,13 @@ def _worker_main(
             step = message[1]
             try:
                 with profiler.timer("engine.worker.force_pass"):
-                    particle_cell = cell_list.assign(positions)
-                    particle_owner = cell_owner[particle_cell]
-                    scalars = []
-                    for pe in pe_ids:
-                        piece = pe_force_slice(
-                            pe, positions, context.box_length, cell_list,
-                            cell_owner, particle_cell, particle_owner,
-                            context.potential, kernel=kernel,
-                        )
-                        if len(piece.owned_ids):
-                            forces[piece.owned_ids] = piece.forces
-                        scalars.append(
-                            (pe, piece.energy, piece.virial,
-                             piece.seconds, piece.n_pairs)
-                        )
-                conn.send(("done", step, scalars))
+                    pieces, list_info = cutter.cut(positions, cell_owner, pe_ids)
+                    for piece in pieces:
+                        forces[piece.owned_ids] = piece.forces
+                    scalars = [
+                        (p.pe, p.energy, p.virial, p.seconds, p.n_pairs) for p in pieces
+                    ]
+                conn.send(("done", step, scalars, list_info))
             except Exception:
                 conn.send(("error", step, traceback.format_exc()))
     finally:
@@ -202,8 +190,8 @@ class MultiprocessEngine(Engine):
             self._forces[...] = 0.0
             for pipe in self._pipes:
                 pipe.send(("force", step))
-            for w, pipe in enumerate(self._pipes):
-                reply = self._recv(w, pipe)
+            replies = [self._recv(w, pipe) for w, pipe in enumerate(self._pipes)]
+            for w, reply in enumerate(replies):
                 if reply[0] == "error":
                     raise EngineError(
                         f"engine worker {w} failed at step {reply[1]}:\n{reply[2]}"
@@ -213,7 +201,8 @@ class MultiprocessEngine(Engine):
                         step, FORCE_RESULT_TAG, pe, 0,
                         (energy, virial, seconds, n_pairs),
                     )
-            result = self._fold(np.array(self._forces, copy=True), step)
+            # Every worker watches the same positions: take rank 0's list info.
+            result = self._fold(np.array(self._forces, copy=True), step, replies[0][3])
         if self._observability is not None and self._observability.metrics is not None:
             metrics = self._observability.metrics
             metrics.counter(

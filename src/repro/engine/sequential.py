@@ -2,19 +2,18 @@
 
 This is the reference backend — the extracted form of what the runner always
 did. It exists so the multiprocess engine has a bit-identical baseline to be
-checked against: both post the same per-PE scalars through the same router
-and share :meth:`Engine._fold`.
+checked against: both cut their slices with one :class:`SliceCutter`, post
+the same per-PE scalars through the same router and share
+:meth:`Engine._fold`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.ddm import DecomposedForceResult, pe_force_slice
-from ..md.celllist import CellList
-from ..md.kernels import KernelBackend, create_kernel
+from ..core.ddm import DecomposedForceResult
 from ..obs.profiler import scope
-from .base import FORCE_RESULT_TAG, Engine, EngineContext
+from .base import FORCE_RESULT_TAG, Engine, SliceCutter
 
 
 class SequentialEngine(Engine):
@@ -24,36 +23,27 @@ class SequentialEngine(Engine):
 
     def __init__(self) -> None:
         super().__init__()
-        self._cell_list: CellList | None = None
-        self._kernel: KernelBackend | None = None
+        self._cutter: SliceCutter | None = None
 
     def _start(self) -> None:
-        context: EngineContext = self._context  # bound by Engine.bind
-        self._cell_list = CellList(context.box_length, context.cells_per_side)
-        self._kernel = create_kernel(context.kernel)
+        self._cutter = SliceCutter(self._context)  # bound by Engine.bind
 
     def force_pass(
         self, positions: np.ndarray, cell_owner: np.ndarray, step: int
     ) -> DecomposedForceResult:
         context = self._require_context()
-        cell_list = self._cell_list
         with scope("engine.force_pass"):
-            particle_cell = cell_list.assign(positions)
-            particle_owner = cell_owner[particle_cell]
+            pieces, list_info = self._cutter.cut(
+                positions, cell_owner, range(context.n_pes)
+            )
             forces = np.zeros_like(positions)
-            for pe in range(context.n_pes):
-                piece = pe_force_slice(
-                    pe, positions, context.box_length, cell_list, cell_owner,
-                    particle_cell, particle_owner, context.potential,
-                    kernel=self._kernel,
-                )
-                if len(piece.owned_ids):
-                    forces[piece.owned_ids] = piece.forces
+            for piece in pieces:
+                forces[piece.owned_ids] = piece.forces
                 self.router.post(
-                    step, FORCE_RESULT_TAG, pe, 0,
+                    step, FORCE_RESULT_TAG, piece.pe, 0,
                     (piece.energy, piece.virial, piece.seconds, piece.n_pairs),
                 )
-            result = self._fold(forces, step)
+            result = self._fold(forces, step, list_info)
         if self._observability is not None and self._observability.metrics is not None:
             self._observability.metrics.counter(
                 "repro_engine_force_passes_total",

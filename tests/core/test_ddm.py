@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ddm import decomposed_force_pass, ghost_cell_mask
+from repro.core.ddm import decomposed_force_pass
 from repro.decomp.assignment import CellAssignment
 from repro.errors import DecompositionError
 from repro.md.celllist import CellList
@@ -22,20 +22,6 @@ def setup(rng):
     assignment = CellAssignment(nc, n_pes)
     potential = LennardJones()
     return system, cell_list, assignment, potential
-
-
-class TestGhostCellMask:
-    def test_ghosts_are_adjacent_and_foreign(self, setup):
-        _, cell_list, assignment, _ = setup
-        owner = assignment.cell_owner_map()
-        mask = ghost_cell_mask(owner, cell_list, pe=4)
-        assert mask.any()
-        assert not (mask & (owner == 4)).any()
-
-    def test_single_pe_has_no_ghosts(self):
-        cell_list = CellList(6.0, 3)
-        owner = np.zeros(27, dtype=np.int64)
-        assert not ghost_cell_mask(owner, cell_list, 0).any()
 
 
 class TestDecomposedForcePass:
@@ -126,21 +112,26 @@ def rng():
 class TestCandidateDrivenPass:
     """The decomposed pass fed a shared (Verlet-style) candidate list."""
 
-    def test_matches_search_driven_pass(self, setup):
+    def test_matches_global_kernel_bitwise_on_forces(self, setup):
         from repro.md.neighbors import VerletList
 
         system, cell_list, assignment, potential = setup
         owner = assignment.cell_owner_map()
         verlet = VerletList(system.box_length, potential.cutoff, 0.4)
         candidates = verlet.candidates(system.positions)
-        fresh = decomposed_force_pass(system, cell_list, owner, 9, potential)
+        global_result = ForceField(potential).compute(system.copy())
         cached = decomposed_force_pass(
             system, cell_list, owner, 9, potential, candidate_pairs=candidates
         )
-        assert np.allclose(cached.forces, fresh.forces, atol=1e-9)
+        searched = decomposed_force_pass(system, cell_list, owner, 9, potential)
+        assert np.array_equal(cached.forces, global_result.forces)
+        assert np.array_equal(searched.forces, global_result.forces)
         assert cached.potential_energy == pytest.approx(
-            fresh.potential_energy, rel=1e-9
+            global_result.potential_energy, rel=1e-12
         )
+        assert int(cached.per_pe_pairs.sum()) == int(searched.per_pe_pairs.sum())
+        assert (cached.n_candidates, cached.list_rebuilt) == (len(candidates), False)
+        assert searched.list_rebuilt and searched.n_candidates == global_result.n_pairs
 
     def test_matches_global_kernel(self, setup):
         from repro.md.neighbors import pairs_kdtree

@@ -209,12 +209,23 @@ class TestEngineLifecycle:
 
 class TestRunnerIntegration:
     def test_engine_requires_kdtree_backend(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="'kdtree'.*'verlet'.*'cells'"):
             api.simulate(
                 small_config(),
-                run=RunConfig(steps=1, seed=1, force_backend="verlet"),
+                run=RunConfig(steps=1, seed=1, force_backend="cells"),
                 engine="sequential",
             )
+
+    def test_engine_accepts_both_spellings_of_the_cached_list(self):
+        digests = {
+            backend: api.simulate(
+                small_config(),
+                run=RunConfig(steps=2, seed=1, force_backend=backend),
+                engine="sequential",
+            ).digest()
+            for backend in ("kdtree", "verlet")
+        }
+        assert digests["kdtree"] == digests["verlet"]
 
     def test_caller_owned_engine_stays_open(self):
         with SequentialEngine() as engine:
