@@ -13,11 +13,8 @@ The clustered cases matter: a candidate generator whose cost follows the
 fullest cell collapses exactly on the concentrated configurations this paper
 studies (C0/C sweeps, Figures 9-10), which uniform-only benchmarks cannot see.
 
-The ``kernel_*`` entries time the force-kernel tiers of
-:mod:`repro.md.kernels` on the clustered configuration's exact pair list;
-``check_regression.py --kernel-baseline`` gates the half tier at >= 2x and
-the jit tier at >= 5x over the clustered CSR pair search (jit skipped when
-numba is unavailable).
+The ``kernel_numpy`` entry times the pair kernel of :mod:`repro.md.kernels`
+on the clustered configuration's exact pair list.
 """
 
 import numpy as np
@@ -39,7 +36,6 @@ from repro.decomp.halo import compute_halo
 from repro.dlb.strategies import create_balancer
 from repro.md.celllist import CellList
 from repro.md.forces import forces_from_pairs
-from repro.md.kernels import create_kernel, numba_available
 from repro.md.neighbors import pairs_celllist, pairs_kdtree
 from repro.md.potential import LennardJones
 from repro.md.simulation import SerialSimulation
@@ -92,57 +88,19 @@ def test_pairs_celllist_clustered(benchmark, clustered_positions, kernel_log):
 def clustered_pairs(clustered_positions):
     """The exact (within-cut-off) pair list of the clustered configuration.
 
-    This is what the kd-tree/cells backends hand the force kernel every step,
-    so timing ``evaluate`` on it isolates the kernel tiers' cost at the
-    paper's adversarial occupancy skew.
+    Timing the kernel on it isolates the pair math's cost at the paper's
+    adversarial occupancy skew.
     """
     return pairs_kdtree(clustered_positions, BOX, 2.5)
 
 
-def _bench_kernel_tier(benchmark, kernel_log, clustered_positions, pairs, tier):
-    kernel = create_kernel(tier)
-    potential = LennardJones()
-    result = benchmark(
-        kernel.evaluate, clustered_positions, pairs, BOX, potential, N
-    )
-    record_kernel(kernel_log, benchmark, f"kernel_{tier}")
-    assert result.n_pairs == len(pairs)
-    return result
-
-
 def test_kernel_numpy(benchmark, clustered_positions, clustered_pairs, kernel_log):
-    """Tier 1 (full-list reference) on the clustered exact pair list."""
-    _bench_kernel_tier(
-        benchmark, kernel_log, clustered_positions, clustered_pairs, "numpy"
+    """The pair kernel on the clustered exact pair list."""
+    result = benchmark(
+        forces_from_pairs, clustered_positions, clustered_pairs, BOX, LennardJones(), N
     )
-
-
-def test_kernel_half(benchmark, clustered_positions, clustered_pairs, kernel_log):
-    """Tier 2 (cache-blocked half list): must stay bit-identical to tier 1."""
-    result = _bench_kernel_tier(
-        benchmark, kernel_log, clustered_positions, clustered_pairs, "half"
-    )
-    reference = create_kernel("numpy").evaluate(
-        clustered_positions, clustered_pairs, BOX, LennardJones(), N
-    )
-    assert np.array_equal(result.forces, reference.forces)
-    assert result.potential_energy == reference.potential_energy
-
-
-def test_kernel_jit(benchmark, clustered_positions, clustered_pairs, kernel_log):
-    """Tier 3 (numba) -- skipped (and absent from the log) without numba."""
-    if not numba_available():
-        pytest.skip("numba unavailable: jit tier not benchmarked")
-    kernel = create_kernel("jit")
-    potential = LennardJones()
-    kernel.evaluate(clustered_positions, clustered_pairs, BOX, potential, N)  # warm JIT
-    result = _bench_kernel_tier(
-        benchmark, kernel_log, clustered_positions, clustered_pairs, "jit"
-    )
-    reference = create_kernel("numpy").evaluate(
-        clustered_positions, clustered_pairs, BOX, potential, N
-    )
-    np.testing.assert_allclose(result.forces, reference.forces, rtol=1e-12, atol=1e-12)
+    record_kernel(kernel_log, benchmark, "kernel_numpy")
+    assert result.n_pairs == len(clustered_pairs)
 
 
 def test_serial_run_verlet(benchmark, kernel_log):

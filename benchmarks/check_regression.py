@@ -9,10 +9,6 @@ Usage::
     # 2. diff against a saved baseline
     python benchmarks/check_regression.py --baseline BENCH_kernels.baseline.json
 
-    # additionally enforce the force-kernel tier gates on the fresh results
-    # (half >= 2x, jit >= 5x over the clustered CSR pair search)
-    python benchmarks/check_regression.py --baseline ... --kernel-baseline BENCH_kernels.json
-
 Exits non-zero when any kernel's mean time grew beyond ``--threshold``
 (default 1.3x) over the baseline. Kernels present in only one file are
 reported but do not fail the check (new benchmarks must be able to land).
@@ -333,58 +329,6 @@ def check_service(
     return failures, notes
 
 
-#: Required speedup of the half-list kernel over the clustered CSR pair
-#: search (the tentpole's NumPy-tier floor).
-KERNEL_HALF_THRESHOLD = 2.0
-
-#: Required speedup of the jit kernel over the clustered CSR pair search.
-#: Skipped (with a note) when the payload has no ``kernel_jit`` entry, i.e.
-#: numba was unavailable where the benchmarks ran.
-KERNEL_JIT_THRESHOLD = 5.0
-
-
-def check_kernel_tier(fresh: dict) -> tuple[list[str], list[str]]:
-    """Gate the force-kernel tiers recorded in BENCH_kernels.json.
-
-    The tentpole claim of the kernel-tier work: on the clustered
-    configuration, the half-neighbour-list NumPy kernel must evaluate the
-    exact pair list >= ``KERNEL_HALF_THRESHOLD`` x faster than the CSR pair
-    *search* that produces it, and the numba tier (when present) >=
-    ``KERNEL_JIT_THRESHOLD`` x. The jit entry's absence is a skip, not a
-    failure -- numba is an optional dependency.
-    """
-    failures: list[str] = []
-    notes: list[str] = []
-    kernels = fresh.get("kernels", {})
-    csr = kernels.get("pairs_celllist_clustered", {}).get("mean_s")
-    if not csr or csr <= 0:
-        notes.append(
-            "KERNEL SKIP     pairs_celllist_clustered missing: no tier baseline"
-        )
-        return failures, notes
-    gates = (("kernel_half", KERNEL_HALF_THRESHOLD), ("kernel_jit", KERNEL_JIT_THRESHOLD))
-    for name, limit in gates:
-        entry = kernels.get(name, {}).get("mean_s")
-        if not entry or entry <= 0:
-            if name == "kernel_jit":
-                notes.append(
-                    "JIT SKIP        kernel_jit absent (numba unavailable "
-                    "where benchmarks ran)"
-                )
-            else:
-                failures.append(f"KERNEL MISSING  {name}: tier gate cannot run")
-            continue
-        ratio = float(csr) / float(entry)
-        line = (f"{name}: {entry * 1e3:.3f} ms vs clustered CSR search "
-                f"{csr * 1e3:.3f} ms ({ratio:.2f}x, limit {limit:.1f}x)")
-        if ratio >= limit:
-            tag = "HALF OK " if name == "kernel_half" else "JIT OK  "
-            notes.append(f"{tag}        {line}")
-        else:
-            failures.append(f"KERNEL SLOW     {line}")
-    return failures, notes
-
-
 def load(path: Path) -> dict:
     """Read one BENCH_kernels.json payload."""
     with open(path) as handle:
@@ -425,14 +369,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_OVERHEAD_THRESHOLD,
         help="allowed slowdown of the overhead kernels "
         f"(default {DEFAULT_OVERHEAD_THRESHOLD})",
-    )
-    parser.add_argument(
-        "--kernel-baseline",
-        type=Path,
-        default=None,
-        help="BENCH_kernels.json whose kernel-tier speedup gates to enforce "
-        "(half >= 2x, jit >= 5x over the clustered CSR pair search; "
-        "jit skipped when absent) -- typically the fresh results file",
     )
     parser.add_argument(
         "--campaign-baseline",
@@ -508,16 +444,6 @@ def main(argv: list[str] | None = None) -> int:
         kernels=tuple(args.overhead_kernels),
         threshold=args.overhead_threshold,
     )
-    tier_failures: list[str] = []
-    tier_notes: list[str] = []
-    if args.kernel_baseline is not None:
-        if args.kernel_baseline.exists():
-            tier_failures, tier_notes = check_kernel_tier(load(args.kernel_baseline))
-        else:
-            tier_notes = [
-                f"KERNEL SKIP     {args.kernel_baseline} not found "
-                "(run benchmarks/bench_kernels.py to generate it)"
-            ]
     campaign_failures: list[str] = []
     campaign_notes: list[str] = []
     if args.campaign_fresh.exists():
@@ -569,13 +495,12 @@ def main(argv: list[str] | None = None) -> int:
             f"SERVICE SKIP    {args.service_fresh} not found "
             "(run benchmarks/bench_service.py to generate it)"
         ]
-    for line in (notes + overhead_notes + tier_notes + campaign_notes
+    for line in (notes + overhead_notes + campaign_notes
                  + engine_notes + service_notes):
         print(line)
     failures = (
         regressions
         + overhead_failures
-        + tier_failures
         + campaign_failures
         + engine_failures
         + service_failures

@@ -74,19 +74,10 @@ def kernel_log():
         "kernels": entries,
     }
     derived: dict[str, float] = {}
-    csr = entries.get("pairs_celllist_clustered")
     obs_off = entries.get("parallel_step_obs_off")
     obs_on = entries.get("parallel_step_obs_on")
     if obs_off and obs_on and obs_off["mean_s"] > 0:
         derived["obs_on_over_off"] = obs_on["mean_s"] / obs_off["mean_s"]
-    # Kernel-tier speedups over the CSR pair search on the clustered config
-    # (the tentpole gates of check_regression.check_kernel_tier).
-    for tier in ("half", "jit", "numpy"):
-        entry = entries.get(f"kernel_{tier}")
-        if csr and entry and entry["mean_s"] > 0:
-            derived[f"clustered_csr_over_kernel_{tier}"] = (
-                csr["mean_s"] / entry["mean_s"]
-            )
     if derived:
         payload["derived"] = derived
     KERNEL_RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

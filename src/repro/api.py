@@ -285,7 +285,6 @@ def simulate(
                 "resumed_at": resumed_at,
                 "audit": auditor.summary() if auditor is not None else None,
                 "neighbor_stats": runner.neighbor_stats.as_dict(),
-                "kernel": runner.kernel_name,
                 "balancer": runner.balancer_name,
                 "imbalance": (
                     runner.imbalance.summary() if runner.imbalance is not None else None

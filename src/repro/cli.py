@@ -45,7 +45,7 @@ from .campaign import (
     render_report,
     run_campaign,
 )
-from .config import BALANCER_NAMES, KERNEL_NAMES, RunConfig
+from .config import BALANCER_NAMES, RunConfig
 from .core.results import write_result_json
 from .engine import ENGINE_NAMES
 from .errors import (
@@ -167,7 +167,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         record_interval=args.record_interval,
         force_backend=args.backend,
         skin=args.skin,
-        kernel=args.kernel,
         balancer=args.balancer,
     )
     audit = (
@@ -272,10 +271,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for label, result in results.items():
         print()
         print(phase_breakdown(
-            result.timing,
-            title=f"{label}: per-phase step-time breakdown",
-            neighbor_stats=result.meta.get("neighbor_stats"),
-            profiler=obs.profiler if obs is not None and args.profile else None,
+            result.timing, title=f"{label}: per-phase step-time breakdown"
         ))
     if events is not None:
         print()
@@ -791,16 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.4,
         help="neighbour-list skin radius (kdtree/verlet backends)",
-    )
-    run.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        default=None,
-        help="force-kernel tier: numpy (full-list reference), half "
-        "(cache-blocked half-neighbour list, bit-identical), jit "
-        "(numba-compiled; errors when numba is missing) or auto (jit when "
-        "numba imports, silently half otherwise); default honours "
-        "the REPRO_KERNEL environment variable",
     )
     run.add_argument(
         "--balancer",

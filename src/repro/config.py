@@ -8,7 +8,6 @@ fail loudly at construction time rather than deep inside a simulation.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -92,45 +91,10 @@ class MDConfig:
         return box_length_for(self.n_particles, self.density)
 
 
-#: Force-kernel tiers understood by :mod:`repro.md.kernels` (and ``--kernel``).
-#: ``"auto"`` resolves to ``"jit"`` when numba imports cleanly, else ``"half"``.
-KERNEL_NAMES = ("numpy", "half", "jit", "auto")
-
 #: Balancer strategies understood by :mod:`repro.dlb.strategies` (and
 #: ``--balancer``). ``"auto"`` resolves to ``"permanent"``, the paper's
 #: protocol.
 BALANCER_NAMES = ("permanent", "diffusion", "sfc", "none", "auto")
-
-
-def resolve_strategy_name(
-    requested: str | None,
-    *,
-    env_var: str,
-    choices: tuple[str, ...],
-    label: str,
-    env_default: str,
-) -> str:
-    """One resolution rule for every strategy knob (``kernel``, ``balancer``).
-
-    Precedence: explicit request (config field / CLI flag) > the ``env_var``
-    environment variable > ``env_default``. Returns the chosen name --
-    including ``"auto"`` where the knob supports it; mapping ``"auto"`` to a
-    concrete backend is knob-specific and stays with the caller
-    (:func:`repro.md.kernels.resolve_kernel_name`,
-    :func:`repro.dlb.strategies.resolve_balancer_name`).
-    """
-    if requested is None:
-        name = os.environ.get(env_var, env_default)
-        if name not in choices:
-            raise ConfigurationError(
-                f"{env_var}={name!r} is not a {label}; choose one of {choices}"
-            )
-        return name
-    if requested not in choices:
-        raise ConfigurationError(
-            f"unknown {label} {requested!r}; choose one of {choices}"
-        )
-    return requested
 
 #: Valid domain shapes for 3-D DDM (Figure 2 of the paper).
 DOMAIN_SHAPES = ("plane", "pillar", "cube")
@@ -332,13 +296,6 @@ class RunConfig:
     neighbor_max_reuse:
         Cap on consecutive neighbour-list reuses before a forced rebuild
         (0 disables the cap; the displacement criterion alone decides).
-    kernel:
-        Force-kernel tier: ``"numpy"`` (full-list reference), ``"half"``
-        (cache-blocked half-neighbour-list, bit-identical to the reference),
-        ``"jit"`` (numba-compiled half-list; errors if numba is missing) or
-        ``"auto"`` (jit when numba imports cleanly, silently half otherwise).
-        ``None`` defers to the ``REPRO_KERNEL`` environment variable and
-        ultimately to ``"numpy"``.
     balancer:
         DLB strategy: ``"permanent"`` (the paper's permanent-cell protocol),
         ``"diffusion"`` (nearest-neighbour load diffusion), ``"sfc"``
@@ -360,7 +317,6 @@ class RunConfig:
     force_backend: str = "kdtree"
     skin: float = 0.4
     neighbor_max_reuse: int = 20
-    kernel: str | None = None
     balancer: str | None = None
     timing_mode: str = "model"
 
@@ -378,10 +334,6 @@ class RunConfig:
         if self.neighbor_max_reuse < 0:
             raise ConfigurationError(
                 f"neighbor_max_reuse must be non-negative, got {self.neighbor_max_reuse}"
-            )
-        if self.kernel is not None and self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; choose one of {KERNEL_NAMES}"
             )
         if self.balancer is not None and self.balancer not in BALANCER_NAMES:
             raise ConfigurationError(

@@ -110,7 +110,9 @@ class CheckpointManager:
     def _prune(self) -> None:
         for stale in self.snapshots()[: -self.keep]:
             stale.unlink(missing_ok=True)
-        for tmp in self.directory.glob(f"{_TMP_PREFIX}{_PREFIX}*"):
+        # Only this process's leftovers: another process may be between the
+        # fsync and the rename of its own tmp file in the same directory.
+        for tmp in self.directory.glob(f"{_TMP_PREFIX}{_PREFIX}*.{os.getpid()}"):
             tmp.unlink(missing_ok=True)
 
     # -- reading -------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DecompositionError
 from ..md.celllist import CellList
-from ..md.kernels import KernelBackend, NumpyKernel
+from ..md.kernels import pair_terms
 from ..md.neighbors import _within_cutoff, canonical_pairs, pairs_kdtree
 from ..md.potential import LennardJones
 from ..md.system import ParticleSystem
@@ -118,17 +118,12 @@ class PEForceSlice:
     seconds: float
 
 
-#: Shared fallback kernel tier for callers that do not pass one.
-_REFERENCE_KERNEL = NumpyKernel()
-
-
 def pe_force_slice(
     pe: int,
     positions: np.ndarray,
     box_length: float,
     table: PairTable,
     potential: LennardJones,
-    kernel: KernelBackend | None = None,
 ) -> PEForceSlice:
     """Cut PE ``pe``'s force slice out of the pass's shared pair table.
 
@@ -137,11 +132,9 @@ def pe_force_slice(
     multiprocess worker for its shard of PEs. ``seconds`` is the wall clock
     of this call alone.
 
-    ``kernel`` picks the force-kernel tier for the per-pair math (default:
-    the full-list NumPy reference). The ownership weighting and the Newton-3
-    scatter stay here, and every tier's :meth:`pair_terms` preserves the
-    original pair order, so the slice -- and hence the engine's run digest --
-    is bit-identical across the ``numpy`` and ``half`` tiers.
+    The per-pair math is :func:`repro.md.kernels.pair_terms`, the same lines
+    the global kernel runs; only the ownership weighting and the scatter onto
+    owned rows are this function's own.
     """
     start = time.perf_counter()
     owned_ids = np.flatnonzero(table.particle_owner == pe)
@@ -155,8 +148,7 @@ def pe_force_slice(
             0.0, 0.0, 0, time.perf_counter() - start,
         )
 
-    backend = _REFERENCE_KERNEL if kernel is None else kernel
-    i, j, fvec, energies, f_over_r, r_sq = backend.pair_terms(
+    i, j, fvec, energies, f_over_r, r_sq = pair_terms(
         positions, pairs, box_length, potential
     )
     # Only the owned endpoints' forces are this PE's responsibility; a mixed

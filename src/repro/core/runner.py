@@ -26,7 +26,6 @@ from ..errors import CheckpointError, ConfigurationError
 from ..md.celllist import CellList
 from ..md.forces import ForceField
 from ..md.integrator import VelocityVerlet
-from ..md.kernels import resolve_kernel_name
 from ..md.observables import temperature
 from ..md.potential import LennardJones
 from ..md.simulation import attractor_sites, build_system
@@ -337,9 +336,9 @@ class ParallelMDRunner(_ObservedRunner):
             faults=faults,
             profiler=observability.profiler if observability is not None else None,
         )
-        #: Resolved balancer strategy name; like the kernel, "auto"/env
-        #: resolution happens here, once, on the driver, so engine workers,
-        #: events, checkpoints and result metadata inherit a concrete name.
+        #: Resolved balancer strategy name; env-default resolution happens
+        #: here, once, on the driver, so engine workers, events, checkpoints
+        #: and result metadata inherit a concrete name.
         self.balancer_name = resolve_balancer_name(run_config.balancer)
         self.balancer = (
             create_balancer(
@@ -360,9 +359,6 @@ class ParallelMDRunner(_ObservedRunner):
             )
         self.potential = LennardJones(cutoff=md.cutoff)
         attractors = attractor_sites(md, rng)
-        #: Resolved force-kernel tier name ("numpy", "half" or "jit"); "auto"
-        #: is resolved here, once, so engine workers inherit a concrete name.
-        self.kernel_name = resolve_kernel_name(run_config.kernel)
         if engine is not None:
             if run_config.force_backend == "cells":
                 raise ConfigurationError(
@@ -380,7 +376,6 @@ class ParallelMDRunner(_ObservedRunner):
                     box_length=md.box_length,
                     cells_per_side=dec.cells_per_side,
                     potential=self.potential,
-                    kernel=self.kernel_name,
                     balancer=self.balancer_name,
                     skin=run_config.skin,
                     neighbor_max_reuse=run_config.neighbor_max_reuse,
@@ -404,7 +399,6 @@ class ParallelMDRunner(_ObservedRunner):
                 # Share the runner's grid instead of letting the force field
                 # build its own copy per search (the seed rebuilt one per step).
                 cell_list=self.cell_list,
-                kernel=self.kernel_name,
             )
         self.integrator = VelocityVerlet(md.dt)
         self.thermostat = VelocityRescale(md.temperature, md.rescale_interval)

@@ -1,10 +1,9 @@
 """Pluggable balancer strategies behind the :class:`Balancer` protocol.
 
-Mirrors the force-kernel tier (:mod:`repro.md.kernels`): a registry maps
-strategy names to classes, the driver resolves a concrete name once
-(config field > ``REPRO_BALANCER`` env var > default) and every layer
-downstream -- runner, engine workers, flight recorder, ``repro explain`` --
-carries that resolved name.
+A registry maps strategy names to classes, the driver resolves a concrete
+name once (config field > ``REPRO_BALANCER`` env var > default) and every
+layer downstream -- runner, engine workers, flight recorder, ``repro
+explain`` -- carries that resolved name.
 
 Four strategies ship:
 
@@ -40,11 +39,12 @@ permanent-pinning and case-ledger checks for them. Ownership conservation
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import BALANCER_NAMES, DLBConfig, resolve_strategy_name
+from ..config import BALANCER_NAMES, DLBConfig
 from ..decomp.assignment import CellAssignment
 from ..errors import ConfigurationError
 from ..parallel.topology import Torus2D
@@ -59,19 +59,18 @@ RESOLVED_BALANCER_NAMES = ("permanent", "diffusion", "sfc", "none")
 def resolve_balancer_name(requested: str | None) -> str:
     """Resolve a requested balancer (or ``None``) to a concrete strategy name.
 
-    ``None`` defers to the ``REPRO_BALANCER`` environment variable and
-    ultimately to ``"auto"``; ``"auto"`` resolves to ``"permanent"`` (the
-    paper's protocol). This mirrors
-    :func:`repro.md.kernels.resolve_kernel_name` and shares its resolver.
+    Precedence: explicit request (config field / CLI flag) > the
+    ``REPRO_BALANCER`` environment variable > ``"auto"``; ``"auto"`` resolves
+    to ``"permanent"`` (the paper's protocol).
     """
-    name = resolve_strategy_name(
-        requested,
-        env_var="REPRO_BALANCER",
-        choices=BALANCER_NAMES,
-        label="balancer",
-        env_default="auto",
-    )
-    return "permanent" if name == "auto" else name
+    if requested is None:
+        requested = os.environ.get("REPRO_BALANCER", "auto")
+        problem = f"REPRO_BALANCER={requested!r} is not a balancer"
+    else:
+        problem = f"unknown balancer {requested!r}"
+    if requested not in BALANCER_NAMES:
+        raise ConfigurationError(f"{problem}; choose one of {BALANCER_NAMES}")
+    return "permanent" if requested == "auto" else requested
 
 
 @dataclass

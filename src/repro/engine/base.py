@@ -27,7 +27,6 @@ import numpy as np
 from ..core.ddm import DecomposedForceResult, PEForceSlice, pair_table, pe_force_slice
 from ..errors import ConfigurationError, EngineError
 from ..md.celllist import CellList
-from ..md.kernels import create_kernel
 from ..md.neighbors import VerletList
 from ..md.potential import LennardJones
 from .router import DeterministicRouter
@@ -53,13 +52,12 @@ class EngineContext:
 
     Everything a worker process needs to rebuild the pair-search structures:
     no live objects, only plain values, so the context crosses a ``spawn``
-    boundary unchanged. ``kernel`` is the *resolved* force-kernel tier name
-    (``"numpy"``, ``"half"`` or ``"jit"``) and ``balancer`` the *resolved*
-    balancer strategy name; resolving ``"auto"`` (and the respective env
-    vars) happens on the driver before the context is built, so every worker
-    sees the same concrete names regardless of its own environment. ``skin``
-    and ``neighbor_max_reuse`` are the run's :class:`~repro.config.RunConfig`
-    fields; they set each unit's list-rebuild schedule, never the result.
+    boundary unchanged. ``balancer`` is the *resolved* balancer strategy
+    name; resolving ``"auto"`` (and ``REPRO_BALANCER``) happens on the driver
+    before the context is built, so every worker sees the same concrete name
+    regardless of its own environment. ``skin`` and ``neighbor_max_reuse``
+    are the run's :class:`~repro.config.RunConfig` fields; they set each
+    unit's list-rebuild schedule, never the result.
     """
 
     n_particles: int
@@ -67,7 +65,6 @@ class EngineContext:
     box_length: float
     cells_per_side: int
     potential: LennardJones
-    kernel: str = "numpy"
     balancer: str = "permanent"
     skin: float = 0.4
     neighbor_max_reuse: int = 20
@@ -79,11 +76,6 @@ class EngineContext:
             )
         if self.n_pes <= 0:
             raise ConfigurationError(f"n_pes must be positive, got {self.n_pes}")
-        if self.kernel not in ("numpy", "half", "jit"):
-            raise ConfigurationError(
-                f"engine context needs a resolved kernel name, got {self.kernel!r} "
-                "(resolve 'auto' via repro.md.kernels.resolve_kernel_name first)"
-            )
         if self.skin <= 0 or self.neighbor_max_reuse < 0:
             raise ConfigurationError(
                 "engine context needs skin > 0 and neighbor_max_reuse >= 0, got "
@@ -111,9 +103,6 @@ class SliceCutter:
     def __init__(self, context: EngineContext) -> None:
         self.context = context
         self.cell_list = CellList(context.box_length, context.cells_per_side)
-        # The context carries a resolved tier name, so every unit builds the
-        # same backend whatever its own environment says.
-        self.kernel = create_kernel(context.kernel)
         self.verlet = VerletList(
             context.box_length, context.potential.cutoff, context.skin,
             max_reuse=context.neighbor_max_reuse,
@@ -130,9 +119,7 @@ class SliceCutter:
             positions, self.cell_list, cell_owner, context.potential.cutoff, candidates
         )
         pieces = [
-            pe_force_slice(
-                pe, positions, context.box_length, table, context.potential, self.kernel
-            )
+            pe_force_slice(pe, positions, context.box_length, table, context.potential)
             for pe in pe_ids
         ]
         return pieces, (self.verlet.stats.rebuilds > builds, len(candidates))

@@ -50,8 +50,6 @@ class EngineForceField:
     ) -> None:
         self.engine = engine
         self.potential = engine.context.potential if engine.context else None
-        #: Resolved kernel-tier name the engine's workers evaluate with.
-        self.kernel_name = engine.context.kernel if engine.context else "numpy"
         self._owner_map = owner_map
         self.attraction = float(attraction)
         self.attractors = attractors
@@ -87,10 +85,6 @@ class EngineForceField:
         else:
             self.stats.record_reuse()
         self.stats.record_evaluation(result.n_candidates, n_pairs)
-        if self.kernel_name != "numpy":
-            # The slices feed exact (within-cut-off) pairs to the tier, so
-            # evaluated == accepted.
-            self.stats.record_half_list(n_pairs, n_pairs)
         forces = result.forces
         potential_energy = result.potential_energy
         if self.attraction > 0.0:
@@ -111,7 +105,6 @@ class EngineForceField:
             "stats": self.stats.state_dict(),
             "verlet": None,
             "engine_step": self._step,
-            "kernel": self.kernel_name,
         }
 
     def restore_cache_state(self, state: dict, box_length: float) -> None:

@@ -29,6 +29,9 @@ __all__ = ["Fleet", "ServerProcess", "free_port", "owner_pid"]
 #: Seconds :meth:`ServerProcess.wait_ready` polls before giving up.
 READY_TIMEOUT_S = 30.0
 
+#: Seconds :meth:`Fleet.stop` gives a SIGKILLed server's descendants to exit.
+ORPHAN_GRACE_S = 5.0
+
 
 def free_port() -> int:
     """An OS-assigned free TCP port (racy by nature, fine for tests)."""
@@ -46,6 +49,33 @@ def owner_pid(instance_id: str) -> int | None:
         return int(parts[-2])
     except ValueError:
         return None
+
+
+def _running_ppid(pid: int) -> int | None:
+    """Parent of a running process per ``/proc``; ``None`` once it is gone
+    (an unreaped zombie counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat.rpartition(")")[2].split()[:2]
+    return None if state == "Z" else int(ppid)
+
+
+def descendant_pids(root: int) -> list[int]:
+    """Running descendants of ``root`` per ``/proc`` (none where it is absent)."""
+    children: dict[int, list[int]] = {}
+    for entry in Path("/proc").glob("[0-9]*"):
+        ppid = _running_ppid(int(entry.name))
+        if ppid is not None:
+            children.setdefault(ppid, []).append(int(entry.name))
+    found: list[int] = []
+    frontier = [root]
+    while frontier:
+        kids = children.get(frontier.pop(), [])
+        found += kids
+        frontier += kids
+    return found
 
 
 class ServerProcess:
@@ -99,6 +129,9 @@ class ServerProcess:
             args += list(extra_args)
         self.args = args
         self.process: subprocess.Popen | None = None
+        #: Descendants (pool children) that were running when :meth:`sigkill`
+        #: struck; they must notice and exit on their own.
+        self.orphaned: list[int] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -160,8 +193,13 @@ class ServerProcess:
         """Kill the instance without any chance to clean up (the chaos move)."""
         if self.process is None:
             raise ServiceError(f"{self.name} is not running")
+        self.orphaned = descendant_pids(self.pid)
         self.process.send_signal(signal.SIGKILL)
         self.process.wait(timeout=10)
+
+    def surviving_orphans(self) -> list[int]:
+        """Descendants of a SIGKILLed instance that are still running."""
+        return [pid for pid in self.orphaned if _running_ppid(pid) is not None]
 
     def terminate(self, timeout: float = 15.0) -> int | None:
         """Graceful SIGTERM shutdown; returns the exit code."""
@@ -215,8 +253,29 @@ class Fleet:
         return self
 
     def stop(self) -> None:
+        """Terminate every instance; a killed one's descendants must be gone.
+
+        An orphan that outlives its server keeps executing -- and
+        checkpointing -- a run a sibling has reclaimed, so one left after
+        :data:`ORPHAN_GRACE_S` is killed and reported as an error.
+        """
         for server in self.servers:
             server.terminate()
+        deadline = time.monotonic() + ORPHAN_GRACE_S
+        while True:
+            orphans = [p for server in self.servers for p in server.surviving_orphans()]
+            if not orphans or time.monotonic() >= deadline:
+                break
+            time.sleep(0.05)
+        for pid in orphans:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        if orphans:
+            raise ServiceError(
+                f"descendants of a SIGKILLed server outlived it: pids {orphans}"
+            )
 
     def __enter__(self) -> "Fleet":
         return self.start()

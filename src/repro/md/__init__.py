@@ -8,18 +8,7 @@ Section 3.2.
 
 from .celllist import CellList, CellSort
 from .forces import ForceField, ForceResult
-from .kernels import (
-    HalfListKernel,
-    JitKernel,
-    KernelBackend,
-    NumpyKernel,
-    create_kernel,
-    default_kernel,
-    forces_from_pairs,
-    numba_available,
-    register_kernel,
-    resolve_kernel_name,
-)
+from .kernels import forces_from_pairs, pair_terms
 from .neighbors import NeighborStats, VerletList
 from .integrator import VelocityVerlet
 from .lattice import fcc_positions, maxwell_boltzmann_velocities, simple_cubic_positions
@@ -36,27 +25,19 @@ __all__ = [
     "CellSort",
     "ForceField",
     "ForceResult",
-    "HalfListKernel",
-    "JitKernel",
-    "KernelBackend",
     "LennardJones",
     "NeighborStats",
-    "NumpyKernel",
     "VerletList",
     "ParticleSystem",
     "SerialSimulation",
     "VelocityRescale",
     "VelocityVerlet",
-    "create_kernel",
-    "default_kernel",
     "fcc_positions",
     "forces_from_pairs",
-    "numba_available",
-    "register_kernel",
-    "resolve_kernel_name",
     "kinetic_energy",
     "maxwell_boltzmann_velocities",
     "minimum_image",
+    "pair_terms",
     "pressure",
     "read_xyz",
     "simple_cubic_positions",

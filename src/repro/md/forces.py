@@ -7,11 +7,10 @@ import numpy as np
 from ..errors import ConfigurationError, SimulationError
 from ..obs.profiler import scope
 from .celllist import CellList
-from .kernels import (  # noqa: F401 -- re-exported; historically defined here
+from .kernels import (  # noqa: F401 -- forces_from_pairs re-exported; historically defined here
     ForceResult,
     create_kernel,
     forces_from_pairs,
-    resolve_kernel_name,
 )
 from .neighbors import (  # noqa: F401 -- pairs_kdtree re-exported for callers/tracers
     NeighborStats,
@@ -107,11 +106,6 @@ class ForceField:
         ``(K, 3)`` nucleation sites; each particle is pulled toward its
         nearest site (minimum image). ``None`` with a positive ``attraction``
         means a single site at the box centre.
-    kernel:
-        Force-kernel tier (see :mod:`repro.md.kernels`): ``"numpy"``,
-        ``"half"``, ``"jit"`` or ``"auto"``. ``None`` defers to the
-        ``REPRO_KERNEL`` environment variable (default ``"numpy"``). The
-        resolved name is available as :attr:`kernel_name`.
     """
 
     def __init__(
@@ -124,7 +118,6 @@ class ForceField:
         skin: float = 0.4,
         max_reuse: int = 20,
         cell_list: CellList | None = None,
-        kernel: str | None = None,
     ) -> None:
         if backend not in BACKENDS:
             raise ConfigurationError(f"unknown backend {backend!r}")
@@ -152,9 +145,9 @@ class ForceField:
                     f"attractors must have shape (K, 3) with K >= 1, got {attractors.shape}"
                 )
         self.attractors = attractors
-        #: Resolved kernel-tier name ("numpy", "half" or "jit").
-        self.kernel_name = resolve_kernel_name(kernel)
-        self._kernel = create_kernel(self.kernel_name)
+        # An instance, not a bare forces_from_pairs call: ledger/trace.py times
+        # the kernel by wrapping this object's class.
+        self._kernel = create_kernel()
         #: Pair-search instrumentation (rebuilds, reuses, candidate counts).
         self.stats = NeighborStats()
         # The search structures are box-dependent; build lazily on first use
@@ -217,13 +210,11 @@ class ForceField:
     def compute(self, system: ParticleSystem) -> ForceResult:
         """Evaluate forces, writing them into ``system.forces`` as well."""
         pairs = self._candidate_pairs(system)
-        with scope("force.accumulate"), scope(f"kernel.{self.kernel_name}"):
+        with scope("force.accumulate"):
             result = self._kernel.evaluate(
                 system.positions, pairs, system.box_length, self.potential, system.n
             )
         self.stats.record_evaluation(len(pairs), result.n_pairs)
-        if self.kernel_name != "numpy":
-            self.stats.record_half_list(len(pairs), result.n_pairs)
         forces = result.forces
         potential_energy = result.potential_energy
         if self.attraction > 0.0:
@@ -249,7 +240,6 @@ class ForceField:
         return {
             "stats": self.stats.state_dict(),
             "verlet": self._verlet.state_dict() if self._verlet is not None else None,
-            "kernel": self.kernel_name,
         }
 
     def restore_cache_state(self, state: dict, box_length: float) -> None:

@@ -17,7 +17,7 @@ other):
     :class:`repro.md.forces.ForceField`.
 
 :func:`canonical_pairs` fixes the row order every :class:`ForceField` path
-feeds the kernels, so forces are a function of the positions alone.
+feeds the kernel, so forces are a function of the positions alone.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def pairs_celllist(
 def canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     """Sort a pair list into canonical order (min first, lexicographic rows).
 
-    Every kernel tier filters candidates *preserving their order*, so feeding
-    it canonical rows makes the accepted-pair sequence -- hence the
+    The kernel filters candidates *preserving their order*, so feeding it
+    canonical rows makes the accepted-pair sequence -- hence the
     floating-point accumulation order of forces, energy and virial -- a
     function of the positions alone, whichever backend found the pairs and
     whenever the list was last rebuilt. One int64 key per row keeps this a
@@ -207,12 +207,6 @@ class NeighborStats:
         Pairs within the true cut-off at the last force evaluation.
     total_candidates, total_accepted:
         Running sums of the above across the run.
-    half_pairs_evaluated, half_force_rows:
-        Half-neighbour-list accounting (``half``/``jit`` kernel tiers only):
-        candidates the kernel evaluated once each, and force rows written by
-        the Newton-3 scatter (two per accepted pair). Zero under the
-        full-list ``numpy`` tier, keeping acceptance ratios comparable
-        across backends.
     """
 
     rebuilds: int = 0
@@ -221,8 +215,6 @@ class NeighborStats:
     accepted_pairs: int = 0
     total_candidates: int = 0
     total_accepted: int = 0
-    half_pairs_evaluated: int = 0
-    half_force_rows: int = 0
 
     def record_build(self, n_candidates: int) -> None:
         """Account one full pair search producing ``n_candidates``."""
@@ -239,12 +231,6 @@ class NeighborStats:
         self.accepted_pairs = int(n_accepted)
         self.total_candidates += int(n_candidates)
         self.total_accepted += int(n_accepted)
-
-    def record_half_list(self, n_evaluated: int, n_accepted: int) -> None:
-        """Account one half-list kernel pass (one evaluation per pair,
-        two force-row writes per accepted pair)."""
-        self.half_pairs_evaluated += int(n_evaluated)
-        self.half_force_rows += 2 * int(n_accepted)
 
     @property
     def evaluations(self) -> int:
@@ -271,10 +257,6 @@ class NeighborStats:
             "candidate_pairs": self.candidate_pairs,
             "accepted_pairs": self.accepted_pairs,
             "acceptance_ratio": self.acceptance_ratio,
-            "half_list": {
-                "pairs_evaluated": self.half_pairs_evaluated,
-                "force_rows_written": self.half_force_rows,
-            },
         }
 
     def state_dict(self) -> dict[str, int]:
@@ -286,8 +268,6 @@ class NeighborStats:
             "accepted_pairs": self.accepted_pairs,
             "total_candidates": self.total_candidates,
             "total_accepted": self.total_accepted,
-            "half_pairs_evaluated": self.half_pairs_evaluated,
-            "half_force_rows": self.half_force_rows,
         }
 
     def load_state_dict(self, state: dict) -> None:

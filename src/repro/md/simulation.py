@@ -87,7 +87,6 @@ class SerialSimulation:
         shift_potential: bool = True,
         skin: float = 0.4,
         neighbor_max_reuse: int = 20,
-        kernel: str | None = None,
     ) -> None:
         self.config = config
         rng = generator(seed)
@@ -101,7 +100,6 @@ class SerialSimulation:
             attractors=attractor_sites(config, rng),
             skin=skin,
             max_reuse=neighbor_max_reuse,
-            kernel=kernel,
         )
         self.integrator = VelocityVerlet(config.dt)
         self.thermostat = VelocityRescale(config.temperature, config.rescale_interval)

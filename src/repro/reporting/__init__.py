@@ -2,7 +2,7 @@
 
 from .flight import flight_report
 from .loadmap import imbalance_summary, load_map
-from .phases import kernel_scope_rows, phase_breakdown, phase_shares
+from .phases import phase_breakdown, phase_shares
 from .report import balancer_comparison_report, comparison_report, series_preview
 from .series import write_csv
 from .tables import format_table
@@ -13,7 +13,6 @@ __all__ = [
     "flight_report",
     "format_table",
     "imbalance_summary",
-    "kernel_scope_rows",
     "load_map",
     "phase_breakdown",
     "phase_shares",

@@ -10,15 +10,10 @@ PE spent outside the three named phases.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ..parallel.instrumentation import TimingLog
 from .tables import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from ..obs.profiler import Profiler
 
 
 def phase_shares(log: TimingLog) -> dict[str, float]:
@@ -37,50 +32,8 @@ def phase_shares(log: TimingLog) -> dict[str, float]:
     }
 
 
-def kernel_scope_rows(profiler: "Profiler") -> list[tuple[str, int, float, float]]:
-    """Discover ``kernel.<name>`` profiler scopes, driver- and worker-side.
-
-    Force kernels time themselves under ``kernel.<tier>`` (see
-    ``repro.md.forces``), and multiprocess engines fold worker profiles back
-    in under a ``workerN.`` prefix — so the full vocabulary is dynamic, not a
-    fixed tier list. Returns ``(scope, calls, total_s, mean_s)`` rows with
-    worker prefixes merged into their base scope, sorted by total seconds
-    descending; new kernel backends appear with no reporting change.
-    """
-    merged: dict[str, tuple[int, float]] = {}
-    for name, stat in profiler.stats.items():
-        base = name
-        if base.startswith("worker") and ".kernel." in base:
-            base = base.split(".", 1)[1]
-        if not base.startswith("kernel."):
-            continue
-        count, total = merged.get(base, (0, 0.0))
-        merged[base] = (count + stat.count, total + stat.total)
-    return sorted(
-        (
-            (name, count, total, total / count if count else 0.0)
-            for name, (count, total) in merged.items()
-        ),
-        key=lambda row: -row[2],
-    )
-
-
-def phase_breakdown(
-    log: TimingLog,
-    title: str | None = None,
-    neighbor_stats: dict | None = None,
-    profiler: "Profiler | None" = None,
-) -> str:
-    """ASCII table of the per-phase mean step time and its share of ``Tt``.
-
-    ``neighbor_stats`` (the :meth:`NeighborStats.as_dict` payload surfaced in
-    run metadata) appends a half-neighbour-list footer when a ``half``/``jit``
-    kernel tier did the force work, so pair-acceptance accounting stays
-    comparable across kernel backends. ``profiler`` (when given) appends one
-    host wall-clock line per discovered ``kernel.<name>`` scope — the set is
-    found dynamically via :func:`kernel_scope_rows`, so new kernel tiers show
-    up without touching the reporting layer.
-    """
+def phase_breakdown(log: TimingLog, title: str | None = None) -> str:
+    """ASCII table of the per-phase mean step time and its share of ``Tt``."""
     shares = phase_shares(log)
     total = shares["total"]
     rows = []
@@ -89,24 +42,8 @@ def phase_breakdown(
         share = seconds / total if total > 0 else np.nan
         rows.append((phase, f"{seconds:.6g}", f"{100.0 * share:5.1f}%"))
     rows.append(("total (Tt)", f"{total:.6g}", "100.0%"))
-    table = format_table(
+    return format_table(
         ["phase", "mean s/step", "share"],
         rows,
         title=title or "Per-phase step-time breakdown",
     )
-    half = (neighbor_stats or {}).get("half_list") or {}
-    evaluated = int(half.get("pairs_evaluated", 0))
-    if evaluated > 0:
-        written = int(half.get("force_rows_written", 0))
-        table += (
-            f"\n  half-list kernel: {evaluated} pairs evaluated once -> "
-            f"{written} force rows written (Newton-3 scatter x"
-            f"{written / evaluated:.2f})"
-        )
-    if profiler is not None:
-        for name, calls, total, mean in kernel_scope_rows(profiler):
-            table += (
-                f"\n  host {name}: {calls} calls, {total:.4g} s total "
-                f"({mean:.3g} s/call)"
-            )
-    return table

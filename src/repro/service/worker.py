@@ -38,6 +38,10 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import os
+import signal
+import threading
+import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from typing import Awaitable, Callable
@@ -58,6 +62,28 @@ log = logging.getLogger("repro.service")
 #: the pool checkpoints (``checkpoint_dir`` set), the runner is called with
 #: two extra positional arguments ``(checkpoint_dir, checkpoint_every)``.
 Runner = Callable[[dict, float | None, str | None], dict]
+
+
+def _pool_child_init(server_pid: int) -> None:
+    """Runs once in each pool child: stay killable, never outlive the server.
+
+    A forked child inherits the server's asyncio SIGTERM/SIGINT handlers,
+    which only poke an event loop the child does not run -- so restore the
+    default dispositions. And a SIGKILLed server cannot terminate its pool,
+    so the child watches for being re-parented and exits: an orphan would
+    keep executing (and checkpointing) a run a sibling has since reclaimed.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+    def exit_when_orphaned() -> None:
+        while os.getppid() == server_pid:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(
+        target=exit_when_orphaned, name="repro-service-parent-watch", daemon=True
+    ).start()
 
 
 class WorkerPool:
@@ -245,7 +271,11 @@ class WorkerPool:
             call = self.runner
         else:
             if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_pool_child_init,
+                    initargs=(os.getpid(),),
+                )
             call = _pool_worker
         args = [spec.to_dict(), self.run_timeout, self._events_path(item)]
         checkpoint_dir = self._run_checkpoint_dir(item.run_hash)

@@ -41,7 +41,7 @@ from repro.dlb.strategies import (
 from repro.errors import ConfigurationError
 from repro.faults.audit import InvariantAuditor
 from repro.parallel.topology import Torus2D
-from tests.md.test_kernel_equivalence import fig5_config
+from tests.helpers import fig5_config
 
 
 def _legacy_decide(assignment, topology, times, config, view=None):

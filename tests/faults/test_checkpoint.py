@@ -1,5 +1,6 @@
 """Atomic checkpoint write/read, pruning, and corruption fallback."""
 
+import os
 import pickle
 
 import pytest
@@ -56,6 +57,18 @@ class TestSaveLoad:
         manager = CheckpointManager(tmp_path)
         manager.save(1, {"big": list(range(1000))})
         assert not list(tmp_path.glob(".tmp-*"))
+
+    def test_save_spares_another_process_in_flight_tmp(self, tmp_path):
+        """Two processes may checkpoint one run (a reclaimed run's old owner
+        and its survivor): pruning must not unlink the other's tmp file
+        between its fsync and rename. ``clear()`` at commit sweeps it."""
+        foreign = tmp_path / f".tmp-ckpt-000000002.pkl.{os.getpid() + 1}"
+        foreign.write_bytes(b"in flight")
+        manager = CheckpointManager(tmp_path)
+        manager.save(1, {})
+        assert foreign.exists()
+        manager.clear()
+        assert not foreign.exists()
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):

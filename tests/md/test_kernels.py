@@ -1,152 +1,119 @@
-"""The kernel registry, name resolution, and the optional-numba contract."""
+"""The one pair kernel: ``pair_terms`` and its ``forces_from_pairs`` reduction.
+
+The generators cover the regimes where a pair kernel goes wrong if it is
+going to: uniform random gases, clustered blobs (the paper's concentration
+regime), and pairs engineered to straddle the cut-off where the accept mask
+itself is the hazard.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import KERNEL_NAMES, RunConfig
-from repro.engine.base import EngineContext
-from repro.errors import ConfigurationError
-from repro.md import kernels
-from repro.md.forces import ForceField
-from repro.md.kernels import (
-    HalfListKernel,
-    JitKernel,
-    KernelBackend,
-    NumpyKernel,
-    create_kernel,
-    default_kernel,
-    register_kernel,
-    resolve_kernel_name,
-)
+from repro.cli import main
+from repro.config import RunConfig
+from repro.md.kernels import forces_from_pairs, pair_terms
+from repro.md.neighbors import pairs_kdtree
+from repro.md.pbc import minimum_image
 from repro.md.potential import LennardJones
-from repro.md.system import ParticleSystem
+
+POTENTIAL = LennardJones()
+CUTOFF = POTENTIAL.cutoff
 
 
-class TestResolution:
-    def test_none_defers_to_environment_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel_name(None) == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL", "half")
-        assert resolve_kernel_name(None) == "half"
-
-    def test_invalid_environment_default_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fortran")
-        with pytest.raises(ConfigurationError, match="REPRO_KERNEL"):
-            default_kernel()
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            resolve_kernel_name("simd")
-
-    def test_auto_falls_back_to_half_without_numba(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_NUMBA_AVAILABLE", False)
-        assert resolve_kernel_name("auto") == "half"
-
-    def test_auto_selects_jit_with_numba(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_NUMBA_AVAILABLE", True)
-        assert resolve_kernel_name("auto") == "jit"
-
-    def test_explicit_jit_without_numba_is_actionable_error(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_NUMBA_AVAILABLE", False)
-        with pytest.raises(ConfigurationError, match="requires numba") as err:
-            resolve_kernel_name("jit")
-        # The message must tell the user both ways out.
-        assert "pip install numba" in str(err.value)
-        assert "auto" in str(err.value)
-
-    def test_jit_backend_construction_guarded_too(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_NUMBA_AVAILABLE", False)
-        with pytest.raises(ConfigurationError, match="requires numba"):
-            JitKernel()
-
-    def test_run_config_validates_kernel_name(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            RunConfig(steps=1, kernel="fortran")
-        for name in KERNEL_NAMES:
-            assert RunConfig(steps=1, kernel=name).kernel == name
+def candidate_list(positions: np.ndarray, box: float) -> np.ndarray:
+    """A skin-padded candidate list (contains beyond-cut-off pairs)."""
+    return pairs_kdtree(positions, box, CUTOFF + 0.4)
 
 
-class TestRegistry:
-    def test_create_returns_registered_tiers(self):
-        assert isinstance(create_kernel("numpy"), NumpyKernel)
-        assert isinstance(create_kernel("half"), HalfListKernel)
-
-    def test_register_custom_backend(self):
-        class Custom(NumpyKernel):
-            name = "custom-test"
-
-        register_kernel("custom-test", Custom)
-        try:
-            # Registry lookup happens after name resolution, so the custom
-            # name must also be in KERNEL_NAMES to be creatable via the
-            # public path; exercise the registry directly instead.
-            assert kernels._REGISTRY["custom-test"] is Custom
-        finally:
-            del kernels._REGISTRY["custom-test"]
-
-    def test_abstract_backend_is_abstract(self):
-        backend = KernelBackend()
-        with pytest.raises(NotImplementedError):
-            backend.evaluate(np.zeros((1, 3)), np.zeros((0, 2), dtype=np.int64), 1.0, LennardJones())
-
-    def test_half_rejects_nonpositive_block(self):
-        with pytest.raises(ConfigurationError, match="block_pairs"):
-            HalfListKernel(block_pairs=0)
+def uniform_gas(seed: int, n: int, box: float) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(0.0, box, (n, 3))
 
 
-class TestEngineContextKernel:
-    def _context(self, kernel):
-        return EngineContext(
-            n_particles=8,
-            n_pes=1,
-            box_length=10.0,
-            cells_per_side=3,
-            potential=LennardJones(),
-            kernel=kernel,
-        )
-
-    def test_rejects_unresolved_auto(self):
-        with pytest.raises(ConfigurationError, match="resolved kernel"):
-            self._context("auto")
-
-    def test_accepts_resolved_names(self):
-        for name in ("numpy", "half"):
-            assert self._context(name).kernel == name
+def clustered_gas(seed: int, n: int, box: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    blob = rng.normal(box / 2.0, box / 12.0, (n // 2, 3))
+    rest = rng.uniform(0.0, box, (n - n // 2, 3))
+    return np.mod(np.vstack([blob, rest]), box)
 
 
-class TestForceFieldIntegration:
-    def _system(self):
-        rng = np.random.default_rng(3)
-        box = (64 / 0.2) ** (1.0 / 3.0)
-        return ParticleSystem(rng.uniform(0, box, (64, 3)), box_length=box)
+def near_cutoff_gas(seed: int, n: int, box: float) -> np.ndarray:
+    """Pairs deliberately placed a hair inside/outside the cut-off sphere.
 
-    def test_half_list_counters_track_newton3_scatter(self):
-        system = self._system()
-        field = ForceField(LennardJones(), kernel="half")
-        field.compute(system)
-        stats = field.stats
-        assert stats.half_pairs_evaluated > 0
-        assert stats.half_force_rows == 2 * stats.accepted_pairs
-        payload = stats.as_dict()["half_list"]
-        assert payload["pairs_evaluated"] == stats.half_pairs_evaluated
-        assert payload["force_rows_written"] == stats.half_force_rows
+    The accept decision ``r_sq < cutoff_sq`` is where a different distance
+    computation would first diverge, so stress it with separations within
+    +/- 1e-7 of the cut-off.
+    """
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, box, (n // 2, 3))
+    directions = rng.normal(size=(n // 2, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = CUTOFF + rng.uniform(-1e-7, 1e-7, n // 2)
+    partners = centers + directions * radii[:, None]
+    return np.mod(np.vstack([centers, partners]), box)
 
-    def test_numpy_tier_leaves_half_counters_zero(self):
-        system = self._system()
-        field = ForceField(LennardJones(), kernel="numpy")
-        field.compute(system)
-        assert field.stats.half_pairs_evaluated == 0
-        assert field.stats.half_force_rows == 0
 
-    def test_cache_state_records_kernel(self):
-        field = ForceField(LennardJones(), kernel="half")
-        assert field.cache_state()["kernel"] == "half"
-        assert ForceField(LennardJones()).cache_state()["kernel"] == "numpy"
+GENERATORS = {
+    "uniform": uniform_gas,
+    "clustered": clustered_gas,
+    "near_cutoff": near_cutoff_gas,
+}
 
-    def test_forces_identical_across_numpy_and_half(self):
-        system = self._system()
-        reference = ForceField(LennardJones(), kernel="numpy").compute(system)
-        half = ForceField(LennardJones(), kernel="half").compute(system)
-        assert np.array_equal(reference.forces, half.forces)
-        assert reference.potential_energy == half.potential_energy
-        assert reference.virial == half.virial
+
+@given(
+    regime=st.sampled_from(sorted(GENERATORS)),
+    seed=st.integers(min_value=0, max_value=1_000),
+    n=st.integers(min_value=16, max_value=160),
+)
+@settings(max_examples=25, deadline=None)
+def test_forces_are_pair_terms_scattered_in_candidate_order(regime, seed, n):
+    box = max((n / 0.25) ** (1.0 / 3.0), 3.0 * CUTOFF)
+    positions = GENERATORS[regime](seed, n, box)
+    candidates = candidate_list(positions, box)
+    i, j, fvec, energies, f_over_r, r_sq = pair_terms(positions, candidates, box, POTENTIAL)
+
+    # Survivors are the within-cut-off rows of the plain fancy-indexed
+    # distance computation, in original candidate order.
+    delta = minimum_image(positions[candidates[:, 0]] - positions[candidates[:, 1]], box)
+    within = np.einsum("ij,ij->i", delta, delta) < POTENTIAL.cutoff_sq
+    assert np.array_equal(np.column_stack([i, j]), candidates[within])
+    assert np.array_equal(fvec, delta[within] * f_over_r[:, None])
+
+    # The reduction is the sequential Newton-3 scatter of those terms.
+    plus = np.zeros((n, 3))
+    minus = np.zeros((n, 3))
+    for row in range(len(i)):
+        plus[i[row]] += fvec[row]
+        minus[j[row]] += fvec[row]
+    result = forces_from_pairs(positions, candidates, box, POTENTIAL, n)
+    assert np.array_equal(result.forces, plus - minus)
+    assert result.potential_energy == float(energies.sum())
+    assert result.virial == float(np.dot(f_over_r, r_sq))
+    assert result.n_pairs == len(i)
+
+
+def test_empty_and_all_rejected_candidates():
+    box = 20.0
+    positions = np.array([[1.0, 1.0, 1.0], [9.0, 9.0, 9.0]])
+    empty = np.zeros((0, 2), dtype=np.int64)
+    far = np.array([[0, 1]], dtype=np.int64)
+    for candidates in (empty, far):
+        terms = pair_terms(positions, candidates, box, POTENTIAL)
+        assert [len(term) for term in terms] == [0] * 6
+        assert terms[2].shape == (0, 3)
+        result = forces_from_pairs(positions, candidates, box, POTENTIAL)
+        assert result.n_pairs == 0
+        assert result.potential_energy == 0.0
+        assert result.virial == 0.0
+        assert result.forces.shape == (2, 3)
+        assert not result.forces.any()
+
+
+def test_kernel_knob_is_gone(capsys):
+    with pytest.raises(TypeError):
+        RunConfig(steps=1, kernel="half")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "quickstart", "--kernel", "half"])
+    assert exit_info.value.code == 2
+    assert "--kernel" in capsys.readouterr().err

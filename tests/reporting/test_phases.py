@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.obs.profiler import Profiler
 from repro.parallel.instrumentation import StepTiming, TimingLog
-from repro.reporting import kernel_scope_rows, phase_breakdown, phase_shares
+from repro.reporting import phase_breakdown, phase_shares
 
 
 def make_log() -> TimingLog:
@@ -44,43 +43,3 @@ class TestPhaseBreakdown:
     def test_custom_title(self):
         assert "my title" in phase_breakdown(make_log(), title="my title")
 
-
-class TestKernelScopeDiscovery:
-    def profiler(self) -> Profiler:
-        profiler = Profiler()
-        profiler.record("kernel.half", 0.2)
-        profiler.record("kernel.half", 0.4)
-        profiler.record("kernel.numpy", 0.1)
-        profiler.record("engine.force_pass", 9.0)  # not a kernel scope
-        # Worker-merged scopes fold into their base kernel name.
-        profiler.merge_state(
-            {"kernel.half": {"count": 1, "total": 0.3, "min": 0.3, "max": 0.3}},
-            prefix="worker0.",
-        )
-        return profiler
-
-    def test_rows_are_discovered_not_hardcoded(self):
-        rows = kernel_scope_rows(self.profiler())
-        names = [row[0] for row in rows]
-        assert names == ["kernel.half", "kernel.numpy"]
-        name, calls, total, mean = rows[0]
-        assert calls == 3  # 2 driver + 1 worker sample
-        assert total == pytest.approx(0.9)
-        assert mean == pytest.approx(0.3)
-
-    def test_unknown_future_tier_appears_without_code_changes(self):
-        profiler = Profiler()
-        profiler.record("kernel.hypothetical-simd", 1.0)
-        (row,) = kernel_scope_rows(profiler)
-        assert row[0] == "kernel.hypothetical-simd"
-
-    def test_breakdown_appends_kernel_lines(self):
-        table = phase_breakdown(make_log(), profiler=self.profiler())
-        assert "host kernel.half: 3 calls" in table
-        assert "kernel.numpy" in table
-        assert "engine.force_pass" not in table
-
-    def test_breakdown_without_profiler_is_unchanged(self):
-        assert phase_breakdown(make_log()) == phase_breakdown(
-            make_log(), profiler=None
-        )

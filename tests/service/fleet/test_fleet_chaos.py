@@ -106,6 +106,8 @@ class TestFailover:
             )
             owner.sigkill()
             assert not owner.alive
+            # The victim was mid-run, so it had a pool child to orphan.
+            assert owner.orphaned
             survivors = fleet.alive
             assert len(survivors) == 1
 
@@ -117,6 +119,10 @@ class TestFailover:
                 "repro_service_reclaimed_runs_total 1"
                 in survivor_client.metrics()
             )
+
+        # Fleet.stop() raises if a descendant of the victim outlived it (an
+        # orphan would keep checkpointing into the survivor's directory).
+        assert owner.surviving_orphans() == []
 
         # Exactly-once at the store: one row, one payload, two attempts
         # (the victim's and the survivor's), the victim on record.

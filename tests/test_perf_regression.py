@@ -82,64 +82,6 @@ class TestCommittedBaseline:
         assert not regressions
 
 
-class TestKernelTier:
-    """Unit coverage of the force-kernel tier gate (cheap, still opt-in)."""
-
-    @staticmethod
-    def _payload(csr=0.25, half=None, jit=None):
-        kernels = {"pairs_celllist_clustered": {"mean_s": csr}}
-        if half is not None:
-            kernels["kernel_half"] = {"mean_s": half}
-        if jit is not None:
-            kernels["kernel_jit"] = {"mean_s": jit}
-        return {"kernels": kernels}
-
-    def test_half_gate_enforced(self):
-        checker = _load_checker()
-        failures, _ = checker.check_kernel_tier(self._payload(half=0.2))
-        assert len(failures) == 1  # 1.25x < 2x floor
-        failures, notes = checker.check_kernel_tier(self._payload(half=0.1))
-        assert not failures
-        assert any("HALF OK" in n for n in notes)
-
-    def test_missing_half_entry_fails(self):
-        checker = _load_checker()
-        failures, _ = checker.check_kernel_tier(self._payload())
-        assert any("KERNEL MISSING" in f for f in failures)
-
-    def test_jit_absent_is_a_skip_not_a_failure(self):
-        checker = _load_checker()
-        failures, notes = checker.check_kernel_tier(self._payload(half=0.1))
-        assert not failures
-        assert any("JIT SKIP" in n for n in notes)
-
-    def test_jit_gate_enforced_when_present(self):
-        checker = _load_checker()
-        failures, _ = checker.check_kernel_tier(
-            self._payload(half=0.1, jit=0.1)
-        )
-        assert len(failures) == 1  # 2.5x < 5x floor
-        failures, notes = checker.check_kernel_tier(
-            self._payload(half=0.1, jit=0.04)
-        )
-        assert not failures
-        assert any("JIT OK" in n for n in notes)
-
-    def test_missing_csr_baseline_skips_cleanly(self):
-        checker = _load_checker()
-        failures, notes = checker.check_kernel_tier({"kernels": {}})
-        assert not failures
-        assert any("KERNEL SKIP" in n for n in notes)
-
-    def test_committed_baseline_passes_tier_gates(self):
-        """The committed BENCH_kernels.json must satisfy its own gates."""
-        checker = _load_checker()
-        payload = json.loads(RESULTS.read_text())
-        failures, _ = checker.check_kernel_tier(payload)
-        assert not failures
-        assert payload["derived"]["clustered_csr_over_kernel_half"] >= 2.0
-
-
 class TestCheckCampaign:
     """Unit coverage of the campaign-engine gate (cheap, still opt-in)."""
 
