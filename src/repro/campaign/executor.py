@@ -285,6 +285,10 @@ def execute_run(
     return run(spec, events_path, checkpoint_dir, checkpoint_every)
 
 
+#: Seconds between repeats of the run-timeout alarm once it has first fired.
+_TIMEOUT_REFIRE_S = 0.1
+
+
 def _raise_timeout(signum, frame):  # pragma: no cover - exercised via alarm
     raise CampaignError("run exceeded its time budget")
 
@@ -300,10 +304,17 @@ def _execute_with_timeout(
     if timeout is None or not hasattr(signal, "SIGALRM"):
         return execute_run(spec, events_path, checkpoint_dir, checkpoint_every)
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    # The alarm repeats: an exception raised while a ``__del__`` or a weakref
+    # callback is running is printed and dropped, and the run would go on.
+    signal.setitimer(signal.ITIMER_REAL, timeout, _TIMEOUT_REFIRE_S)
     try:
-        return execute_run(spec, events_path, checkpoint_dir, checkpoint_every)
+        try:
+            return execute_run(spec, events_path, checkpoint_dir, checkpoint_every)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
     finally:
+        # Disarmed twice: a repeat landing in the block above escapes it with
+        # the timer still running, and cannot land in these lines as well.
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 

@@ -223,7 +223,7 @@ class RunStore:
             # makes small commits cheaper; busy_timeout turns lock contention
             # between sibling processes into a bounded wait instead of an
             # immediate "database is locked" error.
-            self._db.execute("PRAGMA journal_mode=WAL")
+            self._enter_wal(busy_timeout)
             self._db.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
             self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.executescript(_SCHEMA_SQL)
@@ -231,8 +231,9 @@ class RunStore:
             "SELECT value FROM meta WHERE key = 'schema'"
         ).fetchone()
         if row is None:
+            # OR IGNORE: a sibling first-opener may have stamped it since.
             self._db.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema', ?)",
+                "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema', ?)",
                 (str(STORE_SCHEMA),),
             )
             self._db.commit()
@@ -247,6 +248,31 @@ class RunStore:
         # unless a sibling process may legitimately be mid-run (takeover=False).
         if takeover:
             self.reset_running()
+
+    def _enter_wal(self, busy_timeout: float) -> None:
+        """``PRAGMA journal_mode=WAL``, retried while a sibling holds the lock.
+
+        SQLite does not run the busy handler for this statement, so when
+        several processes first-open one store the losers see "database is
+        locked" at once, whatever the connection's timeout says.
+        """
+        deadline = time.monotonic() + busy_timeout
+        while True:
+            try:
+                self._db.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                locked = "locked" in str(exc)
+                if locked and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                    continue
+                self._db.close()
+                if not locked:
+                    raise
+                raise CampaignError(
+                    f"run store {self.directory} stayed locked for "
+                    f"{busy_timeout:g} s while switching to WAL mode"
+                ) from exc
 
     def _migrate_v1(self) -> None:
         """Upgrade a v1 store in place (additive columns; rows preserved)."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..decomp.assignment import CellAssignment
-from ..decomp.halo import compute_halo
+from ..decomp.halo import HaloExchange, compute_halo
 from ..dlb.protocol import Move
 from ..md.celllist import CellList
 from ..obs.profiler import scope
@@ -100,6 +100,52 @@ class StepAccountant:
                 move.src, move.src, 16 * wire, count=wire, tag="dlb-bookkeeping"
             )
 
+    def _charge_step(
+        self,
+        step: int,
+        counts_grid: np.ndarray,
+        owner: np.ndarray,
+        force_times_override: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, HaloExchange, np.ndarray]:
+        """Per-PE times of one step under ``owner``, faults applied.
+
+        Returns ``(force_times, other_times, comm_times, halo, attempts)``;
+        ``attempts[p]`` is how many times a message fault put PE ``p``'s halo
+        exchange on the wire (1 without faults), for the caller that records
+        traffic.
+        """
+        work = self.cost_model.per_pe_work(counts_grid, owner, self.n_pes)
+        force_times = (
+            np.asarray(force_times_override, dtype=np.float64)
+            if force_times_override is not None
+            else work.force_times
+        )
+        other_times = work.integrate_times + work.cell_times
+        if self.faults is not None:
+            # Compute faults: per-PE slowdown factors and jitter scale
+            # every compute bucket; transient stalls land once, on the
+            # force phase (the straggler signal DLB reacts to).
+            force_times, other_times = self.faults.perturb_compute(
+                step, force_times, other_times
+            )
+
+        halo = compute_halo(owner, self.cell_list, counts_grid.reshape(-1), self.n_pes)
+        comm_times = np.array(
+            [
+                self.network.particles_time(halo.messages[p], halo.ghost_particles[p])
+                for p in range(self.n_pes)
+            ]
+        )
+        attempts = np.ones(self.n_pes, dtype=np.int64)
+        if self.faults is not None:
+            # Message faults apply at this aggregated per-PE granularity: one
+            # "halo" outcome per PE per step perturbs its whole exchange.
+            for p in np.flatnonzero(halo.messages).tolist():
+                pert = self.faults.perturb_message(step, p, p, "halo")
+                comm_times[p] = pert.perturbed_time(float(comm_times[p]))
+                attempts[p] = pert.attempts
+        return force_times, other_times, comm_times, halo, attempts
+
     def account_step(
         self,
         step: int,
@@ -119,49 +165,21 @@ class StepAccountant:
             else scope("accounting.account_step")
         )
         with timer:
-            owner = assignment.cell_owner_map()
-            work = self.cost_model.per_pe_work(counts_grid, owner, self.n_pes)
-            force_times = (
-                np.asarray(force_times_override, dtype=np.float64)
-                if force_times_override is not None
-                else work.force_times
-            )
-            other_times = work.integrate_times + work.cell_times
-            if self.faults is not None:
-                # Compute faults: per-PE slowdown factors and jitter scale
-                # every compute bucket; transient stalls land once, on the
-                # force phase (the straggler signal DLB reacts to).
-                force_times, other_times = self.faults.perturb_compute(
-                    step, force_times, other_times
-                )
-
-            counts_flat = counts_grid.reshape(-1)
-            halo = compute_halo(owner, self.cell_list, counts_flat, self.n_pes)
-            comm_times = np.array(
-                [
-                    self.network.particles_time(halo.messages[p], halo.ghost_particles[p])
-                    for p in range(self.n_pes)
-                ]
+            force_times, other_times, comm_times, halo, attempts = self._charge_step(
+                step, counts_grid, assignment.cell_owner_map(), force_times_override
             )
             # Log the halo exchange per tag. Each PE's receive has a matching
             # send among its neighbours, so charging the send side to the
             # receiving PE keeps machine-wide totals exact while staying O(P).
-            # Message faults apply at this aggregated per-PE granularity: one
-            # "halo" outcome per PE per step perturbs its whole exchange.
             bytes_per_particle = self.machine.bytes_per_particle
-            for p in range(self.n_pes):
-                if halo.messages[p]:
-                    wire = 1
-                    if self.faults is not None:
-                        pert = self.faults.perturb_message(step, p, p, "halo")
-                        comm_times[p] = pert.perturbed_time(float(comm_times[p]))
-                        wire = pert.attempts
-                    self.traffic.record_bulk(
-                        p, p,
-                        int(halo.ghost_particles[p]) * bytes_per_particle * wire,
-                        count=int(halo.messages[p]) * wire,
-                        tag="halo",
-                    )
+            for p in np.flatnonzero(halo.messages).tolist():
+                wire = int(attempts[p])
+                self.traffic.record_bulk(
+                    p, p,
+                    int(halo.ghost_particles[p]) * bytes_per_particle * wire,
+                    count=int(halo.messages[p]) * wire,
+                    tag="halo",
+                )
             comm_times += self._pending_migration
             self._pending_migration[...] = 0.0
 
@@ -198,29 +216,10 @@ class StepAccountant:
             saved_events = faults.events
             faults.events = None
         try:
-            owner = assignment.home
-            work = self.cost_model.per_pe_work(counts_grid, owner, self.n_pes)
-            force_times = work.force_times
-            other_times = work.integrate_times + work.cell_times
-            if faults is not None:
-                force_times, other_times = faults.perturb_compute(
-                    step, force_times, other_times
-                )
-            counts_flat = counts_grid.reshape(-1)
-            halo = compute_halo(owner, self.cell_list, counts_flat, self.n_pes)
-            comm_times = np.array(
-                [
-                    self.network.particles_time(halo.messages[p], halo.ghost_particles[p])
-                    for p in range(self.n_pes)
-                ]
+            force_times, other_times, comm_times, _, _ = self._charge_step(
+                step, counts_grid, assignment.home
             )
-            if faults is not None:
-                for p in range(self.n_pes):
-                    if halo.messages[p]:
-                        pert = faults.perturb_message(step, p, p, "halo")
-                        comm_times[p] = pert.perturbed_time(float(comm_times[p]))
-            totals = force_times + comm_times + other_times
-            return float(totals.max())
+            return float((force_times + comm_times + other_times).max())
         finally:
             if faults is not None:
                 faults.events = saved_events

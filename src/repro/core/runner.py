@@ -614,10 +614,9 @@ class DrivenLoadRunner(_ObservedRunner):
     that produces concentration, which is exactly what the effective-range
     experiments need.
 
-    The runner owns a single :class:`CellList` whose periodic stencil tables
-    are computed once and cached, so the per-round halo accounting does not
-    re-derive the grid geometry (the seed recomputed the 26-neighbour tables
-    on every call).
+    The runner owns a single :class:`CellList`; the per-round work and halo
+    accounting are stateless box-stencil reductions over its grid, so there
+    is nothing to invalidate when the balancer moves cells.
     """
 
     def __init__(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DecompositionError
-from ..md.celllist import FULL_STENCIL, CellList
+from ..md.celllist import CellList
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,14 @@ def compute_halo(
     ``cell_owner`` is the flat ``(C,)`` map, ``counts_flat`` the flat per-cell
     particle counts. A ghost cell adjacent through several stencil offsets is
     imported once (real implementations deduplicate the ghost region).
+
+    The 26-neighbour reach of a PE is the dilation of its cells by a periodic
+    3x3x3 box, which factors into one ``m | roll(m, +1) | roll(m, -1)`` pass
+    per axis over a one-hot ownership mask; cells reached but not owned are
+    the ghost set, already deduplicated. The mask is laid out ``(C, P)`` so
+    that every roll moves whole ``P``-byte rows; it is ``P * C`` bytes
+    (210 KB at 36 PEs x 18^3 cells) and is rebuilt on every call -- nothing
+    is kept between calls.
     """
     n_cells = cell_list.n_cells
     if cell_owner.shape != (n_cells,):
@@ -53,40 +61,22 @@ def compute_halo(
     if counts_flat.shape != (n_cells,):
         raise DecompositionError(f"counts shape {counts_flat.shape} != ({n_cells},)")
 
-    importer_chunks: list[np.ndarray] = []
-    ghost_chunks: list[np.ndarray] = []
-    for offset in FULL_STENCIL:
-        if offset == (0, 0, 0):
-            continue
-        neighbor = cell_list.neighbor_ids(offset)
-        cross = cell_owner != cell_owner[neighbor]
-        if not cross.any():
-            continue
-        cells = np.flatnonzero(cross)
-        importer_chunks.append(cell_owner[cells])
-        ghost_chunks.append(neighbor[cells])
+    owned = np.zeros((n_cells, n_pes), dtype=bool)
+    owned[np.arange(n_cells), cell_owner] = True
+    reach = owned.reshape((cell_list.cells_per_side,) * 3 + (n_pes,))
+    for axis in range(3):
+        reach = reach | np.roll(reach, 1, axis) | np.roll(reach, -1, axis)
+    # reach is a superset of owned, so xor is "reached and not owned".
+    cell, importer = np.divmod(np.flatnonzero(reach.reshape(n_cells, n_pes) ^ owned), n_pes)
 
-    ghost_cells = np.zeros(n_pes, dtype=np.int64)
-    ghost_particles = np.zeros(n_pes, dtype=np.int64)
-    messages = np.zeros(n_pes, dtype=np.int64)
-    if not importer_chunks:
-        return HaloExchange(ghost_cells, ghost_particles, messages)
-
-    importers = np.concatenate(importer_chunks)
-    ghosts = np.concatenate(ghost_chunks)
-    # Deduplicate (importer, ghost cell) pairs: one import per ghost cell.
-    keys = np.unique(importers.astype(np.int64) * n_cells + ghosts)
-    imp = keys // n_cells
-    cell = keys % n_cells
-    ghost_cells += np.bincount(imp, minlength=n_pes)
-    ghost_particles += np.bincount(imp, weights=counts_flat[cell], minlength=n_pes).astype(
-        np.int64
-    )
+    ghost_cells = np.bincount(importer, minlength=n_pes)
+    ghost_particles = np.bincount(
+        importer, weights=counts_flat[cell], minlength=n_pes
+    ).astype(np.int64)
     # Message count: distinct (importer, source PE) pairs.
-    src = cell_owner[cell]
-    pair_keys = np.unique(imp * n_pes + src)
-    messages += np.bincount(pair_keys // n_pes, minlength=n_pes)
-    return HaloExchange(ghost_cells, ghost_particles, messages)
+    senders = np.zeros((n_pes, n_pes), dtype=bool)
+    senders[importer, cell_owner[cell]] = True
+    return HaloExchange(ghost_cells, ghost_particles, senders.sum(axis=1))
 
 
 def halo_summary(halo: HaloExchange) -> dict[str, float]:

@@ -1,12 +1,18 @@
 """Two processes draining the same store never double-execute a run."""
 
 import json
+import multiprocessing
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.campaign import CampaignSpec, RunSpec, RunStore
+from repro.campaign.store import DB_NAME
+from repro.errors import CampaignError
 
 #: Runs both worker processes race over.
 N_RUNS = 6
@@ -132,3 +138,60 @@ def test_two_processes_lease_api_commits_exactly_once(tmp_path):
             assert rows[run_hash].payload["winner"] in (
                 "host-1-alpha", "host-2-beta"
             )
+
+
+#: More openers than cores, so first-opens really overlap; each round races
+#: over a fresh store directory.
+N_OPENERS = 6
+N_OPEN_ROUNDS = 12
+
+
+def _first_open(path, barrier, results):
+    """Open (and so create) each round's store the instant every sibling is ready."""
+    try:
+        for round_no in range(N_OPEN_ROUNDS):
+            barrier.wait(timeout=60)
+            with RunStore(path / f"round-{round_no}", takeover=False) as store:
+                store.ping()
+        results.put("ok")
+    except BaseException as exc:  # reported to the parent, which asserts
+        barrier.abort()
+        results.put(f"{type(exc).__name__}: {exc}")
+        raise
+
+
+def test_concurrent_first_open_never_reports_locked(tmp_path):
+    """N processes creating one store at once all succeed.
+
+    SQLite does not run the busy handler for ``PRAGMA journal_mode=WAL``, so
+    without the store's own retry a loser of the first-open race dies with
+    ``OperationalError: database is locked`` whatever ``busy_timeout`` says.
+    """
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(N_OPENERS)
+    results = ctx.Queue()
+    procs = [
+        ctx.Process(target=_first_open, args=(tmp_path, barrier, results))
+        for _ in range(N_OPENERS)
+    ]
+    for proc in procs:
+        proc.start()
+    outcomes = [results.get(timeout=120) for _ in procs]  # drain before join
+    for proc in procs:
+        proc.join(timeout=60)
+        assert not proc.is_alive()
+    assert outcomes == ["ok"] * N_OPENERS
+    for round_no in range(N_OPEN_ROUNDS):
+        with RunStore(tmp_path / f"round-{round_no}", takeover=False) as store:
+            assert store.runs() == []
+
+
+def test_first_open_gives_up_with_campaign_error_naming_the_store(tmp_path):
+    """A store that stays locked past ``busy_timeout`` is an actionable error."""
+    holder = sqlite3.connect(tmp_path / DB_NAME, isolation_level=None)
+    try:
+        holder.execute("BEGIN EXCLUSIVE")
+        with pytest.raises(CampaignError, match=str(tmp_path)):
+            RunStore(tmp_path, takeover=False, busy_timeout=0.05)
+    finally:
+        holder.close()

@@ -115,6 +115,31 @@ class TestFailureHandling:
             assert "time budget" in row.error
             assert row.attempts == 3
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_timeout_survives_landing_in_a_finalizer(self, monkeypatch):
+        """An alarm that fires inside ``__del__`` is dropped by the interpreter
+        ("Exception ignored in ..."); the budget must still end the run."""
+        import time
+
+        from repro.campaign import executor
+
+        class SlowFinalizer:
+            def __del__(self):
+                time.sleep(0.3)  # the 0.05 s alarm lands in here
+
+        def run_forever(spec, *args):
+            SlowFinalizer()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                pass
+            return {"finished": True}
+
+        monkeypatch.setattr(executor, "execute_run", run_forever)
+        started = time.monotonic()
+        with pytest.raises(CampaignError, match="time budget"):
+            executor._execute_with_timeout(RunSpec(seed=1), 0.05)
+        assert time.monotonic() - started < 2.0
+
     def test_failed_run_reexecutes_on_resume(self):
         campaign = tiny_campaign(n_runs=1)
         with RunStore() as store:

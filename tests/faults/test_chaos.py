@@ -26,7 +26,7 @@ from repro.config import (
 from repro.core.checkpoint import CheckpointManager
 from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
 from repro.decomp.assignment import CellAssignment
-from repro.dlb.balancer import DynamicLoadBalancer
+from repro.dlb import create_balancer
 from repro.dlb.spmd_protocol import spmd_decide
 from repro.dlb.views import TimingView
 from repro.faults import (
@@ -221,7 +221,7 @@ class TestProtocolEquivalenceUnderFaults:
         injector = FaultInjector(plan, 9)
         a = CellAssignment(9, 9)
         b = CellAssignment(9, 9)
-        central = DynamicLoadBalancer(a, injector=injector)
+        central = create_balancer(a, injector=injector, strategy="permanent")
         spmd_view = TimingView(9, injector.max_staleness)
         rng = np.random.default_rng(3)
         for step in range(1, 15):
@@ -240,7 +240,7 @@ class TestProtocolEquivalenceUnderFaults:
         plan = FaultPlan(seed=1, timing=TimingFaultRule(drop=1.0, max_staleness=0))
         injector = FaultInjector(plan, 9)
         assignment = CellAssignment(9, 9)
-        balancer = DynamicLoadBalancer(assignment, injector=injector)
+        balancer = create_balancer(assignment, injector=injector, strategy="permanent")
         rng = np.random.default_rng(5)
         for step in range(1, 10):
             assert balancer.step(rng.uniform(0.1, 2.0, 9), step=step) == []

@@ -121,6 +121,18 @@ class TestNeighborCountSum:
         with pytest.raises(GeometryError):
             cl.neighbor_count_sum(np.zeros((3, 3, 3)))
 
+    @pytest.mark.parametrize("nc", [3, 4, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_explicit_27_offset_sum(self, nc, seed):
+        # At nc=3 the periodic stencil wraps onto the whole grid, each cell once.
+        counts = np.random.default_rng([seed, nc]).integers(0, 50, size=(nc, nc, nc))
+        expected = np.zeros_like(counts)
+        for offset in FULL_STENCIL:
+            expected += np.roll(counts, shift=offset, axis=(0, 1, 2))
+        total = CellList(float(nc), nc).neighbor_count_sum(counts)
+        assert total.dtype == counts.dtype
+        assert np.array_equal(total, expected)
+
 
 @pytest.fixture
 def rng():
