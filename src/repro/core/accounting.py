@@ -15,7 +15,7 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..decomp.assignment import CellAssignment
-from ..decomp.halo import HaloExchange, compute_halo
+from ..decomp.halo import compute_halo
 from ..dlb.protocol import Move
 from ..md.celllist import CellList
 from ..obs.profiler import scope
@@ -71,34 +71,46 @@ class StepAccountant:
         """
         if not moves:
             return
-        cell_particles = counts_grid.reshape(-1)
-        for move in moves:
-            payload = int(cell_particles[move.cell]) * self.machine.bytes_per_particle
-            duration = self.network.transfer_time(payload)
-            wire = 1
-            if self.faults is not None:
+        src, dst, cells = np.array([(move.src, move.dst, move.cell) for move in moves]).T
+        # Per move: bytes and messages put on the wire by the cell's payload
+        # and by step 4 of the protocol, the broadcast of the new assignment
+        # to the 8 neighbours (tiny messages; latency dominated).
+        payload = counts_grid.reshape(-1)[cells].astype(np.int64) * self.machine.bytes_per_particle
+        sends = np.ones(len(moves), dtype=np.int64)
+        notices = np.full(len(moves), 8)
+        # NetworkModel.transfer_time of every payload, same operand order.
+        durations = self.machine.latency + payload * self.machine.inv_bandwidth
+        broadcasts = notices * self.network.transfer_time(16)
+        if self.faults is not None:
+            for k, move in enumerate(moves):
                 pert = self.faults.perturb_message(step, move.src, move.dst, "migration")
-                duration = pert.perturbed_time(duration)
-                wire = pert.attempts
-            self._pending_migration[move.src] += duration
-            self._pending_migration[move.dst] += duration
-            self.traffic.record_bulk(
-                move.src, move.dst, payload * wire, count=wire, tag="migration"
-            )
-            # Step 4 of the protocol: broadcast the new assignment to the
-            # 8 neighbours (tiny messages; latency dominated).
-            broadcast = 8 * self.network.transfer_time(16)
-            wire = 8
-            if self.faults is not None:
+                durations[k] = pert.perturbed_time(float(durations[k]))
+                sends[k] = pert.attempts
                 pert = self.faults.perturb_message(
                     step, move.src, move.src, "dlb-bookkeeping"
                 )
-                broadcast = pert.perturbed_time(broadcast)
-                wire = 8 * pert.attempts
-            self._pending_migration[move.src] += broadcast
-            self.traffic.record_bulk(
-                move.src, move.src, 16 * wire, count=wire, tag="dlb-bookkeeping"
-            )
+                broadcasts[k] = pert.perturbed_time(float(broadcasts[k]))
+                notices[k] *= pert.attempts
+            payload = payload * sends
+        # ufunc.at is unbuffered: each PE's charges add up in move order
+        # (src, dst, src per move), exactly as one scalar ``+=`` per charge.
+        np.add.at(
+            self._pending_migration,
+            np.array((src, dst, src)).T.ravel(),
+            np.array((durations, durations, broadcasts)).T.ravel(),
+        )
+
+        def per_pe(pes: np.ndarray, values: np.ndarray) -> np.ndarray:
+            # Exact: the weights are integers far below 2**53.
+            return np.bincount(pes, values, self.n_pes).astype(np.int64)
+
+        self.traffic.record_per_pe(
+            per_pe(src, payload), per_pe(dst, payload), per_pe(src, sends), tag="migration"
+        )
+        notices_sent = per_pe(src, notices)
+        self.traffic.record_per_pe(
+            16 * notices_sent, 16 * notices_sent, notices_sent, tag="dlb-bookkeeping"
+        )
 
     def _charge_step(
         self,
@@ -106,13 +118,13 @@ class StepAccountant:
         counts_grid: np.ndarray,
         owner: np.ndarray,
         force_times_override: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, HaloExchange, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-PE times of one step under ``owner``, faults applied.
 
-        Returns ``(force_times, other_times, comm_times, halo, attempts)``;
-        ``attempts[p]`` is how many times a message fault put PE ``p``'s halo
-        exchange on the wire (1 without faults), for the caller that records
-        traffic.
+        Returns ``(force_times, other_times, comm_times, wire_bytes,
+        wire_messages)``; the last two are each PE's halo exchange as it went
+        on the wire (a message fault may put it there more than once), for
+        the caller that records traffic.
         """
         work = self.cost_model.per_pe_work(counts_grid, owner, self.n_pes)
         force_times = (
@@ -130,21 +142,23 @@ class StepAccountant:
             )
 
         halo = compute_halo(owner, self.cell_list, counts_grid.reshape(-1), self.n_pes)
-        comm_times = np.array(
-            [
-                self.network.particles_time(halo.messages[p], halo.ghost_particles[p])
-                for p in range(self.n_pes)
-            ]
+        # NetworkModel.particles_time for every PE at once, same operand order
+        # (the byte counts are exact in float64 however they are converted).
+        wire_bytes = halo.ghost_particles * self.machine.bytes_per_particle
+        wire_messages = halo.messages
+        comm_times = (
+            wire_messages * self.machine.latency + wire_bytes * self.machine.inv_bandwidth
         )
-        attempts = np.ones(self.n_pes, dtype=np.int64)
         if self.faults is not None:
             # Message faults apply at this aggregated per-PE granularity: one
             # "halo" outcome per PE per step perturbs its whole exchange.
+            attempts = np.ones(self.n_pes, dtype=np.int64)
             for p in np.flatnonzero(halo.messages).tolist():
                 pert = self.faults.perturb_message(step, p, p, "halo")
                 comm_times[p] = pert.perturbed_time(float(comm_times[p]))
                 attempts[p] = pert.attempts
-        return force_times, other_times, comm_times, halo, attempts
+            wire_bytes, wire_messages = wire_bytes * attempts, wire_messages * attempts
+        return force_times, other_times, comm_times, wire_bytes, wire_messages
 
     def account_step(
         self,
@@ -165,21 +179,17 @@ class StepAccountant:
             else scope("accounting.account_step")
         )
         with timer:
-            force_times, other_times, comm_times, halo, attempts = self._charge_step(
-                step, counts_grid, assignment.cell_owner_map(), force_times_override
+            force_times, other_times, comm_times, wire_bytes, wire_messages = (
+                self._charge_step(
+                    step, counts_grid, assignment.cell_owner_map(), force_times_override
+                )
             )
             # Log the halo exchange per tag. Each PE's receive has a matching
             # send among its neighbours, so charging the send side to the
             # receiving PE keeps machine-wide totals exact while staying O(P).
-            bytes_per_particle = self.machine.bytes_per_particle
-            for p in np.flatnonzero(halo.messages).tolist():
-                wire = int(attempts[p])
-                self.traffic.record_bulk(
-                    p, p,
-                    int(halo.ghost_particles[p]) * bytes_per_particle * wire,
-                    count=int(halo.messages[p]) * wire,
-                    tag="halo",
-                )
+            # (A machine with no exchange at all gets no "halo" tag.)
+            if wire_messages.any():
+                self.traffic.record_per_pe(wire_bytes, wire_bytes, wire_messages, tag="halo")
             comm_times += self._pending_migration
             self._pending_migration[...] = 0.0
 

@@ -44,7 +44,14 @@ def classify_permanent_columns(cells_per_side: int, n_pes: int) -> np.ndarray:
 
 
 class CellAssignment:
-    """Who holds which cell, with DLB's structural invariants enforced."""
+    """Who holds which cell, with DLB's structural invariants enforced.
+
+    ``home`` and ``permanent`` never change, so everything that depends only
+    on them is tabulated once here: each PE's home cells, its movable home
+    cells (both ascending ids) and, per Case 1 offset, the order in which it
+    lends those movable cells. The per-round queries read ``holder`` over
+    one such block (``C / P`` cells), never over the whole map.
+    """
 
     def __init__(self, cells_per_side: int, n_pes: int) -> None:
         self.grid = ColumnGrid(cells_per_side)
@@ -60,6 +67,16 @@ class CellAssignment:
         self.holder = self.home.copy()
         column_permanent = classify_permanent_columns(cells_per_side, n_pes)
         self.permanent = np.repeat(column_permanent, cells_per_side)
+        nc, m = self.cells_per_side, self.m
+        self._home_cells = np.argsort(self.home, kind="stable").reshape(self.n_pes, -1)
+        movable = self._home_cells[~self.permanent[self._home_cells]]
+        self._home_movable = block = movable.reshape(self.n_pes, (m - 1) ** 2 * nc)
+        column, z = np.divmod(block, nc)
+        u, v = (column // nc) % m, (column % nc) % m
+        self._lend_order = {}
+        for di, dj in ((-1, -1), (-1, 0), (0, -1)):
+            order = np.lexsort((block, z, u * (di < 0) + v * (dj < 0)))
+            self._lend_order[di, dj] = np.take_along_axis(block, order, axis=1)
 
     # -- queries -----------------------------------------------------------
 
@@ -73,11 +90,23 @@ class CellAssignment:
 
     def movable_at_home(self, pe: int) -> np.ndarray:
         """``pe``'s own movable cells that are currently at home."""
-        return np.flatnonzero((self.home == pe) & (self.holder == pe) & ~self.permanent)
+        block = self._home_movable[pe]
+        return block[self.holder[block] == pe]
+
+    def lendable(self, pe: int, offset: tuple[int, int]) -> np.ndarray:
+        """:meth:`movable_at_home` in the order ``pe`` lends toward ``offset``.
+
+        Cells closest to the receiving lower neighbour come first (lowest
+        local ``u`` for offset (-1, 0), lowest ``v`` for (0, -1), lowest
+        ``u + v`` for the corner); ties break on depth ``z``, then cell id.
+        """
+        block = self._lend_order[offset][pe]
+        return block[self.holder[block] == pe]
 
     def borrowed_by(self, pe: int, lender: int) -> np.ndarray:
-        """Cells with home ``lender`` currently held by ``pe``."""
-        return np.flatnonzero((self.home == lender) & (self.holder == pe))
+        """Cells with home ``lender`` currently held by ``pe`` (ascending)."""
+        block = self._home_cells[lender]
+        return block[self.holder[block] == pe]
 
     def cell_owner_map(self) -> np.ndarray:
         """The flat ``(nc^3,)`` holder map (alias for compatibility)."""

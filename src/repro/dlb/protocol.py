@@ -70,34 +70,16 @@ class Move:
     kind: Case
 
 
-def _pick_own_movable(
-    assignment: CellAssignment, pe: int, offset: tuple[int, int], exclude: set[int]
-) -> int | None:
-    """Choose which of ``pe``'s at-home movable cells to lend.
+def _first_free(cells: np.ndarray, exclude: set[int]) -> int | None:
+    """First of ``cells`` not in ``exclude``, or ``None``.
 
-    Prefers the cell geometrically closest to the receiving neighbour in the
-    cross-section (lowest local ``u`` for offset (-1, 0), lowest ``v`` for
-    (0, -1), lowest ``u + v`` for the corner); ties break on depth ``z`` and
-    then cell id, so the protocol is deterministic.
+    At most ``len(exclude)`` leading cells can be excluded, so one more than
+    that is all that needs looking at.
     """
-    candidates = assignment.movable_at_home(pe)
-    if exclude:
-        candidates = candidates[~np.isin(candidates, list(exclude))]
-    if len(candidates) == 0:
-        return None
-    nc = assignment.cells_per_side
-    m = assignment.m
-    column, z = np.divmod(candidates, nc)
-    cx, cy = np.divmod(column, nc)
-    u, v = cx % m, cy % m
-    di, dj = offset
-    distance = np.zeros(len(candidates))
-    if di < 0:
-        distance = distance + u
-    if dj < 0:
-        distance = distance + v
-    order = np.lexsort((candidates, z, distance))
-    return int(candidates[order[0]])
+    for cell in cells[: len(exclude) + 1].tolist():
+        if cell not in exclude:
+            return cell
+    return None
 
 
 def decide_move(
@@ -119,14 +101,10 @@ def decide_move(
     if case in (Case.SELF, Case.NOTHING):
         return None
     if case is Case.SEND_OWN:
-        cell = _pick_own_movable(assignment, pe, offset, exclude)
-        if cell is None:
-            return None
-        return Move(cell=cell, src=pe, dst=fastest, kind=Case.SEND_OWN)
-    # Case 3: return one previously borrowed cell to its home.
-    borrowed = assignment.borrowed_by(pe, fastest)
-    if exclude:
-        borrowed = borrowed[~np.isin(borrowed, list(exclude))]
-    if len(borrowed) == 0:
-        return None
-    return Move(cell=int(borrowed[0]), src=pe, dst=fastest, kind=Case.RETURN_BORROWED)
+        # Lend the at-home movable cell closest to the receiver.
+        cells = assignment.lendable(pe, offset)
+    else:
+        # Case 3: return one previously borrowed cell to its home.
+        cells = assignment.borrowed_by(pe, fastest)
+    cell = _first_free(cells, exclude)
+    return None if cell is None else Move(cell=cell, src=pe, dst=fastest, kind=case)

@@ -18,8 +18,8 @@ from ..decomp.assignment import CellAssignment
 from ..errors import ConfigurationError
 from ..parallel.spmd import SPMDExecutor
 from ..parallel.topology import Torus2D
-from .protocol import Move, decide_move
-from .strategies import DecisionView, DiffusionBalancer
+from .protocol import Move
+from .strategies import DecisionView, create_strategy
 from .views import TimingView
 
 #: Strategies with a distributed formulation. ``sfc`` is global by
@@ -41,9 +41,9 @@ def spmd_decide(
     """One distributed decision round; returns the moves in PE order.
 
     Superstep 1: every rank posts its last-step time to its 8 neighbours.
-    Superstep 2: every rank reads its inbox, finds the fastest PE among
-    itself and the senders (ties broken in the fixed neighbourhood order,
-    exactly as the centralised balancer does), and runs the case analysis.
+    Superstep 2: every rank applies the strategy's per-rank rule
+    (``Balancer.decide_for_rank`` -- the very code the centralised round
+    loops over, so the two cannot drift apart).
 
     With an ``injector``, the broadcast goes through the executor's fault
     hook: a dropped report simply never appears in the receiver's inbox, and
@@ -55,9 +55,8 @@ def spmd_decide(
 
     ``strategy`` selects among the distributed-capable strategies
     (:data:`SPMD_STRATEGIES`): ``permanent`` runs the paper's case analysis,
-    ``diffusion`` runs the same per-rank flux rule as the centralised
-    balancer (each rank only sheds cells it holds, so the formulations are
-    identical), ``none`` broadcasts times but never moves. ``sfc`` raises
+    ``diffusion`` the per-rank flux rule (each rank only sheds cells it
+    holds), ``none`` broadcasts times but never moves. ``sfc`` raises
     :class:`~repro.errors.ConfigurationError` -- use a centralised engine.
     """
     times = np.asarray(per_pe_times, dtype=np.float64)
@@ -93,7 +92,7 @@ def spmd_decide(
     executor.superstep(broadcast_times)
 
     moves: list[Move] = []
-    diffusion = DiffusionBalancer() if strategy == "diffusion" else None
+    rule = create_strategy(strategy)
     decision_view = DecisionView(
         times=times,
         assignment=assignment,
@@ -103,46 +102,18 @@ def spmd_decide(
     )
 
     def decide(rank: int, ex: SPMDExecutor) -> None:
-        received = {src: t for src, t in ex.inbox(rank)}
-        received[rank] = float(times[rank])
         if view is not None:
             # Fold this round's inbox into the rank's persistent view:
             # delivered reports refresh it, holes age the last-known value.
+            received = dict(ex.inbox(rank))
             view.observe(rank, rank, float(times[rank]))
             for neighbor in topology.neighbors(rank):
                 if neighbor in received:
                     view.observe(rank, neighbor, received[neighbor])
                 else:
                     view.miss(rank, neighbor)
-        if strategy == "none":
-            return
-        if diffusion is not None:
-            # The diffusion rule is already per-rank (a rank only sheds
-            # cells it holds), so the centralised helper *is* the SPMD one;
-            # its view-aware fastest_for reads the state folded above.
-            moves.extend(diffusion.decide_for_rank(decision_view, rank))
-            return
-        if view is not None:
-            fastest = view.fastest_known(rank, times, topology)
-        else:
-            # Fixed neighbourhood order = deterministic tie-breaking,
-            # identical to the centralised balancer's argmin over the same
-            # ordering.
-            fastest = rank
-            best = received[rank]
-            for peer in topology.neighborhood(rank)[1:]:
-                if received[peer] < best:
-                    best = received[peer]
-                    fastest = peer
-        if fastest == rank:
-            return
-        exclude: set[int] = set()
-        for _ in range(config.max_sends_per_step):
-            move = decide_move(assignment, topology, rank, fastest, exclude)
-            if move is None:
-                break
-            exclude.add(move.cell)
-            moves.append(move)
+        # The rule's view-aware fastest_for reads the state folded above.
+        moves.extend(rule.decide_for_rank(decision_view, rank))
 
     executor.superstep(decide)
     return moves

@@ -81,6 +81,10 @@ class DecisionView:
     when fault injection is active); ``counts`` are per-cell particle counts
     (present when the runner has them -- strategies with ``needs_counts``
     degrade to uniform weights when they are missing).
+
+    A view is built per round and its ``times`` are that round's, so without
+    a ``timing`` view every PE's fastest neighbour is found here, once, as
+    one ``argmin`` over the topology's static neighbourhood table.
     """
 
     times: np.ndarray
@@ -90,22 +94,25 @@ class DecisionView:
     timing: TimingView | None = None
     counts: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        if self.timing is None:
+            table = self.topology.neighborhood_table
+            column = self.times[table].argmin(axis=1)
+            self._fastest = table[np.arange(len(table)), column].tolist()
+
     def fastest_for(self, pe: int) -> tuple[int, float]:
         """``(fastest, fast_time)`` as believed by ``pe``.
 
         With a timing view this is the bounded-staleness belief; without it
-        the argmin over the fixed neighbourhood order (deterministic
-        tie-breaking). Both branches are the exact pre-seam code of
-        ``DynamicLoadBalancer.decide``.
+        the argmin over the fixed neighbourhood order (first minimum wins,
+        so ties break exactly as a scan in that order would).
         """
         if self.timing is not None:
             fastest = self.timing.fastest_known(pe, self.times, self.topology)
             believed = self.timing.effective(pe, fastest)
             assert believed is not None  # fastest_known only picks usable views
             return fastest, believed
-        neighborhood = self.topology.neighborhood(pe)
-        local = self.times[neighborhood]
-        fastest = neighborhood[int(np.argmin(local))]
+        fastest = self._fastest[pe]
         return fastest, float(self.times[fastest])
 
     def wants_rebalance(self, my_time: float, fast_time: float) -> bool:
@@ -139,7 +146,19 @@ class Balancer:
     needs_counts = False
 
     def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
-        """Run one decision round; must not mutate ``view.assignment``."""
+        """Run one decision round; must not mutate ``view.assignment``.
+
+        The default round is every PE applying :meth:`decide_for_rank` in PE
+        order; global strategies (``sfc``) override it.
+        """
+        moves: list[Move] = []
+        for pe in range(view.assignment.n_pes):
+            moves.extend(self.decide_for_rank(view, pe))
+        return moves
+
+    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
+        """One rank's local rule. PEs act only on cells they hold, so the
+        SPMD path calls this per rank and matches the centralised round."""
         raise NotImplementedError
 
     def state_dict(self) -> dict:
@@ -162,24 +181,20 @@ class PermanentCellsBalancer(Balancer):
     name = "permanent"
     constrained = True
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
+    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
+        fastest, fast_time = view.fastest_for(pe)
+        if fastest == pe:
+            return []
+        if not view.wants_rebalance(float(view.times[pe]), fast_time):
+            return []
         moves: list[Move] = []
-        committed: dict[int, set[int]] = {}
-        for pe in range(view.assignment.n_pes):
-            fastest, fast_time = view.fastest_for(pe)
-            if fastest == pe:
-                continue
-            if not view.wants_rebalance(float(view.times[pe]), fast_time):
-                continue
-            exclude = committed.setdefault(pe, set())
-            for _ in range(view.config.max_sends_per_step):
-                move = decide_move(
-                    view.assignment, view.topology, pe, fastest, exclude
-                )
-                if move is None:
-                    break
-                exclude.add(move.cell)
-                moves.append(move)
+        exclude: set[int] = set()
+        for _ in range(view.config.max_sends_per_step):
+            move = decide_move(view.assignment, view.topology, pe, fastest, exclude)
+            if move is None:
+                break
+            exclude.add(move.cell)
+            moves.append(move)
         return moves
 
 
@@ -218,15 +233,7 @@ class DiffusionBalancer(Balancer):
     name = "diffusion"
     constrained = False
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
-        moves: list[Move] = []
-        for pe in range(view.assignment.n_pes):
-            moves.extend(self.decide_for_rank(view, pe))
-        return moves
-
     def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
-        """One rank's decision -- PEs act only on cells they hold, so the
-        SPMD path calls this per rank and matches the centralised result."""
         fastest, fast_time = view.fastest_for(pe)
         if fastest == pe:
             return []
@@ -351,7 +358,7 @@ class NoBalancer(Balancer):
     name = "none"
     constrained = True  # vacuously: no move ever violates an invariant
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
+    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
         return []
 
 

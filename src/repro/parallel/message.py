@@ -88,11 +88,29 @@ class TrafficLog:
         """Account ``count`` messages totalling ``n_bytes`` without objects."""
         if n_bytes < 0 or count < 0:
             raise ConfigurationError("bytes and count must be non-negative")
+        if not (0 <= src < self.n_pes and 0 <= dst < self.n_pes):
+            raise ConfigurationError(
+                f"endpoints ({src}, {dst}) outside machine of {self.n_pes} PEs"
+            )
         self.bytes_sent[src] += n_bytes
         self.bytes_received[dst] += n_bytes
         self.messages_sent[src] += count
         if tag:
             self._tag(tag).add(n_bytes, count)
+
+    def record_per_pe(self, sent: np.ndarray, received: np.ndarray,
+                      messages: np.ndarray, tag: str = "") -> None:
+        """Account a whole phase from its ``(n_pes,)`` integer totals: bytes
+        each PE sent, bytes each PE received, messages each PE sent."""
+        if not sent.shape == received.shape == messages.shape == (self.n_pes,):
+            raise ConfigurationError(f"per-PE totals must have shape ({self.n_pes},)")
+        if min(sent.min(), received.min(), messages.min()) < 0:
+            raise ConfigurationError("bytes and messages must be non-negative")
+        self.bytes_sent += sent
+        self.bytes_received += received
+        self.messages_sent += messages
+        if tag:
+            self._tag(tag).add(sent.sum(), messages.sum())
 
     @property
     def total_bytes(self) -> int:

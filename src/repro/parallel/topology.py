@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 
@@ -58,6 +60,12 @@ class Torus2D:
             raise ConfigurationError(f"torus side must be positive, got {side}")
         self.side = int(side)
         self.n_pes = self.side * self.side
+        i, j = np.divmod(np.arange(self.n_pes)[:, None], self.side)
+        di, dj = np.array(((0, 0),) + self.OFFSETS).T
+        #: ``(P, 9)``: row ``pe`` is ``neighborhood(pe)``, so an ``argmin``
+        #: along a row breaks ties exactly as a scan in OFFSETS order does.
+        self.neighborhood_table = ((i + di) % self.side) * self.side + (j + dj) % self.side
+        self.neighborhood_table.setflags(write=False)
 
     def coords(self, pe: int) -> tuple[int, int]:
         """Torus coordinates ``(i, j)`` of a flat PE id."""
@@ -79,8 +87,8 @@ class Torus2D:
         """``pe`` followed by its 8 neighbours in OFFSETS order (may repeat on
         tiny tori); the DLB protocol iterates this fixed order so ties are
         broken deterministically."""
-        i, j = self.coords(pe)
-        return [pe] + [self.flat(i + di, j + dj) for di, dj in self.OFFSETS]
+        self._check(pe)
+        return self.neighborhood_table[pe].tolist()
 
     def offset(self, src: int, dst: int) -> tuple[int, int]:
         """Minimal signed offset ``(di, dj)`` from ``src`` to ``dst``.
@@ -88,11 +96,10 @@ class Torus2D:
         Each component is folded into ``[-side/2, side/2)``; for tori of side
         >= 3 adjacent PEs always yield components in {-1, 0, 1}.
         """
-        si, sj = self.coords(src)
-        di_raw = (dst // self.side) - si
-        dj_raw = (dst % self.side) - sj
-        di = int(di_raw - self.side * math.floor(di_raw / self.side + 0.5))
-        dj = int(dj_raw - self.side * math.floor(dj_raw / self.side + 0.5))
+        self._check(src)
+        side, half = self.side, self.side // 2
+        di = (dst // side - src // side + half) % side - half
+        dj = (dst % side - src % side + half) % side - half
         return di, dj
 
     def are_neighbors(self, a: int, b: int) -> bool:

@@ -172,3 +172,118 @@ class TestRandomLegalSequences:
         assignment.validate()
         # Cell conservation: every cell has exactly one holder.
         assert assignment.cell_counts_per_pe().sum() == 9**3
+
+
+# -- home-block tables against the full-scan definitions ----------------------
+
+GEOMETRIES = [(9, 9), (12, 9), (12, 16), (10, 25), (18, 36)]
+
+
+def _lent_and_returned(assignment, rng):
+    """Real protocol traffic: legal lends through ``transfer``, some returned."""
+    for _ in range(12 * assignment.n_pes):
+        pe = int(rng.integers(assignment.n_pes))
+        candidates = np.flatnonzero(
+            (assignment.home == pe) & (assignment.holder == pe) & ~assignment.permanent
+        )
+        away = np.flatnonzero((assignment.home == pe) & (assignment.holder != pe))
+        if len(away) and rng.random() < 0.3:
+            assignment.transfer(int(rng.choice(away)), pe)
+        elif len(candidates):
+            target = int(rng.choice(sorted(assignment.lower_neighbors(pe))))
+            assignment.transfer(int(rng.choice(candidates)), target)
+
+
+def _unconstrained(assignment, rng):
+    """A ``diffusion`` / ``sfc`` style map: any cell, permanent ones too, anywhere."""
+    for cell in rng.choice(assignment.n_cells, assignment.n_cells // 3, replace=False):
+        target = int(rng.integers(assignment.n_pes))
+        if target != assignment.holder[cell]:
+            assignment.transfer_any(int(cell), target)
+    assert np.any(assignment.holder[assignment.permanent] != assignment.home[assignment.permanent])
+
+
+def _reference_lend_order(assignment, pe, offset):
+    """The parent's per-call sort of ``_pick_own_movable``, byte for byte."""
+    candidates = np.flatnonzero(
+        (assignment.home == pe) & (assignment.holder == pe) & ~assignment.permanent
+    )
+    nc = assignment.cells_per_side
+    m = assignment.m
+    column, z = np.divmod(candidates, nc)
+    cx, cy = np.divmod(column, nc)
+    u, v = cx % m, cy % m
+    di, dj = offset
+    distance = np.zeros(len(candidates))
+    if di < 0:
+        distance = distance + u
+    if dj < 0:
+        distance = distance + v
+    order = np.lexsort((candidates, z, distance))
+    return candidates[order]
+
+
+def assert_queries_equal_full_scan(assignment):
+    home, holder, permanent = assignment.home, assignment.holder, assignment.permanent
+    for pe in range(assignment.n_pes):
+        expected = np.flatnonzero((home == pe) & (holder == pe) & ~permanent)
+        got = assignment.movable_at_home(pe)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        for offset in ((-1, -1), (-1, 0), (0, -1)):
+            lendable = assignment.lendable(pe, offset)
+            assert lendable.dtype == expected.dtype
+            assert np.array_equal(lendable, _reference_lend_order(assignment, pe, offset))
+        for lender in range(assignment.n_pes):
+            expected = np.flatnonzero((home == lender) & (holder == pe))
+            got = assignment.borrowed_by(pe, lender)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
+def _descending_home_blocks(assignment):
+    assignment._home_cells = assignment._home_cells[:, ::-1]
+
+
+def _wall_cell_in_movable_block(assignment):
+    assignment._home_movable = assignment._home_movable.copy()
+    assignment._home_movable[:, 0] = assignment._home_cells[:, -1]
+
+
+def _lend_order_without_depth(assignment):
+    for offset, table in assignment._lend_order.items():
+        assignment._lend_order[offset] = np.sort(table, axis=1)
+
+
+class TestHomeBlockQueriesAgainstFullScan:
+    @pytest.mark.parametrize("nc,n_pes", GEOMETRIES)
+    @pytest.mark.parametrize("evolve", [None, _lent_and_returned, _unconstrained])
+    def test_queries_equal_the_full_scan_definitions(self, nc, n_pes, evolve):
+        assignment = CellAssignment(nc, n_pes)
+        if evolve is not None:
+            evolve(assignment, np.random.default_rng(nc * n_pes))
+            assert np.any(assignment.holder != assignment.home)
+        assert_queries_equal_full_scan(assignment)
+
+    @pytest.mark.parametrize(
+        "seeded_bug",
+        [_descending_home_blocks, _wall_cell_in_movable_block, _lend_order_without_depth],
+    )
+    def test_a_wrong_table_is_caught(self, seeded_bug):
+        assignment = CellAssignment(12, 16)
+        _lent_and_returned(assignment, np.random.default_rng(0))
+        assert_queries_equal_full_scan(assignment)
+        seeded_bug(assignment)
+        with pytest.raises(AssertionError):
+            assert_queries_equal_full_scan(assignment)
+
+    def test_queries_follow_writes_to_holder(self):
+        """Nothing derived from ``holder`` is kept: restore-style writes show."""
+        assignment = CellAssignment(9, 9)
+        cell = int(assignment.movable_at_home(4)[0])
+        assignment.holder[cell] = 0
+        assert cell not in assignment.movable_at_home(4)
+        assert cell in assignment.borrowed_by(0, 4)
+        assignment.reset()
+        assert cell in assignment.movable_at_home(4)
+        assert assignment.borrowed_by(0, 4).size == 0

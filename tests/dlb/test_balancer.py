@@ -9,18 +9,21 @@ from repro.config import DLBConfig
 from repro.decomp.assignment import CellAssignment
 from repro.decomp.validation import check_eight_neighbor_property
 from repro.dlb.balancer import DynamicLoadBalancer
+from repro.dlb.strategies import create_balancer
 from repro.dlb.protocol import Case
 from repro.errors import ConfigurationError
 
 
 def make_balancer(nc: int = 9, n_pes: int = 9, **kwargs) -> DynamicLoadBalancer:
-    return DynamicLoadBalancer(CellAssignment(nc, n_pes), DLBConfig(**kwargs))
+    return create_balancer(
+        CellAssignment(nc, n_pes), DLBConfig(**kwargs), strategy="permanent"
+    )
 
 
 class TestConstruction:
     def test_rejects_small_torus(self):
         with pytest.raises(ConfigurationError):
-            DynamicLoadBalancer(CellAssignment(4, 4))  # 2x2 torus
+            create_balancer(CellAssignment(4, 4), strategy="permanent")  # 2x2 torus
 
     def test_rejects_wrong_times_shape(self):
         balancer = make_balancer()
@@ -133,7 +136,7 @@ class TestConvergence:
         the spread must drop substantially and total work stays conserved.
         """
         assignment = CellAssignment(9, 9)
-        balancer = DynamicLoadBalancer(assignment)
+        balancer = create_balancer(assignment, strategy="permanent")
         cell_work = np.ones(9**3)
         hot = 4
         cell_work[assignment.home == hot] = 10.0
@@ -153,7 +156,7 @@ class TestConvergence:
     def test_balances_mild_distributed_imbalance(self):
         """A within-limit imbalance (heavier movable region) balances well."""
         assignment = CellAssignment(9, 9)
-        balancer = DynamicLoadBalancer(assignment)
+        balancer = create_balancer(assignment, strategy="permanent")
         cell_work = np.ones(9**3)
         hot = 4
         # Only the hot PE's *movable* cells are heavier: fully sheddable.
@@ -171,7 +174,7 @@ class TestConvergence:
 
     def test_cell_conservation_under_long_runs(self):
         assignment = CellAssignment(9, 9)
-        balancer = DynamicLoadBalancer(assignment)
+        balancer = create_balancer(assignment, strategy="permanent")
         rng = np.random.default_rng(5)
         for _ in range(100):
             balancer.step(rng.uniform(0.5, 1.5, 9))
@@ -184,7 +187,7 @@ class TestConvergence:
         """The headline invariant: no sequence of balancer steps ever breaks
         the 8-neighbour structure (that is what permanent cells are for)."""
         assignment = CellAssignment(6, 9)
-        balancer = DynamicLoadBalancer(assignment)
+        balancer = create_balancer(assignment, strategy="permanent")
         rng = np.random.default_rng(seed)
         for _ in range(50):
             balancer.step(rng.uniform(0.1, 2.0, 9))

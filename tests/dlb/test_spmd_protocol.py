@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.config import DLBConfig
 from repro.decomp.assignment import CellAssignment
-from repro.dlb.balancer import DynamicLoadBalancer
 from repro.dlb.spmd_protocol import spmd_decide
+from repro.dlb.strategies import create_balancer
 from repro.errors import ConfigurationError
 
 
@@ -20,7 +20,7 @@ class TestEquivalence:
         times = rng.uniform(0.1, 2.0, 9)
         a = CellAssignment(9, 9)
         b = CellAssignment(9, 9)
-        central = DynamicLoadBalancer(a).decide(times)
+        central = create_balancer(a, strategy="permanent").decide(times)
         distributed = spmd_decide(b, times)
         assert central == distributed
 
@@ -30,20 +30,22 @@ class TestEquivalence:
         """Equivalence must also hold mid-run, with cells already lent."""
         rng = np.random.default_rng(seed)
         a = CellAssignment(9, 9)
-        balancer = DynamicLoadBalancer(a)
+        balancer = create_balancer(a, strategy="permanent")
         for _ in range(30):
             balancer.step(rng.uniform(0.1, 2.0, 9))
         b = CellAssignment(9, 9)
         b.holder[...] = a.holder  # same world state
         times = rng.uniform(0.1, 2.0, 9)
-        assert DynamicLoadBalancer(a).decide(times) == spmd_decide(b, times)
+        assert create_balancer(a, strategy="permanent").decide(times) == spmd_decide(b, times)
 
     def test_matches_with_multiple_sends(self):
         times = np.ones(9)
         times[0] = 0.01
         a = CellAssignment(9, 9)
         b = CellAssignment(9, 9)
-        central = DynamicLoadBalancer(a, DLBConfig(max_sends_per_step=3)).decide(times)
+        central = create_balancer(
+            a, DLBConfig(max_sends_per_step=3), strategy="permanent"
+        ).decide(times)
         distributed = spmd_decide(b, times, max_sends_per_step=3)
         assert central == distributed
         assert len(central) > 0

@@ -113,9 +113,7 @@ class TestSeamEquivalence:
         for seam_a, legacy_a, topology, times, config in _evolving_snapshots(
             **config_kwargs
         ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                balancer = DynamicLoadBalancer(seam_a, config)
+            balancer = create_balancer(seam_a, config, strategy="permanent")
             seam_moves = balancer.decide(times)
             legacy_moves = _legacy_decide(legacy_a, topology, times, config)
             assert seam_moves == legacy_moves

@@ -41,6 +41,41 @@ class TestTrafficLog:
         assert log.by_tag["migration"].bytes == 400
         assert log.by_tag["migration"].messages == 4
 
+    @pytest.mark.parametrize("src,dst", [(-1, -1), (-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_record_bulk_rejects_out_of_range_endpoints(self, src, dst):
+        """A negative endpoint used to wrap round and charge the last PE."""
+        log = TrafficLog(4)
+        with pytest.raises(ConfigurationError):
+            log.record_bulk(src, dst, 100)
+        assert log.total_bytes == 0 and not log.bytes_received.any()
+
+    def test_record_per_pe_equals_one_record_bulk_per_pe(self):
+        import numpy as np
+
+        sent = np.array([10, 0, 30, 5])
+        received = np.array([0, 40, 5, 0])
+        messages = np.array([1, 0, 3, 2])
+        bulk, per_pe = TrafficLog(4), TrafficLog(4)
+        per_pe.record_per_pe(sent, received, messages, tag="migration")
+        for pe in range(4):
+            bulk.record_bulk(pe, pe, int(sent[pe]), count=int(messages[pe]), tag="migration")
+        bulk.bytes_received[...] = received
+        assert per_pe.summary() == bulk.summary()
+        for name in ("bytes_sent", "bytes_received", "messages_sent"):
+            assert getattr(per_pe, name).tolist() == getattr(bulk, name).tolist()
+
+    def test_record_per_pe_rejects_bad_totals(self):
+        import numpy as np
+
+        log = TrafficLog(4)
+        good = np.array([1, 2, 3, 4])
+        for bad in (np.array([1, 2, 3]), np.array([1, 2, 3, 4, 5]), np.array([1, -2, 3, 4]),
+                    np.ones((4, 1), dtype=int)):
+            for args in ((bad, good, good), (good, bad, good), (good, good, bad)):
+                with pytest.raises(ConfigurationError):
+                    log.record_per_pe(*args, tag="halo")
+        assert log.total_bytes == 0 and log.by_tag == {}
+
     def test_total_bytes(self):
         log = TrafficLog(3)
         log.record_bulk(0, 1, 10)

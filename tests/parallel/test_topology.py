@@ -46,6 +46,36 @@ class TestTorus2D:
         assert len(hood) == 9
         assert hood[0] == 5
 
+    @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 6])
+    def test_neighborhood_table_rows_follow_offsets_order(self, side):
+        t = Torus2D(side)
+        assert t.neighborhood_table.shape == (side * side, 9)
+        for pe in range(t.n_pes):
+            i, j = t.coords(pe)
+            expected = [pe] + [t.flat(i + di, j + dj) for di, dj in Torus2D.OFFSETS]
+            assert t.neighborhood(pe) == expected
+            assert t.neighborhood_table[pe].tolist() == expected
+
+    def test_neighborhood_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            Torus2D(3).neighborhood_table[0, 0] = 5
+
+    def test_neighborhood_rejects_bad_pe(self):
+        with pytest.raises(ConfigurationError):
+            Torus2D(3).neighborhood(-1)
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 8])
+    def test_offset_equals_the_rounded_fold(self, side):
+        """Integer fold == ``d - side * floor(d / side + 0.5)`` for every pair."""
+        import math
+
+        t = Torus2D(side)
+        for src in range(t.n_pes):
+            for dst in range(t.n_pes):
+                raw = (dst // side - src // side, dst % side - src % side)
+                folded = tuple(int(d - side * math.floor(d / side + 0.5)) for d in raw)
+                assert t.offset(src, dst) == folded
+
     def test_offset_adjacent(self):
         t = Torus2D(4)
         assert t.offset(t.flat(1, 1), t.flat(0, 1)) == (-1, 0)
