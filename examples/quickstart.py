@@ -10,7 +10,8 @@ stays nearly flat.
 Run:  python examples/quickstart.py
 """
 
-from repro import ParallelMDRunner, RunConfig, get_preset
+from repro import RunConfig, get_preset
+from repro.core.runner import ParallelMDRunner
 from repro.reporting import comparison_report, series_preview
 
 

@@ -8,7 +8,7 @@ both endpoints' owner PEs looked up from the current cell-owner map
 with an owned endpoint, i.e. owned-owned plus owned-ghost -- and accumulates
 forces on its owned particles only. Because local ids are ascending global
 ids, a slice adds up each owned particle's force in the same order as the
-global kernel on the whole list, so the merged forces equal
+global kernel's sequential scatter of the list, so the merged forces equal
 :func:`repro.md.kernels.forces_from_pairs` bit for bit; the per-PE wall-clock
 times drive the runner's ``"measured"`` mode.
 """
@@ -154,7 +154,7 @@ def pe_force_slice(
     # Only the owned endpoints' forces are this PE's responsibility; a mixed
     # pair's other half is computed by the ghost's owner. Every row touching
     # an owned particle is in the slice, in list order, so its bincount sums
-    # are the global kernel's.
+    # are the global kernel's sequential-scatter sums.
     n = len(positions)
     forces = np.empty((len(owned_ids), 3), dtype=np.float64)
     for axis in range(3):

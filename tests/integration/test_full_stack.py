@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import (
-    DrivenLoadRunner,
-    ParallelMDRunner,
-    RunConfig,
-    supercooled_simulation_config,
-)
+from repro import RunConfig, supercooled_simulation_config
 from repro.core.ddm import decomposed_force_pass
+from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
 from repro.decomp.validation import check_eight_neighbor_property
 from repro.md.forces import ForceField
 from repro.theory.bounds import upper_bound

@@ -11,6 +11,8 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -58,3 +60,18 @@ def test_setup_shim_lists_the_same_requirements():
         if keyword.arg == "install_requires"
     ]
     assert install_requires == project["dependencies"]
+
+
+def test_installed_numpy_meets_the_declared_floor():
+    """``np.add.at`` (the force scatter) is tens of times slower before 1.25:
+    an old image should fail here, not run the kernel off a cliff."""
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]
+    (floor,) = [
+        re.fullmatch(r"numpy>=(\d+)\.(\d+)", req).groups()
+        for req in project["dependencies"]
+        if req.startswith("numpy")
+    ]
+    installed = re.match(r"(\d+)\.(\d+)", numpy.__version__).groups()
+    assert tuple(map(int, installed)) >= tuple(map(int, floor)), (
+        f"numpy {numpy.__version__} is older than the declared floor {'.'.join(floor)}"
+    )
