@@ -8,6 +8,10 @@ Figures 5 and 6 is two instances of it differing only in ``dlb.enabled``.
 configurations through the same decomposition/accounting/DLB machinery --
 the quasi-static concentration sweeps behind Figures 9-10 and Table 1
 (see DESIGN.md, substitutions).
+
+Both run one lifecycle, defined once on their shared base: the balancer
+round, the accounting tail, the checkpoint step, the run epilogue and the
+snapshot. Each runner adds only what produces its configurations.
 """
 
 from __future__ import annotations
@@ -59,39 +63,82 @@ _PHASE_SPANS = ("dlb", "force", "halo-comm", "integrate")
 
 
 class _ObservedRunner:
-    """Shared observability hooks of the two runners.
+    """The run lifecycle and observability hooks shared by both runners.
 
-    Everything here is a no-op unless an :class:`~repro.obs.Observability`
-    bundle was supplied: the disabled path is a single ``None`` check per
-    step, with no allocation.
+    Builds the cell grid, the assignment, the step accountant and the
+    balancer, and owns the one balancer round (:meth:`_rebalance`), the one
+    accounting tail (:meth:`_account`), the checkpoint step, the run
+    epilogue and the snapshot (:meth:`state_dict` / :meth:`restore`).
+    Subclasses set :attr:`kind`, finish construction with
+    :meth:`_announce`, and supply ``_config_token`` plus their own snapshot
+    keys through ``_own_state`` / ``_restore_own``.
+
+    The observability hooks are no-ops unless an
+    :class:`~repro.obs.Observability` bundle was supplied: the disabled path
+    is a single ``None`` check per step, with no allocation.
     """
 
-    observability: Observability | None
-    trace_pid: int
-    sim_time: float
-    accountant: StepAccountant
+    #: Runner kind, stamped into the ``run.start`` event and every snapshot.
+    kind: str
 
-    def _init_observability(
+    def __init__(
         self,
+        config: SimulationConfig,
         observability: Observability | None,
         trace_pid: int,
-        dlb_enabled: bool,
-        n_pes: int,
-        kind: str,
+        faults: "FaultInjector | None",
+        balancer: str | None,
     ) -> None:
+        dec = config.decomposition
+        if dec.shape != "pillar":
+            raise ConfigurationError(
+                f"{type(self).__name__} implements the square-pillar "
+                f"decomposition (DLB's shape); got {dec.shape!r}"
+            )
         if trace_pid < 0:
             raise ConfigurationError(
                 f"trace_pid must be non-negative, got {trace_pid}"
             )
-        if observability is not None and observability.trace is not None:
-            # Fail loudly when two runners share a recorder and a pid: the
-            # old behavior silently interleaved their spans on one track.
-            observability.trace.claim_pid(trace_pid)
+        self.config = config
+        #: Nullable :class:`~repro.faults.injector.FaultInjector` /
+        #: :class:`~repro.faults.audit.InvariantAuditor` (the auditor is
+        #: attached after construction); with both ``None`` the step path is
+        #: unchanged (one branch per hook).
+        self.faults = faults
+        self.auditor: InvariantAuditor | None = None
+        self.cell_list = CellList(config.md.box_length, dec.cells_per_side)
+        self.assignment = CellAssignment(dec.cells_per_side, dec.n_pes)
+        self.accountant = StepAccountant(
+            config.machine,
+            self.cell_list,
+            dec.n_pes,
+            faults=faults,
+            profiler=observability.profiler if observability is not None else None,
+        )
+        #: Resolved balancer strategy name; env-default resolution happens
+        #: here, once, on the driver, so engine workers, events, checkpoints
+        #: and result metadata inherit a concrete name.
+        self.balancer_name = resolve_balancer_name(balancer)
+        self.balancer = (
+            create_balancer(
+                self.assignment,
+                config.dlb,
+                injector=faults,
+                strategy=self.balancer_name,
+            )
+            if config.dlb.enabled
+            else None
+        )
+        #: The previous step's per-PE times and per-cell counts: what the
+        #: next balancer round decides on.
+        self._last_times = np.zeros(dec.n_pes, dtype=np.float64)
+        self._last_counts: np.ndarray | None = None
+        self.step_count = 0
         self.observability = observability
         self.trace_pid = int(trace_pid)
         #: Simulated-clock position (sum of barrier times so far).
         self.sim_time = 0.0
-        self._mode_label = "dlb" if dlb_enabled else "ddm"
+        self._mode_label = "dlb" if config.dlb.enabled else "ddm"
         #: Nullable flight recorder (the bundle's, shared with the injector
         #: and auditor) and the imbalance analytics fed from every step.
         self.events: EventLog | None = (
@@ -101,10 +148,21 @@ class _ObservedRunner:
         if observability is not None and (
             observability.metrics is not None or observability.events is not None
         ):
-            self.imbalance = ImbalanceTracker(n_pes)
-        self._emit_run_start(kind)
+            self.imbalance = ImbalanceTracker(dec.n_pes)
 
-    def _emit_run_start(self, kind: str) -> None:
+    @property
+    def dlb_enabled(self) -> bool:
+        """Whether this runner balances load (DLB-DDM) or not (plain DDM)."""
+        return self.balancer is not None
+
+    def _announce(self) -> None:
+        """Claim the trace pid and emit ``run.start``: the last act of
+        construction, so a runner that fails to build claims nothing."""
+        observability = self.observability
+        if observability is not None and observability.trace is not None:
+            # Fail loudly when two runners share a recorder and a pid: the
+            # old behavior silently interleaved their spans on one track.
+            observability.trace.claim_pid(self.trace_pid)
         events = self.events
         if events is None:
             return
@@ -112,7 +170,7 @@ class _ObservedRunner:
         dlb = self.config.dlb
         events.emit(
             0, "run.start",
-            runner=kind,
+            runner=self.kind,
             mode=self._mode_label,
             n_pes=dec.n_pes,
             cells_per_side=dec.cells_per_side,
@@ -126,23 +184,101 @@ class _ObservedRunner:
             },
         )
 
+    # -- one step ------------------------------------------------------------
+
+    def _rebalance(self) -> list:
+        """One balancer round, when DLB is on and the interval is due.
+
+        The round decides on the previous step's times and counts, so none
+        fires before the first step. Its migrations are charged to the next
+        step's communication time.
+        """
+        if self.balancer is None or self.step_count == 0:
+            return []
+        if self.step_count % self.config.dlb.interval != 0:
+            return []
+        # The pre-round lent set must be captured before apply() mutates the
+        # holder map; the decision event records the round's exact inputs.
+        lent_before = self._lent_pairs() if self.events is not None else []
+        moves = self.balancer.step(
+            self._last_times, step=self.step_count, counts=self._last_counts
+        )
+        if self.events is not None:
+            self._emit_decision(lent_before, moves)
+        self.accountant.charge_moves(
+            moves, self._last_counts, self.assignment, step=self.step_count
+        )
+        return moves
+
+    def _account(
+        self,
+        counts: np.ndarray,
+        moves: list,
+        override: np.ndarray | None = None,
+        forces: np.ndarray | None = None,
+    ) -> StepTiming:
+        """Charge step ``self.step_count`` and run its tail.
+
+        Accounting, imbalance analytics, the invariant audit, trace spans and
+        metrics, then the simulated clock and the times/counts the next
+        balancer round reads. ``override`` substitutes measured per-PE force
+        times for the cost model's; ``forces`` lets the audit check them.
+        """
+        timing, totals = self.accountant.account_step(
+            self.step_count, counts, self.assignment, self.dlb_enabled, override
+        )
+        self._observe_totals(timing, totals, counts)
+        if self.auditor is not None:
+            self.auditor.maybe_audit(
+                self.step_count, counts=counts, forces=forces, moves=moves
+            )
+        if self.observability is not None:
+            self._observe_step(timing, moves)
+        self.sim_time += timing.tt
+        self._last_times = totals
+        self._last_counts = counts
+        return timing
+
+    def _checkpoint_if_due(
+        self,
+        checkpoint: CheckpointManager | None,
+        progress: int,
+        result: RunResult,
+    ) -> None:
+        """Snapshot the runner when the manager's cadence asks for one at
+        ``progress`` (steps, or configurations for the driven runner)."""
+        if checkpoint is not None and checkpoint.due(progress):
+            checkpoint.save(self.step_count, self.state_dict(result))
+            if self.events is not None:
+                self.events.emit_host(self.step_count, "checkpoint.save")
+
+    def _finish(self, result: RunResult) -> RunResult:
+        """The run epilogue: the ``run.end`` event and end-of-run metrics."""
+        events = self.events
+        if events is not None:
+            events.emit(
+                self.step_count, "run.end",
+                steps=self.step_count,
+                sim_time=self.sim_time,
+                imbalance=(
+                    self.imbalance.summary() if self.imbalance is not None else None
+                ),
+            )
+        self.collect_metrics(result)
+        return result
+
+    # -- observability -------------------------------------------------------
+
     def _lent_pairs(self) -> list[list[int]]:
         """``[cell, holder]`` pairs of every currently-lent cell."""
         holder = self.assignment.holder
         away = np.flatnonzero(holder != self.assignment.home)
         return [[int(cell), int(holder[cell])] for cell in away]
 
-    def _emit_decision(
-        self,
-        step: int,
-        times: np.ndarray,
-        lent_before: list[list[int]],
-        moves: list,
-        counts: np.ndarray | None = None,
-    ) -> None:
-        """Record one balancer round: its full inputs and the chosen moves.
+    def _emit_decision(self, lent_before: list[list[int]], moves: list) -> None:
+        """Record this step's balancer round: its full inputs and the moves.
 
-        ``times`` and the timing-view snapshot are exactly what
+        The last step's times and the timing-view snapshot are exactly what
         :meth:`~repro.dlb.balancer.DynamicLoadBalancer.decide` consumed
         (the view is captured *after* the round's refresh), so the decision
         can be replayed offline from the event alone — see
@@ -152,8 +288,7 @@ class _ObservedRunner:
         events byte-identical to pre-seam logs.
         """
         events = self.events
-        if events is None:
-            return
+        step, times, counts = self.step_count, self._last_times, self._last_counts
         view = self.balancer.view
         extra: dict = {}
         if self.balancer.strategy.needs_counts and counts is not None:
@@ -240,30 +375,6 @@ class _ObservedRunner:
             )
         tracker.observe(timing.step, totals, timing.tt, counterfactual)
 
-    def _emit_run_end(self) -> None:
-        events = self.events
-        if events is None:
-            return
-        events.emit(
-            self.step_count, "run.end",
-            steps=self.step_count,
-            sim_time=self.sim_time,
-            imbalance=self.imbalance.summary() if self.imbalance is not None else None,
-        )
-
-    def _restore_observed(self, state: dict) -> None:
-        """Restore the flight recorder and analytics from a runner snapshot.
-
-        The sim buffer is replaced wholesale: the resumed run inherits the
-        killed run's events — including its original ``run.start`` — and
-        drops anything this runner emitted at construction, so the final
-        file is byte-identical to an uninterrupted run's.
-        """
-        if self.events is not None and state.get("events") is not None:
-            self.events.load_state_dict(state["events"])
-        if self.imbalance is not None and state.get("imbalance") is not None:
-            self.imbalance.load_state_dict(state["imbalance"])
-
     def collect_metrics(self, result: RunResult | None = None) -> None:
         """Snapshot the run's stats objects into the metrics registry.
 
@@ -280,13 +391,84 @@ class _ObservedRunner:
         if stats is not None:
             collect_neighbor_stats(registry, stats, mode=mode)
         collect_traffic(registry, self.accountant.traffic, mode=mode)
-        balancer = getattr(self, "balancer", None)
-        if balancer is not None:
-            collect_balancer(registry, balancer.stats, mode=mode)
+        if self.balancer is not None:
+            collect_balancer(registry, self.balancer.stats, mode=mode)
         if result is not None and len(result.timing):
             collect_timing(registry, result.timing, mode=mode)
         if self.imbalance is not None:
             collect_imbalance(registry, self.imbalance, mode=mode)
+
+    # -- checkpointing -------------------------------------------------------
+
+    def state_dict(self, result: RunResult | None = None) -> dict:
+        """Everything mutable, deep-copied: holder map, balancer ledger and
+        timing view, pending accounting charges, clocks, the last step's
+        times and counts, the flight recorder, the partial records, and the
+        runner's own keys (system arrays and the neighbour list's build
+        positions for MD, the configurations done for the driven runner)."""
+        state = {
+            "kind": self.kind,
+            "config_token": self._config_token(),
+            "step_count": self.step_count,
+            "sim_time": self.sim_time,
+            "holder": self.assignment.holder.copy(),
+            "last_times": self._last_times.copy(),
+            "last_counts": (
+                self._last_counts.copy() if self._last_counts is not None else None
+            ),
+            "balancer": self.balancer.state_dict() if self.balancer is not None else None,
+            "accountant": self.accountant.state_dict(),
+            "events": self.events.state_dict() if self.events is not None else None,
+            "imbalance": (
+                self.imbalance.state_dict() if self.imbalance is not None else None
+            ),
+            "records": list(result.records) if result is not None else [],
+        }
+        state.update(self._own_state())
+        return state
+
+    def restore(self, state: dict) -> RunResult:
+        """Restore a :meth:`state_dict` snapshot; returns the partial result.
+
+        Raises :class:`~repro.errors.CheckpointError` when the snapshot was
+        taken under a different configuration or for a different runner kind.
+
+        The flight recorder's sim buffer is replaced wholesale: the resumed
+        run inherits the killed run's events — including its original
+        ``run.start`` — and drops anything this runner emitted at
+        construction, so the final file is byte-identical to an
+        uninterrupted run's.
+        """
+        if state.get("kind") != self.kind:
+            raise CheckpointError(
+                f"snapshot is for runner kind {state.get('kind')!r}, not {self.kind!r}"
+            )
+        if state.get("config_token") != self._config_token():
+            raise CheckpointError(
+                "snapshot was taken under a different configuration; refusing "
+                "to resume (same config + seed is what makes resume bit-identical)"
+            )
+        self.step_count = int(state["step_count"])
+        self.sim_time = float(state["sim_time"])
+        self.assignment.holder[...] = state["holder"]
+        self._last_times = np.array(state["last_times"], copy=True)
+        self._last_counts = (
+            np.array(state["last_counts"], copy=True)
+            if state["last_counts"] is not None
+            else None
+        )
+        if state["balancer"] is not None and self.balancer is not None:
+            self.balancer.load_state_dict(state["balancer"])
+        self.accountant.load_state_dict(state["accountant"])
+        self._restore_own(state)
+        if self.events is not None and state.get("events") is not None:
+            self.events.load_state_dict(state["events"])
+        if self.imbalance is not None and state.get("imbalance") is not None:
+            self.imbalance.load_state_dict(state["imbalance"])
+        result = RunResult(dlb_enabled=self.dlb_enabled)
+        for record in state["records"]:
+            result.append(record)
+        return result
 
 
 class ParallelMDRunner(_ObservedRunner):
@@ -298,6 +480,8 @@ class ParallelMDRunner(_ObservedRunner):
     run side by side.
     """
 
+    kind = "parallel_md"
+
     def __init__(
         self,
         config: SimulationConfig,
@@ -306,50 +490,15 @@ class ParallelMDRunner(_ObservedRunner):
         observability: Observability | None = None,
         trace_pid: int = 0,
         faults: "FaultInjector | None" = None,
-        auditor: "InvariantAuditor | None" = None,
         engine: Engine | None = None,
     ) -> None:
-        if config.decomposition.shape != "pillar":
-            raise ConfigurationError(
-                "ParallelMDRunner implements the square-pillar decomposition "
-                f"(DLB's shape); got {config.decomposition.shape!r}"
-            )
-        self.config = config
+        super().__init__(config, observability, trace_pid, faults, run_config.balancer)
         self.run_config = run_config
         md = config.md
         dec = config.decomposition
-
-        #: Nullable :class:`~repro.faults.injector.FaultInjector` /
-        #: :class:`~repro.faults.audit.InvariantAuditor`; with both ``None``
-        #: the step path is unchanged (one branch per hook).
-        self.faults = faults
-        self.auditor = auditor
         #: Nullable execution engine; ``None`` keeps the classic in-process
         #: force path (global pair kernel + optional measured-mode DDM pass).
         self.engine = engine
-        self.cell_list = CellList(md.box_length, dec.cells_per_side)
-        self.assignment = CellAssignment(dec.cells_per_side, dec.n_pes)
-        self.accountant = StepAccountant(
-            config.machine,
-            self.cell_list,
-            dec.n_pes,
-            faults=faults,
-            profiler=observability.profiler if observability is not None else None,
-        )
-        #: Resolved balancer strategy name; env-default resolution happens
-        #: here, once, on the driver, so engine workers, events, checkpoints
-        #: and result metadata inherit a concrete name.
-        self.balancer_name = resolve_balancer_name(run_config.balancer)
-        self.balancer = (
-            create_balancer(
-                self.assignment,
-                config.dlb,
-                injector=faults,
-                strategy=self.balancer_name,
-            )
-            if config.dlb.enabled
-            else None
-        )
 
         rng = generator(run_config.seed)
         self.system = system if system is not None else build_system(md, rng)
@@ -404,47 +553,17 @@ class ParallelMDRunner(_ObservedRunner):
         self.thermostat = VelocityRescale(md.temperature, md.rescale_interval)
         self.integrator.initialize(self.system, self.force_field)
 
-        self._last_times = np.zeros(dec.n_pes, dtype=np.float64)
         self._last_counts = self.cell_list.counts(self.system.positions)
-        self.step_count = 0
-        self._init_observability(
-            observability, trace_pid, config.dlb.enabled, dec.n_pes, "parallel_md"
-        )
-
-    @property
-    def dlb_enabled(self) -> bool:
-        """Whether this runner balances load (DLB-DDM) or not (plain DDM)."""
-        return self.balancer is not None
+        self._announce()
 
     @property
     def neighbor_stats(self):
         """Pair-search counters (list rebuilds/reuses, candidate ratios)."""
         return self.force_field.stats
 
-    def _maybe_rebalance(self) -> list:
-        if self.balancer is None or self.step_count == 0:
-            return []
-        if self.step_count % self.config.dlb.interval != 0:
-            return []
-        # The pre-round lent set must be captured before apply() mutates the
-        # holder map; the decision event records the round's exact inputs.
-        lent_before = self._lent_pairs() if self.events is not None else []
-        moves = self.balancer.step(
-            self._last_times, step=self.step_count, counts=self._last_counts
-        )
-        if self.events is not None:
-            self._emit_decision(
-                self.step_count, self._last_times, lent_before, moves,
-                counts=self._last_counts,
-            )
-        self.accountant.charge_moves(
-            moves, self._last_counts, self.assignment, step=self.step_count
-        )
-        return moves
-
     def step(self) -> StepRecord:
         """One full step: redistribution, physics, accounting."""
-        moves = self._maybe_rebalance()
+        moves = self._rebalance()
 
         force_result = self.integrator.step(self.system, self.force_field)
         self.step_count += 1
@@ -476,22 +595,7 @@ class ParallelMDRunner(_ObservedRunner):
                     candidate_pairs=candidates,
                 )
                 override = decomposed.per_pe_seconds
-        timing, totals = self.accountant.account_step(
-            self.step_count, counts, self.assignment, self.dlb_enabled, override
-        )
-        self._observe_totals(timing, totals, counts)
-        if self.auditor is not None:
-            self.auditor.maybe_audit(
-                self.step_count,
-                counts=counts,
-                forces=self.system.forces,
-                moves=moves,
-            )
-        if self.observability is not None:
-            self._observe_step(timing, moves)
-        self.sim_time += timing.tt
-        self._last_times = totals
-        self._last_counts = counts
+        timing = self._account(counts, moves, override, forces=self.system.forces)
 
         concentration = measure_concentration(counts, self.assignment)
         return StepRecord(
@@ -523,13 +627,8 @@ class ParallelMDRunner(_ObservedRunner):
             record = self.step()
             if self.step_count % self.run_config.record_interval == 0:
                 result.append(record)
-            if checkpoint is not None and checkpoint.due(self.step_count):
-                checkpoint.save(self.step_count, self.state_dict(result))
-                if self.events is not None:
-                    self.events.emit_host(self.step_count, "checkpoint.save")
-        self._emit_run_end()
-        self.collect_metrics(result)
-        return result
+            self._checkpoint_if_due(checkpoint, self.step_count, result)
+        return self._finish(result)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -544,65 +643,21 @@ class ParallelMDRunner(_ObservedRunner):
         """
         return f"{self.config!r}|{self.run_config!r}|balancer={self.balancer_name}"
 
-    def state_dict(self, result: RunResult | None = None) -> dict:
-        """Everything mutable, deep-copied: system arrays, holder map,
-        balancer ledger and timing view, pending accounting charges, the
-        neighbour list's build positions, clocks and the partial records."""
+    def _own_state(self) -> dict:
         return {
-            "kind": "parallel_md",
-            "config_token": self._config_token(),
-            "step_count": self.step_count,
-            "sim_time": self.sim_time,
             "positions": self.system.positions.copy(),
             "velocities": self.system.velocities.copy(),
             "forces": self.system.forces.copy(),
-            "holder": self.assignment.holder.copy(),
-            "last_times": self._last_times.copy(),
-            "last_counts": self._last_counts.copy(),
-            "balancer": self.balancer.state_dict() if self.balancer is not None else None,
-            "accountant": self.accountant.state_dict(),
             "force_cache": self.force_field.cache_state(),
-            "events": self.events.state_dict() if self.events is not None else None,
-            "imbalance": (
-                self.imbalance.state_dict() if self.imbalance is not None else None
-            ),
-            "records": list(result.records) if result is not None else [],
         }
 
-    def restore(self, state: dict) -> RunResult:
-        """Restore a :meth:`state_dict` snapshot; returns the partial result.
-
-        Raises :class:`~repro.errors.CheckpointError` when the snapshot was
-        taken under a different configuration or for a different runner kind.
-        """
-        if state.get("kind") != "parallel_md":
-            raise CheckpointError(
-                f"snapshot is for runner kind {state.get('kind')!r}, not 'parallel_md'"
-            )
-        if state.get("config_token") != self._config_token():
-            raise CheckpointError(
-                "snapshot was taken under a different configuration; refusing "
-                "to resume (same config + seed is what makes resume bit-identical)"
-            )
-        self.step_count = int(state["step_count"])
-        self.sim_time = float(state["sim_time"])
+    def _restore_own(self, state: dict) -> None:
         self.system.positions[...] = state["positions"]
         self.system.velocities[...] = state["velocities"]
         self.system.forces[...] = state["forces"]
-        self.assignment.holder[...] = state["holder"]
-        self._last_times = np.array(state["last_times"], copy=True)
-        self._last_counts = np.array(state["last_counts"], copy=True)
-        if state["balancer"] is not None and self.balancer is not None:
-            self.balancer.load_state_dict(state["balancer"])
-        self.accountant.load_state_dict(state["accountant"])
         self.force_field.restore_cache_state(
             state["force_cache"], self.system.box_length
         )
-        self._restore_observed(state)
-        result = RunResult(dlb_enabled=self.dlb_enabled)
-        for record in state["records"]:
-            result.append(record)
-        return result
 
 
 class DrivenLoadRunner(_ObservedRunner):
@@ -619,6 +674,8 @@ class DrivenLoadRunner(_ObservedRunner):
     is nothing to invalidate when the balancer moves cells.
     """
 
+    kind = "driven_load"
+
     def __init__(
         self,
         config: SimulationConfig,
@@ -626,53 +683,17 @@ class DrivenLoadRunner(_ObservedRunner):
         observability: Observability | None = None,
         trace_pid: int = 0,
         faults: "FaultInjector | None" = None,
-        auditor: "InvariantAuditor | None" = None,
         balancer: str | None = None,
     ) -> None:
-        if config.decomposition.shape != "pillar":
-            raise ConfigurationError("DrivenLoadRunner needs the pillar decomposition")
         if rounds_per_config <= 0:
             raise ConfigurationError(
                 f"rounds_per_config must be positive, got {rounds_per_config}"
             )
-        self.config = config
-        dec = config.decomposition
-        self.faults = faults
-        self.auditor = auditor
-        self.cell_list = CellList(config.md.box_length, dec.cells_per_side)
-        self.assignment = CellAssignment(dec.cells_per_side, dec.n_pes)
-        self.balancer_name = resolve_balancer_name(balancer)
-        self.balancer = (
-            create_balancer(
-                self.assignment,
-                config.dlb,
-                injector=faults,
-                strategy=self.balancer_name,
-            )
-            if config.dlb.enabled
-            else None
-        )
-        self.accountant = StepAccountant(
-            config.machine,
-            self.cell_list,
-            dec.n_pes,
-            faults=faults,
-            profiler=observability.profiler if observability is not None else None,
-        )
+        super().__init__(config, observability, trace_pid, faults, balancer)
         self.rounds_per_config = int(rounds_per_config)
-        self._last_times = np.zeros(dec.n_pes, dtype=np.float64)
-        self._last_counts: np.ndarray | None = None
-        self.step_count = 0
         #: Configurations already fully processed (resume skips this many).
         self.configs_done = 0
-        self._init_observability(
-            observability, trace_pid, config.dlb.enabled, dec.n_pes, "driven_load"
-        )
-
-    @property
-    def dlb_enabled(self) -> bool:
-        """Whether the balancer is active."""
-        return self.balancer is not None
+        self._announce()
 
     def run(
         self,
@@ -696,58 +717,22 @@ class DrivenLoadRunner(_ObservedRunner):
                 continue
             counts = self.cell_list.counts(positions)
             n_moves = 0
-            timing = None
             for _ in range(self.rounds_per_config):
-                moves: list = []
-                if (
-                    self.balancer is not None
-                    and self.step_count > 0
-                    and self.step_count % self.config.dlb.interval == 0
-                ):
-                    lent_before = self._lent_pairs() if self.events is not None else []
-                    base = self._last_counts if self._last_counts is not None else counts
-                    moves = self.balancer.step(
-                        self._last_times, step=self.step_count, counts=base
-                    )
-                    if self.events is not None:
-                        self._emit_decision(
-                            self.step_count, self._last_times, lent_before, moves,
-                            counts=base,
-                        )
-                    self.accountant.charge_moves(
-                        moves, base, self.assignment, step=self.step_count
-                    )
-                    n_moves += len(moves)
+                moves = self._rebalance()
+                n_moves += len(moves)
                 self.step_count += 1
-                timing, totals = self.accountant.account_step(
-                    self.step_count, counts, self.assignment, self.dlb_enabled
-                )
-                self._observe_totals(timing, totals, counts)
-                if self.auditor is not None:
-                    self.auditor.maybe_audit(self.step_count, counts=counts, moves=moves)
-                if self.observability is not None:
-                    self._observe_step(timing, moves)
-                self.sim_time += timing.tt
-                self._last_times = totals
-                self._last_counts = counts
-            concentration = measure_concentration(counts, self.assignment)
-            assert timing is not None
+                timing = self._account(counts, moves)
             result.append(
                 StepRecord(
                     step=self.step_count,
                     timing=timing,
-                    concentration=concentration,
+                    concentration=measure_concentration(counts, self.assignment),
                     n_moves=n_moves,
                 )
             )
             self.configs_done = index + 1
-            if checkpoint is not None and checkpoint.due(self.configs_done):
-                checkpoint.save(self.step_count, self.state_dict(result))
-                if self.events is not None:
-                    self.events.emit_host(self.step_count, "checkpoint.save")
-        self._emit_run_end()
-        self.collect_metrics(result)
-        return result
+            self._checkpoint_if_due(checkpoint, self.configs_done, result)
+        return self._finish(result)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -757,53 +742,8 @@ class DrivenLoadRunner(_ObservedRunner):
             f"|balancer={self.balancer_name}"
         )
 
-    def state_dict(self, result: RunResult | None = None) -> dict:
-        """Mutable state snapshot (see :meth:`ParallelMDRunner.state_dict`)."""
-        return {
-            "kind": "driven_load",
-            "config_token": self._config_token(),
-            "step_count": self.step_count,
-            "configs_done": self.configs_done,
-            "sim_time": self.sim_time,
-            "holder": self.assignment.holder.copy(),
-            "last_times": self._last_times.copy(),
-            "last_counts": (
-                self._last_counts.copy() if self._last_counts is not None else None
-            ),
-            "balancer": self.balancer.state_dict() if self.balancer is not None else None,
-            "accountant": self.accountant.state_dict(),
-            "events": self.events.state_dict() if self.events is not None else None,
-            "imbalance": (
-                self.imbalance.state_dict() if self.imbalance is not None else None
-            ),
-            "records": list(result.records) if result is not None else [],
-        }
+    def _own_state(self) -> dict:
+        return {"configs_done": self.configs_done}
 
-    def restore(self, state: dict) -> RunResult:
-        """Restore a :meth:`state_dict` snapshot; returns the partial result."""
-        if state.get("kind") != "driven_load":
-            raise CheckpointError(
-                f"snapshot is for runner kind {state.get('kind')!r}, not 'driven_load'"
-            )
-        if state.get("config_token") != self._config_token():
-            raise CheckpointError(
-                "snapshot was taken under a different configuration; refusing to resume"
-            )
-        self.step_count = int(state["step_count"])
+    def _restore_own(self, state: dict) -> None:
         self.configs_done = int(state["configs_done"])
-        self.sim_time = float(state["sim_time"])
-        self.assignment.holder[...] = state["holder"]
-        self._last_times = np.array(state["last_times"], copy=True)
-        self._last_counts = (
-            np.array(state["last_counts"], copy=True)
-            if state["last_counts"] is not None
-            else None
-        )
-        if state["balancer"] is not None and self.balancer is not None:
-            self.balancer.load_state_dict(state["balancer"])
-        self.accountant.load_state_dict(state["accountant"])
-        self._restore_observed(state)
-        result = RunResult(dlb_enabled=self.dlb_enabled)
-        for record in state["records"]:
-            result.append(record)
-        return result

@@ -6,7 +6,7 @@ the remaining *movable* columns flow toward faster neighbours one column per
 step, following the protocol of Section 2.3.
 
 Since the strategy seam landed, the permanent-cell protocol is one of
-several registered strategies behind the :class:`~repro.dlb.strategies.Balancer`
+four strategies behind the :class:`~repro.dlb.strategies.Balancer`
 protocol (see :mod:`repro.dlb.strategies`); select one with the
 ``balancer=`` knobs (``RunConfig.balancer`` / ``simulate(balancer=...)`` /
 ``--balancer`` / ``REPRO_BALANCER``) and build balancer instances through
@@ -24,7 +24,6 @@ from .strategies import (
     available,
     create_balancer,
     create_strategy,
-    register_strategy,
     resolve_balancer_name,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "movable_count",
     "movable_fraction",
     "permanent_count",
-    "register_strategy",
     "resolve_balancer_name",
     "spmd_decide",
 ]

@@ -3,10 +3,11 @@
 A ``dlb.decision`` event records the round's complete inputs: the per-PE
 times the balancer consumed, the pre-round lent-cell set (enough to rebuild
 the holder map), and — under fault injection — the post-refresh
-:class:`~repro.dlb.views.TimingView` matrices. The decision logic itself
-(:func:`~repro.dlb.protocol.decide_move` plus the policy gate) is pure, so
-the round can be replayed bit-exactly long after the run finished, and the
-replay cross-checked against the moves the log says were made.
+:class:`~repro.dlb.views.TimingView` matrices. Every strategy's rule is a
+pure function of the :class:`~repro.dlb.strategies.DecisionView` built from
+those inputs, so replay runs the strategy's own rule -- there is no second
+copy to drift -- bit-exactly long after the run finished, and cross-checks
+it against the moves the log says were made.
 
 ``repro explain <events.jsonl> --step K`` renders the replay as a
 human-readable "why cells moved" narrative.
@@ -22,8 +23,9 @@ from ..config import DLBConfig
 from ..decomp.assignment import CellAssignment
 from ..errors import AnalysisError
 from ..parallel.topology import Torus2D
-from .protocol import decide_move
-from .strategies import DecisionView, available, create_strategy
+from .protocol import Case, Move
+from .spmd_protocol import SPMD_STRATEGIES
+from .strategies import Balancer, DecisionView, available, create_strategy
 from .views import TimingView
 
 __all__ = [
@@ -41,17 +43,6 @@ def find_run_start(records: list[dict]) -> dict:
         if record.get("kind") == "run.start":
             return record
     raise AnalysisError("event log has no run.start record")
-
-
-def _wants_rebalance(
-    policy: str, threshold: float, my_time: float, fast_time: float
-) -> bool:
-    """The policy gate, mirroring ``DynamicLoadBalancer._wants_rebalance``."""
-    if policy == "fastest":
-        return True
-    if fast_time <= 0:
-        return my_time > 0
-    return (my_time - fast_time) / fast_time > threshold
 
 
 @dataclass
@@ -72,13 +63,15 @@ class ReplayedDecision:
 def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     """Re-run one logged balancer round from its recorded inputs.
 
-    Rebuilds the pre-round assignment from the event's lent set, the timing
-    view from its logged matrices (when present), and dispatches on the
-    ``balancer`` strategy the ``run.start`` record names (logs predating
-    the strategy seam replay as ``permanent``). The paper's protocol gets
-    the detailed per-PE narrative; rival strategies replay through their
-    registered :class:`~repro.dlb.strategies.Balancer` implementation. A
-    log recorded by a strategy this build does not know raises
+    Rebuilds the pre-round assignment from the event's lent set and the
+    timing view from its logged matrices (when present) into one
+    :class:`~repro.dlb.strategies.DecisionView`, then runs the rule of the
+    ``balancer`` strategy the ``run.start`` record names (logs predating the
+    strategy seam replay as ``permanent``) -- the strategy's own code, not a
+    copy. Per-rank strategies (``permanent``, ``diffusion``) are replayed
+    one PE at a time, each PE narrated from its own view of the round;
+    global ones (``sfc``) replay as one decision. A log recorded by a
+    strategy this build does not know raises
     :class:`~repro.errors.AnalysisError` instead of reporting a spurious
     divergence.
     """
@@ -95,143 +88,110 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     for cell, holder in event.get("lent") or []:
         # Mirror runner.restore: the holder map is data, not a protocol step.
         assignment.holder[int(cell)] = int(holder)
-    topology = Torus2D(assignment.pe_side)
     times = np.asarray(event["times"], dtype=np.float64)
     if times.shape != (n_pes,):
         raise AnalysisError(
             f"decision at step {event.get('step')} logged {times.shape} times "
             f"for a {n_pes}-PE machine"
         )
-    view: TimingView | None = None
+    timing: TimingView | None = None
     view_state = event.get("view")
     if view_state is not None:
-        view = TimingView(n_pes, int(view_state["max_staleness"]))
-        view.times[...] = np.asarray(view_state["times"], dtype=np.float64)
-        view.age[...] = np.asarray(view_state["age"], dtype=np.int64)
-    policy = dlb.get("policy", "fastest")
-    threshold = float(dlb.get("threshold", 0.0))
-    max_sends = int(dlb.get("max_sends_per_step", 1))
-
-    if balancer_name != "permanent":
-        return _replay_strategy(
-            balancer_name, event, assignment, topology, times, view,
-            DLBConfig(policy=policy, threshold=threshold, max_sends_per_step=max_sends),
-        )
-
-    replayed: list[dict] = []
-    narrative: list[str] = []
-    committed: dict[int, set[int]] = {}
-    for pe in range(n_pes):
-        if view is not None:
-            fastest = int(view.fastest_known(pe, times, topology))
-            believed = view.effective(pe, fastest)
-            assert believed is not None  # fastest_known only picks usable views
-            fast_time = believed
-        else:
-            neighborhood = topology.neighborhood(pe)
-            fastest = int(neighborhood[int(np.argmin(times[neighborhood]))])
-            fast_time = float(times[fastest])
-        my_time = float(times[pe])
-        if fastest == pe:
-            continue
-        if not _wants_rebalance(policy, threshold, my_time, fast_time):
-            narrative.append(
-                f"PE {pe} ({my_time:.4g} s) saw fastest neighbour PE {fastest} "
-                f"({fast_time:.4g} s) but stayed under the {threshold:g} "
-                f"imbalance threshold — no move"
-            )
-            continue
-        exclude = committed.setdefault(pe, set())
-        sent = 0
-        for _ in range(max_sends):
-            move = decide_move(assignment, topology, pe, fastest, exclude)
-            if move is None:
-                break
-            exclude.add(move.cell)
-            replayed.append(
-                {
-                    "cell": int(move.cell),
-                    "src": int(move.src),
-                    "dst": int(move.dst),
-                    "case": move.kind.value,
-                }
-            )
-            verb = "lent" if move.kind.value == "send_own" else "returned"
-            narrative.append(
-                f"PE {pe} ({my_time:.4g} s) {verb} cell {int(move.cell)} to "
-                f"PE {fastest} ({fast_time:.4g} s"
-                + (", last-known report" if view is not None else "")
-                + ")"
-            )
-            sent += 1
-        if sent == 0:
-            narrative.append(
-                f"PE {pe} ({my_time:.4g} s) wanted to offload toward fastest "
-                f"PE {fastest} ({fast_time:.4g} s) but had no eligible cell "
-                f"(permanent wall or nothing left to lend/return)"
-            )
-    return ReplayedDecision(
-        step=int(event["step"]),
-        replayed_moves=replayed,
-        logged_moves=list(event.get("moves") or []),
-        narrative=narrative,
-    )
-
-
-def _replay_strategy(
-    balancer_name: str,
-    event: dict,
-    assignment: CellAssignment,
-    topology: Torus2D,
-    times: np.ndarray,
-    view: "TimingView | None",
-    config: DLBConfig,
-) -> ReplayedDecision:
-    """Replay a non-permanent round through its registered strategy.
-
-    The decision event carries every input the strategy consumed: times,
-    the lent set (already folded into ``assignment``), the timing view, and
-    -- for count-weighted strategies like ``sfc`` -- the per-cell particle
-    counts.
-    """
+        timing = TimingView(n_pes, int(view_state["max_staleness"]))
+        timing.times[...] = np.asarray(view_state["times"], dtype=np.float64)
+        timing.age[...] = np.asarray(view_state["age"], dtype=np.int64)
     counts = event.get("counts")
-    strategy = create_strategy(balancer_name)
-    decision_view = DecisionView(
+    config = DLBConfig(
+        policy=dlb.get("policy", "fastest"),
+        threshold=float(dlb.get("threshold", 0.0)),
+        max_sends_per_step=int(dlb.get("max_sends_per_step", 1)),
+    )
+    view = DecisionView(
         times=times,
         assignment=assignment,
-        topology=topology,
+        topology=Torus2D(assignment.pe_side),
         config=config,
-        timing=view,
+        timing=timing,
         counts=np.asarray(counts, dtype=np.int64) if counts is not None else None,
     )
-    replayed: list[dict] = []
-    narrative: list[str] = []
+    strategy = create_strategy(balancer_name)
+    step = int(event["step"])
     if balancer_name == "none":
-        narrative.append(
+        moves = strategy.decide(view, step)
+        narrative = [
             "balancer 'none': redistribution disabled by construction — "
             "no moves to replay"
-        )
-    for move in strategy.decide(decision_view, int(event["step"])):
-        replayed.append(
+        ]
+    elif balancer_name in SPMD_STRATEGIES:
+        moves, narrative = _replay_per_rank(strategy, view)
+    else:
+        moves = strategy.decide(view, step)
+        narrative = [
+            f"PE {move.src} ({float(times[move.src]):.4g} s) {_verb(move)} cell "
+            f"{int(move.cell)} to PE {move.dst} "
+            f"({float(times[move.dst]):.4g} s) [{balancer_name}]"
+            for move in moves
+        ]
+    return ReplayedDecision(
+        step=step,
+        replayed_moves=[
             {
                 "cell": int(move.cell),
                 "src": int(move.src),
                 "dst": int(move.dst),
                 "case": move.kind.value,
             }
-        )
-        verb = "lent" if move.kind.value == "send_own" else "returned"
-        narrative.append(
-            f"PE {move.src} ({float(times[move.src]):.4g} s) {verb} cell "
-            f"{int(move.cell)} to PE {move.dst} "
-            f"({float(times[move.dst]):.4g} s) [{balancer_name}]"
-        )
-    return ReplayedDecision(
-        step=int(event["step"]),
-        replayed_moves=replayed,
+            for move in moves
+        ],
         logged_moves=list(event.get("moves") or []),
         narrative=narrative,
     )
+
+
+def _verb(move: Move) -> str:
+    return "lent" if move.kind is Case.SEND_OWN else "returned"
+
+
+def _replay_per_rank(
+    strategy: Balancer, view: DecisionView
+) -> tuple[list[Move], list[str]]:
+    """Every PE's ``decide_for_rank`` in PE order, each narrated from the
+    fastest neighbour and policy verdict the rule itself saw."""
+    moves: list[Move] = []
+    narrative: list[str] = []
+    threshold = view.config.threshold
+    for pe in range(view.assignment.n_pes):
+        fastest, fast_time = view.fastest_for(pe)
+        if fastest == pe:
+            continue
+        my_time = float(view.times[pe])
+        if not view.wants_rebalance(my_time, fast_time):
+            narrative.append(
+                f"PE {pe} ({my_time:.4g} s) saw fastest neighbour PE {fastest} "
+                f"({fast_time:.4g} s) but stayed under the {threshold:g} "
+                f"imbalance threshold — no move"
+            )
+            continue
+        sent = strategy.decide_for_rank(view, pe)
+        for move in sent:
+            narrative.append(
+                f"PE {pe} ({my_time:.4g} s) {_verb(move)} cell {int(move.cell)} to "
+                f"PE {move.dst} ({fast_time:.4g} s"
+                + (", last-known report" if view.timing is not None else "")
+                + ")"
+            )
+        if not sent:
+            reason = (
+                "had no eligible cell (permanent wall or nothing left to lend/return)"
+                if strategy.constrained
+                else f"the {strategy.name} rule moved no cell"
+            )
+            narrative.append(
+                f"PE {pe} ({my_time:.4g} s) wanted to offload toward fastest "
+                f"PE {fastest} ({fast_time:.4g} s) but {reason}"
+            )
+        moves.extend(sent)
+    return moves, narrative
 
 
 def explain_events(

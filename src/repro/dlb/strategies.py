@@ -1,6 +1,6 @@
 """Pluggable balancer strategies behind the :class:`Balancer` protocol.
 
-A registry maps strategy names to classes, the driver resolves a concrete
+A fixed table maps strategy names to classes, the driver resolves a concrete
 name once (config field > ``REPRO_BALANCER`` env var > default) and every
 layer downstream -- runner, engine workers, flight recorder, ``repro
 explain`` -- carries that resolved name.
@@ -50,11 +50,6 @@ from ..errors import ConfigurationError
 from ..parallel.topology import Torus2D
 from .protocol import Case, Move, decide_move
 from .views import TimingView
-
-#: Balancer names after ``auto`` resolution (what :func:`create_strategy`
-#: accepts).
-RESOLVED_BALANCER_NAMES = ("permanent", "diffusion", "sfc", "none")
-
 
 def resolve_balancer_name(requested: str | None) -> str:
     """Resolve a requested balancer (or ``None``) to a concrete strategy name.
@@ -135,7 +130,7 @@ class Balancer:
     built-ins are stateless.
     """
 
-    #: Registry key; subclasses override.
+    #: Strategy name (its key in the strategy table); subclasses override.
     name = "abstract"
     #: True when every decided move obeys the permanent-cell invariants
     #: (lend-to-lower-neighbours only); the balancer shell applies moves
@@ -362,38 +357,25 @@ class NoBalancer(Balancer):
         return []
 
 
-# -- registry ------------------------------------------------------------------
+# -- the strategy table ----------------------------------------------------------
 
-_REGISTRY: dict[str, type[Balancer]] = {}
-
-
-def register_strategy(name: str, factory: type[Balancer]) -> None:
-    """Register a balancer strategy class under ``name`` (overwrites allowed)."""
-    _REGISTRY[name] = factory
-
-
-register_strategy("permanent", PermanentCellsBalancer)
-register_strategy("diffusion", DiffusionBalancer)
-register_strategy("sfc", SFCBalancer)
-register_strategy("none", NoBalancer)
+#: Every strategy, by the name :func:`resolve_balancer_name` resolves to.
+_STRATEGIES: dict[str, type[Balancer]] = {
+    "permanent": PermanentCellsBalancer,
+    "diffusion": DiffusionBalancer,
+    "sfc": SFCBalancer,
+    "none": NoBalancer,
+}
 
 
 def available() -> tuple[str, ...]:
-    """Registered strategy names, sorted (for docs, CLI help and errors)."""
-    return tuple(sorted(_REGISTRY))
+    """Strategy names, sorted (for docs, CLI help and errors)."""
+    return tuple(sorted(_STRATEGIES))
 
 
 def create_strategy(name: str | None = None) -> Balancer:
     """Instantiate the strategy for ``name`` (after ``auto`` resolution)."""
-    resolved = resolve_balancer_name(name)
-    try:
-        factory = _REGISTRY[resolved]
-    except KeyError:  # a registered-then-removed or exotic name
-        raise ConfigurationError(
-            f"no balancer strategy registered under {resolved!r}; "
-            f"known: {sorted(_REGISTRY)}"
-        ) from None
-    return factory()
+    return _STRATEGIES[resolve_balancer_name(name)]()
 
 
 def create_balancer(
@@ -403,14 +385,9 @@ def create_balancer(
     strategy: str | None = None,
 ):
     """Build a :class:`~repro.dlb.balancer.DynamicLoadBalancer` around the
-    resolved strategy -- the supported construction path (direct
-    ``DynamicLoadBalancer(...)`` construction is deprecated)."""
+    strategy named ``strategy`` (config > ``REPRO_BALANCER`` > permanent)."""
     from .balancer import DynamicLoadBalancer
 
     return DynamicLoadBalancer(
-        assignment,
-        config,
-        injector=injector,
-        strategy=create_strategy(strategy),
-        _from_factory=True,
+        assignment, config, injector=injector, strategy=create_strategy(strategy)
     )

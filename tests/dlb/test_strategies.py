@@ -12,9 +12,7 @@ Four contract groups:
   :class:`~repro.faults.audit.InvariantAuditor`, and actually move cells;
   ``none`` never does.
 * **Selection plumbing** -- one resolver: config field > ``REPRO_BALANCER``
-  env var > auto; unknown names fail with the registered choices listed;
-  direct ``DynamicLoadBalancer`` construction warns and stays permanent
-  regardless of the environment.
+  env var > auto; unknown names fail with the known choices listed.
 * **State** -- strategy identity rides checkpoints; resuming under a
   different strategy refuses with an actionable error.
 """
@@ -27,15 +25,11 @@ import pytest
 from repro import api
 from repro.config import DLBConfig, RunConfig
 from repro.decomp.assignment import CellAssignment
-from repro.dlb.balancer import DynamicLoadBalancer
 from repro.dlb.protocol import decide_move
 from repro.dlb.strategies import (
-    Balancer,
     DecisionView,
-    available,
     create_balancer,
     create_strategy,
-    register_strategy,
     resolve_balancer_name,
 )
 from repro.errors import ConfigurationError
@@ -337,42 +331,13 @@ class TestSelectionPlumbing:
         )
         assert result.meta["balancer"] == "none"
 
-    def test_direct_construction_warns_and_stays_permanent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BALANCER", "sfc")
-        with pytest.warns(DeprecationWarning, match="create_balancer"):
-            balancer = DynamicLoadBalancer(CellAssignment(9, 9))
-        assert balancer.strategy_name == "permanent"
-
     def test_factory_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             balancer = create_balancer(CellAssignment(9, 9))
-        # The factory honours the environment (unlike the deprecated direct
-        # constructor), so under a REPRO_BALANCER test matrix this resolves
-        # to whatever the matrix leg selected.
+        # The factory honours the environment, so under a REPRO_BALANCER
+        # test matrix this resolves to whatever the matrix leg selected.
         assert balancer.strategy_name == resolve_balancer_name(None)
-
-    def test_register_strategy_extends_the_registry(self):
-        class Lazy(Balancer):
-            name = "lazy"
-
-            def decide(self, view, step=0):
-                return []
-
-        register_strategy("lazy", Lazy)
-        try:
-            assert "lazy" in available()
-            # The registry accepts it even though the config-level name
-            # validation does not: custom strategies are a library-level
-            # extension point, reached via create_balancer(strategy=...).
-            balancer = DynamicLoadBalancer(
-                CellAssignment(9, 9), strategy=Lazy(), _from_factory=True
-            )
-            assert balancer.strategy_name == "lazy"
-        finally:
-            from repro.dlb import strategies as _mod
-
-            _mod._REGISTRY.pop("lazy", None)
 
 
 class TestStateAndCheckpoints:

@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade: shims, persisted artifacts, validation."""
+"""The ``repro.api`` facade: entry points, persisted artifacts, validation."""
 
 import warnings
 
@@ -26,33 +26,29 @@ def small_config(dlb_enabled: bool = True) -> SimulationConfig:
 
 
 class TestDeprecatedShims:
-    """Old top-level entry points still work but say so loudly."""
+    """The old top-level runner shims are gone; the classes live in
+    :mod:`repro.core.runner` and :mod:`repro.api` is the entry point."""
 
-    def test_parallel_runner_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.simulate"):
-            cls = repro.ParallelMDRunner
+    def test_top_level_no_longer_serves_the_runners(self):
+        assert "ParallelMDRunner" not in repro.__all__
+        assert "DrivenLoadRunner" not in repro.__all__
+        with pytest.raises(AttributeError):
+            repro.ParallelMDRunner
 
-        from repro.core.runner import ParallelMDRunner
-
-        assert cls is ParallelMDRunner
-
-    def test_driven_runner_warns(self):
-        with pytest.warns(DeprecationWarning, match="simulate_driven"):
-            cls = repro.DrivenLoadRunner
-
-        from repro.core.runner import DrivenLoadRunner
-
-        assert cls is DrivenLoadRunner
+    def test_star_import_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec("from repro import *", {})
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.NoSuchThing
 
     def test_shim_and_api_are_equivalent(self):
-        """The deprecated class path computes the same physics as simulate()."""
-        with pytest.warns(DeprecationWarning):
-            runner_cls = repro.ParallelMDRunner
-        old = runner_cls(small_config(), RunConfig(steps=3, seed=5)).run()
+        """The runner class computes the same physics as simulate()."""
+        from repro.core.runner import ParallelMDRunner
+
+        old = ParallelMDRunner(small_config(), RunConfig(steps=3, seed=5)).run()
         new = api.simulate(small_config(), run=RunConfig(steps=3, seed=5))
         assert old.digest() == new.digest()
 

@@ -128,9 +128,10 @@ class TestBalancerSurface:
         from repro.dlb import strategies
 
         for name in ("Balancer", "available", "create_balancer",
-                     "create_strategy", "register_strategy",
-                     "resolve_balancer_name"):
+                     "create_strategy", "resolve_balancer_name"):
             assert hasattr(strategies, name)
+        # The strategy set is fixed: there is no registration hook.
+        assert not hasattr(strategies, "register_strategy")
 
     def test_available_lists_all_four_strategies(self):
         from repro.dlb.strategies import available
@@ -171,6 +172,7 @@ class TestBalancerSurface:
 
         for name in ("Balancer", "DecisionView", "available",
                      "create_balancer", "create_strategy",
-                     "register_strategy", "resolve_balancer_name"):
+                     "resolve_balancer_name"):
             assert name in dlb.__all__
             assert hasattr(dlb, name)
+        assert "register_strategy" not in dlb.__all__
