@@ -375,10 +375,14 @@ def simulate_driven(
 
 
 def result_payload(result: RunResult) -> dict[str, Any]:
-    """The canonical JSON-safe payload of one run (schema-versioned)."""
+    """The canonical JSON-safe payload of one run (schema-versioned).
+
+    ``summary`` is None while the run has recorded no step yet (a run
+    killed before its first ``record_interval`` boundary).
+    """
     return attach_schema_version(
         {
-            "summary": result.summary(),
+            "summary": result.summary() if result.records else None,
             "digest": result.digest(),
             "steps_run": len(result.records),
             "audit": result.meta.get("audit"),

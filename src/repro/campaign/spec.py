@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, fields
 from ..config import SimulationConfig
 from ..errors import CampaignError
 from ..experiments.common import geometry_for, simulation_config_for
+from ..md.forces import BACKENDS
 from ..rng import repetition_seeds
 from ..units import PAPER_RHO_SWEEP
 
@@ -126,11 +127,20 @@ class RunSpec:
                 raise CampaignError("preset runs need a preset name")
             if self.mode not in ("ddm", "dlb"):
                 raise CampaignError(f"preset mode must be ddm or dlb, got {self.mode!r}")
+        if self.backend not in BACKENDS:
+            raise CampaignError(
+                f"unknown backend {self.backend!r} (choose from {', '.join(BACKENDS)})"
+            )
         if self.engine is not None:
             if self.kind != "preset":
                 raise CampaignError("engines apply to preset runs only")
             if self.engine not in ("sequential", "multiprocess"):
                 raise CampaignError(f"unknown engine {self.engine!r}")
+            if self.backend == "cells":
+                raise CampaignError(
+                    "engines cut every PE's pairs from the kd-tree neighbour "
+                    "list; backend 'cells' cannot run under an engine"
+                )
         elif self.engine_workers is not None:
             raise CampaignError("engine_workers given without an engine")
         if self.balancer is not None:

@@ -1,4 +1,4 @@
-"""Initial cell-to-PE partitions for the three domain shapes of Figure 2."""
+"""Initial cell-to-PE partition of the square-pillar shape (Figure 2)."""
 
 from __future__ import annotations
 
@@ -7,20 +7,6 @@ import math
 import numpy as np
 
 from ..errors import DecompositionError
-
-
-def plane_partition(cells_per_side: int, n_pes: int) -> np.ndarray:
-    """Slab decomposition: contiguous x-slabs of cells, PEs on a ring.
-
-    Returns the flat ``(C,)`` owner map (cells indexed ``(ix*nc + iy)*nc + iz``).
-    """
-    if cells_per_side % n_pes != 0:
-        raise DecompositionError(
-            f"plane partition needs n_pes | cells_per_side, got {n_pes}, {cells_per_side}"
-        )
-    slab = cells_per_side // n_pes
-    ix = np.arange(cells_per_side**3) // (cells_per_side**2)
-    return (ix // slab).astype(np.int64)
 
 
 def pillar_partition(cells_per_side: int, n_pes: int) -> np.ndarray:
@@ -41,22 +27,6 @@ def pillar_partition(cells_per_side: int, n_pes: int) -> np.ndarray:
     cols = np.arange(cells_per_side**2)
     cx, cy = cols // cells_per_side, cols % cells_per_side
     return ((cx // m) * side + (cy // m)).astype(np.int64)
-
-
-def cube_partition(cells_per_side: int, n_pes: int) -> np.ndarray:
-    """Cube decomposition: flat ``(C,)`` owner map, PEs on a 3-D torus."""
-    side = round(n_pes ** (1.0 / 3.0))
-    if side**3 != n_pes:
-        raise DecompositionError(f"cube partition needs cubic n_pes, got {n_pes}")
-    if cells_per_side % side != 0:
-        raise DecompositionError(
-            f"cube partition needs cbrt(P) | nc, got cbrt({n_pes})={side}, nc={cells_per_side}"
-        )
-    m = cells_per_side // side
-    nc = cells_per_side
-    cells = np.arange(nc**3)
-    ix, iy, iz = cells // (nc * nc), (cells // nc) % nc, cells % nc
-    return ((ix // m) * side * side + (iy // m) * side + (iz // m)).astype(np.int64)
 
 
 def expand_columns_to_cells(column_owner: np.ndarray, cells_per_side: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from .balancer import DynamicLoadBalancer, Move
 from .cells import movable_count, movable_fraction, permanent_count
 from .limits import dlb_limit_ratio, max_domain_cells, max_domain_columns
 from .protocol import Case, classify_case, decide_move
-from .spmd_protocol import spmd_decide
 from .strategies import (
     Balancer,
     DecisionView,
@@ -45,5 +44,4 @@ __all__ = [
     "movable_fraction",
     "permanent_count",
     "resolve_balancer_name",
-    "spmd_decide",
 ]

@@ -24,8 +24,13 @@ from ..decomp.assignment import CellAssignment
 from ..errors import AnalysisError
 from ..parallel.topology import Torus2D
 from .protocol import Case, Move
-from .spmd_protocol import SPMD_STRATEGIES
-from .strategies import Balancer, DecisionView, available, create_strategy
+from .strategies import (
+    SPMD_STRATEGIES,
+    Balancer,
+    DecisionView,
+    available,
+    create_strategy,
+)
 from .views import TimingView
 
 __all__ = [

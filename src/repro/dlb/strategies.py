@@ -16,14 +16,14 @@ Four strategies ship:
     Nearest-neighbour load diffusion (Demirel & Sbalzarini): every
     overloaded PE pushes cells toward its fastest neighbour, with the number
     of cells proportional to half the time difference (each PE acts
-    independently on cells it holds, so the scheme is conflict-free and has
-    an SPMD formulation identical to the centralised one).
+    independently on cells it holds, so the scheme is conflict-free and is
+    one per-rank rule, like ``permanent``).
 ``sfc``
     Space-filling-curve repartition: cells are walked along a Morton
     (z-order) curve over the cross-section, weighted by particle counts,
     and the curve is re-cut into ``P`` equal-weight chunks. This is a
-    *global* method -- it needs every PE's counts at once -- so it is
-    centralised-only; the SPMD decide path rejects it with a clear error.
+    *global* method -- it needs every PE's counts at once -- so it has no
+    per-rank rule and overrides the whole round instead.
 ``none``
     Decides no moves, ever. Formalizes the no-balance counterfactual the
     flight-recorder analytics compare against: DLB bookkeeping still runs
@@ -152,8 +152,8 @@ class Balancer:
         return moves
 
     def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
-        """One rank's local rule. PEs act only on cells they hold, so the
-        SPMD path calls this per rank and matches the centralised round."""
+        """One rank's local rule. PEs act only on cells they hold, so a
+        round is this rule applied rank by rank in PE order."""
         raise NotImplementedError
 
     def state_dict(self) -> dict:
@@ -283,8 +283,8 @@ class SFCBalancer(Balancer):
     per round -- the partition converges to the SFC cut over a few steps
     instead of migrating half the box at once.
 
-    Global by construction (needs every cell's weight), hence
-    centralised-only: the SPMD decide path rejects it.
+    Global by construction (needs every cell's weight), hence no
+    per-rank rule: it overrides :meth:`Balancer.decide`.
     """
 
     name = "sfc"
@@ -358,6 +358,12 @@ class NoBalancer(Balancer):
 
 
 # -- the strategy table ----------------------------------------------------------
+
+#: Strategies whose round is one per-rank rule (an SPMD formulation): each
+#: rank runs :meth:`Balancer.decide_for_rank` on its own view, so ``repro
+#: explain`` replays and narrates them PE by PE. ``sfc`` is global and has
+#: none.
+SPMD_STRATEGIES = ("permanent", "diffusion", "none")
 
 #: Every strategy, by the name :func:`resolve_balancer_name` resolves to.
 _STRATEGIES: dict[str, type[Balancer]] = {

@@ -15,9 +15,10 @@ layer rejects anything else). Related balancing work shows convergence
 guarantees hinge exactly on this withheld/stale-information behaviour
 (arXiv:1308.0148).
 
-The same :class:`TimingView` is shared by the centralised balancer and the
-SPMD protocol so the two remain move-for-move equivalent under identical
-fault injection.
+The balancer refreshes one :class:`TimingView` per round from the fault
+injector's ``report_delivered(step, src, dst)`` verdicts, and the flight
+recorder snapshots it so ``repro explain`` replays a round from the same
+knowledge.
 """
 
 from __future__ import annotations

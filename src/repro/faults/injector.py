@@ -8,10 +8,9 @@ fresh :class:`numpy.random.Generator` seeded by
 * a run killed at step ``k`` and resumed from a checkpoint replays the
   exact faults an uninterrupted run would have seen (no RNG cursor to
   restore);
-* the centralised balancer and the SPMD protocol, consulting the injector
-  with the same ``(step, src, dst)``, observe the *same* dropped reports --
-  which is what keeps the two implementations provably equivalent under
-  faults.
+* anything consulting the injector with the same ``(step, src, dst)`` --
+  the balancer's timing view, a test's reference fold -- observes the
+  *same* dropped reports.
 """
 
 from __future__ import annotations
@@ -215,9 +214,9 @@ class FaultInjector:
     def report_delivered(self, step: int, src: int, dst: int) -> bool:
         """Whether ``src``'s timing report reaches ``dst`` at ``step``.
 
-        Self-reports always arrive (a PE knows its own time). Both the
-        centralised balancer and the SPMD protocol consult this with the
-        same arguments, so they observe identical drop patterns.
+        Self-reports always arrive (a PE knows its own time). The balancer's
+        :class:`~repro.dlb.views.TimingView` folds these verdicts into each
+        PE's last-known times.
         """
         if src == dst:
             return True

@@ -28,30 +28,6 @@ def simple_cubic_positions(n_particles: int, box_length: float) -> np.ndarray:
     return np.ascontiguousarray(positions, dtype=np.float64)
 
 
-def fcc_positions(n_cells_per_side: int, box_length: float) -> np.ndarray:
-    """Positions of a face-centred-cubic lattice: ``4 * n^3`` particles.
-
-    FCC is the densest packing and the usual MD starting condition for LJ
-    systems; useful for melt-and-equilibrate workloads.
-    """
-    if n_cells_per_side <= 0:
-        raise GeometryError(f"n_cells_per_side must be positive, got {n_cells_per_side}")
-    a = box_length / n_cells_per_side
-    base = np.array(
-        [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]], dtype=np.float64
-    )
-    idx = np.arange(n_cells_per_side**3)
-    cells = np.column_stack(
-        (
-            idx // (n_cells_per_side * n_cells_per_side),
-            (idx // n_cells_per_side) % n_cells_per_side,
-            idx % n_cells_per_side,
-        )
-    ).astype(np.float64)
-    positions = (cells[:, None, :] + base[None, :, :] + 0.25).reshape(-1, 3) * a
-    return np.ascontiguousarray(positions, dtype=np.float64)
-
-
 def maxwell_boltzmann_velocities(
     n_particles: int,
     temperature: float,
@@ -133,69 +109,6 @@ def ball_sites_sorted(
     sites = np.tile(inside, (reps, 1))[:n_points]
     jitter = rng.uniform(-0.25 * spacing, 0.25 * spacing, size=sites.shape)
     return sites + jitter
-
-
-def droplet_positions(
-    n_particles: int,
-    box_length: float,
-    fraction: float,
-    centers: np.ndarray,
-    rng: np.random.Generator,
-    weights: np.ndarray | None = None,
-    liquid_density: float = 0.8,
-) -> np.ndarray:
-    """Gas with a fraction of particles condensed into scattered droplets.
-
-    Models the supercooled gas of the paper's Section 3.2, where particles
-    nucleate into small droplets spread over the box. ``fraction`` of the
-    particles is split among the droplet ``centers`` (proportionally to
-    ``weights``, uniform by default); the rest is a uniform background gas.
-    Each droplet's radius follows from its occupancy at ``liquid_density``
-    (reduced LJ liquid: ~0.8), so condensed cells hold a bounded particle
-    count no matter how much mass a droplet accretes -- the physical reason
-    cell-granular load balancing remains meaningful during condensation.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise GeometryError(f"fraction must be in [0, 1], got {fraction}")
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    if centers.shape[1] != 3:
-        raise GeometryError(f"centers must have shape (K, 3), got {centers.shape}")
-    if liquid_density <= 0:
-        raise GeometryError(f"liquid_density must be positive, got {liquid_density}")
-    k = len(centers)
-    if weights is None:
-        weights = np.full(k, 1.0 / k)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (k,) or np.any(weights < 0) or weights.sum() <= 0:
-            raise GeometryError("weights must be non-negative with a positive sum")
-        weights = weights / weights.sum()
-
-    n_cond = int(round(fraction * n_particles))
-    # Largest-remainder split of the condensed particles among droplets.
-    raw = weights * n_cond
-    counts = np.floor(raw).astype(int)
-    remainder = n_cond - counts.sum()
-    if remainder > 0:
-        order = np.argsort(-(raw - counts))
-        counts[order[:remainder]] += 1
-
-    spacing = (1.0 / liquid_density) ** (1.0 / 3.0)
-    parts: list[np.ndarray] = []
-    for center, count in zip(centers, counts):
-        if count:
-            # Radius from occupancy at liquid density (with slack so the
-            # jittered grid always supplies enough in-ball sites).
-            radius = 1.1 * (3.0 * count / (4.0 * math.pi * liquid_density)) ** (1.0 / 3.0)
-            radius = max(radius, spacing)
-            parts.append(center + _ball_sites(count, radius, rng, min_separation=spacing))
-    n_gas = n_particles - n_cond
-    if n_gas:
-        parts.append(rng.uniform(0.0, box_length, size=(n_gas, 3)))
-    if not parts:
-        return np.empty((0, 3), dtype=np.float64)
-    positions = np.concatenate(parts, axis=0)
-    return np.ascontiguousarray(np.mod(positions, box_length), dtype=np.float64)
 
 
 def clustered_positions(

@@ -1,10 +1,10 @@
 """Low-overhead scoped wall-clock timers for the host-side hot paths.
 
-The hot kernels (pair search, decomposed force pass, DLB decision, SPMD
-supersteps) are bracketed with ``with scope("name"):``. When no profiler is
-active -- the default -- :func:`scope` returns one shared no-op context
-manager, so the disabled path costs a dict-free function call and nothing
-else (no allocation, no clock read).
+The hot kernels (pair search, decomposed force pass, DLB decision) are
+bracketed with ``with scope("name"):``. When no profiler is active -- the
+default -- :func:`scope` returns one shared no-op context manager, so the
+disabled path costs a dict-free function call and nothing else (no
+allocation, no clock read).
 
 When a :class:`Profiler` is enabled it accumulates per-name count/total/
 min/max statistics, optionally streams each sample into a

@@ -1,35 +1,26 @@
 """Simulated multicomputer: virtual PEs, topologies and cost models.
 
 The paper runs on a Cray T3E; this subpackage replaces the hardware with a
-deterministic model -- per-PE clocks, torus topologies and a latency/bandwidth
-network -- that reproduces the quantities the paper measures (per-step
-execution time ``Tt`` and the per-PE force-time spread ``Fmax/Fave/Fmin``).
-See DESIGN.md, "Substitutions".
+deterministic model -- a 2-D torus topology, a per-PE compute cost model and
+a latency/bandwidth network -- that reproduces the quantities the paper
+measures (per-step execution time ``Tt`` and the per-PE force-time spread
+``Fmax/Fave/Fmin``). See DESIGN.md, "Substitutions".
 """
 
-from .clock import PEClocks
 from .costmodel import ComputeCostModel, calibrate_tau_pair
 from .instrumentation import NeighborStats, StepTiming, TimingLog
-from .machine import VirtualMachine
-from .message import Message, TrafficLog
+from .message import TrafficLog
 from .network import NetworkModel, preset
-from .spmd import SPMDExecutor
-from .topology import Ring, Torus2D, Torus3D
+from .topology import Torus2D
 
 __all__ = [
     "ComputeCostModel",
-    "Message",
     "NeighborStats",
     "NetworkModel",
-    "PEClocks",
-    "Ring",
-    "SPMDExecutor",
     "StepTiming",
     "TimingLog",
     "Torus2D",
-    "Torus3D",
     "TrafficLog",
-    "VirtualMachine",
     "calibrate_tau_pair",
     "preset",
 ]

@@ -1,4 +1,4 @@
-"""Message records and traffic accounting for the simulated machine."""
+"""Traffic accounting for the simulated machine."""
 
 from __future__ import annotations
 
@@ -7,22 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class Message:
-    """One point-to-point message in the simulated machine."""
-
-    src: int
-    dst: int
-    n_bytes: int
-    tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.src < 0 or self.dst < 0:
-            raise ConfigurationError("PE ids must be non-negative")
-        if self.n_bytes < 0:
-            raise ConfigurationError("n_bytes must be non-negative")
 
 
 @dataclass
@@ -71,21 +55,8 @@ class TrafficLog:
             stats = self.by_tag[tag] = TagTraffic()
         return stats
 
-    def record(self, message: Message) -> None:
-        """Account one message."""
-        if message.src >= self.n_pes or message.dst >= self.n_pes:
-            raise ConfigurationError(
-                f"message endpoints ({message.src}, {message.dst}) outside machine of "
-                f"{self.n_pes} PEs"
-            )
-        self.bytes_sent[message.src] += message.n_bytes
-        self.bytes_received[message.dst] += message.n_bytes
-        self.messages_sent[message.src] += 1
-        if message.tag:
-            self._tag(message.tag).add(message.n_bytes, 1)
-
     def record_bulk(self, src: int, dst: int, n_bytes: int, count: int = 1, tag: str = "") -> None:
-        """Account ``count`` messages totalling ``n_bytes`` without objects."""
+        """Account ``count`` messages totalling ``n_bytes`` from ``src`` to ``dst``."""
         if n_bytes < 0 or count < 0:
             raise ConfigurationError("bytes and count must be non-negative")
         if not (0 <= src < self.n_pes and 0 <= dst < self.n_pes):

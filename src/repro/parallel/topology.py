@@ -1,39 +1,15 @@
-"""Virtual interconnect topologies.
+"""Virtual interconnect of the square-pillar decomposition: a 2-D torus.
 
-The three domain shapes of Figure 2 map onto a ring (plane domains), a 2-D
-torus (square pillars -- the DLB case) and a 3-D torus (cubes). Topologies
-answer two questions: who are a PE's neighbours, and what is the relative
-offset between two PEs (the DLB protocol classifies its cases by that
-offset).
+The topology answers two questions: who are a PE's neighbours, and what is
+the relative offset between two PEs (the DLB protocol classifies its cases
+by that offset).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import ConfigurationError
-
-
-class Ring:
-    """1-D ring of ``n_pes`` PEs (plane decomposition)."""
-
-    def __init__(self, n_pes: int) -> None:
-        if n_pes <= 0:
-            raise ConfigurationError(f"n_pes must be positive, got {n_pes}")
-        self.n_pes = int(n_pes)
-
-    def neighbors(self, pe: int) -> list[int]:
-        """The (at most two) distinct ring neighbours of ``pe``."""
-        self._check(pe)
-        out = {(pe - 1) % self.n_pes, (pe + 1) % self.n_pes}
-        out.discard(pe)
-        return sorted(out)
-
-    def _check(self, pe: int) -> None:
-        if not 0 <= pe < self.n_pes:
-            raise ConfigurationError(f"PE {pe} out of range [0, {self.n_pes})")
 
 
 class Torus2D:
@@ -102,56 +78,6 @@ class Torus2D:
         dj = (dst % side - src % side + half) % side - half
         return di, dj
 
-    def are_neighbors(self, a: int, b: int) -> bool:
-        """True when ``a`` and ``b`` are distinct 8-neighbours."""
-        if a == b:
-            return False
-        di, dj = self.offset(a, b)
-        return abs(di) <= 1 and abs(dj) <= 1
-
     def _check(self, pe: int) -> None:
         if not 0 <= pe < self.n_pes:
             raise ConfigurationError(f"PE {pe} out of range [0, {self.n_pes})")
-
-
-class Torus3D:
-    """3-D torus with 26-neighbour connectivity (cube decomposition)."""
-
-    def __init__(self, side: int) -> None:
-        if side <= 0:
-            raise ConfigurationError(f"torus side must be positive, got {side}")
-        self.side = int(side)
-        self.n_pes = self.side**3
-
-    def coords(self, pe: int) -> tuple[int, int, int]:
-        """Torus coordinates ``(i, j, k)`` of a flat PE id."""
-        if not 0 <= pe < self.n_pes:
-            raise ConfigurationError(f"PE {pe} out of range [0, {self.n_pes})")
-        s = self.side
-        return pe // (s * s), (pe // s) % s, pe % s
-
-    def flat(self, i: int, j: int, k: int) -> int:
-        """Flat PE id of (wrapped) torus coordinates."""
-        s = self.side
-        return ((i % s) * s + (j % s)) * s + (k % s)
-
-    def neighbors(self, pe: int) -> list[int]:
-        """Distinct 26-neighbourhood of ``pe``."""
-        i, j, k = self.coords(pe)
-        out = {
-            self.flat(i + di, j + dj, k + dk)
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            for dk in (-1, 0, 1)
-            if (di, dj, dk) != (0, 0, 0)
-        }
-        out.discard(pe)
-        return sorted(out)
-
-
-def torus_for_pes(n_pes: int) -> Torus2D:
-    """The 2-D torus for a square PE count (convenience for pillar runs)."""
-    side = math.isqrt(n_pes)
-    if side * side != n_pes:
-        raise ConfigurationError(f"n_pes={n_pes} is not a perfect square")
-    return Torus2D(side)

@@ -137,6 +137,16 @@ class TestEngineFields:
         with pytest.raises(CampaignError):
             RunSpec(kind="preset", preset="quickstart", engine_workers=2)
 
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(CampaignError, match="unknown backend 'bogus'"):
+            RunSpec(kind="preset", preset="quickstart", backend="bogus")
+
+    def test_cells_backend_cannot_run_under_an_engine(self):
+        RunSpec(kind="preset", preset="quickstart", backend="cells")
+        with pytest.raises(CampaignError, match="cells"):
+            RunSpec(kind="preset", preset="quickstart", backend="cells",
+                    engine="sequential")
+
     def test_engineless_hash_is_unchanged(self):
         # The engine fields must not invalidate pre-engine stored runs.
         spec = RunSpec(kind="preset", preset="quickstart")

@@ -3,30 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.decomp.partition import (
-    cube_partition,
-    expand_columns_to_cells,
-    pillar_partition,
-    plane_partition,
-)
+from repro.decomp.partition import expand_columns_to_cells, pillar_partition
 from repro.errors import DecompositionError
-
-
-class TestPlanePartition:
-    def test_equal_slabs(self):
-        owner = plane_partition(8, 4)
-        counts = np.bincount(owner)
-        assert np.all(counts == 8**3 // 4)
-
-    def test_contiguous_in_x(self):
-        owner = plane_partition(4, 2)
-        grid = owner.reshape(4, 4, 4)
-        assert np.all(grid[:2] == 0)
-        assert np.all(grid[2:] == 1)
-
-    def test_rejects_non_divisible(self):
-        with pytest.raises(DecompositionError):
-            plane_partition(7, 2)
 
 
 class TestPillarPartition:
@@ -50,17 +28,6 @@ class TestPillarPartition:
     def test_rejects_non_divisible_grid(self):
         with pytest.raises(DecompositionError):
             pillar_partition(7, 9)
-
-
-class TestCubePartition:
-    def test_equal_domains(self):
-        owner = cube_partition(6, 27)
-        counts = np.bincount(owner, minlength=27)
-        assert np.all(counts == 8)
-
-    def test_rejects_non_cubic_pe_count(self):
-        with pytest.raises(DecompositionError):
-            cube_partition(6, 9)
 
 
 class TestExpandColumns:

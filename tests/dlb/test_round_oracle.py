@@ -5,10 +5,12 @@ PE's home block and its lend order) where the parent commit rebuilt a
 neighbourhood list, scanned the whole cell map and sorted the candidates
 once per PE. The reference below is that parent code, byte for byte, written
 against nothing but ``home`` / ``holder`` / ``permanent`` and plain
-arithmetic, so a table that is built wrong cannot hide behind itself. Every
-scenario runs the balancer and the reference in lock-step over an evolving
-map and compares the move lists; two seeded table bugs show the comparison
-actually trips.
+arithmetic, so a table that is built wrong cannot hide behind itself. Under
+dropped timing reports the reference also folds its own view of every PE's
+neighbour times, straight from the injector's verdicts, instead of reading
+the balancer's ``TimingView``. Every scenario runs the balancer and the
+reference in lock-step over an evolving map and compares the move lists;
+seeded table and view bugs show the comparison actually trips.
 """
 
 import math
@@ -20,12 +22,12 @@ from repro.config import DLBConfig
 from repro.decomp.assignment import CellAssignment
 from repro.dlb.protocol import Case, Move
 from repro.dlb.strategies import _column_torus_distance, create_balancer
-from repro.dlb.views import TimingView
 from repro.faults import FaultInjector, FaultPlan, TimingFaultRule
 
 OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 CASE1 = {(-1, -1), (-1, 0), (0, -1)}
 CASE3 = {(0, 1), (1, 0), (1, 1)}
+NEVER = np.iinfo(np.int64).max // 2  # age of a report never received
 
 
 # -- the parent's per-PE code --------------------------------------------------
@@ -84,6 +86,30 @@ def ref_decide_move(assignment, pe, fastest, exclude):
     return Move(cell=int(borrowed[0]), src=pe, dst=fastest, kind=Case.RETURN_BORROWED)
 
 
+class RefView:
+    """Each PE's last-heard neighbour times and their ages, in plain arrays."""
+
+    def __init__(self, n_pes, max_staleness):
+        self.heard = np.zeros((n_pes, n_pes))
+        self.age = np.full((n_pes, n_pes), NEVER, dtype=np.int64)
+        self.max_staleness = max_staleness
+
+    def fold(self, step, times, injector):
+        """Step 1 of the protocol: every PE hears itself and each distinct
+        8-neighbour unless the injector drops the report; a dropped report
+        ages the last value heard."""
+        n = len(times)
+        hood = [ref_neighborhood(math.isqrt(n), dst) for dst in range(n)]
+        links = np.zeros((n, n), dtype=bool)  # [dst, src]
+        links[np.repeat(np.arange(n), 9), np.concatenate(hood)] = True
+        verdict = np.array([[injector.report_delivered(step, src, dst)
+                             for src in range(n)] for dst in range(n)])
+        delivered, missed = links & verdict, links & ~verdict
+        self.heard[delivered] = np.broadcast_to(times, (n, n))[delivered]
+        self.age[missed & (self.age < NEVER)] += 1
+        self.age[delivered] = 0
+
+
 def ref_fastest(assignment, times, pe, view):
     hood = ref_neighborhood(assignment.pe_side, pe)
     if view is None:
@@ -91,10 +117,9 @@ def ref_fastest(assignment, times, pe, view):
         return fastest, float(times[fastest])
     best_pe, best = pe, float(times[pe])
     for peer in hood[1:]:
-        value = view.effective(pe, peer)
-        if value is not None and value < best:
-            best, best_pe = value, peer
-    return best_pe, view.effective(pe, best_pe)
+        if view.age[pe, peer] <= view.max_staleness and view.heard[pe, peer] < best:
+            best, best_pe = float(view.heard[pe, peer]), peer
+    return best_pe, float(view.heard[pe, best_pe])
 
 
 def ref_wants_rebalance(config, my_time, fast_time):
@@ -175,12 +200,12 @@ def run_in_lockstep(
     balancer = create_balancer(live, config, injector=injector, strategy=strategy)
     if sabotage is not None:
         sabotage(balancer)
-    view = TimingView(n_pes, injector.max_staleness) if injector is not None else None
+    view = RefView(n_pes, injector.max_staleness) if injector is not None else None
     reference_round = REFERENCE_ROUNDS[strategy]
     total = 0
     for step, times in enumerate(schedule):
         if view is not None:
-            view.refresh(step, times, balancer.topology, injector)
+            view.fold(step, times, injector)
         expected = reference_round(mirror, times, config, view)
         assert balancer.step(times, step=step) == expected, f"round {step}"
         for move in expected:
@@ -284,3 +309,32 @@ class TestSeededTableBugsAreCaught:
         schedule = random_schedule(16, 30, seed=1)
         with pytest.raises(AssertionError, match="round"):
             run_in_lockstep("permanent", 12, 16, schedule, sabotage=lend_ignoring_depth)
+
+
+def miss_without_aging(balancer):
+    """Seeded view bug: a dropped report leaves the last value fresh."""
+    balancer.view.miss = lambda observer, src: None
+
+
+def observe_own_time(balancer):
+    """Seeded view bug: a delivered report carries the receiver's own time
+    (``refresh`` observes the receiver first) instead of the sender's."""
+    view = balancer.view
+
+    def observe(observer, src, value):
+        view.times[observer, src] = view.times[observer, observer] if src != observer else value
+        view.age[observer, src] = 0
+
+    view.observe = observe
+
+
+class TestSeededViewBugsAreCaught:
+    @pytest.mark.parametrize("sabotage", [miss_without_aging, observe_own_time])
+    def test_reference_folds_its_own_view(self, sabotage):
+        plan = FaultPlan(seed=11, timing=TimingFaultRule(drop=0.3, max_staleness=2))
+        schedule = random_schedule(16, 30, seed=7)
+        run_in_lockstep("permanent", 12, 16, schedule, DLBConfig(), plan=plan)
+        with pytest.raises(AssertionError, match="round"):
+            run_in_lockstep(
+                "permanent", 12, 16, schedule, DLBConfig(), plan=plan, sabotage=sabotage
+            )

@@ -9,8 +9,6 @@ from repro.errors import GeometryError
 from repro.md.lattice import (
     ball_sites_sorted,
     clustered_positions,
-    droplet_positions,
-    fcc_positions,
     maxwell_boltzmann_velocities,
     simple_cubic_positions,
 )
@@ -44,23 +42,6 @@ class TestSimpleCubic:
     def test_no_duplicate_sites(self):
         pos = simple_cubic_positions(100, 10.0)
         assert len(np.unique(np.round(pos, 9), axis=0)) == 100
-
-
-class TestFCC:
-    def test_particle_count(self):
-        assert fcc_positions(3, 9.0).shape == (4 * 27, 3)
-
-    def test_nearest_neighbour_distance(self):
-        a = 9.0 / 3
-        pos = fcc_positions(3, 9.0)
-        from scipy.spatial import cKDTree
-
-        d, _ = cKDTree(pos, boxsize=9.0).query(pos, k=2)
-        assert np.allclose(d[:, 1], a / np.sqrt(2), atol=1e-9)
-
-    def test_rejects_bad_cells(self):
-        with pytest.raises(GeometryError):
-            fcc_positions(0, 9.0)
 
 
 class TestMaxwellBoltzmann:
@@ -117,39 +98,3 @@ class TestClusteredPositions:
     def test_rejects_bad_fraction(self, rng):
         with pytest.raises(GeometryError):
             clustered_positions(10, 10.0, 1.5, 2.0, rng)
-
-
-class TestDropletPositions:
-    def test_count_and_bounds(self, rng):
-        centers = rng.uniform(0, 15, (6, 3))
-        pos = droplet_positions(300, 15.0, 0.5, centers, rng)
-        assert pos.shape == (300, 3)
-        assert np.all(pos >= 0) and np.all(pos < 15.0)
-
-    def test_weights_steer_mass(self, rng):
-        from repro.md.pbc import pair_distance
-
-        centers = np.array([[3.0, 3.0, 3.0], [12.0, 12.0, 12.0]])
-        weights = np.array([1.0, 0.0])
-        pos = droplet_positions(100, 15.0, 1.0, centers, rng, weights=weights)
-        d0 = pair_distance(pos, np.broadcast_to(centers[0], pos.shape), 15.0)
-        assert np.all(d0 < 4.5)
-
-    def test_condensed_cells_bounded_by_liquid_density(self, rng):
-        # One droplet of 400 particles: its core cells must not exceed a few
-        # times the liquid density per cell volume.
-        centers = np.array([[10.0, 10.0, 10.0]])
-        pos = droplet_positions(400, 20.0, 1.0, centers, rng, liquid_density=0.8)
-        from repro.md.celllist import CellList
-
-        counts = CellList(20.0, 8).counts(pos)  # cell edge 2.5, volume 15.6
-        assert counts.max() < 4 * 0.8 * 2.5**3
-
-    def test_rejects_bad_weights(self, rng):
-        centers = np.zeros((2, 3))
-        with pytest.raises(GeometryError):
-            droplet_positions(10, 10.0, 0.5, centers, rng, weights=np.array([-1.0, 2.0]))
-
-    def test_rejects_bad_liquid_density(self, rng):
-        with pytest.raises(GeometryError):
-            droplet_positions(10, 10.0, 0.5, np.zeros((1, 3)), rng, liquid_density=0.0)

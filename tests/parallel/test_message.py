@@ -1,38 +1,12 @@
-"""Message records and traffic accounting."""
+"""Traffic accounting."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.parallel.message import Message, TrafficLog
-
-
-class TestMessage:
-    def test_valid_message(self):
-        msg = Message(src=0, dst=1, n_bytes=100, tag="halo")
-        assert msg.n_bytes == 100
-
-    def test_rejects_negative_fields(self):
-        with pytest.raises(ConfigurationError):
-            Message(src=-1, dst=0, n_bytes=0)
-        with pytest.raises(ConfigurationError):
-            Message(src=0, dst=0, n_bytes=-5)
+from repro.parallel.message import TrafficLog
 
 
 class TestTrafficLog:
-    def test_record_updates_counters(self):
-        log = TrafficLog(4)
-        log.record(Message(src=1, dst=2, n_bytes=100, tag="halo"))
-        assert log.bytes_sent[1] == 100
-        assert log.bytes_received[2] == 100
-        assert log.messages_sent[1] == 1
-        assert log.by_tag["halo"].bytes == 100
-        assert log.by_tag["halo"].messages == 1
-
-    def test_record_rejects_out_of_range_endpoints(self):
-        log = TrafficLog(2)
-        with pytest.raises(ConfigurationError):
-            log.record(Message(src=0, dst=5, n_bytes=1))
-
     def test_record_bulk(self):
         log = TrafficLog(4)
         log.record_bulk(0, 3, n_bytes=400, count=4, tag="migration")
@@ -84,8 +58,9 @@ class TestTrafficLog:
 
     def test_untagged_messages_not_in_by_tag(self):
         log = TrafficLog(2)
-        log.record(Message(src=0, dst=1, n_bytes=5))
+        log.record_bulk(0, 1, n_bytes=5)
         assert log.by_tag == {}
+        assert log.total_bytes == 5
 
     def test_rejects_bad_size(self):
         with pytest.raises(ConfigurationError):

@@ -39,6 +39,14 @@ class TestCanonicalizeSubmission:
         with pytest.raises(ConfigurationError, match="available"):
             api.canonicalize_submission(dict(PRESET_SUBMISSION, preset="nope"))
 
+    @pytest.mark.parametrize("fields", [
+        {"backend": "bogus"},
+        {"backend": "cells", "engine": "multiprocess"},
+    ])
+    def test_rejects_backends_the_worker_cannot_run(self, fields):
+        with pytest.raises(ConfigurationError, match="backend"):
+            api.canonicalize_submission(dict(PRESET_SUBMISSION, **fields))
+
     def test_accepts_current_schema_version(self):
         submission = dict(PRESET_SUBMISSION,
                           schema_version=RESULT_SCHEMA_VERSION)

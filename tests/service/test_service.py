@@ -171,6 +171,14 @@ class TestValidationOverHttp:
         assert "unknown preset 'nope'" in response.body["error"]
         assert "available" in response.body["error"]
 
+    def test_unknown_backend_gets_400_not_a_failing_run(self, service_factory):
+        runner = CountingRunner()
+        handle = service_factory(runner=runner)
+        response = handle.client().submit(dict(SPEC, backend="bogus"))
+        assert response.status == 400
+        assert "unknown backend 'bogus'" in response.body["error"]
+        assert runner.calls == 0
+
     def test_unknown_major_schema_version_gets_400(self, service_factory):
         """Satellite: unknown-major specs rejected with the schema message."""
         handle = service_factory(runner=CountingRunner())

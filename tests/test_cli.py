@@ -330,6 +330,30 @@ class TestChaosFlags:
         assert full["runs"]["dlb"]["digest"] == resumed["runs"]["dlb"]["digest"]
         assert resumed["runs"]["dlb"]["audit"]["violations"] == 0
 
+    def test_kill_before_the_first_record_still_exits_3(self, tmp_path, capsys):
+        """A kill below the default --record-interval leaves no step recorded:
+        the killed payload has a null summary, and resuming still reaches the
+        uninterrupted digest."""
+        base = ["run", "quickstart", "--mode", "dlb", "--steps", "20"]
+        full_json = tmp_path / "full.json"
+        assert main(base + ["--result-json", str(full_json)]) == 0
+
+        ck, killed_json = tmp_path / "ck", tmp_path / "killed.json"
+        code = main(base + ["--checkpoint-dir", str(ck), "--checkpoint-every", "5",
+                            "--kill-after", "10", "--result-json", str(killed_json)])
+        assert code == 3
+        killed = json.loads(killed_json.read_text())
+        assert killed["killed_at"] == 10
+        assert killed["runs"]["dlb"]["summary"] is None
+        assert killed["runs"]["dlb"]["steps_run"] == 0
+
+        resumed_json = tmp_path / "resumed.json"
+        assert main(base + ["--resume", str(ck), "--result-json", str(resumed_json)]) == 0
+        full = json.loads(full_json.read_text())["runs"]["dlb"]
+        resumed = json.loads(resumed_json.read_text())["runs"]["dlb"]
+        assert resumed["digest"] == full["digest"]
+        assert resumed["summary"] == full["summary"]
+
 
 class TestFlightRecorderFlags:
     """The --events/--metrics-every surface plus the events/explain verbs."""
