@@ -47,7 +47,7 @@ from .core.results import (
     write_result_json,
 )
 from .core.runner import DrivenLoadRunner, ParallelMDRunner
-from .engine.base import Engine, EngineSpec, create_engine
+from .engine.base import Engine, create_engine
 from .errors import ConfigurationError, ReproError, SchemaError
 from .faults.audit import InvariantAuditor
 from .faults.injector import FaultInjector
@@ -60,7 +60,6 @@ __all__ = [
     "AuditPolicy",
     "CanonicalSubmission",
     "CheckpointPolicy",
-    "EngineSpec",
     "RunConfig",
     "RunResult",
     "SimulationConfig",
@@ -157,8 +156,7 @@ def simulate(
     *,
     run: RunConfig,
     dlb: bool | None = None,
-    balancer: str | None = None,
-    engine: Engine | EngineSpec | str | None = None,
+    engine: Engine | str | None = None,
     engine_workers: int | None = None,
     observability: Observability | None = None,
     faults: FaultPlan | FaultInjector | None = None,
@@ -176,23 +174,20 @@ def simulate(
         A :class:`~repro.config.SimulationConfig`, or the name of a workload
         preset (see ``repro presets``).
     run:
-        Steps, seed, recording cadence, pair-search backend, timing mode.
+        Steps, seed, recording cadence, pair-search backend, balancer
+        strategy, timing mode. The concrete strategy name lands in
+        ``result.meta["balancer"]``.
     dlb:
         Override the config's DLB switch (convenient with preset names:
         ``dlb=False`` runs plain DDM).
-    balancer:
-        Override ``run.balancer``: the DLB strategy name (``"permanent"``,
-        ``"diffusion"``, ``"sfc"``, ``"none"`` or ``"auto"``). ``None``
-        keeps ``run.balancer`` (which itself defers to ``REPRO_BALANCER``
-        and ultimately ``"permanent"``). The resolved name lands in
-        ``result.meta["balancer"]``.
     engine:
         Execution engine for the force path: an engine name
-        (``"sequential"`` / ``"multiprocess"``), an
-        :class:`~repro.engine.EngineSpec`, a constructed
+        (``"sequential"`` / ``"multiprocess"``), a constructed
         :class:`~repro.engine.Engine` (caller keeps ownership), or ``None``
-        for the classic in-process path. Engines created here from a
-        name/spec are closed before returning.
+        for the classic in-process path -- except under
+        ``run.timing_mode="measured"``, which clocks an engine's per-PE
+        slices and so gets a ``"sequential"`` engine. Engines created here
+        are closed before returning.
     engine_workers:
         Worker-process count when ``engine`` is a name (multiprocess only).
     observability:
@@ -216,8 +211,8 @@ def simulate(
         combined with ``checkpoints`` the truncated run is resumable.
     """
     sim_config, preset_name = _resolve_config(config, dlb)
-    if balancer is not None:
-        run = dataclasses.replace(run, balancer=balancer)
+    if engine is None and run.timing_mode == "measured":
+        engine = "sequential"
     injector = _resolve_faults(faults, sim_config.decomposition.n_pes)
     events = observability.events if observability is not None else None
     if injector is not None and events is not None:
@@ -316,7 +311,7 @@ def simulate_driven(
     the virtual machine, and the balancer reacts (``rounds_per_config``
     accounting rounds per configuration). This is the quasi-static driver
     behind the effective-range experiments (Figures 9-10). ``balancer``
-    selects the DLB strategy exactly as in :func:`simulate`.
+    names the DLB strategy (``None`` is ``"permanent"``).
     """
     sim_config, preset_name = _resolve_config(config, dlb)
     injector = _resolve_faults(faults, sim_config.decomposition.n_pes)

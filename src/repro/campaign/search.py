@@ -67,10 +67,10 @@ def evaluate_probe(
         return stored.payload
     import time
 
-    store.start(run_hash)
+    lease = store.acquire_lease(run_hash)
     started = time.perf_counter()
     payload = execute_run(spec)
-    store.complete(run_hash, payload, time.perf_counter() - started)
+    store.complete(run_hash, payload, time.perf_counter() - started, lease=lease)
     return payload
 
 

@@ -31,7 +31,7 @@ import json
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, fields
 
-from ..config import SimulationConfig
+from ..config import BALANCER_NAMES, SimulationConfig
 from ..errors import CampaignError
 from ..experiments.common import geometry_for, simulation_config_for
 from ..md.forces import BACKENDS
@@ -80,10 +80,10 @@ class RunSpec:
         bit-identical for any worker count, and the scheduler rewrites it
         through the nested-parallelism guard without invalidating caches.
     balancer:
-        Balancer strategy of the ``preset`` kind (None = the runner's
-        default resolution, i.e. ``permanent``).  Part of the content hash
-        when set -- different strategies redistribute differently -- and
-        omitted when None so pre-seam stored specs keep their hashes.
+        Balancer strategy of the ``preset`` kind (None = ``permanent``).
+        Part of the content hash when set -- different strategies
+        redistribute differently -- and omitted when None so pre-seam
+        stored specs keep their hashes.
     """
 
     kind: str = "boundary"
@@ -146,10 +146,10 @@ class RunSpec:
         if self.balancer is not None:
             if self.kind != "preset":
                 raise CampaignError("balancers apply to preset runs only")
-            if self.balancer not in ("permanent", "diffusion", "sfc", "none"):
+            if self.balancer not in BALANCER_NAMES:
                 raise CampaignError(
                     f"unknown balancer {self.balancer!r} (choose from "
-                    "permanent, diffusion, sfc, none)"
+                    f"{', '.join(BALANCER_NAMES)})"
                 )
 
     # -- resolution and hashing -------------------------------------------
@@ -318,8 +318,8 @@ class CampaignSpec:
     ) -> "CampaignSpec":
         """Expand a (preset x mode x backend x balancer) MD-comparison grid.
 
-        ``balancers`` defaults to ``(None,)`` — the runner's own strategy
-        resolution — which keeps pre-seam grids and their hashes unchanged.
+        ``balancers`` defaults to ``(None,)`` — ``permanent`` — which keeps
+        pre-seam grids and their hashes unchanged.
         """
         runs = tuple(
             RunSpec(
@@ -433,7 +433,7 @@ def _balancer_matrix() -> CampaignSpec:
         presets=("bench-m2", "bench-m4"),
         modes=("dlb",),
         n_steps=200,
-        balancers=("permanent", "diffusion", "sfc", "none"),
+        balancers=BALANCER_NAMES,
         description=(
             "Balancer strategy matrix: permanent vs diffusion vs sfc vs none "
             "over the bench presets (the comparison-table unit)"

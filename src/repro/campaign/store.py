@@ -545,27 +545,6 @@ class RunStore:
                 quarantined.append(stored)
         return leases, quarantined
 
-    # -- legacy claim wrappers ---------------------------------------------
-
-    def claim(self, run_hash: str) -> bool:
-        """Legacy boolean claim: an unmonitored lease under this store's id."""
-        return self.acquire_lease(run_hash, ttl=None) is not None
-
-    def release(self, run_hash: str) -> bool:
-        """Legacy owner-agnostic demotion of one in-flight run."""
-        cursor = self._db.execute(
-            "UPDATE runs SET status = 'pending', owner = NULL, "
-            "lease_deadline = NULL, updated_at = ? "
-            "WHERE hash = ? AND status = 'running'",
-            (time.time(), run_hash),
-        )
-        self._db.commit()
-        return cursor.rowcount == 1
-
-    def start(self, run_hash: str) -> None:
-        """Mark a run as in flight and count the attempt (legacy retries)."""
-        self._set_status(run_hash, "running", attempt=True)
-
     # -- result transitions ------------------------------------------------
 
     def complete(
@@ -792,20 +771,6 @@ class RunStore:
         )
         self._db.commit()
         return cursor.rowcount
-
-    # -- internals ---------------------------------------------------------
-
-    def _set_status(self, run_hash: str, status: str, attempt: bool = False) -> None:
-        if status not in _STATUSES:
-            raise CampaignError(f"unknown status {status!r}")
-        bump = ", attempts = attempts + 1" if attempt else ""
-        cursor = self._db.execute(
-            f"UPDATE runs SET status = ?{bump}, updated_at = ? WHERE hash = ?",
-            (status, time.time(), run_hash),
-        )
-        if cursor.rowcount == 0:
-            raise CampaignError(f"run {run_hash} is not registered")
-        self._db.commit()
 
     # -- summaries ---------------------------------------------------------
 

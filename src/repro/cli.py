@@ -792,11 +792,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--balancer",
         choices=list(BALANCER_NAMES),
         default=None,
-        help="load-balancer strategy: permanent (the paper's permanent-cell "
-        "protocol), diffusion (nearest-neighbour load diffusion), sfc "
-        "(space-filling-curve repartition), none (static decomposition "
-        "baseline) or auto (permanent); default honours the REPRO_BALANCER "
-        "environment variable",
+        help="load-balancer strategy: permanent (default; the paper's "
+        "permanent-cell protocol), diffusion (nearest-neighbour load "
+        "diffusion), sfc (space-filling-curve repartition) or none (static "
+        "decomposition baseline)",
     )
     run.add_argument(
         "--engine",

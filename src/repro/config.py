@@ -91,10 +91,10 @@ class MDConfig:
         return box_length_for(self.n_particles, self.density)
 
 
-#: Balancer strategies understood by :mod:`repro.dlb.strategies` (and
-#: ``--balancer``). ``"auto"`` resolves to ``"permanent"``, the paper's
-#: protocol.
-BALANCER_NAMES = ("permanent", "diffusion", "sfc", "none", "auto")
+#: The balancer strategies: the one name table :mod:`repro.dlb.strategies`,
+#: ``RunSpec`` and ``--balancer`` read. ``"permanent"`` is the paper's
+#: protocol and the default.
+BALANCER_NAMES = ("permanent", "diffusion", "sfc", "none")
 
 #: Valid domain shapes for 3-D DDM (Figure 2 of the paper).
 DOMAIN_SHAPES = ("plane", "pillar", "cube")
@@ -300,15 +300,14 @@ class RunConfig:
         DLB strategy: ``"permanent"`` (the paper's permanent-cell protocol),
         ``"diffusion"`` (nearest-neighbour load diffusion), ``"sfc"``
         (space-filling-curve repartition; centralised engines only),
-        ``"none"`` (the no-balance counterfactual) or ``"auto"``
-        (``"permanent"``). ``None`` defers to the ``REPRO_BALANCER``
-        environment variable and ultimately to ``"permanent"``. Only
-        consulted when ``SimulationConfig.dlb.enabled`` is true.
+        or ``"none"`` (the no-balance counterfactual). ``None`` means
+        ``"permanent"``. Only consulted when ``SimulationConfig.dlb.enabled``
+        is true.
     timing_mode:
         ``"model"`` derives per-PE times from the calibratable cost model
-        (fast, deterministic); ``"measured"`` actually runs each PE's force
-        kernel separately and uses wall-clock times (slow, host-dependent,
-        validates the decomposed algorithm end to end).
+        (fast, deterministic); ``"measured"`` uses the wall-clock times of
+        an execution engine's per-PE force slices (host-dependent; needs an
+        engine, and ``api.simulate`` supplies a sequential one).
     """
 
     steps: int

@@ -9,7 +9,7 @@ Figures 9-10 and Table 1.
 """
 
 from .accounting import StepAccountant
-from .ddm import DecomposedForceResult, decomposed_force_pass
+from .ddm import DecomposedForceResult
 from .results import RunResult, StepRecord
 from .runner import DrivenLoadRunner, ParallelMDRunner
 
@@ -20,5 +20,4 @@ __all__ = [
     "RunResult",
     "StepAccountant",
     "StepRecord",
-    "decomposed_force_pass",
 ]

@@ -10,7 +10,8 @@ forces on its owned particles only. Because local ids are ascending global
 ids, a slice adds up each owned particle's force in the same order as the
 global kernel's sequential scatter of the list, so the merged forces equal
 :func:`repro.md.kernels.forces_from_pairs` bit for bit; the per-PE wall-clock
-times drive the runner's ``"measured"`` mode.
+times drive the runner's ``"measured"`` mode. The execution engines
+(:mod:`repro.engine`) run this pass; the sequential engine is the reference.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ import numpy as np
 from ..errors import DecompositionError
 from ..md.celllist import CellList
 from ..md.kernels import pair_terms
-from ..md.neighbors import _within_cutoff, canonical_pairs, pairs_kdtree
+from ..md.neighbors import _within_cutoff
 from ..md.potential import LennardJones
-from ..md.system import ParticleSystem
-from ..obs.profiler import profiled
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,10 @@ def pair_table(
     candidates: np.ndarray,
 ) -> PairTable:
     """Filter ``candidates`` to the cut-off once and look up the owners."""
+    if cell_owner.shape != (cell_list.n_cells,):
+        raise DecompositionError(
+            f"owner map shape {cell_owner.shape} != ({cell_list.n_cells},)"
+        )
     particle_owner = cell_owner[cell_list.assign(positions)]
     pairs = _within_cutoff(positions, candidates, cell_list.box_length, cutoff)
     return PairTable(
@@ -103,10 +106,9 @@ class PEForceSlice:
     ``owned_ids[k]`` (every pair touching an owned particle is evaluated by
     its owner), so merging slices is plain disjoint assignment into the
     global array. Scalars carry the ownership-weighted energy/virial
-    contributions; summing them over PEs in rank order reproduces
-    :func:`decomposed_force_pass` bit-for-bit — which is what lets an
-    execution engine compute slices in any process and still produce a
-    digest-identical run (see ``repro.engine``).
+    contributions, summed over PEs in rank order by every engine's fold —
+    which is what lets an execution engine compute slices in any process and
+    still produce a digest-identical run (see ``repro.engine``).
     """
 
     pe: int
@@ -127,9 +129,8 @@ def pe_force_slice(
 ) -> PEForceSlice:
     """Cut PE ``pe``'s force slice out of the pass's shared pair table.
 
-    This is the one per-PE implementation: :func:`decomposed_force_pass`
-    and the sequential engine call it for every PE in rank order, a
-    multiprocess worker for its shard of PEs. ``seconds`` is the wall clock
+    This is the one per-PE implementation: the sequential engine calls it
+    for every PE in rank order, a multiprocess worker for its shard of PEs. ``seconds`` is the wall clock
     of this call alone.
 
     The per-pair math is :func:`repro.md.kernels.pair_terms`, the same lines
@@ -171,56 +172,4 @@ def pe_force_slice(
         virial=float(np.dot(weight * f_over_r, r_sq)),
         n_pairs=len(i),
         seconds=time.perf_counter() - start,
-    )
-
-
-@profiled("ddm.decomposed_force_pass")
-def decomposed_force_pass(
-    system: ParticleSystem,
-    cell_list: CellList,
-    cell_owner: np.ndarray,
-    n_pes: int,
-    potential: LennardJones,
-    candidate_pairs: np.ndarray | None = None,
-) -> DecomposedForceResult:
-    """Run the per-PE force computation and merge the results.
-
-    ``candidate_pairs`` is a pair list covering every interaction of the
-    current positions (e.g. a cached Verlet list; skin pairs beyond the
-    cut-off are filtered here). Without one, a single global search at the
-    cut-off supplies it -- never one search per PE, which is how a real DDM
-    code shares one neighbour structure across the decomposition.
-    """
-    if cell_owner.shape != (cell_list.n_cells,):
-        raise DecompositionError(
-            f"owner map shape {cell_owner.shape} != ({cell_list.n_cells},)"
-        )
-    positions = system.positions
-    box = system.box_length
-    searched = candidate_pairs is None
-    if searched:
-        candidate_pairs = canonical_pairs(pairs_kdtree(positions, box, potential.cutoff))
-    table = pair_table(positions, cell_list, cell_owner, potential.cutoff, candidate_pairs)
-
-    forces = np.zeros_like(positions)
-    total_energy = 0.0
-    total_virial = 0.0
-    per_pe_seconds = np.zeros(n_pes, dtype=np.float64)
-    per_pe_pairs = np.zeros(n_pes, dtype=np.int64)
-    for pe in range(n_pes):
-        piece = pe_force_slice(pe, positions, box, table, potential)
-        forces[piece.owned_ids] = piece.forces
-        total_energy += piece.energy
-        total_virial += piece.virial
-        per_pe_seconds[pe] = piece.seconds
-        per_pe_pairs[pe] = piece.n_pairs
-
-    return DecomposedForceResult(
-        forces=forces,
-        potential_energy=total_energy,
-        per_pe_seconds=per_pe_seconds,
-        per_pe_pairs=per_pe_pairs,
-        virial=total_virial,
-        n_candidates=len(candidate_pairs),
-        list_rebuilt=searched,
     )

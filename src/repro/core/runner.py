@@ -50,7 +50,6 @@ from ..rng import generator
 from ..theory.concentration import measure_concentration
 from .accounting import StepAccountant
 from .checkpoint import CheckpointManager
-from .ddm import decomposed_force_pass
 from .results import RunResult, StepRecord
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -115,9 +114,8 @@ class _ObservedRunner:
             faults=faults,
             profiler=observability.profiler if observability is not None else None,
         )
-        #: Resolved balancer strategy name; env-default resolution happens
-        #: here, once, on the driver, so engine workers, events, checkpoints
-        #: and result metadata inherit a concrete name.
+        #: Concrete balancer strategy name, as events, checkpoints and
+        #: result metadata record it.
         self.balancer_name = resolve_balancer_name(balancer)
         self.balancer = (
             create_balancer(
@@ -497,8 +495,13 @@ class ParallelMDRunner(_ObservedRunner):
         md = config.md
         dec = config.decomposition
         #: Nullable execution engine; ``None`` keeps the classic in-process
-        #: force path (global pair kernel + optional measured-mode DDM pass).
+        #: force path (one global pair kernel).
         self.engine = engine
+        if run_config.timing_mode == "measured" and engine is None:
+            raise ConfigurationError(
+                "timing_mode='measured' clocks an engine's per-PE force slices; "
+                "pass engine='sequential' (api.simulate does this for you)"
+            )
 
         rng = generator(run_config.seed)
         self.system = system if system is not None else build_system(md, rng)
@@ -525,7 +528,6 @@ class ParallelMDRunner(_ObservedRunner):
                     box_length=md.box_length,
                     cells_per_side=dec.cells_per_side,
                     potential=self.potential,
-                    balancer=self.balancer_name,
                     skin=run_config.skin,
                     neighbor_max_reuse=run_config.neighbor_max_reuse,
                 )
@@ -572,29 +574,9 @@ class ParallelMDRunner(_ObservedRunner):
         counts = self.cell_list.counts(self.system.positions)
         override = None
         if self.run_config.timing_mode == "measured":
-            if self.engine is not None:
-                # The engine's force pass *is* the decomposed pass; reuse its
-                # per-PE wall-clock instead of computing the forces twice.
-                override = self.force_field.last_pass.per_pe_seconds
-            else:
-                # The integrator's force pass just refreshed (or reused)
-                # the cached candidate list; hand it to the decomposed pass
-                # ("cells" has no cache: the pass then searches once itself).
-                verlet = self.force_field.verlet_list
-                candidates = (
-                    verlet.candidates(self.system.positions)
-                    if verlet is not None
-                    else None
-                )
-                decomposed = decomposed_force_pass(
-                    self.system,
-                    self.cell_list,
-                    self.assignment.cell_owner_map(),
-                    self.config.decomposition.n_pes,
-                    self.potential,
-                    candidate_pairs=candidates,
-                )
-                override = decomposed.per_pe_seconds
+            # The engine's force pass *is* the decomposed pass: its per-PE
+            # wall clock replaces the cost model's force times.
+            override = self.force_field.last_pass.per_pe_seconds
         timing = self._account(counts, moves, override, forces=self.system.forces)
 
         concentration = measure_concentration(counts, self.assignment)
@@ -637,9 +619,8 @@ class ParallelMDRunner(_ObservedRunner):
 
         Frozen-dataclass reprs are deterministic, so a snapshot can refuse
         to restore into a runner built from different settings. The
-        *resolved* balancer name is included on top of the configs: a run
-        configured with ``balancer=None`` resolves through the environment,
-        and resuming it under a different ``REPRO_BALANCER`` must refuse.
+        concrete balancer name follows the configs (a ``None`` field reads
+        ``permanent`` there), the format existing snapshots carry.
         """
         return f"{self.config!r}|{self.run_config!r}|balancer={self.balancer_name}"
 

@@ -7,10 +7,9 @@ step, following the protocol of Section 2.3.
 
 Since the strategy seam landed, the permanent-cell protocol is one of
 four strategies behind the :class:`~repro.dlb.strategies.Balancer`
-protocol (see :mod:`repro.dlb.strategies`); select one with the
-``balancer=`` knobs (``RunConfig.balancer`` / ``simulate(balancer=...)`` /
-``--balancer`` / ``REPRO_BALANCER``) and build balancer instances through
-:func:`create_balancer`.
+protocol (see :mod:`repro.dlb.strategies`); select one with
+``RunConfig.balancer`` (``--balancer`` on the CLI) and build balancer
+instances through :func:`create_balancer`.
 """
 
 from .balancer import DynamicLoadBalancer, Move

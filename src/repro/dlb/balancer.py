@@ -4,8 +4,8 @@ Since the strategy seam landed, this class is a *shell*: it owns the
 assignment, the policy config, the bounded-staleness timing view and the
 stats counters, and delegates the per-round decision to a
 :class:`~repro.dlb.strategies.Balancer` strategy instance. Build instances
-by name through :func:`repro.dlb.strategies.create_balancer` (or the
-``balancer=`` knobs on :func:`repro.api.simulate` / ``RunConfig``).
+by name through :func:`repro.dlb.strategies.create_balancer` (or
+``RunConfig.balancer`` for a whole run).
 """
 
 from __future__ import annotations

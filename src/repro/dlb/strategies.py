@@ -1,9 +1,9 @@
 """Pluggable balancer strategies behind the :class:`Balancer` protocol.
 
-A fixed table maps strategy names to classes, the driver resolves a concrete
-name once (config field > ``REPRO_BALANCER`` env var > default) and every
-layer downstream -- runner, engine workers, flight recorder, ``repro
-explain`` -- carries that resolved name.
+A fixed table maps strategy names to classes. A run's strategy comes from
+its config alone (``None`` means ``permanent``), and every layer downstream
+-- runner, checkpoints, flight recorder, ``repro explain`` -- carries that
+concrete name.
 
 Four strategies ship:
 
@@ -39,7 +39,6 @@ permanent-pinning and case-ledger checks for them. Ownership conservation
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,21 +50,16 @@ from ..parallel.topology import Torus2D
 from .protocol import Case, Move, decide_move
 from .views import TimingView
 
-def resolve_balancer_name(requested: str | None) -> str:
-    """Resolve a requested balancer (or ``None``) to a concrete strategy name.
 
-    Precedence: explicit request (config field / CLI flag) > the
-    ``REPRO_BALANCER`` environment variable > ``"auto"``; ``"auto"`` resolves
-    to ``"permanent"`` (the paper's protocol).
-    """
-    if requested is None:
-        requested = os.environ.get("REPRO_BALANCER", "auto")
-        problem = f"REPRO_BALANCER={requested!r} is not a balancer"
-    else:
-        problem = f"unknown balancer {requested!r}"
-    if requested not in BALANCER_NAMES:
-        raise ConfigurationError(f"{problem}; choose one of {BALANCER_NAMES}")
-    return "permanent" if requested == "auto" else requested
+def resolve_balancer_name(requested: str | None) -> str:
+    """The concrete strategy name of a request: ``None`` is ``"permanent"``
+    (the paper's protocol); unknown names raise."""
+    name = "permanent" if requested is None else requested
+    if name not in BALANCER_NAMES:
+        raise ConfigurationError(
+            f"unknown balancer {name!r}; choose one of {BALANCER_NAMES}"
+        )
+    return name
 
 
 @dataclass
@@ -365,22 +359,20 @@ class NoBalancer(Balancer):
 #: none.
 SPMD_STRATEGIES = ("permanent", "diffusion", "none")
 
-#: Every strategy, by the name :func:`resolve_balancer_name` resolves to.
+#: The class of every name in :data:`~repro.config.BALANCER_NAMES`.
 _STRATEGIES: dict[str, type[Balancer]] = {
-    "permanent": PermanentCellsBalancer,
-    "diffusion": DiffusionBalancer,
-    "sfc": SFCBalancer,
-    "none": NoBalancer,
+    cls.name: cls
+    for cls in (PermanentCellsBalancer, DiffusionBalancer, SFCBalancer, NoBalancer)
 }
 
 
 def available() -> tuple[str, ...]:
     """Strategy names, sorted (for docs, CLI help and errors)."""
-    return tuple(sorted(_STRATEGIES))
+    return tuple(sorted(BALANCER_NAMES))
 
 
 def create_strategy(name: str | None = None) -> Balancer:
-    """Instantiate the strategy for ``name`` (after ``auto`` resolution)."""
+    """Instantiate the strategy for ``name`` (``None`` is ``permanent``)."""
     return _STRATEGIES[resolve_balancer_name(name)]()
 
 
@@ -391,7 +383,7 @@ def create_balancer(
     strategy: str | None = None,
 ):
     """Build a :class:`~repro.dlb.balancer.DynamicLoadBalancer` around the
-    strategy named ``strategy`` (config > ``REPRO_BALANCER`` > permanent)."""
+    strategy named ``strategy`` (``None`` is ``permanent``)."""
     from .balancer import DynamicLoadBalancer
 
     return DynamicLoadBalancer(

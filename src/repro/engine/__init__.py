@@ -11,7 +11,6 @@ from .base import (
     ENGINE_NAMES,
     Engine,
     EngineContext,
-    EngineSpec,
     create_engine,
     effective_engine_workers,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "Engine",
     "EngineContext",
     "EngineForceField",
-    "EngineSpec",
     "MultiprocessEngine",
     "RoutedMessage",
     "SequentialEngine",

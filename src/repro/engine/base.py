@@ -52,12 +52,9 @@ class EngineContext:
 
     Everything a worker process needs to rebuild the pair-search structures:
     no live objects, only plain values, so the context crosses a ``spawn``
-    boundary unchanged. ``balancer`` is the *resolved* balancer strategy
-    name; resolving ``"auto"`` (and ``REPRO_BALANCER``) happens on the driver
-    before the context is built, so every worker sees the same concrete name
-    regardless of its own environment. ``skin`` and ``neighbor_max_reuse``
-    are the run's :class:`~repro.config.RunConfig` fields; they set each
-    unit's list-rebuild schedule, never the result.
+    boundary unchanged. ``skin`` and ``neighbor_max_reuse`` are the run's
+    :class:`~repro.config.RunConfig` fields; they set each unit's
+    list-rebuild schedule, never the result.
     """
 
     n_particles: int
@@ -65,7 +62,6 @@ class EngineContext:
     box_length: float
     cells_per_side: int
     potential: LennardJones
-    balancer: str = "permanent"
     skin: float = 0.4
     neighbor_max_reuse: int = 20
 
@@ -80,12 +76,6 @@ class EngineContext:
             raise ConfigurationError(
                 "engine context needs skin > 0 and neighbor_max_reuse >= 0, got "
                 f"{self.skin} / {self.neighbor_max_reuse}"
-            )
-        if self.balancer not in ("permanent", "diffusion", "sfc", "none"):
-            raise ConfigurationError(
-                f"engine context needs a resolved balancer name, got "
-                f"{self.balancer!r} (resolve 'auto' via "
-                "repro.dlb.strategies.resolve_balancer_name first)"
             )
 
 
@@ -123,28 +113,6 @@ class SliceCutter:
             for pe in pe_ids
         ]
         return pieces, (self.verlet.stats.rebuilds > builds, len(candidates))
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """Declarative engine request: resolved by :func:`create_engine`.
-
-    ``workers`` only matters for the multiprocess backend; ``None`` picks
-    ``min(4, os.cpu_count())``.
-    """
-
-    name: str = "sequential"
-    workers: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.name not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {self.name!r} (choose from {ENGINE_NAMES})"
-            )
-        if self.workers is not None and self.workers <= 0:
-            raise ConfigurationError(
-                f"engine workers must be positive, got {self.workers}"
-            )
 
 
 class Engine(abc.ABC):
@@ -324,12 +292,13 @@ class Engine(abc.ABC):
 
 
 def create_engine(
-    engine: "str | EngineSpec | Engine | None",
+    engine: "str | Engine | None",
     workers: int | None = None,
 ) -> "Engine | None":
     """Resolve an engine request to an instance.
 
-    Accepts a backend name, an :class:`EngineSpec`, an already-constructed
+    Accepts a backend name (``workers`` sizes the multiprocess backend;
+    ``None`` picks ``min(4, os.cpu_count())``), an already-constructed
     :class:`Engine` (returned as-is; ``workers`` must then be ``None``), or
     ``None`` (no engine: the runner keeps its classic in-process force path).
     """
@@ -343,19 +312,19 @@ def create_engine(
                 "pass workers via the engine's own constructor, not create_engine"
             )
         return engine
-    if isinstance(engine, str):
-        engine = EngineSpec(name=engine, workers=workers)
-    elif workers is not None and engine.workers != workers:
+    if engine not in ENGINE_NAMES:
         raise ConfigurationError(
-            f"conflicting worker counts: spec says {engine.workers}, got {workers}"
+            f"unknown engine {engine!r} (choose from {ENGINE_NAMES})"
         )
-    if engine.name == "sequential":
+    if workers is not None and workers <= 0:
+        raise ConfigurationError(f"engine workers must be positive, got {workers}")
+    if engine == "sequential":
         from .sequential import SequentialEngine
 
         return SequentialEngine()
     from .multiprocess import MultiprocessEngine
 
-    return MultiprocessEngine(workers=engine.workers)
+    return MultiprocessEngine(workers=workers)
 
 
 def effective_engine_workers(

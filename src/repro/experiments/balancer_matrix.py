@@ -148,7 +148,7 @@ def run_balancer_matrix(
     """Run the balancer x workload x PE-count grid and collect the results.
 
     Every run goes through :func:`repro.api.simulate` with an explicit
-    ``balancer=`` -- the same redesigned selection surface users hit -- so
+    ``RunConfig.balancer`` -- the same selection surface users hit -- so
     the matrix exercises exactly the code path it reports on.
     """
     cells = []
@@ -162,8 +162,8 @@ def run_balancer_matrix(
                         steps=steps,
                         seed=seed,
                         record_interval=record_interval,
+                        balancer=balancer,
                     ),
-                    balancer=balancer,
                 )
                 cells.append(
                     MatrixCell(

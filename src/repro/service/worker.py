@@ -184,13 +184,7 @@ class WorkerPool:
             await asyncio.gather(*self._watchers, return_exceptions=True)
         demoted = 0
         for run_hash in sorted(self.inflight):
-            lease = self.leases.pop(run_hash, None)
-            released = (
-                self.store.release_lease(lease)
-                if lease is not None
-                else self.store.release(run_hash)
-            )
-            if released:
+            if self.store.release_lease(self.leases.pop(run_hash)):
                 demoted += 1
             await self.registry.transition(run_hash, "demoted")
             log.info("drain: demoted in-flight run %s to pending", run_hash)

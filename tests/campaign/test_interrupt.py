@@ -82,7 +82,7 @@ class TestKeyboardInterrupt:
         # A sibling drainer holds run 0 in flight.
         sibling = RunStore(tmp_path, takeover=False)
         sibling.register(campaign.runs[0], campaign.name)
-        assert sibling.claim(hashes[0])
+        assert sibling.acquire_lease(hashes[0])
 
         def interrupting_worker(spec_dict, timeout):
             raise KeyboardInterrupt

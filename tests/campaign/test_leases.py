@@ -278,7 +278,7 @@ class TestSweeps:
         legacy = a.register(RunSpec(seed=2), "c")
         expired = a.register(RunSpec(seed=3), "c")
         a.acquire_lease(live, ttl=100.0)
-        assert a.claim(legacy)  # NULL deadline
+        assert a.acquire_lease(legacy)  # NULL deadline
         a.acquire_lease(expired, ttl=1.0)
         clock.advance(5.0)
         swept = b.sweep_stale()

@@ -27,7 +27,7 @@ def seeded_store(payloads: list[dict]) -> RunStore:
         spec = RunSpec(m=2, n_pes=9, density=payload["density"],
                        n_steps=50, seed=payload["seed"])
         h = store.register(spec, "c")
-        store.start(h)
+        store.acquire_lease(h)
         store.complete(h, payload, 0.1)
     return store
 
@@ -69,7 +69,7 @@ class TestCampaignReport:
     def test_failures_surface(self):
         store = seeded_store([boundary_payload(1)])
         h = store.register(RunSpec(m=2, seed=50), "c")
-        store.start(h)
+        store.acquire_lease(h)
         store.fail(h, "Traceback ...\nRuntimeError: exploded")
         report = campaign_report(store, "c")
         assert len(report.failures) == 1

@@ -25,7 +25,7 @@ class TestLifecycle:
     def test_start_complete(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            store.start(h)
+            store.acquire_lease(h)
             assert store.get(h).status == "running"
             store.complete(h, {"x": 1}, duration_s=0.5)
             row = store.get(h)
@@ -38,16 +38,17 @@ class TestLifecycle:
     def test_fail_records_traceback(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            store.start(h)
+            store.acquire_lease(h)
             store.fail(h, "Traceback ...\nValueError: boom")
             row = store.get(h)
             assert row.status == "failed"
             assert "boom" in row.error
 
-    def test_transitions_on_unknown_hash_raise(self):
+    def test_transitions_on_unknown_hash_change_nothing(self):
         with RunStore() as store:
-            with pytest.raises(CampaignError):
-                store.start("feedfacedeadbeef")
+            assert store.acquire_lease("feedfacedeadbeef") is None
+            assert not store.complete("feedfacedeadbeef", {"x": 1}, 0.1)
+            assert store.get("feedfacedeadbeef") is None
 
     def test_get_missing_returns_none(self):
         with RunStore() as store:
@@ -58,7 +59,7 @@ class TestExactlyOnce:
     def test_reregistering_done_run_keeps_payload(self, spec):
         with RunStore() as store:
             h = store.register(spec, "first")
-            store.start(h)
+            store.acquire_lease(h)
             store.complete(h, {"x": 1}, 0.1)
             # A second campaign resubmitting the same content hash must not
             # disturb the stored result.
@@ -73,7 +74,7 @@ class TestResumeSemantics:
     def test_running_rows_demoted_on_open(self, tmp_path, spec):
         store = RunStore(tmp_path)
         h = store.register(spec, "c")
-        store.start(h)
+        store.acquire_lease(h)
         store.close()  # simulate a killed scheduler: row left 'running'
         reopened = RunStore(tmp_path)
         assert reopened.get(h).status == "pending"
@@ -82,7 +83,7 @@ class TestResumeSemantics:
     def test_done_rows_survive_reopen(self, tmp_path, spec):
         with RunStore(tmp_path) as store:
             h = store.register(spec, "c")
-            store.start(h)
+            store.acquire_lease(h)
             store.complete(h, {"x": 2}, 0.1)
         with RunStore(tmp_path) as store:
             row = store.get(h)
@@ -147,7 +148,7 @@ class TestConcurrentClaim:
     def test_claim_flips_pending_to_running(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            assert store.claim(h)
+            assert store.acquire_lease(h)
             row = store.get(h)
             assert row.status == "running"
             assert row.attempts == 1
@@ -155,40 +156,40 @@ class TestConcurrentClaim:
     def test_second_claim_loses(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            assert store.claim(h)
-            assert not store.claim(h)
+            assert store.acquire_lease(h)
+            assert store.acquire_lease(h) is None
             assert store.get(h).attempts == 1
 
     def test_done_run_cannot_be_claimed(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            store.claim(h)
+            store.acquire_lease(h)
             store.complete(h, {"x": 1}, 0.1)
-            assert not store.claim(h)
+            assert store.acquire_lease(h) is None
 
     def test_failed_run_can_be_reclaimed(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            store.claim(h)
+            store.acquire_lease(h)
             store.fail(h, "boom")
-            assert store.claim(h)
+            assert store.acquire_lease(h)
             assert store.get(h).attempts == 2
 
     def test_release_demotes_only_running(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            assert not store.release(h)  # pending: nothing to release
-            store.claim(h)
-            assert store.release(h)
+            lease = store.acquire_lease(h)
+            assert store.release_lease(lease)
             assert store.get(h).status == "pending"
-            store.claim(h)
-            store.complete(h, {"x": 1}, 0.1)
-            assert not store.release(h)  # done stays done
+            assert not store.release_lease(lease)  # pending: nothing to release
+            lease = store.acquire_lease(h)
+            store.complete(h, {"x": 1}, 0.1, lease=lease)
+            assert not store.release_lease(lease)  # done stays done
 
     def test_takeover_false_leaves_running_rows(self, tmp_path, spec):
         with RunStore(tmp_path) as store:
             h = store.register(spec, "c")
-            store.claim(h)
+            store.acquire_lease(h)
         with RunStore(tmp_path, takeover=False) as sibling:
             assert sibling.get(h).status == "running"
         with RunStore(tmp_path) as recovery:  # crash recovery: takeover
@@ -203,5 +204,5 @@ class TestConcurrentClaim:
         with RunStore(tmp_path) as a:
             h = a.register(spec, "c")
             with RunStore(tmp_path, takeover=False) as b:
-                winners = [a.claim(h), b.claim(h)]
-                assert sorted(winners) == [False, True]
+                winners = [a.acquire_lease(h), b.acquire_lease(h)]
+                assert sorted(lease is not None for lease in winners) == [False, True]

@@ -12,6 +12,7 @@ from repro.config import (
 )
 from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
 from repro.decomp.validation import check_eight_neighbor_property
+from repro.engine import SequentialEngine
 from repro.errors import ConfigurationError
 from repro.workloads.concentration import ConcentrationSchedule
 
@@ -68,8 +69,7 @@ class TestParallelMDRunner:
         assert np.allclose(ra.system.velocities, rb.system.velocities)
 
     def test_eight_neighbor_property_after_run(self):
-        # A permanent-cell protocol guarantee: pinned so an unconstrained
-        # REPRO_BALANCER matrix leg does not rebind the strategy under test.
+        # A permanent-cell protocol guarantee, which rivals do not make.
         runner = ParallelMDRunner(
             small_sim_config(), RunConfig(steps=10, seed=2, balancer="permanent")
         )
@@ -78,12 +78,20 @@ class TestParallelMDRunner:
         runner.assignment.validate()
 
     def test_measured_mode_runs(self):
-        runner = ParallelMDRunner(
-            small_sim_config(), RunConfig(steps=2, seed=1, timing_mode="measured")
-        )
-        result = runner.run()
+        with SequentialEngine() as engine:
+            runner = ParallelMDRunner(
+                small_sim_config(), RunConfig(steps=2, seed=1, timing_mode="measured"),
+                engine=engine,
+            )
+            result = runner.run()
         assert len(result.records) == 2
         assert result.timing.fmax[0] > 0
+
+    def test_measured_mode_without_an_engine_is_refused(self):
+        with pytest.raises(ConfigurationError, match="engine='sequential'"):
+            ParallelMDRunner(
+                small_sim_config(), RunConfig(steps=2, seed=1, timing_mode="measured")
+            )
 
     def test_concentration_recorded(self):
         runner = ParallelMDRunner(small_sim_config(), RunConfig(steps=3, seed=1))
@@ -134,10 +142,7 @@ class TestDrivenLoadRunner:
                 n_droplets=24,
                 seed=5,
             )
-            # Pinned: the claim is about the paper's balancer, and the
-            # `none` matrix leg would turn the DLB arm into DDM.
-            result = DrivenLoadRunner(config, rounds_per_config=3,
-                                      balancer="permanent").run(schedule)
+            result = DrivenLoadRunner(config, rounds_per_config=3).run(schedule)
             late_spreads[dlb_enabled] = float(result.spread[-10:].mean())
         assert late_spreads[True] < late_spreads[False]
 
@@ -177,11 +182,13 @@ class TestVerletBackendRunner:
         assert np.allclose(pa, pb, rtol=1e-8)
 
     def test_measured_mode_with_verlet_reuses_candidates(self):
-        runner = ParallelMDRunner(
-            small_sim_config(),
-            RunConfig(steps=3, seed=1, force_backend="verlet", timing_mode="measured"),
-        )
-        result = runner.run()
+        with SequentialEngine() as engine:
+            runner = ParallelMDRunner(
+                small_sim_config(),
+                RunConfig(steps=3, seed=1, force_backend="verlet", timing_mode="measured"),
+                engine=engine,
+            )
+            result = runner.run()
         assert len(result.records) == 3
         assert result.timing.fmax[0] > 0
         # One rebuild at initialization; the decomposed passes ride the cache.

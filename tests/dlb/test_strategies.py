@@ -11,13 +11,19 @@ Four contract groups:
   exactly one holder), pass the strategy-relaxed
   :class:`~repro.faults.audit.InvariantAuditor`, and actually move cells;
   ``none`` never does.
-* **Selection plumbing** -- one resolver: config field > ``REPRO_BALANCER``
-  env var > auto; unknown names fail with the known choices listed.
+* **Selection plumbing** -- a run's strategy comes from its config alone
+  (``None`` is ``permanent``); the process environment never picks one, and
+  unknown names fail with the known choices listed.
 * **State** -- strategy identity rides checkpoints; resuming under a
   different strategy refuses with an actionable error.
 """
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,28 +156,21 @@ class TestSeamEquivalence:
             for move in seam_moves:
                 assignment.transfer(move.cell, move.dst)
 
-    def test_default_run_digest_unchanged_by_explicit_permanent(
-        self, monkeypatch
-    ):
-        """``balancer=None`` and ``balancer='permanent'`` are the same run.
-
-        The *true* default, that is — a REPRO_BALANCER matrix leg rebinds
-        what None resolves to, so clear it for this comparison.
-        """
-        monkeypatch.delenv("REPRO_BALANCER", raising=False)
-        run = RunConfig(steps=5, seed=5)
-        base = api.simulate(fig5_config(), run=run)
-        explicit = api.simulate(fig5_config(), run=run, balancer="permanent")
+    def test_default_run_digest_unchanged_by_explicit_permanent(self):
+        """``balancer=None`` and ``balancer='permanent'`` are the same run."""
+        base = api.simulate(fig5_config(), run=RunConfig(steps=5, seed=5))
+        explicit = api.simulate(
+            fig5_config(), run=RunConfig(steps=5, seed=5, balancer="permanent")
+        )
         assert explicit.digest() == base.digest()
         assert base.meta["balancer"] == "permanent"
         assert explicit.meta["balancer"] == "permanent"
 
-    def test_permanent_digest_matches_across_engines(self, monkeypatch):
+    def test_permanent_digest_matches_across_engines(self):
         """Engine backends agree with each other, and the explicit balancer
         selection does not perturb either the engine or the classic path
         (engines use a different force pipeline than the classic runner, so
         the two families digest differently by design)."""
-        monkeypatch.delenv("REPRO_BALANCER", raising=False)
         run = RunConfig(steps=4, seed=5, balancer="permanent")
         run_default = RunConfig(steps=4, seed=5)
         seq = api.simulate(fig5_config(), run=run, engine="sequential")
@@ -200,16 +199,15 @@ class TestSeamEquivalence:
         assert resumed.meta["resumed_at"] == 2
         assert resumed.digest() == full.digest()
 
-    def test_digest_unchanged_under_faults(self, monkeypatch):
+    def test_digest_unchanged_under_faults(self):
         """Fault injection exercises the timing-view branch of the seam."""
         from repro.faults import FaultPlan, TimingFaultRule
 
-        monkeypatch.delenv("REPRO_BALANCER", raising=False)
         plan = FaultPlan(seed=11, timing=TimingFaultRule(drop=0.3, max_staleness=2))
-        run = RunConfig(steps=6, seed=7)
-        base = api.simulate(fig5_config(), run=run, faults=plan)
+        base = api.simulate(fig5_config(), run=RunConfig(steps=6, seed=7), faults=plan)
         explicit = api.simulate(
-            fig5_config(), run=run, balancer="permanent", faults=plan
+            fig5_config(), run=RunConfig(steps=6, seed=7, balancer="permanent"),
+            faults=plan,
         )
         assert explicit.digest() == base.digest()
 
@@ -299,24 +297,36 @@ class TestRivalStrategies:
 
 class TestSelectionPlumbing:
     def test_resolution_precedence(self, monkeypatch):
+        # An explicit name wins; None is permanent whatever the environment.
         monkeypatch.setenv("REPRO_BALANCER", "diffusion")
-        # Explicit beats env; env beats default; default is permanent.
         assert resolve_balancer_name("sfc") == "sfc"
-        assert resolve_balancer_name(None) == "diffusion"
-        monkeypatch.delenv("REPRO_BALANCER")
         assert resolve_balancer_name(None) == "permanent"
-        assert resolve_balancer_name("auto") == "permanent"
+        with pytest.raises(ConfigurationError, match="permanent"):
+            resolve_balancer_name("auto")
 
-    def test_bad_env_value_is_actionable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BALANCER", "magic")
-        with pytest.raises(ConfigurationError, match="REPRO_BALANCER"):
-            resolve_balancer_name(None)
+    def test_execute_run_payload_ignores_the_environment(self, monkeypatch):
+        """A balancer-less spec hashes the same in every process, so it must
+        execute the same in every process: the run store keys it once."""
+        from repro.campaign.executor import execute_run
+        from repro.campaign.spec import RunSpec
 
-    def test_env_selects_strategy_end_to_end(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BALANCER", "none")
-        result = api.simulate(fig5_config(), run=RunConfig(steps=3, seed=5))
-        assert result.meta["balancer"] == "none"
-        assert result.summary()["total_moves"] == 0
+        monkeypatch.delenv("REPRO_BALANCER", raising=False)
+        spec = RunSpec(kind="preset", preset="quickstart", n_steps=5, seed=1)
+        plain = execute_run(spec)
+        root = Path(__file__).resolve().parents[2]
+        child = subprocess.run(
+            [sys.executable, "-c", (
+                "import json; from repro.campaign.executor import execute_run; "
+                "from repro.campaign.spec import RunSpec; print(json.dumps("
+                "execute_run(RunSpec(kind='preset', preset='quickstart', "
+                "n_steps=5, seed=1))))"
+            )],
+            env={**os.environ, "REPRO_BALANCER": "diffusion",
+                 "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, check=True,
+        )
+        assert plain["balancer"] == "permanent"
+        assert json.loads(child.stdout) == plain
 
     def test_config_field_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BALANCER", "none")
@@ -325,19 +335,11 @@ class TestSelectionPlumbing:
         )
         assert result.meta["balancer"] == "permanent"
 
-    def test_simulate_keyword_beats_config_default(self):
-        result = api.simulate(
-            fig5_config(), run=RunConfig(steps=3, seed=5), balancer="none"
-        )
-        assert result.meta["balancer"] == "none"
-
     def test_factory_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             balancer = create_balancer(CellAssignment(9, 9))
-        # The factory honours the environment, so under a REPRO_BALANCER
-        # test matrix this resolves to whatever the matrix leg selected.
-        assert balancer.strategy_name == resolve_balancer_name(None)
+        assert balancer.strategy_name == "permanent"
 
 
 class TestStateAndCheckpoints:
@@ -402,7 +404,7 @@ class TestRunMetadata:
     @pytest.mark.parametrize("strategy", ["permanent", "diffusion", "sfc", "none"])
     def test_meta_stamps_resolved_strategy(self, strategy):
         result = api.simulate(
-            fig5_config(), run=RunConfig(steps=3, seed=5), balancer=strategy
+            fig5_config(), run=RunConfig(steps=3, seed=5, balancer=strategy)
         )
         assert result.meta["balancer"] == strategy
 
@@ -412,8 +414,7 @@ class TestRunMetadata:
         observability = Observability(events=EventLog())
         api.simulate(
             fig5_config(),
-            run=RunConfig(steps=3, seed=5, record_interval=1),
-            balancer="diffusion",
+            run=RunConfig(steps=3, seed=5, record_interval=1, balancer="diffusion"),
             observability=observability,
         )
         start = observability.events.records[0]

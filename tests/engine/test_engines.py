@@ -18,9 +18,9 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.engine import (
+    ENGINE_NAMES,
     Engine,
     EngineContext,
-    EngineSpec,
     MultiprocessEngine,
     SequentialEngine,
     create_engine,
@@ -99,6 +99,16 @@ class TestDigestIdentity:
         result = api.simulate(small_config(), run=run, engine="sequential")
         assert len(result.records) == 2
 
+    def test_measured_timing_mode_without_engine_runs_sequential(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(
+            SequentialEngine, "_shutdown", lambda self: closed.append(self)
+        )
+        run = RunConfig(steps=2, seed=1, timing_mode="measured")
+        result = api.simulate(small_config(), run=run)
+        assert result.meta["engine"] == "sequential"
+        assert len(closed) == 1  # the engine simulate created, closed by it
+
     def test_engine_metadata_recorded(self):
         result = api.simulate(
             small_config(), run=RUN, engine="multiprocess", engine_workers=2
@@ -127,13 +137,9 @@ class TestCreateEngine:
         with pytest.raises(ConfigurationError):
             create_engine("gpu")
 
-    def test_spec_resolves(self):
-        with create_engine(EngineSpec("multiprocess", workers=3)) as engine:
+    def test_workers_size_the_multiprocess_engine(self):
+        with create_engine("multiprocess", workers=3) as engine:
             assert engine.workers == 3
-
-    def test_spec_worker_conflict_rejected(self):
-        with pytest.raises(ConfigurationError):
-            create_engine(EngineSpec("multiprocess", workers=3), workers=2)
 
     def test_instance_passes_through(self):
         engine = SequentialEngine()
@@ -141,11 +147,12 @@ class TestCreateEngine:
         with pytest.raises(ConfigurationError):
             create_engine(engine, workers=2)
 
-    def test_spec_validates_eagerly(self):
+    def test_requests_validate_eagerly(self):
         with pytest.raises(ConfigurationError):
-            EngineSpec("warp")
-        with pytest.raises(ConfigurationError):
-            EngineSpec("multiprocess", workers=0)
+            create_engine("warp")
+        for name in ENGINE_NAMES:
+            with pytest.raises(ConfigurationError):
+                create_engine(name, workers=0)
 
 
 class TestEngineLifecycle:
@@ -214,6 +221,12 @@ class TestRunnerIntegration:
                 small_config(),
                 run=RunConfig(steps=1, seed=1, force_backend="cells"),
                 engine="sequential",
+            )
+        # Measured timing runs on an engine, so it meets the same refusal.
+        with pytest.raises(ConfigurationError, match="'cells'"):
+            api.simulate(
+                small_config(),
+                run=RunConfig(steps=1, seed=1, force_backend="cells", timing_mode="measured"),
             )
 
     def test_engine_accepts_both_spellings_of_the_cached_list(self):

@@ -78,9 +78,6 @@ def faulted_runner(plan: FaultPlan, steps_seed: int = 1) -> ParallelMDRunner:
     injector = FaultInjector(plan, config.decomposition.n_pes)
     runner = ParallelMDRunner(config, RunConfig(steps=10, seed=steps_seed),
                               faults=injector)
-    # Audit whatever strategy the runner resolved (a REPRO_BALANCER matrix
-    # leg may select an unconstrained rival, whose audit drops the
-    # permanent-cell protocol checks but keeps ownership conservation).
     runner.auditor = InvariantAuditor(
         runner.assignment, n_particles=runner.system.n, policy="raise",
         strategy=runner.balancer_name,

@@ -29,14 +29,9 @@ from repro.config import (
 )
 from repro.core.checkpoint import CheckpointManager
 from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    MessageFaultRule,
-    SlowdownRule,
-    TimingFaultRule,
-)
+from repro.faults import FaultInjector
 from repro.obs import EventLog, Observability
+from tests.helpers import readme_plan
 
 MD_STEPS = 12
 CONFIGS = 6
@@ -48,18 +43,6 @@ SHARED_KEYS = {
 }
 MD_KEYS = SHARED_KEYS | {"positions", "velocities", "forces", "force_cache"}
 DRIVEN_KEYS = SHARED_KEYS | {"configs_done"}
-
-
-def readme_plan() -> FaultPlan:
-    """The fault plan of the README's chaos walkthrough."""
-    return FaultPlan(
-        seed=11,
-        slowdowns=(SlowdownRule(pe=4, factor=2.0),),
-        jitter=0.05,
-        messages=(MessageFaultRule(tag="*", loss=0.2, delay_prob=0.2,
-                                   delay=0.005),),
-        timing=TimingFaultRule(drop=0.3, max_staleness=2),
-    )
 
 
 def sim_config() -> SimulationConfig:

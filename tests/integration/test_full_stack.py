@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro import RunConfig, supercooled_simulation_config
-from repro.core.ddm import decomposed_force_pass
 from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
 from repro.decomp.validation import check_eight_neighbor_property
-from repro.md.forces import ForceField
+from repro.md.kernels import forces_from_pairs
+from repro.md.neighbors import canonical_pairs, pairs_kdtree
 from repro.theory.bounds import upper_bound
 from repro.workloads.concentration import ConcentrationSchedule
+from tests.helpers import sequential_passes
 
 
 class TestDLBHelpsOnConcentratingWorkload:
@@ -35,10 +36,8 @@ class TestDLBHelpsOnConcentratingWorkload:
                 n_droplets=60,
                 seed=13,
             )
-            # Pinned: the figure's DLB arm is the paper's balancer; a
-            # REPRO_BALANCER=none matrix leg would make both arms DDM.
             results[dlb_enabled] = DrivenLoadRunner(
-                config, rounds_per_config=4, balancer="permanent"
+                config, rounds_per_config=4
             ).run(schedule)
         return results
 
@@ -78,15 +77,20 @@ class TestParallelCorrectnessDuringMD:
         runner = ParallelMDRunner(config, RunConfig(steps=30, seed=4))
         runner.run()
         assert runner.balancer is not None
-        global_forces = ForceField(runner.potential).compute(runner.system.copy()).forces
-        decomposed = decomposed_force_pass(
-            runner.system,
-            runner.cell_list,
-            runner.assignment.cell_owner_map(),
-            9,
-            runner.potential,
+        assert (runner.assignment.holder != runner.assignment.home).any()  # DLB moved cells
+        system = runner.system
+        pairs = canonical_pairs(
+            pairs_kdtree(system.positions, system.box_length, runner.potential.cutoff)
         )
-        assert np.allclose(decomposed.forces, global_forces, atol=1e-9)
+        want = forces_from_pairs(
+            system.positions, pairs, system.box_length, runner.potential
+        )
+        (decomposed,) = sequential_passes(
+            system.positions, system.box_length, config.decomposition.cells_per_side,
+            runner.assignment.cell_owner_map(), runner.potential,
+        )
+        assert np.array_equal(decomposed.forces, want.forces)
+        assert decomposed.per_pe_pairs.sum() >= want.n_pairs
 
     def test_structure_invariants_after_md_run(self):
         config = supercooled_simulation_config(

@@ -46,9 +46,8 @@ def run_with_events(steps=STEPS, faults=None, engine=None, engine_workers=None,
     observability = Observability(events=EventLog())
     result = api.simulate(
         PRESET,
-        run=RunConfig(steps=steps, seed=7, record_interval=1),
+        run=RunConfig(steps=steps, seed=7, record_interval=1, balancer=balancer),
         dlb=dlb,
-        balancer=balancer,
         engine=engine,
         engine_workers=engine_workers,
         observability=observability,
@@ -190,9 +189,7 @@ class TestExplain:
 
     def test_tampered_log_is_detected(self):
         """Corrupting a logged move makes the replay diverge visibly."""
-        # Pinned to permanent: the test needs a decision that moved a cell,
-        # which the `none` matrix leg never produces.
-        _, events = run_with_events(balancer="permanent")
+        _, events = run_with_events()
         records = events.records
         decision = next(r for r in records if r["kind"] == "dlb.decision"
                         and r["moves"])

@@ -82,7 +82,7 @@ class TestDrain:
         spec = RunSpec(**SPEC)
         with RunStore(store_dir, takeover=False) as store:
             run_hash = store.register(spec, "service")
-            assert store.claim(run_hash)  # simulate a crash mid-run
+            assert store.acquire_lease(run_hash)  # simulate a crash mid-run
         handle = service_factory(store_dir=store_dir, runner=CountingRunner())
         demoted = handle.service.metrics.counter(
             "repro_service_demoted_runs_total"

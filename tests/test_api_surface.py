@@ -18,7 +18,6 @@ EXPECTED_ALL = [
     "AuditPolicy",
     "CanonicalSubmission",
     "CheckpointPolicy",
-    "EngineSpec",
     "RunConfig",
     "RunResult",
     "SimulationConfig",
@@ -36,8 +35,7 @@ EXPECTED_SIGNATURES = {
     "simulate": (
         "(config: 'SimulationConfig | str', *, run: 'RunConfig', "
         "dlb: 'bool | None' = None, "
-        "balancer: 'str | None' = None, "
-        "engine: 'Engine | EngineSpec | str | None' = None, "
+        "engine: 'Engine | str | None' = None, "
         "engine_workers: 'int | None' = None, "
         "observability: 'Observability | None' = None, "
         "faults: 'FaultPlan | FaultInjector | None' = None, "
@@ -110,7 +108,7 @@ class TestPublicSurface:
     def test_policy_dataclasses_are_frozen(self):
         import dataclasses
 
-        for cls in (api.AuditPolicy, api.CheckpointPolicy, api.EngineSpec):
+        for cls in (api.AuditPolicy, api.CheckpointPolicy):
             assert dataclasses.is_dataclass(cls)
             params = getattr(cls, "__dataclass_params__")
             assert params.frozen, f"{cls.__name__} must stay immutable"
@@ -119,10 +117,13 @@ class TestPublicSurface:
 class TestBalancerSurface:
     """The strategy seam's public surface (PR 10)."""
 
-    def test_simulate_accepts_balancer_keyword(self):
-        parameter = inspect.signature(api.simulate).parameters["balancer"]
+    def test_simulate_has_no_balancer_keyword(self):
+        assert "balancer" not in inspect.signature(api.simulate).parameters
+        with pytest.raises(TypeError):
+            api.simulate("quickstart", run=api.RunConfig(steps=1), balancer="none")
+        # The driven runner has no RunConfig: its keyword stays.
+        parameter = inspect.signature(api.simulate_driven).parameters["balancer"]
         assert parameter.kind is inspect.Parameter.KEYWORD_ONLY
-        assert parameter.default is None
 
     def test_strategies_module_surface(self):
         from repro.dlb import strategies
@@ -164,8 +165,9 @@ class TestBalancerSurface:
     def test_unknown_balancer_in_run_config_is_actionable(self):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError, match="permanent"):
-            api.RunConfig(steps=1, balancer="work-stealing")
+        for name in ("work-stealing", "auto"):
+            with pytest.raises(ConfigurationError, match="permanent"):
+                api.RunConfig(steps=1, balancer=name)
 
     def test_dlb_package_reexports_the_seam(self):
         from repro import dlb

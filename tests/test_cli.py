@@ -196,6 +196,15 @@ class TestBackendFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "bench-m2", "--backend", "gpu"])
 
+    def test_balancer_choices_are_the_four_strategies(self):
+        parser = build_parser()
+        assert parser.parse_args(["run", "bench-m2"]).balancer is None
+        for name in ("permanent", "diffusion", "sfc", "none"):
+            assert parser.parse_args(["run", "bench-m2", "--balancer", name]).balancer == name
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["run", "bench-m2", "--balancer", "auto"])
+        assert excinfo.value.code == 2
+
     def test_run_with_verlet_backend(self, capsys):
         code = main(["run", "bench-m2", "--mode", "dlb", "--steps", "5",
                      "--record-interval", "1", "--backend", "verlet"])
@@ -360,10 +369,7 @@ class TestFlightRecorderFlags:
 
     def record(self, tmp_path, steps=6):
         events = tmp_path / "ev.jsonl"
-        # --balancer permanent: the divergence test needs a logged move,
-        # which a REPRO_BALANCER=none matrix leg would never produce.
         code = main(["run", "bench-m2", "--mode", "dlb", "--steps", str(steps),
-                     "--balancer", "permanent",
                      "--record-interval", "1", "--events", str(events)])
         assert code == 0
         return events
