@@ -107,7 +107,7 @@ def test_serial_run_verlet(benchmark, kernel_log):
     """Multi-step serial MD with the Verlet backend: neighbour-list reuse.
 
     This is the end-to-end shape of the tentpole win -- the pair search runs
-    once every ~15-20 steps instead of every step.
+    only once some particle has moved ``skin / 2``, not every step.
     """
     config = MDConfig(n_particles=1000, density=0.256)
     sim = SerialSimulation(config, seed=7, backend="verlet")

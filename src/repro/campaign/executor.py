@@ -22,23 +22,27 @@ Progress is reported through an optional callback and, when a
 
 from __future__ import annotations
 
+import logging
 import signal
 import time
 import traceback
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..config import RunConfig
+from ..core.checkpoint import CheckpointManager
 from ..engine import effective_engine_workers
-from ..errors import CampaignError
+from ..errors import CampaignError, CheckpointMismatchError
 from ..experiments.fig10 import run_boundary_repetition
 from ..theory.boundary import moving_average
 from ..theory.bounds import upper_bound
 from .spec import CampaignSpec, RunSpec
 from .store import RunStore
+
+log = logging.getLogger("repro.campaign")
 
 #: progress callback signature: (event, run_hash, spec) with event in
 #: {"cached", "start", "done", "failed", "retry", "cancelled", "skipped"}
@@ -203,7 +207,6 @@ def _checkpoint_policy(checkpoint_dir: str | None, checkpoint_every: int):
     if checkpoint_dir is None or checkpoint_every <= 0:
         return None
     from ..api import CheckpointPolicy
-    from ..core.checkpoint import CheckpointManager
 
     manager = CheckpointManager(checkpoint_dir, every=checkpoint_every)
     return CheckpointPolicy(
@@ -213,12 +216,7 @@ def _checkpoint_policy(checkpoint_dir: str | None, checkpoint_every: int):
     )
 
 
-def _execute_preset(
-    spec: RunSpec,
-    events_path: str | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 0,
-) -> dict:
+def _simulate_preset(spec: RunSpec, events_path: str | None, checkpoints):
     from .. import api
 
     observability = _build_events(events_path)
@@ -235,9 +233,33 @@ def _execute_preset(
         engine=spec.engine,
         engine_workers=spec.engine_workers,
         observability=observability,
-        checkpoints=_checkpoint_policy(checkpoint_dir, checkpoint_every),
+        checkpoints=checkpoints,
     )
     _write_events(observability, events_path)
+    return result
+
+
+def _execute_preset(
+    spec: RunSpec,
+    events_path: str | None = None,
+    checkpoint_dir: str | None = None,
+    checkpoint_every: int = 0,
+) -> dict:
+    checkpoints = _checkpoint_policy(checkpoint_dir, checkpoint_every)
+    try:
+        result = _simulate_preset(spec, events_path, checkpoints)
+    except CheckpointMismatchError:
+        # Snapshots written under another configuration (e.g. before an
+        # upgrade changed the config token) can never resume this run, and
+        # every retry would be refused the same way: start over instead.
+        log.warning(
+            "discarding checkpoints in %s: taken under a different "
+            "configuration; re-executing from step 0", checkpoint_dir,
+        )
+        CheckpointManager(checkpoint_dir).clear()
+        result = _simulate_preset(
+            spec, events_path, replace(checkpoints, resume=False)
+        )
     payload = {
         "kind": "preset",
         "preset": spec.preset,
@@ -277,6 +299,8 @@ def execute_run(
     ``checkpoint_every`` arm crash-safe mid-run snapshots for preset runs
     (the service fleet's failover-resume path); existing snapshots in the
     directory make the run resume from the latest one, bit-identically.
+    Snapshots a different configuration wrote are deleted with a warning,
+    and the run executes from step 0 instead.
     """
     try:
         run = _KIND_EXECUTORS[spec.kind]
@@ -469,8 +493,6 @@ def run_campaign(
     # cpu count. ``engine_workers`` is not part of the content hash (engine
     # results are worker-count independent), so the rewrite never
     # invalidates stored runs.
-    from dataclasses import replace
-
     specs = [
         replace(
             spec,

@@ -291,11 +291,9 @@ class RunConfig:
         bit-identical results.
     skin:
         Neighbour-list search margin beyond the cut-off (clamped to what the
-        box admits). Larger skins rebuild less often but evaluate more
-        candidates.
-    neighbor_max_reuse:
-        Cap on consecutive neighbour-list reuses before a forced rebuild
-        (0 disables the cap; the displacement criterion alone decides).
+        box admits). The list is rebuilt exactly when some particle has
+        moved more than ``skin / 2`` since the last build: larger skins
+        rebuild less often but evaluate more candidates.
     balancer:
         DLB strategy: ``"permanent"`` (the paper's permanent-cell protocol),
         ``"diffusion"`` (nearest-neighbour load diffusion), ``"sfc"``
@@ -315,7 +313,6 @@ class RunConfig:
     record_interval: int = 1
     force_backend: str = "kdtree"
     skin: float = 0.4
-    neighbor_max_reuse: int = 20
     balancer: str | None = None
     timing_mode: str = "model"
 
@@ -330,10 +327,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown force_backend {self.force_backend!r}")
         if self.skin <= 0:
             raise ConfigurationError(f"skin must be positive, got {self.skin}")
-        if self.neighbor_max_reuse < 0:
-            raise ConfigurationError(
-                f"neighbor_max_reuse must be non-negative, got {self.neighbor_max_reuse}"
-            )
         if self.balancer is not None and self.balancer not in BALANCER_NAMES:
             raise ConfigurationError(
                 f"unknown balancer {self.balancer!r}; choose one of {BALANCER_NAMES}"

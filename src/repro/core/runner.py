@@ -26,7 +26,7 @@ from ..decomp.assignment import CellAssignment
 from ..dlb.strategies import create_balancer, resolve_balancer_name
 from ..engine.base import Engine, EngineContext
 from ..engine.forcefield import EngineForceField
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import CheckpointMismatchError, ConfigurationError
 from ..md.celllist import CellList
 from ..md.forces import ForceField
 from ..md.integrator import VelocityVerlet
@@ -428,8 +428,9 @@ class _ObservedRunner:
     def restore(self, state: dict) -> RunResult:
         """Restore a :meth:`state_dict` snapshot; returns the partial result.
 
-        Raises :class:`~repro.errors.CheckpointError` when the snapshot was
-        taken under a different configuration or for a different runner kind.
+        Raises :class:`~repro.errors.CheckpointMismatchError` when the
+        snapshot was taken under a different configuration or for a different
+        runner kind.
 
         The flight recorder's sim buffer is replaced wholesale: the resumed
         run inherits the killed run's events — including its original
@@ -438,11 +439,11 @@ class _ObservedRunner:
         uninterrupted run's.
         """
         if state.get("kind") != self.kind:
-            raise CheckpointError(
+            raise CheckpointMismatchError(
                 f"snapshot is for runner kind {state.get('kind')!r}, not {self.kind!r}"
             )
         if state.get("config_token") != self._config_token():
-            raise CheckpointError(
+            raise CheckpointMismatchError(
                 "snapshot was taken under a different configuration; refusing "
                 "to resume (same config + seed is what makes resume bit-identical)"
             )
@@ -529,7 +530,6 @@ class ParallelMDRunner(_ObservedRunner):
                     cells_per_side=dec.cells_per_side,
                     potential=self.potential,
                     skin=run_config.skin,
-                    neighbor_max_reuse=run_config.neighbor_max_reuse,
                 )
             )
             self.force_field = EngineForceField(
@@ -546,7 +546,6 @@ class ParallelMDRunner(_ObservedRunner):
                 attraction=md.attraction,
                 attractors=attractors,
                 skin=run_config.skin,
-                max_reuse=run_config.neighbor_max_reuse,
                 # Share the runner's grid instead of letting the force field
                 # build its own copy per search (the seed rebuilt one per step).
                 cell_list=self.cell_list,

@@ -52,9 +52,9 @@ class EngineContext:
 
     Everything a worker process needs to rebuild the pair-search structures:
     no live objects, only plain values, so the context crosses a ``spawn``
-    boundary unchanged. ``skin`` and ``neighbor_max_reuse`` are the run's
-    :class:`~repro.config.RunConfig` fields; they set each unit's
-    list-rebuild schedule, never the result.
+    boundary unchanged. ``skin`` is the run's
+    :class:`~repro.config.RunConfig` field; it sets each unit's list-rebuild
+    schedule, never the result.
     """
 
     n_particles: int
@@ -63,7 +63,6 @@ class EngineContext:
     cells_per_side: int
     potential: LennardJones
     skin: float = 0.4
-    neighbor_max_reuse: int = 20
 
     def __post_init__(self) -> None:
         if self.n_particles <= 0:
@@ -72,19 +71,17 @@ class EngineContext:
             )
         if self.n_pes <= 0:
             raise ConfigurationError(f"n_pes must be positive, got {self.n_pes}")
-        if self.skin <= 0 or self.neighbor_max_reuse < 0:
-            raise ConfigurationError(
-                "engine context needs skin > 0 and neighbor_max_reuse >= 0, got "
-                f"{self.skin} / {self.neighbor_max_reuse}"
-            )
+        if self.skin <= 0:
+            raise ConfigurationError(f"engine context needs skin > 0, got {self.skin}")
 
 
 class SliceCutter:
     """What one execution unit keeps between passes, and its per-pass work.
 
     One :class:`~repro.md.neighbors.VerletList` (canonical order, ``r_c +
-    skin``) per unit, rebuilt from the shared positions alone -- so every
-    unit of a run rebuilds on the same passes -- and filtered once per pass
+    skin``) per unit, rebuilt by the ``skin / 2`` displacement test on the
+    shared positions alone -- the classic path's policy, so every unit of a
+    run rebuilds on the same passes as it -- and filtered once per pass
     into the :class:`~repro.core.ddm.PairTable` all of the unit's PE slices
     are cut from. A fresh unit (e.g. after a resume) just builds on its
     first pass; the slices do not depend on when the list was built.
@@ -94,8 +91,7 @@ class SliceCutter:
         self.context = context
         self.cell_list = CellList(context.box_length, context.cells_per_side)
         self.verlet = VerletList(
-            context.box_length, context.potential.cutoff, context.skin,
-            max_reuse=context.neighbor_max_reuse,
+            context.box_length, context.potential.cutoff, context.skin
         )
 
     def cut(

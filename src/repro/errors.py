@@ -85,3 +85,8 @@ class CheckpointError(ReproError):
     """Raised when a checkpoint cannot be written, found, or restored (no
     snapshot in the directory, corrupt/truncated file, or a snapshot taken
     under an incompatible configuration)."""
+
+
+class CheckpointMismatchError(CheckpointError):
+    """Raised when a readable snapshot belongs to a different runner kind or
+    configuration, so it can never resume this run."""

@@ -92,9 +92,6 @@ class ForceField:
     skin:
         Neighbour-list search margin beyond the cut-off (clamped to what the
         box admits, see :class:`~repro.md.neighbors.VerletList`).
-    max_reuse:
-        Cap on consecutive list reuses before a forced rebuild
-        (0 = displacement criterion only).
     cell_list:
         Optional pre-built :class:`CellList` to share with the caller (the
         parallel runner already owns one); must match the system's box.
@@ -116,7 +113,6 @@ class ForceField:
         attraction: float = 0.0,
         attractors: np.ndarray | None = None,
         skin: float = 0.4,
-        max_reuse: int = 20,
         cell_list: CellList | None = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -127,8 +123,6 @@ class ForceField:
             raise ConfigurationError(f"attraction must be non-negative, got {attraction}")
         if skin <= 0:
             raise ConfigurationError(f"skin must be positive, got {skin}")
-        if max_reuse < 0:
-            raise ConfigurationError(f"max_reuse must be non-negative, got {max_reuse}")
         self.potential = potential
         self.backend = backend
         self.cells_per_side = (
@@ -136,7 +130,6 @@ class ForceField:
             else cells_per_side
         )
         self.skin = float(skin)
-        self.max_reuse = int(max_reuse)
         self.attraction = float(attraction)
         if attractors is not None:
             attractors = np.ascontiguousarray(attractors, dtype=np.float64)
@@ -168,11 +161,7 @@ class ForceField:
     def _get_verlet(self, box_length: float) -> VerletList:
         if self._verlet is None:
             self._verlet = VerletList(
-                box_length,
-                self.potential.cutoff,
-                self.skin,
-                max_reuse=self.max_reuse,
-                stats=self.stats,
+                box_length, self.potential.cutoff, self.skin, stats=self.stats
             )
         elif abs(self._verlet.box_length - box_length) > 1e-9:
             raise ConfigurationError(

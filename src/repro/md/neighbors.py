@@ -9,12 +9,13 @@ other):
     the faithful linked-cell search of the paper, vectorised with a CSR
     (sorted-run) candidate generator -- pure NumPy, linear in the actual
     candidate count and robust to skewed occupancies, used as the reference
-    kernel and by the per-PE decomposed force path.
+    kernel (the ``"cells"`` backend).
 ``VerletList``
     a cached pair list built with ``cutoff + skin`` and reused across steps
     until any particle moves farther than ``skin / 2``; the default
     (``"kdtree"``/``"verlet"``) backend of
-    :class:`repro.md.forces.ForceField`.
+    :class:`repro.md.forces.ForceField` and the list every engine unit cuts
+    its PE slices from.
 
 :func:`canonical_pairs` fixes the row order every :class:`ForceField` path
 feeds the kernel, so forces are a function of the positions alone.
@@ -282,10 +283,11 @@ class VerletList:
     The list is built with search radius ``cutoff + skin`` and stays valid as
     long as no particle has moved farther than ``skin / 2`` from its position
     at build time: two particles outside ``cutoff + skin`` then cannot have
-    approached within ``cutoff``. The expensive pair search therefore runs
-    once every ~10-20 steps instead of every step. Rows are kept in
-    :func:`canonical_pairs` order, so the list is a pure function of its
-    build-time positions.
+    approached within ``cutoff``. That minimum-image test is exact, so it is
+    the only rebuild trigger: the expensive pair search runs once every
+    ~50 steps of the paper-regime workload instead of every step. Rows are
+    kept in :func:`canonical_pairs` order, so the list is a pure function of
+    its build-time positions.
 
     Parameters
     ----------
@@ -299,9 +301,6 @@ class VerletList:
         to ``L / 2`` only, so in small boxes the effective :attr:`skin` is
         clamped to ``L / 2 - cutoff``; at zero the list degrades to a search
         on every move.
-    max_reuse:
-        Hard cap on consecutive reuses before a forced rebuild (0 = no cap);
-        a safety valve against drift in long NVE stretches.
     builder:
         ``"kdtree"`` (default) or ``"cells"``: backend used for the builds.
     cells_per_side:
@@ -316,7 +315,6 @@ class VerletList:
         box_length: float,
         cutoff: float,
         skin: float,
-        max_reuse: int = 0,
         builder: str = "kdtree",
         cells_per_side: int | None = None,
         stats: NeighborStats | None = None,
@@ -325,8 +323,6 @@ class VerletList:
             raise GeometryError(f"cutoff must be positive, got {cutoff}")
         if skin <= 0:
             raise GeometryError(f"skin must be positive, got {skin}")
-        if max_reuse < 0:
-            raise GeometryError(f"max_reuse must be non-negative, got {max_reuse}")
         if 2.0 * cutoff > box_length:
             raise GeometryError(
                 f"cutoff {cutoff} too large for box {box_length} (needs L >= 2*r_c)"
@@ -339,7 +335,6 @@ class VerletList:
         self.radius = min(self.cutoff + float(skin), 0.5 * self.box_length)
         #: Effective skin (the requested one unless the box clamps it).
         self.skin = self.radius - self.cutoff
-        self.max_reuse = int(max_reuse)
         self.builder = builder
         self.stats = stats if stats is not None else NeighborStats()
         self._cell_list: CellList | None = None
@@ -354,7 +349,6 @@ class VerletList:
                 )
         self._pairs: np.ndarray | None = None
         self._reference: np.ndarray | None = None
-        self._reuse_streak = 0
 
     @property
     def is_built(self) -> bool:
@@ -365,7 +359,6 @@ class VerletList:
         """Drop the cached list (next :meth:`candidates` call rebuilds)."""
         self._pairs = None
         self._reference = None
-        self._reuse_streak = 0
 
     def state_dict(self) -> dict:
         """Checkpoint snapshot of the cache: build positions, not the pairs.
@@ -375,20 +368,18 @@ class VerletList:
         """
         return {
             "reference": None if self._reference is None else self._reference.copy(),
-            "reuse_streak": self._reuse_streak,
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot by re-searching its reference.
 
         The rebuild is not counted in :attr:`stats` (the original build was).
-        Snapshots from before the canonical order also carry ``pairs``; it is
-        ignored.
+        Older snapshots also carry ``pairs`` (before the canonical order) or
+        the streak counter of the removed reuse cap; both are ignored.
         """
         reference = state["reference"]
         self._reference = None if reference is None else np.array(reference, copy=True)
         self._pairs = None if reference is None else self._search(self._reference)
-        self._reuse_streak = int(state["reuse_streak"])
 
     def max_displacement_sq(self, positions: np.ndarray) -> float:
         """Largest squared displacement since the last build (minimum image)."""
@@ -400,8 +391,6 @@ class VerletList:
     def needs_rebuild(self, positions: np.ndarray) -> bool:
         """True when the cached list no longer covers ``positions``."""
         if self._pairs is None:
-            return True
-        if self.max_reuse and self._reuse_streak >= self.max_reuse:
             return True
         half_skin = 0.5 * self.skin
         return self.max_displacement_sq(positions) > half_skin * half_skin
@@ -418,7 +407,6 @@ class VerletList:
         with scope("pairs.verlet_build"):
             self._pairs = self._search(positions)
             self._reference = np.array(positions, copy=True)
-            self._reuse_streak = 0
             self.stats.record_build(len(self._pairs))
             return self._pairs
 
@@ -430,7 +418,6 @@ class VerletList:
         """
         if self.needs_rebuild(positions):
             return self.build(positions)
-        self._reuse_streak += 1
         self.stats.record_reuse()
         assert self._pairs is not None
         return self._pairs

@@ -86,7 +86,6 @@ class SerialSimulation:
         system: ParticleSystem | None = None,
         shift_potential: bool = True,
         skin: float = 0.4,
-        neighbor_max_reuse: int = 20,
     ) -> None:
         self.config = config
         rng = generator(seed)
@@ -99,7 +98,6 @@ class SerialSimulation:
             attraction=config.attraction,
             attractors=attractor_sites(config, rng),
             skin=skin,
-            max_reuse=neighbor_max_reuse,
         )
         self.integrator = VelocityVerlet(config.dt)
         self.thermostat = VelocityRescale(config.temperature, config.rescale_interval)

@@ -53,7 +53,7 @@ from .metrics import (
     collect_timing,
     collect_traffic,
 )
-from .profiler import Profiler, profiled, scope
+from .profiler import Profiler, scope
 from .trace import TraceRecorder, validate_trace
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "collect_service",
     "collect_timing",
     "collect_traffic",
-    "profiled",
     "read_events",
     "scope",
     "summarize_events",

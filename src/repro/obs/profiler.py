@@ -17,10 +17,8 @@ scopes to attribute kernel time.
 
 from __future__ import annotations
 
-import functools
 import time
-from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .metrics import MetricsRegistry
@@ -32,7 +30,6 @@ __all__ = [
     "active",
     "disable",
     "enable",
-    "profiled",
     "scope",
 ]
 
@@ -243,22 +240,3 @@ def scope(name: str) -> _Scope | _NullScope:
         return _NULL_SCOPE
     return profiler.timer(name)
 
-
-def profiled(name: str | None = None) -> Callable:
-    """Decorator timing every call of the wrapped function under ``name``.
-
-    The active profiler is looked up per call, so decorated functions follow
-    :func:`enable`/:func:`disable` dynamically at zero cost when disabled.
-    """
-
-    def decorate(func: Callable) -> Callable:
-        label = name if name is not None else func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with scope(label):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -151,6 +151,46 @@ class TestFailureHandling:
             assert store.get(h).status == "done"
 
 
+class TestCheckpointResume:
+    def test_snapshot_of_another_configuration_is_discarded(self, tmp_path, caplog):
+        """A snapshot written under another config token -- every snapshot
+        is, after an upgrade that changes ``RunConfig`` -- must not fail each
+        retry of the automatic resume: it is cleared and the run starts over."""
+        import pickle
+
+        from repro import api
+        from repro.campaign.executor import _pool_worker
+        from repro.config import RunConfig
+        from repro.core.checkpoint import CheckpointManager
+        from repro.errors import CheckpointError
+
+        spec = RunSpec(kind="preset", preset="quickstart", n_steps=20, seed=4)
+        run = RunConfig(steps=20, seed=4)
+        api.simulate(
+            "quickstart", run=run, dlb=True, stop_after=10,
+            checkpoints=api.CheckpointPolicy(directory=tmp_path, every=5),
+        )
+        newest = CheckpointManager(tmp_path).snapshots()[-1]
+        snapshot = pickle.loads(newest.read_bytes())
+        assert snapshot["step"] == 10
+        snapshot["state"]["config_token"] += "|written by another version"
+        newest.write_bytes(pickle.dumps(snapshot))
+
+        # An explicit resume (``repro run --resume``) still refuses ...
+        with pytest.raises(CheckpointError, match="different configuration"):
+            api.simulate(
+                "quickstart", run=run, dlb=True,
+                checkpoints=api.CheckpointPolicy(directory=tmp_path, resume=True),
+            )
+        # ... the automatic one re-executes onto the uninterrupted payload.
+        with caplog.at_level("WARNING", logger="repro.campaign"):
+            outcome = _pool_worker(spec.to_dict(), None, None, str(tmp_path), 5)
+        assert outcome["ok"], outcome["error"]
+        assert outcome["payload"] == execute_run(spec)
+        assert str(tmp_path) in caplog.text
+        assert CheckpointManager(tmp_path).latest_step() == 20
+
+
 class TestMetrics:
     def test_counters_and_histogram_filed(self):
         campaign = tiny_campaign(n_runs=1)

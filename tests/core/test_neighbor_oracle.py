@@ -12,6 +12,8 @@ pair list, so for *any* configuration
     the uninterrupted digest *and* pair-search counters.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,11 @@ from repro.md.system import ParticleSystem
 
 BACKENDS = ("kdtree", "verlet", "cells")
 CELLS_PER_SIDE = 6
-#: Long enough for two ``neighbor_max_reuse`` rebuilds (force evaluations 22
-#: and 43) and the thermostat rescale at step 50.
+#: A skin thin enough that the ``skin / 2`` displacement test rebuilds the
+#: list twice inside :data:`STEPS` in every configuration (around steps 22
+#: and 44; at the default 0.4 the first rebuild comes near step 58).
+SKIN = 0.15
+#: Long enough for those two rebuilds and the thermostat rescale at step 50.
 STEPS = 64
 
 
@@ -105,7 +110,7 @@ def test_backends_bit_identical_every_step(name):
     sims = {
         backend: SerialSimulation(
             config.md, seed=3, backend=backend, cells_per_side=CELLS_PER_SIDE,
-            system=fresh_system(name),
+            system=fresh_system(name), skin=SKIN,
         )
         for backend in BACKENDS
     }
@@ -124,7 +129,7 @@ def test_backends_bit_identical_every_step(name):
             assert got.n_pairs == want.n_pairs, (backend, step)
             assert np.array_equal(sims[backend].system.positions, reference.system.positions)
             assert np.array_equal(sims[backend].system.velocities, reference.system.velocities)
-    assert sims["kdtree"].neighbor_stats.rebuilds >= 3  # initial + two rebuilds
+    assert sims["kdtree"].neighbor_stats.rebuilds >= 3  # initial + two by displacement
     assert sims["kdtree"].neighbor_stats.reuses > 0
     assert sims["cells"].neighbor_stats.reuses == 0
 
@@ -136,7 +141,7 @@ def test_backends_share_one_run_digest(name):
     for backend in BACKENDS:
         result = api.simulate(
             config,
-            run=RunConfig(steps=STEPS, seed=3, force_backend=backend),
+            run=RunConfig(steps=STEPS, seed=3, force_backend=backend, skin=SKIN),
             system=fresh_system(name),
         )
         digests[backend] = result.digest()
@@ -151,7 +156,7 @@ def test_backends_share_one_run_digest(name):
 @pytest.mark.parametrize("invalidate_at", [1, 13, 21, 22, 50])
 def test_digest_independent_of_rebuild_schedule(invalidate_at):
     config, _ = CONFIGURATIONS["clustered"]
-    run = RunConfig(steps=STEPS, seed=3)
+    run = RunConfig(steps=STEPS, seed=3, skin=SKIN)
     plain = ParallelMDRunner(config, run, system=fresh_system("clustered"))
     want = plain.run()
 
@@ -168,11 +173,9 @@ def test_digest_independent_of_rebuild_schedule(invalidate_at):
 
 def hot_clustered_simulation() -> SerialSimulation:
     """Fast-moving droplet under a thin skin: the displacement criterion
-    (not the reuse cap) has to fire about every ten steps."""
+    has to fire about every ten steps."""
     md = MDConfig(n_particles=1000, density=0.256, temperature=2.0, dt=0.004)
-    return SerialSimulation(
-        md, seed=3, system=clustered_system(md), skin=0.1, neighbor_max_reuse=0
-    )
+    return SerialSimulation(md, seed=3, system=clustered_system(md), skin=0.1)
 
 
 def assert_no_missed_pair(sim: SerialSimulation, steps: int) -> None:
@@ -203,23 +206,36 @@ def test_missed_pair_check_trips_on_overlong_reuse(monkeypatch):
 # -- (d) kill -> resume around a rebuild ----------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "kill_at, rebuilds_so_far",
-    # The reuse cap (20) makes the force evaluation of step 21 a rebuild.
-    [(20, 1), (21, 2), (22, 2)],
-)
-def test_kill_and_resume_around_a_rebuild(tmp_path, kill_at, rebuilds_so_far):
+#: The kill-and-resume drills: 30 clustered steps under the thin skin.
+KILL_RUN = RunConfig(steps=30, seed=3, skin=SKIN)
+
+
+@functools.cache
+def first_rebuild_step() -> int:
+    """The first step of :data:`KILL_RUN` whose force evaluation rebuilds the
+    list (by displacement), found by a dry run."""
     config, _ = CONFIGURATIONS["clustered"]
-    run = RunConfig(steps=30, seed=3)
-    full = api.simulate(config, run=run, system=fresh_system("clustered"))
+    runner = ParallelMDRunner(config, KILL_RUN, system=fresh_system("clustered"))
+    for step in range(1, KILL_RUN.steps):
+        runner.step()
+        if runner.neighbor_stats.rebuilds > 1:
+            return step
+    raise AssertionError("no displacement rebuild inside the kill-drill horizon")
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "on", "after"])
+def test_kill_and_resume_around_a_rebuild(tmp_path, offset):
+    config, _ = CONFIGURATIONS["clustered"]
+    kill_at = first_rebuild_step() + offset
+    full = api.simulate(config, run=KILL_RUN, system=fresh_system("clustered"))
     killed = api.simulate(
-        config, run=run, system=fresh_system("clustered"),
+        config, run=KILL_RUN, system=fresh_system("clustered"),
         checkpoints=api.CheckpointPolicy(directory=tmp_path, every=kill_at),
         stop_after=kill_at,
     )
-    assert killed.meta["neighbor_stats"]["rebuilds"] == rebuilds_so_far
+    assert killed.meta["neighbor_stats"]["rebuilds"] == (1 if offset < 0 else 2)
     resumed = api.simulate(
-        config, run=run, system=fresh_system("clustered"),
+        config, run=KILL_RUN, system=fresh_system("clustered"),
         checkpoints=api.CheckpointPolicy(directory=tmp_path, resume=True),
     )
     assert resumed.meta["resumed_at"] == kill_at

@@ -36,8 +36,11 @@ from repro.md.potential import LennardJones
 from repro.md.system import ParticleSystem
 from tests.core.test_neighbor_oracle import (
     CONFIGURATIONS,
+    KILL_RUN,
+    SKIN,
     STEPS,
     clustered_system,
+    first_rebuild_step,
     fresh_system,
 )
 
@@ -47,7 +50,7 @@ from tests.core.test_neighbor_oracle import (
 @pytest.mark.parametrize("name", CONFIGURATIONS)
 def test_engines_and_classic_path_bit_identical_every_step(name):
     config, _ = CONFIGURATIONS[name]
-    run = RunConfig(steps=STEPS, seed=3)
+    run = RunConfig(steps=STEPS, seed=3, skin=SKIN)
     with ExitStack() as stack:
         engines = {
             "classic": None,
@@ -76,7 +79,7 @@ def test_engines_and_classic_path_bit_identical_every_step(name):
         digests = {label: results[label].digest() for label in runners if label != "classic"}
         assert len(set(digests.values())) == 1, digests
         # Same positions, same criterion: one rebuild schedule everywhere,
-        # incl. the two reuse-cap rebuilds (evaluations 22 and 43).
+        # incl. the two displacement rebuilds inside the horizon.
         want = classic.neighbor_stats
         assert want.rebuilds >= 3 and want.reuses > 0
         for label, runner in runners.items():
@@ -92,12 +95,12 @@ def test_engines_and_classic_path_bit_identical_every_step(name):
 
 
 def hot_clustered_runner(engine) -> ParallelMDRunner:
-    """Fast-moving droplet under a thin skin and no reuse cap: the
-    displacement criterion has to fire about every ten steps."""
+    """Fast-moving droplet under a thin skin: the displacement criterion
+    has to fire about every ten steps."""
     config, _ = CONFIGURATIONS["clustered"]
     md = MDConfig(n_particles=1000, density=0.256, temperature=2.0, dt=0.004)
     hot = SimulationConfig(md=md, decomposition=config.decomposition, dlb=config.dlb)
-    run = RunConfig(steps=100, seed=3, skin=0.1, neighbor_max_reuse=0)
+    run = RunConfig(steps=100, seed=3, skin=0.1)
     return ParallelMDRunner(hot, run, system=clustered_system(md), engine=engine)
 
 
@@ -143,19 +146,21 @@ def test_missed_pair_check_trips_on_a_list_never_rebuilt(monkeypatch):
 # -- (c) kill -> resume around a rebuild ----------------------------------------------
 
 
-@pytest.mark.parametrize("kill_at", [20, 21, 22])
-def test_multiprocess_kill_and_resume_around_a_rebuild(tmp_path, kill_at):
-    # The reuse cap (20) makes the force evaluation of step 21 a rebuild; the
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "on", "after"])
+def test_multiprocess_kill_and_resume_around_a_rebuild(tmp_path, offset):
+    # Killed just before, on or just after the first displacement rebuild of
+    # the classic path's dry run (the engines share its schedule); the
     # resumed workers start without a list and build one on their first pass.
     config, _ = CONFIGURATIONS["clustered"]
-    kwargs = dict(run=RunConfig(steps=30, seed=3), engine="multiprocess", engine_workers=2)
+    kill_at = first_rebuild_step() + offset
+    kwargs = dict(run=KILL_RUN, engine="multiprocess", engine_workers=2)
     full = api.simulate(config, system=fresh_system("clustered"), **kwargs)
     killed = api.simulate(
         config, system=fresh_system("clustered"),
         checkpoints=api.CheckpointPolicy(directory=tmp_path, every=kill_at),
         stop_after=kill_at, **kwargs,
     )
-    assert killed.meta["neighbor_stats"]["rebuilds"] == (1 if kill_at < 21 else 2)
+    assert killed.meta["neighbor_stats"]["rebuilds"] == (1 if offset < 0 else 2)
     resumed = api.simulate(
         config, system=fresh_system("clustered"),
         checkpoints=api.CheckpointPolicy(directory=tmp_path, resume=True), **kwargs,

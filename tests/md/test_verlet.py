@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config import MDConfig
+from repro.config import MDConfig, RunConfig
+from repro.engine.base import EngineContext
 from repro.errors import GeometryError
 from repro.md.forces import ForceField
 from repro.md.neighbors import (
@@ -55,9 +56,20 @@ class TestVerletListConstruction:
             pos = np.mod(pos + 1e-6, 5.0)
         assert v.stats.rebuilds == 3 and v.stats.reuses == 0
 
-    def test_rejects_negative_max_reuse(self):
-        with pytest.raises(GeometryError):
-            VerletList(BOX, CUTOFF, 0.4, max_reuse=-1)
+    def test_reuse_cap_is_gone_from_every_layer(self):
+        # The skin/2 displacement test is the only rebuild trigger.
+        lj = LennardJones(cutoff=CUTOFF)
+        md = MDConfig(n_particles=27, density=0.2)
+        with pytest.raises(TypeError):
+            VerletList(BOX, CUTOFF, 0.4, max_reuse=20)
+        with pytest.raises(TypeError):
+            ForceField(lj, max_reuse=20)
+        with pytest.raises(TypeError):
+            SerialSimulation(md, neighbor_max_reuse=20)
+        with pytest.raises(TypeError):
+            RunConfig(steps=1, neighbor_max_reuse=20)
+        with pytest.raises(TypeError):
+            EngineContext(27, 1, BOX, 4, lj, neighbor_max_reuse=20)
 
     def test_rejects_unknown_builder(self):
         with pytest.raises(GeometryError):
@@ -136,14 +148,17 @@ class TestVerletListSemantics:
         v.candidates(pos)
         assert v.stats.rebuilds == 2
 
-    def test_max_reuse_cap(self, rng):
-        v = VerletList(BOX, CUTOFF, 0.4, max_reuse=3)
-        pos = uniform_positions(rng)
-        for _ in range(10):
-            v.candidates(pos)
-        # Builds at calls 1, 5, 9 (3 reuses between forced rebuilds).
-        assert v.stats.rebuilds == 3
-        assert v.stats.reuses == 7
+    def test_never_rebuilds_inside_half_skin(self, rng):
+        v = VerletList(BOX, CUTOFF, 0.4)
+        home = uniform_positions(rng)
+        v.candidates(home)
+        for call in range(200):
+            # Jitter about the build positions: |delta| <= 0.08 * sqrt(3) < 0.2.
+            pos = np.mod(home + rng.uniform(-0.08, 0.08, home.shape), BOX)
+            got = v.pairs(pos)
+            if call % 20 == 0:
+                assert np.array_equal(got, canonical_pairs(pairs_kdtree(pos, BOX, CUTOFF)))
+        assert v.stats.rebuilds == 1 and v.stats.reuses == 200
 
     def test_pairs_exact_after_drift_within_skin(self, rng):
         v = VerletList(BOX, CUTOFF, 0.4)
@@ -186,16 +201,17 @@ class TestVerletListSemantics:
         v.candidates(pos)
         v.candidates(np.mod(pos + 0.01, BOX))
         state = v.state_dict()
-        assert set(state) == {"reference", "reuse_streak"}  # no (M, 2) array
+        assert set(state) == {"reference"}  # no (M, 2) array
         restored = VerletList(BOX, CUTOFF, 0.4)
         restored.load_state_dict(state)
         assert restored.stats.rebuilds == 0  # the original build was counted
         nudged = np.mod(pos + 0.02, BOX)
         assert np.array_equal(restored.candidates(nudged), v.candidates(nudged))
-        assert restored.stats.reuses == 1 and restored.state_dict()["reuse_streak"] == 2
+        assert restored.stats.reuses == 1
 
     def test_loads_snapshot_that_still_carries_pairs(self, rng):
-        # Pre-canonical snapshots pickled the pair array in search order.
+        # Pre-canonical snapshots pickled the pair array in search order, and
+        # snapshots from before the reuse cap was removed carry its streak.
         pos = uniform_positions(rng)
         old = {
             "pairs": pairs_kdtree(pos, BOX, CUTOFF + 0.4)[::-1].copy(),
@@ -316,11 +332,12 @@ class TestSerialSimulationVerlet:
     def test_invalidation_across_thermostat_rescale(self):
         # An aggressive thermostat (rescale every 5 steps at a hot target)
         # changes velocities abruptly; the displacement criterion must keep
-        # the cached list exact through every rescale.
+        # the cached list exact through every rescale. The thin skin makes it
+        # fire several times inside the 30 steps.
         config = MDConfig(
             n_particles=125, density=0.2, temperature=2.0, rescale_interval=5
         )
-        sim = SerialSimulation(config, seed=11, backend="verlet")
+        sim = SerialSimulation(config, seed=11, backend="verlet", skin=0.1)
         box = sim.system.box_length
         for _ in range(30):
             sim.step()
@@ -330,4 +347,4 @@ class TestSerialSimulationVerlet:
             )
             assert np.array_equal(got, want)
         # The hot, frequently-kicked gas must have tripped the skin criterion.
-        assert sim.neighbor_stats.rebuilds > 1
+        assert sim.neighbor_stats.rebuilds >= 3

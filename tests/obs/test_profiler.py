@@ -10,7 +10,6 @@ from repro.obs.profiler import (
     active,
     disable,
     enable,
-    profiled,
     scope,
 )
 from repro.obs.trace import TraceRecorder
@@ -154,16 +153,6 @@ class TestGlobalScope:
         with scope("work"):
             pass
         assert profiler.stats["work"].count == 1  # unchanged after disable
-
-    def test_profiled_decorator_follows_enable(self):
-        @profiled("decorated")
-        def task():
-            return 42
-
-        assert task() == 42  # disabled: still runs, records nothing
-        profiler = enable()
-        assert task() == 42
-        assert profiler.stats["decorated"].count == 1
 
 
 class TestObservabilityBundle:

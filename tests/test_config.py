@@ -116,7 +116,7 @@ class TestRunConfig:
             {"steps": 1, "timing_mode": "exact"},
             {"steps": 1, "skin": 0.0},
             {"steps": 1, "skin": -0.2},
-            {"steps": 1, "neighbor_max_reuse": -1},
+            {"steps": 1, "balancer": "auto"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -124,11 +124,9 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_verlet_backend_accepted(self):
-        config = RunConfig(steps=1, force_backend="verlet", skin=0.3,
-                           neighbor_max_reuse=0)
+        config = RunConfig(steps=1, force_backend="verlet", skin=0.3)
         assert config.force_backend == "verlet"
         assert config.skin == 0.3
-        assert config.neighbor_max_reuse == 0
 
 
 class TestSimulationConfig:
