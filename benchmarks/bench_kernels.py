@@ -104,13 +104,13 @@ def test_kernel_numpy(benchmark, clustered_positions, clustered_pairs, kernel_lo
 
 
 def test_serial_run_verlet(benchmark, kernel_log):
-    """Multi-step serial MD with the Verlet backend: neighbour-list reuse.
+    """Multi-step serial MD over the cached neighbour list: list reuse.
 
     This is the end-to-end shape of the tentpole win -- the pair search runs
     only once some particle has moved ``skin / 2``, not every step.
     """
     config = MDConfig(n_particles=1000, density=0.256)
-    sim = SerialSimulation(config, seed=7, backend="verlet")
+    sim = SerialSimulation(config, seed=7)
 
     benchmark.pedantic(sim.run, args=(20,), rounds=3, iterations=1)
     record_kernel(kernel_log, benchmark, "serial_run_verlet_20steps")
@@ -119,10 +119,10 @@ def test_serial_run_verlet(benchmark, kernel_log):
 
 
 def test_serial_run_kdtree(benchmark, kernel_log):
-    """The same run under the default spelling: one cached path, so this
-    tracks ``serial_run_verlet_20steps`` (it searched every step until PR 12)."""
+    """The same run again: one cached path, so this tracks
+    ``serial_run_verlet_20steps`` (it searched every step until PR 12)."""
     config = MDConfig(n_particles=1000, density=0.256)
-    sim = SerialSimulation(config, seed=7, backend="kdtree")
+    sim = SerialSimulation(config, seed=7)
 
     benchmark.pedantic(sim.run, args=(20,), rounds=3, iterations=1)
     record_kernel(kernel_log, benchmark, "serial_run_kdtree_20steps")

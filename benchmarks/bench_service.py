@@ -72,8 +72,7 @@ def test_service_overhead_fig5(service_log, tmp_path):
     direct = api.simulate(
         spec["preset"],
         run=RunConfig(steps=steps, seed=spec["seed"],
-                      record_interval=max(1, steps // 50),
-                      force_backend="kdtree"),
+                      record_interval=max(1, steps // 50)),
         dlb=True,
     )
     direct_s = time.perf_counter() - start

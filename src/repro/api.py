@@ -174,7 +174,7 @@ def simulate(
         A :class:`~repro.config.SimulationConfig`, or the name of a workload
         preset (see ``repro presets``).
     run:
-        Steps, seed, recording cadence, pair-search backend, balancer
+        Steps, seed, recording cadence, neighbour-list skin, balancer
         strategy, timing mode. The concrete strategy name lands in
         ``result.meta["balancer"]``.
     dlb:

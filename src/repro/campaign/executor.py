@@ -226,7 +226,6 @@ def _simulate_preset(spec: RunSpec, events_path: str | None, checkpoints):
             steps=spec.n_steps,
             seed=spec.seed,
             record_interval=max(1, spec.n_steps // 50),
-            force_backend=spec.backend,
             balancer=spec.balancer,
         ),
         dlb=spec.mode == "dlb",
@@ -264,7 +263,6 @@ def _execute_preset(
         "kind": "preset",
         "preset": spec.preset,
         "mode": spec.mode,
-        "backend": spec.backend,
         # The *resolved* strategy name (the spec's may be None = default).
         "balancer": result.meta.get("balancer", "permanent"),
         "seed": spec.seed,
@@ -328,10 +326,12 @@ def _execute_with_timeout(
     if timeout is None or not hasattr(signal, "SIGALRM"):
         return execute_run(spec, events_path, checkpoint_dir, checkpoint_every)
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    # The alarm repeats: an exception raised while a ``__del__`` or a weakref
-    # callback is running is printed and dropped, and the run would go on.
-    signal.setitimer(signal.ITIMER_REAL, timeout, _TIMEOUT_REFIRE_S)
     try:
+        # The alarm repeats: an exception raised while a ``__del__`` or a
+        # weakref callback is running is printed and dropped, and the run
+        # would go on.  Armed inside the ``try``: a short budget can fire
+        # before the next line, and the timer must not outlive this call.
+        signal.setitimer(signal.ITIMER_REAL, timeout, _TIMEOUT_REFIRE_S)
         try:
             return execute_run(spec, events_path, checkpoint_dir, checkpoint_every)
         finally:

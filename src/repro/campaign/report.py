@@ -8,8 +8,10 @@ A report never re-executes anything -- it reads the run store, groups the
   the mean; the spread is what the error bars in Figure 10 come from), plus
   the theory bound and E/T ratio.  Each repetition's seed is printed, so any
   single run can be replayed from the report alone.
-* ``preset`` runs group by ``(preset, backend)`` and report the DDM vs
-  DLB-DDM per-step times side by side (the Figure 5 comparison).
+* ``preset`` runs are listed by preset, mode and balancer with the DDM vs
+  DLB-DDM per-step times side by side (the Figure 5 comparison). Payloads
+  stored before the pair-search axis was removed still carry a
+  ``backend`` key; it is ignored.
 """
 
 from __future__ import annotations
@@ -206,7 +208,6 @@ def render_report(report: CampaignReport) -> str:
             [
                 payload["preset"],
                 payload["mode"],
-                payload["backend"],
                 # Pre-seam payloads predate the balancer field; they ran the
                 # permanent-cells protocol by construction.
                 payload.get("balancer", "permanent"),
@@ -219,7 +220,6 @@ def render_report(report: CampaignReport) -> str:
                 report.preset_rows,
                 key=lambda p: (
                     p["preset"],
-                    p["backend"],
                     p["mode"],
                     p.get("balancer", "permanent"),
                 ),
@@ -227,7 +227,7 @@ def render_report(report: CampaignReport) -> str:
         ]
         lines.append(
             format_table(
-                ["preset", "mode", "backend", "balancer", "seed", "tt_mean",
+                ["preset", "mode", "balancer", "seed", "tt_mean",
                  "tt_last", "spread_last"],
                 rows,
                 title="preset runs",

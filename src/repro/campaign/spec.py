@@ -2,7 +2,7 @@
 
 A *campaign* is the unit the paper's evaluation actually consists of: tens to
 hundreds of independent runs over a parameter grid (m x P x density x seeds,
-or preset x mode x backend), each repeated per seed and aggregated into one
+or preset x mode x balancer), each repeated per seed and aggregated into one
 figure or table.  :class:`CampaignSpec` describes that grid declaratively;
 each cell is a :class:`RunSpec` keyed by a deterministic content hash of its
 *resolved* configuration, so identical work is recognised across processes,
@@ -20,8 +20,7 @@ Three run kinds cover the repo's experiment surface:
     the yes/no divergence oracle the adaptive bisection search is built on
     (see :mod:`repro.campaign.search`).
 ``"preset"``
-    A named workload preset run as DDM or DLB-DDM with a selectable force
-    backend (the Figure 5/6 unit).
+    A named workload preset run as DDM or DLB-DDM (the Figure 5/6 unit).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from dataclasses import asdict, dataclass, fields
 from ..config import BALANCER_NAMES, SimulationConfig
 from ..errors import CampaignError
 from ..experiments.common import geometry_for, simulation_config_for
-from ..md.forces import BACKENDS
 from ..rng import repetition_seeds
 from ..units import PAPER_RHO_SWEEP
 
@@ -43,6 +41,14 @@ SPEC_SCHEMA = 1
 
 #: Valid run kinds.
 RUN_KINDS = ("boundary", "probe", "preset")
+
+#: Fields that must hold an ``int`` (never a ``bool`` or a float): a JSON
+#: ``5.0`` or ``true`` would otherwise hash apart from ``5``/``1`` and fail
+#: or repeat at execution time.
+_INT_FIELDS = (
+    "m", "n_pes", "n_steps", "seed", "repetition", "rounds_per_config",
+    "detector_sustain", "probe_index", "probe_hold", "engine_workers",
+)
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,8 @@ class RunSpec:
         Boundary-detector knobs of the ``boundary`` kind.
     probe_index, probe_hold:
         Concentration level and hold length of the ``probe`` kind.
-    preset, mode, backend:
-        Workload name, ddm/dlb side and force backend of the ``preset`` kind.
+    preset, mode:
+        Workload name and ddm/dlb side of the ``preset`` kind.
     engine, engine_workers:
         Execution engine of the ``preset`` kind (None = classic in-process).
         ``engine`` is part of the content hash (it selects the decomposed
@@ -100,7 +106,6 @@ class RunSpec:
     probe_hold: int = 30
     preset: str | None = None
     mode: str = "dlb"
-    backend: str = "kdtree"
     engine: str | None = None
     engine_workers: int | None = None
     balancer: str | None = None
@@ -108,6 +113,10 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.kind not in RUN_KINDS:
             raise CampaignError(f"unknown run kind {self.kind!r} (expected {RUN_KINDS})")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise CampaignError(f"{name} must be an integer, got {value!r}")
         if self.n_steps <= 0:
             raise CampaignError(f"n_steps must be positive, got {self.n_steps}")
         if self.kind == "probe":
@@ -127,20 +136,11 @@ class RunSpec:
                 raise CampaignError("preset runs need a preset name")
             if self.mode not in ("ddm", "dlb"):
                 raise CampaignError(f"preset mode must be ddm or dlb, got {self.mode!r}")
-        if self.backend not in BACKENDS:
-            raise CampaignError(
-                f"unknown backend {self.backend!r} (choose from {', '.join(BACKENDS)})"
-            )
         if self.engine is not None:
             if self.kind != "preset":
                 raise CampaignError("engines apply to preset runs only")
             if self.engine not in ("sequential", "multiprocess"):
                 raise CampaignError(f"unknown engine {self.engine!r}")
-            if self.backend == "cells":
-                raise CampaignError(
-                    "engines cut every PE's pairs from the kd-tree neighbour "
-                    "list; backend 'cells' cannot run under an engine"
-                )
         elif self.engine_workers is not None:
             raise CampaignError("engine_workers given without an engine")
         if self.balancer is not None:
@@ -189,7 +189,9 @@ class RunSpec:
             knobs["preset"] = {
                 "name": self.preset,
                 "mode": self.mode,
-                "backend": self.backend,
+                # Hash-preserving: the removed pair-search axis's only
+                # surviving value, so every stored preset spec keeps its hash.
+                "backend": "kdtree",
             }
             # Hash-preserving: engine-less specs keep their pre-engine hash,
             # and the worker count never enters (results are worker-count
@@ -308,7 +310,6 @@ class CampaignSpec:
         name: str,
         presets: Iterable[str],
         modes: Iterable[str] = ("ddm", "dlb"),
-        backends: Iterable[str] = ("kdtree",),
         n_steps: int = 200,
         seed: int = 7,
         description: str = "",
@@ -316,7 +317,7 @@ class CampaignSpec:
         engine_workers: int | None = None,
         balancers: Iterable[str | None] = (None,),
     ) -> "CampaignSpec":
-        """Expand a (preset x mode x backend x balancer) MD-comparison grid.
+        """Expand a (preset x mode x balancer) MD-comparison grid.
 
         ``balancers`` defaults to ``(None,)`` — ``permanent`` — which keeps
         pre-seam grids and their hashes unchanged.
@@ -326,7 +327,6 @@ class CampaignSpec:
                 kind="preset",
                 preset=preset,
                 mode=mode,
-                backend=backend,
                 n_steps=n_steps,
                 seed=seed,
                 engine=engine,
@@ -335,7 +335,6 @@ class CampaignSpec:
             )
             for preset in presets
             for mode in modes
-            for backend in backends
             for balancer in balancers
         )
         return cls(name=name, runs=runs, description=description)

@@ -165,7 +165,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         steps=steps,
         seed=args.seed,
         record_interval=args.record_interval,
-        force_backend=args.backend,
         skin=args.skin,
         balancer=args.balancer,
     )
@@ -216,7 +215,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         stats = result.meta.get("neighbor_stats") or {}
-        if stats.get("reuses"):  # any backend that served steps from a cached list
+        if stats.get("reuses"):  # the cached list served at least one step
             print(
                 f"  {label}: pair-search rebuilds={stats['rebuilds']} "
                 f"reuses={stats['reuses']} (reuse ratio {stats['reuse_ratio']:.2f}, "
@@ -775,18 +774,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--record-interval", type=int, default=20)
     run.add_argument(
-        "--backend",
-        choices=["kdtree", "cells", "verlet"],
-        default="kdtree",
-        help="pair-search backend: kdtree (default; a skin-cached neighbour "
-        "list, 'verlet' is the same path) or cells (NumPy reference, searched "
-        "every step)",
-    )
-    run.add_argument(
         "--skin",
         type=float,
         default=0.4,
-        help="neighbour-list skin radius (kdtree/verlet backends)",
+        help="neighbour-list skin radius (the cached pair list is rebuilt "
+        "once a particle moves skin/2)",
     )
     run.add_argument(
         "--balancer",

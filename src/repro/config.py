@@ -284,11 +284,13 @@ class RunConfig:
     record_interval:
         Instrumentation records are kept every this many steps.
     force_backend:
-        ``"kdtree"`` (default; ``"verlet"`` is the same path: a neighbour
-        list built by scipy's cKDTree with a skin radius, rebuilt only on
-        sufficient displacement) or ``"cells"`` (pure-NumPy linked cells,
-        the faithful reference kernel, searched every step). All give
-        bit-identical results.
+        Selects nothing: every run searches pairs with one cached kd-tree
+        list, and nothing in the library reads this field. ``"kdtree"``
+        (default) and ``"verlet"`` are accepted; ``"cells"`` is refused,
+        since the per-step linked-cell search was removed. The field keeps
+        its place so ``repr(RunConfig)``, and with it every checkpoint's
+        config token, stays the same. It goes when Ledger v2 edits
+        ``ledger/workloads.py``, which still passes it.
     skin:
         Neighbour-list search margin beyond the cut-off (clamped to what the
         box admits). The list is rebuilt exactly when some particle has
@@ -323,7 +325,12 @@ class RunConfig:
             raise ConfigurationError(
                 f"record_interval must be positive, got {self.record_interval}"
             )
-        if self.force_backend not in ("kdtree", "cells", "verlet"):
+        if self.force_backend == "cells":
+            raise ConfigurationError(
+                "force_backend 'cells' is gone: the per-step linked-cell search "
+                "was removed; every run uses the cached kd-tree list"
+            )
+        if self.force_backend not in ("kdtree", "verlet"):
             raise ConfigurationError(f"unknown force_backend {self.force_backend!r}")
         if self.skin <= 0:
             raise ConfigurationError(f"skin must be positive, got {self.skin}")

@@ -513,12 +513,6 @@ class ParallelMDRunner(_ObservedRunner):
         self.potential = LennardJones(cutoff=md.cutoff)
         attractors = attractor_sites(md, rng)
         if engine is not None:
-            if run_config.force_backend == "cells":
-                raise ConfigurationError(
-                    "execution engines cut every PE's slice from one cached "
-                    "kd-tree neighbour list; force_backend must be 'kdtree' "
-                    f"(or its other spelling 'verlet'), got {run_config.force_backend!r}"
-                )
             # Observability must be attached before bind so the engine's
             # bind-time lifecycle events (worker spawns) reach the recorder.
             engine.attach_observability(observability)
@@ -541,14 +535,9 @@ class ParallelMDRunner(_ObservedRunner):
         else:
             self.force_field = ForceField(
                 self.potential,
-                backend=run_config.force_backend,
-                cells_per_side=dec.cells_per_side,
                 attraction=md.attraction,
                 attractors=attractors,
                 skin=run_config.skin,
-                # Share the runner's grid instead of letting the force field
-                # build its own copy per search (the seed rebuilt one per step).
-                cell_list=self.cell_list,
             )
         self.integrator = VelocityVerlet(md.dt)
         self.thermostat = VelocityRescale(md.temperature, md.rescale_interval)

@@ -8,7 +8,6 @@ the 8-neighbour structure. The plane and cube shapes survive only in
 """
 
 from .assignment import CellAssignment, ColumnAssignment
-from .grid import ColumnGrid
 from .halo import HaloExchange, halo_summary
 from .partition import pillar_partition
 from .shapes import domain_comm_volume, domain_shape_info
@@ -17,7 +16,6 @@ from .validation import check_eight_neighbor_property, contact_pairs
 __all__ = [
     "CellAssignment",
     "ColumnAssignment",
-    "ColumnGrid",
     "HaloExchange",
     "check_eight_neighbor_property",
     "contact_pairs",

@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from ..errors import DecompositionError, ProtocolError
-from .grid import ColumnGrid
 from .partition import expand_columns_to_cells, pillar_partition
 
 
@@ -54,7 +53,6 @@ class CellAssignment:
     """
 
     def __init__(self, cells_per_side: int, n_pes: int) -> None:
-        self.grid = ColumnGrid(cells_per_side)
         self.cells_per_side = int(cells_per_side)
         self.n_cells = self.cells_per_side**3
         self.n_pes = int(n_pes)

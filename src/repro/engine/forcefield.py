@@ -38,9 +38,6 @@ class EngineForceField:
         Same meaning as on :class:`repro.md.forces.ForceField`.
     """
 
-    #: Backend label (parallels ``ForceField.backend``).
-    backend = "engine"
-
     def __init__(
         self,
         engine: Engine,

@@ -6,26 +6,20 @@ import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 from ..obs.profiler import scope
-from .celllist import CellList
 from .kernels import (  # noqa: F401 -- forces_from_pairs re-exported; historically defined here
     ForceResult,
     create_kernel,
     forces_from_pairs,
 )
-from .neighbors import (  # noqa: F401 -- pairs_kdtree re-exported for callers/tracers
+from .neighbors import (  # noqa: F401 -- pairs_* re-exported for callers/tracers
     NeighborStats,
     VerletList,
-    canonical_pairs,
     pairs_celllist,
     pairs_kdtree,
 )
 from .pbc import minimum_image
 from .potential import LennardJones
 from .system import ParticleSystem
-
-#: Pair-search backends understood by :class:`ForceField`; ``"verlet"`` is a
-#: second spelling of ``"kdtree"`` (one cached list, one code path).
-BACKENDS = ("kdtree", "cells", "verlet")
 
 
 def apply_attraction(
@@ -69,32 +63,24 @@ def check_finite_forces(forces: np.ndarray) -> None:
 
 
 class ForceField:
-    """LJ force field with interchangeable pair-search backends.
+    """LJ force field over one cached pair list.
 
-    Both backends hand the kernel a canonically ordered pair list
+    Pairs come from a :class:`~repro.md.neighbors.VerletList` built by the
+    compiled cKDTree search at ``r_c + skin`` and reused until a particle
+    moves farther than ``skin/2``. The list is kept in canonical order
     (:func:`~repro.md.neighbors.canonical_pairs`), so forces, energy and
-    virial are bit-identical across them and independent of when the cached
-    list was last rebuilt.
+    virial are independent of when it was last rebuilt and bit-identical to
+    the paper's linked-cell search
+    (:func:`~repro.md.neighbors.pairs_celllist`, the reference
+    ``tests/core/test_neighbor_oracle.py`` compares against).
 
     Parameters
     ----------
     potential:
         The pair potential.
-    backend:
-        ``"kdtree"`` (default; ``"verlet"`` is the same path): a
-        :class:`~repro.md.neighbors.VerletList` built by the compiled
-        cKDTree search at ``r_c + skin`` and reused until a particle moves
-        farther than ``skin/2``. ``"cells"``: the linked-cell NumPy
-        reference, searched every step.
-    cells_per_side:
-        Required by the ``"cells"`` backend: grid resolution (cell edge must
-        be at least the cut-off).
     skin:
         Neighbour-list search margin beyond the cut-off (clamped to what the
         box admits, see :class:`~repro.md.neighbors.VerletList`).
-    cell_list:
-        Optional pre-built :class:`CellList` to share with the caller (the
-        parallel runner already owns one); must match the system's box.
     attraction:
         Spring constant of an optional harmonic pull toward nucleation sites,
         used by scaled workloads to accelerate the supercooled gas's natural
@@ -108,27 +94,15 @@ class ForceField:
     def __init__(
         self,
         potential: LennardJones,
-        backend: str = "kdtree",
-        cells_per_side: int | None = None,
         attraction: float = 0.0,
         attractors: np.ndarray | None = None,
         skin: float = 0.4,
-        cell_list: CellList | None = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ConfigurationError(f"unknown backend {backend!r}")
-        if backend == "cells" and cells_per_side is None and cell_list is None:
-            raise ConfigurationError("the 'cells' backend requires cells_per_side")
         if attraction < 0:
             raise ConfigurationError(f"attraction must be non-negative, got {attraction}")
         if skin <= 0:
             raise ConfigurationError(f"skin must be positive, got {skin}")
         self.potential = potential
-        self.backend = backend
-        self.cells_per_side = (
-            cell_list.cells_per_side if cells_per_side is None and cell_list is not None
-            else cells_per_side
-        )
         self.skin = float(skin)
         self.attraction = float(attraction)
         if attractors is not None:
@@ -143,20 +117,8 @@ class ForceField:
         self._kernel = create_kernel()
         #: Pair-search instrumentation (rebuilds, reuses, candidate counts).
         self.stats = NeighborStats()
-        # The search structures are box-dependent; build lazily on first use
-        # (and exactly once -- rebuilding a CellList per call was the seed's
-        # hidden per-step overhead), or adopt the caller's shared CellList.
-        self._cell_list: CellList | None = cell_list
+        # The list is box-dependent; it is built lazily on first use.
         self._verlet: VerletList | None = None
-
-    def _get_cell_list(self, box_length: float) -> CellList:
-        if self._cell_list is None:
-            self._cell_list = CellList(box_length, int(self.cells_per_side))
-        elif abs(self._cell_list.box_length - box_length) > 1e-9:
-            raise ConfigurationError(
-                f"cell list box {self._cell_list.box_length} != system box {box_length}"
-            )
-        return self._cell_list
 
     def _get_verlet(self, box_length: float) -> VerletList:
         if self._verlet is None:
@@ -171,7 +133,7 @@ class ForceField:
 
     @property
     def verlet_list(self) -> VerletList | None:
-        """The cached neighbour list (``None`` until first use / ``"cells"``)."""
+        """The cached neighbour list (``None`` until first use)."""
         return self._verlet
 
     def invalidate_cache(self) -> None:
@@ -181,24 +143,12 @@ class ForceField:
 
     def find_pairs(self, system: ParticleSystem) -> np.ndarray:
         """Interacting pairs (within the true cut-off), in canonical order."""
-        if self.backend == "cells":
-            return self._candidate_pairs(system)
         return self._get_verlet(system.box_length).pairs(system.positions)
-
-    def _candidate_pairs(self, system: ParticleSystem) -> np.ndarray:
-        """Canonical pair list for the kernel (may exceed the cut-off; filtered there)."""
-        if self.backend == "cells":
-            cell_list = self._get_cell_list(system.box_length)
-            pairs = canonical_pairs(
-                pairs_celllist(system.positions, cell_list, self.potential.cutoff)
-            )
-            self.stats.record_build(len(pairs))
-            return pairs
-        return self._get_verlet(system.box_length).candidates(system.positions)
 
     def compute(self, system: ParticleSystem) -> ForceResult:
         """Evaluate forces, writing them into ``system.forces`` as well."""
-        pairs = self._candidate_pairs(system)
+        # Candidates may exceed the cut-off; the kernel filters them.
+        pairs = self._get_verlet(system.box_length).candidates(system.positions)
         with scope("force.accumulate"):
             result = self._kernel.evaluate(
                 system.positions, pairs, system.box_length, self.potential, system.n
@@ -234,5 +184,5 @@ class ForceField:
     def restore_cache_state(self, state: dict, box_length: float) -> None:
         """Restore a snapshot taken by :meth:`cache_state`."""
         self.stats.load_state_dict(state["stats"])
-        if state.get("verlet") is not None and self.backend != "cells":
+        if state.get("verlet") is not None:
             self._get_verlet(box_length).load_state_dict(state["verlet"])

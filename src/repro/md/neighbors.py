@@ -1,24 +1,20 @@
 """Pair finding: who interacts with whom within the cut-off.
 
-Interchangeable backends produce identical pair sets (tested against each
-other):
-
-``pairs_kdtree``
-    scipy's periodic cKDTree -- the compiled search (C).
-``pairs_celllist``
-    the faithful linked-cell search of the paper, vectorised with a CSR
-    (sorted-run) candidate generator -- pure NumPy, linear in the actual
-    candidate count and robust to skewed occupancies, used as the reference
-    kernel (the ``"cells"`` backend).
 ``VerletList``
-    a cached pair list built with ``cutoff + skin`` and reused across steps
-    until any particle moves farther than ``skin / 2``; the default
-    (``"kdtree"``/``"verlet"``) backend of
-    :class:`repro.md.forces.ForceField` and the list every engine unit cuts
-    its PE slices from.
+    the one pair search of the simulation: a canonically ordered list built
+    by scipy's periodic cKDTree (``pairs_kdtree``, compiled C) at
+    ``cutoff + skin`` and reused across steps until any particle moves
+    farther than ``skin / 2``. :class:`repro.md.forces.ForceField` evaluates
+    over it, and every engine unit cuts its PE slices from it.
+``pairs_celllist``
+    the paper's linked-cell search over the 26-neighbour stencil, vectorised
+    with a CSR (sorted-run) candidate generator -- pure NumPy, linear in the
+    actual candidate count. No run searches with it: it is the reference
+    the neighbour oracle (``tests/core/test_neighbor_oracle.py``) compares
+    the cached list against, every step.
 
-:func:`canonical_pairs` fixes the row order every :class:`ForceField` path
-feeds the kernel, so forces are a function of the positions alone.
+:func:`canonical_pairs` fixes the row order the kernel is fed, so forces are
+a function of the positions alone.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ def pairs_kdtree(positions: np.ndarray, box_length: float, cutoff: float) -> np.
     """All unordered pairs within ``cutoff`` under periodic boundaries.
 
     Returns an ``(n_pairs, 2)`` int array. Pairs at exactly the cut-off
-    distance are excluded (open interval), matching the cell-list backend.
+    distance are excluded (open interval), matching :func:`pairs_celllist`.
     """
     if cutoff <= 0:
         raise GeometryError(f"cutoff must be positive, got {cutoff}")
@@ -73,7 +69,7 @@ def pairs_kdtree(positions: np.ndarray, box_length: float, cutoff: float) -> np.
         tree = cKDTree(positions, boxsize=box_length)
         pairs = tree.query_pairs(cutoff, output_type="ndarray")
         # query_pairs uses a closed ball; drop pairs at exactly the cut-off so
-        # both backends implement the same open interval r < r_c.
+        # both searches implement the same open interval r < r_c.
         return _within_cutoff(positions, pairs, box_length, cutoff)
 
 
@@ -171,7 +167,7 @@ def canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     The kernel filters candidates *preserving their order*, so feeding it
     canonical rows makes the accepted-pair sequence -- hence the
     floating-point accumulation order of forces, energy and virial -- a
-    function of the positions alone, whichever backend found the pairs and
+    function of the positions alone, whichever search found the pairs and
     whenever the list was last rebuilt. One int64 key per row keeps this a
     single ``sort`` (about 12x faster than ``lexsort`` on 2e5 rows).
     """
@@ -202,8 +198,8 @@ class NeighborStats:
     reuses:
         Steps served from a cached Verlet list without a search.
     candidate_pairs:
-        Candidates emitted by the last search (cutoff + skin ball for the
-        Verlet backend; stencil candidates for the cell backend).
+        Candidates emitted by the last search (the ``cutoff + skin`` ball of
+        the cached list).
     accepted_pairs:
         Pairs within the true cut-off at the last force evaluation.
     total_candidates, total_accepted:
@@ -284,7 +280,8 @@ class VerletList:
     long as no particle has moved farther than ``skin / 2`` from its position
     at build time: two particles outside ``cutoff + skin`` then cannot have
     approached within ``cutoff``. That minimum-image test is exact, so it is
-    the only rebuild trigger: the expensive pair search runs once every
+    the only rebuild trigger: the expensive search (:func:`pairs_kdtree`,
+    the only one any run uses) runs once every
     ~50 steps of the paper-regime workload instead of every step. Rows are
     kept in :func:`canonical_pairs` order, so the list is a pure function of
     its build-time positions.
@@ -301,11 +298,6 @@ class VerletList:
         to ``L / 2`` only, so in small boxes the effective :attr:`skin` is
         clamped to ``L / 2 - cutoff``; at zero the list degrades to a search
         on every move.
-    builder:
-        ``"kdtree"`` (default) or ``"cells"``: backend used for the builds.
-    cells_per_side:
-        Grid resolution for the ``"cells"`` builder (cell edge must be at
-        least ``cutoff + skin``).
     stats:
         Optional shared :class:`NeighborStats` to count into.
     """
@@ -315,8 +307,6 @@ class VerletList:
         box_length: float,
         cutoff: float,
         skin: float,
-        builder: str = "kdtree",
-        cells_per_side: int | None = None,
         stats: NeighborStats | None = None,
     ) -> None:
         if cutoff <= 0:
@@ -327,26 +317,13 @@ class VerletList:
             raise GeometryError(
                 f"cutoff {cutoff} too large for box {box_length} (needs L >= 2*r_c)"
             )
-        if builder not in ("kdtree", "cells"):
-            raise GeometryError(f"unknown Verlet builder {builder!r}")
         self.box_length = float(box_length)
         self.cutoff = float(cutoff)
         #: Search radius of the cached list: ``cutoff + skin``, at most ``L/2``.
         self.radius = min(self.cutoff + float(skin), 0.5 * self.box_length)
         #: Effective skin (the requested one unless the box clamps it).
         self.skin = self.radius - self.cutoff
-        self.builder = builder
         self.stats = stats if stats is not None else NeighborStats()
-        self._cell_list: CellList | None = None
-        if builder == "cells":
-            if cells_per_side is None:
-                raise GeometryError("the 'cells' Verlet builder requires cells_per_side")
-            self._cell_list = CellList(box_length, int(cells_per_side))
-            if self.radius > self._cell_list.cell_size + 1e-12:
-                raise GeometryError(
-                    f"search radius {self.radius} exceeds cell size "
-                    f"{self._cell_list.cell_size}: coarsen the grid or shrink the skin"
-                )
         self._pairs: np.ndarray | None = None
         self._reference: np.ndarray | None = None
 
@@ -396,11 +373,7 @@ class VerletList:
         return self.max_displacement_sq(positions) > half_skin * half_skin
 
     def _search(self, positions: np.ndarray) -> np.ndarray:
-        if self._cell_list is not None:
-            pairs = pairs_celllist(positions, self._cell_list, self.radius)
-        else:
-            pairs = pairs_kdtree(positions, self.box_length, self.radius)
-        return canonical_pairs(pairs)
+        return canonical_pairs(pairs_kdtree(positions, self.box_length, self.radius))
 
     def build(self, positions: np.ndarray) -> np.ndarray:
         """Run the full pair search at ``cutoff + skin`` and cache the result."""

@@ -75,14 +75,14 @@ class SerialSimulation:
     """Single-process MD simulation assembled from an :class:`MDConfig`.
 
     This is the physics reference every parallel path is validated against.
+    Forces come from one :class:`~repro.md.forces.ForceField` over a cached
+    kd-tree pair list with search margin ``skin``.
     """
 
     def __init__(
         self,
         config: MDConfig,
         seed: int | None = None,
-        backend: str = "kdtree",
-        cells_per_side: int | None = None,
         system: ParticleSystem | None = None,
         shift_potential: bool = True,
         skin: float = 0.4,
@@ -93,8 +93,6 @@ class SerialSimulation:
         self.potential = LennardJones(cutoff=config.cutoff, shift=shift_potential)
         self.force_field = ForceField(
             self.potential,
-            backend=backend,
-            cells_per_side=cells_per_side,
             attraction=config.attraction,
             attractors=attractor_sites(config, rng),
             skin=skin,

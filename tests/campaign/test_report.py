@@ -86,6 +86,22 @@ class TestRenderReport:
         assert "mean ± std" in text
         store.close()
 
+    def test_preset_rows_read_payloads_with_and_without_backend(self):
+        # Payloads stored before the pair-search axis was removed carry a
+        # "backend" key; current ones do not. Both render, without the key.
+        store = RunStore()
+        for seed, extra in ((1, {"backend": "kdtree"}), (2, {})):
+            spec = RunSpec(kind="preset", preset="quickstart", n_steps=5, seed=seed)
+            h = store.register(spec, "c")
+            store.acquire_lease(h)
+            payload = {"kind": "preset", "preset": "quickstart", "mode": "dlb",
+                       "balancer": "permanent", "seed": seed, "tt_mean": 0.5}
+            store.complete(h, payload | extra, 0.1)
+        text = render_report(campaign_report(store, "c"))
+        assert text.count("quickstart") == 2
+        assert "backend" not in text and "kdtree" not in text
+        store.close()
+
     def test_empty_campaign(self):
         with RunStore() as store:
             text = render_report(campaign_report(store, "missing"))

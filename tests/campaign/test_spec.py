@@ -40,6 +40,18 @@ class TestRunSpecValidation:
             RunSpec(kind="preset", preset="bench-m2", mode="hybrid")
 
 
+    @pytest.mark.parametrize("name", [
+        "m", "n_pes", "n_steps", "seed", "repetition", "rounds_per_config",
+        "detector_sustain", "probe_index", "probe_hold", "engine_workers",
+    ])
+    @pytest.mark.parametrize("value", [5.0, True], ids=["float", "bool"])
+    def test_integer_fields_reject_floats_and_bools(self, name, value):
+        # 5.0 / True would hash apart from 5 / 1 and fail (or repeat) later.
+        fields = {"kind": "preset", "preset": "quickstart", "engine": "sequential"}
+        with pytest.raises(CampaignError, match=name):
+            RunSpec(**(fields | {name: value}))
+
+
 class TestSpecHash:
     def test_deterministic(self):
         assert RunSpec().spec_hash() == RunSpec().spec_hash()
@@ -78,6 +90,33 @@ class TestSpecHash:
     def test_from_dict_ignores_unknown_keys(self):
         data = RunSpec().to_dict() | {"future_field": 1}
         assert RunSpec.from_dict(data) == RunSpec()
+        # Stored specs from before the pair-search axis was removed.
+        assert RunSpec.from_dict(data | {"backend": "kdtree"}) == RunSpec()
+
+
+class TestPinnedHashes:
+    """Content hashes of stored runs: a change here orphans every store."""
+
+    @pytest.mark.parametrize("name, hashes", [
+        ("fig5-quick", [
+            "1b55cd6b19bffa5d", "a63a9a9e2ee49330", "0a34ba5f3ed87322",
+            "dd8b81aa08fffea3",
+        ]),
+        ("balancer-matrix", [
+            "13c178b5286f468e", "3e26e6583cde0e9d", "4b270767bef0a9ad",
+            "1997de1b27f379c3", "dfa438545d245e90", "0e6b9f240c649b5d",
+            "4b23c36c05ccfbd3", "3a1a21f6faeb0e56",
+        ]),
+    ])
+    def test_builtin_preset_campaigns(self, name, hashes):
+        assert get_campaign(name).hashes() == hashes
+
+    def test_ledger_warmup_spec(self):
+        spec = RunSpec(kind="preset", preset="quickstart", mode="dlb", n_steps=5, seed=1)
+        assert spec.spec_hash() == "2f8f116bcd2f5c13"
+
+    def test_default_spec(self):
+        assert RunSpec().spec_hash() == "445a2bb6afc7805f"
 
 
 class TestCampaignSpec:
@@ -138,12 +177,16 @@ class TestEngineFields:
             RunSpec(kind="preset", preset="quickstart", engine_workers=2)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(CampaignError, match="unknown backend 'bogus'"):
-            RunSpec(kind="preset", preset="quickstart", backend="bogus")
+        # One pair search: a spec has no backend to name, not even "kdtree".
+        for backend in ("bogus", "kdtree"):
+            with pytest.raises(TypeError):
+                RunSpec(kind="preset", preset="quickstart", backend=backend)
+        with pytest.raises(TypeError):
+            CampaignSpec.preset_grid("p", presets=("bench-m2",), backends=("kdtree",))
 
     def test_cells_backend_cannot_run_under_an_engine(self):
-        RunSpec(kind="preset", preset="quickstart", backend="cells")
-        with pytest.raises(CampaignError, match="cells"):
+        # Nor anywhere else: the per-step search is gone.
+        with pytest.raises(TypeError):
             RunSpec(kind="preset", preset="quickstart", backend="cells",
                     engine="sequential")
 

@@ -1,11 +1,12 @@
 """The neighbour list as an oracle, not as examples.
 
-Every :class:`ForceField` backend feeds the kernel a canonically ordered
-pair list, so for *any* configuration
+:class:`ForceField` feeds the kernel its cached list in canonical order, so
+for *any* configuration
 
-(a) ``kdtree`` / ``verlet`` / ``cells`` agree bit for bit, every step, and
-    whole runs have one digest;
-(b) the digest does not depend on when the cached list was last rebuilt;
+(a) every step agrees bit for bit with the kernel run over the paper's
+    linked-cell search (:func:`pairs_celllist`, 26-neighbour stencil);
+(b) the digest does not depend on when the cached list was last rebuilt,
+    even when it is rebuilt every step;
 (c) the cached list never misses a pair (and the check that says so trips
     on a list reused past ``skin / 2``);
 (d) a run killed on, just before or just after a rebuild step resumes onto
@@ -26,11 +27,17 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.runner import ParallelMDRunner
-from repro.md.neighbors import VerletList, canonical_pairs, pairs_kdtree
+from repro.md.celllist import CellList
+from repro.md.kernels import forces_from_pairs
+from repro.md.neighbors import (
+    VerletList,
+    canonical_pairs,
+    pairs_celllist,
+    pairs_kdtree,
+)
 from repro.md.simulation import SerialSimulation
 from repro.md.system import ParticleSystem
 
-BACKENDS = ("kdtree", "verlet", "cells")
 CELLS_PER_SIDE = 6
 #: A skin thin enough that the ``skin / 2`` displacement test rebuilds the
 #: list twice inside :data:`STEPS` in every configuration (around steps 22
@@ -101,59 +108,78 @@ def test_near_cutoff_configuration_straddles_the_cutoff():
     assert narrower < inside < wider
 
 
-# -- (a) one answer across backends ---------------------------------------------
+# -- (a) one answer: the linked-cell reference -----------------------------------
+
+
+def assert_matches_linked_cell_reference(name: str) -> SerialSimulation:
+    """Step ``name`` under the cached list and check every force evaluation
+    against the kernel over the linked-cell pairs of the same positions."""
+    config, _ = CONFIGURATIONS[name]
+    sim = SerialSimulation(config.md, seed=3, system=fresh_system(name), skin=SKIN)
+    cells = CellList(sim.system.box_length, CELLS_PER_SIDE)
+    for step in range(1, STEPS + 1):
+        got = sim.integrator.step(sim.system, sim.force_field)
+        sim.thermostat.maybe_rescale(sim.system, step)
+        positions = sim.system.positions
+        pairs = canonical_pairs(pairs_celllist(positions, cells, sim.potential.cutoff))
+        want = forces_from_pairs(
+            positions, pairs, sim.system.box_length, sim.potential, sim.system.n
+        )
+        assert np.array_equal(got.forces, want.forces), f"forces differ at step {step}"
+        assert got.potential_energy == want.potential_energy, step
+        assert got.virial == want.virial, step
+        assert got.n_pairs == want.n_pairs, step
+    return sim
 
 
 @pytest.mark.parametrize("name", CONFIGURATIONS)
 def test_backends_bit_identical_every_step(name):
-    config, _ = CONFIGURATIONS[name]
-    sims = {
-        backend: SerialSimulation(
-            config.md, seed=3, backend=backend, cells_per_side=CELLS_PER_SIDE,
-            system=fresh_system(name), skin=SKIN,
-        )
-        for backend in BACKENDS
-    }
-    reference = sims["cells"]
-    for step in range(1, STEPS + 1):
-        results = {}
-        for backend, sim in sims.items():
-            results[backend] = sim.integrator.step(sim.system, sim.force_field)
-            sim.thermostat.maybe_rescale(sim.system, step)
-        want = results["cells"]
-        for backend in ("kdtree", "verlet"):
-            got = results[backend]
-            assert np.array_equal(got.forces, want.forces), (backend, step)
-            assert got.potential_energy == want.potential_energy, (backend, step)
-            assert got.virial == want.virial, (backend, step)
-            assert got.n_pairs == want.n_pairs, (backend, step)
-            assert np.array_equal(sims[backend].system.positions, reference.system.positions)
-            assert np.array_equal(sims[backend].system.velocities, reference.system.velocities)
-    assert sims["kdtree"].neighbor_stats.rebuilds >= 3  # initial + two by displacement
-    assert sims["kdtree"].neighbor_stats.reuses > 0
-    assert sims["cells"].neighbor_stats.reuses == 0
+    # The cached list against the linked-cell reference (once the "cells"
+    # backend, now searched only here).
+    sim = assert_matches_linked_cell_reference(name)
+    assert sim.neighbor_stats.rebuilds >= 3  # initial + two by displacement
+    assert sim.neighbor_stats.reuses > 0
+
+
+def test_linked_cell_check_trips_on_a_list_never_rebuilt(monkeypatch):
+    # Seeded bug: build the list once and reuse it for the whole run.
+    monkeypatch.setattr(
+        VerletList, "needs_rebuild", lambda self, positions: not self.is_built
+    )
+    with pytest.raises(AssertionError, match="forces differ"):
+        assert_matches_linked_cell_reference("clustered")
 
 
 @pytest.mark.parametrize("name", CONFIGURATIONS)
-def test_backends_share_one_run_digest(name):
+def test_backends_share_one_run_digest(name, monkeypatch):
+    # Both accepted ``force_backend`` labels run the one cached list; a run
+    # that searches on every evaluation (the linked-cell schedule) must end
+    # on the same digest.
     config, _ = CONFIGURATIONS[name]
     digests = {}
-    for backend in BACKENDS:
+    for backend in ("kdtree", "verlet"):
         result = api.simulate(
             config,
             run=RunConfig(steps=STEPS, seed=3, force_backend=backend, skin=SKIN),
             system=fresh_system(name),
         )
         digests[backend] = result.digest()
-        if backend != "cells":
-            assert result.meta["neighbor_stats"]["rebuilds"] >= 3
+        assert result.meta["neighbor_stats"]["rebuilds"] >= 3
+    with monkeypatch.context() as patch:
+        patch.setattr(VerletList, "needs_rebuild", lambda self, positions: True)
+        result = api.simulate(
+            config, run=RunConfig(steps=STEPS, seed=3, skin=SKIN),
+            system=fresh_system(name),
+        )
+    digests["every_step"] = result.digest()
+    assert result.meta["neighbor_stats"]["reuses"] == 0
     assert len(set(digests.values())) == 1, digests
 
 
 # -- (b) rebuild-schedule independence --------------------------------------------
 
 
-@pytest.mark.parametrize("invalidate_at", [1, 13, 21, 22, 50])
+@pytest.mark.parametrize("invalidate_at", [1, 13, 21, 22, 50, "every_step"])
 def test_digest_independent_of_rebuild_schedule(invalidate_at):
     config, _ = CONFIGURATIONS["clustered"]
     run = RunConfig(steps=STEPS, seed=3, skin=SKIN)
@@ -161,6 +187,14 @@ def test_digest_independent_of_rebuild_schedule(invalidate_at):
     want = plain.run()
 
     runner = ParallelMDRunner(config, run, system=fresh_system("clustered"))
+    if invalidate_at == "every_step":
+        # A full search on every evaluation, as the paper's linked cells do.
+        runner.force_field.verlet_list.needs_rebuild = lambda positions: True
+        result = runner.run()
+        assert runner.neighbor_stats.reuses == 0
+        assert runner.neighbor_stats.rebuilds == STEPS + 1
+        assert result.digest() == want.digest()
+        return
     result = runner.run(invalidate_at)
     runner.force_field.invalidate_cache()
     assert not runner.force_field.verlet_list.is_built  # next step must search

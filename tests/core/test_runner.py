@@ -163,7 +163,7 @@ class TestDrivenLoadRunner:
 class TestVerletBackendRunner:
     def test_verlet_backend_runs_and_reuses(self):
         runner = ParallelMDRunner(
-            small_sim_config(), RunConfig(steps=10, seed=2, force_backend="verlet")
+            small_sim_config(), RunConfig(steps=10, seed=2)
         )
         runner.run()
         stats = runner.neighbor_stats
@@ -172,20 +172,18 @@ class TestVerletBackendRunner:
         assert stats.reuse_ratio > 0.5
 
     def test_verlet_physics_matches_kdtree(self):
+        # The legacy "verlet" spelling is still accepted and selects nothing.
         a = ParallelMDRunner(small_sim_config(), RunConfig(steps=8, seed=3))
         b = ParallelMDRunner(
             small_sim_config(), RunConfig(steps=8, seed=3, force_backend="verlet")
         )
-        ra, rb = a.run(), b.run()
-        pa = np.array([r.potential_energy for r in ra.records])
-        pb = np.array([r.potential_energy for r in rb.records])
-        assert np.allclose(pa, pb, rtol=1e-8)
+        assert a.run().digest() == b.run().digest()
 
     def test_measured_mode_with_verlet_reuses_candidates(self):
         with SequentialEngine() as engine:
             runner = ParallelMDRunner(
                 small_sim_config(),
-                RunConfig(steps=3, seed=1, force_backend="verlet", timing_mode="measured"),
+                RunConfig(steps=3, seed=1, timing_mode="measured"),
                 engine=engine,
             )
             result = runner.run()
@@ -193,11 +191,3 @@ class TestVerletBackendRunner:
         assert result.timing.fmax[0] > 0
         # One rebuild at initialization; the decomposed passes ride the cache.
         assert runner.neighbor_stats.rebuilds <= 2
-
-    def test_shared_cell_list_with_cells_backend(self):
-        runner = ParallelMDRunner(
-            small_sim_config(), RunConfig(steps=2, seed=1, force_backend="cells")
-        )
-        runner.run()
-        # The force field must adopt the runner's grid, not build its own.
-        assert runner.force_field._cell_list is runner.cell_list

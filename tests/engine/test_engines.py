@@ -216,17 +216,13 @@ class TestEngineLifecycle:
 
 class TestRunnerIntegration:
     def test_engine_requires_kdtree_backend(self):
-        with pytest.raises(ConfigurationError, match="'kdtree'.*'verlet'.*'cells'"):
+        # Engines cut every slice from the cached kd-tree list; the per-step
+        # "cells" search is refused before any run, engine or not.
+        with pytest.raises(ConfigurationError, match="linked-cell search was removed"):
             api.simulate(
                 small_config(),
                 run=RunConfig(steps=1, seed=1, force_backend="cells"),
                 engine="sequential",
-            )
-        # Measured timing runs on an engine, so it meets the same refusal.
-        with pytest.raises(ConfigurationError, match="'cells'"):
-            api.simulate(
-                small_config(),
-                run=RunConfig(steps=1, seed=1, force_backend="cells", timing_mode="measured"),
             )
 
     def test_engine_accepts_both_spellings_of_the_cached_list(self):

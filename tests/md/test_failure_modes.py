@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.config import MDConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, GeometryError, SimulationError
+from repro.md.celllist import CellList
 from repro.md.forces import ForceField
 from repro.md.integrator import VelocityVerlet
+from repro.md.neighbors import pairs_celllist
 from repro.md.potential import LennardJones
 from repro.md.simulation import SerialSimulation
 from repro.md.system import ParticleSystem
@@ -55,15 +57,14 @@ class TestNumericalBlowup:
 
 class TestConfigurationTraps:
     def test_cells_backend_with_too_fine_grid_raises(self):
-        # A grid whose cells are smaller than the cut-off must be rejected,
-        # not silently drop interactions.
+        # The linked-cell reference must reject a grid whose cells are smaller
+        # than the cut-off, not silently drop interactions.
         config = MDConfig(n_particles=512, density=0.256)
         nc_too_fine = int(config.box_length // config.cutoff) + 2
-        from repro.errors import GeometryError
-
-        with pytest.raises(GeometryError):
-            # The initial force evaluation already trips the check.
-            SerialSimulation(config, seed=1, backend="cells", cells_per_side=nc_too_fine)
+        sim = SerialSimulation(config, seed=1)
+        cells = CellList(config.box_length, nc_too_fine)
+        with pytest.raises(GeometryError, match="26-neighbour stencil"):
+            pairs_celllist(sim.system.positions, cells, config.cutoff)
 
     def test_zero_temperature_start_is_usable(self):
         config = MDConfig(n_particles=125, density=0.2, temperature=0.0,

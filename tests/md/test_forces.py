@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.md.celllist import CellList
 from repro.md.forces import ForceField, forces_from_pairs
-from repro.md.neighbors import pairs_kdtree
+from repro.md.neighbors import canonical_pairs, pairs_celllist, pairs_kdtree
 from repro.md.potential import LennardJones
 from repro.md.system import ParticleSystem
 
@@ -79,12 +80,9 @@ class TestForcesFromPairs:
 
 class TestForceField:
     def test_rejects_unknown_backend(self, lj):
-        with pytest.raises(ConfigurationError):
-            ForceField(lj, backend="magic")
-
-    def test_cells_backend_requires_grid(self, lj):
-        with pytest.raises(ConfigurationError):
-            ForceField(lj, backend="cells")
+        # One pair search: there is no backend left to choose.
+        with pytest.raises(TypeError):
+            ForceField(lj, backend="kdtree")
 
     def test_rejects_negative_attraction(self, lj):
         with pytest.raises(ConfigurationError):
@@ -97,15 +95,15 @@ class TestForceField:
             ForceField(lj, attraction=0.1, attractors=np.zeros((4, 2)))
 
     def test_backends_produce_identical_forces(self, lj, rng):
+        # The cached list against the paper's linked-cell search.
         box = 10.5
         pos = rng.uniform(0, box, (150, 3))
-        system_a = ParticleSystem(pos.copy(), box_length=box)
-        system_b = ParticleSystem(pos.copy(), box_length=box)
-        fa = ForceField(lj, backend="kdtree").compute(system_a)
-        fb = ForceField(lj, backend="cells", cells_per_side=4).compute(system_b)
-        assert np.allclose(fa.forces, fb.forces, atol=1e-9)
-        assert fa.potential_energy == pytest.approx(fb.potential_energy)
-        assert fa.n_pairs == fb.n_pairs
+        got = ForceField(lj).compute(ParticleSystem(pos.copy(), box_length=box))
+        pairs = canonical_pairs(pairs_celllist(pos, CellList(box, 4), lj.cutoff))
+        want = forces_from_pairs(pos, pairs, box, lj, len(pos))
+        assert np.array_equal(got.forces, want.forces)
+        assert got.potential_energy == want.potential_energy
+        assert got.n_pairs == want.n_pairs
 
     def test_compute_writes_system_forces(self, lj, rng):
         box = 10.0

@@ -80,13 +80,6 @@ class TestSerialSimulation:
         sim.run(5, callback=seen.append)
         assert len(seen) == 5
 
-    def test_cells_backend_runs(self):
-        config = MDConfig(n_particles=125, density=0.2)
-        nc = int(config.box_length // config.cutoff)
-        sim = SerialSimulation(config, seed=1, backend="cells", cells_per_side=nc)
-        result = sim.run(3)
-        assert len(result.records) == 3
-
     def test_pair_counts_positive_for_dense_gas(self):
         sim = SerialSimulation(MDConfig(n_particles=216, density=0.256), seed=1)
         assert sim.observe().n_pairs > 0

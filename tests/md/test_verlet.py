@@ -6,11 +6,13 @@ import pytest
 from repro.config import MDConfig, RunConfig
 from repro.engine.base import EngineContext
 from repro.errors import GeometryError
-from repro.md.forces import ForceField
+from repro.md.celllist import CellList
+from repro.md.forces import ForceField, forces_from_pairs
 from repro.md.neighbors import (
     NeighborStats,
     VerletList,
     canonical_pairs,
+    pairs_celllist,
     pairs_kdtree,
 )
 from repro.md.potential import LennardJones
@@ -72,17 +74,24 @@ class TestVerletListConstruction:
             EngineContext(27, 1, BOX, 4, lj, neighbor_max_reuse=20)
 
     def test_rejects_unknown_builder(self):
-        with pytest.raises(GeometryError):
-            VerletList(BOX, CUTOFF, 0.4, builder="magic")
-
-    def test_cells_builder_requires_grid(self):
-        with pytest.raises(GeometryError):
+        # Builds always use the kd-tree search; there is no builder to pick.
+        with pytest.raises(TypeError):
             VerletList(BOX, CUTOFF, 0.4, builder="cells")
+        with pytest.raises(TypeError):
+            VerletList(BOX, CUTOFF, 0.4, cells_per_side=4)
 
-    def test_cells_builder_rejects_small_cells(self):
-        # cell size 10.5/4 = 2.625 < 2.5 + 0.4
-        with pytest.raises(GeometryError):
-            VerletList(BOX, CUTOFF, 0.4, builder="cells", cells_per_side=4)
+    def test_pair_search_axis_is_gone_from_every_layer(self):
+        # The cached kd-tree list is the only pair search: nothing selects one.
+        lj = LennardJones(cutoff=CUTOFF)
+        md = MDConfig(n_particles=27, density=0.2)
+        for build in (
+            lambda: ForceField(lj, cells_per_side=4),
+            lambda: ForceField(lj, cell_list=CellList(BOX, 4)),
+            lambda: SerialSimulation(md, backend="kdtree"),
+            lambda: SerialSimulation(md, cells_per_side=4),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
 
 class TestVerletListSemantics:
@@ -183,12 +192,11 @@ class TestVerletListSemantics:
             assert np.array_equal(got, want)
 
     def test_cells_builder_matches_kdtree_builder(self, rng):
+        # The linked-cell search (once the "cells" builder) is the reference.
         pos = uniform_positions(rng, 250)
-        a = VerletList(BOX, CUTOFF, 0.1, builder="kdtree")
-        b = VerletList(BOX, CUTOFF, 0.1, builder="cells", cells_per_side=4)
-        assert np.array_equal(
-            canonical_pairs(a.pairs(pos)), canonical_pairs(b.pairs(pos))
-        )
+        got = VerletList(BOX, CUTOFF, 0.1).pairs(pos)
+        want = canonical_pairs(pairs_celllist(pos, CellList(BOX, 4), CUTOFF))
+        assert np.array_equal(got, want)
 
     def test_candidates_are_canonically_ordered(self, rng):
         v = VerletList(BOX, CUTOFF, 0.4)
@@ -243,35 +251,29 @@ class TestForceFieldVerletBackend:
     @pytest.mark.parametrize("make_positions", [uniform_positions, clustered_positions])
     def test_pair_sets_match_kdtree_and_cells(self, lj, rng, make_positions):
         pos = make_positions(rng)
-        kdtree = ForceField(lj, backend="kdtree")
-        cells = ForceField(lj, backend="cells", cells_per_side=4)
-        verlet = ForceField(lj, backend="verlet")
-        system = ParticleSystem(pos.copy(), box_length=BOX)
-        a = canonical_pairs(kdtree.find_pairs(system))
-        b = canonical_pairs(cells.find_pairs(system))
-        c = canonical_pairs(verlet.find_pairs(system))
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, c)
+        got = ForceField(lj).find_pairs(ParticleSystem(pos.copy(), box_length=BOX))
+        kdtree = canonical_pairs(pairs_kdtree(pos, BOX, CUTOFF))
+        cells = canonical_pairs(pairs_celllist(pos, CellList(BOX, 4), CUTOFF))
+        assert np.array_equal(got, kdtree)
+        assert np.array_equal(got, cells)
 
     def test_rejects_bad_skin(self, lj):
         with pytest.raises(Exception):
-            ForceField(lj, backend="verlet", skin=0.0)
+            ForceField(lj, skin=0.0)
 
     def test_compute_matches_kdtree(self, lj, rng):
         pos = clustered_positions(rng)
-        fa = ForceField(lj, backend="kdtree").compute(
-            ParticleSystem(pos.copy(), box_length=BOX)
-        )
-        fb = ForceField(lj, backend="verlet").compute(
-            ParticleSystem(pos.copy(), box_length=BOX)
-        )
-        # One path, two spellings: bit-identical, not merely close.
+        pairs = canonical_pairs(pairs_kdtree(pos, BOX, CUTOFF))
+        fa = forces_from_pairs(pos, pairs, BOX, lj, len(pos))
+        fb = ForceField(lj).compute(ParticleSystem(pos.copy(), box_length=BOX))
+        # The cached candidates filter down to the exact canonical pair list:
+        # bit-identical, not merely close.
         assert np.array_equal(fa.forces, fb.forces)
         assert fa.potential_energy == fb.potential_energy
         assert fa.n_pairs == fb.n_pairs
 
     def test_stats_count_rebuilds_and_evaluations(self, lj, rng):
-        field = ForceField(lj, backend="verlet")
+        field = ForceField(lj)
         system = ParticleSystem(uniform_positions(rng), box_length=BOX)
         field.compute(system)
         field.compute(system)
@@ -281,7 +283,7 @@ class TestForceFieldVerletBackend:
         assert 0.0 < field.stats.acceptance_ratio <= 1.0
 
     def test_invalidate_cache(self, lj, rng):
-        field = ForceField(lj, backend="verlet")
+        field = ForceField(lj)
         system = ParticleSystem(uniform_positions(rng), box_length=BOX)
         field.compute(system)
         field.invalidate_cache()
@@ -289,29 +291,35 @@ class TestForceFieldVerletBackend:
         assert field.stats.rebuilds == 2
 
 
+def searching_every_step(config: MDConfig, seed: int) -> SerialSimulation:
+    """A simulation whose list is rebuilt on every evaluation, as the seed's
+    per-step search did."""
+    sim = SerialSimulation(config, seed=seed)
+    sim.force_field.verlet_list.needs_rebuild = lambda positions: True
+    return sim
+
+
 class TestSerialSimulationVerlet:
     def test_energy_trajectory_matches_seed_backend(self):
         config = MDConfig(n_particles=216, density=0.256)
-        seed_run = SerialSimulation(config, seed=3, backend="kdtree").run(50)
-        verlet_sim = SerialSimulation(config, seed=3, backend="verlet")
+        seed_sim = searching_every_step(config, seed=3)
+        seed_run = seed_sim.run(50)
+        verlet_sim = SerialSimulation(config, seed=3)
         verlet_run = verlet_sim.run(50)
-        assert np.allclose(
-            seed_run.total_energies, verlet_run.total_energies, rtol=1e-10
-        )
+        assert np.array_equal(seed_run.total_energies, verlet_run.total_energies)
         assert [r.n_pairs for r in seed_run.records] == [
             r.n_pairs for r in verlet_run.records
         ]
+        assert seed_sim.neighbor_stats.reuses == 0
         assert verlet_sim.neighbor_stats.reuses > 0
 
     def test_clustered_trajectory_matches_seed_backend(self):
         config = MDConfig(
             n_particles=216, density=0.256, attraction=0.05, n_attractors=3
         )
-        seed_run = SerialSimulation(config, seed=5, backend="kdtree").run(50)
-        verlet_run = SerialSimulation(config, seed=5, backend="verlet").run(50)
-        assert np.allclose(
-            seed_run.total_energies, verlet_run.total_energies, rtol=1e-10
-        )
+        seed_run = searching_every_step(config, seed=5).run(50)
+        verlet_run = SerialSimulation(config, seed=5).run(50)
+        assert np.array_equal(seed_run.total_energies, verlet_run.total_energies)
 
     def test_rebuilds_at_most_one_per_five_steps_on_quickstart_workload(self):
         # The quickstart preset's physics (bench-m2: paper density/temperature
@@ -321,7 +329,7 @@ class TestSerialSimulationVerlet:
 
         preset = get_preset("bench-m2")
         config = preset.simulation_config().md
-        sim = SerialSimulation(config, seed=7, backend="verlet")
+        sim = SerialSimulation(config, seed=7)
         steps = 40
         sim.run(steps)
         stats = sim.neighbor_stats
@@ -337,7 +345,7 @@ class TestSerialSimulationVerlet:
         config = MDConfig(
             n_particles=125, density=0.2, temperature=2.0, rescale_interval=5
         )
-        sim = SerialSimulation(config, seed=11, backend="verlet", skin=0.1)
+        sim = SerialSimulation(config, seed=11, skin=0.1)
         box = sim.system.box_length
         for _ in range(30):
             sim.step()

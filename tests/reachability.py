@@ -330,7 +330,14 @@ EXEMPT: dict[str, str] = {
     "repro/service/server.py:SimulationService.evict_now": "the service's result-TTL sweep",
     "repro/service/server.py:SimulationService._handle_quarantine":
         "the service's quarantine route",
-    "repro/md/neighbors.py:pairs_celllist": "benchmarks import it",
+    "repro/md/neighbors.py:pairs_celllist":
+        "reference the neighbour oracle compares against; ledger/trace.py wraps it",
+    "repro/md/neighbors.py:candidate_pairs_celllist":
+        "reference the neighbour oracle compares against; ledger/trace.py wraps it",
+    "repro/theory/concentration.py:exact_concentration_factor":
+        "oracle the tests check measure_concentration against",
+    "repro/campaign/search.py:exhaustive_boundary_scan":
+        "oracle the tests check bisect_boundary against",
     "repro/decomp/shapes.py": "benchmarks import it",
     "repro/api.py": "public surface pinned by test_api_surface",
     "repro/dlb/limits.py:dlb_limit_ratio": "closed form re-exported from repro",

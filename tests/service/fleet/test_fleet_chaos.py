@@ -54,7 +54,6 @@ def reference_digest() -> str:
             steps=N_STEPS,
             seed=SPEC["seed"],
             record_interval=max(1, N_STEPS // 50),
-            force_backend="kdtree",
         ),
         dlb=True,
         audit=api.AuditPolicy(every=10, policy="raise"),

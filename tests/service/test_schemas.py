@@ -40,11 +40,19 @@ class TestCanonicalizeSubmission:
             api.canonicalize_submission(dict(PRESET_SUBMISSION, preset="nope"))
 
     @pytest.mark.parametrize("fields", [
+        # The pair-search axis is gone: "backend" is an unknown field.
         {"backend": "bogus"},
         {"backend": "cells", "engine": "multiprocess"},
+        # 5.0 would canonicalise, then fail at execution; True would hash
+        # apart from 1 and run the same physics twice.
+        {"n_steps": 5.0},
+        {"seed": True},
     ])
     def test_rejects_backends_the_worker_cannot_run(self, fields):
-        with pytest.raises(ConfigurationError, match="backend"):
+        name = next(iter(fields))  # the offending field, named in the error
+        with pytest.raises(
+            ConfigurationError, match=f"field.*'{name}'|{name} must be an integer"
+        ):
             api.canonicalize_submission(dict(PRESET_SUBMISSION, **fields))
 
     def test_accepts_current_schema_version(self):

@@ -48,7 +48,6 @@ class TestEndToEnd:
                 steps=SPEC["n_steps"],
                 seed=SPEC["seed"],
                 record_interval=max(1, SPEC["n_steps"] // 50),
-                force_backend="kdtree",
             ),
             dlb=True,
         )
@@ -174,9 +173,17 @@ class TestValidationOverHttp:
     def test_unknown_backend_gets_400_not_a_failing_run(self, service_factory):
         runner = CountingRunner()
         handle = service_factory(runner=runner)
-        response = handle.client().submit(dict(SPEC, backend="bogus"))
+        response = handle.client().submit(dict(SPEC, backend="kdtree"))
         assert response.status == 400
-        assert "unknown backend 'bogus'" in response.body["error"]
+        assert "unknown submission field(s) 'backend'" in response.body["error"]
+        assert runner.calls == 0
+
+    def test_float_n_steps_gets_400_not_a_failing_run(self, service_factory):
+        runner = CountingRunner()
+        handle = service_factory(runner=runner)
+        response = handle.client().submit(dict(SPEC, n_steps=5.0))
+        assert response.status == 400
+        assert "n_steps must be an integer" in response.body["error"]
         assert runner.calls == 0
 
     def test_unknown_major_schema_version_gets_400(self, service_factory):

@@ -185,16 +185,15 @@ class TestCampaignCommand:
 
 class TestBackendFlag:
     def test_backend_and_skin_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["run", "bench-m2", "--backend", "verlet", "--skin", "0.3"]
-        )
-        assert args.backend == "verlet"
+        args = build_parser().parse_args(["run", "bench-m2", "--skin", "0.3"])
         assert args.skin == 0.3
+        assert not hasattr(args, "backend")  # one pair search: nothing to pick
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "bench-m2", "--backend", "gpu"])
+        for name in ("kdtree", "verlet", "cells"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "bench-m2", "--backend", name])
+            assert excinfo.value.code == 2
 
     def test_balancer_choices_are_the_four_strategies(self):
         parser = build_parser()
@@ -206,8 +205,9 @@ class TestBackendFlag:
         assert excinfo.value.code == 2
 
     def test_run_with_verlet_backend(self, capsys):
+        # The cached Verlet list is the only pair search: a plain run uses it.
         code = main(["run", "bench-m2", "--mode", "dlb", "--steps", "5",
-                     "--record-interval", "1", "--backend", "verlet"])
+                     "--record-interval", "1"])
         assert code == 0
         captured = capsys.readouterr()
         assert "Tt" in captured.out
@@ -215,9 +215,16 @@ class TestBackendFlag:
 
     @pytest.mark.parametrize("backend, reports", [(None, True), ("cells", False)])
     def test_rebuild_line_follows_caching_not_the_flag(self, capsys, backend, reports):
+        # Every run reports the cached list; the flag that once chose the
+        # per-step search is refused before any run starts.
         argv = ["run", "bench-m2", "--mode", "dlb", "--steps", "5",
                 "--record-interval", "1"]
-        assert main(argv + (["--backend", backend] if backend else [])) == 0
+        if backend is None:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--backend", backend])
+            assert excinfo.value.code == 2
         assert ("pair-search rebuilds=" in capsys.readouterr().err) is reports
 
 
