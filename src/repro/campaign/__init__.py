@@ -10,6 +10,8 @@ package turns that grid into a first-class object --
   semantics, so interrupted campaigns resume with zero recomputation;
 * :mod:`~repro.campaign.executor` drains a campaign through a process pool
   with retries, per-run timeouts and graceful cancellation;
+* :mod:`~repro.campaign.pool` is that pool: the one lease-driven scheduler,
+  shared with the simulation service;
 * :mod:`~repro.campaign.search` localises the DLB effective-range boundary
   by bisection in ``O(log G)`` probes instead of an ``O(G)`` sweep;
 * :mod:`~repro.campaign.report` aggregates stored payloads back into the

@@ -1,19 +1,23 @@
-"""Campaign scheduler: process-pool execution with retry, timeout and resume.
+"""Campaign execution: the run functions and the campaign scheduler.
 
-:func:`run_campaign` drains a :class:`~repro.campaign.spec.CampaignSpec`
-through a :class:`~repro.campaign.store.RunStore`:
+:func:`execute_run` (and :func:`_pool_worker`, the picklable entry every
+pool process calls) turn a :class:`~repro.campaign.spec.RunSpec` into its
+JSON payload.  :func:`run_campaign` drains a
+:class:`~repro.campaign.spec.CampaignSpec` through a
+:class:`~repro.campaign.store.RunStore`:
 
-* runs whose content hash is already ``done`` in the store are served as
-  cache hits (never re-executed);
-* the rest execute on a ``ProcessPoolExecutor`` (``workers > 1``) or inline
-  (``workers <= 1`` -- the serial path shares the exact same run functions,
-  so payloads are byte-identical either way);
+* runs already ``done`` in the store are served as cache hits;
+* the rest are one :class:`~repro.campaign.pool.Batch` on a
+  ``workers``-process pool, through the same lease-driven
+  :class:`~repro.campaign.pool.WorkerPool` the simulation service runs
+  (payloads are byte-identical for any worker count);
 * transient failures retry with exponential backoff up to ``retries`` times;
 * a per-run ``timeout`` is enforced with ``SIGALRM`` inside the executing
   process (Unix), so a hung run fails instead of wedging the campaign;
-* ``KeyboardInterrupt`` (or an injected ``stop_after``) cancels gracefully:
-  pending work is dropped, in-flight rows are demoted to ``pending``, and a
-  later invocation resumes with zero recomputation of completed runs.
+* Ctrl-C, ``SIGTERM`` (or an injected ``stop_after``) cancels gracefully:
+  this invocation's in-flight rows are demoted to ``pending``, and a later
+  invocation resumes with zero recomputation of completed runs; rows a
+  killed invocation left ``running`` are reclaimed once their lease expires.
 
 Progress is reported through an optional callback and, when a
 :class:`~repro.obs.MetricsRegistry` is supplied, through the
@@ -27,18 +31,17 @@ import signal
 import time
 import traceback
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..config import RunConfig
 from ..core.checkpoint import CheckpointManager
-from ..engine import effective_engine_workers
 from ..errors import CampaignError, CheckpointMismatchError
 from ..experiments.fig10 import run_boundary_repetition
 from ..theory.boundary import moving_average
 from ..theory.bounds import upper_bound
+from .pool import Batch
 from .spec import CampaignSpec, RunSpec
 from .store import RunStore
 
@@ -46,7 +49,7 @@ log = logging.getLogger("repro.campaign")
 
 #: progress callback signature: (event, run_hash, spec) with event in
 #: {"cached", "start", "done", "failed", "retry", "cancelled", "skipped"}
-#: ("skipped": another process already claimed or completed the run).
+#: ("skipped": another process held the run and resolved it).
 ProgressCallback = Callable[[str, str, RunSpec], None]
 
 
@@ -410,26 +413,11 @@ class CampaignSummary:
         }
 
 
-class _MetricsHook:
-    """Optional metrics fan-out (all methods no-ops without a registry)."""
-
-    def __init__(self, registry, campaign: str) -> None:
-        self.registry = registry
-        self.campaign = campaign
-
-    def count(self, status: str, amount: int = 1) -> None:
-        if self.registry is None or amount <= 0:
-            return
-        self.registry.counter(
-            "repro_campaign_runs_total", "campaign runs by outcome"
-        ).inc(amount, campaign=self.campaign, status=status)
-
-    def duration(self, seconds: float) -> None:
-        if self.registry is None:
-            return
-        self.registry.histogram(
-            "repro_campaign_run_duration_seconds", "wall-clock per campaign run"
-        ).observe(float(seconds), campaign=self.campaign)
+#: The :class:`CampaignSummary` field each settling pool event counts toward
+#: (a campaign's pool never quarantines: it sets no ``max_attempts``).
+_COUNTED = {
+    "done": "completed", "failed": "failed", "cached": "cached", "skipped": "skipped",
+}
 
 
 def run_campaign(
@@ -449,7 +437,7 @@ def run_campaign(
     Parameters
     ----------
     workers:
-        Pool size; ``<= 1`` runs inline in this process.
+        Process-pool size (at least one).
     timeout:
         Per-run wall-clock budget in seconds (None = unbounded).
     retries:
@@ -472,246 +460,53 @@ def run_campaign(
         raise CampaignError(f"retries must be non-negative, got {retries}")
     started = time.perf_counter()
     summary = CampaignSummary(campaign=campaign.name, total=len(campaign))
-    hook = _MetricsHook(metrics, campaign.name)
+    specs: dict[str, RunSpec] = {}
 
-    def pool_args(run_hash: str, spec: RunSpec) -> tuple:
-        """``_pool_worker`` arguments; the events path only when recording.
-
-        Kept two-positional without ``events_dir`` so tests (and older
-        callers) stubbing ``_pool_worker(spec_dict, timeout)`` still work.
-        """
-        if events_dir is None:
-            return (spec.to_dict(), timeout)
-        return (spec.to_dict(), timeout, f"{events_dir}/{run_hash}.events.jsonl")
-
-    def report(event: str, run_hash: str, spec: RunSpec) -> None:
+    def record(event: str, run_hash: str) -> None:
+        """Fold one pool event into the summary, metrics and progress."""
+        if event in _COUNTED:
+            status = _COUNTED[event]
+            setattr(summary, status, getattr(summary, status) + 1)
+            if status == "failed":
+                summary.failures[run_hash] = store.get(run_hash).error
+            if metrics is not None:
+                metrics.counter(
+                    "repro_campaign_runs_total", "campaign runs by outcome"
+                ).inc(1, campaign=campaign.name, status=status)
+            if metrics is not None and status == "completed":
+                metrics.histogram(
+                    "repro_campaign_run_duration_seconds",
+                    "wall-clock per campaign run",
+                ).observe(store.get(run_hash).duration_s, campaign=campaign.name)
+        elif event == "retry":
+            summary.retries += 1
+        elif event != "start":
+            return  # lease traffic, not campaign progress
         if progress is not None:
-            progress(event, run_hash, spec)
+            progress(event, run_hash, specs[run_hash])
 
-    # Nested-parallelism guard: each pool worker running a multiprocess
-    # engine would multiply processes; cap siblings x engine workers to the
-    # cpu count. ``engine_workers`` is not part of the content hash (engine
-    # results are worker-count independent), so the rewrite never
-    # invalidates stored runs.
-    specs = [
-        replace(
-            spec,
-            engine_workers=effective_engine_workers(
-                spec.engine_workers, sibling_processes=max(1, workers)
-            ),
-        )
-        if spec.engine == "multiprocess"
-        else spec
-        for spec in campaign.runs
-    ]
-
-    # Partition into cache hits and work, preserving campaign order.
-    work: list[tuple[str, RunSpec]] = []
-    for spec in specs:
+    # Cache hits are served here; the rest is one batch through the pool.
+    work: dict[str, RunSpec] = {}
+    for spec in campaign.runs:
         run_hash = store.register(spec, campaign.name)
-        stored = store.get(run_hash)
-        if stored is not None and stored.status == "done":
-            summary.cached += 1
-            hook.count("cached")
-            report("cached", run_hash, spec)
+        specs[run_hash] = spec
+        if store.get(run_hash).status == "done":
+            record("cached", run_hash)
         else:
-            work.append((run_hash, spec))
-
-    # Leases this invocation holds but has not yet resolved, keyed by run
-    # hash. Campaign drainers take unmonitored leases (no deadline -- there
-    # is no heartbeat task here), so a sibling can never steal them; on a
-    # clean interrupt (KeyboardInterrupt / SIGTERM) exactly these rows are
-    # demoted back to pending -- never a sibling process's in-flight runs.
-    leases: dict = {}
-
-    def claim(run_hash: str, spec: RunSpec) -> bool:
-        """Lease a run or report why it cannot be executed here."""
-        lease = store.acquire_lease(run_hash)
-        if lease is not None:
-            leases[run_hash] = lease
-            return True
-        stored = store.get(run_hash)
-        if stored is not None and stored.status == "done":
-            summary.cached += 1
-            hook.count("cached")
-            report("cached", run_hash, spec)
-        else:
-            summary.skipped += 1
-            hook.count("skipped")
-            report("skipped", run_hash, spec)
-        return False
-
-    def retry(run_hash: str) -> bool:
-        """Start another attempt under our lease; False when it was lost."""
-        lease = store.retry_lease(leases[run_hash])
-        if lease is None:
-            leases.pop(run_hash, None)
-            return False
-        leases[run_hash] = lease
-        return True
-
-    def record_success(run_hash: str, spec: RunSpec, payload: dict, duration: float):
-        committed = store.complete(
-            run_hash, payload, duration, lease=leases.pop(run_hash, None)
-        )
-        if not committed:
-            # Our lease was taken over (a sweep demoted us mid-run); the
-            # result belongs to whoever owns the row now, not us.
-            summary.skipped += 1
-            hook.count("skipped")
-            report("skipped", run_hash, spec)
-            return
-        summary.completed += 1
-        hook.count("completed")
-        hook.duration(duration)
-        report("done", run_hash, spec)
-
-    def record_failure(run_hash: str, spec: RunSpec, error: str, duration):
-        recorded = store.fail(
-            run_hash, error, duration, lease=leases.pop(run_hash, None)
-        )
-        if recorded is None:
-            summary.skipped += 1
-            hook.count("skipped")
-            report("skipped", run_hash, spec)
-            return
-        summary.failed += 1
-        summary.failures[run_hash] = error
-        hook.count("failed")
-        report("failed", run_hash, spec)
-
-    def reached_stop() -> bool:
-        return stop_after is not None and summary.completed >= stop_after
-
-    def _on_sigterm(signum, frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt
-
-    # Treat SIGTERM like Ctrl-C: the except/finally below demotes the
-    # in-flight run to pending so a later invocation resumes it. Installing
-    # a handler only works on the main thread; elsewhere SIGTERM keeps its
-    # default disposition.
-    previous_sigterm = None
-    if hasattr(signal, "SIGTERM"):
-        try:
-            previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-        except ValueError:
-            previous_sigterm = None
+            work[run_hash] = spec
+    batch = Batch(
+        store, work, on_event=record, stop_after=stop_after, runner=_pool_worker,
+        workers=max(1, workers), run_timeout=timeout, retries=retries,
+        backoff=backoff, events_dir=events_dir,
+    )
     try:
-        if workers <= 1:
-            for run_hash, spec in work:
-                if reached_stop():
-                    summary.cancelled += 1
-                    report("cancelled", run_hash, spec)
-                    continue
-                if not claim(run_hash, spec):
-                    continue
-                attempt = 0
-                report("start", run_hash, spec)
-                while True:
-                    outcome = _pool_worker(*pool_args(run_hash, spec))
-                    if outcome["ok"]:
-                        record_success(run_hash, spec, outcome["payload"],
-                                       outcome["duration_s"])
-                        break
-                    if attempt < retries and retry(run_hash):
-                        attempt += 1
-                        summary.retries += 1
-                        report("retry", run_hash, spec)
-                        if backoff > 0:
-                            time.sleep(backoff * 2 ** (attempt - 1))
-                        continue
-                    record_failure(run_hash, spec, outcome["error"],
-                                   outcome["duration_s"])
-                    break
-        else:
-            _run_pool(campaign, store, work, workers, timeout, retries, backoff,
-                      summary, hook, report, reached_stop, claim, retry,
-                      record_success, record_failure, pool_args)
+        batch.run()
     except KeyboardInterrupt:
         summary.interrupted = True
-    finally:
-        if previous_sigterm is not None:
-            signal.signal(signal.SIGTERM, previous_sigterm)
-        # Exactly the leases this invocation still holds (cancelled futures,
-        # the interrupted run) are released back to pending, so a resume
-        # re-executes exactly those -- and only rows we still own.
-        for lease in leases.values():
-            store.release_lease(lease)
-        summary.wall_s = time.perf_counter() - started
-    if stop_after is not None and summary.cancelled:
-        summary.interrupted = True
+    summary.cancelled = len(batch.unsettled)
+    summary.interrupted |= stop_after is not None and summary.cancelled > 0
+    if progress is not None:
+        for run_hash in batch.unsettled:
+            progress("cancelled", run_hash, specs[run_hash])
+    summary.wall_s = time.perf_counter() - started
     return summary
-
-
-def _run_pool(campaign, store, work, workers, timeout, retries, backoff,
-              summary, hook, report, reached_stop, claim, retry,
-              record_success, record_failure, pool_args) -> None:
-    """The parallel drain loop (extracted for readability)."""
-    pending: dict = {}
-    retry_at: list[tuple[float, str, RunSpec, int]] = []
-    queue = list(work)
-    attempts: dict[str, int] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            while queue or pending or retry_at:
-                if reached_stop():
-                    summary.cancelled += len(queue) + len(pending) + len(retry_at)
-                    for run_hash, spec in queue:
-                        report("cancelled", run_hash, spec)
-                    queue.clear()
-                    retry_at.clear()
-                    for future in pending:
-                        future.cancel()
-                    break
-                now = time.monotonic()
-                due = [entry for entry in retry_at if entry[0] <= now]
-                retry_at[:] = [entry for entry in retry_at if entry[0] > now]
-                for _, run_hash, spec, attempt in due:
-                    queue.append((run_hash, spec))
-                    attempts[run_hash] = attempt
-                while queue and len(pending) < workers:
-                    run_hash, spec = queue.pop(0)
-                    if run_hash in attempts:
-                        # Retry of a run this invocation already owns; a
-                        # lost lease means the row was swept out from under
-                        # us and the retry must not run here.
-                        if not retry(run_hash):
-                            summary.skipped += 1
-                            hook.count("skipped")
-                            report("skipped", run_hash, spec)
-                            continue
-                    elif not claim(run_hash, spec):
-                        continue
-                    report("start", run_hash, spec)
-                    future = pool.submit(_pool_worker, *pool_args(run_hash, spec))
-                    pending[future] = (run_hash, spec)
-                if not pending:
-                    if retry_at:
-                        time.sleep(min(0.05, max(0.0, retry_at[0][0] - now)))
-                    continue
-                finished, _ = wait(pending, timeout=0.1, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    run_hash, spec = pending.pop(future)
-                    outcome = future.result()
-                    if outcome["ok"]:
-                        record_success(run_hash, spec, outcome["payload"],
-                                       outcome["duration_s"])
-                        continue
-                    attempt = attempts.get(run_hash, 0)
-                    if attempt < retries:
-                        attempts[run_hash] = attempt + 1
-                        summary.retries += 1
-                        report("retry", run_hash, spec)
-                        delay = backoff * 2 ** attempt if backoff > 0 else 0.0
-                        retry_at.append(
-                            (time.monotonic() + delay, run_hash, spec, attempt + 1)
-                        )
-                    else:
-                        record_failure(run_hash, spec, outcome["error"],
-                                       outcome["duration_s"])
-        except KeyboardInterrupt:
-            for future in pending:
-                future.cancel()
-            summary.cancelled += len(queue) + len(pending) + len(retry_at)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise

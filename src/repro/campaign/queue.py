@@ -1,6 +1,7 @@
 """Bounded submission queue and the in-memory run registry.
 
-Two small pieces the server and the worker pool share:
+Two small pieces the :class:`~repro.campaign.pool.WorkerPool` drains and
+reports through (the service's, or a campaign batch's):
 
 :class:`RunQueue`
     A bounded FIFO of :class:`QueuedRun` items. ``try_put`` never blocks —
@@ -9,7 +10,7 @@ Two small pieces the server and the worker pool share:
     overload into unbounded memory and unbounded latency.
 
 :class:`RunRegistry`
-    The live, in-process view of every run this server instance has seen:
+    The live, in-process view of every run this instance has seen:
     ``queued -> running -> done | failed`` (plus ``demoted`` when a drain
     releases an in-flight claim, and ``external`` while another process
     sharing the store executes the hash). The persistent truth stays in the

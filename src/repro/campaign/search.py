@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CampaignError
-from .executor import execute_run
+from .executor import _pool_worker
+from .pool import Batch
 from .spec import RunSpec
 from .store import RunStore
 
@@ -56,22 +57,31 @@ def evaluate_probe(
     store: RunStore | None = None,
     campaign: str = "search",
 ) -> dict:
-    """Execute a probe (through the store's cache when one is given)."""
+    """A probe's payload, served from ``store`` or executed into it.
+
+    The probe is a one-run :class:`~repro.campaign.pool.Batch` like any
+    campaign run: a probe another process holds is not executed here (its
+    payload is served once that process commits it), and a probe that
+    raises ends ``failed`` and raises :class:`CampaignError` here.  It runs
+    on a thread of this process, as a search always has.  Without a store,
+    a scratch in-memory one takes its place.
+    """
     if spec.kind != "probe":
         raise CampaignError(f"evaluate_probe needs a probe spec, got {spec.kind!r}")
     if store is None:
-        return execute_run(spec)
+        with RunStore() as scratch:
+            return evaluate_probe(spec, scratch, campaign)
     run_hash = store.register(spec, campaign)
+    if store.get(run_hash).status != "done":
+        Batch(
+            store, {run_hash: spec}, runner=_pool_worker, threads=True, retries=0
+        ).run()
     stored = store.get(run_hash)
-    if stored is not None and stored.status == "done":
-        return stored.payload
-    import time
-
-    lease = store.acquire_lease(run_hash)
-    started = time.perf_counter()
-    payload = execute_run(spec)
-    store.complete(run_hash, payload, time.perf_counter() - started, lease=lease)
-    return payload
+    if stored.status != "done":
+        raise CampaignError(
+            f"probe {run_hash} ended {stored.status!r}: {stored.error}"
+        )
+    return stored.payload
 
 
 @dataclass(frozen=True)

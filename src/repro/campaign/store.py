@@ -11,15 +11,18 @@ cache hit.  ``failed`` rows are retryable; ``quarantined`` rows are terminal
 until an operator explicitly requeues them (``repro runs requeue``).
 
 Ownership of a ``running`` row is a **lease**: the row records which
-instance owns it (``owner``), its attempt counter, and — for monitored
-leases — a deadline on the store clock after which any other instance may
-reclaim the run.  Every mutation of a leased row is a compare-and-swap on
-``(hash, status, owner, attempts)``, so an instance that was paused past its
-deadline and lost the lease can *never* renew it, demote it, or commit a
-result over the reclaimer's work.  The store clock defaults to
-``time.monotonic()``, which on one host is shared by all processes and
-immune to wall-clock skew; tests inject skewed clocks to prove the CAS keeps
-the exactly-once guarantee even when clocks disagree.
+instance owns it (``owner``), its attempt counter, and a deadline on the
+store clock after which any other instance may reclaim the run.  Every
+claim carries a TTL; the holder renews it, and :meth:`RunStore.reclaim_expired`
+is the one crash-recovery path (a ``running`` row with no deadline, as older
+stores wrote, counts as expired).  Every mutation of a leased row is a
+compare-and-swap on ``(hash, status, owner, attempts)``, so an instance that
+was paused past its deadline and lost the lease can *never* renew it, demote
+it, or commit a result over the reclaimer's work.  The store clock defaults
+to wall time (``time.time()``): a deadline persisted before a reboot must
+still read as expired after it, which a per-boot monotonic clock cannot
+promise.  Tests inject skewed clocks to prove the CAS keeps the exactly-once
+guarantee even when clocks disagree.
 
 Payloads are stored as canonical JSON (sorted keys, compact separators), so
 "same spec hash => same payload" is checkable byte-for-byte across serial
@@ -79,7 +82,7 @@ CREATE TABLE IF NOT EXISTS instances (
 """
 
 #: ALTER statements migrating a v1 ``runs`` table in place (v1 rows have no
-#: lease columns; NULL owner/deadline reads back as an unmonitored claim).
+#: lease columns; a running row's NULL deadline reads back as expired).
 _MIGRATE_V1_SQL = (
     "ALTER TABLE runs ADD COLUMN owner TEXT",
     "ALTER TABLE runs ADD COLUMN lease_deadline REAL",
@@ -129,16 +132,15 @@ class Lease:
     ``attempt`` is the attempts counter *at acquisition*: every guarded
     store operation compares it, so a reclaim (which bumps the counter)
     invalidates all previously-issued leases for the hash at once.
-    ``deadline`` is on the store clock; ``None`` marks an unmonitored claim
-    (legacy single-process semantics — never expires, reclaimed only by a
-    takeover/startup sweep).
+    ``deadline`` is on the store clock; ``ttl`` is what each renewal
+    extends it by.
     """
 
     run_hash: str
     owner: str
     attempt: int
-    deadline: float | None
-    ttl: float | None
+    deadline: float
+    ttl: float
 
 
 @dataclass(frozen=True)
@@ -188,27 +190,22 @@ class RunStore:
     WAL journal mode with a busy timeout, and every ownership transition is
     an atomic compare-and-swap (see :meth:`acquire_lease`), so any number of
     processes draining the same campaign never double-execute a run.
-    Concurrent drainers must open with ``takeover=False`` -- the default
-    ``takeover=True`` demotes every ``running`` row at open, which is right
-    for crash recovery in a single-drainer world but would steal a sibling
-    process's in-flight runs.  Fleet members instead open with
-    ``takeover=False`` and rely on :meth:`sweep_stale` /
-    :meth:`reclaim_expired`, which only touch expired or unmonitored leases.
+    Opening a store never changes a row: a ``running`` row stays its
+    owner's until the lease expires and :meth:`reclaim_expired` takes it.
 
-    ``clock`` is the lease clock (defaults to ``time.monotonic``, which all
-    processes on one host share); ``instance_id`` names this opener in
-    leases it takes (defaults to a fresh :func:`default_instance_id`).
+    ``clock`` is the lease clock (defaults to ``time.time``, which survives
+    a reboot); ``instance_id`` names this opener in leases it takes
+    (defaults to a fresh :func:`default_instance_id`).
     """
 
     def __init__(
         self,
         path: str | Path | None = None,
-        takeover: bool = True,
         busy_timeout: float = 30.0,
         clock=None,
         instance_id: str | None = None,
     ) -> None:
-        self.clock = clock if clock is not None else time.monotonic
+        self.clock = clock if clock is not None else time.time
         self.instance_id = instance_id or default_instance_id()
         if path is None:
             self.directory = None
@@ -244,10 +241,6 @@ class RunStore:
                 f"run store schema {row[0]} != supported {STORE_SCHEMA} "
                 f"(delete {self.directory} to rebuild)"
             )
-        # Any 'running' rows are stale markers from an interrupted process --
-        # unless a sibling process may legitimately be mid-run (takeover=False).
-        if takeover:
-            self.reset_running()
 
     def _enter_wal(self, busy_timeout: float) -> None:
         """``PRAGMA journal_mode=WAL``, retried while a sibling holds the lock.
@@ -382,8 +375,9 @@ class RunStore:
     def acquire_lease(
         self,
         run_hash: str,
+        *,
+        ttl: float,
         owner: str | None = None,
-        ttl: float | None = None,
     ) -> Lease | None:
         """Atomically claim a runnable row; the exactly-once primitive.
 
@@ -391,13 +385,12 @@ class RunStore:
         in one compare-and-set UPDATE, so of any number of processes racing
         on the same hash exactly one gets a :class:`Lease`; the rest get
         ``None`` (the row is running, done or quarantined elsewhere) and
-        must skip the run.  ``ttl`` of ``None`` takes an unmonitored claim
-        that never expires (the legacy single-drainer mode); a real ``ttl``
-        arms the deadline siblings reclaim through :meth:`reclaim_expired`,
-        so the holder must keep it fresh via :meth:`renew_lease`.
+        must skip the run.  The lease expires ``ttl`` seconds from now on
+        the store clock unless the holder renews it via :meth:`renew_lease`;
+        once expired, any instance takes it through :meth:`reclaim_expired`.
         """
         owner = owner or self.instance_id
-        deadline = self.clock() + ttl if ttl is not None else None
+        deadline = self.clock() + ttl
         placeholders = ", ".join("?" for _ in _CLAIMABLE)
         cursor = self._db.execute(
             "UPDATE runs SET status = 'running', owner = ?, "
@@ -417,7 +410,7 @@ class RunStore:
         return Lease(run_hash, owner, int(attempt), deadline, ttl)
 
     def renew_lease(self, lease: Lease, extend: float | None = None) -> Lease | None:
-        """Heartbeat a monitored lease; ``None`` means ownership was lost.
+        """Heartbeat a lease; ``None`` means ownership was lost.
 
         The renewal is a compare-and-swap on ``(hash, running, owner,
         attempt)``: once a sibling has reclaimed the run (bumping the
@@ -426,8 +419,6 @@ class RunStore:
         extending a lease it no longer holds.
         """
         ttl = extend if extend is not None else lease.ttl
-        if ttl is None:
-            return lease  # unmonitored claims don't expire, nothing to renew
         deadline = self.clock() + ttl
         cursor = self._db.execute(
             "UPDATE runs SET lease_deadline = ?, updated_at = ? "
@@ -446,7 +437,7 @@ class RunStore:
         Bumps the attempt counter and refreshes the deadline in one CAS;
         ``None`` means the lease was lost and the retry must not run.
         """
-        deadline = self.clock() + lease.ttl if lease.ttl is not None else None
+        deadline = self.clock() + lease.ttl
         cursor = self._db.execute(
             "UPDATE runs SET attempts = attempts + 1, lease_deadline = ?, "
             "updated_at = ? WHERE hash = ? AND status = 'running' "
@@ -477,11 +468,11 @@ class RunStore:
 
     def reclaim_expired(
         self,
+        ttl: float,
         owner: str | None = None,
-        ttl: float | None = None,
         quarantine_after: int | None = None,
     ) -> tuple[list[Lease], list[StoredRun]]:
-        """Take over every run whose monitored lease has expired.
+        """Take over every run whose lease has expired.
 
         For each expired ``running`` row, the dead owner is recorded as a
         failed instance and the row is either re-leased to ``owner`` (with
@@ -491,9 +482,10 @@ class RunStore:
         instead of being re-enqueued forever.  Returns
         ``(new leases, newly quarantined rows)``.
 
-        Runs under an unmonitored claim (``lease_deadline`` NULL) are never
-        reclaimed here; they belong to a legacy drainer and only a takeover
-        sweep may demote them.
+        This is the store's one crash-recovery path.  A ``running`` row with
+        no deadline (written by a store version that took unmonitored
+        claims, or a v1 store) has no live owner to wait for, so it counts
+        as expired.
         """
         owner = owner or self.instance_id
         now = self.clock()
@@ -503,8 +495,8 @@ class RunStore:
         try:
             rows = self._db.execute(
                 "SELECT hash, owner, attempts, failed_owners, error FROM runs "
-                "WHERE status = 'running' AND lease_deadline IS NOT NULL "
-                "AND lease_deadline < ?",
+                "WHERE status = 'running' "
+                "AND (lease_deadline IS NULL OR lease_deadline < ?)",
                 (now,),
             ).fetchall()
             for run_hash, dead_owner, attempts, failed_owners, last_error in rows:
@@ -524,7 +516,7 @@ class RunStore:
                         (owners_json, error, time.time(), run_hash, attempts),
                     )
                 else:
-                    deadline = now + ttl if ttl is not None else None
+                    deadline = now + ttl
                     self._db.execute(
                         "UPDATE runs SET owner = ?, attempts = attempts + 1, "
                         "lease_deadline = ?, failed_owners = ?, updated_at = ? "
@@ -552,27 +544,25 @@ class RunStore:
         run_hash: str,
         payload: dict,
         duration_s: float,
-        lease: Lease | None = None,
+        *,
+        lease: Lease,
     ) -> bool:
         """Record a successful payload; returns whether the write landed.
 
-        With a ``lease``, the commit is guarded by the ownership CAS: an
-        instance that lost its lease (reclaimed after a pause, drained, or
-        requeued) gets ``False`` and **must** discard the result — this is
-        what makes "exactly one stored payload" hold under failover.
-        Payloads are stamped with the result schema version on the way in.
+        The commit is guarded by the ownership CAS: an instance that lost
+        its lease (reclaimed after a pause, drained, or requeued) gets
+        ``False`` and **must** discard the result — this is what makes
+        "exactly one stored payload" hold under failover.  Payloads are
+        stamped with the result schema version on the way in.
         """
         payload = attach_schema_version(payload)
-        guard, params = "", ()
-        if lease is not None:
-            guard = " AND status = 'running' AND owner = ? AND attempts = ?"
-            params = (lease.owner, lease.attempt)
         cursor = self._db.execute(
             "UPDATE runs SET status = 'done', payload_json = ?, error = NULL, "
             "lease_deadline = NULL, duration_s = ?, updated_at = ? "
-            f"WHERE hash = ?{guard}",
+            "WHERE hash = ? AND status = 'running' AND owner = ? "
+            "AND attempts = ?",
             (canonical_payload(payload), float(duration_s), time.time(),
-             run_hash, *params),
+             run_hash, lease.owner, lease.attempt),
         )
         self._db.commit()
         return cursor.rowcount == 1
@@ -582,27 +572,19 @@ class RunStore:
         run_hash: str,
         error: str,
         duration_s: float | None = None,
-        lease: Lease | None = None,
+        *,
+        lease: Lease,
         quarantine_after: int | None = None,
     ) -> str | None:
         """Record a failure; returns the resulting status.
 
-        Without a lease this is the legacy unguarded write (always
-        ``"failed"``).  With one, the write is ownership-CAS-guarded
-        (``None`` = lease lost, nothing recorded) and the failing owner is
-        added to the run's distinct-instance failure set; once that set
-        reaches ``quarantine_after`` the run lands in the terminal
-        ``quarantined`` status with a structured error payload instead of
-        staying eligible for another claim.
+        The write is ownership-CAS-guarded (``None`` = lease lost, nothing
+        recorded) and the failing owner is added to the run's
+        distinct-instance failure set; once that set reaches
+        ``quarantine_after`` the run lands in the terminal ``quarantined``
+        status with a structured error payload instead of staying eligible
+        for another claim.
         """
-        if lease is None:
-            self._db.execute(
-                "UPDATE runs SET status = 'failed', error = ?, duration_s = ?, "
-                "lease_deadline = NULL, updated_at = ? WHERE hash = ?",
-                (error, duration_s, time.time(), run_hash),
-            )
-            self._db.commit()
-            return "failed"
         self._db.execute("BEGIN IMMEDIATE")
         try:
             row = self._db.execute(
@@ -666,39 +648,6 @@ class RunStore:
         )
         self._db.commit()
         return cursor.rowcount == 1
-
-    # -- sweeps ------------------------------------------------------------
-
-    def reset_running(self) -> int:
-        """Demote every ``running`` row to ``pending`` (takeover sweep).
-
-        Single-drainer crash recovery only: in a fleet this would steal
-        siblings' live leases — use :meth:`sweep_stale` there.
-        """
-        cursor = self._db.execute(
-            "UPDATE runs SET status = 'pending', owner = NULL, "
-            "lease_deadline = NULL, updated_at = ? WHERE status = 'running'",
-            (time.time(),),
-        )
-        self._db.commit()
-        return cursor.rowcount
-
-    def sweep_stale(self) -> int:
-        """Demote unmonitored or expired ``running`` rows; returns the count.
-
-        The fleet-safe startup sweep: rows under a live monitored lease (a
-        sibling instance heartbeating its deadline) are left alone; rows
-        with no deadline (a crashed legacy drainer or pre-lease store) or an
-        expired one are stale markers and go back to ``pending``.
-        """
-        cursor = self._db.execute(
-            "UPDATE runs SET status = 'pending', owner = NULL, "
-            "lease_deadline = NULL, updated_at = ? WHERE status = 'running' "
-            "AND (lease_deadline IS NULL OR lease_deadline < ?)",
-            (time.time(), self.clock()),
-        )
-        self._db.commit()
-        return cursor.rowcount
 
     # -- eviction (result TTL) ---------------------------------------------
 

@@ -45,6 +45,7 @@ from .campaign import (
     render_report,
     run_campaign,
 )
+from .campaign.pool import DEFAULT_LEASE_TTL
 from .config import BALANCER_NAMES, RunConfig
 from .core.results import write_result_json
 from .engine import ENGINE_NAMES
@@ -718,8 +719,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # Imported lazily: the service pulls in asyncio plumbing no other
-    # subcommand needs.
+    # Imported lazily: the HTTP server is needed by no other subcommand.
     from .service import ServiceConfig, serve
 
     logging.basicConfig(
@@ -736,7 +736,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             run_timeout=args.timeout,
             retries=args.retries,
             events_dir=args.events_dir,
-            lease_ttl=args.lease_ttl if args.lease_ttl > 0 else None,
+            lease_ttl=args.lease_ttl,
             reap_interval=args.reap_interval,
             max_attempts=args.max_attempts,
             checkpoint_every=args.checkpoint_every,
@@ -1059,10 +1059,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record flight-recorder logs for submissions "
                        "that ask (record_events: true), served from "
                        "/v1/runs/<id>/events")
-    serve.add_argument("--lease-ttl", type=float, default=30.0,
-                       help="run-lease TTL in seconds; siblings sharing the "
-                       "store reclaim runs whose lease expires (0 disables "
-                       "leases and fleet failover; default: 30)")
+    serve.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL,
+                       help="run-lease TTL in seconds (> 0); siblings sharing "
+                       "the store reclaim runs whose lease expires "
+                       "(default: %(default)g)")
     serve.add_argument("--reap-interval", type=float, default=None,
                        help="lease renewal / reaper cadence in seconds "
                        "(default: lease TTL / 3)")

@@ -295,7 +295,7 @@ class Fleet:
         """
         from ..campaign.store import RunStore
 
-        with RunStore(self.store_dir, takeover=False) as store:
+        with RunStore(self.store_dir) as store:
             stored = store.get(run_hash)
         if stored is None or stored.owner is None:
             return None

@@ -15,19 +15,20 @@ Public surface:
     A stdlib HTTP client for the API (used by the tests, the benchmark and
     the CI smoke job — and handy from a notebook), with full-jitter retry
     helpers (:func:`full_jitter_backoff`).
-:class:`LeaseKeeper` / :class:`Reaper`
-    The fleet layer: per-instance lease heartbeats and the expired-lease
-    reaper that make N instances over one store a self-healing service
-    (DESIGN.md §14).
+:class:`WorkerPool`
+    The scheduler, with the lease keeper and the expired-lease reaper that
+    make N instances over one store a self-healing service (DESIGN.md
+    §14). It and the queue types live in :mod:`repro.campaign` (campaign
+    invocations run the same scheduler) and are re-exported here.
 :func:`validate_submission` and friends
     The submission/response schema layer.
 """
 
 from __future__ import annotations
 
+from ..campaign.pool import WorkerPool
+from ..campaign.queue import QueuedRun, RunQueue, RunRegistry, RunState, TERMINAL_STATES
 from .client import ServiceClient, full_jitter_backoff
-from .fleet import LeaseKeeper, Reaper
-from .queue import QueuedRun, RunQueue, RunRegistry, RunState, TERMINAL_STATES
 from .schemas import (
     SERVICE_KEYS,
     Submission,
@@ -36,14 +37,11 @@ from .schemas import (
     validate_submission,
 )
 from .server import ServiceConfig, SimulationService, serve
-from .worker import WorkerPool
 
 __all__ = [
     "SERVICE_KEYS",
     "TERMINAL_STATES",
-    "LeaseKeeper",
     "QueuedRun",
-    "Reaper",
     "RunQueue",
     "RunRegistry",
     "RunState",

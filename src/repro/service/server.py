@@ -45,13 +45,13 @@ from typing import Any
 
 import sqlite3
 
+from ..campaign.executor import _pool_worker
+from ..campaign.pool import DEFAULT_LEASE_TTL, Runner, WorkerPool
+from ..campaign.queue import QueuedRun, RunQueue, RunRegistry
 from ..campaign.store import RunStore
-from ..errors import ConfigurationError, ReproError, SchemaError, ServiceError
+from ..errors import ConfigurationError, SchemaError, ServiceError
 from ..obs import Observability, collect_service, scope
-from .fleet import RENEWALS_PER_TTL, LeaseKeeper, Reaper
-from .queue import QueuedRun, RunQueue, RunRegistry
 from .schemas import error_body, response_body, validate_submission
-from .worker import Runner, WorkerPool
 
 __all__ = ["ServiceConfig", "SimulationService", "serve"]
 
@@ -96,11 +96,10 @@ class ServiceConfig:
     drain_grace_s: float = 3.0
     #: Largest accepted request body, in bytes (413 beyond).
     max_body: int = 1 << 20
-    #: Lease TTL in seconds for monitored run ownership. None falls back to
-    #: legacy unmonitored claims (single-instance; no failover). Any float
-    #: arms the fleet machinery: heartbeat renewal, reaping, quarantine.
-    lease_ttl: float | None = 30.0
-    #: Reaper/renewal cadence; None derives ttl / RENEWALS_PER_TTL.
+    #: Lease TTL in seconds: every claim expires this long after its last
+    #: renewal, and a sibling's reaper then reclaims it.
+    lease_ttl: float = DEFAULT_LEASE_TTL
+    #: Lease renewal / reaper cadence; None derives ttl / 3.
     reap_interval: float | None = None
     #: Distinct-instance failures before a run is quarantined terminally.
     max_attempts: int = 3
@@ -115,8 +114,8 @@ class ServiceConfig:
     gc_interval_s: float = 60.0
     #: Fleet identity of this instance (None = host-pid-nonce default).
     instance_id: str | None = None
-    #: Test seam: run specs through this callable instead of the process
-    #: pool (see :data:`repro.service.worker.Runner`).
+    #: Test seam: run specs through this callable on threads instead of the
+    #: process pool (see :data:`repro.campaign.pool.Runner`).
     runner: Runner | None = field(default=None, repr=False)
 
 
@@ -133,8 +132,6 @@ class SimulationService:
         self.metrics = self.obs.metrics
         self.port: int | None = None
         self.draining = False
-        self.keeper: LeaseKeeper | None = None
-        self.reaper: Reaper | None = None
         self._server: asyncio.Server | None = None
         self._stopped = asyncio.Event()
         self._streams = 0
@@ -150,10 +147,6 @@ class SimulationService:
         )
         self.metrics.counter(
             "repro_service_submissions_total", "submissions by outcome"
-        )
-        self.metrics.counter(
-            "repro_service_demoted_runs_total",
-            "stale running rows demoted to pending at startup",
         )
         self.metrics.counter(
             "repro_service_runs_total", "runs resolved by this instance, by status"
@@ -185,26 +178,17 @@ class SimulationService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Open the store, recover stale state, start workers and listener."""
+        """Open the store, start workers, fleet tasks and listener.
+
+        Crash recovery is the reaper's first sweep, which runs at startup:
+        it reclaims expired leases (a sibling's live ones are untouched)
+        and adopts this campaign's pending rows.
+        """
         if self._server is not None:
             raise ServiceError("service already started")
-        # takeover=False: a sibling process (campaign drainer, second
-        # service) may legitimately be mid-run on a shared store. The
-        # *explicit* sweep below is this instance's own crash recovery --
-        # it demotes unmonitored and *expired* leases only, so a live
-        # sibling's heartbeated runs are untouched; counted so operators
-        # can see ungraceful shutdowns.
         self.store = RunStore(
-            self.config.store_dir, takeover=False,
-            instance_id=self.config.instance_id,
+            self.config.store_dir, instance_id=self.config.instance_id
         )
-        demoted = self.store.sweep_stale()
-        self.metrics.counter("repro_service_demoted_runs_total").inc(float(demoted))
-        if demoted:
-            log.warning(
-                "startup sweep: demoted %d stale running row(s) to pending",
-                demoted,
-            )
         if self.config.events_dir is not None:
             Path(self.config.events_dir).mkdir(parents=True, exist_ok=True)
         self._obs_cm = self.obs.activate()
@@ -220,37 +204,22 @@ class SimulationService:
             run_timeout=self.config.run_timeout,
             retries=self.config.retries,
             backoff=self.config.backoff,
-            runner=self.config.runner,
+            runner=self.config.runner or _pool_worker,
+            threads=self.config.runner is not None,
             events_dir=self.config.events_dir,
-            on_resolved=self._on_resolved,
+            on_event=self._on_event,
             lease_ttl=self.config.lease_ttl,
+            reap_interval=self.config.reap_interval,
             max_attempts=self.config.max_attempts,
+            campaign=self.config.campaign,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=self.config.checkpoint_every,
-            on_lease_event=self._on_lease_event,
         )
         self.pool.start()
-        if self.config.lease_ttl is not None:
-            interval = self.config.reap_interval
-            if interval is None:
-                interval = self.config.lease_ttl / RENEWALS_PER_TTL
-            self.keeper = LeaseKeeper(self.pool, interval=interval)
-            self.keeper.start()
-            self.reaper = Reaper(
-                self.store, self.queue, self.registry, self.pool,
-                lease_ttl=self.config.lease_ttl,
-                interval=interval,
-                max_attempts=self.config.max_attempts,
-                campaign=self.config.campaign,
-                on_reclaimed=self._on_reclaimed,
-                on_quarantined=self._on_quarantined,
-            )
-            self.reaper.start()
         if self.config.result_ttl_s is not None:
             self._gc_task = asyncio.create_task(
                 self._gc_loop(), name="repro-service-gc"
             )
-        await self._requeue_pending()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -260,23 +229,6 @@ class SimulationService:
             self.config.host, self.port,
             self.config.store_dir or ":memory:", self.config.workers,
         )
-
-    async def _requeue_pending(self) -> None:
-        """Re-enqueue the store's pending service runs (restart resume)."""
-        assert self.store is not None
-        for stored in self.store.runs(self.config.campaign):
-            if stored.status != "pending":
-                continue
-            try:
-                spec = stored.run_spec()
-            except ReproError as exc:  # pragma: no cover - corrupt row
-                log.warning("cannot requeue run %s: %s", stored.hash, exc)
-                continue
-            if self.queue.try_put(QueuedRun(run_hash=stored.hash, spec=spec)):
-                await self.registry.transition(stored.hash, "queued")
-                log.info("resume: requeued pending run %s", stored.hash)
-            else:  # pragma: no cover - queue smaller than backlog
-                log.warning("resume: queue full, run %s stays pending", stored.hash)
 
     async def serve_forever(self) -> None:
         """Run until a drain completes (SIGTERM/SIGINT trigger one)."""
@@ -309,10 +261,7 @@ class SimulationService:
 
     async def _drain_and_stop(self) -> None:
         assert self.pool is not None
-        # Fleet tasks first: a reaper must not reclaim new work into a
-        # draining queue, and the keeper has nothing left to renew once the
-        # pool's leases are released.
-        await self._stop_fleet_tasks()
+        await self._stop_gc()
         await self.pool.drain()
         # Hold the listener open for the whole grace window — open streams
         # get to observe their terminal record, and late clients get an
@@ -322,13 +271,7 @@ class SimulationService:
             await asyncio.sleep(0.05)
         self._stopped.set()
 
-    async def _stop_fleet_tasks(self) -> None:
-        if self.keeper is not None:
-            await self.keeper.stop()
-            self.keeper = None
-        if self.reaper is not None:
-            await self.reaper.stop()
-            self.reaper = None
+    async def _stop_gc(self) -> None:
         if self._gc_task is not None:
             self._gc_task.cancel()
             try:
@@ -339,7 +282,7 @@ class SimulationService:
 
     async def stop(self) -> None:
         """Close the listener, workers and store (idempotent)."""
-        await self._stop_fleet_tasks()
+        await self._stop_gc()
         if self.pool is not None:
             await self.pool.drain()
         if self._server is not None:
@@ -354,23 +297,18 @@ class SimulationService:
             self._obs_cm = None
         self._stopped.set()
 
-    async def _on_resolved(self, run_hash: str, status: str) -> None:
-        self.metrics.counter("repro_service_runs_total").inc(1.0, status=status)
-
-    def _on_lease_event(self, event: str) -> None:
+    def _on_event(self, event: str, run_hash: str) -> None:
+        """Count the pool's events (:data:`repro.campaign.pool.EventHook`)."""
+        if event in ("done", "failed", "quarantined", "cached"):
+            self.metrics.counter("repro_service_runs_total").inc(1.0, status=event)
         counter = {
             "renewed": "repro_service_lease_renewals_total",
             "lost": "repro_service_lost_leases_total",
+            "reclaimed": "repro_service_reclaimed_runs_total",
             "quarantined": "repro_service_quarantined_runs_total",
         }.get(event)
         if counter is not None:
             self.metrics.counter(counter).inc()
-
-    def _on_reclaimed(self) -> None:
-        self.metrics.counter("repro_service_reclaimed_runs_total").inc()
-
-    def _on_quarantined(self) -> None:
-        self.metrics.counter("repro_service_quarantined_runs_total").inc()
 
     async def _gc_loop(self) -> None:
         """Periodic result-TTL sweep (the optional service-side eviction)."""
@@ -413,7 +351,7 @@ class SimulationService:
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time service state (feeds the ``/metrics`` gauges)."""
         instances = 0
-        if self.store is not None and self.config.lease_ttl is not None:
+        if self.store is not None:
             try:
                 instances = len(self.store.live_instances())
             except sqlite3.Error:  # pragma: no cover - store went away

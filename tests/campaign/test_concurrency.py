@@ -20,21 +20,13 @@ N_RUNS = 6
 _WORKER = """
 import json, sys
 from repro.campaign import CampaignSpec, RunSpec, RunStore, run_campaign
-import repro.campaign.executor as executor_module
-
-# Instant stub executions: this test is about claiming, not physics.
-executor_module._pool_worker = lambda spec_dict, timeout: {
-    "ok": True,
-    "payload": {"kind": "stub", "seed": spec_dict["seed"], "worker": sys.argv[2]},
-    "duration_s": 0.0,
-}
 
 runs = tuple(
     RunSpec(m=2, n_pes=9, density=0.256, n_steps=40, seed=500 + i)
     for i in range(%(n_runs)d)
 )
 campaign = CampaignSpec(name="race", runs=runs)
-store = RunStore(sys.argv[1], takeover=False)  # concurrent drainer mode
+store = RunStore(sys.argv[1], instance_id=sys.argv[2])
 summary = run_campaign(campaign, store, workers=1, retries=0)
 print(json.dumps(summary.to_dict()))
 """ % {"n_runs": N_RUNS}
@@ -57,16 +49,15 @@ def test_two_processes_never_double_execute(tmp_path):
         assert proc.returncode == 0, err
         summaries.append(json.loads(out.strip().splitlines()[-1]))
 
-    with RunStore(tmp_path, takeover=False) as store:
+    with RunStore(tmp_path) as store:
         rows = store.runs("race")
         assert len(rows) == N_RUNS
         # Every run is done, and was executed exactly once: the atomic
         # claim() means attempts never exceeds 1 even under the race.
         assert all(row.status == "done" for row in rows)
         assert [row.attempts for row in rows] == [1] * N_RUNS
-        # Each payload names exactly one executing worker.
-        workers = {row.payload["worker"] for row in rows}
-        assert workers <= {"alpha", "beta"}
+        # Each row names exactly one executing worker.
+        assert {row.owner for row in rows} <= {"alpha", "beta"}
 
     # Execution counts across the two invocations partition the campaign:
     # every run completed by exactly one process, the rest seen as
@@ -82,7 +73,7 @@ _LEASE_RACER = """
 import json, sys
 from repro.campaign import RunSpec, RunStore
 
-store = RunStore(sys.argv[1], takeover=False, instance_id=sys.argv[2])
+store = RunStore(sys.argv[1], instance_id=sys.argv[2])
 runs = [RunSpec(seed=900 + i).spec_hash() for i in range(%(n_runs)d)]
 won = []
 for run_hash in runs:
@@ -100,7 +91,7 @@ print(json.dumps(won))
 
 def test_two_processes_lease_api_commits_exactly_once(tmp_path):
     """Raw lease acquire/complete race: each run has exactly one winner."""
-    with RunStore(tmp_path, takeover=False) as store:
+    with RunStore(tmp_path) as store:
         hashes = [
             store.register(RunSpec(seed=900 + i), "lease-race")
             for i in range(N_RUNS)
@@ -128,7 +119,7 @@ def test_two_processes_lease_api_commits_exactly_once(tmp_path):
     assert not set(wins[0]) & set(wins[1])
     assert sorted(wins[0] + wins[1]) == sorted(hashes[1:])
 
-    with RunStore(tmp_path, takeover=False) as store:
+    with RunStore(tmp_path) as store:
         rows = {row.hash: row for row in store.runs("lease-race")}
         # The quarantined run stayed quarantined: terminal means terminal.
         assert rows[hashes[0]].status == "quarantined"
@@ -151,7 +142,7 @@ def _first_open(path, barrier, results):
     try:
         for round_no in range(N_OPEN_ROUNDS):
             barrier.wait(timeout=60)
-            with RunStore(path / f"round-{round_no}", takeover=False) as store:
+            with RunStore(path / f"round-{round_no}") as store:
                 store.ping()
         results.put("ok")
     except BaseException as exc:  # reported to the parent, which asserts
@@ -182,7 +173,7 @@ def test_concurrent_first_open_never_reports_locked(tmp_path):
         assert not proc.is_alive()
     assert outcomes == ["ok"] * N_OPENERS
     for round_no in range(N_OPEN_ROUNDS):
-        with RunStore(tmp_path / f"round-{round_no}", takeover=False) as store:
+        with RunStore(tmp_path / f"round-{round_no}") as store:
             assert store.runs() == []
 
 
@@ -192,6 +183,6 @@ def test_first_open_gives_up_with_campaign_error_naming_the_store(tmp_path):
     try:
         holder.execute("BEGIN EXCLUSIVE")
         with pytest.raises(CampaignError, match=str(tmp_path)):
-            RunStore(tmp_path, takeover=False, busy_timeout=0.05)
+            RunStore(tmp_path, busy_timeout=0.05)
     finally:
         holder.close()

@@ -22,6 +22,8 @@ from repro.campaign.store import (
 )
 from repro.errors import CampaignError
 
+from ..helpers import leave_unmonitored_claim
+
 
 @pytest.fixture
 def spec():
@@ -43,8 +45,8 @@ class FakeClock:
 
 def two_stores(path, **kwargs):
     """Two store handles on one database (two instances on one host)."""
-    a = RunStore(path, takeover=False, instance_id="host-1-aaaaaa", **kwargs)
-    b = RunStore(path, takeover=False, instance_id="host-2-bbbbbb", **kwargs)
+    a = RunStore(path, instance_id="host-1-aaaaaa", **kwargs)
+    b = RunStore(path, instance_id="host-2-bbbbbb", **kwargs)
     return a, b
 
 
@@ -66,32 +68,35 @@ class TestAcquire:
         assert (got_a is None) != (got_b is None)
         a.close(), b.close()
 
-    def test_null_ttl_is_unmonitored(self, tmp_path, spec):
+    def test_every_claim_needs_a_ttl(self, tmp_path, spec):
         with RunStore(tmp_path) as store:
             run_hash = store.register(spec, "c")
-            lease = store.acquire_lease(run_hash)
-            assert lease.deadline is None
-            # unmonitored leases are never reclaimed by expiry
-            reclaimed, quarantined = store.reclaim_expired(ttl=1.0)
-            assert reclaimed == [] and quarantined == []
+            with pytest.raises(TypeError):
+                store.acquire_lease(run_hash)
+            lease = store.acquire_lease(run_hash, ttl=60.0)
+            with pytest.raises(TypeError):
+                store.complete(run_hash, {"x": 1}, 0.1)
+            with pytest.raises(TypeError):
+                store.fail(run_hash, "boom")
+            assert store.complete(run_hash, {"x": 1}, 0.1, lease=lease)
 
     def test_failed_rows_are_leasable_again(self, tmp_path, spec):
         with RunStore(tmp_path) as store:
             run_hash = store.register(spec, "c")
-            lease = store.acquire_lease(run_hash)
+            lease = store.acquire_lease(run_hash, ttl=60.0)
             assert store.fail(run_hash, "boom", lease=lease) == "failed"
-            retry = store.acquire_lease(run_hash)
+            retry = store.acquire_lease(run_hash, ttl=60.0)
             assert retry is not None and retry.attempt == 2
 
     def test_done_and_quarantined_are_not_leasable(self, tmp_path, spec):
         with RunStore(tmp_path) as store:
             run_hash = store.register(spec, "c")
-            lease = store.acquire_lease(run_hash)
+            lease = store.acquire_lease(run_hash, ttl=60.0)
             store.complete(run_hash, {"x": 1}, 0.1, lease=lease)
-            assert store.acquire_lease(run_hash) is None
+            assert store.acquire_lease(run_hash, ttl=60.0) is None
             other = store.register(RunSpec(seed=2), "c")
             store.quarantine(other, "manual")
-            assert store.acquire_lease(other) is None
+            assert store.acquire_lease(other, ttl=60.0) is None
 
 
 class TestRenewal:
@@ -144,9 +149,9 @@ class TestRenewal:
         exactly-once outcome.
         """
         slow, fast = FakeClock(0.0), FakeClock(100.0)
-        a = RunStore(tmp_path, takeover=False, clock=slow,
+        a = RunStore(tmp_path, clock=slow,
                      instance_id="host-1-a")
-        b = RunStore(tmp_path, takeover=False, clock=fast,
+        b = RunStore(tmp_path, clock=fast,
                      instance_id="host-2-b")
         run_hash = a.register(spec, "c")
         lease = a.acquire_lease(run_hash, ttl=5.0)
@@ -183,6 +188,38 @@ class TestReclaim:
         assert reclaimed == [] and quarantined == []
         a.close(), b.close()
 
+    def test_null_deadline_counts_as_expired(self, tmp_path, spec):
+        """A ``running`` row without a deadline (an unmonitored claim an
+        older store version wrote) is recovered; a live lease is spared."""
+        clock = FakeClock(0.0)
+        a, b = two_stores(tmp_path, clock=clock)
+        live = a.register(spec, "c")
+        legacy = a.register(RunSpec(seed=2), "c")
+        expired = a.register(RunSpec(seed=3), "c")
+        a.acquire_lease(live, ttl=100.0)
+        leave_unmonitored_claim(tmp_path, legacy)
+        a.acquire_lease(expired, ttl=1.0)
+        clock.advance(5.0)
+        reclaimed, _ = b.reclaim_expired(ttl=10.0)
+        assert sorted(lease.run_hash for lease in reclaimed) == sorted(
+            [legacy, expired]
+        )
+        assert b.get(live).owner == "host-1-aaaaaa"
+        assert b.get(legacy).failed_owners == ("old-1-x",)
+        a.close(), b.close()
+
+    def test_deadline_from_before_a_reboot_expires(self, tmp_path, spec):
+        """A deadline written at clock 1e9 (a long uptime on a per-boot
+        monotonic clock) must not look live to the next boot's store.  The
+        default clock is wall time, on which 1e9 s is long past."""
+        with RunStore(tmp_path, clock=lambda: 1e9) as before_reboot:
+            run_hash = before_reboot.register(spec, "c")
+            before_reboot.acquire_lease(run_hash, ttl=30.0)
+        with RunStore(tmp_path) as after_reboot:
+            (lease,), _ = after_reboot.reclaim_expired(ttl=30.0)
+            assert lease.run_hash == run_hash
+            assert after_reboot.complete(run_hash, {"v": 1}, 0.1, lease=lease)
+
     def test_reclaim_quarantines_after_distinct_instance_failures(
         self, tmp_path, spec
     ):
@@ -207,7 +244,7 @@ class TestReclaim:
             "host-1-aaaaaa", "host-2-bbbbbb"
         ]
         # terminal: not claimable, not reclaimable
-        assert a.acquire_lease(run_hash) is None
+        assert a.acquire_lease(run_hash, ttl=60.0) is None
         a.close(), b.close()
 
 
@@ -249,7 +286,7 @@ class TestQuarantine:
         assert stored.status == "pending"
         assert stored.failed_owners == ()
         assert stored.error is None
-        assert a.acquire_lease(run_hash) is not None
+        assert a.acquire_lease(run_hash, ttl=60.0) is not None
         a.close(), b.close()
 
     def test_requeue_only_lifts_quarantine(self, tmp_path, spec):
@@ -265,43 +302,16 @@ class TestQuarantine:
             assert payload["reason"] == "operator says no"
             # done rows cannot be quarantined
             other = store.register(RunSpec(seed=3), "c")
-            lease = store.acquire_lease(other)
+            lease = store.acquire_lease(other, ttl=60.0)
             store.complete(other, {"v": 1}, 0.1, lease=lease)
             assert store.quarantine(other, "nope") is False
-
-
-class TestSweeps:
-    def test_sweep_stale_spares_live_monitored_leases(self, tmp_path, spec):
-        clock = FakeClock(0.0)
-        a, b = two_stores(tmp_path, clock=clock)
-        live = a.register(spec, "c")
-        legacy = a.register(RunSpec(seed=2), "c")
-        expired = a.register(RunSpec(seed=3), "c")
-        a.acquire_lease(live, ttl=100.0)
-        assert a.acquire_lease(legacy)  # NULL deadline
-        a.acquire_lease(expired, ttl=1.0)
-        clock.advance(5.0)
-        swept = b.sweep_stale()
-        assert swept == 2
-        assert b.get(live).status == "running"
-        assert b.get(legacy).status == "pending"
-        assert b.get(expired).status == "pending"
-        a.close(), b.close()
-
-    def test_reset_running_still_demotes_everything(self, tmp_path, spec):
-        clock = FakeClock(0.0)
-        with RunStore(tmp_path, clock=clock) as store:
-            run_hash = store.register(spec, "c")
-            store.acquire_lease(run_hash, ttl=100.0)
-            assert store.reset_running() == 1
-            assert store.get(run_hash).status == "pending"
 
 
 class TestEviction:
     def test_evicts_only_old_terminal_rows(self, tmp_path, spec):
         with RunStore(tmp_path) as store:
             done = store.register(spec, "c")
-            lease = store.acquire_lease(done)
+            lease = store.acquire_lease(done, ttl=60.0)
             store.complete(done, {"v": 1}, 0.1, lease=lease)
             pending = store.register(RunSpec(seed=2), "c")
             now = time.time()
@@ -315,13 +325,13 @@ class TestEviction:
     def test_evicted_run_re_registers_and_re_executes(self, tmp_path, spec):
         with RunStore(tmp_path) as store:
             run_hash = store.register(spec, "c")
-            lease = store.acquire_lease(run_hash)
+            lease = store.acquire_lease(run_hash, ttl=60.0)
             store.complete(run_hash, {"v": 1}, 0.1, lease=lease)
             store.evict_older_than(0.0, now=time.time() + 10.0)
             again = store.register(spec, "c")
             assert again == run_hash
             assert store.get(again).status == "pending"
-            assert store.acquire_lease(again) is not None
+            assert store.acquire_lease(again, ttl=60.0) is not None
 
     def test_rejects_non_terminal_statuses(self, tmp_path):
         with RunStore(tmp_path) as store:

@@ -27,8 +27,8 @@ def seeded_store(payloads: list[dict]) -> RunStore:
         spec = RunSpec(m=2, n_pes=9, density=payload["density"],
                        n_steps=50, seed=payload["seed"])
         h = store.register(spec, "c")
-        store.acquire_lease(h)
-        store.complete(h, payload, 0.1)
+        lease = store.acquire_lease(h, ttl=60.0)
+        store.complete(h, payload, 0.1, lease=lease)
     return store
 
 
@@ -69,8 +69,8 @@ class TestCampaignReport:
     def test_failures_surface(self):
         store = seeded_store([boundary_payload(1)])
         h = store.register(RunSpec(m=2, seed=50), "c")
-        store.acquire_lease(h)
-        store.fail(h, "Traceback ...\nRuntimeError: exploded")
+        lease = store.acquire_lease(h, ttl=60.0)
+        store.fail(h, "Traceback ...\nRuntimeError: exploded", lease=lease)
         report = campaign_report(store, "c")
         assert len(report.failures) == 1
         assert "exploded" in render_report(report)
@@ -93,10 +93,10 @@ class TestRenderReport:
         for seed, extra in ((1, {"backend": "kdtree"}), (2, {})):
             spec = RunSpec(kind="preset", preset="quickstart", n_steps=5, seed=seed)
             h = store.register(spec, "c")
-            store.acquire_lease(h)
+            lease = store.acquire_lease(h, ttl=60.0)
             payload = {"kind": "preset", "preset": "quickstart", "mode": "dlb",
                        "balancer": "permanent", "seed": seed, "tt_mean": 0.5}
-            store.complete(h, payload | extra, 0.1)
+            store.complete(h, payload | extra, 0.1, lease=lease)
         text = render_report(campaign_report(store, "c"))
         assert text.count("quickstart") == 2
         assert "backend" not in text and "kdtree" not in text

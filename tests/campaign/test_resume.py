@@ -18,6 +18,8 @@ from repro.campaign import (
     run_campaign,
 )
 
+from ..helpers import leave_unmonitored_claim
+
 
 def report_payloads(store: RunStore, campaign: str) -> str:
     """Canonical JSON of every stored payload (hash-keyed, order-free)."""
@@ -65,3 +67,18 @@ def test_interrupted_campaign_resumes_with_zero_recomputation(tmp_path):
     resumed_report = campaign_report(store, campaign.name)
     assert resumed_report.boundary_groups == reference_report.boundary_groups
     store.close()
+
+
+def test_unmonitored_claim_from_an_older_store_is_recovered(tmp_path):
+    """A row an older version left ``running`` with no lease deadline (its
+    drainer crashed) is reclaimed and completed by the next invocation."""
+    campaign = get_campaign("smoke")
+    with RunStore(tmp_path) as store:
+        stranded = store.register(campaign.runs[0], campaign.name)
+    leave_unmonitored_claim(tmp_path, stranded)
+    with RunStore(tmp_path) as store:
+        summary = run_campaign(campaign, store, workers=1)
+        assert summary.completed == len(campaign)
+        row = store.get(stranded)
+        assert row.status == "done"
+        assert row.failed_owners == ("old-1-x",)

@@ -1,8 +1,11 @@
 """Adaptive bisection of the DLB effective-range boundary."""
 
+import threading
+import time
+
 import pytest
 
-import repro.campaign.search as search
+import repro.campaign.executor as executor
 from repro.campaign import (
     RunStore,
     bisect_boundary,
@@ -22,7 +25,7 @@ def synthetic_oracle(monkeypatch):
     """
     state = {"boundary": 40, "calls": []}
 
-    def fake_execute(spec):
+    def fake_execute(spec, *args):
         state["calls"].append(spec.probe_index)
         diverged = spec.probe_index >= state["boundary"]
         return {
@@ -37,7 +40,7 @@ def synthetic_oracle(monkeypatch):
             "c0_ratio": 0.5,
         }
 
-    monkeypatch.setattr(search, "execute_run", fake_execute)
+    monkeypatch.setattr(executor, "execute_run", fake_execute)
     return state
 
 
@@ -92,6 +95,48 @@ class TestProbeCaching:
             # Second search reuses every stored probe: no new executions.
             assert len(synthetic_oracle["calls"]) == executions
             assert second.boundary_index == first.boundary_index
+
+    def test_sibling_held_probe_is_served_not_executed(
+        self, synthetic_oracle, tmp_path
+    ):
+        """A probe another process holds is waited for, never run twice;
+        the payload served is the one that process commits."""
+        spec = probe_spec(2, 9, 0.256, index=44, n_steps=100)
+        sibling = RunStore(tmp_path, instance_id="sibling-1-x")
+        run_hash = sibling.register(spec, "search")
+        lease = sibling.acquire_lease(run_hash, ttl=60.0)
+        served = {}
+
+        def search_probe():
+            with RunStore(tmp_path) as store:
+                served["payload"] = evaluate_probe(spec, store)
+
+        searcher = threading.Thread(target=search_probe)
+        searcher.start()
+        time.sleep(0.5)  # the search is now watching the sibling's lease
+        assert sibling.complete(
+            run_hash, {"kind": "probe", "diverged": True, "from": "sibling"},
+            0.1, lease=lease,
+        )
+        searcher.join(timeout=30)
+        assert not searcher.is_alive()
+        assert synthetic_oracle["calls"] == []  # not executed here
+        assert served["payload"]["from"] == "sibling"
+        assert sibling.get(run_hash).attempts == 1
+        sibling.close()
+
+    def test_raising_probe_ends_failed(self, monkeypatch):
+        def explode(spec, *args):
+            raise RuntimeError("probe exploded")
+
+        monkeypatch.setattr(executor, "execute_run", explode)
+        spec = probe_spec(2, 9, 0.256, index=3, n_steps=40)
+        with RunStore() as store:
+            with pytest.raises(CampaignError, match="probe exploded"):
+                evaluate_probe(spec, store)
+            row = store.get(spec.spec_hash())
+            assert row.status == "failed"
+            assert row.owner is None
 
     def test_evaluate_probe_rejects_non_probe(self):
         from repro.campaign import RunSpec

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign import RunSpec, RunStore, canonical_payload
-from repro.campaign.store import DB_NAME, STORE_SCHEMA
+from repro.campaign.store import DB_NAME, STORE_SCHEMA, Lease
 from repro.core.results import RESULT_SCHEMA_VERSION
 from repro.errors import CampaignError
 
@@ -25,9 +25,9 @@ class TestLifecycle:
     def test_start_complete(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            store.acquire_lease(h)
+            lease = store.acquire_lease(h, ttl=60.0)
             assert store.get(h).status == "running"
-            store.complete(h, {"x": 1}, duration_s=0.5)
+            store.complete(h, {"x": 1}, duration_s=0.5, lease=lease)
             row = store.get(h)
             assert row.status == "done"
             # Completion stamps the result schema version into the payload.
@@ -38,16 +38,17 @@ class TestLifecycle:
     def test_fail_records_traceback(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            store.acquire_lease(h)
-            store.fail(h, "Traceback ...\nValueError: boom")
+            lease = store.acquire_lease(h, ttl=60.0)
+            store.fail(h, "Traceback ...\nValueError: boom", lease=lease)
             row = store.get(h)
             assert row.status == "failed"
             assert "boom" in row.error
 
     def test_transitions_on_unknown_hash_change_nothing(self):
         with RunStore() as store:
-            assert store.acquire_lease("feedfacedeadbeef") is None
-            assert not store.complete("feedfacedeadbeef", {"x": 1}, 0.1)
+            assert store.acquire_lease("feedfacedeadbeef", ttl=60.0) is None
+            ghost = Lease("feedfacedeadbeef", store.instance_id, 1, 0.0, 60.0)
+            assert not store.complete("feedfacedeadbeef", {"x": 1}, 0.1, lease=ghost)
             assert store.get("feedfacedeadbeef") is None
 
     def test_get_missing_returns_none(self):
@@ -59,8 +60,8 @@ class TestExactlyOnce:
     def test_reregistering_done_run_keeps_payload(self, spec):
         with RunStore() as store:
             h = store.register(spec, "first")
-            store.acquire_lease(h)
-            store.complete(h, {"x": 1}, 0.1)
+            lease = store.acquire_lease(h, ttl=60.0)
+            store.complete(h, {"x": 1}, 0.1, lease=lease)
             # A second campaign resubmitting the same content hash must not
             # disturb the stored result.
             assert store.register(spec, "second") == h
@@ -71,20 +72,25 @@ class TestExactlyOnce:
 
 
 class TestResumeSemantics:
-    def test_running_rows_demoted_on_open(self, tmp_path, spec):
-        store = RunStore(tmp_path)
+    def test_running_rows_survive_reopen(self, tmp_path, spec):
+        """Opening a store never steals a row: a sibling may be mid-run.  A
+        killed holder's row comes back only through lease expiry."""
+        store = RunStore(tmp_path, clock=lambda: 0.0)
         h = store.register(spec, "c")
-        store.acquire_lease(h)
-        store.close()  # simulate a killed scheduler: row left 'running'
-        reopened = RunStore(tmp_path)
-        assert reopened.get(h).status == "pending"
-        reopened.close()
+        store.acquire_lease(h, ttl=60.0)
+        store.close()  # a killed scheduler, or a live sibling: row 'running'
+        with RunStore(tmp_path, clock=lambda: 30.0) as reopened:
+            assert reopened.get(h).status == "running"
+            assert reopened.reclaim_expired(ttl=60.0) == ([], [])
+        with RunStore(tmp_path, clock=lambda: 61.0) as later:
+            (lease,), _ = later.reclaim_expired(ttl=60.0)
+            assert lease.run_hash == h
 
     def test_done_rows_survive_reopen(self, tmp_path, spec):
         with RunStore(tmp_path) as store:
             h = store.register(spec, "c")
-            store.acquire_lease(h)
-            store.complete(h, {"x": 2}, 0.1)
+            lease = store.acquire_lease(h, ttl=60.0)
+            store.complete(h, {"x": 2}, 0.1, lease=lease)
         with RunStore(tmp_path) as store:
             row = store.get(h)
             assert row.status == "done"
@@ -148,7 +154,7 @@ class TestConcurrentClaim:
     def test_claim_flips_pending_to_running(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            assert store.acquire_lease(h)
+            assert store.acquire_lease(h, ttl=60.0)
             row = store.get(h)
             assert row.status == "running"
             assert row.attempts == 1
@@ -156,44 +162,35 @@ class TestConcurrentClaim:
     def test_second_claim_loses(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            assert store.acquire_lease(h)
-            assert store.acquire_lease(h) is None
+            assert store.acquire_lease(h, ttl=60.0)
+            assert store.acquire_lease(h, ttl=60.0) is None
             assert store.get(h).attempts == 1
 
     def test_done_run_cannot_be_claimed(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            store.acquire_lease(h)
-            store.complete(h, {"x": 1}, 0.1)
-            assert store.acquire_lease(h) is None
+            lease = store.acquire_lease(h, ttl=60.0)
+            store.complete(h, {"x": 1}, 0.1, lease=lease)
+            assert store.acquire_lease(h, ttl=60.0) is None
 
     def test_failed_run_can_be_reclaimed(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            store.acquire_lease(h)
-            store.fail(h, "boom")
-            assert store.acquire_lease(h)
+            lease = store.acquire_lease(h, ttl=60.0)
+            store.fail(h, "boom", lease=lease)
+            assert store.acquire_lease(h, ttl=60.0)
             assert store.get(h).attempts == 2
 
     def test_release_demotes_only_running(self, spec):
         with RunStore() as store:
             h = store.register(spec, "c")
-            lease = store.acquire_lease(h)
+            lease = store.acquire_lease(h, ttl=60.0)
             assert store.release_lease(lease)
             assert store.get(h).status == "pending"
             assert not store.release_lease(lease)  # pending: nothing to release
-            lease = store.acquire_lease(h)
+            lease = store.acquire_lease(h, ttl=60.0)
             store.complete(h, {"x": 1}, 0.1, lease=lease)
             assert not store.release_lease(lease)  # done stays done
-
-    def test_takeover_false_leaves_running_rows(self, tmp_path, spec):
-        with RunStore(tmp_path) as store:
-            h = store.register(spec, "c")
-            store.acquire_lease(h)
-        with RunStore(tmp_path, takeover=False) as sibling:
-            assert sibling.get(h).status == "running"
-        with RunStore(tmp_path) as recovery:  # crash recovery: takeover
-            assert recovery.get(h).status == "pending"
 
     def test_wal_mode_enabled_for_file_stores(self, tmp_path):
         with RunStore(tmp_path) as store:
@@ -203,6 +200,6 @@ class TestConcurrentClaim:
     def test_claims_race_from_two_connections(self, tmp_path, spec):
         with RunStore(tmp_path) as a:
             h = a.register(spec, "c")
-            with RunStore(tmp_path, takeover=False) as b:
-                winners = [a.acquire_lease(h), b.acquire_lease(h)]
+            with RunStore(tmp_path) as b:
+                winners = [a.acquire_lease(h, ttl=60.0), b.acquire_lease(h, ttl=60.0)]
                 assert sorted(lease is not None for lease in winners) == [False, True]

@@ -1,5 +1,7 @@
 """Workload builders that test modules import instead of each other."""
 
+from pathlib import Path
+
 import numpy as np
 
 from repro.config import DecompositionConfig, DLBConfig, MDConfig, SimulationConfig
@@ -51,3 +53,20 @@ def sequential_passes(
     with SequentialEngine() as engine:
         engine.bind(context)
         return [engine.force_pass(positions, cell_owner, step) for step in range(passes)]
+
+
+def leave_unmonitored_claim(store_dir, run_hash: str, owner: str = "old-1-x") -> None:
+    """Mark a row ``running`` with no lease deadline, as a crashed drainer
+    of a store version that took unmonitored claims left it."""
+    import sqlite3
+
+    from repro.campaign.store import DB_NAME
+
+    db = sqlite3.connect(Path(store_dir) / DB_NAME)
+    db.execute(
+        "UPDATE runs SET status = 'running', owner = ?, lease_deadline = NULL, "
+        "attempts = attempts + 1 WHERE hash = ?",
+        (owner, run_hash),
+    )
+    db.commit()
+    db.close()

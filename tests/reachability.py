@@ -191,7 +191,7 @@ with Fleet("fleet-store", size=2, log_dir="fleet-logs", lease_ttl=2.0,
     owner.sigkill()
     result = fleet.alive[0].client().wait(run_id, timeout=300)
     assert result["status"] == "done", result
-with RunStore("fleet-store", takeover=False) as store:
+with RunStore("fleet-store") as store:
     assert store.get(run_id).status == "done"
 """
 

@@ -125,7 +125,7 @@ class TestFailover:
 
         # Exactly-once at the store: one row, one payload, two attempts
         # (the victim's and the survivor's), the victim on record.
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             stored = store.get(run_id)
         assert stored.status == "done"
         assert stored.attempts == 2
@@ -173,7 +173,7 @@ class TestPoisonQuarantine:
             assert rejected.body["quarantine"]["quarantined"] is True
 
         # Store agrees after the fleet is gone: terminal, structured error.
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             stored = store.get(run_id)
             assert stored.status == "quarantined"
             assert stored.error_payload["attempts"] == 2
@@ -199,5 +199,5 @@ class TestPoisonQuarantine:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert requeued.returncode == 0, requeued.stderr
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             assert store.get(run_id).status == "pending"

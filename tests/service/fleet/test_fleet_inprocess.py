@@ -69,7 +69,7 @@ class TestReaper:
         store_dir = str(tmp_path / "store")
         spec = RunSpec(kind="preset", preset="quickstart", n_steps=10, seed=3)
         with RunStore(
-            store_dir, takeover=False, instance_id="deadhost-424242-x"
+            store_dir, instance_id="deadhost-424242-x"
         ) as ghost_store:
             run_hash = ghost_store.register(spec, "service")
             assert ghost_store.acquire_lease(run_hash, ttl=1.0) is not None
@@ -82,11 +82,11 @@ class TestReaper:
         client = handle.client()
 
         def resolved():
-            with RunStore(store_dir, takeover=False) as store:
+            with RunStore(store_dir) as store:
                 return store.get(run_hash).status == "done"
 
         wait_until(resolved, message="reaper to reclaim and finish the run")
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             stored = store.get(run_hash)
         assert stored.attempts == 2  # ghost's attempt + the reclaim
         assert stored.failed_owners == ("deadhost-424242-x",)
@@ -127,7 +127,7 @@ class TestReaper:
         )
 
         def committed_by_b():
-            with RunStore(store_dir, takeover=False) as store:
+            with RunStore(store_dir) as store:
                 stored = store.get(run_id)
             return stored.status == "done" and stored.payload["winner"] == "b"
 
@@ -138,7 +138,7 @@ class TestReaper:
             in slow.client().metrics(),
             message="instance A to surrender its stolen lease",
         )
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             stored = store.get(run_id)
         assert stored.payload["winner"] == "b"  # exactly one payload, B's
         assert stored.attempts == 2
@@ -189,7 +189,7 @@ class TestQuarantineOverHttp:
         assert again.status == 409
         assert again.body["quarantine"]["quarantined"] is True
         # Quarantine is terminal until an operator explicitly requeues.
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             assert store.requeue_quarantined(run_id) is True
             assert store.get(run_id).status == "pending"
 
@@ -334,7 +334,7 @@ class TestResultEviction:
         assert runner.calls == 1
         evicted = on_loop(handle, handle.service.evict_now)
         assert evicted == [run_id]
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             assert store.get(run_id) is None
         assert "repro_service_evicted_runs_total 1" in client.metrics()
         # Resubmission is a fresh run, not a cache hit, and lands cleanly.
@@ -355,7 +355,7 @@ class TestResultEviction:
         run_id = client.submit(SPEC).body["run_id"]
         client.wait(run_id, timeout=30)
         assert on_loop(handle, handle.service.evict_now) == []
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             assert store.get(run_id).status == "done"
 
 

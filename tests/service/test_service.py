@@ -102,7 +102,7 @@ class TestConcurrentDedup:
         ]
         assert runner.calls == 1  # exactly one execution
         # Inspect the store over its own connection (SQLite is per-thread).
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             stored = store.get(run_id)
         assert stored.attempts == 1
         # N identical payloads, byte-for-byte in canonical form.
@@ -125,7 +125,7 @@ class TestConcurrentDedup:
         run_id = first.client().submit(SPEC).body["run_id"]
         # Wait until the first instance has actually claimed the row.
         deadline_guard = 0
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             while store.get(run_id).status != "running":
                 deadline_guard += 1
                 assert deadline_guard < 200, "first service never claimed it"

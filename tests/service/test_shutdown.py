@@ -13,6 +13,7 @@ import threading
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import RunStore
 
+from ..helpers import leave_unmonitored_claim
 from .conftest import CountingRunner
 
 SPEC = {
@@ -45,7 +46,7 @@ class TestDrain:
         client = handle.client()
         run_id = client.submit(SPEC).body["run_id"]
         # The worker must be mid-run (claimed, blocked on the gate).
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             _wait_until(lambda: store.get(run_id).status == "running")
         handle.drain()
         _wait_until(lambda: handle.service.draining)
@@ -58,7 +59,7 @@ class TestDrain:
         # In-flight run was demoted cleanly: pending, no payload, and the
         # (late) gate release must not have recorded a result.
         gate.set()
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             stored = store.get(run_id)
             assert stored.status == "pending"
             assert stored.payload is None
@@ -76,21 +77,24 @@ class TestDrain:
     def test_startup_sweep_demotes_stale_running_rows(
         self, service_factory, tmp_path
     ):
-        """Satellite: crash recovery — stale 'running' rows demoted and
-        counted on the repro.obs counter."""
+        """Satellite: crash recovery — the reaper's first sweep at startup
+        takes stale 'running' rows from their dead owner (an expired lease,
+        or none at all as older versions claimed) and finishes them."""
         store_dir = str(tmp_path / "store")
         spec = RunSpec(**SPEC)
-        with RunStore(store_dir, takeover=False) as store:
-            run_hash = store.register(spec, "service")
-            assert store.acquire_lease(run_hash)  # simulate a crash mid-run
+        with RunStore(store_dir, clock=lambda: 0.0) as store:
+            expired = store.register(spec, "service")
+            assert store.acquire_lease(expired, ttl=1.0)  # crashed mid-run
+            unmonitored = store.register(RunSpec(**dict(SPEC, seed=4)), "service")
+        leave_unmonitored_claim(store_dir, unmonitored)
         handle = service_factory(store_dir=store_dir, runner=CountingRunner())
-        demoted = handle.service.metrics.counter(
-            "repro_service_demoted_runs_total"
+        for run_hash in (expired, unmonitored):
+            payload = handle.client().wait(run_hash, timeout=30)
+            assert payload["status"] == "done"
+        reclaimed = handle.service.metrics.counter(
+            "repro_service_reclaimed_runs_total"
         ).value()
-        assert demoted == 1
-        # The demoted run was requeued and completes without resubmission.
-        payload = handle.client().wait(run_hash, timeout=30)
-        assert payload["status"] == "done"
+        assert reclaimed == 2
 
     def test_drain_is_idempotent_and_queue_is_demoted(
         self, service_factory, tmp_path, gate
@@ -106,12 +110,12 @@ class TestDrain:
         client = handle.client()
         first = client.submit(SPEC).body["run_id"]
         queued = client.submit(dict(SPEC, seed=8)).body["run_id"]
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             _wait_until(lambda: store.get(first).status == "running")
         handle.drain()
         handle.drain()  # second call is a no-op
         assert handle.join(timeout=15)
-        with RunStore(store_dir, takeover=False) as store:
+        with RunStore(store_dir) as store:
             assert store.get(first).status == "pending"
             assert store.get(queued).status == "pending"
         gate.set()

@@ -465,12 +465,33 @@ class TestRunsAndGcVerbs:
 
         store = RunStore(tmp_path / "store")
         done = store.register(RunSpec(seed=1), "svc")
-        lease = store.acquire_lease(done)
+        lease = store.acquire_lease(done, ttl=60.0)
         store.complete(done, {"v": 1}, 0.1, lease=lease)
         poisoned = store.register(RunSpec(seed=2), "svc")
         store.quarantine(poisoned, "crashed everywhere")
         store.close()
         return str(tmp_path / "store"), done, poisoned
+
+    def test_read_only_verbs_leave_live_leases_alone(self, tmp_path, capsys):
+        """Inspecting a store a live fleet shares must not demote its runs."""
+        from repro.campaign import RunStore, get_campaign
+
+        store_dir = str(tmp_path / "store")
+        holder = RunStore(store_dir)
+        run_hash = holder.register(get_campaign("smoke").runs[0], "smoke")
+        lease = holder.acquire_lease(run_hash, ttl=60.0)
+        for argv in (
+            ["runs", "quarantine", "--dir", store_dir],
+            ["campaign", "status", "--dir", store_dir],
+            ["campaign", "report", "smoke", "--dir", store_dir],
+        ):
+            main(argv)
+            capsys.readouterr()
+            assert holder.get(run_hash).status == "running", argv
+        lease = holder.renew_lease(lease)
+        assert lease is not None
+        assert holder.complete(run_hash, {"v": 1}, 0.1, lease=lease)
+        holder.close()
 
     def test_runs_quarantine_lists_and_requeue_lifts(self, tmp_path, capsys):
         store_dir, _, poisoned = self._store_with_runs(tmp_path)
