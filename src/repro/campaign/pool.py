@@ -15,7 +15,10 @@ workers:
   latest checkpoint) or quarantines them once ``max_attempts`` distinct
   instances failed them, and adopts its campaign's orphaned ``pending``
   rows. Its first sweep runs at startup: that is how a restarted instance
-  recovers what a crash left behind.
+  recovers what a crash left behind. A service instance reaps the whole
+  store; a :class:`Batch` reaps only its own runs. A reclaimed run is held
+  (its lease renewed by the keeper) from the moment it is reclaimed until
+  a worker gets to it.
 
 So service instances, campaign invocations and boundary searches sharing
 one store never double-execute a hash, and any of them finishes a run
@@ -49,15 +52,20 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Collection
 
 from ..engine import effective_engine_workers
 from ..errors import ReproError, ServiceError
 from .queue import QueuedRun, RunQueue, RunRegistry
 from .spec import RunSpec
-from .store import Lease, RunStore
+from .store import RunStore
 
 __all__ = ["DEFAULT_LEASE_TTL", "Batch", "WorkerPool"]
 
@@ -132,6 +140,7 @@ class WorkerPool:
         reap_interval: float | None = None,
         max_attempts: int | None = None,
         campaign: str | None = None,
+        scope: Collection[str] | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 0,
     ) -> None:
@@ -167,6 +176,9 @@ class WorkerPool:
         #: Whose orphaned pending rows the reaper adopts (None = none: a
         #: :class:`Batch` queues its own runs).
         self.campaign = campaign
+        #: The runs the reaper may reclaim (a :class:`Batch`'s own); None =
+        #: every run in the store (a service instance).
+        self.scope = scope
         #: Base directory for per-run checkpoint subdirectories; with a
         #: cadence this arms crash-safe mid-run snapshots so a reclaimed
         #: run resumes instead of restarting.
@@ -174,8 +186,8 @@ class WorkerPool:
         self.checkpoint_every = int(checkpoint_every)
         self.draining = False
         #: Runs this pool has claimed and not yet resolved, each carrying
-        #: its current lease — exactly what a drain demotes, never a
-        #: sibling process's claims.
+        #: its current lease — executing, or reclaimed and still queued.
+        #: Exactly what a drain demotes, never a sibling process's claims.
         self.inflight: dict[str, QueuedRun] = {}
         self._tasks: list[asyncio.Task] = []
         self._watchers: dict[str, asyncio.Task] = {}
@@ -217,8 +229,8 @@ class WorkerPool:
             await self.registry.transition(run_hash, "demoted")
             log.info("drain: demoted in-flight run %s to pending", run_hash)
         self.inflight.clear()
-        # Queued-but-unclaimed runs are already 'pending' in the store; end
-        # their streams so clients know to come back after the restart.
+        # Queued runs not held above are 'pending' in the store; end their
+        # streams so clients know to come back after the restart.
         while True:
             try:
                 item = self.queue._queue.get_nowait()
@@ -298,8 +310,20 @@ class WorkerPool:
             # Only extend the call when checkpointing is armed, so injected
             # three-argument runners keep working unchanged.
             args += [checkpoint_dir, self.checkpoint_every]
+        executor = self._executor
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, self.runner, *args)
+        try:
+            return await loop.run_in_executor(executor, self.runner, *args)
+        except BrokenExecutor as exc:
+            # A child died (OOM kill, segfault) and took every future of its
+            # pool down with it. Retire that pool -- unless a sibling worker
+            # already replaced it -- and let retry and failure accounting
+            # take the run like any other failed attempt.
+            if self._executor is executor:
+                self._executor = None
+                executor.shutdown(wait=False, cancel_futures=True)
+            log.warning("run %s lost its worker process: %s", item.run_hash, exc)
+            return {"ok": False, "error": f"worker process died: {exc!r}"}
 
     def _event(self, event: str, run_hash: str) -> None:
         if self.on_event is not None:
@@ -333,6 +357,9 @@ class WorkerPool:
             "lost lease on run %s (reclaimed by a sibling); "
             "discarding the local execution", run_hash,
         )
+        state = self.registry.get(run_hash)
+        if state is not None and state.status == "queued":
+            return  # not executing yet: its worker re-claims or watches it
         await self.registry.transition(run_hash, "external")
         self._watch(item)
 
@@ -352,7 +379,8 @@ class WorkerPool:
             ttl=max(self.lease_ttl, self.reap_interval * 3)
         )
         leases, quarantined = self.store.reclaim_expired(
-            ttl=self.lease_ttl, quarantine_after=self.max_attempts
+            ttl=self.lease_ttl, quarantine_after=self.max_attempts,
+            only=self.scope,
         )
         for stored in quarantined:
             log.warning(
@@ -364,19 +392,30 @@ class WorkerPool:
             )
             self._event("quarantined", stored.hash)
         for lease in leases:
-            if not self._enqueue_stored(lease.run_hash, lease):
+            run_hash = lease.run_hash
+            held = self.inflight.get(run_hash)
+            if held is not None:
+                # Our own lease lapsed (a stalled loop) and came back to us.
+                self.inflight[run_hash] = replace(held, lease=lease)
+                continue
+            item = self._stored_item(run_hash)
+            state = self.registry.get(run_hash)
+            queued = state is not None and state.status == "queued"
+            if item is None or not (queued or self.queue.try_put(item)):
                 # No local slot: put the run back to pending; a sibling (or
                 # a later adoption or watch here) picks it up.
                 self.store.release_lease(lease)
                 continue
+            # Held from now on, so the keeper renews the lease while the run
+            # waits for a worker and a drain releases it.
+            self.inflight[run_hash] = replace(item, lease=lease)
             log.warning(
-                "reclaimed expired run %s (attempt %d)",
-                lease.run_hash, lease.attempt,
+                "reclaimed expired run %s (attempt %d)", run_hash, lease.attempt
             )
             await self.registry.transition(
-                lease.run_hash, "queued", attempts=lease.attempt
+                run_hash, "queued", attempts=lease.attempt
             )
-            self._event("reclaimed", lease.run_hash)
+            self._event("reclaimed", run_hash)
         if self.campaign is None:
             return
         # Adopt orphaned pending rows: submitted to an instance that died
@@ -384,25 +423,24 @@ class WorkerPool:
         # registry (queued here, watched) are skipped; a row another live
         # instance queued is leased exactly once anyway.
         for stored in self.store.runs(self.campaign, status="pending"):
-            if not self.registry.active(stored.hash) and self._enqueue_stored(
-                stored.hash
-            ):
+            if self.registry.active(stored.hash):
+                continue
+            item = self._stored_item(stored.hash)
+            if item is not None and self.queue.try_put(item):
                 await self.registry.transition(stored.hash, "queued")
                 log.info("adopted orphaned pending run %s", stored.hash)
 
-    def _enqueue_stored(self, run_hash: str, lease: Lease | None = None) -> bool:
-        """Queue a run from its stored spec (a reclaimed one with its lease)."""
+    def _stored_item(self, run_hash: str) -> QueuedRun | None:
+        """A queue item built from a run's stored spec (None if unusable)."""
         stored = self.store.get(run_hash)
         if stored is None:
-            return False
+            return None
         try:
             spec = stored.run_spec()
         except ReproError:  # pragma: no cover - corrupt row
             log.warning("cannot queue run %s: bad spec", run_hash)
-            return False
-        return self.queue.try_put(QueuedRun(
-            run_hash=run_hash, spec=spec, lease=lease, resume=lease is not None
-        ))
+            return None
+        return QueuedRun(run_hash=run_hash, spec=spec)
 
     def _watch(self, item: QueuedRun) -> None:
         run_hash = item.run_hash
@@ -427,10 +465,12 @@ class WorkerPool:
 
     async def _run_one(self, item: QueuedRun) -> None:
         run_hash = item.run_hash
-        # A reaper-reclaimed run arrives with its lease already acquired;
-        # fresh submissions lease here.
-        lease = item.lease
-        if lease is None:
+        # A run the reaper reclaimed is already held, its lease renewed while
+        # it queued; anything else is leased here.
+        held = self.inflight.get(run_hash)
+        if held is not None:
+            lease = held.lease
+        else:
             lease = self.store.acquire_lease(run_hash, ttl=self.lease_ttl)
         if lease is None:
             # Someone else owns or finished the hash. Serve 'done' straight
@@ -459,7 +499,7 @@ class WorkerPool:
         attempt = 1
         await self.registry.transition(run_hash, "running", attempts=lease.attempt)
         self._event("start", run_hash)
-        if item.resume:
+        if held is not None:
             log.info(
                 "resuming reclaimed run %s (attempt %d)", run_hash, lease.attempt
             )
@@ -549,7 +589,7 @@ class WorkerPool:
                 self._event("skipped", run_hash)
                 return
             if stored.status == "pending" and self.queue.try_put(
-                replace(item, lease=None, resume=False)
+                replace(item, lease=None)
             ):
                 await self.registry.transition(run_hash, "queued")
                 return
@@ -570,9 +610,10 @@ class Batch:
     One campaign invocation, or one boundary-search probe. :meth:`run`
     starts a :class:`WorkerPool` on a private event loop, queues every run
     and returns once each has *settled*: executed here, found done, or
-    resolved by the instance holding it. A run a dead process left
-    ``running`` is reclaimed by the reaper once its lease expires, so the
-    batch waits at most one lease TTL plus one reap interval for it.
+    resolved by the instance holding it. A run of the batch a dead process
+    left ``running`` is reclaimed by the reaper once its lease expires, so
+    the batch waits at most one lease TTL plus one reap interval for it.
+    The reaper touches no other run in the store.
 
     It stops early once ``stop_after`` runs completed here. On that stop,
     Ctrl-C or SIGTERM (handled like Ctrl-C, the previous handler restored
@@ -618,11 +659,13 @@ class Batch:
         registry = RunRegistry()
         self._finished = asyncio.Event()
         self._pool = pool = WorkerPool(
-            self.store, queue, registry, on_event=self._event, **self.pool_options
+            self.store, queue, registry, on_event=self._event,
+            scope=frozenset(self.unsettled), **self.pool_options,
         )
         for run_hash, spec in self.unsettled.items():
             # Recorded only when the pool has an ``events_dir``.
             queue.try_put(QueuedRun(run_hash=run_hash, spec=spec, record_events=True))
+            registry.mark(run_hash, "queued")
         pool.start()
         try:
             await self._finished.wait()

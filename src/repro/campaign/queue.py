@@ -46,17 +46,14 @@ RUN_STATES = (
 class QueuedRun:
     """One unit of queued work (hash + executable spec + service flags).
 
-    ``lease`` carries a pre-acquired store lease when the reaper reclaimed
-    this run from a dead instance (the worker then resumes instead of
-    re-claiming); ``resume`` marks the run as a failover continuation so
-    the worker reports it distinctly.
+    ``lease`` is set on the pool's ``inflight`` entries: the store lease
+    the pool holds for the run.
     """
 
     run_hash: str
     spec: Any
     record_events: bool = False
     lease: Any = None
-    resume: bool = False
 
 
 class RunQueue:

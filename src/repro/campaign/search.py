@@ -59,18 +59,20 @@ def evaluate_probe(
 ) -> dict:
     """A probe's payload, served from ``store`` or executed into it.
 
-    The probe is a one-run :class:`~repro.campaign.pool.Batch` like any
-    campaign run: a probe another process holds is not executed here (its
-    payload is served once that process commits it), and a probe that
-    raises ends ``failed`` and raises :class:`CampaignError` here.  It runs
-    on a thread of this process, as a search always has.  Without a store,
-    a scratch in-memory one takes its place.
+    With a store, the probe is a one-run :class:`~repro.campaign.pool.Batch`
+    like any campaign run: a probe another process holds is not executed
+    here (its payload is served once that process commits it), and a probe
+    that raises ends ``failed``.  It runs on a thread of this process, as a
+    search always has.  Without a store it is executed directly.  Either
+    way a probe that raises raises :class:`CampaignError` here.
     """
     if spec.kind != "probe":
         raise CampaignError(f"evaluate_probe needs a probe spec, got {spec.kind!r}")
     if store is None:
-        with RunStore() as scratch:
-            return evaluate_probe(spec, scratch, campaign)
+        outcome = _pool_worker(spec.to_dict(), None)
+        if not outcome["ok"]:
+            raise CampaignError(f"probe failed: {outcome['error']}")
+        return outcome["payload"]
     run_hash = store.register(spec, campaign)
     if store.get(run_hash).status != "done":
         Batch(

@@ -39,6 +39,7 @@ import sqlite3
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Collection
 
 from ..core.results import attach_schema_version, check_schema_version
 from ..errors import CampaignError
@@ -471,6 +472,7 @@ class RunStore:
         ttl: float,
         owner: str | None = None,
         quarantine_after: int | None = None,
+        only: Collection[str] | None = None,
     ) -> tuple[list[Lease], list[StoredRun]]:
         """Take over every run whose lease has expired.
 
@@ -479,7 +481,8 @@ class RunStore:
         the attempt counter bumped, so stale leases die) or — once
         ``quarantine_after`` *distinct* instances have failed it — moved to
         the terminal ``quarantined`` status with a structured error payload
-        instead of being re-enqueued forever.  Returns
+        instead of being re-enqueued forever.  ``only`` limits the sweep to
+        those hashes (None = the whole store).  Returns
         ``(new leases, newly quarantined rows)``.
 
         This is the store's one crash-recovery path.  A ``running`` row with
@@ -499,6 +502,8 @@ class RunStore:
                 "AND (lease_deadline IS NULL OR lease_deadline < ?)",
                 (now,),
             ).fetchall()
+            if only is not None:
+                rows = [row for row in rows if row[0] in only]
             for run_hash, dead_owner, attempts, failed_owners, last_error in rows:
                 owners = set(json.loads(failed_owners or "[]"))
                 if dead_owner is not None:

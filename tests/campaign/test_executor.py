@@ -1,5 +1,7 @@
 """The campaign scheduler: execution, caching, retries, timeouts, metrics."""
 
+import os
+
 import pytest
 
 from repro.campaign import (
@@ -7,10 +9,27 @@ from repro.campaign import (
     RunSpec,
     RunStore,
     execute_run,
+    executor,
     run_campaign,
 )
 from repro.errors import CampaignError
 from repro.obs import MetricsRegistry
+
+_real_pool_worker = executor._pool_worker
+#: Which pool child :func:`_crashing_pool_worker` kills: the one running
+#: ``seed`` -- every time, or only until the ``marker`` file exists.
+_CRASH = {"seed": None, "marker": None}
+
+
+def _crashing_pool_worker(spec_dict, *args):
+    """A pool runner whose child dies like an OOM-killed process would."""
+    if spec_dict["seed"] == _CRASH["seed"]:
+        marker = _CRASH["marker"]
+        if marker is None or not os.path.exists(marker):
+            if marker is not None:
+                open(marker, "w").close()
+            os._exit(1)
+    return _real_pool_worker(spec_dict, *args)
 
 
 def tiny_campaign(n_runs: int = 2, n_steps: int = 40) -> CampaignSpec:
@@ -139,6 +158,38 @@ class TestFailureHandling:
         with pytest.raises(CampaignError, match="time budget"):
             executor._execute_with_timeout(RunSpec(seed=1), 0.05)
         assert time.monotonic() - started < 2.0
+
+    def test_dead_pool_child_fails_its_run(self, monkeypatch):
+        """A child that dies on every attempt ends its run ``failed``; the
+        campaign returns and the other run still completes."""
+        monkeypatch.setattr(executor, "_pool_worker", _crashing_pool_worker)
+        monkeypatch.setitem(_CRASH, "seed", 101)
+        campaign = tiny_campaign(n_runs=2)
+        with RunStore() as store:
+            summary = run_campaign(campaign, store, workers=1, retries=1,
+                                   backoff=0.0)
+            assert (summary.completed, summary.failed) == (1, 1)
+            assert summary.retries == 1
+            row = store.get(campaign.runs[1].spec_hash())
+            assert row.status == "failed"
+            assert "worker process died" in row.error
+            assert row.attempts == 2
+            assert store.status_counts()["running"] == 0
+
+    def test_dead_pool_child_is_retried_on_a_fresh_pool(self, monkeypatch, tmp_path):
+        """A child that dies once breaks its pool, failing the attempts in
+        flight there; each is retried on a new pool and the campaign ends
+        with every run done."""
+        monkeypatch.setattr(executor, "_pool_worker", _crashing_pool_worker)
+        monkeypatch.setitem(_CRASH, "seed", 101)
+        monkeypatch.setitem(_CRASH, "marker", str(tmp_path / "crashed"))
+        campaign = tiny_campaign(n_runs=3)
+        with RunStore() as store:
+            summary = run_campaign(campaign, store, workers=2, retries=1,
+                                   backoff=0.0)
+            assert (summary.completed, summary.failed) == (3, 0)
+            assert summary.retries >= 1
+            assert store.status_counts()["done"] == 3
 
     def test_failed_run_reexecutes_on_resume(self):
         campaign = tiny_campaign(n_runs=1)

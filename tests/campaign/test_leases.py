@@ -208,6 +208,20 @@ class TestReclaim:
         assert b.get(legacy).failed_owners == ("old-1-x",)
         a.close(), b.close()
 
+    def test_only_limits_the_sweep(self, tmp_path, spec):
+        clock = FakeClock(0.0)
+        a, b = two_stores(tmp_path, clock=clock)
+        mine = a.register(spec, "c")
+        other = a.register(RunSpec(seed=2), "d")
+        a.acquire_lease(mine, ttl=1.0)
+        a.acquire_lease(other, ttl=1.0)
+        clock.advance(5.0)
+        (lease,), _ = b.reclaim_expired(ttl=10.0, only={mine})
+        assert lease.run_hash == mine
+        untouched = b.get(other)
+        assert (untouched.owner, untouched.attempts) == ("host-1-aaaaaa", 1)
+        a.close(), b.close()
+
     def test_deadline_from_before_a_reboot_expires(self, tmp_path, spec):
         """A deadline written at clock 1e9 (a long uptime on a per-boot
         monotonic clock) must not look live to the next boot's store.  The
