@@ -256,9 +256,9 @@ def test_accounted_step(benchmark, positions, kernel_log):
     cell_list = CellList(BOX, 12)
     assignment = CellAssignment(12, 9)
     accountant = StepAccountant(MachineConfig(), cell_list, 9)
-    counts = cell_list.counts(positions)
+    load = accountant.cost_model.load(cell_list.counts(positions))
     timing, totals = benchmark(
-        accountant.account_step, 1, counts, assignment, True
+        accountant.account_step, 1, load, assignment, True
     )
     record_kernel(kernel_log, benchmark, "accounted_step")
     assert timing.tt > 0

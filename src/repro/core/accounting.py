@@ -1,10 +1,10 @@
 """Per-step time accounting on the virtual machine.
 
-Given one configuration (per-cell particle counts), one cell-to-PE
-assignment and the cell moves the balancer just made, the accountant charges
-every PE its force, integration, bookkeeping, halo-exchange and migration
-time, synchronises at the barrier, and emits the :class:`StepTiming` record
-Figures 5 and 6 are built from.
+Given one configuration (its per-cell counts and work, a ``CellLoad``), one
+cell-to-PE assignment and the cell moves the balancer just made, the
+accountant charges every PE its force, integration, bookkeeping,
+halo-exchange and migration time, synchronises at the barrier, and emits the
+:class:`StepTiming` record Figures 5 and 6 are built from.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from ..decomp.halo import compute_halo
 from ..dlb.protocol import Move
 from ..md.celllist import CellList
 from ..obs.profiler import scope
-from ..parallel.costmodel import ComputeCostModel
+from ..parallel.costmodel import CellLoad, ComputeCostModel
 from ..parallel.instrumentation import StepComponents, StepTiming
 from ..parallel.message import TrafficLog
 from ..parallel.network import NetworkModel
@@ -115,7 +115,7 @@ class StepAccountant:
     def _charge_step(
         self,
         step: int,
-        counts_grid: np.ndarray,
+        load: CellLoad,
         owner: np.ndarray,
         force_times_override: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -126,7 +126,7 @@ class StepAccountant:
         on the wire (a message fault may put it there more than once), for
         the caller that records traffic.
         """
-        work = self.cost_model.per_pe_work(counts_grid, owner, self.n_pes)
+        work = self.cost_model.per_pe_work(load, owner, self.n_pes)
         force_times = (
             np.asarray(force_times_override, dtype=np.float64)
             if force_times_override is not None
@@ -141,7 +141,7 @@ class StepAccountant:
                 step, force_times, other_times
             )
 
-        halo = compute_halo(owner, self.cell_list, counts_grid.reshape(-1), self.n_pes)
+        halo = compute_halo(owner, self.cell_list, load.counts.reshape(-1), self.n_pes)
         # NetworkModel.particles_time for every PE at once, same operand order
         # (the byte counts are exact in float64 however they are converted).
         wire_bytes = halo.ghost_particles * self.machine.bytes_per_particle
@@ -163,7 +163,7 @@ class StepAccountant:
     def account_step(
         self,
         step: int,
-        counts_grid: np.ndarray,
+        load: CellLoad,
         assignment: CellAssignment,
         dlb_enabled: bool,
         force_times_override: np.ndarray | None = None,
@@ -181,7 +181,7 @@ class StepAccountant:
         with timer:
             force_times, other_times, comm_times, wire_bytes, wire_messages = (
                 self._charge_step(
-                    step, counts_grid, assignment.cell_owner_map(), force_times_override
+                    step, load, assignment.cell_owner_map(), force_times_override
                 )
             )
             # Log the halo exchange per tag. Each PE's receive has a matching
@@ -207,7 +207,7 @@ class StepAccountant:
             return timing, totals
 
     def counterfactual_step_time(
-        self, step: int, counts_grid: np.ndarray, assignment: CellAssignment
+        self, step: int, load: CellLoad, assignment: CellAssignment
     ) -> float:
         """Barrier time of this step had every cell stayed at its home PE.
 
@@ -227,7 +227,7 @@ class StepAccountant:
             faults.events = None
         try:
             force_times, other_times, comm_times, _, _ = self._charge_step(
-                step, counts_grid, assignment.home
+                step, load, assignment.home
             )
             return float((force_times + comm_times + other_times).max())
         finally:

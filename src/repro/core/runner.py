@@ -45,6 +45,7 @@ from ..obs import (
     collect_traffic,
 )
 from ..obs.events import EventLog
+from ..parallel.costmodel import CellLoad
 from ..parallel.instrumentation import StepTiming
 from ..rng import generator
 from ..theory.concentration import measure_concentration
@@ -210,12 +211,12 @@ class _ObservedRunner:
 
     def _account(
         self,
-        counts: np.ndarray,
+        load: CellLoad,
         moves: list,
         override: np.ndarray | None = None,
         forces: np.ndarray | None = None,
     ) -> StepTiming:
-        """Charge step ``self.step_count`` and run its tail.
+        """Charge step ``self.step_count`` under ``load`` and run its tail.
 
         Accounting, imbalance analytics, the invariant audit, trace spans and
         metrics, then the simulated clock and the times/counts the next
@@ -223,18 +224,18 @@ class _ObservedRunner:
         times for the cost model's; ``forces`` lets the audit check them.
         """
         timing, totals = self.accountant.account_step(
-            self.step_count, counts, self.assignment, self.dlb_enabled, override
+            self.step_count, load, self.assignment, self.dlb_enabled, override
         )
-        self._observe_totals(timing, totals, counts)
+        self._observe_totals(timing, totals, load)
         if self.auditor is not None:
             self.auditor.maybe_audit(
-                self.step_count, counts=counts, forces=forces, moves=moves
+                self.step_count, counts=load.counts, forces=forces, moves=moves
             )
         if self.observability is not None:
             self._observe_step(timing, moves)
         self.sim_time += timing.tt
         self._last_times = totals
-        self._last_counts = counts
+        self._last_counts = load.counts
         return timing
 
     def _checkpoint_if_due(
@@ -360,7 +361,7 @@ class _ObservedRunner:
         obs.maybe_flush(timing.step)
 
     def _observe_totals(
-        self, timing: StepTiming, totals: np.ndarray, counts: np.ndarray
+        self, timing: StepTiming, totals: np.ndarray, load: CellLoad
     ) -> None:
         """Feed the imbalance analytics (and its DLB counterfactual) one step."""
         tracker = self.imbalance
@@ -369,7 +370,7 @@ class _ObservedRunner:
         counterfactual = None
         if self.dlb_enabled:
             counterfactual = self.accountant.counterfactual_step_time(
-                timing.step, counts, self.assignment
+                timing.step, load, self.assignment
             )
         tracker.observe(timing.step, totals, timing.tt, counterfactual)
 
@@ -559,15 +560,15 @@ class ParallelMDRunner(_ObservedRunner):
         self.step_count += 1
         self.thermostat.maybe_rescale(self.system, self.step_count)
 
-        counts = self.cell_list.counts(self.system.positions)
+        load = self.accountant.cost_model.load(self.cell_list.counts(self.system.positions))
         override = None
         if self.run_config.timing_mode == "measured":
             # The engine's force pass *is* the decomposed pass: its per-PE
             # wall clock replaces the cost model's force times.
             override = self.force_field.last_pass.per_pe_seconds
-        timing = self._account(counts, moves, override, forces=self.system.forces)
+        timing = self._account(load, moves, override, forces=self.system.forces)
 
-        concentration = measure_concentration(counts, self.assignment)
+        concentration = measure_concentration(load.counts, self.assignment)
         return StepRecord(
             step=self.step_count,
             timing=timing,
@@ -638,9 +639,10 @@ class DrivenLoadRunner(_ObservedRunner):
     that produces concentration, which is exactly what the effective-range
     experiments need.
 
-    The runner owns a single :class:`CellList`; the per-round work and halo
-    accounting are stateless box-stencil reductions over its grid, so there
-    is nothing to invalidate when the balancer moves cells.
+    Each configuration is binned once into a ``CellLoad`` (counts and cell
+    work) that its ``rounds_per_config`` rounds charge under their own owner
+    maps. It is a loop local: nothing is keyed on array identity, invalidated
+    when cells move, or snapshotted.
     """
 
     kind = "driven_load"
@@ -684,18 +686,18 @@ class DrivenLoadRunner(_ObservedRunner):
         for index, positions in enumerate(configurations):
             if index < skip:
                 continue
-            counts = self.cell_list.counts(positions)
+            load = self.accountant.cost_model.load(self.cell_list.counts(positions))
             n_moves = 0
             for _ in range(self.rounds_per_config):
                 moves = self._rebalance()
                 n_moves += len(moves)
                 self.step_count += 1
-                timing = self._account(counts, moves)
+                timing = self._account(load, moves)
             result.append(
                 StepRecord(
                     step=self.step_count,
                     timing=timing,
-                    concentration=measure_concentration(counts, self.assignment),
+                    concentration=measure_concentration(load.counts, self.assignment),
                     n_moves=n_moves,
                 )
             )

@@ -35,6 +35,21 @@ class HaloExchange:
     messages: np.ndarray
 
 
+def importer_words(cell_owner: np.ndarray, cell_list: CellList, n_pes: int) -> np.ndarray:
+    """``(C, ceil(P/64))`` ``uint64`` bit sets of the PEs importing each cell:
+    the box OR of one owner bit per cell, minus the owner. A shift by 64 or
+    more (a negative one wraps) is 0 in NumPy: it clears the other words."""
+    shifts = (cell_owner[:, None] - np.arange(0, n_pes, 64)).astype(np.uint64)
+    own = np.left_shift(np.uint64(1), shifts).reshape((cell_list.cells_per_side,) * 3 + (-1,))
+    return (cell_list.box_reduce(own, np.bitwise_or) ^ own).reshape(cell_list.n_cells, -1)
+
+
+def unpack_words(words: np.ndarray, n_pes: int) -> np.ndarray:
+    """``(K, n_words)`` ``uint64`` bit sets as a ``(K, n_pes)`` 0/1 matrix."""
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n_pes]
+
+
 def compute_halo(
     cell_owner: np.ndarray,
     cell_list: CellList,
@@ -47,36 +62,34 @@ def compute_halo(
     particle counts. A ghost cell adjacent through several stencil offsets is
     imported once (real implementations deduplicate the ghost region).
 
-    The 26-neighbour reach of a PE is the dilation of its cells by a periodic
-    3x3x3 box, which factors into one ``m | roll(m, +1) | roll(m, -1)`` pass
-    per axis over a one-hot ownership mask; cells reached but not owned are
-    the ghost set, already deduplicated. The mask is laid out ``(C, P)`` so
-    that every roll moves whole ``P``-byte rows; it is ``P * C`` bytes
-    (210 KB at 36 PEs x 18^3 cells) and is rebuilt on every call -- nothing
-    is kept between calls.
+    One code path for any ``P`` over :func:`importer_words`. Flat neighbours
+    touch (periodically), so a run of equal words has one owner; runs are
+    grouped by word with one sort, so ghost cells and particles are integer
+    sums per distinct word and only those words are unpacked. Contact is
+    symmetric (``q`` imports from ``p`` exactly when ``p`` imports from
+    ``q``): ``messages[q]`` is the popcount of the OR of its cells' words.
     """
     n_cells = cell_list.n_cells
     if cell_owner.shape != (n_cells,):
         raise DecompositionError(f"owner map shape {cell_owner.shape} != ({n_cells},)")
     if counts_flat.shape != (n_cells,):
         raise DecompositionError(f"counts shape {counts_flat.shape} != ({n_cells},)")
-
-    owned = np.zeros((n_cells, n_pes), dtype=bool)
-    owned[np.arange(n_cells), cell_owner] = True
-    reach = owned.reshape((cell_list.cells_per_side,) * 3 + (n_pes,))
-    for axis in range(3):
-        reach = reach | np.roll(reach, 1, axis) | np.roll(reach, -1, axis)
-    # reach is a superset of owned, so xor is "reached and not owned".
-    cell, importer = np.divmod(np.flatnonzero(reach.reshape(n_cells, n_pes) ^ owned), n_pes)
-
-    ghost_cells = np.bincount(importer, minlength=n_pes)
-    ghost_particles = np.bincount(
-        importer, weights=counts_flat[cell], minlength=n_pes
-    ).astype(np.int64)
-    # Message count: distinct (importer, source PE) pairs.
-    senders = np.zeros((n_pes, n_pes), dtype=bool)
-    senders[importer, cell_owner[cell]] = True
-    return HaloExchange(ghost_cells, ghost_particles, senders.sum(axis=1))
+    importers = importer_words(cell_owner, cell_list, n_pes)
+    differs = (importers[1:] != importers[:-1]).any(axis=1)
+    bounds = np.flatnonzero(np.concatenate(([True], differs, [True])))
+    starts = bounds[:-1]
+    words = importers.take(starts, axis=0)
+    reached = np.zeros((n_pes, words.shape[1]), dtype=np.uint64)
+    np.bitwise_or.at(reached, cell_owner[starts], words)
+    order = np.lexsort(words.T)
+    words = words.take(order, axis=0)
+    groups = np.flatnonzero(np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1))))
+    # (cells, particles) per run, then per distinct word.
+    totals = np.array((np.diff(bounds), np.add.reduceat(counts_flat, starts)), np.int64)
+    totals = np.add.reduceat(totals.take(order, axis=1), groups, axis=1)
+    ghost_cells, ghost_particles = totals @ unpack_words(words.take(groups, axis=0), n_pes)
+    messages = unpack_words(reached, n_pes).sum(axis=1, dtype=np.int64)
+    return HaloExchange(ghost_cells, ghost_particles, messages)
 
 
 def halo_summary(halo: HaloExchange) -> dict[str, float]:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DecompositionError
+from ..md.celllist import CellList
 from .assignment import CellAssignment
+from .halo import importer_words, unpack_words
 
 #: 8-neighbourhood offsets in the cross-section plane (the PE torus is 2-D).
 CROSS_SECTION_OFFSETS: tuple[tuple[int, int], ...] = (
@@ -25,34 +27,18 @@ CROSS_SECTION_OFFSETS: tuple[tuple[int, int], ...] = (
     (1, 1),
 )
 
-#: The 26 neighbour offsets of the 3-D cell grid.
-CELL_OFFSETS_3D: tuple[tuple[int, int, int], ...] = tuple(
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) != (0, 0, 0)
-)
-
 
 def contact_pairs(cell_owner: np.ndarray, cells_per_side: int) -> set[tuple[int, int]]:
-    """Unordered pairs of distinct PEs whose domains touch (26-adjacency)."""
+    """Unordered pairs of distinct PEs whose domains touch (26-adjacency):
+    each cell's owner with every PE in its :func:`~.halo.importer_words`."""
     expected = cells_per_side**3
     if cell_owner.shape != (expected,):
         raise DecompositionError(f"cell owner shape {cell_owner.shape} != ({expected},)")
-    owners = cell_owner.reshape((cells_per_side,) * 3)
-    pairs: set[tuple[int, int]] = set()
-    for offset in CELL_OFFSETS_3D:
-        shifted = np.roll(owners, shift=offset, axis=(0, 1, 2))
-        mask = owners != shifted
-        if not mask.any():
-            continue
-        a = owners[mask]
-        b = shifted[mask]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        pairs.update(zip(lo.tolist(), hi.tolist()))
-    return pairs
+    n_pes = int(cell_owner.max()) + 1
+    words = importer_words(cell_owner, CellList(float(cells_per_side), cells_per_side), n_pes)
+    cell, importer = np.nonzero(unpack_words(words, n_pes))
+    owner = cell_owner[cell]
+    return set(zip(np.minimum(owner, importer).tolist(), np.maximum(owner, importer).tolist()))
 
 
 def torus_neighbors(pe: int, pe_side: int) -> set[int]:

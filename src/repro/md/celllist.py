@@ -10,8 +10,8 @@ Flat cell index convention: ``flat = (ix * nc + iy) * nc + iz``.
 
 The occupancy builders share one :class:`CellSort` -- the assign/argsort/
 bincount pipeline run once per position snapshot -- and the periodic stencil
-tables (``neighbor_ids``) are computed once per offset and cached, since the
-grid geometry never changes over a ``CellList``'s lifetime.
+tables (``neighbor_ids``, the padding behind ``box_reduce``) are computed once
+and cached, since the grid geometry never changes over a ``CellList``'s lifetime.
 """
 
 from __future__ import annotations
@@ -80,8 +80,10 @@ class CellList:
         self.cell_size = self.box_length / self.cells_per_side
         self.n_cells = self.cells_per_side**3
         # Stencil tables depend only on the (immutable) grid geometry; they are
-        # computed lazily once per offset instead of 13x per pair search.
+        # computed once (per offset, lazily) instead of 13x per pair search.
         self._all_coords: np.ndarray | None = None
+        wrap = np.arange(-1, self.cells_per_side + 1) % self.cells_per_side
+        self._padding = self.flatten(np.stack(np.meshgrid(wrap, wrap, wrap, indexing="ij"), -1))
         self._neighbor_ids_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- index arithmetic -------------------------------------------------
@@ -172,17 +174,29 @@ class CellList:
         distance evaluations for cell ``c`` is
         ``counts[c] * neighbor_count_sum(counts)[c]`` (self pairs double
         counted consistently across cells, which is what the real kernel does
-        when each PE computes its own cells' forces from scratch).
-
-        The 3x3x3 periodic box sum factors into one three-term pass per axis
-        (exact for the integer grids every caller passes).
+        when each PE computes its own cells' forces from scratch). It is
+        :meth:`box_reduce` with ``np.add`` (exact on integer grids).
         """
         if counts_grid.shape != (self.cells_per_side,) * 3:
             raise GeometryError(
                 f"counts grid shape {counts_grid.shape} does not match "
                 f"({self.cells_per_side},)*3"
             )
-        total = counts_grid
-        for axis in range(3):
-            total = total + np.roll(total, 1, axis) + np.roll(total, -1, axis)
-        return total
+        return self.box_reduce(counts_grid, np.add)
+
+    def box_reduce(self, grid: np.ndarray, op: np.ufunc) -> np.ndarray:
+        """Fold ``op`` over each cell's periodic 3x3x3 box of an ``(nc, nc, nc, ...)``
+        grid, keeping the dtype: one gather into the ``(nc+2)^3`` padded grid,
+        then a three-term pass per axis over the flat buffer. Each pass drops two
+        strides off the valid prefix, which leaves box ``(x, y, z)`` at padded
+        cell ``(x, y, z)``."""
+        nc, side = self.cells_per_side, self.cells_per_side + 2
+        padded = grid.reshape(self.n_cells, -1).take(self._padding, axis=0)
+        width, src = padded.shape[-1], padded.ravel()
+        dst, valid = np.empty_like(src), src.size
+        for stride in (side * side * width, side * width, width):
+            valid -= 2 * stride
+            op(src[:valid], src[stride:valid + stride], out=dst[:valid])
+            op(dst[:valid], src[2 * stride:valid + 2 * stride], out=dst[:valid])
+            src, dst = dst, src
+        return src.reshape((side,) * 3 + grid.shape[3:])[:nc, :nc, :nc]

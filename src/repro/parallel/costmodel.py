@@ -24,6 +24,15 @@ from ..md.potential import LennardJones
 
 
 @dataclass(frozen=True)
+class CellLoad:
+    """A configuration's ``(nc, nc, nc)`` counts and flat ``(C,)`` cell work:
+    built once by :meth:`ComputeCostModel.load`, charged every round."""
+
+    counts: np.ndarray
+    work: np.ndarray
+
+
+@dataclass(frozen=True)
 class PEWork:
     """Per-PE work decomposition for one step (arrays of shape ``(P,)``)."""
 
@@ -44,32 +53,28 @@ class ComputeCostModel:
         self.machine = machine
         self.cell_list = cell_list
 
-    def cell_work(self, counts_grid: np.ndarray) -> np.ndarray:
-        """Candidate pair evaluations charged to each cell (flat ``(C,)``).
+    def load(self, counts_grid: np.ndarray) -> CellLoad:
+        """The grid with the candidate pair evaluations charged to each cell.
 
         ``count(c) * sum over the 27-stencil of counts``: the cell's particles
         against everything in reach, exactly what the paper's kernel checks.
         """
-        neighbor_sum = self.cell_list.neighbor_count_sum(counts_grid)
-        return (counts_grid * neighbor_sum).reshape(-1).astype(np.float64)
+        work = counts_grid * self.cell_list.neighbor_count_sum(counts_grid)
+        return CellLoad(counts_grid, work.reshape(-1).astype(np.float64))
 
-    def per_pe_work(
-        self, counts_grid: np.ndarray, cell_owner: np.ndarray, n_pes: int
-    ) -> PEWork:
+    def per_pe_work(self, load: CellLoad, cell_owner: np.ndarray, n_pes: int) -> PEWork:
         """Per-PE compute times for one step.
 
         ``cell_owner`` is the flat ``(C,)`` owner map. Force time aggregates
-        :meth:`cell_work` per owner; integration time is per owned particle;
+        the load's cell work per owner; integration time is per owned particle;
         cell time is per owned cell (rebuild of the cell-molecule relation,
         which the paper's programs redo every step).
         """
         n_cells = self.cell_list.n_cells
         if cell_owner.shape != (n_cells,):
             raise ConfigurationError(f"owner map shape {cell_owner.shape} != ({n_cells},)")
-        work = self.cell_work(counts_grid)
-        counts_flat = counts_grid.reshape(-1).astype(np.float64)
-        force = self.machine.tau_pair * np.bincount(cell_owner, weights=work, minlength=n_pes)
-        particles = np.bincount(cell_owner, weights=counts_flat, minlength=n_pes)
+        force = self.machine.tau_pair * np.bincount(cell_owner, load.work, n_pes)
+        particles = np.bincount(cell_owner, load.counts.reshape(-1), n_pes)
         integrate = self.machine.tau_particle * particles
         cells = np.bincount(cell_owner, minlength=n_pes).astype(np.float64)
         cell_time = self.machine.tau_cell * cells

@@ -29,7 +29,9 @@ class TestAccountStep:
     def test_uniform_gas_is_balanced(self, setup):
         _, _, assignment, accountant = setup
         counts = np.full((6, 6, 6), 3)
-        timing, totals = accountant.account_step(1, counts, assignment, dlb_enabled=False)
+        timing, totals = accountant.account_step(
+            1, accountant.cost_model.load(counts), assignment, dlb_enabled=False
+        )
         assert timing.spread == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(totals, totals[0])
 
@@ -37,22 +39,30 @@ class TestAccountStep:
         _, _, assignment, accountant = setup
         counts = np.ones((6, 6, 6), dtype=int)
         counts[0, 0, 0] = 50
-        timing, _ = accountant.account_step(1, counts, assignment, dlb_enabled=False)
+        timing, _ = accountant.account_step(
+            1, accountant.cost_model.load(counts), assignment, dlb_enabled=False
+        )
         assert timing.spread > 0
         assert timing.fmax > timing.fave > timing.fmin
 
     def test_tt_includes_all_components(self, setup):
         _, _, assignment, accountant = setup
         counts = np.full((6, 6, 6), 2)
-        timing, totals = accountant.account_step(1, counts, assignment, dlb_enabled=False)
+        timing, totals = accountant.account_step(
+            1, accountant.cost_model.load(counts), assignment, dlb_enabled=False
+        )
         assert timing.tt == pytest.approx(totals.max())
         assert timing.tt > timing.fmax  # comm and integration add on top
 
     def test_dlb_overhead_charged_when_enabled(self, setup):
         machine, _, assignment, accountant = setup
         counts = np.full((6, 6, 6), 2)
-        t_off, _ = accountant.account_step(1, counts, assignment, dlb_enabled=False)
-        t_on, _ = accountant.account_step(2, counts, assignment, dlb_enabled=True)
+        t_off, _ = accountant.account_step(
+            1, accountant.cost_model.load(counts), assignment, dlb_enabled=False
+        )
+        t_on, _ = accountant.account_step(
+            2, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+        )
         assert t_on.tt == pytest.approx(t_off.tt + machine.dlb_overhead)
         assert t_on.dlb_time == machine.dlb_overhead
 
@@ -61,18 +71,26 @@ class TestChargeMoves:
     def test_migration_lands_on_next_step(self, setup):
         _, _, assignment, accountant = setup
         counts = np.full((6, 6, 6), 3)
-        base, _ = accountant.account_step(1, counts, assignment, dlb_enabled=True)
+        base, _ = accountant.account_step(
+            1, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+        )
         cell = int(assignment.movable_at_home(4)[0])
         move = Move(cell=cell, src=4, dst=assignment.pe_flat(0, 1), kind=Case.SEND_OWN)
         accountant.charge_moves([move], counts, assignment)
         assignment.transfer(cell, move.dst)
-        charged, _ = accountant.account_step(2, counts, assignment, dlb_enabled=True)
+        charged, _ = accountant.account_step(
+            2, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+        )
         assert charged.comm_max > base.comm_max
         # The pending charge is consumed: the following step matches a fresh
         # accounting of the (post-move) state.
-        after, _ = accountant.account_step(3, counts, assignment, dlb_enabled=True)
+        after, _ = accountant.account_step(
+            3, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+        )
         fresh = StepAccountant(accountant.machine, accountant.cell_list, 9)
-        reference, _ = fresh.account_step(3, counts, assignment, dlb_enabled=True)
+        reference, _ = fresh.account_step(
+            3, fresh.cost_model.load(counts), assignment, dlb_enabled=True
+        )
         assert after.comm_max == pytest.approx(reference.comm_max, rel=1e-9)
         assert after.comm_max < charged.comm_max
 
@@ -98,7 +116,8 @@ class TestMeasuredOverride:
         counts = np.full((6, 6, 6), 3)
         override = np.arange(9, dtype=float) + 1.0
         timing, _ = accountant.account_step(
-            1, counts, assignment, dlb_enabled=False, force_times_override=override
+            1, accountant.cost_model.load(counts), assignment,
+            dlb_enabled=False, force_times_override=override,
         )
         assert timing.fmax == pytest.approx(9.0)
         assert timing.fmin == pytest.approx(1.0)
@@ -117,7 +136,9 @@ class TestExplicitProfiler:
             MachineConfig(), CellList(float(nc), nc), n_pes, profiler=profiler
         )
         counts = np.full((nc, nc, nc), 3)
-        accountant.account_step(1, counts, CellAssignment(nc, n_pes), dlb_enabled=False)
+        accountant.account_step(
+            1, accountant.cost_model.load(counts), CellAssignment(nc, n_pes), dlb_enabled=False
+        )
         assert profiler.stats["accounting.account_step"].count == 1
 
     def test_merge_state_folds_worker_snapshots(self):
@@ -247,7 +268,9 @@ class TestArrayChargingEqualsScalarFormulas:
             assert np.array_equal(accountant._pending_migration, reference.pending), "pending"
             moved += len(moves)
 
-            accountant.account_step(step, counts, assignment, dlb_enabled=True)
+            accountant.account_step(
+                step, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+            )
             expected = reference.comm_times(step, counts, assignment.cell_owner_map())
             assert np.array_equal(accountant.last_components.comm_times, expected)
             assert not accountant._pending_migration.any()
@@ -276,5 +299,6 @@ class TestArrayChargingEqualsScalarFormulas:
     def test_no_halo_tag_on_a_machine_without_neighbours(self):
         """One PE exchanges nothing; the halo tag must not appear as 0/0."""
         accountant = StepAccountant(MachineConfig(), CellList(3.0, 3), 1)
-        accountant.account_step(1, np.full((3, 3, 3), 2), CellAssignment(3, 1), False)
+        load = accountant.cost_model.load(np.full((3, 3, 3), 2))
+        accountant.account_step(1, load, CellAssignment(3, 1), False)
         assert accountant.traffic.by_tag == {}

@@ -14,6 +14,7 @@ from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
 from repro.decomp.validation import check_eight_neighbor_property
 from repro.engine import SequentialEngine
 from repro.errors import ConfigurationError
+from repro.parallel.costmodel import ComputeCostModel
 from repro.workloads.concentration import ConcentrationSchedule
 
 
@@ -158,6 +159,68 @@ class TestDrivenLoadRunner:
         runner.run(schedule)
         check_eight_neighbor_property(runner.assignment)
         runner.assignment.validate()
+
+    @staticmethod
+    def charged_force_times(monkeypatch, configurations, reuse_first_load=False):
+        """``(configuration index, owner map, force times)`` of every round."""
+        runner = DrivenLoadRunner(small_sim_config(), rounds_per_config=3)
+        accountant = runner.accountant
+        if reuse_first_load:  # seeded bug: the first configuration's load, forever
+            loads = []
+            real_load = accountant.cost_model.load
+
+            def first_load(counts):
+                if not loads:
+                    loads.append(real_load(counts))
+                return loads[0]
+
+            monkeypatch.setattr(accountant.cost_model, "load", first_load)
+        charged = []
+        real_account_step = accountant.account_step
+
+        def account_step(step, load, assignment, *args):
+            result = real_account_step(step, load, assignment, *args)
+            charged.append((
+                (step - 1) // runner.rounds_per_config,
+                assignment.cell_owner_map().copy(),
+                accountant.last_components.force_times.copy(),
+            ))
+            return result
+
+        monkeypatch.setattr(accountant, "account_step", account_step)
+        runner.run(configurations)
+        return runner, charged
+
+    @pytest.mark.parametrize("reuse_first_load", [False, True])
+    def test_each_round_charges_its_own_configuration(self, monkeypatch, reuse_first_load):
+        """The load is built once per configuration and every round of it
+        charges that load under the round's own owner map: a stale load
+        (the previous configuration's counts) must show in the force times."""
+        box = small_sim_config().md.box_length
+        rng = np.random.default_rng(3)
+        configurations = [  # a uniform gas, then everything in one corner
+            rng.uniform(0.0, box, (1000, 3)),
+            rng.uniform(0.0, box / 3, (1000, 3)),
+        ]
+        runner, charged = self.charged_force_times(
+            monkeypatch, configurations, reuse_first_load
+        )
+        assert [index for index, _, _ in charged] == [0, 0, 0, 1, 1, 1]
+        owners = [owner for _, owner, _ in charged]
+        assert any(not np.array_equal(owner, owners[0]) for owner in owners)
+        model = ComputeCostModel(runner.config.machine, runner.cell_list)
+
+        def charged_as_configured():
+            for index, owner, force_times in charged:
+                counts = runner.cell_list.counts(configurations[index])
+                expected = model.per_pe_work(model.load(counts), owner, 9).force_times
+                assert np.array_equal(force_times, expected), index
+
+        if not reuse_first_load:
+            charged_as_configured()
+            return
+        with pytest.raises(AssertionError):
+            charged_as_configured()
 
 
 class TestVerletBackendRunner:

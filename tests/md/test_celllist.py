@@ -134,6 +134,46 @@ class TestNeighborCountSum:
         assert np.array_equal(total, expected)
 
 
+class TestBoxReduce:
+    """The one 3x3x3 box stencil behind the cell work, the halo and the
+    contact check, against the explicit 27-offset ``np.roll`` reduction."""
+
+    @staticmethod
+    def rolled(grid, op):
+        out = None
+        for offset in FULL_STENCIL:
+            shifted = np.roll(grid, shift=offset, axis=(0, 1, 2))
+            out = shifted if out is None else op(out, shifted)
+        return out
+
+    @pytest.mark.parametrize("nc", [3, 4, 5, 7])
+    @pytest.mark.parametrize(
+        "op, dtype, tail",
+        [
+            (np.add, np.int64, ()),
+            (np.add, np.int32, ()),
+            (np.add, np.int64, (2,)),
+            (np.bitwise_or, np.uint64, (1,)),
+            (np.bitwise_or, np.uint64, (3,)),
+            (np.bitwise_or, np.bool_, ()),
+        ],
+    )
+    def test_matches_27_offset_roll_reduction(self, nc, op, dtype, tail):
+        # At nc=3 the periodic stencil wraps onto the whole grid.
+        rng = np.random.default_rng([nc, len(tail)])
+        shape = (nc, nc, nc) + tail
+        if dtype is np.bool_:
+            grid = rng.random(shape) < 0.1
+        elif dtype is np.uint64:  # one set bit per element, as the halo packs owners
+            grid = np.uint64(1) << rng.integers(0, 64, shape).astype(np.uint64)
+        else:
+            grid = rng.integers(0, 50, shape).astype(dtype)
+        reduced = CellList(float(nc), nc).box_reduce(grid, op)
+        assert reduced.dtype == grid.dtype
+        assert reduced.shape == grid.shape
+        assert np.array_equal(reduced, self.rolled(grid, op))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)

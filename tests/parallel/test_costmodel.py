@@ -18,13 +18,13 @@ def model():
 class TestCellWork:
     def test_uniform_gas(self, model):
         counts = np.full((6, 6, 6), 4)
-        work = model.cell_work(counts)
+        work = model.load(counts).work
         assert np.all(work == 4 * 27 * 4)
 
     def test_empty_cells_have_no_work(self, model):
         counts = np.zeros((6, 6, 6), dtype=int)
         counts[0, 0, 0] = 5
-        work = model.cell_work(counts).reshape(6, 6, 6)
+        work = model.load(counts).work.reshape(6, 6, 6)
         # Only the occupied cell works: 5 particles x 5 in-stencil.
         assert work[0, 0, 0] == 25
         assert work.sum() == 25
@@ -34,7 +34,7 @@ class TestCellWork:
         dense = np.zeros((6, 6, 6), dtype=int)
         sparse[3, 3, 3] = 5
         dense[3, 3, 3] = 10
-        assert model.cell_work(dense).sum() == 4 * model.cell_work(sparse).sum()
+        assert model.load(dense).work.sum() == 4 * model.load(sparse).work.sum()
 
 
 class TestPerPEWork:
@@ -44,7 +44,7 @@ class TestPerPEWork:
         model = ComputeCostModel(machine, cell_list)
         assignment = CellAssignment(6, 9)
         counts = np.full((6, 6, 6), 2)
-        work = model.per_pe_work(counts, assignment.cell_owner_map(), 9)
+        work = model.per_pe_work(model.load(counts), assignment.cell_owner_map(), 9)
         per_cell = 2 * 27 * 2
         cells_per_pe = 6**3 // 9
         assert np.allclose(work.force_times, per_cell * cells_per_pe)
@@ -55,7 +55,7 @@ class TestPerPEWork:
         model = ComputeCostModel(machine, cell_list)
         assignment = CellAssignment(6, 9)
         counts = np.full((6, 6, 6), 3)
-        work = model.per_pe_work(counts, assignment.cell_owner_map(), 9)
+        work = model.per_pe_work(model.load(counts), assignment.cell_owner_map(), 9)
         assert np.allclose(work.integrate_times, 3 * 24)
 
     def test_total_work_conserved_across_assignments(self):
@@ -66,21 +66,21 @@ class TestPerPEWork:
         assignment = CellAssignment(9, 9)
         rng = np.random.default_rng(1)
         counts = rng.integers(0, 6, (9, 9, 9))
-        before = model.per_pe_work(counts, assignment.cell_owner_map(), 9)
+        before = model.per_pe_work(model.load(counts), assignment.cell_owner_map(), 9)
         cell = int(assignment.movable_at_home(4)[0])
         assignment.transfer(cell, assignment.pe_flat(0, 1))
-        after = model.per_pe_work(counts, assignment.cell_owner_map(), 9)
+        after = model.per_pe_work(model.load(counts), assignment.cell_owner_map(), 9)
         assert before.force_times.sum() == pytest.approx(after.force_times.sum())
         assert before.compute_times.sum() == pytest.approx(after.compute_times.sum())
 
     def test_rejects_bad_owner_shape(self, model):
         with pytest.raises(ConfigurationError):
-            model.per_pe_work(np.zeros((6, 6, 6)), np.zeros(5, dtype=int), 4)
+            model.per_pe_work(model.load(np.zeros((6, 6, 6))), np.zeros(5, dtype=int), 4)
 
     def test_compute_times_is_sum_of_parts(self, model):
         assignment = CellAssignment(6, 9)
         counts = np.full((6, 6, 6), 1)
-        work = model.per_pe_work(counts, assignment.cell_owner_map(), 9)
+        work = model.per_pe_work(model.load(counts), assignment.cell_owner_map(), 9)
         assert np.allclose(
             work.compute_times,
             work.force_times + work.integrate_times + work.cell_times,
