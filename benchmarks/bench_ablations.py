@@ -21,7 +21,12 @@ from repro.workloads.concentration import ConcentrationSchedule
 GEOMETRY = geometry_for(3, 9, 0.256)
 
 
-def sweep(config: SimulationConfig, n_steps: int = 60, seed: int = 13) -> dict:
+def sweep(
+    config: SimulationConfig,
+    n_steps: int = 60,
+    seed: int = 13,
+    balancer: str | None = None,
+) -> dict:
     schedule = ConcentrationSchedule(
         n_particles=GEOMETRY.n_particles,
         box_length=GEOMETRY.box_length,
@@ -29,7 +34,9 @@ def sweep(config: SimulationConfig, n_steps: int = 60, seed: int = 13) -> dict:
         n_droplets=90,
         seed=seed,
     )
-    result = DrivenLoadRunner(config, rounds_per_config=4).run(schedule)
+    result = DrivenLoadRunner(
+        config, rounds_per_config=4, balancer=balancer
+    ).run(schedule)
     return {
         "late_spread": float(result.spread[-10:].mean()),
         "mean_tt": float(result.tt.mean()),
@@ -40,7 +47,7 @@ def sweep(config: SimulationConfig, n_steps: int = 60, seed: int = 13) -> dict:
 def with_dlb(dlb: DLBConfig, machine: MachineConfig | None = None) -> SimulationConfig:
     from dataclasses import replace
 
-    config = simulation_config_for(GEOMETRY, dlb_enabled=True, machine=machine)
+    config = simulation_config_for(GEOMETRY, machine=machine)
     return replace(config, dlb=dlb)
 
 
@@ -56,7 +63,7 @@ class TestPolicyAblation:
         print(f"  threshold: spread {lazy['late_spread']:.2e}, moves {lazy['moves']}")
         assert lazy["moves"] < eager["moves"]
         # The lazy policy still beats no balancing at all.
-        ddm = sweep(simulation_config_for(GEOMETRY, dlb_enabled=False))
+        ddm = sweep(simulation_config_for(GEOMETRY), balancer="none")
         assert lazy["late_spread"] < ddm["late_spread"]
 
 
@@ -84,8 +91,8 @@ class TestMachineAblation:
 
         def run():
             dlb = sweep(with_dlb(DLBConfig(), machine=machine))
-            ddm = sweep(simulation_config_for(GEOMETRY, dlb_enabled=False,
-                                              machine=machine))
+            ddm = sweep(simulation_config_for(GEOMETRY, machine=machine),
+                        balancer="none")
             return dlb, ddm
 
         dlb, ddm = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -77,8 +77,6 @@ def test_balancer_round(benchmark, assignment, times, counts, strategy, kernel_l
     moves = benchmark(balancer.decide, times, 0, counts)
     record_kernel(kernel_log, benchmark, f"balancer_round_{strategy}")
     assert isinstance(moves, list)
-    if strategy == "none":
-        assert moves == []
 
 
 def test_permanent_seam_matches_and_gates_overhead(assignment, times, kernel_log):

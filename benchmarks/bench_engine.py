@@ -20,7 +20,6 @@ import pytest
 from repro import api
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MDConfig,
     RunConfig,
     SimulationConfig,
@@ -54,7 +53,6 @@ def workload_config(name: str) -> SimulationConfig:
         decomposition=DecompositionConfig(
             cells_per_side=spec["cells_per_side"], n_pes=spec["n_pes"]
         ),
-        dlb=DLBConfig(enabled=True),
     )
 
 

@@ -23,7 +23,6 @@ import pytest
 from conftest import record_kernel
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MachineConfig,
     MDConfig,
     RunConfig,
@@ -170,7 +169,6 @@ def _parallel_runner(observability=None) -> ParallelMDRunner:
     config = SimulationConfig(
         md=MDConfig(n_particles=1000, density=0.256),
         decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
-        dlb=DLBConfig(enabled=True),
     )
     return ParallelMDRunner(
         config, RunConfig(steps=10, seed=7), observability=observability
@@ -255,11 +253,9 @@ def test_parallel_step_events_on(benchmark, kernel_log):
 def test_accounted_step(benchmark, positions, kernel_log):
     cell_list = CellList(BOX, 12)
     assignment = CellAssignment(12, 9)
-    accountant = StepAccountant(MachineConfig(), cell_list, 9)
+    accountant = StepAccountant(MachineConfig(), cell_list, 9, charge_dlb=True)
     load = accountant.cost_model.load(cell_list.counts(positions))
-    timing, totals = benchmark(
-        accountant.account_step, 1, load, assignment, True
-    )
+    timing, totals = benchmark(accountant.account_step, 1, load, assignment)
     record_kernel(kernel_log, benchmark, "accounted_step")
     assert timing.tt > 0
     assert totals.shape == (9,)

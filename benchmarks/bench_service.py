@@ -28,8 +28,7 @@ OVERHEAD_THRESHOLD = 1.15
 #: The measured workload (a fig5 point at benchmark scale) and a tiny
 #: warm-up run that absorbs process-pool startup before timing begins.
 FIG5_STEPS = {"quick": 80, "full": 160}
-WARMUP_SPEC = {"kind": "preset", "preset": "quickstart", "mode": "dlb",
-               "n_steps": 5, "seed": 1}
+WARMUP_SPEC = {"kind": "preset", "preset": "quickstart", "n_steps": 5, "seed": 1}
 
 
 class _ServerThread:
@@ -64,7 +63,7 @@ class _ServerThread:
 
 def test_service_overhead_fig5(service_log, tmp_path):
     steps = FIG5_STEPS[bench_scale()]
-    spec = {"kind": "preset", "preset": "fig5b-scaled", "mode": "dlb",
+    spec = {"kind": "preset", "preset": "fig5b-scaled", "balancer": "permanent",
             "n_steps": steps, "seed": 3}
 
     # Direct path: the same resolved spec through the facade, in-process.
@@ -72,8 +71,8 @@ def test_service_overhead_fig5(service_log, tmp_path):
     direct = api.simulate(
         spec["preset"],
         run=RunConfig(steps=steps, seed=spec["seed"],
-                      record_interval=max(1, steps // 50)),
-        dlb=True,
+                      record_interval=max(1, steps // 50),
+                      balancer=spec["balancer"]),
     )
     direct_s = time.perf_counter() - start
 

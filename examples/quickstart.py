@@ -23,12 +23,13 @@ def main() -> None:
     print()
 
     results = {}
-    for dlb_enabled in (False, True):
-        label = "DLB-DDM" if dlb_enabled else "DDM"
+    # The balancer name is the only switch: "none" is plain DDM.
+    for label, balancer in (("DDM", "none"), ("DLB-DDM", "permanent")):
         print(f"running {label} ...")
         runner = ParallelMDRunner(
-            preset.simulation_config(dlb_enabled=dlb_enabled),
-            RunConfig(steps=preset.steps, seed=7, record_interval=10),
+            preset.simulation_config(),
+            RunConfig(steps=preset.steps, seed=7, record_interval=10,
+                      balancer=balancer),
         )
         results[label] = runner.run()
 

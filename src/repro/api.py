@@ -36,6 +36,7 @@ from .config import (
     MDConfig,
     RunConfig,
     SimulationConfig,
+    mode_label,
 )
 from .core.checkpoint import CheckpointManager
 from .core.results import (
@@ -112,19 +113,14 @@ class AuditPolicy:
 
 
 def _resolve_config(
-    config: SimulationConfig | str, dlb: bool | None
+    config: SimulationConfig | str,
 ) -> tuple[SimulationConfig, str | None]:
     """Accept a preset name or a full config; returns (config, preset_name)."""
     if isinstance(config, str):
-        preset = get_preset(config)
-        return preset.simulation_config(dlb_enabled=True if dlb is None else dlb), config
+        return get_preset(config).simulation_config(), config
     if not isinstance(config, SimulationConfig):
         raise ConfigurationError(
             f"config must be a SimulationConfig or a preset name, got {type(config)!r}"
-        )
-    if dlb is not None and dlb != config.dlb.enabled:
-        config = dataclasses.replace(
-            config, dlb=dataclasses.replace(config.dlb, enabled=dlb)
         )
     return config, None
 
@@ -155,7 +151,6 @@ def simulate(
     config: SimulationConfig | str,
     *,
     run: RunConfig,
-    dlb: bool | None = None,
     engine: Engine | str | None = None,
     engine_workers: int | None = None,
     observability: Observability | None = None,
@@ -176,10 +171,7 @@ def simulate(
     run:
         Steps, seed, recording cadence, neighbour-list skin, balancer
         strategy, timing mode. The concrete strategy name lands in
-        ``result.meta["balancer"]``.
-    dlb:
-        Override the config's DLB switch (convenient with preset names:
-        ``dlb=False`` runs plain DDM).
+        ``result.meta["balancer"]``; ``balancer="none"`` runs plain DDM.
     engine:
         Execution engine for the force path: an engine name
         (``"sequential"`` / ``"multiprocess"``), a constructed
@@ -210,7 +202,7 @@ def simulate(
         result — the crash-drill knob behind ``repro run --kill-after``;
         combined with ``checkpoints`` the truncated run is resumable.
     """
-    sim_config, preset_name = _resolve_config(config, dlb)
+    sim_config, preset_name = _resolve_config(config)
     if engine is None and run.timing_mode == "measured":
         engine = "sequential"
     injector = _resolve_faults(faults, sim_config.decomposition.n_pes)
@@ -269,7 +261,7 @@ def simulate(
         result.meta.update(
             {
                 "schema_version": RESULT_SCHEMA_VERSION,
-                "mode": "dlb" if runner.dlb_enabled else "ddm",
+                "mode": mode_label(runner.balancer_name),
                 "preset": preset_name,
                 "engine": resolved_engine.name if resolved_engine is not None else "inproc",
                 "engine_workers": (
@@ -296,7 +288,6 @@ def simulate_driven(
     configurations: Iterable[np.ndarray],
     *,
     rounds_per_config: int = 1,
-    dlb: bool | None = None,
     balancer: str | None = None,
     observability: Observability | None = None,
     faults: FaultPlan | FaultInjector | None = None,
@@ -311,9 +302,10 @@ def simulate_driven(
     the virtual machine, and the balancer reacts (``rounds_per_config``
     accounting rounds per configuration). This is the quasi-static driver
     behind the effective-range experiments (Figures 9-10). ``balancer``
-    names the DLB strategy (``None`` is ``"permanent"``).
+    names the DLB strategy (``None`` is ``"permanent"``, ``"none"`` is
+    plain DDM).
     """
-    sim_config, preset_name = _resolve_config(config, dlb)
+    sim_config, preset_name = _resolve_config(config)
     injector = _resolve_faults(faults, sim_config.decomposition.n_pes)
     events = observability.events if observability is not None else None
     if injector is not None and events is not None:
@@ -353,7 +345,7 @@ def simulate_driven(
     result.meta.update(
         {
             "schema_version": RESULT_SCHEMA_VERSION,
-            "mode": "dlb" if runner.dlb_enabled else "ddm",
+            "mode": mode_label(runner.balancer_name),
             "preset": preset_name,
             "engine": "inproc",
             "engine_workers": None,
@@ -422,7 +414,7 @@ def canonicalize_submission(submission: dict[str, Any]) -> CanonicalSubmission:
     submissions, campaign grids and ad-hoc sweeps all dedupe against the
     same stored runs.
     """
-    from .campaign.spec import RunSpec
+    from .campaign.spec import SPEC_KEYS, RunSpec
 
     if not isinstance(submission, dict):
         raise ConfigurationError(
@@ -430,7 +422,7 @@ def canonicalize_submission(submission: dict[str, Any]) -> CanonicalSubmission:
         )
     if "schema_version" in submission:
         check_schema_version(submission, source="submission")
-    known = {f.name for f in dataclasses.fields(RunSpec)}
+    known = SPEC_KEYS
     unknown = sorted(set(submission) - known - {"schema_version"})
     if unknown:
         raise ConfigurationError(
@@ -490,6 +482,12 @@ def load_config(path: str | Path) -> LoadedConfig:
     sim = payload.get("simulation")
     if not isinstance(sim, dict):
         raise SchemaError(f"config {path} has no 'simulation' section")
+    # Older configs carry dlb.enabled: true is dropped like any unknown key,
+    # but false (plain DDM) must not load as a balancing run.
+    if not sim.get("dlb", {}).get("enabled", True):
+        raise SchemaError(
+            f'config {path} sets dlb.enabled=false; plain DDM is now balancer="none"'
+        )
     simulation = SimulationConfig(
         md=_from_dict(MDConfig, sim.get("md", {})),
         decomposition=_from_dict(DecompositionConfig, sim.get("decomposition", {})),

@@ -150,7 +150,7 @@ def _execute_probe(
     from ..workloads.concentration import ConcentrationSchedule
 
     geometry = geometry_for(spec.m, spec.n_pes, spec.density)
-    config = simulation_config_for(geometry, dlb_enabled=True)
+    config = simulation_config_for(geometry)
     rounds = spec.rounds_per_config
     if rounds is None:
         rounds = auto_rounds(geometry)
@@ -231,7 +231,6 @@ def _simulate_preset(spec: RunSpec, events_path: str | None, checkpoints):
             record_interval=max(1, spec.n_steps // 50),
             balancer=spec.balancer,
         ),
-        dlb=spec.mode == "dlb",
         engine=spec.engine,
         engine_workers=spec.engine_workers,
         observability=observability,
@@ -265,7 +264,7 @@ def _execute_preset(
     payload = {
         "kind": "preset",
         "preset": spec.preset,
-        "mode": spec.mode,
+        "mode": result.meta["mode"],
         # The *resolved* strategy name (the spec's may be None = default).
         "balancer": result.meta.get("balancer", "permanent"),
         "seed": spec.seed,

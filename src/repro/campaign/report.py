@@ -20,8 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import mode_label
 from ..reporting.tables import format_table
 from .store import RunStore, StoredRun
+
+
+def _balancer_of(payload: dict) -> str:
+    """The balancer a preset payload ran under. Older DDM payloads name the
+    unused default beside ``"mode": "ddm"``; pre-seam ones name none."""
+    if payload["mode"] == "ddm":
+        return "none"
+    return payload.get("balancer", "permanent")
 
 
 @dataclass(frozen=True)
@@ -204,27 +213,19 @@ def render_report(report: CampaignReport) -> str:
             )
         )
     if report.preset_rows:
-        rows = [
-            [
+        rows = []
+        for payload in report.preset_rows:
+            balancer = _balancer_of(payload)
+            rows.append([
                 payload["preset"],
-                payload["mode"],
-                # Pre-seam payloads predate the balancer field; they ran the
-                # permanent-cells protocol by construction.
-                payload.get("balancer", "permanent"),
+                mode_label(balancer),
+                balancer,
                 payload["seed"],
                 _fmt(payload.get("tt_mean"), "{:.5f}"),
                 _fmt(payload.get("tt_last"), "{:.5f}"),
                 _fmt(payload.get("spread_last"), "{:.5f}"),
-            ]
-            for payload in sorted(
-                report.preset_rows,
-                key=lambda p: (
-                    p["preset"],
-                    p["mode"],
-                    p.get("balancer", "permanent"),
-                ),
-            )
-        ]
+            ])
+        rows.sort(key=lambda row: row[:3])
         lines.append(
             format_table(
                 ["preset", "mode", "balancer", "seed", "tt_mean",

@@ -2,7 +2,7 @@
 
 A *campaign* is the unit the paper's evaluation actually consists of: tens to
 hundreds of independent runs over a parameter grid (m x P x density x seeds,
-or preset x mode x balancer), each repeated per seed and aggregated into one
+or preset x balancer), each repeated per seed and aggregated into one
 figure or table.  :class:`CampaignSpec` describes that grid declaratively;
 each cell is a :class:`RunSpec` keyed by a deterministic content hash of its
 *resolved* configuration, so identical work is recognised across processes,
@@ -20,7 +20,8 @@ Three run kinds cover the repo's experiment surface:
     the yes/no divergence oracle the adaptive bisection search is built on
     (see :mod:`repro.campaign.search`).
 ``"preset"``
-    A named workload preset run as DDM or DLB-DDM (the Figure 5/6 unit).
+    A named workload preset run under one balancer -- ``"none"`` is plain
+    DDM, every other name DLB-DDM (the Figure 5/6 unit).
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 
-from ..config import BALANCER_NAMES, SimulationConfig
-from ..errors import CampaignError
+from ..config import BALANCER_NAMES, SimulationConfig, mode_label
+from ..errors import CampaignError, ConfigurationError
 from ..experiments.common import geometry_for, simulation_config_for
 from ..rng import repetition_seeds
 from ..units import PAPER_RHO_SWEEP
@@ -49,6 +50,24 @@ _INT_FIELDS = (
     "m", "n_pes", "n_steps", "seed", "repetition", "rounds_per_config",
     "detector_sustain", "probe_index", "probe_hold", "engine_workers",
 )
+
+
+def fold_mode(mode: str | None, balancer: str | None) -> str | None:
+    """The balancer a spec names once the compat ``"mode"`` key is folded in:
+    ``"ddm"`` is ``"none"`` (a contradiction beside any other balancer) and
+    ``"dlb"`` a no-op. Stored specs, service clients and the ledger's
+    ``service_mix`` (also as ``RunSpec(**spec)``) still send it; remove with
+    Ledger v2, once ``ledger/`` stops."""
+    if mode is None or mode == "dlb":
+        return balancer
+    if mode != "ddm":
+        raise CampaignError(f"mode must be ddm or dlb, got {mode!r}")
+    if balancer not in (None, "none"):
+        raise ConfigurationError(
+            f"mode 'ddm' (plain DDM) contradicts balancer {balancer!r}; "
+            "plain DDM is balancer 'none'"
+        )
+    return "none"
 
 
 @dataclass(frozen=True)
@@ -77,8 +96,8 @@ class RunSpec:
         Boundary-detector knobs of the ``boundary`` kind.
     probe_index, probe_hold:
         Concentration level and hold length of the ``probe`` kind.
-    preset, mode:
-        Workload name and ddm/dlb side of the ``preset`` kind.
+    preset:
+        Workload name of the ``preset`` kind.
     engine, engine_workers:
         Execution engine of the ``preset`` kind (None = classic in-process).
         ``engine`` is part of the content hash (it selects the decomposed
@@ -86,10 +105,12 @@ class RunSpec:
         bit-identical for any worker count, and the scheduler rewrites it
         through the nested-parallelism guard without invalidating caches.
     balancer:
-        Balancer strategy of the ``preset`` kind (None = ``permanent``).
-        Part of the content hash when set -- different strategies
-        redistribute differently -- and omitted when None so pre-seam
-        stored specs keep their hashes.
+        Balancer of the ``preset`` kind (None = ``permanent``; ``"none"`` is
+        plain DDM). Part of the content hash when it names a strategy --
+        different strategies redistribute differently -- and omitted for
+        None and ``"none"`` so older stored specs keep their hashes.
+    mode:
+        Constructor-only input (not a field), see :func:`fold_mode`.
     """
 
     kind: str = "boundary"
@@ -105,12 +126,13 @@ class RunSpec:
     probe_index: int | None = None
     probe_hold: int = 30
     preset: str | None = None
-    mode: str = "dlb"
     engine: str | None = None
     engine_workers: int | None = None
     balancer: str | None = None
+    mode: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, mode: str | None) -> None:
+        object.__setattr__(self, "balancer", fold_mode(mode, self.balancer))
         if self.kind not in RUN_KINDS:
             raise CampaignError(f"unknown run kind {self.kind!r} (expected {RUN_KINDS})")
         for name in _INT_FIELDS:
@@ -134,8 +156,6 @@ class RunSpec:
         if self.kind == "preset":
             if not self.preset:
                 raise CampaignError("preset runs need a preset name")
-            if self.mode not in ("ddm", "dlb"):
-                raise CampaignError(f"preset mode must be ddm or dlb, got {self.mode!r}")
         if self.engine is not None:
             if self.kind != "preset":
                 raise CampaignError("engines apply to preset runs only")
@@ -159,19 +179,19 @@ class RunSpec:
         if self.kind == "preset":
             from ..workloads.presets import get_preset
 
-            return get_preset(self.preset).simulation_config(
-                dlb_enabled=self.mode == "dlb"
-            )
+            return get_preset(self.preset).simulation_config()
         geometry = geometry_for(self.m, self.n_pes, self.density)
-        return simulation_config_for(geometry, dlb_enabled=True)
+        return simulation_config_for(geometry)
 
     def content(self) -> dict:
         """The hashed content: resolved simulation config + run knobs.
 
         Everything that influences the run's payload is in here; pure
         metadata (the repetition index) is not, so re-gridding a campaign
-        never re-executes work it has already stored.
+        never re-executes work it has already stored. Hash-preserving:
+        ``dlb.enabled`` and ``preset.mode`` are derived from the balancer.
         """
+        mode = mode_label(self.balancer)
         knobs = {
             "kind": self.kind,
             "n_steps": self.n_steps,
@@ -188,7 +208,7 @@ class RunSpec:
         else:
             knobs["preset"] = {
                 "name": self.preset,
-                "mode": self.mode,
+                "mode": mode,
                 # Hash-preserving: the removed pair-search axis's only
                 # surviving value, so every stored preset spec keeps its hash.
                 "backend": "kdtree",
@@ -199,14 +219,13 @@ class RunSpec:
             if self.engine is not None:
                 knobs["preset"]["engine"] = self.engine
             # Hash-preserving likewise: balancer-less specs resolve to the
-            # permanent strategy and keep their pre-seam hash.
-            if self.balancer is not None:
+            # permanent strategy and keep their pre-seam hash, and "none"
+            # specs hash as the plain-DDM ("mode": "ddm") specs they are.
+            if self.balancer not in (None, "none"):
                 knobs["preset"]["balancer"] = self.balancer
-        return {
-            "schema": SPEC_SCHEMA,
-            "config": asdict(self.resolved_config()),
-            "run": knobs,
-        }
+        config = asdict(self.resolved_config())
+        config["dlb"]["enabled"] = mode == "dlb"
+        return {"schema": SPEC_SCHEMA, "config": config, "run": knobs}
 
     def spec_hash(self) -> str:
         """Deterministic content hash (hex, 16 chars) keying the run store."""
@@ -232,8 +251,11 @@ class RunSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
         """Rebuild a spec from :meth:`to_dict` output (extra keys ignored)."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{k: v for k, v in data.items() if k in SPEC_KEYS})
+
+
+#: Every key a spec mapping may carry: the fields plus the compat ``"mode"``.
+SPEC_KEYS = frozenset(f.name for f in fields(RunSpec)) | {"mode"}
 
 
 @dataclass(frozen=True)
@@ -309,7 +331,6 @@ class CampaignSpec:
         cls,
         name: str,
         presets: Iterable[str],
-        modes: Iterable[str] = ("ddm", "dlb"),
         n_steps: int = 200,
         seed: int = 7,
         description: str = "",
@@ -317,16 +338,15 @@ class CampaignSpec:
         engine_workers: int | None = None,
         balancers: Iterable[str | None] = (None,),
     ) -> "CampaignSpec":
-        """Expand a (preset x mode x balancer) MD-comparison grid.
+        """Expand a (preset x balancer) MD-comparison grid.
 
         ``balancers`` defaults to ``(None,)`` — ``permanent`` — which keeps
-        pre-seam grids and their hashes unchanged.
+        pre-seam grids and their hashes unchanged; ``"none"`` is plain DDM.
         """
         runs = tuple(
             RunSpec(
                 kind="preset",
                 preset=preset,
-                mode=mode,
                 n_steps=n_steps,
                 seed=seed,
                 engine=engine,
@@ -334,7 +354,6 @@ class CampaignSpec:
                 balancer=balancer,
             )
             for preset in presets
-            for mode in modes
             for balancer in balancers
         )
         return cls(name=name, runs=runs, description=description)
@@ -422,6 +441,7 @@ def _fig5_quick() -> CampaignSpec:
         "fig5-quick",
         presets=("bench-m2", "bench-m4"),
         n_steps=200,
+        balancers=("none", None),
         description="Figure 5: DDM vs DLB-DDM per-step time at bench scale",
     )
 
@@ -430,7 +450,6 @@ def _balancer_matrix() -> CampaignSpec:
     return CampaignSpec.preset_grid(
         "balancer-matrix",
         presets=("bench-m2", "bench-m4"),
-        modes=("dlb",),
         n_steps=200,
         balancers=BALANCER_NAMES,
         description=(

@@ -5,7 +5,8 @@ Commands
 ``presets``
     List the named workload presets.
 ``run``
-    Run a preset as DDM and/or DLB-DDM and print the comparison.
+    Run a preset under one or more balancers (``none`` is plain DDM) and
+    print the comparison.
 ``sweep``
     Run one effective-range boundary experiment (Figure 10 style).  A thin
     alias over the campaign engine: repetitions execute as campaign runs
@@ -68,6 +69,7 @@ from .obs import (
 )
 from .parallel.costmodel import calibrate_tau_pair
 from .reporting import (
+    balancer_comparison_report,
     comparison_report,
     flight_report,
     format_table,
@@ -126,25 +128,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     preset = get_preset(args.preset)
     steps = args.steps if args.steps is not None else preset.steps
     results = {}
-    modes = {"ddm": False, "dlb": True}
-    selected = modes if args.mode == "both" else {args.mode: modes[args.mode]}
-    stateful = (
-        args.checkpoint_dir or args.resume
-        or args.checkpoint_every or args.kill_after is not None
+    balancers = list(dict.fromkeys(args.balancer))
+    # One run per snapshot directory and per event log: a second runner would
+    # restart the log's (step, seq) clock at step 0.
+    single_run = (
+        args.checkpoint_dir or args.resume or args.checkpoint_every
+        or args.kill_after is not None or args.events
     )
-    if stateful and len(selected) != 1:
+    if single_run and len(balancers) != 1:
         print(
-            "error: --checkpoint-dir/--checkpoint-every/--resume/--kill-after "
-            "need a single mode (--mode ddm or --mode dlb)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.events and len(selected) != 1:
-        # A second runner would restart the (step, seq) clock at step 0 and
-        # break the log's non-decreasing-step contract.
-        print(
-            "error: --events records one run per file; pick a single mode "
-            "(--mode ddm or --mode dlb)",
+            "error: --events/--checkpoint-dir/--checkpoint-every/--resume/"
+            "--kill-after need a single balancer (e.g. --balancer permanent)",
             file=sys.stderr,
         )
         return 2
@@ -160,15 +154,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
     obs = _build_observability(args)
     if obs is not None and obs.trace is not None:
-        for pid, label in enumerate(selected):
+        for pid, label in enumerate(balancers):
             obs.trace.add_process(pid, f"{label} (simulated clock)", sort_index=pid)
-    run_config = RunConfig(
-        steps=steps,
-        seed=args.seed,
-        record_interval=args.record_interval,
-        skin=args.skin,
-        balancer=args.balancer,
-    )
     audit = (
         api.AuditPolicy(every=args.audit_every, policy=args.audit_policy)
         if args.audit_invariants
@@ -189,13 +176,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.kill_after is not None and args.kill_after < steps:
         stop_after = args.kill_after
         killed_at = args.kill_after
-    for trace_pid, (label, dlb_enabled) in enumerate(selected.items()):
+    for trace_pid, label in enumerate(balancers):
         print(f"running {label} ({steps} steps) ...", file=sys.stderr)
         try:
             result = api.simulate(
                 args.preset,
-                run=run_config,
-                dlb=dlb_enabled,
+                run=RunConfig(
+                    steps=steps,
+                    seed=args.seed,
+                    record_interval=args.record_interval,
+                    skin=args.skin,
+                    balancer=label,
+                ),
                 engine=args.engine,
                 engine_workers=args.engine_workers,
                 observability=obs,
@@ -259,15 +251,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    if len(results) == 2:
-        print(comparison_report(results["ddm"], results["dlb"],
-                                title=preset.description))
-    else:
+    if len(results) == 1:
         ((label, result),) = results.items()
         print(series_preview(result.steps, result.tt, label=f"{label} Tt [s]"))
         print()
         for key, value in result.summary().items():
             print(f"  {key}: {value:.6g}")
+    elif len(results) == 2 and "none" in results:
+        (other,) = (label for label in results if label != "none")
+        print(comparison_report(results["none"], results[other],
+                                title=preset.description))
+    else:
+        print(balancer_comparison_report(results, title=preset.description))
     for label, result in results.items():
         print()
         print(phase_breakdown(
@@ -767,9 +762,10 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_presets
     )
 
-    run = sub.add_parser("run", help="run a preset (DDM / DLB-DDM / both)")
+    run = sub.add_parser(
+        "run", help="run a preset under one or more balancers (default: DDM and DLB-DDM)"
+    )
     run.add_argument("preset", help="preset name (see `repro presets`)")
-    run.add_argument("--mode", choices=["ddm", "dlb", "both"], default="both")
     run.add_argument("--steps", type=int, default=None)
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--record-interval", type=int, default=20)
@@ -782,12 +778,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--balancer",
+        nargs="+",
         choices=list(BALANCER_NAMES),
-        default=None,
-        help="load-balancer strategy: permanent (default; the paper's "
-        "permanent-cell protocol), diffusion (nearest-neighbour load "
-        "diffusion), sfc (space-filling-curve repartition) or none (static "
-        "decomposition baseline)",
+        default=["none", "permanent"],
+        help="one run per named balancer, in order: none (plain DDM), "
+        "permanent (the paper's permanent-cell protocol), diffusion "
+        "(nearest-neighbour load diffusion), sfc (space-filling-curve "
+        "repartition); default: none permanent, the Figure 5 comparison",
     )
     run.add_argument(
         "--engine",
@@ -836,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="record the flight recorder to FILE as JSONL (sim channel; host "
-        "events go to a .host sidecar); single mode only — inspect with "
+        "events go to a .host sidecar); single balancer only — inspect with "
         "`repro events` and `repro explain`",
     )
     run.add_argument(
@@ -868,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
-        help="directory for crash-safe snapshots (single mode only)",
+        help="directory for crash-safe snapshots (single balancer only)",
     )
     run.add_argument(
         "--checkpoint-every",

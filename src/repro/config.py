@@ -91,10 +91,18 @@ class MDConfig:
         return box_length_for(self.n_particles, self.density)
 
 
-#: The balancer strategies: the one name table :mod:`repro.dlb.strategies`,
-#: ``RunSpec`` and ``--balancer`` read. ``"permanent"`` is the paper's
-#: protocol and the default.
+#: The balancer names: the one table :mod:`repro.dlb.strategies`,
+#: ``RunSpec`` and ``--balancer`` read, and the only switch for balancing.
+#: ``"permanent"`` is the paper's protocol and the default; ``"none"`` is
+#: plain DDM (no balancer, no DLB protocol, nothing charged for it).
 BALANCER_NAMES = ("permanent", "diffusion", "sfc", "none")
+
+
+def mode_label(balancer: str | None) -> str:
+    """``"ddm"`` for ``"none"``, else ``"dlb"``: the one derivation of the
+    run-mode label metadata, metrics, events, payloads and hashes carry."""
+    return "ddm" if balancer == "none" else "dlb"
+
 
 #: Valid domain shapes for 3-D DDM (Figure 2 of the paper).
 DOMAIN_SHAPES = ("plane", "pillar", "cube")
@@ -183,8 +191,6 @@ class DLBConfig:
 
     Attributes
     ----------
-    enabled:
-        Master switch; disabled means plain DDM.
     interval:
         Redistribution period in steps. The paper's overhead is small enough
         to run DLB every step (interval=1).
@@ -199,7 +205,6 @@ class DLBConfig:
         Relative imbalance required by the ``"threshold"`` policy.
     """
 
-    enabled: bool = True
     interval: int = 1
     max_sends_per_step: int = 1
     policy: str = "fastest"
@@ -242,7 +247,7 @@ class MachineConfig:
         Per-cell bookkeeping cost each step.
     dlb_overhead:
         Fixed per-step cost of running the DLB protocol (time exchange +
-        decision), charged only when DLB is enabled.
+        decision), charged only to runs with a balancer (not ``"none"``).
     bytes_per_particle:
         Payload size of one particle in migration/halo messages.
     """
@@ -300,9 +305,8 @@ class RunConfig:
         DLB strategy: ``"permanent"`` (the paper's permanent-cell protocol),
         ``"diffusion"`` (nearest-neighbour load diffusion), ``"sfc"``
         (space-filling-curve repartition; centralised engines only),
-        or ``"none"`` (the no-balance counterfactual). ``None`` means
-        ``"permanent"``. Only consulted when ``SimulationConfig.dlb.enabled``
-        is true.
+        or ``"none"`` (plain DDM: no balancer is built and no DLB protocol
+        is charged). ``None`` means ``"permanent"``.
     timing_mode:
         ``"model"`` derives per-PE times from the calibratable cost model
         (fast, deterministic); ``"measured"`` uses the wall-clock times of

@@ -35,8 +35,11 @@ class StepAccountant:
         n_pes: int,
         faults=None,
         profiler=None,
+        charge_dlb: bool = False,
     ) -> None:
         self.machine = machine
+        #: Per-step DLB protocol charge; plain DDM (no balancer) pays none.
+        self.dlb_time = machine.dlb_overhead if charge_dlb else 0.0
         self.cell_list = cell_list
         self.n_pes = int(n_pes)
         self.network = NetworkModel(machine)
@@ -165,7 +168,6 @@ class StepAccountant:
         step: int,
         load: CellLoad,
         assignment: CellAssignment,
-        dlb_enabled: bool,
         force_times_override: np.ndarray | None = None,
     ) -> tuple[StepTiming, np.ndarray]:
         """Charge one full step; returns (timing record, per-PE total times).
@@ -193,7 +195,7 @@ class StepAccountant:
             comm_times += self._pending_migration
             self._pending_migration[...] = 0.0
 
-            dlb_time = self.machine.dlb_overhead if dlb_enabled else 0.0
+            dlb_time = self.dlb_time
             timing = StepTiming.from_components(
                 step, force_times, comm_times, other_times, dlb_time
             )

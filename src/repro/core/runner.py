@@ -2,7 +2,8 @@
 
 :class:`ParallelMDRunner` evolves real LJ dynamics while accounting the
 parallel execution on the virtual machine -- the DDM vs DLB-DDM comparison of
-Figures 5 and 6 is two instances of it differing only in ``dlb.enabled``.
+Figures 5 and 6 is two instances of it differing only in the balancer name
+(``"none"`` is plain DDM).
 
 :class:`DrivenLoadRunner` feeds an externally generated sequence of
 configurations through the same decomposition/accounting/DLB machinery --
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..config import RunConfig, SimulationConfig
+from ..config import RunConfig, SimulationConfig, mode_label
 from ..decomp.assignment import CellAssignment
 from ..dlb.strategies import create_balancer, resolve_balancer_name
 from ..engine.base import Engine, EngineContext
@@ -108,15 +109,9 @@ class _ObservedRunner:
         self.auditor: InvariantAuditor | None = None
         self.cell_list = CellList(config.md.box_length, dec.cells_per_side)
         self.assignment = CellAssignment(dec.cells_per_side, dec.n_pes)
-        self.accountant = StepAccountant(
-            config.machine,
-            self.cell_list,
-            dec.n_pes,
-            faults=faults,
-            profiler=observability.profiler if observability is not None else None,
-        )
         #: Concrete balancer strategy name, as events, checkpoints and
-        #: result metadata record it.
+        #: result metadata record it. ``"none"`` is plain DDM: no balancer,
+        #: no DLB protocol charge, no imbalance counterfactual.
         self.balancer_name = resolve_balancer_name(balancer)
         self.balancer = (
             create_balancer(
@@ -125,8 +120,16 @@ class _ObservedRunner:
                 injector=faults,
                 strategy=self.balancer_name,
             )
-            if config.dlb.enabled
+            if self.balancer_name != "none"
             else None
+        )
+        self.accountant = StepAccountant(
+            config.machine,
+            self.cell_list,
+            dec.n_pes,
+            faults=faults,
+            profiler=observability.profiler if observability is not None else None,
+            charge_dlb=self.balancer is not None,
         )
         #: The previous step's per-PE times and per-cell counts: what the
         #: next balancer round decides on.
@@ -137,7 +140,7 @@ class _ObservedRunner:
         self.trace_pid = int(trace_pid)
         #: Simulated-clock position (sum of barrier times so far).
         self.sim_time = 0.0
-        self._mode_label = "dlb" if config.dlb.enabled else "ddm"
+        self._mode_label = mode_label(self.balancer_name)
         #: Nullable flight recorder (the bundle's, shared with the injector
         #: and auditor) and the imbalance analytics fed from every step.
         self.events: EventLog | None = (
@@ -148,11 +151,6 @@ class _ObservedRunner:
             observability.metrics is not None or observability.events is not None
         ):
             self.imbalance = ImbalanceTracker(dec.n_pes)
-
-    @property
-    def dlb_enabled(self) -> bool:
-        """Whether this runner balances load (DLB-DDM) or not (plain DDM)."""
-        return self.balancer is not None
 
     def _announce(self) -> None:
         """Claim the trace pid and emit ``run.start``: the last act of
@@ -174,7 +172,7 @@ class _ObservedRunner:
             n_pes=dec.n_pes,
             cells_per_side=dec.cells_per_side,
             dlb={
-                "enabled": dlb.enabled,
+                "enabled": self.balancer is not None,
                 "policy": dlb.policy,
                 "threshold": dlb.threshold,
                 "max_sends_per_step": dlb.max_sends_per_step,
@@ -186,7 +184,8 @@ class _ObservedRunner:
     # -- one step ------------------------------------------------------------
 
     def _rebalance(self) -> list:
-        """One balancer round, when DLB is on and the interval is due.
+        """One balancer round, when the run has a balancer and the interval
+        is due.
 
         The round decides on the previous step's times and counts, so none
         fires before the first step. Its migrations are charged to the next
@@ -224,7 +223,7 @@ class _ObservedRunner:
         times for the cost model's; ``forces`` lets the audit check them.
         """
         timing, totals = self.accountant.account_step(
-            self.step_count, load, self.assignment, self.dlb_enabled, override
+            self.step_count, load, self.assignment, override
         )
         self._observe_totals(timing, totals, load)
         if self.auditor is not None:
@@ -368,7 +367,7 @@ class _ObservedRunner:
         if tracker is None:
             return
         counterfactual = None
-        if self.dlb_enabled:
+        if self.balancer is not None:
             counterfactual = self.accountant.counterfactual_step_time(
                 timing.step, load, self.assignment
             )
@@ -465,7 +464,7 @@ class _ObservedRunner:
             self.events.load_state_dict(state["events"])
         if self.imbalance is not None and state.get("imbalance") is not None:
             self.imbalance.load_state_dict(state["imbalance"])
-        result = RunResult(dlb_enabled=self.dlb_enabled)
+        result = RunResult(dlb_enabled=self.balancer is not None)
         for record in state["records"]:
             result.append(record)
         return result
@@ -593,7 +592,7 @@ class ParallelMDRunner(_ObservedRunner):
         """
         steps = self.run_config.steps if steps is None else steps
         if result is None:
-            result = RunResult(dlb_enabled=self.dlb_enabled)
+            result = RunResult(dlb_enabled=self.balancer is not None)
         for _ in range(steps):
             record = self.step()
             if self.step_count % self.run_config.record_interval == 0:
@@ -681,7 +680,7 @@ class DrivenLoadRunner(_ObservedRunner):
         skipped and processing continues exactly where the snapshot was taken.
         """
         if result is None:
-            result = RunResult(dlb_enabled=self.dlb_enabled)
+            result = RunResult(dlb_enabled=self.balancer is not None)
         skip = self.configs_done
         for index, positions in enumerate(configurations):
             if index < skip:

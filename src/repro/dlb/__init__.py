@@ -6,10 +6,11 @@ the remaining *movable* columns flow toward faster neighbours one column per
 step, following the protocol of Section 2.3.
 
 Since the strategy seam landed, the permanent-cell protocol is one of
-four strategies behind the :class:`~repro.dlb.strategies.Balancer`
+three strategies behind the :class:`~repro.dlb.strategies.Balancer`
 protocol (see :mod:`repro.dlb.strategies`); select one with
-``RunConfig.balancer`` (``--balancer`` on the CLI) and build balancer
-instances through :func:`create_balancer`.
+``RunConfig.balancer`` (``--balancer`` on the CLI; ``"none"`` is plain
+DDM, with no balancer) and build balancer instances through
+:func:`create_balancer`.
 """
 
 from .balancer import DynamicLoadBalancer, Move

@@ -34,21 +34,6 @@ class BalancerStats:
     idle_steps: int = 0
     moves_per_step: list[int] = field(default_factory=list)
 
-    @property
-    def moves_total(self) -> int:
-        """Total cells moved (lends + returns)."""
-        return self.lends + self.returns
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat summary for reports and the metrics exporter."""
-        return {
-            "steps": self.steps,
-            "lends": self.lends,
-            "returns": self.returns,
-            "idle_steps": self.idle_steps,
-            "moves_total": self.moves_total,
-        }
-
 
 class DynamicLoadBalancer:
     """Drives one redistribution round per (configured) step.

@@ -121,13 +121,7 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     )
     strategy = create_strategy(balancer_name)
     step = int(event["step"])
-    if balancer_name == "none":
-        moves = strategy.decide(view, step)
-        narrative = [
-            "balancer 'none': redistribution disabled by construction — "
-            "no moves to replay"
-        ]
-    elif balancer_name in SPMD_STRATEGIES:
+    if balancer_name in SPMD_STRATEGIES:
         moves, narrative = _replay_per_rank(strategy, view)
     else:
         moves = strategy.decide(view, step)

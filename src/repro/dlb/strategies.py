@@ -3,9 +3,10 @@
 A fixed table maps strategy names to classes. A run's strategy comes from
 its config alone (``None`` means ``permanent``), and every layer downstream
 -- runner, checkpoints, flight recorder, ``repro explain`` -- carries that
-concrete name.
+concrete name. The fourth balancer name, ``none``, has no strategy: it is
+plain DDM, and the runner builds no balancer for it.
 
-Four strategies ship:
+Three strategies ship:
 
 ``permanent``
     The paper's permanent-cell protocol (the default). The decision loop
@@ -24,10 +25,6 @@ Four strategies ship:
     and the curve is re-cut into ``P`` equal-weight chunks. This is a
     *global* method -- it needs every PE's counts at once -- so it has no
     per-rank rule and overrides the whole round instead.
-``none``
-    Decides no moves, ever. Formalizes the no-balance counterfactual the
-    flight-recorder analytics compare against: DLB bookkeeping still runs
-    (and is still charged by the cost model), only redistribution is off.
 
 Rival strategies (``diffusion``, ``sfc``) are **unconstrained**: they may
 move any cell anywhere, so they bypass the permanent-cell invariants (the
@@ -335,45 +332,32 @@ class SFCBalancer(Balancer):
         return moves
 
 
-class NoBalancer(Balancer):
-    """The no-balance counterfactual: never moves a cell.
-
-    Running with ``balancer="none"`` keeps the whole DLB machinery -- timing
-    exchange, decision events, cost-model overhead -- while pinning every
-    cell at home, which is exactly the baseline the imbalance analytics
-    (and the balancer comparison matrix) measure rivals against.
-    """
-
-    name = "none"
-    constrained = True  # vacuously: no move ever violates an invariant
-
-    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
-        return []
-
-
 # -- the strategy table ----------------------------------------------------------
 
 #: Strategies whose round is one per-rank rule (an SPMD formulation): each
 #: rank runs :meth:`Balancer.decide_for_rank` on its own view, so ``repro
 #: explain`` replays and narrates them PE by PE. ``sfc`` is global and has
 #: none.
-SPMD_STRATEGIES = ("permanent", "diffusion", "none")
+SPMD_STRATEGIES = ("permanent", "diffusion")
 
-#: The class of every name in :data:`~repro.config.BALANCER_NAMES`.
+#: The class of every name in :data:`~repro.config.BALANCER_NAMES` but
+#: ``"none"``, which balances nothing.
 _STRATEGIES: dict[str, type[Balancer]] = {
-    cls.name: cls
-    for cls in (PermanentCellsBalancer, DiffusionBalancer, SFCBalancer, NoBalancer)
+    cls.name: cls for cls in (PermanentCellsBalancer, DiffusionBalancer, SFCBalancer)
 }
 
 
 def available() -> tuple[str, ...]:
-    """Strategy names, sorted (for docs, CLI help and errors)."""
-    return tuple(sorted(BALANCER_NAMES))
+    """Strategy names, sorted: every balancer name but ``"none"``."""
+    return tuple(sorted(_STRATEGIES))
 
 
 def create_strategy(name: str | None = None) -> Balancer:
     """Instantiate the strategy for ``name`` (``None`` is ``permanent``)."""
-    return _STRATEGIES[resolve_balancer_name(name)]()
+    name = resolve_balancer_name(name)
+    if name not in _STRATEGIES:
+        raise ConfigurationError("balancer 'none' is plain DDM: no strategy to build")
+    return _STRATEGIES[name]()
 
 
 def create_balancer(

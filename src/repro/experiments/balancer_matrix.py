@@ -4,7 +4,7 @@ The permanent-cells protocol is the paper's contribution, but its efficiency
 claim only means something against alternatives. This driver runs the same
 workloads under every registered balancer strategy -- ``permanent`` (the
 paper), ``diffusion`` (nearest-neighbour load diffusion), ``sfc``
-(space-filling-curve repartition) and ``none`` (static decomposition, the
+(space-filling-curve repartition) and ``none`` (plain DDM, the static
 control) -- over a (workload x PE-count) grid and renders one comparison
 table per grid point via
 :func:`repro.reporting.balancer_comparison_report`.
@@ -115,12 +115,7 @@ class BalancerMatrixResult:
 
 
 def _config_for(workload: str, n_pes: int, m: int):
-    """The simulation config of one grid point (dlb always enabled).
-
-    The ``none`` strategy -- not ``dlb=False`` -- is the control: every run
-    takes the same decision cadence through the same seam, so the comparison
-    isolates the *strategy*, not the presence of the balancing machinery.
-    """
+    """The simulation config of one grid point (every balancer's)."""
     try:
         attraction = WORKLOADS[workload]
     except KeyError:
@@ -128,7 +123,7 @@ def _config_for(workload: str, n_pes: int, m: int):
             f"unknown workload {workload!r}; choose from {sorted(WORKLOADS)}"
         ) from None
     geometry = geometry_for(m, n_pes, PAPER_RHO)
-    config = simulation_config_for(geometry, dlb_enabled=True, attraction=attraction)
+    config = simulation_config_for(geometry, attraction=attraction)
     if attraction > 0:
         # Several seeded nucleation sites, like the scaled Figure 5 presets:
         # clustering happens in hundreds of steps instead of thousands.
@@ -192,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         "--balancers",
         nargs="+",
         default=list(DEFAULT_BALANCERS),
-        help="strategies to compare (default: all registered)",
+        help="balancers to compare (default: all four; none is plain DDM)",
     )
     parser.add_argument(
         "--pe-counts",

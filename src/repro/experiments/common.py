@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..config import DecompositionConfig, DLBConfig, MachineConfig, MDConfig, SimulationConfig
+from ..config import DecompositionConfig, MachineConfig, MDConfig, SimulationConfig
 from ..errors import ConfigurationError
 from ..units import PAPER_CUTOFF, PAPER_RHO
 
@@ -61,11 +61,18 @@ def geometry_for(m: int, n_pes: int, density: float = PAPER_RHO) -> ExperimentGe
 
 def simulation_config_for(
     geometry: ExperimentGeometry,
-    dlb_enabled: bool,
+    dlb_enabled: bool = True,
     machine: MachineConfig | None = None,
     attraction: float = 0.0,
 ) -> SimulationConfig:
-    """Materialise a geometry as a full simulation config."""
+    """Materialise a geometry as a full simulation config.
+
+    ``dlb_enabled`` is read by nothing (plain DDM is ``balancer="none"``):
+    ``ledger/workloads.py`` passes ``True``, ``False`` raises. It goes with
+    Ledger v2, like ``RunConfig.force_backend``.
+    """
+    if not dlb_enabled:
+        raise ConfigurationError("dlb_enabled=False is gone: use balancer='none'")
     return SimulationConfig(
         md=MDConfig(
             n_particles=geometry.n_particles,
@@ -77,7 +84,6 @@ def simulation_config_for(
             n_pes=geometry.n_pes,
             shape="pillar",
         ),
-        dlb=DLBConfig(enabled=dlb_enabled),
         machine=machine if machine is not None else MachineConfig(),
     )
 

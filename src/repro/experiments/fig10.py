@@ -105,7 +105,7 @@ def run_boundary_repetition(
     arguments); the same seed always reproduces the same outcome.
     """
     geometry = geometry_for(m, n_pes, density)
-    config = simulation_config_for(geometry, dlb_enabled=True)
+    config = simulation_config_for(geometry)
     # A conservative detector (sustained exceedance well above baseline)
     # avoids flagging the first noise bump as the boundary; the paper's own
     # criterion ("begins to increase") is equally about a sustained rise.

@@ -12,7 +12,7 @@ nucleation sites (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,22 +68,17 @@ def run_fig5(
     :func:`repro.api.simulate`); results are engine-independent by design.
     """
     preset = get_preset(preset) if isinstance(preset, str) else preset
-    run_config = RunConfig(
+    config = preset.simulation_config()
+    if n_attractors is not None:
+        config = replace(config, md=replace(config.md, n_attractors=n_attractors))
+    run = RunConfig(
         steps=steps if steps is not None else preset.steps,
         seed=seed,
         record_interval=record_interval,
     )
-    results = {}
-    for dlb_enabled in (False, True):
-        config = preset.simulation_config(dlb_enabled=dlb_enabled)
-        if n_attractors is not None:
-            from dataclasses import replace
-
-            config = replace(config, md=replace(config.md, n_attractors=n_attractors))
-        results[dlb_enabled] = api.simulate(
-            config,
-            run=run_config,
-            engine=engine,
-            engine_workers=engine_workers,
-        )
-    return Fig5Result(preset=preset, ddm=results[False], dlb=results[True])
+    ddm, dlb = (
+        api.simulate(config, run=replace(run, balancer=balancer), engine=engine,
+                     engine_workers=engine_workers)
+        for balancer in ("none", "permanent")
+    )
+    return Fig5Result(preset=preset, ddm=ddm, dlb=dlb)

@@ -36,7 +36,7 @@ def run_fig9(
 ) -> Fig9Result:
     """Drive one concentration sweep and record its (n, C0/C) trajectory."""
     geometry = geometry_for(m, n_pes, density)
-    config = simulation_config_for(geometry, dlb_enabled=True)
+    config = simulation_config_for(geometry)
     schedule = ConcentrationSchedule(
         n_particles=geometry.n_particles,
         box_length=geometry.box_length,

@@ -53,14 +53,13 @@ class Preset:
         """Pillar cross-section of the preset."""
         return self.cells_per_side // math.isqrt(self.n_pes)
 
-    def simulation_config(self, dlb_enabled: bool = True) -> SimulationConfig:
+    def simulation_config(self) -> SimulationConfig:
         """Materialise the preset as a :class:`SimulationConfig`."""
         return supercooled_simulation_config(
             n_particles=self.n_particles,
             n_pes=self.n_pes,
             density=self.density,
             cells_per_side=self.cells_per_side,
-            dlb_enabled=dlb_enabled,
             attraction=self.attraction,
             n_attractors=self.n_attractors,
         )

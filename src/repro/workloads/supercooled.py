@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..config import DecompositionConfig, DLBConfig, MachineConfig, MDConfig, SimulationConfig
+from ..config import DecompositionConfig, MachineConfig, MDConfig, SimulationConfig
 from ..errors import ConfigurationError
 from ..units import PAPER_CUTOFF, PAPER_DT, PAPER_RESCALE_INTERVAL, PAPER_RHO, PAPER_T_REF
 
@@ -48,7 +48,6 @@ def supercooled_simulation_config(
     n_pes: int,
     density: float = PAPER_RHO,
     cells_per_side: int | None = None,
-    dlb_enabled: bool = True,
     machine: MachineConfig | None = None,
     attraction: float = 0.0,
     n_attractors: int = 1,
@@ -75,6 +74,5 @@ def supercooled_simulation_config(
         decomposition=DecompositionConfig(
             cells_per_side=cells_per_side, n_pes=n_pes, shape="pillar"
         ),
-        dlb=DLBConfig(enabled=dlb_enabled),
         machine=machine if machine is not None else MachineConfig(),
     )

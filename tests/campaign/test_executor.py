@@ -63,8 +63,9 @@ class TestExecuteRun:
 
     def test_preset_payload_has_summary(self):
         payload = execute_run(RunSpec(kind="preset", preset="bench-m2",
-                                      mode="ddm", n_steps=5, seed=7))
+                                      balancer="none", n_steps=5, seed=7))
         assert payload["kind"] == "preset"
+        assert (payload["mode"], payload["balancer"]) == ("ddm", "none")
         assert "tt_mean" in payload
 
 
@@ -218,7 +219,7 @@ class TestCheckpointResume:
         spec = RunSpec(kind="preset", preset="quickstart", n_steps=20, seed=4)
         run = RunConfig(steps=20, seed=4)
         api.simulate(
-            "quickstart", run=run, dlb=True, stop_after=10,
+            "quickstart", run=run, stop_after=10,
             checkpoints=api.CheckpointPolicy(directory=tmp_path, every=5),
         )
         newest = CheckpointManager(tmp_path).snapshots()[-1]
@@ -230,7 +231,7 @@ class TestCheckpointResume:
         # An explicit resume (``repro run --resume``) still refuses ...
         with pytest.raises(CheckpointError, match="different configuration"):
             api.simulate(
-                "quickstart", run=run, dlb=True,
+                "quickstart", run=run,
                 checkpoints=api.CheckpointPolicy(directory=tmp_path, resume=True),
             )
         # ... the automatic one re-executes onto the uninterrupted payload.
@@ -285,9 +286,9 @@ class TestParallelExecution:
 class TestFlightRecorderPassthrough:
     def preset_campaign(self) -> CampaignSpec:
         runs = tuple(
-            RunSpec(kind="preset", preset="bench-m2", mode=mode,
+            RunSpec(kind="preset", preset="bench-m2", balancer=balancer,
                     n_steps=5, seed=7)
-            for mode in ("ddm", "dlb")
+            for balancer in ("none", None)
         )
         return CampaignSpec(name="tiny-preset", runs=runs)
 

@@ -102,6 +102,31 @@ class TestRenderReport:
         assert "backend" not in text and "kdtree" not in text
         store.close()
 
+    def test_preset_rows_derive_mode_from_the_balancer(self):
+        # Older DDM payloads named the unused default strategy beside
+        # "mode": "ddm"; they render as the plain-DDM balancer they ran.
+        store = RunStore()
+        for seed, labels in (
+            (1, {"mode": "ddm", "balancer": "permanent"}),
+            (2, {"mode": "ddm", "balancer": "none"}),
+            (3, {"mode": "dlb", "balancer": "sfc"}),
+        ):
+            spec = RunSpec(kind="preset", preset="quickstart", n_steps=5, seed=seed)
+            h = store.register(spec, "c")
+            lease = store.acquire_lease(h, ttl=60.0)
+            payload = {"kind": "preset", "preset": "quickstart", "seed": seed,
+                       "tt_mean": 0.5} | labels
+            store.complete(h, payload, 0.1, lease=lease)
+        text = render_report(campaign_report(store, "c"))
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in text.splitlines() if "quickstart" in line
+        ]
+        assert [row[1:4] for row in rows] == [
+            ["ddm", "none", "1"], ["ddm", "none", "2"], ["dlb", "sfc", "3"],
+        ]
+        store.close()
+
     def test_empty_campaign(self):
         with RunStore() as store:
             text = render_report(campaign_report(store, "missing"))

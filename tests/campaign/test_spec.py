@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import api
 from repro.campaign import CampaignSpec, RunSpec, campaign_names, get_campaign
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ConfigurationError
 from repro.rng import repetition_seeds
 
 
@@ -104,8 +105,8 @@ class TestPinnedHashes:
         ]),
         ("balancer-matrix", [
             "13c178b5286f468e", "3e26e6583cde0e9d", "4b270767bef0a9ad",
-            "1997de1b27f379c3", "dfa438545d245e90", "0e6b9f240c649b5d",
-            "4b23c36c05ccfbd3", "3a1a21f6faeb0e56",
+            "1b55cd6b19bffa5d", "dfa438545d245e90", "0e6b9f240c649b5d",
+            "4b23c36c05ccfbd3", "0a34ba5f3ed87322",
         ]),
     ])
     def test_builtin_preset_campaigns(self, name, hashes):
@@ -117,6 +118,65 @@ class TestPinnedHashes:
 
     def test_default_spec(self):
         assert RunSpec().spec_hash() == "445a2bb6afc7805f"
+
+
+class TestModeCompatibility:
+    """``"mode"`` is a compatibility key folded into the balancer: one
+    selector, so one spelling of plain DDM and no contradictory specs."""
+
+    PRESET = {"kind": "preset", "preset": "quickstart", "n_steps": 5, "seed": 1}
+    #: fig5-quick's bench-m2 DDM hash, which the old ``"mode": "ddm"`` spec
+    #: and the new ``balancer="none"`` spec must both key.
+    DDM_SPEC = {"kind": "preset", "preset": "bench-m2", "n_steps": 200, "seed": 7}
+
+    @pytest.mark.parametrize("selector", [
+        {"mode": "ddm"}, {"balancer": "none"}, {"mode": "dlb", "balancer": "none"},
+    ])
+    def test_every_spelling_of_plain_ddm_hashes_equal(self, selector):
+        data = self.DDM_SPEC | selector
+        assert api.canonicalize_submission(data).run_hash == "1b55cd6b19bffa5d"
+        spec = RunSpec.from_dict(data)
+        assert spec.balancer == "none"
+        assert spec.spec_hash() == "1b55cd6b19bffa5d"
+
+    @pytest.mark.parametrize("balancer", ["permanent", "diffusion", "sfc"])
+    def test_ddm_beside_a_balancer_is_rejected(self, balancer):
+        data = self.PRESET | {"mode": "ddm", "balancer": balancer}
+        with pytest.raises(ConfigurationError, match="contradicts"):
+            api.canonicalize_submission(data)
+        with pytest.raises(ConfigurationError, match="contradicts"):
+            RunSpec.from_dict(data)
+
+    def test_dlb_mode_is_a_no_op(self):
+        for balancer in (None, "diffusion"):
+            plain = RunSpec(**self.PRESET, balancer=balancer)
+            assert RunSpec(**self.PRESET, balancer=balancer, mode="dlb") == plain
+
+    def test_stored_ddm_spec_loads_as_balancer_none(self):
+        # What a store wrote before the balancer was the only selector.
+        stored = self.DDM_SPEC | {
+            "m": 3, "n_pes": 9, "density": 0.256, "repetition": 0,
+            "rounds_per_config": None, "detector_factor": 2.5,
+            "detector_sustain": 15, "probe_index": None, "probe_hold": 30,
+            "mode": "ddm",
+        }
+        spec = RunSpec.from_dict(stored)
+        assert spec == RunSpec(**self.DDM_SPEC, balancer="none")
+        assert "mode" not in spec.to_dict()
+        assert spec.to_dict()["balancer"] == "none"
+
+    def test_content_derives_the_removed_selectors(self):
+        ddm = RunSpec(**self.PRESET, balancer="none").content()
+        dlb = RunSpec(**self.PRESET, balancer="sfc").content()
+        assert (ddm["config"]["dlb"]["enabled"], ddm["run"]["preset"]["mode"]) == (
+            False, "ddm"
+        )
+        assert "balancer" not in ddm["run"]["preset"]
+        assert (dlb["config"]["dlb"]["enabled"], dlb["run"]["preset"]["mode"]) == (
+            True, "dlb"
+        )
+        assert dlb["run"]["preset"]["balancer"] == "sfc"
+        assert RunSpec().content()["config"]["dlb"]["enabled"] is True
 
 
 class TestCampaignSpec:
@@ -142,10 +202,12 @@ class TestCampaignSpec:
 
     def test_preset_grid(self):
         spec = CampaignSpec.preset_grid(
-            "p", presets=("bench-m2",), modes=("ddm", "dlb"),
+            "p", presets=("bench-m2",), balancers=("none", None),
         )
         assert len(spec) == 2
-        assert {r.mode for r in spec.runs} == {"ddm", "dlb"}
+        assert [r.balancer for r in spec.runs] == ["none", None]
+        with pytest.raises(TypeError):
+            CampaignSpec.preset_grid("p", presets=("bench-m2",), modes=("ddm",))
 
 
 class TestBuiltins:

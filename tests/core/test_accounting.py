@@ -30,7 +30,7 @@ class TestAccountStep:
         _, _, assignment, accountant = setup
         counts = np.full((6, 6, 6), 3)
         timing, totals = accountant.account_step(
-            1, accountant.cost_model.load(counts), assignment, dlb_enabled=False
+            1, accountant.cost_model.load(counts), assignment
         )
         assert timing.spread == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(totals, totals[0])
@@ -40,7 +40,7 @@ class TestAccountStep:
         counts = np.ones((6, 6, 6), dtype=int)
         counts[0, 0, 0] = 50
         timing, _ = accountant.account_step(
-            1, accountant.cost_model.load(counts), assignment, dlb_enabled=False
+            1, accountant.cost_model.load(counts), assignment
         )
         assert timing.spread > 0
         assert timing.fmax > timing.fave > timing.fmin
@@ -49,22 +49,24 @@ class TestAccountStep:
         _, _, assignment, accountant = setup
         counts = np.full((6, 6, 6), 2)
         timing, totals = accountant.account_step(
-            1, accountant.cost_model.load(counts), assignment, dlb_enabled=False
+            1, accountant.cost_model.load(counts), assignment
         )
         assert timing.tt == pytest.approx(totals.max())
         assert timing.tt > timing.fmax  # comm and integration add on top
 
     def test_dlb_overhead_charged_when_enabled(self, setup):
-        machine, _, assignment, accountant = setup
+        machine, cell_list, assignment, accountant = setup
+        balancing = StepAccountant(machine, cell_list, 9, charge_dlb=True)
         counts = np.full((6, 6, 6), 2)
         t_off, _ = accountant.account_step(
-            1, accountant.cost_model.load(counts), assignment, dlb_enabled=False
+            1, accountant.cost_model.load(counts), assignment
         )
-        t_on, _ = accountant.account_step(
-            2, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+        t_on, _ = balancing.account_step(
+            1, balancing.cost_model.load(counts), assignment
         )
         assert t_on.tt == pytest.approx(t_off.tt + machine.dlb_overhead)
         assert t_on.dlb_time == machine.dlb_overhead
+        assert t_off.dlb_time == 0.0
 
 
 class TestChargeMoves:
@@ -72,24 +74,24 @@ class TestChargeMoves:
         _, _, assignment, accountant = setup
         counts = np.full((6, 6, 6), 3)
         base, _ = accountant.account_step(
-            1, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+            1, accountant.cost_model.load(counts), assignment
         )
         cell = int(assignment.movable_at_home(4)[0])
         move = Move(cell=cell, src=4, dst=assignment.pe_flat(0, 1), kind=Case.SEND_OWN)
         accountant.charge_moves([move], counts, assignment)
         assignment.transfer(cell, move.dst)
         charged, _ = accountant.account_step(
-            2, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+            2, accountant.cost_model.load(counts), assignment
         )
         assert charged.comm_max > base.comm_max
         # The pending charge is consumed: the following step matches a fresh
         # accounting of the (post-move) state.
         after, _ = accountant.account_step(
-            3, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+            3, accountant.cost_model.load(counts), assignment
         )
         fresh = StepAccountant(accountant.machine, accountant.cell_list, 9)
         reference, _ = fresh.account_step(
-            3, fresh.cost_model.load(counts), assignment, dlb_enabled=True
+            3, fresh.cost_model.load(counts), assignment
         )
         assert after.comm_max == pytest.approx(reference.comm_max, rel=1e-9)
         assert after.comm_max < charged.comm_max
@@ -117,7 +119,7 @@ class TestMeasuredOverride:
         override = np.arange(9, dtype=float) + 1.0
         timing, _ = accountant.account_step(
             1, accountant.cost_model.load(counts), assignment,
-            dlb_enabled=False, force_times_override=override,
+            force_times_override=override,
         )
         assert timing.fmax == pytest.approx(9.0)
         assert timing.fmin == pytest.approx(1.0)
@@ -137,7 +139,7 @@ class TestExplicitProfiler:
         )
         counts = np.full((nc, nc, nc), 3)
         accountant.account_step(
-            1, accountant.cost_model.load(counts), CellAssignment(nc, n_pes), dlb_enabled=False
+            1, accountant.cost_model.load(counts), CellAssignment(nc, n_pes)
         )
         assert profiler.stats["accounting.account_step"].count == 1
 
@@ -269,7 +271,7 @@ class TestArrayChargingEqualsScalarFormulas:
             moved += len(moves)
 
             accountant.account_step(
-                step, accountant.cost_model.load(counts), assignment, dlb_enabled=True
+                step, accountant.cost_model.load(counts), assignment
             )
             expected = reference.comm_times(step, counts, assignment.cell_owner_map())
             assert np.array_equal(accountant.last_components.comm_times, expected)
@@ -300,5 +302,5 @@ class TestArrayChargingEqualsScalarFormulas:
         """One PE exchanges nothing; the halo tag must not appear as 0/0."""
         accountant = StepAccountant(MachineConfig(), CellList(3.0, 3), 1)
         load = accountant.cost_model.load(np.full((3, 3, 3), 2))
-        accountant.account_step(1, load, CellAssignment(3, 1), False)
+        accountant.account_step(1, load, CellAssignment(3, 1))
         assert accountant.traffic.by_tag == {}

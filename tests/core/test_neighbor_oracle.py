@@ -21,7 +21,6 @@ import pytest
 from repro import api
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MDConfig,
     RunConfig,
     SimulationConfig,
@@ -51,7 +50,6 @@ def sim_config(n_particles: int = 1000, density: float = 0.256) -> SimulationCon
     return SimulationConfig(
         md=MDConfig(n_particles=n_particles, density=density),
         decomposition=DecompositionConfig(cells_per_side=CELLS_PER_SIDE, n_pes=9),
-        dlb=DLBConfig(enabled=True),
     )
 
 

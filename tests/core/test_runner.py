@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MDConfig,
     RunConfig,
     SimulationConfig,
@@ -18,11 +17,10 @@ from repro.parallel.costmodel import ComputeCostModel
 from repro.workloads.concentration import ConcentrationSchedule
 
 
-def small_sim_config(dlb_enabled: bool = True) -> SimulationConfig:
+def small_sim_config() -> SimulationConfig:
     return SimulationConfig(
         md=MDConfig(n_particles=1000, density=0.256),
         decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
-        dlb=DLBConfig(enabled=dlb_enabled),
     )
 
 
@@ -49,9 +47,12 @@ class TestParallelMDRunner:
         assert [r.step for r in result.records] == [3, 6]
 
     def test_ddm_runner_never_moves_cells(self):
-        runner = ParallelMDRunner(small_sim_config(False), RunConfig(steps=5, seed=1))
+        runner = ParallelMDRunner(
+            small_sim_config(), RunConfig(steps=5, seed=1, balancer="none")
+        )
         result = runner.run()
         assert not result.dlb_enabled
+        assert runner.balancer is None
         assert result.total_moves == 0
         assert np.array_equal(runner.assignment.holder, runner.assignment.home)
 
@@ -62,8 +63,10 @@ class TestParallelMDRunner:
 
     def test_physics_identical_with_and_without_dlb(self):
         # DLB only changes *where* cells are computed, never the dynamics.
-        ra = ParallelMDRunner(small_sim_config(True), RunConfig(steps=5, seed=3))
-        rb = ParallelMDRunner(small_sim_config(False), RunConfig(steps=5, seed=3))
+        ra = ParallelMDRunner(small_sim_config(), RunConfig(steps=5, seed=3))
+        rb = ParallelMDRunner(
+            small_sim_config(), RunConfig(steps=5, seed=3, balancer="none")
+        )
         ra.run()
         rb.run()
         assert np.allclose(ra.system.positions, rb.system.positions)
@@ -134,8 +137,8 @@ class TestDrivenLoadRunner:
     def test_dlb_balances_better_than_ddm(self):
         """The headline qualitative claim on a concentrating workload."""
         late_spreads = {}
-        for dlb_enabled in (False, True):
-            config = small_sim_config(dlb_enabled)
+        config = small_sim_config()
+        for balancer in ("none", "permanent"):
             schedule = ConcentrationSchedule(
                 n_particles=1000,
                 box_length=config.md.box_length,
@@ -143,9 +146,11 @@ class TestDrivenLoadRunner:
                 n_droplets=24,
                 seed=5,
             )
-            result = DrivenLoadRunner(config, rounds_per_config=3).run(schedule)
-            late_spreads[dlb_enabled] = float(result.spread[-10:].mean())
-        assert late_spreads[True] < late_spreads[False]
+            result = DrivenLoadRunner(
+                config, rounds_per_config=3, balancer=balancer
+            ).run(schedule)
+            late_spreads[balancer] = float(result.spread[-10:].mean())
+        assert late_spreads["permanent"] < late_spreads["none"]
 
     def test_eight_neighbor_property_after_sweep(self):
         config = small_sim_config()

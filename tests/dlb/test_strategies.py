@@ -9,8 +9,9 @@ Four contract groups:
   under fault injection).
 * **Rivals** -- ``diffusion`` and ``sfc`` conserve ownership (every cell has
   exactly one holder), pass the strategy-relaxed
-  :class:`~repro.faults.audit.InvariantAuditor`, and actually move cells;
-  ``none`` never does.
+  :class:`~repro.faults.audit.InvariantAuditor`, and actually move cells.
+  (``none`` is plain DDM, with no strategy at all: the runner-level oracle
+  in ``test_strategy_oracle.py`` checks it.)
 * **Selection plumbing** -- a run's strategy comes from its config alone
   (``None`` is ``permanent``); the process environment never picks one, and
   unknown names fail with the known choices listed.
@@ -263,12 +264,6 @@ class TestRivalStrategies:
         assert np.array_equal(
             assignment.holder[pinned], assignment.home[pinned]
         )
-
-    def test_none_never_moves(self):
-        assignment, balancer, total_moves = _run_strategy_rounds("none")
-        assert total_moves == 0
-        assert np.array_equal(assignment.holder, assignment.home)
-        assert balancer.stats.moves_total == 0
 
     def test_sfc_degrades_to_uniform_weights_without_counts(self):
         rng = np.random.default_rng(8)

@@ -12,12 +12,17 @@ each one:
     no invariant violation;
 (d) ``repro explain`` replays every logged decision of that run with no
     divergence.
+
+``none`` is plain DDM, the one baseline every strategy is compared with: it
+runs no DLB protocol at all (see :func:`test_none_is_plain_ddm`).
 """
 
 import pytest
 
 from repro import api
 from repro.config import BALANCER_NAMES, RunConfig
+from repro.decomp.assignment import CellAssignment
+from repro.dlb.balancer import DynamicLoadBalancer
 from repro.dlb.explain import explain_events
 from repro.obs import EventLog, Observability
 from tests.helpers import fig5_config, readme_plan
@@ -84,7 +89,41 @@ def test_audited_faulted_run_has_no_violations(reference):
 def test_explain_replays_every_decision(reference):
     strategy, _, events = reference
     decisions = explain_events(events.records)
+    if strategy == "none":  # plain DDM decides nothing, so logs nothing
+        assert decisions == []
+        return
     assert len(decisions) == STEPS - 1  # no round before the first step
     assert [d.step for d in decisions if not d.matches] == []
-    moved = sum(len(d.logged_moves) for d in decisions)
-    assert moved == 0 if strategy == "none" else moved > 0
+    assert sum(len(d.logged_moves) for d in decisions) > 0
+
+
+def test_none_is_plain_ddm(monkeypatch):
+    """``balancer="none"`` runs no DLB protocol: no balancer round, no cell
+    move, nothing charged for the timing exchange, no decision event, and
+    the digest of a DDM run (``b"ddm"`` prefix)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("plain DDM must not run the DLB protocol")
+
+    monkeypatch.setattr(DynamicLoadBalancer, "step", refuse)
+    monkeypatch.setattr(CellAssignment, "transfer", refuse)
+    monkeypatch.setattr(CellAssignment, "transfer_any", refuse)
+    observability = Observability(events=EventLog())
+    result = api.simulate(
+        "quickstart",
+        run=RunConfig(steps=60, seed=3, balancer="none"),
+        observability=observability,
+    )
+    assert len(result.records) == 60
+    assert result.total_moves == 0
+    assert [r.timing.dlb_time for r in result.records] == [0.0] * 60
+    assert result.meta["mode"] == "ddm" and result.meta["balancer"] == "none"
+    assert not result.dlb_enabled
+    kinds = {r["kind"] for r in observability.events.records}
+    assert "dlb.decision" not in kinds and "cell.migrate" not in kinds
+    start = observability.events.records[0]
+    assert (start["mode"], start["dlb"]["enabled"], start["dlb"]["balancer"]) == (
+        "ddm", False, "none"
+    )
+    # No counterfactual: with nothing balanced, there is no benefit to price.
+    assert result.meta["imbalance"]["dlb_benefit_seconds"] is None

@@ -12,7 +12,6 @@ import pytest
 from repro import api
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MDConfig,
     RunConfig,
     SimulationConfig,
@@ -31,11 +30,10 @@ from repro.faults.plan import FaultPlan
 from repro.md.potential import LennardJones
 
 
-def small_config(dlb_enabled: bool = True) -> SimulationConfig:
+def small_config() -> SimulationConfig:
     return SimulationConfig(
         md=MDConfig(n_particles=1000, density=0.256),
         decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
-        dlb=DLBConfig(enabled=dlb_enabled),
     )
 
 
@@ -70,9 +68,10 @@ class TestDigestIdentity:
         assert par.digest() == seq.digest()
 
     def test_identity_holds_without_dlb(self):
-        seq = api.simulate(small_config(False), run=RUN, engine="sequential")
+        run = RunConfig(steps=RUN.steps, seed=RUN.seed, balancer="none")
+        seq = api.simulate(small_config(), run=run, engine="sequential")
         par = api.simulate(
-            small_config(False), run=RUN, engine="multiprocess", engine_workers=2
+            small_config(), run=run, engine="multiprocess", engine_workers=2
         )
         assert par.digest() == seq.digest()
         assert not par.dlb_enabled

@@ -43,10 +43,19 @@ class TestGeometryFor:
 
 class TestSimulationConfigFor:
     def test_builds_valid_config(self):
-        config = simulation_config_for(geometry_for(3, 9), dlb_enabled=True)
-        assert config.dlb.enabled
+        config = simulation_config_for(geometry_for(3, 9))
         assert config.cell_size >= config.md.cutoff
         assert config.decomposition.pillar_m == 3
+
+    def test_dlb_enabled_is_a_compat_input_only(self):
+        """``dlb_enabled=True`` (what the frozen ledger passes) changes
+        nothing; ``False`` no longer means plain DDM and is refused."""
+        geometry = geometry_for(3, 9)
+        assert simulation_config_for(geometry, dlb_enabled=True) == (
+            simulation_config_for(geometry)
+        )
+        with pytest.raises(ConfigurationError, match="balancer='none'"):
+            simulation_config_for(geometry, dlb_enabled=False)
 
 
 class TestDropletsFor:

@@ -16,7 +16,6 @@ import pytest
 
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MDConfig,
     RunConfig,
     SimulationConfig,
@@ -37,11 +36,10 @@ from repro.faults import (
 )
 
 
-def sim_config(dlb_enabled: bool = True) -> SimulationConfig:
+def sim_config() -> SimulationConfig:
     return SimulationConfig(
         md=MDConfig(n_particles=1000, density=0.256),
         decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
-        dlb=DLBConfig(enabled=dlb_enabled),
     )
 
 

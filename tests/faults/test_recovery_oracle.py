@@ -22,7 +22,6 @@ import pytest
 
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MDConfig,
     RunConfig,
     SimulationConfig,
@@ -49,7 +48,6 @@ def sim_config() -> SimulationConfig:
     return SimulationConfig(
         md=MDConfig(n_particles=1000, density=0.256),
         decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
-        dlb=DLBConfig(enabled=True),
     )
 
 

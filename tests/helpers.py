@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import DecompositionConfig, DLBConfig, MDConfig, SimulationConfig
+from repro.config import DecompositionConfig, MDConfig, SimulationConfig
 from repro.core.ddm import DecomposedForceResult
 from repro.engine import EngineContext, SequentialEngine
 from repro.faults import FaultPlan, MessageFaultRule, SlowdownRule, TimingFaultRule
@@ -16,7 +16,6 @@ def fig5_config() -> SimulationConfig:
     return SimulationConfig(
         md=MDConfig(n_particles=1000, density=0.256),
         decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
-        dlb=DLBConfig(enabled=True),
     )
 
 

@@ -19,16 +19,15 @@ class TestDLBHelpsOnConcentratingWorkload:
     @pytest.fixture(scope="class")
     def runs(self):
         results = {}
-        for dlb_enabled in (False, True):
-            # nc = 9 gives m = 3 on 9 PEs: enough movable cells for the
-            # balancer to show its effect at this scale.
-            config = supercooled_simulation_config(
-                n_particles=3000,
-                n_pes=9,
-                density=0.256,
-                cells_per_side=9,
-                dlb_enabled=dlb_enabled,
-            )
+        # nc = 9 gives m = 3 on 9 PEs: enough movable cells for the
+        # balancer to show its effect at this scale.
+        config = supercooled_simulation_config(
+            n_particles=3000,
+            n_pes=9,
+            density=0.256,
+            cells_per_side=9,
+        )
+        for balancer in ("none", "permanent"):
             schedule = ConcentrationSchedule(
                 n_particles=3000,
                 box_length=config.md.box_length,
@@ -36,13 +35,13 @@ class TestDLBHelpsOnConcentratingWorkload:
                 n_droplets=60,
                 seed=13,
             )
-            results[dlb_enabled] = DrivenLoadRunner(
-                config, rounds_per_config=4
+            results[balancer] = DrivenLoadRunner(
+                config, rounds_per_config=4, balancer=balancer
             ).run(schedule)
         return results
 
     def test_ddm_spread_grows(self, runs):
-        spread = runs[False].spread
+        spread = runs["none"].spread
         assert spread[-5:].mean() > 3 * spread[:5].mean()
 
     def test_dlb_spread_stays_lower(self, runs):
@@ -50,20 +49,20 @@ class TestDLBHelpsOnConcentratingWorkload:
         # below DDM's; late in the sweep the concentration exceeds the DLB
         # limit (Section 2.3) and the gap narrows -- but never closes.
         mid = slice(20, 40)
-        assert runs[True].spread[mid].mean() < 0.6 * runs[False].spread[mid].mean()
-        assert runs[True].spread[-10:].mean() < 0.8 * runs[False].spread[-10:].mean()
+        assert runs["permanent"].spread[mid].mean() < 0.6 * runs["none"].spread[mid].mean()
+        assert runs["permanent"].spread[-10:].mean() < 0.8 * runs["none"].spread[-10:].mean()
 
     def test_dlb_tt_lower_late_in_run(self, runs):
-        assert runs[True].tt[-10:].mean() < runs[False].tt[-10:].mean()
+        assert runs["permanent"].tt[-10:].mean() < runs["none"].tt[-10:].mean()
 
     def test_dlb_actually_moved_cells(self, runs):
-        assert runs[True].total_moves > 0
-        assert runs[False].total_moves == 0
+        assert runs["permanent"].total_moves > 0
+        assert runs["none"].total_moves == 0
 
     def test_trajectories_identical_workload(self, runs):
         # Both modes see the same configurations -> same global C0/C series.
         assert np.allclose(
-            runs[True].trajectory.c0_ratio, runs[False].trajectory.c0_ratio
+            runs["permanent"].trajectory.c0_ratio, runs["none"].trajectory.c0_ratio
         )
 
 

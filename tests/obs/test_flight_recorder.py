@@ -42,12 +42,11 @@ def fault_plan() -> FaultPlan:
 
 
 def run_with_events(steps=STEPS, faults=None, engine=None, engine_workers=None,
-                    dlb=True, checkpoints=None, stop_after=None, balancer=None):
+                    checkpoints=None, stop_after=None, balancer=None):
     observability = Observability(events=EventLog())
     result = api.simulate(
         PRESET,
         run=RunConfig(steps=steps, seed=7, record_interval=1, balancer=balancer),
-        dlb=dlb,
         engine=engine,
         engine_workers=engine_workers,
         observability=observability,
@@ -79,7 +78,6 @@ class TestDeterminism:
         without = api.simulate(
             PRESET,
             run=RunConfig(steps=STEPS, seed=7, record_interval=1),
-            dlb=True,
             faults=fault_plan(),
         )
         assert with_events.digest() == without.digest()
@@ -145,7 +143,7 @@ class TestEventContent:
         assert np.asarray(decisions[0]["view"]["times"]).shape == (9, 9)
 
     def test_ddm_run_has_no_balancer_events(self):
-        result, events = run_with_events(dlb=False)
+        result, events = run_with_events(balancer="none")
         kinds = {r["kind"] for r in events.records}
         assert "dlb.decision" not in kinds and "cell.migrate" not in kinds
         # Plain DDM has no counterfactual (actual == counterfactual).
@@ -156,7 +154,6 @@ class TestEventContent:
         api.simulate(
             PRESET,
             run=RunConfig(steps=6, seed=7, record_interval=1),
-            dlb=True,
             observability=observability,
             audit=api.AuditPolicy(every=2),
         )
@@ -208,9 +205,17 @@ class TestExplainStrategyDispatch:
         _, events = run_with_events(balancer=balancer)
         assert events.records[0]["dlb"]["balancer"] == balancer
         decisions = explain_events(events.records)
-        if balancer != "none":
-            assert decisions
+        # Plain DDM (balancer "none") logs no decisions at all.
+        assert bool(decisions) == (balancer != "none")
         assert all(d.matches for d in decisions)
+
+    def test_decision_logged_under_none_is_a_clear_error(self):
+        # Older "none" runs kept the DLB protocol and logged empty rounds;
+        # "none" has no strategy now, so there is no rule to replay.
+        _, events = run_with_events(balancer="permanent")
+        events.records[0]["dlb"]["balancer"] = "none"
+        with pytest.raises(AnalysisError, match="not registered"):
+            explain_events(events.records)
 
     def test_sfc_decision_events_carry_counts(self):
         """Count-weighted strategies log their weights; permanent does not,

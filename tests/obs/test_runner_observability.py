@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MDConfig,
     RunConfig,
     SimulationConfig,
@@ -19,11 +18,10 @@ from repro.workloads.concentration import ConcentrationSchedule
 N_PES = 9
 
 
-def small_sim_config(dlb_enabled: bool = True) -> SimulationConfig:
+def small_sim_config() -> SimulationConfig:
     return SimulationConfig(
         md=MDConfig(n_particles=1000, density=0.256),
         decomposition=DecompositionConfig(cells_per_side=6, n_pes=N_PES),
-        dlb=DLBConfig(enabled=dlb_enabled),
     )
 
 
@@ -34,7 +32,7 @@ def observed_run():
     # at this length -- so the profile has to cover it.
     with obs.activate():
         runner = ParallelMDRunner(
-            small_sim_config(True),
+            small_sim_config(),
             RunConfig(steps=12, seed=3),
             observability=obs,
         )

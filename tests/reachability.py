@@ -115,10 +115,10 @@ FAULT_PLAN = {
 }
 
 CHAOS = [
-    "--mode", "dlb", "--steps", "40", "--record-interval", "1",
+    "--balancer", "permanent", "--steps", "40", "--record-interval", "1",
     "--faults", "plan.json", "--audit-invariants",
 ]
-ENGINE = ["--mode", "dlb", "--steps", "40", "--record-interval", "1"]
+ENGINE = ["--balancer", "permanent", "--steps", "40", "--record-interval", "1"]
 
 VALIDATE_TRACE = """
 import json
@@ -209,7 +209,7 @@ def _python(code: str) -> list[str]:
 PRODUCT: list[tuple[str, list[str], int]] = [
     # CI observability smoke
     ("run --trace --metrics", _repro(
-        "run", "quickstart", "--mode", "dlb", "--steps", "30",
+        "run", "quickstart", "--balancer", "permanent", "--steps", "30",
         "--trace", "trace.json", "--metrics", "metrics.prom", "--profile"), 0),
     ("validate trace", _python(VALIDATE_TRACE), 0),
     # CI campaign smoke
@@ -238,21 +238,21 @@ PRODUCT: list[tuple[str, list[str], int]] = [
         "--engine-workers", "2", "--events", "multiprocess.events.jsonl"), 0),
     ("validate events", _python(VALIDATE_EVENTS), 0),
     ("run --kill-after, default record interval", _repro(
-        "run", "quickstart", "--mode", "dlb", "--steps", "20",
+        "run", "quickstart", "--balancer", "permanent", "--steps", "20",
         "--checkpoint-dir", "ck-default", "--checkpoint-every", "5",
         "--kill-after", "10", "--result-json", "k.json"), 3),
     ("run --resume, default record interval", _repro(
-        "run", "quickstart", "--mode", "dlb", "--steps", "20",
+        "run", "quickstart", "--balancer", "permanent", "--steps", "20",
         "--resume", "ck-default", "--result-json", "k-resumed.json"), 0),
     ("events summary", _repro("events", "summary", "full.events.jsonl"), 0),
     ("events tail", _repro("events", "tail", "full.events.jsonl"), 0),
     ("explain permanent", _repro("explain", "full.events.jsonl"), 0),
     ("run diffusion --events", _repro(
-        "run", "quickstart", "--mode", "dlb", "--steps", "40",
+        "run", "quickstart", "--steps", "40",
         "--balancer", "diffusion", "--events", "diffusion.events.jsonl"), 0),
     ("explain diffusion", _repro("explain", "diffusion.events.jsonl"), 0),
     ("run sfc --events", _repro(
-        "run", "quickstart", "--mode", "dlb", "--steps", "40",
+        "run", "quickstart", "--steps", "40",
         "--balancer", "sfc", "--events", "sfc.events.jsonl"), 0),
     ("explain sfc", _repro("explain", "sfc.events.jsonl"), 0),
     # CI engine smoke
@@ -271,7 +271,7 @@ PRODUCT: list[tuple[str, list[str], int]] = [
     ("fleet failover", _python(FLEET), 0),
     # the remaining CLI verbs
     ("presets", _repro("presets"), 0),
-    ("run both modes", _repro("run", "bench-m2", "--steps", "40"), 0),
+    ("run default balancers", _repro("run", "bench-m2", "--steps", "40"), 0),
     ("sweep", _repro(
         "sweep", "--m", "2", "--pes", "9", "--reps", "1", "--steps", "60"), 0),
     ("campaign list", _repro("campaign", "list"), 0),

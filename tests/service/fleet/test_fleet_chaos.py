@@ -55,7 +55,6 @@ def reference_digest() -> str:
             seed=SPEC["seed"],
             record_interval=max(1, N_STEPS // 50),
         ),
-        dlb=True,
         audit=api.AuditPolicy(every=10, policy="raise"),
     )
     # policy="raise" means reaching here IS the zero-violations proof, but

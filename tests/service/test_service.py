@@ -49,7 +49,6 @@ class TestEndToEnd:
                 seed=SPEC["seed"],
                 record_interval=max(1, SPEC["n_steps"] // 50),
             ),
-            dlb=True,
         )
         assert result["payload"]["digest"] == direct.digest()
 
@@ -176,6 +175,16 @@ class TestValidationOverHttp:
         response = handle.client().submit(dict(SPEC, backend="kdtree"))
         assert response.status == 400
         assert "unknown submission field(s) 'backend'" in response.body["error"]
+        assert runner.calls == 0
+
+    def test_ddm_beside_a_balancer_gets_400_not_a_mislabelled_run(
+        self, service_factory
+    ):
+        runner = CountingRunner()
+        handle = service_factory(runner=runner)
+        response = handle.client().submit(dict(SPEC, mode="ddm", balancer="diffusion"))
+        assert response.status == 400
+        assert "contradicts balancer 'diffusion'" in response.body["error"]
         assert runner.calls == 0
 
     def test_float_n_steps_gets_400_not_a_failing_run(self, service_factory):

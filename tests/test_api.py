@@ -9,7 +9,6 @@ import repro
 from repro import api
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MDConfig,
     RunConfig,
     SimulationConfig,
@@ -17,11 +16,10 @@ from repro.config import (
 from repro.errors import ConfigurationError, SchemaError
 
 
-def small_config(dlb_enabled: bool = True) -> SimulationConfig:
+def small_config() -> SimulationConfig:
     return SimulationConfig(
         md=MDConfig(n_particles=1000, density=0.256),
         decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
-        dlb=DLBConfig(enabled=dlb_enabled),
     )
 
 
@@ -76,7 +74,9 @@ class TestSimulateValidation:
             api.simulate(small_config(), run=RunConfig(steps=1), stop_after=-1)
 
     def test_dlb_override_flips_mode(self):
-        result = api.simulate(small_config(True), run=RunConfig(steps=2, seed=1), dlb=False)
+        result = api.simulate(
+            small_config(), run=RunConfig(steps=2, seed=1, balancer="none")
+        )
         assert result.meta["mode"] == "ddm"
         assert not result.dlb_enabled
 
@@ -104,6 +104,26 @@ class TestPersistedArtifacts:
         path = tmp_path / "config.json"
         api.save_config(path, small_config())
         assert api.load_config(path).run is None
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_older_config_with_dlb_enabled(self, tmp_path, enabled):
+        """A config saved while ``DLBConfig.enabled`` existed. ``true`` is
+        today's only behaviour and loads; ``false`` meant plain DDM, which
+        the config can no longer say, so it is refused rather than loaded
+        as a balancing run."""
+        path = tmp_path / "older.json"
+        path.write_text(
+            '{"schema_version": "1.0", "simulation": {'
+            '"md": {"n_particles": 1000, "density": 0.256}, '
+            '"decomposition": {"cells_per_side": 6, "n_pes": 9, "shape": "pillar"}, '
+            '"dlb": {"enabled": ' + str(enabled).lower() + ', "interval": 1, '
+            '"max_sends_per_step": 1, "policy": "fastest", "threshold": 0.1}}}'
+        )
+        if enabled:
+            assert api.load_config(path).simulation == small_config()
+        else:
+            with pytest.raises(SchemaError, match='balancer="none"'):
+                api.load_config(path)
 
     def test_load_config_rejects_missing_simulation(self, tmp_path):
         path = tmp_path / "broken.json"

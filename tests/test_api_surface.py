@@ -34,7 +34,6 @@ EXPECTED_ALL = [
 EXPECTED_SIGNATURES = {
     "simulate": (
         "(config: 'SimulationConfig | str', *, run: 'RunConfig', "
-        "dlb: 'bool | None' = None, "
         "engine: 'Engine | str | None' = None, "
         "engine_workers: 'int | None' = None, "
         "observability: 'Observability | None' = None, "
@@ -49,7 +48,6 @@ EXPECTED_SIGNATURES = {
         "(config: 'SimulationConfig | str', "
         "configurations: 'Iterable[np.ndarray]', *, "
         "rounds_per_config: 'int' = 1, "
-        "dlb: 'bool | None' = None, "
         "balancer: 'str | None' = None, "
         "observability: 'Observability | None' = None, "
         "faults: 'FaultPlan | FaultInjector | None' = None, "
@@ -134,10 +132,11 @@ class TestBalancerSurface:
         # The strategy set is fixed: there is no registration hook.
         assert not hasattr(strategies, "register_strategy")
 
-    def test_available_lists_all_four_strategies(self):
+    def test_available_lists_the_three_strategies(self):
         from repro.dlb.strategies import available
 
-        assert available() == ("diffusion", "none", "permanent", "sfc")
+        # "none" is a balancer name but no strategy: plain DDM builds none.
+        assert available() == ("diffusion", "permanent", "sfc")
 
     def test_balancer_protocol_shape(self):
         """Every registered strategy satisfies the Balancer protocol."""

@@ -16,7 +16,7 @@ class TestParser:
         parser = build_parser()
         for argv in (
             ["presets"],
-            ["run", "bench-m2", "--mode", "ddm", "--steps", "3"],
+            ["run", "bench-m2", "--balancer", "none", "--steps", "3"],
             ["sweep", "--m", "2", "--pes", "9"],
             ["bounds", "--n-min", "1", "--n-max", "2"],
             ["calibrate", "--particles", "256"],
@@ -26,7 +26,7 @@ class TestParser:
             ["campaign", "status"],
             ["campaign", "report", "smoke", "--json"],
             ["campaign", "search", "--m", "2", "--stride", "5"],
-            ["run", "bench-m2", "--mode", "dlb", "--events", "ev.jsonl",
+            ["run", "bench-m2", "--balancer", "permanent", "--events", "ev.jsonl",
              "--metrics", "m.prom", "--metrics-every", "5"],
             ["events", "tail", "ev.jsonl", "-n", "3"],
             ["events", "summary", "ev.jsonl", "--json"],
@@ -65,7 +65,7 @@ class TestCommands:
         assert "1.0000" in out
 
     def test_run_single_mode(self, capsys):
-        code = main(["run", "bench-m2", "--mode", "dlb", "--steps", "5",
+        code = main(["run", "bench-m2", "--balancer", "permanent", "--steps", "5",
                      "--record-interval", "1"])
         assert code == 0
         out = capsys.readouterr().out
@@ -76,6 +76,26 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "DDM" in out and "DLB-DDM" in out
+
+    def test_default_run_keys_ddm_and_dlb_by_balancer(self, tmp_path, capsys):
+        result_json = tmp_path / "runs.json"
+        code = main(["run", "quickstart", "--steps", "20",
+                     "--result-json", str(result_json)])
+        assert code == 0
+        runs = json.loads(result_json.read_text())["runs"]
+        assert list(runs) == ["none", "permanent"]
+        assert [runs[name]["meta"]["mode"] for name in runs] == ["ddm", "dlb"]
+        assert runs["none"]["summary"]["total_moves"] == 0
+        out = capsys.readouterr().out
+        assert "| DDM" in out and "| DLB-DDM" in out  # the comparison report
+
+    def test_run_three_balancers_prints_one_row_each(self, capsys):
+        code = main(["run", "bench-m2", "--steps", "3", "--record-interval", "1",
+                     "--balancer", "none", "permanent", "sfc"])
+        assert code == 0
+        rows = [line.split("|")[0].strip()
+                for line in capsys.readouterr().out.splitlines()]
+        assert {"none", "permanent", "sfc"} <= set(rows)
 
     def test_run_unknown_preset_raises(self):
         from repro.errors import ConfigurationError
@@ -197,16 +217,22 @@ class TestBackendFlag:
 
     def test_balancer_choices_are_the_four_strategies(self):
         parser = build_parser()
-        assert parser.parse_args(["run", "bench-m2"]).balancer is None
+        # The default is the Figure 5 pair: plain DDM, then the paper's DLB.
+        assert parser.parse_args(["run", "bench-m2"]).balancer == ["none", "permanent"]
         for name in ("permanent", "diffusion", "sfc", "none"):
-            assert parser.parse_args(["run", "bench-m2", "--balancer", name]).balancer == name
+            assert parser.parse_args(["run", "bench-m2", "--balancer", name]).balancer == [name]
+        args = parser.parse_args(["run", "bench-m2", "--balancer", "sfc", "none"])
+        assert args.balancer == ["sfc", "none"]
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["run", "bench-m2", "--mode", "ddm"])
+        assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
             parser.parse_args(["run", "bench-m2", "--balancer", "auto"])
         assert excinfo.value.code == 2
 
     def test_run_with_verlet_backend(self, capsys):
         # The cached Verlet list is the only pair search: a plain run uses it.
-        code = main(["run", "bench-m2", "--mode", "dlb", "--steps", "5",
+        code = main(["run", "bench-m2", "--balancer", "permanent", "--steps", "5",
                      "--record-interval", "1"])
         assert code == 0
         captured = capsys.readouterr()
@@ -217,7 +243,7 @@ class TestBackendFlag:
     def test_rebuild_line_follows_caching_not_the_flag(self, capsys, backend, reports):
         # Every run reports the cached list; the flag that once chose the
         # per-step search is refused before any run starts.
-        argv = ["run", "bench-m2", "--mode", "dlb", "--steps", "5",
+        argv = ["run", "bench-m2", "--balancer", "permanent", "--steps", "5",
                 "--record-interval", "1"]
         if backend is None:
             assert main(argv) == 0
@@ -252,7 +278,7 @@ class TestObservabilityFlags:
         payload = json.loads(trace_path.read_text())
         validate_trace(payload)
         events = payload["traceEvents"]
-        # both modes: ddm tracks under pid 0, dlb under pid 1
+        # both default balancers: none (ddm) under pid 0, permanent (dlb) under pid 1
         assert {e["pid"] for e in events if e["ph"] == "X"} >= {0, 1}
         assert {e["name"] for e in events if e["ph"] == "X"} >= {"force", "halo-comm"}
         text = metrics_path.read_text()
@@ -265,7 +291,7 @@ class TestObservabilityFlags:
 
     def test_run_without_flags_has_no_observability_cost(self, capsys):
         # the plain path still prints the phase table from the timing log
-        code = main(["run", "quickstart", "--mode", "ddm", "--steps", "3",
+        code = main(["run", "quickstart", "--balancer", "none", "--steps", "3",
                      "--record-interval", "1"])
         assert code == 0
         assert "per-phase step-time breakdown" in capsys.readouterr().out
@@ -289,7 +315,7 @@ class TestChaosFlags:
 
     def test_chaos_flags_parse(self):
         args = build_parser().parse_args(
-            ["run", "bench-m2", "--mode", "dlb", "--steps", "5",
+            ["run", "bench-m2", "--balancer", "permanent", "--steps", "5",
              "--faults", "plan.json", "--audit-invariants", "--audit-every", "2",
              "--audit-policy", "log", "--checkpoint-dir", "ck",
              "--checkpoint-every", "3", "--kill-after", "4",
@@ -306,7 +332,7 @@ class TestChaosFlags:
 
     def test_faulted_audited_run_passes(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path)
-        code = main(["run", "bench-m2", "--mode", "dlb", "--steps", "6",
+        code = main(["run", "bench-m2", "--balancer", "permanent", "--steps", "6",
                      "--record-interval", "1",
                      "--faults", str(plan), "--audit-invariants"])
         assert code == 0
@@ -316,14 +342,14 @@ class TestChaosFlags:
     def test_invalid_fault_plan_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"seed": 1, "slowness": []}')
-        code = main(["run", "bench-m2", "--mode", "dlb", "--steps", "3",
+        code = main(["run", "bench-m2", "--balancer", "permanent", "--steps", "3",
                      "--faults", str(bad)])
         assert code == 2
 
     def test_kill_resume_digest_matches_uninterrupted(self, tmp_path, capsys):
         """The CI chaos-smoke scenario, in miniature."""
         plan = self.write_plan(tmp_path)
-        base = ["run", "bench-m2", "--mode", "dlb", "--steps", "10",
+        base = ["run", "bench-m2", "--balancer", "permanent", "--steps", "10",
                 "--record-interval", "1", "--faults", str(plan),
                 "--audit-invariants"]
 
@@ -343,14 +369,14 @@ class TestChaosFlags:
 
         full = json.loads(full_json.read_text())
         resumed = json.loads(resumed_json.read_text())
-        assert full["runs"]["dlb"]["digest"] == resumed["runs"]["dlb"]["digest"]
-        assert resumed["runs"]["dlb"]["audit"]["violations"] == 0
+        assert full["runs"]["permanent"]["digest"] == resumed["runs"]["permanent"]["digest"]
+        assert resumed["runs"]["permanent"]["audit"]["violations"] == 0
 
     def test_kill_before_the_first_record_still_exits_3(self, tmp_path, capsys):
         """A kill below the default --record-interval leaves no step recorded:
         the killed payload has a null summary, and resuming still reaches the
         uninterrupted digest."""
-        base = ["run", "quickstart", "--mode", "dlb", "--steps", "20"]
+        base = ["run", "quickstart", "--balancer", "permanent", "--steps", "20"]
         full_json = tmp_path / "full.json"
         assert main(base + ["--result-json", str(full_json)]) == 0
 
@@ -360,13 +386,13 @@ class TestChaosFlags:
         assert code == 3
         killed = json.loads(killed_json.read_text())
         assert killed["killed_at"] == 10
-        assert killed["runs"]["dlb"]["summary"] is None
-        assert killed["runs"]["dlb"]["steps_run"] == 0
+        assert killed["runs"]["permanent"]["summary"] is None
+        assert killed["runs"]["permanent"]["steps_run"] == 0
 
         resumed_json = tmp_path / "resumed.json"
         assert main(base + ["--resume", str(ck), "--result-json", str(resumed_json)]) == 0
-        full = json.loads(full_json.read_text())["runs"]["dlb"]
-        resumed = json.loads(resumed_json.read_text())["runs"]["dlb"]
+        full = json.loads(full_json.read_text())["runs"]["permanent"]
+        resumed = json.loads(resumed_json.read_text())["runs"]["permanent"]
         assert resumed["digest"] == full["digest"]
         assert resumed["summary"] == full["summary"]
 
@@ -376,7 +402,7 @@ class TestFlightRecorderFlags:
 
     def record(self, tmp_path, steps=6):
         events = tmp_path / "ev.jsonl"
-        code = main(["run", "bench-m2", "--mode", "dlb", "--steps", str(steps),
+        code = main(["run", "bench-m2", "--balancer", "permanent", "--steps", str(steps),
                      "--record-interval", "1", "--events", str(events)])
         assert code == 0
         return events
@@ -385,10 +411,10 @@ class TestFlightRecorderFlags:
         code = main(["run", "bench-m2", "--steps", "3",
                      "--events", str(tmp_path / "ev.jsonl")])
         assert code == 2
-        assert "single mode" in capsys.readouterr().err
+        assert "single balancer" in capsys.readouterr().err
 
     def test_metrics_every_requires_metrics(self, capsys):
-        code = main(["run", "bench-m2", "--mode", "dlb", "--steps", "3",
+        code = main(["run", "bench-m2", "--balancer", "permanent", "--steps", "3",
                      "--metrics-every", "2"])
         assert code == 2
         assert "--metrics" in capsys.readouterr().err
@@ -409,7 +435,7 @@ class TestFlightRecorderFlags:
 
     def test_metrics_every_flushes_mid_run(self, tmp_path):
         metrics = tmp_path / "metrics.prom"
-        code = main(["run", "bench-m2", "--mode", "dlb", "--steps", "4",
+        code = main(["run", "bench-m2", "--balancer", "permanent", "--steps", "4",
                      "--record-interval", "1", "--metrics", str(metrics),
                      "--metrics-every", "2"])
         assert code == 0

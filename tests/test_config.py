@@ -82,7 +82,9 @@ class TestDecompositionConfig:
 class TestDLBConfig:
     def test_defaults(self):
         config = DLBConfig()
-        assert config.enabled and config.interval == 1
+        assert config.interval == 1
+        # Whether a run balances is its balancer name ("none" is plain DDM).
+        assert not hasattr(config, "enabled")
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -53,9 +53,5 @@ class TestMaterialisation:
 
     def test_paper_presets_build_valid_configs(self):
         for name in ("fig5a-paper", "fig5b-paper"):
-            config = get_preset(name).simulation_config(dlb_enabled=False)
+            config = get_preset(name).simulation_config()
             assert config.cell_size >= config.md.cutoff
-
-    def test_dlb_flag(self):
-        preset = get_preset("bench-m2")
-        assert preset.simulation_config(dlb_enabled=False).dlb.enabled is False

@@ -54,10 +54,6 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             supercooled_simulation_config(125, 36)
 
-    def test_dlb_flag_propagates(self):
-        assert supercooled_simulation_config(8000, 9, dlb_enabled=False).dlb.enabled is False
-        assert supercooled_simulation_config(8000, 9, dlb_enabled=True).dlb.enabled is True
-
     def test_attraction_propagates(self):
         sim = supercooled_simulation_config(8000, 9, attraction=0.3, n_attractors=12)
         assert sim.md.attraction == 0.3
