@@ -166,7 +166,7 @@ class RunResult:
         Two runs (or a run and its killed-then-resumed continuation) are
         byte-identical exactly when their digests match: every float is
         hashed via its IEEE-754 bytes, so even a 1-ulp divergence changes
-        the digest. This is what the chaos-smoke CI job compares.
+        the digest. This is what the ``chaos`` scenario group compares.
         """
         h = hashlib.sha256()
         h.update(b"dlb" if self.dlb_enabled else b"ddm")

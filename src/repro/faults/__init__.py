@@ -1,4 +1,4 @@
-"""Deterministic fault injection, invariant auditing and chaos tooling.
+"""Deterministic fault injection and invariant auditing.
 
 The paper's central claim is structural: permanent cells make the DLB
 protocol safe under *any* redistribution sequence. This package exercises
@@ -18,18 +18,12 @@ that claim under adversity instead of assuming perfect hardware:
     :class:`InvariantAuditor`: validates the paper's structural invariants
     at a configurable cadence and either raises
     :class:`~repro.errors.InvariantViolation` or logs to metrics.
-``repro.faults.chaos``
-    Process-level chaos: :class:`Fleet` / :class:`ServerProcess` launch real
-    ``repro serve`` children over one store and SIGKILL the run's owner, so
-    the fleet tests prove failover with genuine process death rather than
-    simulated faults.
 
 Checkpoint/restart lives in :mod:`repro.core.checkpoint`; the CLI surface is
 ``repro run --faults PLAN --audit-invariants --checkpoint-every N``.
 """
 
 from .audit import InvariantAuditor
-from .chaos import Fleet, ServerProcess, free_port, owner_pid
 from .injector import FaultInjector, MessagePerturbation
 from .plan import (
     FaultPlan,
@@ -42,14 +36,10 @@ from .plan import (
 __all__ = [
     "FaultInjector",
     "FaultPlan",
-    "Fleet",
     "InvariantAuditor",
     "MessageFaultRule",
     "MessagePerturbation",
-    "ServerProcess",
     "SlowdownRule",
     "StallRule",
     "TimingFaultRule",
-    "free_port",
-    "owner_pid",
 ]

@@ -3,13 +3,13 @@
 Where :mod:`repro.faults.plan` injects faults *inside* one simulation, this
 module injects them *between* processes: it launches genuine
 ``python -m repro serve`` instances against one shared run store, lets a
-test (or an operator rehearsing failover) kill the instance that owns a
-run, and exposes enough introspection — per-instance clients, owner lookup
-by store lease, captured logs — to prove the survivors finish the work
-with a byte-identical digest and exactly one stored payload.
+test kill the instance that owns a run, and exposes enough introspection
+(per-instance clients, owner lookup by store lease, captured logs) to prove
+the survivors finish the work with a byte-identical digest and exactly one
+stored payload.
 
-Nothing here is test-framework specific; ``tests/service/fleet/`` and the
-CI ``fleet-smoke`` job drive the same classes.
+``tests/service/fleet/`` and the ``service``/``fleet`` groups of
+``tests/scenarios.py`` drive it.
 """
 
 from __future__ import annotations
@@ -22,9 +22,13 @@ import sys
 import time
 from pathlib import Path
 
-from ..errors import ServiceError
+from repro.campaign.store import RunStore
+from repro.errors import ServiceError
+from repro.service.client import ServiceClient
 
-__all__ = ["Fleet", "ServerProcess", "free_port", "owner_pid"]
+__all__ = ["Fleet", "ServerProcess", "free_port"]
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Seconds :meth:`ServerProcess.wait_ready` polls before giving up.
 READY_TIMEOUT_S = 30.0
@@ -144,9 +148,7 @@ class ServerProcess:
             self._log_handle = open(self.log_path, "ab")
             stdout = self._log_handle
         env = dict(os.environ)
-        env.setdefault(
-            "PYTHONPATH", str(Path(__file__).resolve().parents[2])
-        )
+        env.setdefault("PYTHONPATH", str(SRC))
         self.process = subprocess.Popen(
             self.args, stdout=stdout, stderr=subprocess.STDOUT, env=env
         )
@@ -162,9 +164,7 @@ class ServerProcess:
     def alive(self) -> bool:
         return self.process is not None and self.process.poll() is None
 
-    def client(self):
-        from ..service.client import ServiceClient
-
+    def client(self) -> ServiceClient:
         return ServiceClient(port=self.port)
 
     def wait_ready(self, timeout: float = READY_TIMEOUT_S) -> None:
@@ -293,8 +293,6 @@ class Fleet:
         Resolved through the store: the lease's owner id embeds the OS pid
         (``host-pid-nonce``), which is matched against the children.
         """
-        from ..campaign.store import RunStore
-
         with RunStore(self.store_dir) as store:
             stored = store.get(run_hash)
         if stored is None or stored.owner is None:
@@ -320,9 +318,3 @@ class Fleet:
         raise ServiceError(
             f"no fleet member took ownership of {run_hash} within {timeout}s"
         )
-
-    def kill_owner(self, run_hash: str, timeout: float = 15.0) -> ServerProcess:
-        """SIGKILL the instance owning ``run_hash``; returns the victim."""
-        owner = self.wait_for_owner(run_hash, timeout=timeout)
-        owner.sigkill()
-        return owner

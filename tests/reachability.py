@@ -7,9 +7,10 @@ Run from the repository root::
     python tests/reachability.py --sightings DIR --report-only   # reclassify them
 
 Two passes run under a call hook. *Tier-1* is the test suite. The *product
-pass* (:data:`PRODUCT`) is what a user runs: the CI smoke commands, every
-CLI verb, ``examples/*.py``, the balancer-matrix experiment and the ledger,
-traced and untraced. Every ``src/repro`` function is then classified:
+pass* is what a user runs: every group of the scenario table in
+``tests/scenarios.py``, which CI runs too (its smoke scenarios, every CLI
+verb, ``examples/*.py``, the balancer-matrix experiment and the ledger,
+traced and untraced). Every ``src/repro`` function is then classified:
 
 * *product* -- called during the product pass;
 * *tests only* -- called during tier-1 and never by the product;
@@ -24,7 +25,8 @@ only.
 
 The hook is a generated ``sitecustomize.py`` put first on ``PYTHONPATH``,
 so every Python process a pass starts installs it: pytest, forked and
-spawned children, ``repro serve`` servers and their pool workers. It is a
+spawned children, the scenario runner and its checks, ``repro serve``
+servers and their pool workers. It is a
 ``sys.setprofile`` (and ``threading.setprofile``) function that appends a
 ``src/repro`` code object to a per-process file the first time it is
 called. Each line is flushed as it is written, so a child that leaves
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
 import shutil
 import subprocess
@@ -50,6 +51,8 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+
+import scenarios
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -105,209 +108,6 @@ def pytest_runtest_setup(item):
 def pytest_runtest_call(item):
     sitecustomize.install()
 '''
-
-FAULT_PLAN = {
-    "seed": 11,
-    "slowdowns": [{"pe": 4, "factor": 2.0}],
-    "jitter": 0.05,
-    "messages": [{"tag": "*", "loss": 0.2, "delay_prob": 0.2, "delay": 0.005}],
-    "timing": {"drop": 0.3, "max_staleness": 2},
-}
-
-CHAOS = [
-    "--balancer", "permanent", "--steps", "40", "--record-interval", "1",
-    "--faults", "plan.json", "--audit-invariants",
-]
-ENGINE = ["--balancer", "permanent", "--steps", "40", "--record-interval", "1"]
-
-VALIDATE_TRACE = """
-import json
-from repro.obs import validate_trace
-validate_trace(json.load(open("trace.json")))
-"""
-
-VALIDATE_EVENTS = """
-from repro.obs import read_events, validate_events
-for stem in ("full", "resumed", "multiprocess"):
-    validate_events(read_events(f"{stem}.events.jsonl"))
-    validate_events(read_events(f"{stem}.events.host.jsonl"), source=stem)
-"""
-
-CLASSIC_VS_ENGINE = """
-from repro import api
-from repro.config import RunConfig
-run = RunConfig(steps=40, seed=1)
-api.simulate("fig5b-scaled", run=run)
-api.simulate("fig5b-scaled", run=run, engine="multiprocess", engine_workers=2)
-"""
-
-SERVICE = """
-import signal, socket, subprocess, sys, time
-from repro.service import ServiceClient
-
-with socket.socket() as probe:
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-server = subprocess.Popen([sys.executable, "-m", "repro", "serve", "--port",
-                           str(port), "--dir", "service-store", "--workers", "2"])
-try:
-    client = ServiceClient(port=port)
-    for _ in range(100):
-        try:
-            client.health().raise_for_status()
-            break
-        except OSError:
-            time.sleep(0.2)
-    client.ready()
-    spec = {"kind": "preset", "preset": "fig5b-scaled", "mode": "dlb",
-            "n_steps": 40, "seed": 3}
-    run_id = client.submit(spec).body["run_id"]
-    assert client.wait(run_id, timeout=300)["status"] == "done"
-    client.submit(spec)
-    client.result(run_id).raise_for_status()
-    client.metrics()
-finally:
-    server.send_signal(signal.SIGTERM)
-    assert server.wait(timeout=60) == 0
-"""
-
-FLEET = """
-import time
-from pathlib import Path
-from repro.campaign.store import RunStore
-from repro.faults.chaos import Fleet
-
-spec = {"kind": "preset", "preset": "fig5b-scaled", "mode": "dlb",
-        "n_steps": 90, "seed": 3}
-with Fleet("fleet-store", size=2, log_dir="fleet-logs", lease_ttl=2.0,
-           reap_interval=0.5, checkpoint_every=10, max_attempts=3) as fleet:
-    run_id = fleet.servers[0].client().submit(spec).body["run_id"]
-    owner = fleet.wait_for_owner(run_id, timeout=60)
-    checkpoints = Path("fleet-store") / "checkpoints" / run_id
-    deadline = time.monotonic() + 120
-    while not any(checkpoints.glob("ckpt-*.pkl")):
-        assert time.monotonic() < deadline, "no checkpoint landed"
-        time.sleep(0.05)
-    owner.sigkill()
-    result = fleet.alive[0].client().wait(run_id, timeout=300)
-    assert result["status"] == "done", result
-with RunStore("fleet-store") as store:
-    assert store.get(run_id).status == "done"
-"""
-
-
-def _repro(*args: str) -> list[str]:
-    return [sys.executable, "-m", "repro", *args]
-
-
-def _python(code: str) -> list[str]:
-    return [sys.executable, "-c", code]
-
-
-#: The product pass: ``(label, argv, expected exit status)``, run in order
-#: in one scratch directory (later steps read what earlier ones wrote).
-PRODUCT: list[tuple[str, list[str], int]] = [
-    # CI observability smoke
-    ("run --trace --metrics", _repro(
-        "run", "quickstart", "--balancer", "permanent", "--steps", "30",
-        "--trace", "trace.json", "--metrics", "metrics.prom", "--profile"), 0),
-    ("validate trace", _python(VALIDATE_TRACE), 0),
-    # CI campaign smoke
-    ("campaign run --max-runs", _repro(
-        "campaign", "run", "smoke", "--dir", "store", "--workers", "2",
-        "--max-runs", "2", "--json"), 0),
-    ("campaign resume", _repro(
-        "campaign", "resume", "smoke", "--dir", "store", "--workers", "2",
-        "--json"), 0),
-    ("campaign run (cached)", _repro(
-        "campaign", "run", "smoke", "--dir", "store", "--workers", "2"), 0),
-    ("campaign report", _repro("campaign", "report", "smoke", "--dir", "store"), 0),
-    # CI chaos smoke
-    ("run faulted", _repro(
-        "run", "quickstart", *CHAOS, "--events", "full.events.jsonl",
-        "--result-json", "full.json"), 0),
-    ("run faulted --kill-after", _repro(
-        "run", "quickstart", *CHAOS, "--checkpoint-dir", "ck",
-        "--checkpoint-every", "10", "--kill-after", "25",
-        "--events", "killed.events.jsonl", "--result-json", "killed.json"), 3),
-    ("run faulted --resume", _repro(
-        "run", "quickstart", *CHAOS, "--resume", "ck",
-        "--events", "resumed.events.jsonl", "--result-json", "resumed.json"), 0),
-    ("run faulted multiprocess", _repro(
-        "run", "quickstart", *CHAOS, "--engine", "multiprocess",
-        "--engine-workers", "2", "--events", "multiprocess.events.jsonl"), 0),
-    ("validate events", _python(VALIDATE_EVENTS), 0),
-    ("run --kill-after, default record interval", _repro(
-        "run", "quickstart", "--balancer", "permanent", "--steps", "20",
-        "--checkpoint-dir", "ck-default", "--checkpoint-every", "5",
-        "--kill-after", "10", "--result-json", "k.json"), 3),
-    ("run --resume, default record interval", _repro(
-        "run", "quickstart", "--balancer", "permanent", "--steps", "20",
-        "--resume", "ck-default", "--result-json", "k-resumed.json"), 0),
-    ("events summary", _repro("events", "summary", "full.events.jsonl"), 0),
-    ("events tail", _repro("events", "tail", "full.events.jsonl"), 0),
-    ("explain permanent", _repro("explain", "full.events.jsonl"), 0),
-    ("run diffusion --events", _repro(
-        "run", "quickstart", "--steps", "40",
-        "--balancer", "diffusion", "--events", "diffusion.events.jsonl"), 0),
-    ("explain diffusion", _repro("explain", "diffusion.events.jsonl"), 0),
-    ("run sfc --events", _repro(
-        "run", "quickstart", "--steps", "40",
-        "--balancer", "sfc", "--events", "sfc.events.jsonl"), 0),
-    ("explain sfc", _repro("explain", "sfc.events.jsonl"), 0),
-    # CI engine smoke
-    ("run sequential engine", _repro(
-        "run", "fig5b-scaled", *ENGINE, "--engine", "sequential"), 0),
-    ("run multiprocess --kill-after", _repro(
-        "run", "fig5b-scaled", *ENGINE, "--engine", "multiprocess",
-        "--engine-workers", "2", "--checkpoint-dir", "ck-engine",
-        "--checkpoint-every", "10", "--kill-after", "25"), 3),
-    ("run multiprocess --resume", _repro(
-        "run", "fig5b-scaled", *ENGINE, "--engine", "multiprocess",
-        "--engine-workers", "2", "--resume", "ck-engine"), 0),
-    ("classic vs engine", _python(CLASSIC_VS_ENGINE), 0),
-    # CI service and fleet smoke
-    ("serve + client", _python(SERVICE), 0),
-    ("fleet failover", _python(FLEET), 0),
-    # the remaining CLI verbs
-    ("presets", _repro("presets"), 0),
-    ("run default balancers", _repro("run", "bench-m2", "--steps", "40"), 0),
-    ("sweep", _repro(
-        "sweep", "--m", "2", "--pes", "9", "--reps", "1", "--steps", "60"), 0),
-    ("campaign list", _repro("campaign", "list"), 0),
-    ("campaign status", _repro("campaign", "status", "--dir", "store"), 0),
-    ("campaign gc", _repro(
-        "campaign", "gc", "--older-than", "7d", "--dir", "store"), 0),
-    ("campaign search", _repro(
-        "campaign", "search", "--m", "2", "--pes", "9", "--steps", "60",
-        "--stride", "8", "--dir", "store"), 0),
-    ("bounds", _repro("bounds"), 0),
-    ("calibrate", _repro("calibrate", "--particles", "512", "--repeats", "1"), 0),
-    ("runs quarantine", _repro("runs", "quarantine", "--dir", "service-store"), 0),
-    ("runs requeue", _repro(
-        "runs", "requeue", "0000000000000000", "--dir", "service-store"), 2),
-    # examples, experiments, ledger
-    ("examples/quickstart.py", [sys.executable, str(REPO / "examples/quickstart.py")], 0),
-    ("examples/serial_argon_md.py",
-     [sys.executable, str(REPO / "examples/serial_argon_md.py")], 0),
-    ("examples/load_balancing_comparison.py",
-     [sys.executable, str(REPO / "examples/load_balancing_comparison.py")], 0),
-    ("examples/effective_range.py",
-     [sys.executable, str(REPO / "examples/effective_range.py")], 0),
-    ("examples/reproduce_paper.py --scale quick",
-     [sys.executable, str(REPO / "examples/reproduce_paper.py"), "--scale", "quick"], 0),
-    ("balancer matrix --quick",
-     [sys.executable, "-m", "repro.experiments.balancer_matrix", "--quick"], 0),
-    # Traced md_engine fails its own root-coverage check at --quick size
-    # (CI runs it untraced too), so the traced pass leaves it out.
-    ("ledger --quick", [sys.executable, str(REPO / "ledger/run.py"), "--quick",
-                        "--workload", "md_kdtree", "--workload", "md_verlet",
-                        "--workload", "driven_sweep", "--workload", "service_mix",
-                        "--out", "ledger.json"], 0),
-    ("ledger --quick --no-trace", [sys.executable, str(REPO / "ledger/run.py"),
-                                   "--quick", "--no-trace", "--out",
-                                   "ledger-untraced.json"], 0),
-]
 
 #: Names that stay although only tests reach them, with the reason. Keys are
 #: ``module`` (the whole file) or ``module:qualname``.
@@ -368,20 +168,20 @@ def run_tier1(hook_dir: Path, sightings: Path) -> int:
 
 
 def run_product(hook_dir: Path, sightings: Path, work: Path) -> list[str]:
-    """Every :data:`PRODUCT` step under the hook; returns the failed labels."""
+    """Every group of ``tests/scenarios.py`` under the hook; returns the
+    failed groups."""
     sightings.mkdir(parents=True, exist_ok=True)
-    work.mkdir(parents=True, exist_ok=True)
-    (work / "plan.json").write_text(json.dumps(FAULT_PLAN))
     env = _environment(hook_dir, sightings)
     failed = []
-    for label, argv, expected in PRODUCT:
+    for group in scenarios.GROUPS:
         started = time.perf_counter()
-        status = subprocess.call(argv, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                                 stderr=subprocess.DEVNULL)
-        verdict = "ok" if status == expected else f"FAILED (exit {status}, want {expected})"
-        print(f"  {label}: {verdict} [{time.perf_counter() - started:.0f} s]", flush=True)
-        if status != expected:
-            failed.append(label)
+        status = subprocess.call(
+            [sys.executable, scenarios.__file__, "--group", group,
+             "--workdir", str(work / group)], cwd=REPO, env=env)
+        print(f"group {group}: {'ok' if status == 0 else 'FAILED'} "
+              f"[{time.perf_counter() - started:.0f} s]", flush=True)
+        if status != 0:
+            failed.append(group)
     return failed
 
 

@@ -29,7 +29,7 @@ from repro import api
 from repro.config import RunConfig
 from repro.campaign.store import RunStore
 from repro.errors import ServiceError
-from repro.faults.chaos import Fleet
+from tests.chaos import Fleet
 
 #: The owner is killed as soon as its first checkpoint is seen; the run must
 #: still be going by then. 19 of its 20 checkpoint windows lie after that

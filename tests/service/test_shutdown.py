@@ -3,7 +3,7 @@
 ``initiate_drain`` is exactly what the server's SIGTERM handler calls, so
 triggering it over ``call_soon_threadsafe`` exercises the signal path minus
 the signal delivery itself (which needs a real process and is covered by
-the CI ``service-smoke`` job).
+the ``service`` group of ``tests/scenarios.py``).
 """
 
 from __future__ import annotations

@@ -347,7 +347,7 @@ class TestChaosFlags:
         assert code == 2
 
     def test_kill_resume_digest_matches_uninterrupted(self, tmp_path, capsys):
-        """The CI chaos-smoke scenario, in miniature."""
+        """The ``chaos`` scenario group, in miniature."""
         plan = self.write_plan(tmp_path)
         base = ["run", "bench-m2", "--balancer", "permanent", "--steps", "10",
                 "--record-interval", "1", "--faults", str(plan),
