@@ -4,8 +4,8 @@ The strategy seam (PR 10) routes every balancer decision through
 ``repro.dlb.strategies``; these benchmarks time one decision round per
 registered strategy on the same machine/timing snapshot and gate the seam's
 overhead: the ``permanent`` strategy through the registry must stay within a
-small factor of the pre-seam inline loop (re-created here verbatim from
-``decide_move`` + the policy gate), and must decide move-for-move
+small factor of the pre-seam inline loop (re-created here from the scalar
+``decide_move`` of ``tests/dlb/rank_rule.py``), and must decide move-for-move
 identically. Results land in ``BENCH_kernels.json`` under
 ``balancer_round_*`` so ``benchmarks/check_regression.py`` can track the
 decision path across PRs.
@@ -16,9 +16,9 @@ import pytest
 
 from conftest import record_kernel
 from repro.decomp.assignment import CellAssignment
-from repro.dlb.protocol import decide_move
 from repro.dlb.strategies import available, create_balancer
 from repro.parallel.topology import Torus2D
+from tests.dlb.rank_rule import decide_move
 
 NC = 12
 N_PES = 9
@@ -76,7 +76,7 @@ def test_balancer_round(benchmark, assignment, times, counts, strategy, kernel_l
     balancer = create_balancer(assignment, strategy=strategy)
     moves = benchmark(balancer.decide, times, 0, counts)
     record_kernel(kernel_log, benchmark, f"balancer_round_{strategy}")
-    assert isinstance(moves, list)
+    assert all(move.src != move.dst for move in moves)
 
 
 def test_permanent_seam_matches_and_gates_overhead(assignment, times, kernel_log):

@@ -16,7 +16,7 @@ import numpy as np
 from ..config import MachineConfig
 from ..decomp.assignment import CellAssignment
 from ..decomp.halo import compute_halo
-from ..dlb.protocol import Move
+from ..dlb.protocol import Move, MoveBatch
 from ..md.celllist import CellList
 from ..obs.profiler import scope
 from ..parallel.costmodel import CellLoad, ComputeCostModel
@@ -60,7 +60,7 @@ class StepAccountant:
         #: (consumed by the trace recorder and the per-phase report).
         self.last_components: StepComponents | None = None
 
-    def charge_moves(self, moves: list[Move], counts_grid: np.ndarray,
+    def charge_moves(self, moves: MoveBatch | list[Move], counts_grid: np.ndarray,
                      assignment: CellAssignment, step: int = 0) -> None:
         """Account the balancer's cell migrations.
 
@@ -72,29 +72,39 @@ class StepAccountant:
         duplicated -- delivery stays reliable, only the charged time and the
         wire traffic change.
         """
-        if not moves:
+        n_moves = len(moves)
+        if not n_moves:
             return
-        src, dst, cells = np.array([(move.src, move.dst, move.cell) for move in moves]).T
+        moves = MoveBatch.of(moves)
+        src, dst = moves.src, moves.dst
         # Per move: bytes and messages put on the wire by the cell's payload
         # and by step 4 of the protocol, the broadcast of the new assignment
         # to the 8 neighbours (tiny messages; latency dominated).
-        payload = counts_grid.reshape(-1)[cells].astype(np.int64) * self.machine.bytes_per_particle
-        sends = np.ones(len(moves), dtype=np.int64)
-        notices = np.full(len(moves), 8)
+        payload = counts_grid.reshape(-1)[moves.cell].astype(np.int64) * self.machine.bytes_per_particle
         # NetworkModel.transfer_time of every payload, same operand order.
         durations = self.machine.latency + payload * self.machine.inv_bandwidth
-        broadcasts = notices * self.network.transfer_time(16)
+        broadcasts = np.full(n_moves, 8 * self.network.transfer_time(16))
+
+        def per_pe(pes: np.ndarray, values: np.ndarray) -> np.ndarray:
+            # Exact: the weights are integers far below 2**53.
+            return np.bincount(pes, values, self.n_pes).astype(np.int64)
+
+        # One payload message and 8 notices per move, unless a message fault
+        # puts some on the wire more than once.
+        sends = np.bincount(src, minlength=self.n_pes)
+        notices_sent = 8 * sends
         if self.faults is not None:
-            for k, move in enumerate(moves):
-                pert = self.faults.perturb_message(step, move.src, move.dst, "migration")
+            attempts = np.ones(n_moves, dtype=np.int64)
+            notices = np.full(n_moves, 8)
+            for k, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+                pert = self.faults.perturb_message(step, a, b, "migration")
                 durations[k] = pert.perturbed_time(float(durations[k]))
-                sends[k] = pert.attempts
-                pert = self.faults.perturb_message(
-                    step, move.src, move.src, "dlb-bookkeeping"
-                )
+                attempts[k] = pert.attempts
+                pert = self.faults.perturb_message(step, a, a, "dlb-bookkeeping")
                 broadcasts[k] = pert.perturbed_time(float(broadcasts[k]))
                 notices[k] *= pert.attempts
-            payload = payload * sends
+            payload = payload * attempts
+            sends, notices_sent = per_pe(src, attempts), per_pe(src, notices)
         # ufunc.at is unbuffered: each PE's charges add up in move order
         # (src, dst, src per move), exactly as one scalar ``+=`` per charge.
         np.add.at(
@@ -102,15 +112,9 @@ class StepAccountant:
             np.array((src, dst, src)).T.ravel(),
             np.array((durations, durations, broadcasts)).T.ravel(),
         )
-
-        def per_pe(pes: np.ndarray, values: np.ndarray) -> np.ndarray:
-            # Exact: the weights are integers far below 2**53.
-            return np.bincount(pes, values, self.n_pes).astype(np.int64)
-
         self.traffic.record_per_pe(
-            per_pe(src, payload), per_pe(dst, payload), per_pe(src, sends), tag="migration"
+            per_pe(src, payload), per_pe(dst, payload), sends, tag="migration"
         )
-        notices_sent = per_pe(src, notices)
         self.traffic.record_per_pe(
             16 * notices_sent, 16 * notices_sent, notices_sent, tag="dlb-bookkeeping"
         )

@@ -7,7 +7,7 @@ the 8-neighbour structure. The plane and cube shapes survive only in
 :mod:`~repro.decomp.shapes`, as closed-form communication volumes.
 """
 
-from .assignment import CellAssignment, ColumnAssignment
+from .assignment import CellAssignment
 from .halo import HaloExchange, halo_summary
 from .partition import pillar_partition
 from .shapes import domain_comm_volume, domain_shape_info
@@ -15,7 +15,6 @@ from .validation import check_eight_neighbor_property, contact_pairs
 
 __all__ = [
     "CellAssignment",
-    "ColumnAssignment",
     "HaloExchange",
     "check_eight_neighbor_property",
     "contact_pairs",

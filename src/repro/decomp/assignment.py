@@ -46,11 +46,17 @@ class CellAssignment:
     """Who holds which cell, with DLB's structural invariants enforced.
 
     ``home`` and ``permanent`` never change, so everything that depends only
-    on them is tabulated once here: each PE's home cells, its movable home
-    cells (both ascending ids) and, per Case 1 offset, the order in which it
-    lends those movable cells. The per-round queries read ``holder`` over
-    one such block (``C / P`` cells), never over the whole map.
+    on them is tabulated once here: each PE's movable home cells, in
+    ascending id order and, per Case 1 offset, in the order it lends them
+    (:meth:`movable_blocks`), and which PEs are its three lower neighbours
+    (``lends_to``). A balancer round reads ``holder`` over such blocks,
+    never over the whole map.
     """
+
+    #: The Case 1 offsets, toward the lower neighbours a PE lends to.
+    LEND_OFFSETS = ((-1, -1), (-1, 0), (0, -1))
+    #: The :meth:`movable_blocks` order by ascending id (Case 3 returns).
+    ASCENDING = len(LEND_OFFSETS)
 
     def __init__(self, cells_per_side: int, n_pes: int) -> None:
         self.cells_per_side = int(cells_per_side)
@@ -66,15 +72,26 @@ class CellAssignment:
         column_permanent = classify_permanent_columns(cells_per_side, n_pes)
         self.permanent = np.repeat(column_permanent, cells_per_side)
         nc, m = self.cells_per_side, self.m
-        self._home_cells = np.argsort(self.home, kind="stable").reshape(self.n_pes, -1)
-        movable = self._home_cells[~self.permanent[self._home_cells]]
-        self._home_movable = block = movable.reshape(self.n_pes, (m - 1) ** 2 * nc)
-        column, z = np.divmod(block, nc)
+        home_cells = np.argsort(self.home, kind="stable").reshape(self.n_pes, -1)
+        movable = home_cells[~self.permanent[home_cells]].reshape(self.n_pes, -1)
+        column, z = np.divmod(movable, nc)
         u, v = (column // nc) % m, (column % nc) % m
-        self._lend_order = {}
-        for di, dj in ((-1, -1), (-1, 0), (0, -1)):
-            order = np.lexsort((block, z, u * (di < 0) + v * (dj < 0)))
-            self._lend_order[di, dj] = np.take_along_axis(block, order, axis=1)
+        #: ``(4, P, (m-1)^2 nc)``: ``[order, pe]`` is a :meth:`movable_blocks` row.
+        self._movable_orders = np.stack([
+            np.take_along_axis(
+                movable, np.lexsort((movable, z, u * (di < 0) + v * (dj < 0))), axis=1
+            )
+            for di, dj in self.LEND_OFFSETS
+        ] + [movable])
+        pes = np.arange(self.n_pes)[:, None]
+        i, j = np.divmod(pes, self.pe_side)
+        di, dj = np.array(self.LEND_OFFSETS).T
+        #: ``(P, P)``: ``lends_to[home, pe]`` is True when a cell homed at
+        #: ``home`` may be lent to ``pe``, one of home's three lower (Case 1)
+        #: neighbours.
+        self.lends_to = np.zeros((self.n_pes, self.n_pes), dtype=bool)
+        self.lends_to[pes, self.pe_flat(i + di, j + dj)] = True
+        self.lends_to.setflags(write=False)
 
     # -- queries -----------------------------------------------------------
 
@@ -88,38 +105,20 @@ class CellAssignment:
 
     def movable_at_home(self, pe: int) -> np.ndarray:
         """``pe``'s own movable cells that are currently at home."""
-        block = self._home_movable[pe]
+        block = self._movable_orders[self.ASCENDING, pe]
         return block[self.holder[block] == pe]
 
-    def lendable(self, pe: int, offset: tuple[int, int]) -> np.ndarray:
-        """:meth:`movable_at_home` in the order ``pe`` lends toward ``offset``.
-
-        Cells closest to the receiving lower neighbour come first (lowest
-        local ``u`` for offset (-1, 0), lowest ``v`` for (0, -1), lowest
-        ``u + v`` for the corner); ties break on depth ``z``, then cell id.
-        """
-        block = self._lend_order[offset][pe]
-        return block[self.holder[block] == pe]
-
-    def borrowed_by(self, pe: int, lender: int) -> np.ndarray:
-        """Cells with home ``lender`` currently held by ``pe`` (ascending)."""
-        block = self._home_cells[lender]
-        return block[self.holder[block] == pe]
+    def movable_blocks(self, orders: np.ndarray, pes: np.ndarray) -> np.ndarray:
+        """Row ``k``: the movable home cells of ``pes[k]``, held or not, by
+        ascending id (``orders[k] == ASCENDING``) or in the order ``pes[k]``
+        lends them toward ``LEND_OFFSETS[orders[k]]``: nearest the receiver
+        first (lowest local ``u``, ``v`` or ``u + v``), then depth ``z``, then
+        id. Only movable cells are ever lent."""
+        return self._movable_orders[orders, pes]
 
     def cell_owner_map(self) -> np.ndarray:
         """The flat ``(nc^3,)`` holder map (alias for compatibility)."""
         return self.holder
-
-    def column_of_cell(self, cell: int) -> int:
-        """Cross-section column id of a flat cell id."""
-        return cell // self.cells_per_side
-
-    def cell_cross_section(self, cell: int) -> tuple[int, int, int]:
-        """Cross-section coordinates and depth ``(cx, cy, z)`` of a cell."""
-        nc = self.cells_per_side
-        column, z = divmod(cell, nc)
-        cx, cy = divmod(column, nc)
-        return cx, cy, z
 
     def pe_coords(self, pe: int) -> tuple[int, int]:
         """Torus coordinates ``(i, j)`` of a flat PE id."""
@@ -130,42 +129,32 @@ class CellAssignment:
         side = self.pe_side
         return (i % side) * side + (j % side)
 
-    def lower_neighbors(self, pe: int) -> set[int]:
-        """The three PEs a cell homed at ``pe`` may be lent to (Case 1)."""
-        i, j = self.pe_coords(pe)
-        return {
-            self.pe_flat(i - 1, j - 1),
-            self.pe_flat(i - 1, j),
-            self.pe_flat(i, j - 1),
-        }
-
     # -- mutations -----------------------------------------------------------
 
-    def transfer(self, cell: int, to_pe: int) -> None:
-        """Move ``cell`` to ``to_pe``, enforcing the DLB invariants.
-
-        Raises :class:`ProtocolError` on moving a permanent cell, on a no-op
-        transfer, or on placing a cell anywhere other than its home or one of
-        the home's three lower (Case 1) neighbours.
-        """
-        if not 0 <= cell < self.n_cells:
-            raise ProtocolError(f"cell {cell} out of range")
-        if not 0 <= to_pe < self.n_pes:
-            raise ProtocolError(f"PE {to_pe} out of range")
-        if self.permanent[cell]:
+    def transfer(self, cells, to_pes) -> None:
+        """Move ``cells[k]`` to ``to_pes[k]`` for every ``k`` (scalars are a
+        batch of one), all or nothing: :class:`ProtocolError` on an
+        out-of-range id, a cell listed twice, a permanent cell, a no-op, or a
+        destination other than the home or its three lower (Case 1)
+        neighbours, before anything moves."""
+        cells, to_pes = self._checked(cells, to_pes)
+        if self.permanent[cells].any():
+            cell = cells[self.permanent[cells]][0]
             raise ProtocolError(f"cell {cell} is permanent and cannot move")
-        if self.holder[cell] == to_pe:
-            raise ProtocolError(f"cell {cell} already held by PE {to_pe}")
-        home = int(self.home[cell])
-        if to_pe != home and to_pe not in self.lower_neighbors(home):
+        home = self.home[cells]
+        placed = self.lends_to[home, to_pes] | (to_pes == home)
+        if not placed.all():
+            k = int(np.argmin(placed))
+            lower = np.flatnonzero(self.lends_to[home[k]]).tolist()
             raise ProtocolError(
-                f"cell {cell} (home PE {home}) may only be lent to the home's "
-                f"lower neighbours {sorted(self.lower_neighbors(home))}, not PE {to_pe}"
+                f"cell {cells[k]} (home PE {home[k]}) may only be lent to the home's "
+                f"lower neighbours {lower}, not PE {to_pes[k]}"
             )
-        self.holder[cell] = to_pe
+        self.holder[cells] = to_pes
 
-    def transfer_any(self, cell: int, to_pe: int) -> None:
-        """Move ``cell`` to ``to_pe`` with bounds checks only.
+    def transfer_any(self, cells, to_pes) -> None:
+        """Move ``cells[k]`` to ``to_pes[k]`` with bounds, duplicate and no-op
+        checks only (atomic, like :meth:`transfer`).
 
         The escape hatch for *unconstrained* balancer strategies (diffusion,
         SFC repartition): they are not bound by the paper's permanent-cell
@@ -174,13 +163,29 @@ class CellAssignment:
         holder -- and :class:`~repro.faults.audit.InvariantAuditor` keeps
         checking it for every strategy.
         """
-        if not 0 <= cell < self.n_cells:
+        cells, to_pes = self._checked(cells, to_pes)
+        self.holder[cells] = to_pes
+
+    def _checked(self, cells, to_pes) -> tuple[np.ndarray, np.ndarray]:
+        """``(cells, to_pes)`` as arrays; refuses bad ids, duplicates, no-ops."""
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1)
+        to_pes = np.asarray(to_pes, dtype=np.int64).reshape(-1)
+        if cells.shape != to_pes.shape:
+            raise ProtocolError(f"{cells.size} cells for {to_pes.size} PEs")
+        # Read as unsigned, a negative id is huge: one bound checks both ends.
+        if cells.size and cells.view(np.uint64).max() >= self.n_cells:
+            cell = cells[cells.view(np.uint64) >= self.n_cells][0]
             raise ProtocolError(f"cell {cell} out of range")
-        if not 0 <= to_pe < self.n_pes:
-            raise ProtocolError(f"PE {to_pe} out of range")
-        if self.holder[cell] == to_pe:
-            raise ProtocolError(f"cell {cell} already held by PE {to_pe}")
-        self.holder[cell] = to_pe
+        if to_pes.size and to_pes.view(np.uint64).max() >= self.n_pes:
+            pe = to_pes[to_pes.view(np.uint64) >= self.n_pes][0]
+            raise ProtocolError(f"PE {pe} out of range")
+        if len(set(cells.tolist())) != cells.size:
+            raise ProtocolError(f"a cell is listed twice in one transfer: {cells.tolist()}")
+        idle = self.holder[cells] == to_pes
+        if idle.any():
+            k = int(np.argmax(idle))
+            raise ProtocolError(f"cell {cells[k]} already held by PE {to_pes[k]}")
+        return cells, to_pes
 
     def reset(self) -> None:
         """Return every cell to its home PE."""
@@ -190,14 +195,14 @@ class CellAssignment:
         """Check all structural invariants; raises on violation."""
         if np.any(self.holder[self.permanent] != self.home[self.permanent]):
             raise DecompositionError("a permanent cell is away from home")
-        away = np.flatnonzero(self.holder != self.home)
-        for cell in away:
-            home = int(self.home[cell])
-            if int(self.holder[cell]) not in self.lower_neighbors(home):
-                raise DecompositionError(
-                    f"cell {cell} lent to non-adjacent PE {self.holder[cell]}"
-                )
+        stray = np.flatnonzero(~self.lent_to_lower())
+        if stray.size:
+            raise DecompositionError(
+                f"cell {stray[0]} lent to non-adjacent PE {self.holder[stray[0]]}"
+            )
 
-
-#: Backwards-compatible alias: earlier revisions redistributed whole columns.
-ColumnAssignment = CellAssignment
+    def lent_to_lower(self) -> np.ndarray:
+        """Per cell: held at home or by one of its home's lower neighbours."""
+        holder, home = self.holder, self.home
+        inside = (holder >= 0) & (holder < self.n_pes)
+        return (holder == home) | (inside & self.lends_to[home, np.where(inside, holder, 0)])

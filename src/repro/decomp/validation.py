@@ -12,20 +12,9 @@ import numpy as np
 
 from ..errors import DecompositionError
 from ..md.celllist import CellList
+from ..parallel.topology import Torus2D
 from .assignment import CellAssignment
 from .halo import importer_words, unpack_words
-
-#: 8-neighbourhood offsets in the cross-section plane (the PE torus is 2-D).
-CROSS_SECTION_OFFSETS: tuple[tuple[int, int], ...] = (
-    (-1, -1),
-    (-1, 0),
-    (-1, 1),
-    (0, -1),
-    (0, 1),
-    (1, -1),
-    (1, 0),
-    (1, 1),
-)
 
 
 def contact_pairs(cell_owner: np.ndarray, cells_per_side: int) -> set[tuple[int, int]]:
@@ -43,19 +32,15 @@ def contact_pairs(cell_owner: np.ndarray, cells_per_side: int) -> set[tuple[int,
 
 def torus_neighbors(pe: int, pe_side: int) -> set[int]:
     """The 8 torus neighbours of a PE on a ``pe_side x pe_side`` torus."""
-    i, j = divmod(pe, pe_side)
-    out = set()
-    for di, dj in CROSS_SECTION_OFFSETS:
-        out.add(((i + di) % pe_side) * pe_side + (j + dj) % pe_side)
-    out.discard(pe)
-    return out
+    return set(Torus2D(pe_side).neighbors(pe))
 
 
 def check_eight_neighbor_property(assignment: CellAssignment) -> None:
     """Raise :class:`DecompositionError` if any domains touch beyond 8 neighbours."""
     pairs = contact_pairs(assignment.holder, assignment.cells_per_side)
+    topology = Torus2D(assignment.pe_side)
     for a, b in pairs:
-        if b not in torus_neighbors(a, assignment.pe_side):
+        if b not in topology.neighbors(a):
             raise DecompositionError(
                 f"domains of PEs {a} and {b} touch but are not torus neighbours"
             )

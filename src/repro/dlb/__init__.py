@@ -13,10 +13,10 @@ DDM, with no balancer) and build balancer instances through
 :func:`create_balancer`.
 """
 
-from .balancer import DynamicLoadBalancer, Move
+from .balancer import DynamicLoadBalancer
 from .cells import movable_count, movable_fraction, permanent_count
 from .limits import dlb_limit_ratio, max_domain_cells, max_domain_columns
-from .protocol import Case, classify_case, decide_move
+from .protocol import Case, Move, MoveBatch, classify_case
 from .strategies import (
     Balancer,
     DecisionView,
@@ -32,11 +32,11 @@ __all__ = [
     "DecisionView",
     "DynamicLoadBalancer",
     "Move",
+    "MoveBatch",
     "available",
     "classify_case",
     "create_balancer",
     "create_strategy",
-    "decide_move",
     "dlb_limit_ratio",
     "max_domain_cells",
     "max_domain_columns",

@@ -19,7 +19,7 @@ from ..decomp.assignment import CellAssignment
 from ..errors import ConfigurationError
 from ..obs.profiler import scope
 from ..parallel.topology import Torus2D
-from .protocol import Case, Move
+from .protocol import Move, MoveBatch
 from .strategies import Balancer, DecisionView
 from .views import TimingView
 
@@ -42,7 +42,8 @@ class DynamicLoadBalancer:
     the *previous* step, exactly as in the paper where each PE broadcasts its
     last-step execution time first). Decisions are conflict-free by
     construction: each PE only moves cells it currently holds, and each cell
-    has one holder.
+    has one holder. A round is one :class:`MoveBatch`: decided, applied and
+    charged as arrays.
     """
 
     def __init__(
@@ -90,7 +91,7 @@ class DynamicLoadBalancer:
         per_pe_times: np.ndarray,
         step: int = 0,
         counts: np.ndarray | None = None,
-    ) -> list[Move]:
+    ) -> MoveBatch | list[Move]:
         """Run one decision round; does not mutate the assignment.
 
         With a fault injector attached, the step-1 timing broadcast goes
@@ -124,24 +125,24 @@ class DynamicLoadBalancer:
             )
             return self.strategy.decide(view, step)
 
-    def apply(self, moves: list[Move]) -> None:
-        """Execute decided moves and update counters.
+    def apply(self, moves: MoveBatch | list[Move]) -> None:
+        """Execute decided moves as one atomic batch and update counters.
 
         Constrained strategies (``permanent``) go through the strict
         ``CellAssignment.transfer`` that enforces the permanent-cell
-        invariants; unconstrained rivals use ``transfer_any``.
+        invariants; unconstrained rivals use ``transfer_any``. A refused
+        batch moves and counts nothing.
         """
         transfer = (
             self.assignment.transfer
             if self.strategy.constrained
             else self.assignment.transfer_any
         )
-        for move in moves:
-            transfer(move.cell, move.dst)
-            if move.kind is Case.SEND_OWN:
-                self.stats.lends += 1
-            else:
-                self.stats.returns += 1
+        moves = MoveBatch.of(moves)
+        transfer(moves.cell, moves.dst)
+        lends = int(np.count_nonzero(moves.lend))
+        self.stats.lends += lends
+        self.stats.returns += len(moves) - lends
         self.stats.steps += 1
         self.stats.moves_per_step.append(len(moves))
         if not moves:
@@ -152,9 +153,9 @@ class DynamicLoadBalancer:
         per_pe_times: np.ndarray,
         step: int = 0,
         counts: np.ndarray | None = None,
-    ) -> list[Move]:
+    ) -> MoveBatch:
         """Decide and apply one redistribution round; returns the moves."""
-        moves = self.decide(per_pe_times, step=step, counts=counts)
+        moves = MoveBatch.of(self.decide(per_pe_times, step=step, counts=counts))
         self.apply(moves)
         return moves
 

@@ -72,10 +72,11 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     timing view from its logged matrices (when present) into one
     :class:`~repro.dlb.strategies.DecisionView`, then runs the rule of the
     ``balancer`` strategy the ``run.start`` record names (logs predating the
-    strategy seam replay as ``permanent``) -- the strategy's own code, not a
-    copy. Per-rank strategies (``permanent``, ``diffusion``) are replayed
-    one PE at a time, each PE narrated from its own view of the round;
-    global ones (``sfc``) replay as one decision. A log recorded by a
+    strategy seam replay as ``permanent``) -- the strategy's own round, not
+    a copy. For strategies where every PE decides for itself
+    (``permanent``, ``diffusion``) the round's moves are narrated grouped
+    by source PE, each PE from its own view of the round; global ones
+    (``sfc``) narrate move by move. A log recorded by a
     strategy this build does not know raises
     :class:`~repro.errors.AnalysisError` instead of reporting a spurious
     divergence.
@@ -121,10 +122,10 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     )
     strategy = create_strategy(balancer_name)
     step = int(event["step"])
+    moves = list(strategy.decide(view, step))
     if balancer_name in SPMD_STRATEGIES:
-        moves, narrative = _replay_per_rank(strategy, view)
+        narrative = _narrate_per_pe(strategy, view, moves)
     else:
-        moves = strategy.decide(view, step)
         narrative = [
             f"PE {move.src} ({float(times[move.src]):.4g} s) {_verb(move)} cell "
             f"{int(move.cell)} to PE {move.dst} "
@@ -151,27 +152,30 @@ def _verb(move: Move) -> str:
     return "lent" if move.kind is Case.SEND_OWN else "returned"
 
 
-def _replay_per_rank(
-    strategy: Balancer, view: DecisionView
-) -> tuple[list[Move], list[str]]:
-    """Every PE's ``decide_for_rank`` in PE order, each narrated from the
-    fastest neighbour and policy verdict the rule itself saw."""
-    moves: list[Move] = []
+def _narrate_per_pe(
+    strategy: Balancer, view: DecisionView, moves: list[Move]
+) -> list[str]:
+    """The round's moves grouped by source PE, in PE order, each PE narrated
+    from the fastest neighbour and policy verdict the round saw for it."""
+    sent_by: dict[int, list[Move]] = {}
+    for move in moves:
+        sent_by.setdefault(move.src, []).append(move)
     narrative: list[str] = []
     threshold = view.config.threshold
     for pe in range(view.assignment.n_pes):
-        fastest, fast_time = view.fastest_for(pe)
+        fastest = int(view.fastest[pe])
         if fastest == pe:
             continue
         my_time = float(view.times[pe])
-        if not view.wants_rebalance(my_time, fast_time):
+        fast_time = float(view.fast_time[pe])
+        if not view.acting[pe]:
             narrative.append(
                 f"PE {pe} ({my_time:.4g} s) saw fastest neighbour PE {fastest} "
                 f"({fast_time:.4g} s) but stayed under the {threshold:g} "
                 f"imbalance threshold — no move"
             )
             continue
-        sent = strategy.decide_for_rank(view, pe)
+        sent = sent_by.get(pe, [])
         for move in sent:
             narrative.append(
                 f"PE {pe} ({my_time:.4g} s) {_verb(move)} cell {int(move.cell)} to "
@@ -189,8 +193,7 @@ def _replay_per_rank(
                 f"PE {pe} ({my_time:.4g} s) wanted to offload toward fastest "
                 f"PE {fastest} ({fast_time:.4g} s) but {reason}"
             )
-        moves.extend(sent)
-    return moves, narrative
+    return narrative
 
 
 def explain_events(

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..decomp.assignment import CellAssignment
 from ..errors import ProtocolError
-from ..parallel.topology import Torus2D
 
 
 class Case(enum.Enum):
@@ -70,41 +68,45 @@ class Move:
     kind: Case
 
 
-def _first_free(cells: np.ndarray, exclude: set[int]) -> int | None:
-    """First of ``cells`` not in ``exclude``, or ``None``.
+#: The case of each offset ``(di, dj)`` at ``3 * di + dj + 4`` (its
+#: :attr:`Torus2D.offset_code <repro.parallel.topology.Torus2D.offset_code>`).
+CODE_CASES = tuple(classify_case((di, dj)) for di in (-1, 0, 1) for dj in (-1, 0, 1))
 
-    At most ``len(exclude)`` leading cells can be excluded, so one more than
-    that is all that needs looking at.
+
+@dataclass(frozen=True, eq=False)
+class MoveBatch:
+    """One round's moves as parallel arrays, in decision order.
+
+    The balancer decides, applies and charges a round through the arrays;
+    iterating yields :class:`Move` records for the consumers that log or
+    narrate moves one at a time, and a batch equals any sequence of the
+    same moves in the same order.
     """
-    for cell in cells[: len(exclude) + 1].tolist():
-        if cell not in exclude:
-            return cell
-    return None
 
+    cell: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    #: True for a Case 1 lend (:attr:`Case.SEND_OWN`), False for a return.
+    lend: np.ndarray
 
-def decide_move(
-    assignment: CellAssignment,
-    topology: Torus2D,
-    pe: int,
-    fastest: int,
-    exclude: set[int] | None = None,
-) -> Move | None:
-    """Apply the case analysis for ``pe`` with ``fastest`` as the target.
+    @classmethod
+    def of(cls, moves) -> MoveBatch:
+        """``moves`` as a batch (a batch is returned as it is)."""
+        if isinstance(moves, MoveBatch):
+            return moves
+        rows = [(m.cell, m.src, m.dst, m.kind is Case.SEND_OWN) for m in moves]
+        cell, src, dst, lend = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        return cls(cell, src, dst, lend.astype(bool))
 
-    Returns the decided :class:`Move`, or ``None`` when the case yields
-    ``C_send = 0``. ``exclude`` lists cells already committed this step (used
-    when a PE may send more than one cell per step).
-    """
-    exclude = exclude or set()
-    offset = topology.offset(pe, fastest)
-    case = classify_case(offset)
-    if case in (Case.SELF, Case.NOTHING):
-        return None
-    if case is Case.SEND_OWN:
-        # Lend the at-home movable cell closest to the receiver.
-        cells = assignment.lendable(pe, offset)
-    else:
-        # Case 3: return one previously borrowed cell to its home.
-        cells = assignment.borrowed_by(pe, fastest)
-    cell = _first_free(cells, exclude)
-    return None if cell is None else Move(cell=cell, src=pe, dst=fastest, kind=case)
+    def __len__(self) -> int:
+        return len(self.cell)
+
+    def __iter__(self):
+        columns = (self.cell, self.src, self.dst, self.lend)
+        for cell, src, dst, lend in zip(*(column.tolist() for column in columns)):
+            yield Move(cell, src, dst, Case.SEND_OWN if lend else Case.RETURN_BORROWED)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (MoveBatch, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented

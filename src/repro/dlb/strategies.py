@@ -9,22 +9,21 @@ plain DDM, and the runner builds no balancer for it.
 Three strategies ship:
 
 ``permanent``
-    The paper's permanent-cell protocol (the default). The decision loop
-    here is the exact code previously inlined in
-    :class:`~repro.dlb.balancer.DynamicLoadBalancer.decide`; tier-1 tests
-    assert move-for-move identity and run-digest identity through the seam.
+    The paper's permanent-cell protocol (the default), decided for every PE
+    at once as arrays; tier-1 tests hold it move for move to the scalar
+    per-PE rule kept in ``tests/dlb/rank_rule.py``.
 ``diffusion``
     Nearest-neighbour load diffusion (Demirel & Sbalzarini): every
     overloaded PE pushes cells toward its fastest neighbour, with the number
     of cells proportional to half the time difference (each PE acts
-    independently on cells it holds, so the scheme is conflict-free and is
-    one per-rank rule, like ``permanent``).
+    independently on cells it holds, so the scheme is conflict-free, like
+    ``permanent``).
 ``sfc``
     Space-filling-curve repartition: cells are walked along a Morton
     (z-order) curve over the cross-section, weighted by particle counts,
     and the curve is re-cut into ``P`` equal-weight chunks. This is a
     *global* method -- it needs every PE's counts at once -- so it has no
-    per-rank rule and overrides the whole round instead.
+    per-PE decision.
 
 Rival strategies (``diffusion``, ``sfc``) are **unconstrained**: they may
 move any cell anywhere, so they bypass the permanent-cell invariants (the
@@ -44,7 +43,7 @@ from ..config import BALANCER_NAMES, DLBConfig
 from ..decomp.assignment import CellAssignment
 from ..errors import ConfigurationError
 from ..parallel.topology import Torus2D
-from .protocol import Case, Move, decide_move
+from .protocol import CODE_CASES, Case, Move, MoveBatch
 from .views import TimingView
 
 
@@ -68,9 +67,10 @@ class DecisionView:
     (present when the runner has them -- strategies with ``needs_counts``
     degrade to uniform weights when they are missing).
 
-    A view is built per round and its ``times`` are that round's, so without
-    a ``timing`` view every PE's fastest neighbour is found here, once, as
-    one ``argmin`` over the topology's static neighbourhood table.
+    Every PE decides at the same moment, so each one's beliefs are found
+    here once, as arrays: ``fastest[pe]`` and ``fast_time[pe]`` (the fastest
+    PE of its neighbourhood and that PE's time, as ``pe`` believes them) and
+    ``acting[pe]`` (not its own fastest, and the policy gate lets it offload).
     """
 
     times: np.ndarray
@@ -81,44 +81,37 @@ class DecisionView:
     counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        table = self.topology.neighborhood_table
+        pes = np.arange(len(table))
         if self.timing is None:
-            table = self.topology.neighborhood_table
-            column = self.times[table].argmin(axis=1)
-            self._fastest = table[np.arange(len(table)), column].tolist()
-
-    def fastest_for(self, pe: int) -> tuple[int, float]:
-        """``(fastest, fast_time)`` as believed by ``pe``.
-
-        With a timing view this is the bounded-staleness belief; without it
-        the argmin over the fixed neighbourhood order (first minimum wins,
-        so ties break exactly as a scan in that order would).
-        """
-        if self.timing is not None:
-            fastest = self.timing.fastest_known(pe, self.times, self.topology)
-            believed = self.timing.effective(pe, fastest)
-            assert believed is not None  # fastest_known only picks usable views
-            return fastest, believed
-        fastest = self._fastest[pe]
-        return fastest, float(self.times[fastest])
-
-    def wants_rebalance(self, my_time: float, fast_time: float) -> bool:
-        """The receiver-selection policy gate (shared by all strategies)."""
-        if self.config.policy == "fastest":
-            return True
-        # "threshold" policy: only move when relative imbalance is large enough.
-        if fast_time <= 0:
-            return my_time > 0
-        return (my_time - fast_time) / fast_time > self.config.threshold
+            # First minimum wins: ties break as a scan in OFFSETS order does.
+            self.fastest = table[pes, self.times[table].argmin(axis=1)]
+            self.fast_time = self.times[self.fastest]
+        else:
+            # Each PE's bounded-staleness belief: its own time, then every
+            # neighbour report it may still use, in the same column order.
+            heard = self.timing.times[pes[:, None], table]
+            heard[self.timing.age[pes[:, None], table] > self.timing.max_staleness] = np.inf
+            heard[:, 0] = self.times
+            self.fastest = table[pes, heard.argmin(axis=1)]
+            self.fast_time = self.timing.times[pes, self.fastest]
+        self.acting = self.fastest != pes
+        if self.config.policy == "threshold":
+            # Only move when the relative imbalance is large enough.
+            mine, fast = self.times, self.fast_time
+            with np.errstate(divide="ignore", invalid="ignore"):
+                imbalanced = (mine - fast) / fast > self.config.threshold
+            self.acting &= np.where(fast <= 0, mine > 0, imbalanced)
 
 
 class Balancer:
     """Contract shared by all balancer strategies.
 
     Subclasses implement :meth:`decide` -- one redistribution round, reading
-    a :class:`DecisionView` and returning the :class:`Move` list *without*
-    mutating the assignment. Strategies with internal state participate in
-    checkpointing through :meth:`state_dict` / :meth:`load_state`; all four
-    built-ins are stateless.
+    a :class:`DecisionView` and returning its moves (a :class:`Move` list or
+    a :class:`MoveBatch`) *without* mutating the assignment. Strategies with
+    internal state participate in checkpointing through :meth:`state_dict` /
+    :meth:`load_state`; all three built-ins are stateless.
     """
 
     #: Strategy name (its key in the strategy table); subclasses override.
@@ -131,20 +124,8 @@ class Balancer:
     #: True when :meth:`decide` wants per-cell particle counts in the view.
     needs_counts = False
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
-        """Run one decision round; must not mutate ``view.assignment``.
-
-        The default round is every PE applying :meth:`decide_for_rank` in PE
-        order; global strategies (``sfc``) override it.
-        """
-        moves: list[Move] = []
-        for pe in range(view.assignment.n_pes):
-            moves.extend(self.decide_for_rank(view, pe))
-        return moves
-
-    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
-        """One rank's local rule. PEs act only on cells they hold, so a
-        round is this rule applied rank by rank in PE order."""
+    def decide(self, view: DecisionView, step: int = 0) -> list[Move] | MoveBatch:
+        """Run one decision round; must not mutate ``view.assignment``."""
         raise NotImplementedError
 
     def state_dict(self) -> dict:
@@ -155,33 +136,59 @@ class Balancer:
         """Restore a snapshot taken by :meth:`state_dict`."""
 
 
-class PermanentCellsBalancer(Balancer):
-    """The paper's protocol, extracted move-for-move from the pre-seam code.
+#: Per offset code (:attr:`Torus2D.offset_code`) of a PE's fastest neighbour:
+#: the :meth:`CellAssignment.movable_blocks` order it picks from, or -1 when
+#: it sends nothing (itself, Case 2).
+_PICK_ORDER = np.array([
+    CellAssignment.LEND_OFFSETS.index((code // 3 - 1, code % 3 - 1))
+    if case is Case.SEND_OWN
+    else CellAssignment.ASCENDING if case is Case.RETURN_BORROWED
+    else -1
+    for code, case in enumerate(CODE_CASES)
+])
 
-    Per PE: find the fastest of the 8-neighbourhood (bounded-staleness view
-    under faults), gate on the policy, then run the offset case analysis
-    (:func:`repro.dlb.protocol.decide_move`) up to ``max_sends_per_step``
-    times with already-committed cells excluded.
+
+def _first_held(
+    holder: np.ndarray, blocks: np.ndarray, pes: np.ndarray, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, cell)``: the first ``limit`` cells of each row of ``blocks``
+    that ``pes[row]`` holds, row by row, each row in block order."""
+    held = holder[blocks] == pes[:, None]
+    left = held.copy()
+    rows = np.arange(len(pes))
+    for _ in range(limit if held.size else 0):
+        # Clear each row's first cell still held (argmax reads 0 when none is).
+        left[rows, left.argmax(axis=1)] = False
+    picked = np.flatnonzero(held ^ left)
+    return picked // blocks.shape[1], blocks.ravel()[picked]
+
+
+class PermanentCellsBalancer(Balancer):
+    """The paper's protocol, decided for every PE at once.
+
+    The offset of each acting PE's fastest neighbour picks its candidate
+    block from the assignment's static tables -- Case 1 its own movable cells
+    in lend order toward that offset, Case 3 the lender's movable cells in
+    ascending order -- and the PE sends the first ``max_sends_per_step`` of
+    them it still holds. PEs act only on cells they hold, so picks never
+    collide; moves come out in PE order, each PE's in pick order.
     """
 
     name = "permanent"
     constrained = True
 
-    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
-        fastest, fast_time = view.fastest_for(pe)
-        if fastest == pe:
-            return []
-        if not view.wants_rebalance(float(view.times[pe]), fast_time):
-            return []
-        moves: list[Move] = []
-        exclude: set[int] = set()
-        for _ in range(view.config.max_sends_per_step):
-            move = decide_move(view.assignment, view.topology, pe, fastest, exclude)
-            if move is None:
-                break
-            exclude.add(move.cell)
-            moves.append(move)
-        return moves
+    def decide(self, view: DecisionView, step: int = 0) -> MoveBatch:
+        pes = view.acting.nonzero()[0]
+        fastest = view.fastest[pes]
+        order = _PICK_ORDER[view.topology.offset_code[pes, fastest]]
+        sending = order >= 0
+        pes, fastest, order = pes[sending], fastest[sending], order[sending]
+        lending = order != CellAssignment.ASCENDING
+        blocks = view.assignment.movable_blocks(order, np.where(lending, pes, fastest))
+        rows, cells = _first_held(
+            view.assignment.holder, blocks, pes, view.config.max_sends_per_step
+        )
+        return MoveBatch(cell=cells, src=pes[rows], dst=fastest[rows], lend=lending[rows])
 
 
 def _column_torus_distance(
@@ -219,33 +226,31 @@ class DiffusionBalancer(Balancer):
     name = "diffusion"
     constrained = False
 
-    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
-        fastest, fast_time = view.fastest_for(pe)
-        if fastest == pe:
-            return []
-        my_time = float(view.times[pe])
-        if not view.wants_rebalance(my_time, fast_time):
-            return []
-        held = np.flatnonzero(view.assignment.holder == pe)
-        if held.size <= 1 or my_time <= 0:
-            return []
-        per_cell = my_time / held.size
-        flux = 0.5 * (my_time - fast_time)
-        quota = min(
-            view.config.max_sends_per_step,
-            int(flux / per_cell),
-            int(held.size) - 1,
-        )
-        if quota <= 0:  # natural hysteresis: small imbalances stay put
-            return []
-        distance = _column_torus_distance(held, fastest, view.assignment)
-        z = held % view.assignment.cells_per_side
-        order = np.lexsort((held, z, distance))
-        home = view.assignment.home
-        moves = []
-        for cell in held[order[:quota]]:
-            kind = Case.RETURN_BORROWED if int(home[cell]) == fastest else Case.SEND_OWN
-            moves.append(Move(int(cell), pe, fastest, kind))
+    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
+        assignment = view.assignment
+        moves: list[Move] = []
+        for pe in np.flatnonzero(view.acting).tolist():
+            fastest = int(view.fastest[pe])
+            my_time = float(view.times[pe])
+            held = np.flatnonzero(assignment.holder == pe)
+            if held.size <= 1 or my_time <= 0:
+                continue
+            per_cell = my_time / held.size
+            flux = 0.5 * (my_time - float(view.fast_time[pe]))
+            quota = min(
+                view.config.max_sends_per_step,
+                int(flux / per_cell),
+                int(held.size) - 1,
+            )
+            if quota <= 0:  # natural hysteresis: small imbalances stay put
+                continue
+            distance = _column_torus_distance(held, fastest, assignment)
+            z = held % assignment.cells_per_side
+            order = np.lexsort((held, z, distance))
+            home = assignment.home
+            for cell in held[order[:quota]]:
+                kind = Case.RETURN_BORROWED if int(home[cell]) == fastest else Case.SEND_OWN
+                moves.append(Move(int(cell), pe, fastest, kind))
         return moves
 
 
@@ -274,8 +279,8 @@ class SFCBalancer(Balancer):
     per round -- the partition converges to the SFC cut over a few steps
     instead of migrating half the box at once.
 
-    Global by construction (needs every cell's weight), hence no
-    per-rank rule: it overrides :meth:`Balancer.decide`.
+    Global by construction (needs every cell's weight), hence no per-PE
+    decision.
     """
 
     name = "sfc"
@@ -334,10 +339,9 @@ class SFCBalancer(Balancer):
 
 # -- the strategy table ----------------------------------------------------------
 
-#: Strategies whose round is one per-rank rule (an SPMD formulation): each
-#: rank runs :meth:`Balancer.decide_for_rank` on its own view, so ``repro
-#: explain`` replays and narrates them PE by PE. ``sfc`` is global and has
-#: none.
+#: Strategies whose round is every PE deciding for itself (an SPMD
+#: formulation), so ``repro explain`` narrates them PE by PE from the view's
+#: per-PE beliefs. ``sfc`` is global and has no per-PE decision.
 SPMD_STRATEGIES = ("permanent", "diffusion")
 
 #: The class of every name in :data:`~repro.config.BALANCER_NAMES` but

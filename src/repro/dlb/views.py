@@ -90,23 +90,6 @@ class TimingView:
                 else:
                     self.miss(dst, src)
 
-    def fastest_known(self, observer: int, times: np.ndarray, topology: Torus2D) -> int:
-        """The fastest PE among ``observer`` and its *usable* neighbour views.
-
-        Iterates the fixed neighbourhood order (deterministic tie-breaking,
-        identical to the healthy path's argmin); neighbours with no usable
-        report are skipped, so with every report dropped the PE simply
-        elects itself -- the safe no-move decision.
-        """
-        best_pe = observer
-        best = float(times[observer])
-        for peer in topology.neighborhood(observer)[1:]:
-            value = self.effective(observer, peer)
-            if value is not None and value < best:
-                best = value
-                best_pe = peer
-        return best_pe
-
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:

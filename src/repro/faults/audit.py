@@ -127,13 +127,11 @@ class InvariantAuditor:
                 f"cells owned {int(counts.sum())} times in total, expected {a.n_cells}"
             )
         if self._protocol_checks:
-            for cell in np.flatnonzero(a.holder != a.home):
-                home = int(a.home[cell])
-                holder = int(a.holder[cell])
-                if holder not in a.lower_neighbors(home):
-                    out.append(
-                        f"cell {int(cell)} (home {home}) lent to non-lower PE {holder}"
-                    )
+            for cell in np.flatnonzero(~a.lent_to_lower()).tolist():
+                out.append(
+                    f"cell {cell} (home {int(a.home[cell])}) lent to non-lower "
+                    f"PE {int(a.holder[cell])}"
+                )
         return out
 
     def _check_moves(self, moves: Iterable["Move"]) -> list[str]:
@@ -155,7 +153,7 @@ class InvariantAuditor:
                         f"Case 1 move of cell {move.cell} from PE {move.src}, "
                         f"but its home is PE {home} (only homes lend)"
                     )
-                if move.dst not in a.lower_neighbors(home):
+                if not (0 <= move.dst < a.n_pes and a.lends_to[home, move.dst]):
                     out.append(
                         f"Case 1 move of cell {move.cell} to PE {move.dst}, "
                         f"not a lower neighbour of home PE {home}"
@@ -166,7 +164,7 @@ class InvariantAuditor:
                         f"Case 3 return of cell {move.cell} to PE {move.dst}, "
                         f"but Case 1 lent it from home PE {home}"
                     )
-                if move.src not in a.lower_neighbors(home):
+                if not (0 <= move.src < a.n_pes and a.lends_to[home, move.src]):
                     out.append(
                         f"Case 3 return of cell {move.cell} from PE {move.src}, "
                         f"which home PE {home} never lent to"

@@ -42,6 +42,14 @@ class Torus2D:
         #: along a row breaks ties exactly as a scan in OFFSETS order does.
         self.neighborhood_table = ((i + di) % self.side) * self.side + (j + dj) % self.side
         self.neighborhood_table.setflags(write=False)
+        #: ``(P, P)``: ``offset_code[src, dst]`` is ``3 * di + dj + 4`` when
+        #: ``dst`` sits at offset ``(di, dj)`` of ``src``'s neighbourhood (4 is
+        #: ``src`` itself; tori of side >= 3), else -1: one gather classifies
+        #: many PE pairs.
+        self.offset_code = np.full((self.n_pes, self.n_pes), -1)
+        rows = np.arange(self.n_pes)[:, None]
+        self.offset_code[rows, self.neighborhood_table] = 3 * di + dj + 4
+        self.offset_code.setflags(write=False)
 
     def coords(self, pe: int) -> tuple[int, int]:
         """Torus coordinates ``(i, j)`` of a flat PE id."""

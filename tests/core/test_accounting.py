@@ -243,7 +243,7 @@ class ReversedChargeAccountant(StepAccountant):
     """Seeded bug: the right charges, added up in the wrong order."""
 
     def charge_moves(self, moves, counts_grid, assignment, step=0):
-        super().charge_moves(moves[::-1], counts_grid, assignment, step=step)
+        super().charge_moves(list(moves)[::-1], counts_grid, assignment, step=step)
 
 
 class TestArrayChargingEqualsScalarFormulas:

@@ -74,7 +74,7 @@ class TestDecomposedForcePass:
             movable = assignment.movable_at_home(pe)
             if len(movable):
                 assignment.transfer(
-                    int(movable[0]), sorted(assignment.lower_neighbors(pe))[0]
+                    int(movable[0]), sorted(np.flatnonzero(assignment.lends_to[pe]))[0]
                 )
         want = global_kernel(system, potential)
         result = decomposed(system, assignment, potential)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.decomp.assignment import CellAssignment, classify_permanent_columns
 from repro.errors import DecompositionError, ProtocolError
+from tests.dlb.rank_rule import borrowed_by, lendable
 
 
 @pytest.fixture
@@ -113,7 +114,7 @@ class TestBorrowing:
         receiver = assignment.pe_flat(0, 1)
         cell = int(assignment.movable_at_home(lender)[0])
         assignment.transfer(cell, receiver)
-        borrowed = assignment.borrowed_by(receiver, lender)
+        borrowed = borrowed_by(assignment, receiver, lender)
         assert cell in borrowed
 
     def test_lent_cell_not_movable_at_home(self, assignment):
@@ -160,7 +161,7 @@ class TestRandomLegalSequences:
                 if len(candidates) == 0:
                     continue
                 cell = int(rng.choice(candidates))
-                target = int(rng.choice(sorted(assignment.lower_neighbors(pe))))
+                target = int(rng.choice(sorted(np.flatnonzero(assignment.lends_to[pe]))))
                 assignment.transfer(cell, target)
             else:
                 away = np.flatnonzero(
@@ -190,7 +191,7 @@ def _lent_and_returned(assignment, rng):
         if len(away) and rng.random() < 0.3:
             assignment.transfer(int(rng.choice(away)), pe)
         elif len(candidates):
-            target = int(rng.choice(sorted(assignment.lower_neighbors(pe))))
+            target = int(rng.choice(sorted(np.flatnonzero(assignment.lends_to[pe]))))
             assignment.transfer(int(rng.choice(candidates)), target)
 
 
@@ -231,28 +232,35 @@ def assert_queries_equal_full_scan(assignment):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
         for offset in ((-1, -1), (-1, 0), (0, -1)):
-            lendable = assignment.lendable(pe, offset)
-            assert lendable.dtype == expected.dtype
-            assert np.array_equal(lendable, _reference_lend_order(assignment, pe, offset))
+            order = lendable(assignment, pe, offset)
+            assert order.dtype == expected.dtype
+            assert np.array_equal(order, _reference_lend_order(assignment, pe, offset))
         for lender in range(assignment.n_pes):
             expected = np.flatnonzero((home == lender) & (holder == pe))
-            got = assignment.borrowed_by(pe, lender)
+            got = borrowed_by(assignment, pe, lender)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
 
 
 def _descending_home_blocks(assignment):
-    assignment._home_cells = assignment._home_cells[:, ::-1]
+    orders = assignment._movable_orders.copy()
+    orders[assignment.ASCENDING] = orders[assignment.ASCENDING, :, ::-1]
+    assignment._movable_orders = orders
 
 
 def _wall_cell_in_movable_block(assignment):
-    assignment._home_movable = assignment._home_movable.copy()
-    assignment._home_movable[:, 0] = assignment._home_cells[:, -1]
+    orders = assignment._movable_orders.copy()
+    orders[assignment.ASCENDING, :, 0] = [
+        np.flatnonzero(assignment.permanent & (assignment.home == pe))[-1]
+        for pe in range(assignment.n_pes)
+    ]
+    assignment._movable_orders = orders
 
 
 def _lend_order_without_depth(assignment):
-    for offset, table in assignment._lend_order.items():
-        assignment._lend_order[offset] = np.sort(table, axis=1)
+    orders = assignment._movable_orders.copy()
+    orders[: assignment.ASCENDING] = np.sort(orders[: assignment.ASCENDING], axis=2)
+    assignment._movable_orders = orders
 
 
 class TestHomeBlockQueriesAgainstFullScan:
@@ -283,7 +291,7 @@ class TestHomeBlockQueriesAgainstFullScan:
         cell = int(assignment.movable_at_home(4)[0])
         assignment.holder[cell] = 0
         assert cell not in assignment.movable_at_home(4)
-        assert cell in assignment.borrowed_by(0, 4)
+        assert cell in borrowed_by(assignment, 0, 4)
         assignment.reset()
         assert cell in assignment.movable_at_home(4)
-        assert assignment.borrowed_by(0, 4).size == 0
+        assert borrowed_by(assignment, 0, 4).size == 0

@@ -54,7 +54,7 @@ def lent_map(nc, n_pes, rng):
     its movable cells to randomly chosen lower neighbours."""
     assignment = CellAssignment(nc, n_pes)
     for pe in range(n_pes):
-        lower = sorted(assignment.lower_neighbors(pe) - {pe})
+        lower = sorted(set(np.flatnonzero(assignment.lends_to[pe]).tolist()) - {pe})
         if not lower:  # a 1x1 PE grid is its own neighbour
             continue
         for cell in assignment.movable_at_home(pe):

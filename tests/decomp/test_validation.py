@@ -48,7 +48,7 @@ class TestEightNeighborProperty:
     def test_holds_after_legal_lending(self):
         assignment = CellAssignment(9, 9)
         for pe in range(9):
-            for target in sorted(assignment.lower_neighbors(pe)):
+            for target in sorted(np.flatnonzero(assignment.lends_to[pe])):
                 movable = assignment.movable_at_home(pe)
                 if len(movable):
                     assignment.transfer(int(movable[0]), target)
@@ -82,6 +82,6 @@ class TestEightNeighborProperty:
             movable = assignment.movable_at_home(pe)
             if len(movable) == 0:
                 continue
-            target = int(rng.choice(sorted(assignment.lower_neighbors(pe))))
+            target = int(rng.choice(sorted(np.flatnonzero(assignment.lends_to[pe]))))
             assignment.transfer(int(rng.choice(movable)), target)
         check_eight_neighbor_property(assignment)

@@ -12,6 +12,7 @@ from repro.dlb.balancer import DynamicLoadBalancer
 from repro.dlb.strategies import create_balancer
 from repro.dlb.protocol import Case
 from repro.errors import ConfigurationError
+from tests.dlb.rank_rule import borrowed_by
 
 
 def make_balancer(nc: int = 9, n_pes: int = 9, **kwargs) -> DynamicLoadBalancer:
@@ -110,7 +111,7 @@ class TestApplyAndStats:
         # PE(1, 1) lent a cell to PE(0, 1) (offset (-1, 0)). Make the lender
         # distinctly fastest so the receiver's case analysis returns it.
         lender = assignment.pe_flat(1, 1)
-        assert len(assignment.borrowed_by(receiver, lender)) > 0
+        assert len(borrowed_by(assignment, receiver, lender)) > 0
         times = np.ones(9)
         times[receiver] = 10.0
         times[lender] = 0.1

@@ -1,4 +1,9 @@
-"""The redistribution protocol's case analysis."""
+"""The redistribution protocol's case analysis, one PE at a time.
+
+The case analysis is exercised through the scalar per-PE rule of
+``tests/dlb/rank_rule.py``, the oracle the array round is held to in
+``test_array_round.py``.
+"""
 
 import numpy as np
 import pytest
@@ -10,10 +15,10 @@ from repro.dlb.protocol import (
     CASE3_OFFSETS,
     Case,
     classify_case,
-    decide_move,
 )
 from repro.errors import ProtocolError
 from repro.parallel.topology import Torus2D
+from tests.dlb.rank_rule import decide_move
 
 
 @pytest.fixture
@@ -137,7 +142,7 @@ class TestEdgeCases:
         # Lend away every movable cell PE 4 has; only permanent cells remain,
         # so no lower neighbour can receive anything more.
         pe = 4
-        receivers = sorted(assignment.lower_neighbors(pe))
+        receivers = sorted(np.flatnonzero(assignment.lends_to[pe]))
         for i, cell in enumerate(list(assignment.movable_at_home(pe))):
             assignment.transfer(int(cell), receivers[i % len(receivers)])
         assert assignment.movable_at_home(pe).size == 0
@@ -168,6 +173,7 @@ class TestEdgeCases:
 
     def test_permanent_cell_transfer_is_rejected(self, assignment):
         permanent_cell = int(np.flatnonzero(assignment.permanent)[0])
-        lower = next(iter(assignment.lower_neighbors(int(assignment.home[permanent_cell]))))
+        home = int(assignment.home[permanent_cell])
+        lower = int(np.flatnonzero(assignment.lends_to[home])[0])
         with pytest.raises(ProtocolError):
             assignment.transfer(permanent_cell, lower)

@@ -23,6 +23,7 @@ from repro.decomp.assignment import CellAssignment
 from repro.dlb.protocol import Case, Move
 from repro.dlb.strategies import _column_torus_distance, create_balancer
 from repro.faults import FaultInjector, FaultPlan, TimingFaultRule
+from tests.dlb.rank_rule import borrowed_by
 
 OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 CASE1 = {(-1, -1), (-1, 0), (0, -1)}
@@ -248,13 +249,13 @@ class TestRoundEqualsPerPEReference:
         schedule = [lend] * 15
         live = run_in_lockstep("permanent", 9, n_pes, schedule, DLBConfig(max_sends_per_step=3))
         assert all(live.movable_at_home(pe).size == 0 for pe in lenders)
-        assert all(live.borrowed_by(sink, pe).size == 36 for pe in lenders)
+        assert all(borrowed_by(live, sink, pe).size == 36 for pe in lenders)
         for lender in lenders:
             back = np.ones(n_pes)
             back[sink], back[lender] = 5.0, 0.1
             schedule = schedule + [back] * 15
         live = run_in_lockstep("permanent", 9, n_pes, schedule, DLBConfig(max_sends_per_step=3))
-        assert all(live.borrowed_by(sink, pe).size == 0 for pe in lenders)
+        assert all(borrowed_by(live, sink, pe).size == 0 for pe in lenders)
 
     @pytest.mark.parametrize("max_sends", [1, 3])
     def test_permanent_under_dropped_reports(self, max_sends):
@@ -287,11 +288,12 @@ def lend_ignoring_depth(balancer):
     """Seeded bug: lend order sorted by (distance, cell), ``z`` forgotten."""
     assignment = balancer.assignment
     nc, m = assignment.cells_per_side, assignment.m
-    for (di, dj), table in assignment._lend_order.items():
+    for k, (di, dj) in enumerate(assignment.LEND_OFFSETS):
+        table = assignment._movable_orders[k]
         column = table // nc
         u, v = (column // nc) % m, (column % nc) % m
         order = np.lexsort((table, u * (di < 0) + v * (dj < 0)))
-        assignment._lend_order[di, dj] = np.take_along_axis(table, order, axis=1)
+        assignment._movable_orders[k] = np.take_along_axis(table, order, axis=1)
 
 
 class TestSeededTableBugsAreCaught:

@@ -32,7 +32,6 @@ import pytest
 from repro import api
 from repro.config import DLBConfig, RunConfig
 from repro.decomp.assignment import CellAssignment
-from repro.dlb.protocol import decide_move
 from repro.dlb.strategies import (
     DecisionView,
     create_balancer,
@@ -42,6 +41,7 @@ from repro.dlb.strategies import (
 from repro.errors import ConfigurationError
 from repro.faults.audit import InvariantAuditor
 from repro.parallel.topology import Torus2D
+from tests.dlb.rank_rule import decide_move, fastest_for
 from tests.helpers import fig5_config
 
 
@@ -62,13 +62,7 @@ def _legacy_decide(assignment, topology, times, config, view=None):
     moves = []
     committed = {}
     for pe in range(assignment.n_pes):
-        if view is not None:
-            fastest = view.fastest_known(pe, times, topology)
-            fast_time = view.effective(pe, fastest)
-        else:
-            neighborhood = topology.neighborhood(pe)
-            fastest = neighborhood[int(np.argmin(times[neighborhood]))]
-            fast_time = float(times[fastest])
+        fastest, fast_time = fastest_for(times, topology, pe, view)
         if fastest == pe:
             continue
         if not wants_rebalance(float(times[pe]), fast_time):

@@ -33,7 +33,7 @@ class TestAssignmentInvariants:
 
     def test_legal_transfer_still_passes(self, assignment):
         lender = assignment.pe_flat(1, 1)
-        borrower = next(iter(assignment.lower_neighbors(lender)))
+        borrower = next(iter(np.flatnonzero(assignment.lends_to[lender])))
         assignment.transfer(int(assignment.movable_at_home(lender)[0]), borrower)
         assert InvariantAuditor(assignment).audit(1) == []
 
@@ -55,7 +55,7 @@ class TestAssignmentInvariants:
         pe = assignment.pe_flat(1, 1)
         cell = int(assignment.movable_at_home(pe)[0])
         upper = assignment.pe_flat(2, 2)  # offset (+1, +1): never a Case 1 target
-        assert upper not in assignment.lower_neighbors(pe)
+        assert upper not in np.flatnonzero(assignment.lends_to[pe])
         assignment.holder[cell] = upper
         with pytest.raises(InvariantViolation, match="non-lower"):
             InvariantAuditor(assignment).audit(0)
@@ -64,7 +64,7 @@ class TestAssignmentInvariants:
 class TestMoveLedger:
     def test_legal_case1_and_case3_moves_pass(self, assignment):
         pe = assignment.pe_flat(1, 1)
-        dst = next(iter(assignment.lower_neighbors(pe)))
+        dst = next(iter(np.flatnonzero(assignment.lends_to[pe])))
         cell = int(assignment.movable_at_home(pe)[0])
         lend = Move(cell=cell, src=pe, dst=dst, kind=Case.SEND_OWN)
         back = Move(cell=cell, src=dst, dst=pe, kind=Case.RETURN_BORROWED)
@@ -74,7 +74,7 @@ class TestMoveLedger:
 
     def test_lend_from_non_home_detected(self, assignment):
         pe = assignment.pe_flat(1, 1)
-        dst = next(iter(assignment.lower_neighbors(pe)))
+        dst = next(iter(np.flatnonzero(assignment.lends_to[pe])))
         cell = int(assignment.movable_at_home(pe)[0])
         bogus = Move(cell=cell, src=dst, dst=pe, kind=Case.SEND_OWN)
         with pytest.raises(InvariantViolation, match="only homes lend"):
@@ -82,7 +82,7 @@ class TestMoveLedger:
 
     def test_return_to_non_home_detected(self, assignment):
         pe = assignment.pe_flat(1, 1)
-        dst = next(iter(assignment.lower_neighbors(pe)))
+        dst = next(iter(np.flatnonzero(assignment.lends_to[pe])))
         cell = int(assignment.movable_at_home(pe)[0])
         bogus = Move(cell=cell, src=pe, dst=dst, kind=Case.RETURN_BORROWED)
         with pytest.raises(InvariantViolation, match="Case 1 lent it"):

@@ -41,7 +41,7 @@ def test_c0_ratio_invariant_under_assignment_changes(seed):
         movable = assignment.movable_at_home(pe)
         if len(movable):
             assignment.transfer(int(movable[0]),
-                                sorted(assignment.lower_neighbors(pe))[0])
+                                sorted(np.flatnonzero(assignment.lends_to[pe]))[0])
     after = measure_concentration(counts, assignment).c0_ratio
     assert before == after
 
