@@ -4,7 +4,9 @@
 Sweeps concentration quasi-statically (droplet nucleation + coarsening) at
 several densities, detects each run's boundary point -- the step where
 ``Fmax - Fmin`` begins a sustained rise -- and compares the points against
-the theoretical upper bound f(m, n) of Section 4.
+the theoretical upper bound f(m, n) of Section 4. The repetitions are a
+campaign drained through an in-memory run store; the panel is rendered from
+its report, as ``repro campaign report`` does for a stored campaign.
 
 Run:  python examples/effective_range.py [--m 3] [--pes 9] [--reps 4]
 """
@@ -14,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.campaign import CampaignSpec, drain_report
 from repro.experiments.fig9 import run_fig9
-from repro.experiments.fig10 import run_boundary_experiment
-from repro.theory.bounds import upper_bound
-from repro.theory.fitting import fit_boundary_scale
+from repro.experiments.fig10 import Fig10Result
 from repro.reporting import format_table, write_csv
+from repro.theory.bounds import upper_bound
+from repro.units import PAPER_RHO_SWEEP
 
 
 def main() -> None:
@@ -46,33 +49,34 @@ def main() -> None:
         print("no divergence within this sweep (DLB held to the end)")
 
     # --- boundary points across densities (Figure 10) ---------------------
-    densities = (0.128, 0.256, 0.384, 0.512)
     print(f"\nFigure 10 panel: m={args.m}, P={args.pes}, "
           f"{args.reps} repetitions per density")
+    campaign = CampaignSpec.boundary_grid(
+        f"effective-range-m{args.m}", m_values=(args.m,), pe_counts=(args.pes,),
+        densities=PAPER_RHO_SWEEP, n_repetitions=args.reps, n_steps=args.steps,
+        density_seed_offset=False,
+    )
+    panel = Fig10Result.from_report(drain_report(campaign, workers=2)).panels[args.m]
     rows = []
-    points = []
-    for density in densities:
-        exp = run_boundary_experiment(
-            args.m, args.pes, density, n_repetitions=args.reps, n_steps=args.steps
-        )
-        if exp.mean_point is None:
-            rows.append((density, "-", "-", "-", "-", f"{exp.n_failed} failed"))
+    for group in panel.groups:
+        p = group.mean_point
+        if p is None:
+            rows.append((group.density, "-", "-", "-", "-", f"{group.n_failed} failed"))
             continue
-        p = exp.mean_point
         theory = float(upper_bound(args.m, p.n))
-        rows.append((density, f"{p.n:.2f}", f"{p.c0_ratio:.3f}", f"{theory:.3f}",
-                     f"{p.c0_ratio / theory:.2f}", f"{len(exp.points)}/{args.reps} ok"))
-        points.append(p)
+        rows.append((group.density, f"{p.n:.2f}", f"{p.c0_ratio:.3f}", f"{theory:.3f}",
+                     f"{p.c0_ratio / theory:.2f}",
+                     f"{len(group.points)}/{args.reps} ok"))
     print(format_table(
-        ["density", "n", "C0/C (E)", "f(m,n) (T)", "E/T", "runs"],
+        ["density", "n", "C0/C (E)", "f(m,n) (T)", "C0/C÷f", "runs"],
         rows,
     ))
 
-    if points:
-        fit = fit_boundary_scale(points, args.m)
+    if panel.fit is not None:
+        fit = panel.fit
         print(f"\nleast-squares experimental boundary: "
               f"E(n) = {fit.ratio:.2f} * f({args.m}, n)  "
-              f"(rms residual {fit.residual_rms:.3f})")
+              f"(the paper's E/T; rms residual {fit.residual_rms:.3f})")
         print("every experimental point lies BELOW the theoretical bound, "
               "as the paper reports.")
 

@@ -2,7 +2,11 @@
 """Reproduce every table and figure of the paper's evaluation in one run.
 
 Drives the same experiment code as the benchmark suite, at a selectable
-scale, and prints a consolidated report (plus CSVs under examples/out/):
+scale, and prints a consolidated report (plus CSVs under examples/out/).
+Figure 10 and Table 1 are campaigns, drained through an in-memory run store
+and rendered from its report; the quick and paper scales use the built-in
+``fig10-*`` / ``table1-*`` campaigns by name (``repro campaign run`` runs the
+same grids against a persistent store):
 
   Figure 5(a)/(b)  -- execution time per step, DDM vs DLB-DDM
   Figure 6(a)/(b)  -- Tt / Fmax / Fave / Fmin breakdown
@@ -19,23 +23,36 @@ import argparse
 import time
 from pathlib import Path
 
+from repro.campaign import CampaignSpec, drain_report, get_campaign
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import fig6_from_fig5
 from repro.experiments.fig9 import run_fig9
-from repro.experiments.fig10 import run_fig10
-from repro.experiments.table1 import run_table1
+from repro.experiments.fig10 import Fig10Result
+from repro.experiments.table1 import Table1Result
 from repro.reporting import format_table, write_csv
 from repro.theory.bounds import upper_bound
 from repro.units import PAPER_RHO_SWEEP
 
+
+def grid(name: str, pe_counts, **table1) -> CampaignSpec:
+    """A medium-scale m = 2, 3, 4 boundary grid (5 repetitions, 120 steps)."""
+    return CampaignSpec.boundary_grid(
+        name, m_values=(2, 3, 4), pe_counts=pe_counts, densities=PAPER_RHO_SWEEP,
+        n_repetitions=5, n_steps=120, **table1,
+    )
+
+
 SCALES = {
-    # (fig5 steps b/a, fig9 steps, fig10 n_pes, reps, sweep steps, table1 PEs)
-    "quick": dict(fig5b=1500, fig5a=700, fig9=90, pes=9, reps=3, steps=100,
-                  table1_pes=(9, 16)),
-    "medium": dict(fig5b=2500, fig5a=2200, fig9=130, pes=16, reps=5, steps=120,
-                   table1_pes=(9, 16, 25)),
-    "paper": dict(fig5b=10000, fig5a=10000, fig9=150, pes=36, reps=10, steps=130,
-                  table1_pes=(16, 36, 64)),
+    # fig5 steps b/a, fig9 steps and PEs, Figure 10 / Table 1 campaigns
+    "quick": dict(fig5b=1500, fig5a=700, fig9=90, pes=9,
+                  fig10=get_campaign("fig10-quick"),
+                  table1=get_campaign("table1-quick")),
+    "medium": dict(fig5b=2500, fig5a=2200, fig9=130, pes=16,
+                   fig10=grid("fig10-medium", (16,)),
+                   table1=grid("table1-medium", (9, 16, 25), pes_seed_offset=True)),
+    "paper": dict(fig5b=10000, fig5a=10000, fig9=150, pes=36,
+                  fig10=get_campaign("fig10-full"),
+                  table1=get_campaign("table1-full")),
 }
 
 
@@ -79,35 +96,34 @@ def main() -> None:
                "c0_ratio": trajectory.c0_ratio})
 
     # ---- Figure 10 ---------------------------------------------------------
-    print(f"\n=== Figure 10: effective ranges (P={p['pes']}) "
-          f"[{time.time() - started:.0f}s] ===")
-    fig10 = run_fig10(m_values=(2, 3, 4), densities=PAPER_RHO_SWEEP,
-                      n_pes=p["pes"], n_repetitions=p["reps"], n_steps=p["steps"])
+    campaign = p["fig10"]
+    print(f"\n=== Figure 10: effective ranges, campaign {campaign.name!r} "
+          f"({len(campaign)} runs) [{time.time() - started:.0f}s] ===")
+    fig10 = Fig10Result.from_report(drain_report(campaign, workers=2))
     for m, panel in sorted(fig10.panels.items()):
         rows = []
-        for e in panel.experiments:
-            if e.mean_point is None:
-                rows.append((e.geometry.density, "-", "-", "-", "-"))
+        for group in panel.groups:
+            pt = group.mean_point
+            if pt is None:
+                rows.append((group.density, "-", "-", "-"))
                 continue
-            pt = e.mean_point
-            theory = float(upper_bound(m, pt.n))
-            rows.append((e.geometry.density, f"{pt.n:.2f}", f"{pt.c0_ratio:.3f}",
-                         f"{theory:.3f}", f"{pt.c0_ratio / theory:.2f}"))
-        title = f"Figure 10, m={m}"
+            rows.append((group.density, f"{pt.n:.2f}", f"{pt.c0_ratio:.3f}",
+                         f"{float(upper_bound(m, pt.n)):.3f}"))
+        title = f"Figure 10, m={m}, P={panel.n_pes}"
         if panel.fit:
             title += f"  (fitted E/T = {panel.fit.ratio:.2f})"
-        print(format_table(["rho", "n", "C0/C (E)", "f(m,n) (T)", "E/T"],
-                           rows, title=title))
+        print(format_table(["rho", "n", "C0/C (E)", "f(m,n) (T)"], rows, title=title))
 
     # ---- Table 1 -----------------------------------------------------------
-    print(f"\n=== Table 1: E/T across machines [{time.time() - started:.0f}s] ===")
-    table1 = run_table1(m_values=(2, 3, 4), pe_counts=p["table1_pes"],
-                        n_repetitions=p["reps"], n_steps=p["steps"])
+    campaign = p["table1"]
+    print(f"\n=== Table 1: E/T across machines, campaign {campaign.name!r} "
+          f"({len(campaign)} runs) [{time.time() - started:.0f}s] ===")
+    table1 = Table1Result.from_report(drain_report(campaign, workers=2))
     rows = []
-    for m in (2, 3, 4):
+    for m in table1.m_values:
         rows.append([f"m={m}"] + [f"{v:.2f}" if v is not None else "-"
                                   for v in table1.row(m)])
-    print(format_table(["", *[f"{q} PEs" for q in p["table1_pes"]]], rows))
+    print(format_table(["", *[f"{q} PEs" for q in table1.pe_counts]], rows))
     csv = {"m": [], "n_pes": [], "et": []}
     for (m, q), v in sorted(table1.ratios.items()):
         csv["m"].append(m); csv["n_pes"].append(q); csv["et"].append(v)

@@ -170,16 +170,14 @@ def simulate(
         preset (see ``repro presets``).
     run:
         Steps, seed, recording cadence, neighbour-list skin, balancer
-        strategy, timing mode. The concrete strategy name lands in
+        strategy. The concrete strategy name lands in
         ``result.meta["balancer"]``; ``balancer="none"`` runs plain DDM.
     engine:
         Execution engine for the force path: an engine name
         (``"sequential"`` / ``"multiprocess"``), a constructed
         :class:`~repro.engine.Engine` (caller keeps ownership), or ``None``
-        for the classic in-process path -- except under
-        ``run.timing_mode="measured"``, which clocks an engine's per-PE
-        slices and so gets a ``"sequential"`` engine. Engines created here
-        are closed before returning.
+        for the classic in-process path. Engines created here are closed
+        before returning.
     engine_workers:
         Worker-process count when ``engine`` is a name (multiprocess only).
     observability:
@@ -203,8 +201,6 @@ def simulate(
         combined with ``checkpoints`` the truncated run is resumable.
     """
     sim_config, preset_name = _resolve_config(config)
-    if engine is None and run.timing_mode == "measured":
-        engine = "sequential"
     injector = _resolve_faults(faults, sim_config.decomposition.n_pes)
     events = observability.events if observability is not None else None
     if injector is not None and events is not None:

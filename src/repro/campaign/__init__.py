@@ -15,15 +15,14 @@ package turns that grid into a first-class object --
 * :mod:`~repro.campaign.search` localises the DLB effective-range boundary
   by bisection in ``O(log G)`` probes instead of an ``O(G)`` sweep;
 * :mod:`~repro.campaign.report` aggregates stored payloads back into the
-  paper's tables.
+  paper's tables: Figure 10 and Table 1 are rendered from it alone.
 """
 
-from .executor import CampaignSummary, execute_run, run_campaign
+from .executor import CampaignSummary, drain_report, execute_run, run_campaign
 from .report import (
     BoundaryGroup,
     CampaignReport,
     campaign_report,
-    group_experiment,
     render_report,
 )
 from .search import (
@@ -56,11 +55,11 @@ __all__ = [
     "campaign_names",
     "campaign_report",
     "canonical_payload",
+    "drain_report",
     "evaluate_probe",
     "execute_run",
     "exhaustive_boundary_scan",
     "get_campaign",
-    "group_experiment",
     "probe_spec",
     "render_report",
     "run_campaign",

@@ -42,6 +42,7 @@ from ..experiments.fig10 import run_boundary_repetition
 from ..theory.boundary import moving_average
 from ..theory.bounds import upper_bound
 from .pool import Batch
+from .report import CampaignReport, campaign_report
 from .spec import CampaignSpec, RunSpec
 from .store import RunStore
 
@@ -90,7 +91,7 @@ def _execute_boundary(
     # there is no single canonical event stream to record (and no single
     # runner state to snapshot), so the flight recorder and mid-run
     # checkpointing are documented no-ops for this run kind.
-    outcome = run_boundary_repetition(
+    _, point = run_boundary_repetition(
         spec.m,
         spec.n_pes,
         spec.density,
@@ -105,21 +106,21 @@ def _execute_boundary(
         "n_pes": spec.n_pes,
         "density": spec.density,
         "seed": spec.seed,
-        "diverged": outcome.diverged,
+        "diverged": point is not None,
         "step": None,
         "n": None,
         "c0_ratio": None,
         "theory": None,
         "et_ratio": None,
     }
-    if outcome.point is not None:
-        theory = float(upper_bound(spec.m, outcome.point.n))
+    if point is not None:
+        theory = float(upper_bound(spec.m, point.n))
         payload.update(
-            step=int(outcome.point.step),
-            n=float(outcome.point.n),
-            c0_ratio=float(outcome.point.c0_ratio),
+            step=int(point.step),
+            n=float(point.n),
+            c0_ratio=float(point.c0_ratio),
             theory=theory,
-            et_ratio=float(outcome.point.c0_ratio / theory) if theory > 0 else None,
+            et_ratio=float(point.c0_ratio / theory) if theory > 0 else None,
         )
     return payload
 
@@ -509,3 +510,20 @@ def run_campaign(
             progress("cancelled", run_hash, specs[run_hash])
     summary.wall_s = time.perf_counter() - started
     return summary
+
+
+def drain_report(campaign: CampaignSpec, workers: int = 1) -> CampaignReport:
+    """Run ``campaign`` through a fresh in-memory store and return its report.
+
+    The way to Figure 10 or Table 1 without a persistent store: both are
+    rendered from the report this returns.  Raises
+    :class:`CampaignError` if any run failed.
+    """
+    with RunStore() as store:
+        summary = run_campaign(campaign, store, workers=workers)
+        if summary.failed:
+            raise CampaignError(
+                f"campaign {campaign.name!r}: {summary.failed} run(s) failed: "
+                + "; ".join(sorted(summary.failures))
+            )
+        return campaign_report(store, campaign.name)

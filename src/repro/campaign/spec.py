@@ -295,11 +295,10 @@ class CampaignSpec:
     ) -> "CampaignSpec":
         """Expand an (m x P x density x repetition) boundary grid.
 
-        Per-point seeds follow the serial drivers exactly --
-        ``seed + 1000*density`` for the Figure 10 grid, plus ``n_pes`` for
-        Table 1 -- so a campaign's stored payloads agree bit-for-bit with
-        :func:`repro.experiments.fig10.run_fig10` /
-        :func:`repro.experiments.table1.run_table1` at the same parameters.
+        Per-point seeds are ``seed + 1000*density`` for the Figure 10 grid,
+        plus ``n_pes`` for Table 1 (``density_seed_offset`` /
+        ``pes_seed_offset``); each point's repetitions are the spawned
+        children of that seed (:func:`repro.rng.repetition_seeds`).
         """
         runs: list[RunSpec] = []
         for m in m_values:

@@ -13,8 +13,9 @@ Commands
     (optionally in parallel and against a persistent store).
 ``campaign``
     Drive named experiment campaigns: ``run``/``resume`` a grid through the
-    persistent run store, ``status`` and ``report`` what is stored, ``list``
-    the built-ins, ``search`` the DLB boundary by bisection.
+    persistent run store, ``status`` and ``report`` what is stored (the
+    report prints each (m, P) pair's fitted E/T: Figure 10 and Table 1),
+    ``list`` the built-ins, ``search`` the DLB boundary by bisection.
 ``bounds``
     Print the theoretical upper bounds f(m, n) over a range of n.
 ``calibrate``
@@ -289,8 +290,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _sweep_campaign(args: argparse.Namespace) -> CampaignSpec:
     """The one-point boundary campaign behind ``repro sweep``.
 
-    Seeds match the pre-campaign serial driver exactly (raw ``--seed``, no
-    density/PE offsets), so the sweep's numbers are unchanged by the engine.
+    Seeds are the raw ``--seed``'s repetition stream (no density/PE
+    offsets).
     ``--replay-seed`` instead runs exactly one repetition with the given
     schedule seed -- the value ``campaign report`` prints per repetition.
     """
@@ -363,20 +364,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for index, rep in enumerate(group.repetitions)
     ]
     print(format_table(
-        ["rep", "seed", "diverged", "n", "C0/C (E)", "E/T"],
+        ["rep", "seed", "diverged", "n", "C0/C (E)", "C0/C÷f"],
         rep_rows,
         title="per-repetition boundary points",
     ))
-    n_stats = group.mean_std("n")
-    c_stats = group.mean_std("c0_ratio")
-    theory = float(upper_bound(args.m, n_stats[0]))
+    mean = group.mean_point
+    n_std, c0_std = group.error_range()
+    theory = float(upper_bound(args.m, mean.n))
     rows = [
         ("detected boundary points",
          f"{len(group.points)}/{len(group.repetitions)}"),
-        ("concentration factor n", f"{n_stats[0]:.3f} ± {n_stats[1]:.3f}"),
-        ("C0/C at boundary (E)", f"{c_stats[0]:.4f} ± {c_stats[1]:.4f}"),
+        ("concentration factor n", f"{mean.n:.3f} ± {n_std:.3f}"),
+        ("C0/C at boundary (E)", f"{mean.c0_ratio:.4f} ± {c0_std:.4f}"),
         ("theoretical bound f(m,n) (T)", f"{theory:.4f}"),
-        ("ratio E/T", f"{c_stats[0] / theory:.3f}"),
+        ("ratio E/T", f"{mean.c0_ratio / theory:.3f}"),
     ]
     print(format_table(["quantity", "value"], rows))
     return 0
@@ -490,24 +491,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         with RunStore(args.dir) as store:
             report = campaign_report(store, args.name)
         if args.json:
-            print(json.dumps(
-                {
-                    "campaign": report.campaign,
-                    "counts": report.counts,
-                    "boundary": [
-                        {
-                            "m": g.m,
-                            "n_pes": g.n_pes,
-                            "density": g.density,
-                            "seeds": list(g.seeds),
-                            "repetitions": [dict(rep) for rep in g.repetitions],
-                        }
-                        for g in report.boundary_groups
-                    ],
-                    "presets": [dict(row) for row in report.preset_rows],
-                },
-                indent=2, sort_keys=True,
-            ))
+            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         else:
             print(render_report(report))
         return 0

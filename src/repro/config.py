@@ -307,11 +307,6 @@ class RunConfig:
         (space-filling-curve repartition; centralised engines only),
         or ``"none"`` (plain DDM: no balancer is built and no DLB protocol
         is charged). ``None`` means ``"permanent"``.
-    timing_mode:
-        ``"model"`` derives per-PE times from the calibratable cost model
-        (fast, deterministic); ``"measured"`` uses the wall-clock times of
-        an execution engine's per-PE force slices (host-dependent; needs an
-        engine, and ``api.simulate`` supplies a sequential one).
     """
 
     steps: int
@@ -320,7 +315,6 @@ class RunConfig:
     force_backend: str = "kdtree"
     skin: float = 0.4
     balancer: str | None = None
-    timing_mode: str = "model"
 
     def __post_init__(self) -> None:
         if self.steps < 0:
@@ -342,8 +336,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown balancer {self.balancer!r}; choose one of {BALANCER_NAMES}"
             )
-        if self.timing_mode not in ("model", "measured"):
-            raise ConfigurationError(f"unknown timing_mode {self.timing_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,6 @@ class StepAccountant:
         step: int,
         load: CellLoad,
         owner: np.ndarray,
-        force_times_override: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-PE times of one step under ``owner``, faults applied.
 
@@ -134,11 +133,7 @@ class StepAccountant:
         the caller that records traffic.
         """
         work = self.cost_model.per_pe_work(load, owner, self.n_pes)
-        force_times = (
-            np.asarray(force_times_override, dtype=np.float64)
-            if force_times_override is not None
-            else work.force_times
-        )
+        force_times = work.force_times
         other_times = work.integrate_times + work.cell_times
         if self.faults is not None:
             # Compute faults: per-PE slowdown factors and jitter scale
@@ -172,13 +167,8 @@ class StepAccountant:
         step: int,
         load: CellLoad,
         assignment: CellAssignment,
-        force_times_override: np.ndarray | None = None,
     ) -> tuple[StepTiming, np.ndarray]:
-        """Charge one full step; returns (timing record, per-PE total times).
-
-        ``force_times_override`` substitutes measured wall-clock force times
-        for the cost model's (the runner's ``"measured"`` mode).
-        """
+        """Charge one full step; returns (timing record, per-PE total times)."""
         timer = (
             self.profiler.timer("accounting.account_step")
             if self.profiler is not None
@@ -186,9 +176,7 @@ class StepAccountant:
         )
         with timer:
             force_times, other_times, comm_times, wire_bytes, wire_messages = (
-                self._charge_step(
-                    step, load, assignment.cell_owner_map(), force_times_override
-                )
+                self._charge_step(step, load, assignment.cell_owner_map())
             )
             # Log the halo exchange per tag. Each PE's receive has a matching
             # send among its neighbours, so charging the send side to the

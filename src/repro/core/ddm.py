@@ -9,8 +9,8 @@ with an owned endpoint, i.e. owned-owned plus owned-ghost -- and accumulates
 forces on its owned particles only. Because local ids are ascending global
 ids, a slice adds up each owned particle's force in the same order as the
 global kernel's sequential scatter of the list, so the merged forces equal
-:func:`repro.md.kernels.forces_from_pairs` bit for bit; the per-PE wall-clock
-times drive the runner's ``"measured"`` mode. The execution engines
+:func:`repro.md.kernels.forces_from_pairs` bit for bit; each pass also reports
+every PE's wall-clock seconds and pair count. The execution engines
 (:mod:`repro.engine`) run this pass; the sequential engine is the reference.
 """
 

@@ -212,18 +212,16 @@ class _ObservedRunner:
         self,
         load: CellLoad,
         moves: list,
-        override: np.ndarray | None = None,
         forces: np.ndarray | None = None,
     ) -> StepTiming:
         """Charge step ``self.step_count`` under ``load`` and run its tail.
 
         Accounting, imbalance analytics, the invariant audit, trace spans and
         metrics, then the simulated clock and the times/counts the next
-        balancer round reads. ``override`` substitutes measured per-PE force
-        times for the cost model's; ``forces`` lets the audit check them.
+        balancer round reads. ``forces`` lets the audit check them.
         """
         timing, totals = self.accountant.account_step(
-            self.step_count, load, self.assignment, override
+            self.step_count, load, self.assignment
         )
         self._observe_totals(timing, totals, load)
         if self.auditor is not None:
@@ -498,11 +496,6 @@ class ParallelMDRunner(_ObservedRunner):
         #: Nullable execution engine; ``None`` keeps the classic in-process
         #: force path (one global pair kernel).
         self.engine = engine
-        if run_config.timing_mode == "measured" and engine is None:
-            raise ConfigurationError(
-                "timing_mode='measured' clocks an engine's per-PE force slices; "
-                "pass engine='sequential' (api.simulate does this for you)"
-            )
 
         rng = generator(run_config.seed)
         self.system = system if system is not None else build_system(md, rng)
@@ -560,12 +553,7 @@ class ParallelMDRunner(_ObservedRunner):
         self.thermostat.maybe_rescale(self.system, self.step_count)
 
         load = self.accountant.cost_model.load(self.cell_list.counts(self.system.positions))
-        override = None
-        if self.run_config.timing_mode == "measured":
-            # The engine's force pass *is* the decomposed pass: its per-PE
-            # wall clock replaces the cost model's force times.
-            override = self.force_field.last_pass.per_pe_seconds
-        timing = self._account(load, moves, override, forces=self.system.forces)
+        timing = self._account(load, moves, forces=self.system.forces)
 
         concentration = measure_concentration(load.counts, self.assignment)
         return StepRecord(

@@ -4,9 +4,6 @@ With an engine attached, the decomposed per-PE pass *is* the physics: the
 integrator's force evaluation calls :meth:`EngineForceField.compute`, which
 runs one engine force pass over the current cell-owner map and finishes with
 the same attraction/finite-check epilogue as :class:`repro.md.forces.ForceField`.
-The per-PE wall-clock times of the pass are kept on :attr:`last_pass` so the
-runner's ``"measured"`` timing mode reuses them instead of running a second
-pass.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from ..core.ddm import DecomposedForceResult
 from ..md.forces import ForceResult, apply_attraction, check_finite_forces
 from ..md.neighbors import NeighborStats, VerletList
 from ..md.system import ParticleSystem
@@ -55,8 +51,6 @@ class EngineForceField:
         #: ``accepted`` counts per-PE pair evaluations (a pair split between
         #: two owners is evaluated by both).
         self.stats = NeighborStats()
-        #: The most recent engine pass (per-PE seconds feed "measured" mode).
-        self.last_pass: DecomposedForceResult | None = None
         # The engine step counter orders router traffic; checkpointed so a
         # resumed run's message streams continue with the same step ids.
         self._step = 0
@@ -75,7 +69,6 @@ class EngineForceField:
             system.positions, self._owner_map(), self._step
         )
         self._step += 1
-        self.last_pass = result
         n_pairs = int(result.per_pe_pairs.sum())
         if result.list_rebuilt:
             self.stats.record_build(result.n_candidates)

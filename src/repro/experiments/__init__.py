@@ -3,40 +3,29 @@
 Each driver returns plain data structures (arrays + dataclasses) that the
 benchmarks print and the examples plot as ASCII; nothing here touches the
 terminal directly, so the same code backs tests, benchmarks and scripts.
+Figure 10 and Table 1 are campaigns (:mod:`repro.campaign`), rendered from a
+stored report by :meth:`Fig10Result.from_report` /
+:meth:`Table1Result.from_report`.
 """
 
 from .common import ExperimentGeometry, geometry_for
 from .fig5 import Fig5Result, run_fig5
 from .fig6 import Fig6Result, fig6_from_fig5, run_fig6
 from .fig9 import Fig9Result, run_fig9
-from .fig10 import (
-    BoundaryExperiment,
-    Fig10Result,
-    RepetitionOutcome,
-    experiment_from_outcomes,
-    run_boundary_experiment,
-    run_boundary_repetition,
-    run_fig10,
-)
-from .table1 import Table1Result, run_table1
+from .fig10 import Fig10Result, run_boundary_repetition
+from .table1 import Table1Result
 
 __all__ = [
-    "BoundaryExperiment",
     "ExperimentGeometry",
     "Fig5Result",
     "Fig6Result",
     "Fig9Result",
     "Fig10Result",
-    "RepetitionOutcome",
     "Table1Result",
-    "experiment_from_outcomes",
     "fig6_from_fig5",
     "geometry_for",
-    "run_boundary_experiment",
     "run_boundary_repetition",
     "run_fig5",
     "run_fig6",
     "run_fig9",
-    "run_fig10",
-    "run_table1",
 ]

@@ -7,75 +7,30 @@ increase -- and plots the averaged points against the theoretical bound
 ``f(m, n)``. The experimental boundary (a least-squares fit through the
 points) always lies below the bound, is closer to it for larger m, and mostly
 exceeds half of it.
+
+The repetitions are a campaign (``fig10-quick``/``fig10-full``): this module
+holds the campaign's unit of work, :func:`run_boundary_repetition`, and the
+figure rendered from a stored report, :meth:`Fig10Result.from_report`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import api
+from ..core.results import RunResult
 from ..errors import AnalysisError
-from ..rng import repetition_seeds
 from ..theory.boundary import BoundaryPoint, boundary_point
 from ..theory.bounds import upper_bound
-from ..theory.fitting import ETComparison, average_points, fit_boundary_scale
-from ..units import PAPER_RHO_SWEEP
+from ..theory.fitting import ETComparison
 from ..workloads.concentration import ConcentrationSchedule
 from .common import ExperimentGeometry, droplets_for, geometry_for, simulation_config_for
 
-
-@dataclass(frozen=True)
-class RepetitionOutcome:
-    """One repetition of a boundary experiment, keyed by its schedule seed.
-
-    ``point`` is None when the repetition's spread never diverged.  The seed
-    alone reproduces the run: it is the :class:`ConcentrationSchedule` seed,
-    and every other input is determined by the (m, P, density) geometry.
-    """
-
-    seed: int
-    point: BoundaryPoint | None
-
-    @property
-    def diverged(self) -> bool:
-        """Whether this repetition produced a boundary point."""
-        return self.point is not None
-
-
-@dataclass(frozen=True)
-class BoundaryExperiment:
-    """All repetitions of one (m, P, density) experiment point.
-
-    Attributes
-    ----------
-    geometry:
-        Derived problem geometry.
-    points:
-        Boundary points of the individual repetitions (diverged runs only).
-    mean_point:
-        The averaged point the paper plots, or None if no run diverged.
-    n_failed:
-        Repetitions whose spread never diverged within the sweep.
-    repetitions:
-        Per-repetition outcomes (seed + optional point), in run order --
-        includes the non-diverged repetitions that ``points`` omits.
-    """
-
-    geometry: ExperimentGeometry
-    points: list[BoundaryPoint]
-    mean_point: BoundaryPoint | None
-    n_failed: int
-    repetitions: tuple[RepetitionOutcome, ...] = ()
-
-    def error_range(self) -> tuple[float, float]:
-        """Std of (n, C0/C) across repetitions -- Figure 10's error bars."""
-        from ..theory.fitting import point_error_ranges
-
-        if not self.points:
-            return (0.0, 0.0)
-        return point_error_ranges([self.points])[0]
+if TYPE_CHECKING:
+    from ..campaign.report import BoundaryGroup, CampaignReport
 
 
 def auto_rounds(geometry: ExperimentGeometry) -> int:
@@ -98,11 +53,13 @@ def run_boundary_repetition(
     n_steps: int = 130,
     rounds_per_config: int | None = None,
     detector_kwargs: dict | None = None,
-) -> RepetitionOutcome:
+) -> tuple[RunResult, BoundaryPoint | None]:
     """One concentration sweep: the unit of work a campaign schedules.
 
-    ``schedule_seed`` fully determines the run (geometry is derived from the
-    arguments); the same seed always reproduces the same outcome.
+    Returns the driven run (its trajectory is Figure 9) and its boundary
+    point, None when the spread never diverged. ``schedule_seed`` fully
+    determines the run (geometry is derived from the arguments); the same
+    seed always reproduces the same outcome.
     """
     geometry = geometry_for(m, n_pes, density)
     config = simulation_config_for(geometry)
@@ -131,59 +88,16 @@ def run_boundary_repetition(
         )
     except AnalysisError:
         point = None
-    return RepetitionOutcome(seed=int(schedule_seed), point=point)
-
-
-def experiment_from_outcomes(
-    geometry: ExperimentGeometry, outcomes: list[RepetitionOutcome]
-) -> BoundaryExperiment:
-    """Aggregate per-repetition outcomes into one experiment point."""
-    points = [o.point for o in outcomes if o.point is not None]
-    return BoundaryExperiment(
-        geometry=geometry,
-        points=points,
-        mean_point=average_points([points])[0] if points else None,
-        n_failed=sum(1 for o in outcomes if o.point is None),
-        repetitions=tuple(outcomes),
-    )
-
-
-def run_boundary_experiment(
-    m: int,
-    n_pes: int,
-    density: float,
-    n_repetitions: int = 10,
-    n_steps: int = 130,
-    rounds_per_config: int | None = None,
-    seed: int = 0,
-    detector_kwargs: dict | None = None,
-) -> BoundaryExperiment:
-    """Repeatedly sweep concentration and detect DLB's breakdown point."""
-    geometry = geometry_for(m, n_pes, density)
-    # One independent RNG stream per repetition (the paper's five initial
-    # configurations, each executed twice, are ten independent runs here).
-    outcomes = [
-        run_boundary_repetition(
-            m,
-            n_pes,
-            density,
-            schedule_seed=schedule_seed,
-            n_steps=n_steps,
-            rounds_per_config=rounds_per_config,
-            detector_kwargs=detector_kwargs,
-        )
-        for schedule_seed in repetition_seeds(seed, n_repetitions)
-    ]
-    return experiment_from_outcomes(geometry, outcomes)
+    return result, point
 
 
 @dataclass(frozen=True)
 class Fig10Panel:
-    """One panel of Figure 10: the four density points for one m."""
+    """One panel of Figure 10: the density points for one m."""
 
     m: int
     n_pes: int
-    experiments: list[BoundaryExperiment]
+    groups: tuple[BoundaryGroup, ...]
     fit: ETComparison | None
 
     def theoretical_curve(self, n_values: np.ndarray) -> np.ndarray:
@@ -203,35 +117,22 @@ class Fig10Result:
             m: panel.fit.ratio for m, panel in self.panels.items() if panel.fit is not None
         }
 
-
-def run_fig10(
-    m_values: tuple[int, ...] = (2, 3, 4),
-    densities: tuple[float, ...] = PAPER_RHO_SWEEP,
-    n_pes: int = 36,
-    n_repetitions: int = 10,
-    n_steps: int = 130,
-    seed: int = 0,
-) -> Fig10Result:
-    """Run every panel of Figure 10.
-
-    Defaults reproduce the paper's setting (36 PEs, densities 0.128-0.512,
-    ten repetitions per point); benchmarks pass smaller ``n_pes`` and
-    ``n_repetitions`` for speed.
-    """
-    panels: dict[int, Fig10Panel] = {}
-    for m in m_values:
-        experiments = [
-            run_boundary_experiment(
-                m,
-                n_pes,
-                density,
-                n_repetitions=n_repetitions,
-                n_steps=n_steps,
-                seed=seed + int(1000 * density),
+    @classmethod
+    def from_report(cls, report: CampaignReport) -> Fig10Result:
+        """One panel per m of a boundary campaign's report (one P per m)."""
+        fits = report.fits()
+        by_m: dict[int, list[BoundaryGroup]] = {}
+        for group in report.boundary_groups:
+            by_m.setdefault(group.m, []).append(group)
+        panels = {}
+        for m, groups in by_m.items():
+            pe_counts = sorted({group.n_pes for group in groups})
+            if len(pe_counts) != 1:
+                raise AnalysisError(
+                    f"a Figure 10 panel has one PE count; m={m} has {pe_counts}"
+                )
+            (n_pes,) = pe_counts
+            panels[m] = Fig10Panel(
+                m=m, n_pes=n_pes, groups=tuple(groups), fit=fits.get((m, n_pes))
             )
-            for density in densities
-        ]
-        mean_points = [e.mean_point for e in experiments if e.mean_point is not None]
-        fit = fit_boundary_scale(mean_points, m) if mean_points else None
-        panels[m] = Fig10Panel(m=m, n_pes=n_pes, experiments=experiments, fit=fit)
-    return Fig10Result(panels=panels)
+        return cls(panels=panels)

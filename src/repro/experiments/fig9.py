@@ -3,18 +3,18 @@
 A concentrating run starts near the origin (no empty cells, no excess
 concentration in any maximum domain) and climbs as cells empty out; the
 experimental boundary point sits where the force-time spread starts rising.
+The run is one boundary repetition (:func:`~.fig10.run_boundary_repetition`),
+so its boundary point is the one a ``fig9-quick`` campaign stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.runner import DrivenLoadRunner
-from ..errors import AnalysisError
-from ..theory.boundary import BoundaryPoint, boundary_point
+from ..theory.boundary import BoundaryPoint
 from ..theory.trajectory import Trajectory
-from ..workloads.concentration import ConcentrationSchedule
-from .common import ExperimentGeometry, droplets_for, geometry_for, simulation_config_for
+from .common import ExperimentGeometry, geometry_for
+from .fig10 import run_boundary_repetition
 
 
 @dataclass(frozen=True)
@@ -32,26 +32,19 @@ def run_fig9(
     density: float = 0.256,
     n_steps: int = 150,
     seed: int = 1,
-    rounds_per_config: int = 3,
+    rounds_per_config: int | None = None,
 ) -> Fig9Result:
-    """Drive one concentration sweep and record its (n, C0/C) trajectory."""
-    geometry = geometry_for(m, n_pes, density)
-    config = simulation_config_for(geometry)
-    schedule = ConcentrationSchedule(
-        n_particles=geometry.n_particles,
-        box_length=geometry.box_length,
-        n_steps=n_steps,
-        n_droplets=droplets_for(geometry),
-        seed=seed,
+    """Drive one concentration sweep and record its (n, C0/C) trajectory.
+
+    ``seed`` is the schedule seed and ``rounds_per_config`` None is
+    ``auto_rounds``, as in a boundary ``RunSpec`` of the same fields.
+    """
+    result, boundary = run_boundary_repetition(
+        m, n_pes, density, schedule_seed=seed, n_steps=n_steps,
+        rounds_per_config=rounds_per_config,
     )
-    # The trajectory/boundary analysis is defined on the paper's balancer:
-    # the C' limit being probed is the permanent-cell protocol's.
-    result = DrivenLoadRunner(
-        config, rounds_per_config=rounds_per_config, balancer="permanent"
-    ).run(schedule)
-    trajectory = result.trajectory
-    try:
-        boundary = boundary_point(result.spread, trajectory, steps=result.steps)
-    except AnalysisError:
-        boundary = None
-    return Fig9Result(geometry=geometry, trajectory=trajectory, boundary=boundary)
+    return Fig9Result(
+        geometry=geometry_for(m, n_pes, density),
+        trajectory=result.trajectory,
+        boundary=boundary,
+    )

@@ -3,15 +3,18 @@
 The ratio of the experimental boundary (E) to the theoretical upper bound (T)
 for m = 2, 3, 4 on 16, 36 and 64 PEs. The paper's findings: E/T barely
 depends on the PE count, grows with m, and exceeds 1/2 for most cases.
+
+The grid is a campaign (``table1-quick``/``table1-full``);
+:meth:`Table1Result.from_report` renders it from the stored report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..theory.fitting import fit_boundary_scale
-from ..units import PAPER_RHO_SWEEP
-from .fig10 import run_boundary_experiment
+if TYPE_CHECKING:
+    from ..campaign.report import CampaignReport
 
 
 @dataclass(frozen=True)
@@ -31,31 +34,12 @@ class Table1Result:
         values = [v for v in self.row(m) if v is not None]
         return max(values) - min(values) if len(values) > 1 else 0.0
 
-
-def run_table1(
-    m_values: tuple[int, ...] = (2, 3, 4),
-    pe_counts: tuple[int, ...] = (16, 36, 64),
-    densities: tuple[float, ...] = PAPER_RHO_SWEEP,
-    n_repetitions: int = 10,
-    n_steps: int = 130,
-    seed: int = 0,
-) -> Table1Result:
-    """Compute the full E/T grid (paper defaults; trim for benchmarks)."""
-    ratios: dict[tuple[int, int], float] = {}
-    for m in m_values:
-        for n_pes in pe_counts:
-            points = []
-            for density in densities:
-                experiment = run_boundary_experiment(
-                    m,
-                    n_pes,
-                    density,
-                    n_repetitions=n_repetitions,
-                    n_steps=n_steps,
-                    seed=seed + int(1000 * density) + n_pes,
-                )
-                if experiment.mean_point is not None:
-                    points.append(experiment.mean_point)
-            if points:
-                ratios[(m, n_pes)] = fit_boundary_scale(points, m).ratio
-    return Table1Result(ratios=ratios, m_values=tuple(m_values), pe_counts=tuple(pe_counts))
+    @classmethod
+    def from_report(cls, report: CampaignReport) -> Table1Result:
+        """The fitted E/T of every (m, P) pair of a boundary campaign."""
+        groups = report.boundary_groups
+        return cls(
+            ratios={key: fit.ratio for key, fit in report.fits().items()},
+            m_values=tuple(sorted({group.m for group in groups})),
+            pe_counts=tuple(sorted({group.n_pes for group in groups})),
+        )

@@ -4,9 +4,9 @@ from repro.campaign import (
     RunSpec,
     RunStore,
     campaign_report,
-    group_experiment,
     render_report,
 )
+from repro.theory.fitting import fit_boundary_scale
 
 
 def boundary_payload(seed: int, diverged: bool = True, n: float = 1.5,
@@ -86,6 +86,26 @@ class TestRenderReport:
         assert "mean ± std" in text
         store.close()
 
+    def test_fitted_et_is_labelled_apart_from_the_per_point_mean(self):
+        # The paper's E/T is the fitted k per (m, P); the per-point column is
+        # the mean of each repetition's own C0/C / f(m, n).
+        store = seeded_store([
+            boundary_payload(1, n=1.2, c0=0.3),
+            boundary_payload(2, n=1.6, c0=0.2, density=0.384),
+        ])
+        report = campaign_report(store, "c")
+        text = render_report(report)
+        assert "mean rep C0/C÷f" in text
+        assert "E/T = fitted k" in text
+        (fit,) = report.to_dict()["fitted_et"]
+        k = fit_boundary_scale([g.mean_point for g in report.boundary_groups], 2).ratio
+        assert (fit["m"], fit["n_pes"], fit["k"], fit["n_points"]) == (2, 9, k, 2)
+        assert f"m=2 | {k:.4f}" in text
+        point = report.to_dict()["boundary"][0]
+        assert point["mean_rep_et_ratio"] == 0.3 / 0.5
+        assert point["mean_point"] == {"step": 40, "n": 1.2, "c0_ratio": 0.3}
+        store.close()
+
     def test_preset_rows_read_payloads_with_and_without_backend(self):
         # Payloads stored before the pair-search axis was removed carry a
         # "backend" key; current ones do not. Both render, without the key.
@@ -133,16 +153,16 @@ class TestRenderReport:
             assert "no runs registered" in text
 
 
-class TestGroupExperiment:
-    def test_rebuilds_boundary_experiment(self):
+class TestBoundaryGroup:
+    def test_points_mean_point_and_failures(self):
         store = seeded_store([
             boundary_payload(1, n=1.0), boundary_payload(2, n=2.0),
             boundary_payload(3, diverged=False),
         ])
         (group,) = campaign_report(store, "c").boundary_groups
-        experiment = group_experiment(group)
-        assert len(experiment.points) == 2
-        assert experiment.n_failed == 1
-        assert experiment.mean_point.n == 1.5
-        assert [rep.seed for rep in experiment.repetitions] == [1, 2, 3]
+        assert [point.n for point in group.points] == [1.0, 2.0]
+        assert group.n_failed == 1
+        assert group.mean_point.n == 1.5
+        assert group.error_range() == (0.5, 0.0)
+        assert group.seeds == (1, 2, 3)
         store.close()

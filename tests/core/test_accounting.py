@@ -112,19 +112,6 @@ class TestChargeMoves:
         assert accountant.traffic.by_tag["dlb-bookkeeping"].bytes > 0
 
 
-class TestMeasuredOverride:
-    def test_override_replaces_force_times(self, setup):
-        _, _, assignment, accountant = setup
-        counts = np.full((6, 6, 6), 3)
-        override = np.arange(9, dtype=float) + 1.0
-        timing, _ = accountant.account_step(
-            1, accountant.cost_model.load(counts), assignment,
-            force_times_override=override,
-        )
-        assert timing.fmax == pytest.approx(9.0)
-        assert timing.fmin == pytest.approx(1.0)
-
-
 class TestExplicitProfiler:
     """Worker-safety: an accountant given its own profiler never touches the
     process-global one (two accountants in different processes stay isolated)."""

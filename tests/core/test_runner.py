@@ -81,22 +81,6 @@ class TestParallelMDRunner:
         check_eight_neighbor_property(runner.assignment)
         runner.assignment.validate()
 
-    def test_measured_mode_runs(self):
-        with SequentialEngine() as engine:
-            runner = ParallelMDRunner(
-                small_sim_config(), RunConfig(steps=2, seed=1, timing_mode="measured"),
-                engine=engine,
-            )
-            result = runner.run()
-        assert len(result.records) == 2
-        assert result.timing.fmax[0] > 0
-
-    def test_measured_mode_without_an_engine_is_refused(self):
-        with pytest.raises(ConfigurationError, match="engine='sequential'"):
-            ParallelMDRunner(
-                small_sim_config(), RunConfig(steps=2, seed=1, timing_mode="measured")
-            )
-
     def test_concentration_recorded(self):
         runner = ParallelMDRunner(small_sim_config(), RunConfig(steps=3, seed=1))
         result = runner.run()
@@ -247,12 +231,10 @@ class TestVerletBackendRunner:
         )
         assert a.run().digest() == b.run().digest()
 
-    def test_measured_mode_with_verlet_reuses_candidates(self):
+    def test_engine_passes_reuse_candidates(self):
         with SequentialEngine() as engine:
             runner = ParallelMDRunner(
-                small_sim_config(),
-                RunConfig(steps=3, seed=1, timing_mode="measured"),
-                engine=engine,
+                small_sim_config(), RunConfig(steps=3, seed=1), engine=engine
             )
             result = runner.run()
         assert len(result.records) == 3

@@ -14,8 +14,8 @@ configuration
     step resumes onto the uninterrupted digest;
 (d) ``RunConfig.skin`` reaches the engine's units: it moves the pair-search
     counters and never the digest;
-(e) ``"measured"`` timing still clocks every PE that owns particles, and a PE
-    that owns none cuts an empty slice.
+(e) an engine pass clocks every PE that owns particles, and a PE that owns
+    none cuts an empty slice.
 """
 
 from contextlib import ExitStack
@@ -104,6 +104,19 @@ def hot_clustered_runner(engine) -> ParallelMDRunner:
     return ParallelMDRunner(hot, run, system=clustered_system(md), engine=engine)
 
 
+def record_passes(monkeypatch, engine) -> list:
+    """The result of every force pass ``engine`` runs from now on."""
+    passes = []
+    force_pass = engine.force_pass
+
+    def recording_pass(*args):
+        passes.append(force_pass(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(engine, "force_pass", recording_pass)
+    return passes
+
+
 def assert_no_missed_pair(monkeypatch, steps: int) -> ParallelMDRunner:
     seen = []
 
@@ -114,6 +127,7 @@ def assert_no_missed_pair(monkeypatch, steps: int) -> ParallelMDRunner:
 
     monkeypatch.setattr(engine_base, "pair_table", recording_pair_table)
     with SequentialEngine() as engine:
+        passes = record_passes(monkeypatch, engine)
         runner = hot_clustered_runner(engine)
         for step in range(1, steps + 1):
             runner.step()
@@ -122,7 +136,7 @@ def assert_no_missed_pair(monkeypatch, steps: int) -> ParallelMDRunner:
                 pairs_kdtree(positions, runner.system.box_length, runner.potential.cutoff)
             )
             assert np.array_equal(got, want), f"pair set differs at step {step}"
-            split = runner.force_field.last_pass.per_pe_pairs.sum() - len(want)
+            split = passes[-1].per_pe_pairs.sum() - len(want)
             assert 0 <= split <= len(want)
     assert len(seen) == steps + 1  # one table per pass, incl. the initial one
     return runner
@@ -190,7 +204,7 @@ def test_skin_changes_the_counters_not_the_digest(engine, workers):
     assert 0.0 < wide["reuse_ratio"] < 1.0 and wide["acceptance_ratio"] < 1.0
 
 
-# -- (e) "measured" mode and the early returns ---------------------------------------------
+# -- (e) per-PE clocks and the early returns -----------------------------------------------
 
 
 def lopsided_system(box_length: float) -> ParticleSystem:
@@ -201,16 +215,17 @@ def lopsided_system(box_length: float) -> ParticleSystem:
 
 
 @pytest.mark.parametrize("make_engine", [SequentialEngine, lambda: MultiprocessEngine(workers=2)])
-def test_measured_mode_clocks_owners_and_empty_pes_cut_nothing(make_engine):
+def test_engine_pass_clocks_owners_and_empty_pes_cut_nothing(make_engine, monkeypatch):
     config, _ = CONFIGURATIONS["uniform"]
-    run = RunConfig(steps=3, seed=1, timing_mode="measured")
+    run = RunConfig(steps=3, seed=1)
     with make_engine() as engine:
+        passes = record_passes(monkeypatch, engine)
         runner = ParallelMDRunner(
             config, run, system=lopsided_system(config.md.box_length), engine=engine
         )
         for _ in range(run.steps):
             record = runner.step()
-            last = runner.force_field.last_pass
+            last = passes[-1]
             owner = runner.assignment.cell_owner_map()[
                 runner.cell_list.assign(runner.system.positions)
             ]

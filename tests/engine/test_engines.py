@@ -93,21 +93,6 @@ class TestDigestIdentity:
         assert resumed.meta["resumed_at"] == 2
         assert resumed.digest() == full.digest()
 
-    def test_measured_timing_mode_reuses_engine_pass(self):
-        run = RunConfig(steps=2, seed=1, timing_mode="measured")
-        result = api.simulate(small_config(), run=run, engine="sequential")
-        assert len(result.records) == 2
-
-    def test_measured_timing_mode_without_engine_runs_sequential(self, monkeypatch):
-        closed = []
-        monkeypatch.setattr(
-            SequentialEngine, "_shutdown", lambda self: closed.append(self)
-        )
-        run = RunConfig(steps=2, seed=1, timing_mode="measured")
-        result = api.simulate(small_config(), run=run)
-        assert result.meta["engine"] == "sequential"
-        assert len(closed) == 1  # the engine simulate created, closed by it
-
     def test_engine_metadata_recorded(self):
         result = api.simulate(
             small_config(), run=RUN, engine="multiprocess", engine_workers=2

@@ -1,18 +1,20 @@
 """Experiment drivers (smoke-scale runs).
 
-These tests run the same code paths the benchmarks use, at deliberately tiny
-parameters, and assert the *qualitative* shapes the paper reports.
+These tests run the same code paths the benchmarks and examples use, at
+deliberately tiny parameters, and assert the *qualitative* shapes the paper
+reports. Figure 10 and Table 1 are rendered from a drained campaign's report.
 """
 
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignSpec, drain_report, execute_run, get_campaign
+from repro.experiments.common import geometry_for
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import fig6_from_fig5
 from repro.experiments.fig9 import run_fig9
-from repro.experiments.fig10 import auto_rounds, run_boundary_experiment, run_fig10
-from repro.experiments.common import geometry_for
-from repro.experiments.table1 import run_table1
+from repro.experiments.fig10 import Fig10Result, auto_rounds
+from repro.experiments.table1 import Table1Result
 from repro.workloads.presets import Preset
 
 TINY = Preset(
@@ -67,26 +69,46 @@ class TestFig9:
         c0 = result.trajectory.c0_ratio
         assert c0[-5:].mean() > c0[:5].mean()
 
+    def test_boundary_is_the_stored_fig9_quick_payload(self):
+        # Figure 9 and the fig9-quick campaign are one run: same geometry,
+        # schedule, rounds and detector, so the same boundary point.
+        (spec,) = get_campaign("fig9-quick").runs
+        payload = execute_run(spec)
+        result = run_fig9(
+            m=spec.m, n_pes=spec.n_pes, density=spec.density,
+            n_steps=spec.n_steps, seed=spec.seed,
+        )
+        assert payload["diverged"] and result.boundary is not None
+        point = result.boundary
+        assert (point.step, point.n, point.c0_ratio) == (
+            payload["step"], payload["n"], payload["c0_ratio"]
+        )
+        assert len(result.trajectory) == spec.n_steps
+
+
+def tiny_grid(densities, pe_counts=(9,), **kwargs) -> CampaignSpec:
+    """An m=2 boundary grid of two 60-step repetitions per point."""
+    return CampaignSpec.boundary_grid(
+        "tiny", m_values=(2,), pe_counts=pe_counts, densities=densities,
+        n_repetitions=2, n_steps=60, **kwargs,
+    )
+
 
 class TestFig10:
     def test_auto_rounds_scales(self):
         assert auto_rounds(geometry_for(4, 9)) > auto_rounds(geometry_for(2, 9))
 
     def test_boundary_experiment_returns_points(self):
-        experiment = run_boundary_experiment(
-            m=2, n_pes=9, density=0.256, n_repetitions=2, n_steps=60
-        )
-        assert len(experiment.points) + experiment.n_failed == 2
-        if experiment.mean_point is not None:
-            assert experiment.mean_point.n >= 1.0
-            assert 0 <= experiment.mean_point.c0_ratio <= 1
+        (group,) = drain_report(tiny_grid((0.256,))).boundary_groups
+        assert len(group.points) + group.n_failed == 2
+        if group.mean_point is not None:
+            assert group.mean_point.n >= 1.0
+            assert 0 <= group.mean_point.c0_ratio <= 1
 
-    def test_run_fig10_single_panel(self):
-        result = run_fig10(
-            m_values=(2,), densities=(0.128, 0.256), n_pes=9, n_repetitions=2, n_steps=60
-        )
+    def test_fig10_renders_a_single_panel(self):
+        result = Fig10Result.from_report(drain_report(tiny_grid((0.128, 0.256))))
         panel = result.panels[2]
-        assert len(panel.experiments) == 2
+        assert len(panel.groups) == 2
         if panel.fit is not None:
             # E below T: the fitted ratio must be below 1.
             assert 0 < panel.fit.ratio < 1.0
@@ -96,18 +118,12 @@ class TestFig10:
 
 class TestTable1:
     def test_grid_structure(self):
-        result = run_table1(
-            m_values=(2,), pe_counts=(9,), densities=(0.128, 0.256),
-            n_repetitions=2, n_steps=60,
-        )
-        row = result.row(2)
+        report = drain_report(tiny_grid((0.128, 0.256), pes_seed_offset=True))
+        row = Table1Result.from_report(report).row(2)
         assert len(row) == 1
         if row[0] is not None:
             assert 0 < row[0] < 1.0
 
     def test_spread_across_pes_zero_for_single_column(self):
-        result = run_table1(
-            m_values=(2,), pe_counts=(9,), densities=(0.256,),
-            n_repetitions=2, n_steps=60,
-        )
-        assert result.spread_across_pes(2) == 0.0
+        report = drain_report(tiny_grid((0.256,), pes_seed_offset=True))
+        assert Table1Result.from_report(report).spread_across_pes(2) == 0.0

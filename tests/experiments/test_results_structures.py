@@ -3,20 +3,41 @@
 import numpy as np
 import pytest
 
+from repro.campaign.report import BoundaryGroup, CampaignReport
+from repro.errors import AnalysisError
 from repro.experiments.fig10 import Fig10Panel, Fig10Result
 from repro.experiments.table1 import Table1Result
 from repro.theory.boundary import BoundaryPoint
+from repro.theory.bounds import upper_bound
 from repro.theory.fitting import fit_boundary_scale
 
 
 def make_panel(m: int, ratio: float) -> Fig10Panel:
-    from repro.theory.bounds import upper_bound
-
     points = [
         BoundaryPoint(step=i, n=n, c0_ratio=float(ratio * upper_bound(m, n)))
         for i, n in enumerate((1.2, 1.8, 2.5))
     ]
-    return Fig10Panel(m=m, n_pes=9, experiments=[], fit=fit_boundary_scale(points, m))
+    return Fig10Panel(m=m, n_pes=9, groups=(), fit=fit_boundary_scale(points, m))
+
+
+def make_group(points, n_failed=0, m=2, n_pes=9, density=0.256) -> BoundaryGroup:
+    """A group of stored boundary payloads: one per point, then the failures."""
+    reps = [
+        {"seed": i, "diverged": True, "step": p.step, "n": p.n,
+         "c0_ratio": p.c0_ratio}
+        for i, p in enumerate(points)
+    ] + [
+        {"seed": 100 + i, "diverged": False, "step": None, "n": None,
+         "c0_ratio": None}
+        for i in range(n_failed)
+    ]
+    return BoundaryGroup(m=m, n_pes=n_pes, density=density, repetitions=tuple(reps))
+
+
+def make_report(*groups: BoundaryGroup) -> CampaignReport:
+    return CampaignReport(
+        campaign="c", counts={}, boundary_groups=groups, preset_rows=(), failures=()
+    )
 
 
 class TestFig10Result:
@@ -27,9 +48,7 @@ class TestFig10Result:
         assert ratios[3] == pytest.approx(0.6)
 
     def test_et_ratios_skips_unfit_panels(self):
-        result = Fig10Result(
-            panels={2: Fig10Panel(m=2, n_pes=9, experiments=[], fit=None)}
-        )
+        result = Fig10Result(panels={2: Fig10Panel(m=2, n_pes=9, groups=(), fit=None)})
         assert result.et_ratios() == {}
 
     def test_theoretical_curve(self):
@@ -58,28 +77,55 @@ class TestTable1Result:
 
 class TestBoundaryExperimentErrorRange:
     def test_error_range_of_repetitions(self):
-        from repro.experiments.common import geometry_for
-        from repro.experiments.fig10 import BoundaryExperiment
-
-        points = [
+        group = make_group([
             BoundaryPoint(step=1, n=1.0, c0_ratio=0.2),
             BoundaryPoint(step=2, n=3.0, c0_ratio=0.4),
-        ]
-        experiment = BoundaryExperiment(
-            geometry=geometry_for(2, 9),
-            points=points,
-            mean_point=points[0],
-            n_failed=0,
-        )
-        n_std, c0_std = experiment.error_range()
+        ])
+        n_std, c0_std = group.error_range()
         assert n_std == pytest.approx(1.0)
         assert c0_std == pytest.approx(0.1)
 
     def test_empty_points_give_zero_range(self):
-        from repro.experiments.common import geometry_for
-        from repro.experiments.fig10 import BoundaryExperiment
+        group = make_group([], n_failed=3)
+        assert group.error_range() == (0.0, 0.0)
+        assert group.mean_point is None
 
-        experiment = BoundaryExperiment(
-            geometry=geometry_for(2, 9), points=[], mean_point=None, n_failed=3
+
+class TestRenderedFromReport:
+    """Figure 10 and Table 1 are the report's fits, laid out per m / per (m, P)."""
+
+    def points(self, m: int, ratio: float) -> list[BoundaryPoint]:
+        return [
+            BoundaryPoint(step=1, n=n, c0_ratio=float(ratio * upper_bound(m, n)))
+            for n in (1.2, 1.8)
+        ]
+
+    def test_fig10_panel_per_m_with_the_fit_of_its_mean_points(self):
+        report = make_report(
+            make_group(self.points(2, 0.5)[:1], density=0.128),
+            make_group(self.points(2, 0.5)[1:], n_failed=1, density=0.256),
+            make_group([], n_failed=2, m=3),
         )
-        assert experiment.error_range() == (0.0, 0.0)
+        result = Fig10Result.from_report(report)
+        assert sorted(result.panels) == [2, 3]
+        assert len(result.panels[2].groups) == 2
+        assert result.et_ratios() == {2: pytest.approx(0.5)}
+        assert result.panels[3].fit is None
+
+    def test_a_panel_has_one_pe_count(self):
+        report = make_report(make_group(self.points(2, 0.5)), make_group(
+            self.points(2, 0.5), n_pes=16))
+        with pytest.raises(AnalysisError, match="one PE count"):
+            Fig10Result.from_report(report)
+
+    def test_table1_grid_from_the_fits(self):
+        report = make_report(
+            make_group(self.points(2, 0.4)[:1], density=0.128),
+            make_group(self.points(2, 0.4)[1:], density=0.256),
+            make_group(self.points(2, 0.6)[:1], n_pes=16),
+            make_group([], n_failed=1, m=3, n_pes=16),
+        )
+        result = Table1Result.from_report(report)
+        assert result.m_values == (2, 3) and result.pe_counts == (9, 16)
+        assert result.row(2) == [pytest.approx(0.4), pytest.approx(0.6)]
+        assert result.row(3) == [None, None]

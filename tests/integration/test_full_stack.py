@@ -108,11 +108,13 @@ class TestParallelCorrectnessDuringMD:
 class TestBoundaryBelowTheory:
     def test_experimental_points_below_upper_bound(self):
         """Section 4.2: every experimental boundary point lies below f(m, n)."""
-        from repro.experiments.fig10 import run_boundary_experiment
+        from repro.campaign import CampaignSpec, drain_report
 
-        experiment = run_boundary_experiment(
-            m=3, n_pes=9, density=0.256, n_repetitions=3, n_steps=80
+        spec = CampaignSpec.boundary_grid(
+            "below-theory", m_values=(3,), pe_counts=(9,), densities=(0.256,),
+            n_repetitions=3, n_steps=80, density_seed_offset=False,
         )
-        assert experiment.points, "no boundary detected in any repetition"
-        for point in experiment.points:
+        (group,) = drain_report(spec).boundary_groups
+        assert group.points, "no boundary detected in any repetition"
+        for point in group.points:
             assert point.c0_ratio < upper_bound(3, point.n)

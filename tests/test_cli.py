@@ -187,6 +187,10 @@ class TestCampaignCommand:
         reps = [rep for g in report["boundary"] for rep in g["repetitions"]]
         assert len(reps) == 6
         assert all("seed" in rep for rep in reps)
+        # The paper's E/T: one fitted k for the smoke grid's one (m, P).
+        (fit,) = report["fitted_et"]
+        assert (fit["m"], fit["n_pes"], fit["n_points"]) == (2, 9, 2)
+        assert 0.0 < fit["k"] < 1.0
 
     def test_report_human_readable(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")

@@ -116,7 +116,7 @@ class TestRunConfig:
             {"steps": 1, "record_interval": 0},
             {"steps": 1, "force_backend": "gpu"},
             {"steps": 1, "force_backend": "cells"},  # the per-step search is gone
-            {"steps": 1, "timing_mode": "exact"},
+            {"steps": 1, "balancer": "ddm"},  # plain DDM is "none"
             {"steps": 1, "skin": 0.0},
             {"steps": 1, "skin": -0.2},
             {"steps": 1, "balancer": "auto"},
