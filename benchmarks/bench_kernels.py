@@ -195,7 +195,8 @@ def test_parallel_step_obs_off(benchmark, kernel_log):
 
 
 def test_parallel_step_obs_on(benchmark, kernel_log):
-    """The same ten steps with the full trace+metrics+profiler bundle live."""
+    """The same ten steps with the full bundle live: the event log records
+    every step and host scope, and the registry is filled from it."""
     from repro.obs import Observability
 
     obs = Observability.create()
@@ -208,14 +209,14 @@ def test_parallel_step_obs_on(benchmark, kernel_log):
 
     benchmark.pedantic(ten_steps, rounds=3, iterations=1)
     record_kernel(kernel_log, benchmark, "parallel_step_obs_on")
-    assert len(obs.trace) > 0
+    assert len(obs.events) > 0 and obs.events.scopes
 
 
 def test_parallel_step_events_off(benchmark, kernel_log):
-    """Ten steps with an observability bundle but the flight recorder off.
+    """Ten steps with an observability bundle but no event log.
 
-    This is the events-disabled contract: a runner that carries metrics but
-    no EventLog must stay within the overhead gate of the fully-dark
+    This is the events-disabled contract: a runner that carries a registry
+    but no EventLog must stay within the overhead gate of the fully-dark
     ``parallel_step_obs_off`` baseline — every event hook is one ``None``
     check (see ``check_regression.py``'s ``--overhead-kernels``).
     """
@@ -237,8 +238,7 @@ def test_parallel_step_events_on(benchmark, kernel_log):
     """The same ten steps with the flight recorder live."""
     from repro.obs import Observability
 
-    obs = Observability.create(trace=False, metrics=False, profiler=False,
-                               events=True)
+    obs = Observability.create(metrics=False)
     runner = _parallel_runner(observability=obs)
 
     def ten_steps():

@@ -22,7 +22,8 @@ their runs through this module; the runner classes in
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -137,14 +138,83 @@ def _resolve_faults(
     )
 
 
-def _checkpoint_manager(
+def _wire(
+    config: SimulationConfig | str,
+    faults: FaultPlan | FaultInjector | None,
+    observability: Observability | None,
+) -> tuple[SimulationConfig, str | None, FaultInjector | None]:
+    """Resolve the config and the injector; the injector logs into the
+    bundle's event log."""
+    sim_config, preset_name = _resolve_config(config)
+    injector = _resolve_faults(faults, sim_config.decomposition.n_pes)
+    events = observability.events if observability is not None else None
+    if injector is not None and events is not None:
+        injector.events = events
+    return sim_config, preset_name, injector
+
+
+def _drive(
+    runner: ParallelMDRunner | DrivenLoadRunner,
+    execute: Callable[[CheckpointManager | None, RunResult | None], RunResult],
+    *,
+    observability: Observability | None,
+    audit: AuditPolicy | None,
     checkpoints: CheckpointPolicy | None,
-) -> CheckpointManager | None:
-    if checkpoints is None:
-        return None
-    return CheckpointManager(
-        checkpoints.directory, every=checkpoints.every, keep=checkpoints.keep
+    preset_name: str | None,
+    engine: Engine | None = None,
+    n_particles: int | None = None,
+    extra_meta: Callable[[], dict[str, Any]] | None = None,
+) -> RunResult:
+    """The lifecycle both entry points share around a constructed runner.
+
+    Attaches the auditor, resumes from the newest snapshot when asked,
+    runs ``execute(manager, partial)`` with the bundle recording, and
+    stamps the shared ``meta`` keys (``extra_meta()``'s, read after the
+    run, go before ``balancer``).
+    """
+    events = runner.events
+    auditor = None
+    if audit is not None:
+        auditor = InvariantAuditor(
+            runner.assignment,
+            n_particles=n_particles,
+            every=audit.every,
+            policy=audit.policy,
+            metrics=observability.metrics if observability is not None else None,
+            events=events,
+            strategy=runner.balancer_name,
+        )
+        runner.auditor = auditor
+    manager = None
+    partial = None
+    resumed_at = None
+    if checkpoints is not None:
+        manager = CheckpointManager(
+            checkpoints.directory, every=checkpoints.every, keep=checkpoints.keep
+        )
+        if checkpoints.resume:
+            partial = runner.restore(manager.load_latest()["state"])
+            resumed_at = runner.progress
+            if events is not None:
+                events.emit_host(runner.step_count, "checkpoint.resume")
+    with observability.activate() if observability is not None else nullcontext():
+        result = execute(manager, partial)
+    result.meta.update(
+        {
+            "schema_version": RESULT_SCHEMA_VERSION,
+            "mode": mode_label(runner.balancer_name),
+            "preset": preset_name,
+            "engine": engine.name if engine is not None else "inproc",
+            "engine_workers": engine.workers if engine is not None else None,
+            "resumed_at": resumed_at,
+            "audit": auditor.summary() if auditor is not None else None,
+            **(extra_meta() if extra_meta is not None else {}),
+            "balancer": runner.balancer_name,
+            "imbalance": runner.imbalance,
+            "events": len(events) if events is not None else None,
+        }
     )
+    return result
 
 
 def simulate(
@@ -158,7 +228,6 @@ def simulate(
     audit: AuditPolicy | None = None,
     checkpoints: CheckpointPolicy | None = None,
     system: ParticleSystem | None = None,
-    trace_pid: int = 0,
     stop_after: int | None = None,
 ) -> RunResult:
     """Run one parallel MD simulation and return its result.
@@ -181,7 +250,8 @@ def simulate(
     engine_workers:
         Worker-process count when ``engine`` is a name (multiprocess only).
     observability:
-        Nullable trace/metrics/profiler bundle; activated around the run.
+        Nullable event-log/metrics bundle; its log records the run (and
+        every host scope while it runs). Give each run its own log.
     faults:
         A :class:`~repro.faults.FaultPlan` (instantiated against this
         workload's PE count) or a ready :class:`~repro.faults.FaultInjector`.
@@ -192,19 +262,12 @@ def simulate(
     system:
         Pre-built particle system (defaults to the config's, seeded by
         ``run.seed``).
-    trace_pid:
-        Trace process id when sharing one recorder across runs; each runner
-        claims its pid, so collisions raise instead of corrupting the trace.
     stop_after:
         Execute at most this many (further) steps and return the partial
         result — the crash-drill knob behind ``repro run --kill-after``;
         combined with ``checkpoints`` the truncated run is resumable.
     """
-    sim_config, preset_name = _resolve_config(config)
-    injector = _resolve_faults(faults, sim_config.decomposition.n_pes)
-    events = observability.events if observability is not None else None
-    if injector is not None and events is not None:
-        injector.events = events
+    sim_config, preset_name, injector = _wire(config, faults, observability)
     resolved_engine = create_engine(engine, workers=engine_workers)
     owns_engine = resolved_engine is not None and not isinstance(engine, Engine)
     try:
@@ -213,67 +276,32 @@ def simulate(
             run,
             system=system,
             observability=observability,
-            trace_pid=trace_pid,
             faults=injector,
             engine=resolved_engine,
         )
-        auditor = None
-        if audit is not None:
-            auditor = InvariantAuditor(
-                runner.assignment,
-                n_particles=runner.system.n,
-                every=audit.every,
-                policy=audit.policy,
-                metrics=observability.metrics if observability is not None else None,
-                events=events,
-                strategy=runner.balancer_name,
-            )
-            runner.auditor = auditor
-        manager = _checkpoint_manager(checkpoints)
-        partial = None
-        resumed_at = None
-        if checkpoints is not None and checkpoints.resume:
-            partial = runner.restore(manager.load_latest()["state"])
-            resumed_at = runner.step_count
-            if events is not None:
-                events.emit_host(runner.step_count, "checkpoint.resume")
-        remaining = run.steps - runner.step_count
-        if remaining < 0:
-            raise ConfigurationError(
-                f"checkpoint is at step {runner.step_count}, beyond the "
-                f"requested {run.steps} steps"
-            )
-        if stop_after is not None:
-            if stop_after < 0:
+
+        def execute(manager, partial):
+            remaining = run.steps - runner.step_count
+            if remaining < 0:
                 raise ConfigurationError(
-                    f"stop_after must be >= 0, got {stop_after}"
+                    f"checkpoint is at step {runner.step_count}, beyond the "
+                    f"requested {run.steps} steps"
                 )
-            remaining = min(remaining, stop_after)
-        if observability is not None:
-            with observability.activate():
-                result = runner.run(remaining, checkpoint=manager, result=partial)
-        else:
-            result = runner.run(remaining, checkpoint=manager, result=partial)
-        result.meta.update(
-            {
-                "schema_version": RESULT_SCHEMA_VERSION,
-                "mode": mode_label(runner.balancer_name),
-                "preset": preset_name,
-                "engine": resolved_engine.name if resolved_engine is not None else "inproc",
-                "engine_workers": (
-                    resolved_engine.workers if resolved_engine is not None else None
-                ),
-                "resumed_at": resumed_at,
-                "audit": auditor.summary() if auditor is not None else None,
-                "neighbor_stats": runner.neighbor_stats.as_dict(),
-                "balancer": runner.balancer_name,
-                "imbalance": (
-                    runner.imbalance.summary() if runner.imbalance is not None else None
-                ),
-                "events": len(events) if events is not None else None,
-            }
+            if stop_after is not None:
+                if stop_after < 0:
+                    raise ConfigurationError(
+                        f"stop_after must be >= 0, got {stop_after}"
+                    )
+                remaining = min(remaining, stop_after)
+            return runner.run(remaining, checkpoint=manager, result=partial)
+
+        return _drive(
+            runner, execute,
+            observability=observability, audit=audit, checkpoints=checkpoints,
+            preset_name=preset_name, engine=resolved_engine,
+            n_particles=runner.system.n,
+            extra_meta=lambda: {"neighbor_stats": runner.neighbor_stats.as_dict()},
         )
-        return result
     finally:
         if owns_engine:
             resolved_engine.close()
@@ -289,7 +317,6 @@ def simulate_driven(
     faults: FaultPlan | FaultInjector | None = None,
     audit: AuditPolicy | None = None,
     checkpoints: CheckpointPolicy | None = None,
-    trace_pid: int = 0,
 ) -> RunResult:
     """Feed an external configuration sequence through the DLB machinery.
 
@@ -301,60 +328,22 @@ def simulate_driven(
     names the DLB strategy (``None`` is ``"permanent"``, ``"none"`` is
     plain DDM).
     """
-    sim_config, preset_name = _resolve_config(config)
-    injector = _resolve_faults(faults, sim_config.decomposition.n_pes)
-    events = observability.events if observability is not None else None
-    if injector is not None and events is not None:
-        injector.events = events
+    sim_config, preset_name, injector = _wire(config, faults, observability)
     runner = DrivenLoadRunner(
         sim_config,
         rounds_per_config=rounds_per_config,
         observability=observability,
-        trace_pid=trace_pid,
         faults=injector,
         balancer=balancer,
     )
-    auditor = None
-    if audit is not None:
-        auditor = InvariantAuditor(
-            runner.assignment,
-            every=audit.every,
-            policy=audit.policy,
-            metrics=observability.metrics if observability is not None else None,
-            events=events,
-            strategy=runner.balancer_name,
-        )
-        runner.auditor = auditor
-    manager = _checkpoint_manager(checkpoints)
-    partial = None
-    resumed_at = None
-    if checkpoints is not None and checkpoints.resume:
-        partial = runner.restore(manager.load_latest()["state"])
-        resumed_at = runner.configs_done
-        if events is not None:
-            events.emit_host(runner.step_count, "checkpoint.resume")
-    if observability is not None:
-        with observability.activate():
-            result = runner.run(configurations, checkpoint=manager, result=partial)
-    else:
-        result = runner.run(configurations, checkpoint=manager, result=partial)
-    result.meta.update(
-        {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "mode": mode_label(runner.balancer_name),
-            "preset": preset_name,
-            "engine": "inproc",
-            "engine_workers": None,
-            "resumed_at": resumed_at,
-            "audit": auditor.summary() if auditor is not None else None,
-            "balancer": runner.balancer_name,
-            "imbalance": (
-                runner.imbalance.summary() if runner.imbalance is not None else None
-            ),
-            "events": len(events) if events is not None else None,
-        }
+    return _drive(
+        runner,
+        lambda manager, partial: runner.run(
+            configurations, checkpoint=manager, result=partial
+        ),
+        observability=observability, audit=audit, checkpoints=checkpoints,
+        preset_name=preset_name,
     )
-    return result
 
 
 def result_payload(result: RunResult) -> dict[str, Any]:

@@ -32,6 +32,7 @@ import time
 import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +40,9 @@ from ..config import RunConfig
 from ..core.checkpoint import CheckpointManager
 from ..errors import CampaignError, CheckpointMismatchError
 from ..experiments.fig10 import run_boundary_repetition
-from ..theory.boundary import moving_average
+from ..theory.boundary import divergence_threshold, moving_average
 from ..theory.bounds import upper_bound
+from .artifacts import host_events_path
 from .pool import Batch
 from .report import CampaignReport, campaign_report
 from .spec import CampaignSpec, RunSpec
@@ -70,15 +72,10 @@ def _write_events(observability, events_path: str | None) -> None:
     """Write a run's recorded channels next to the campaign store."""
     if observability is None or observability.events is None:
         return
-    from pathlib import Path
-
     path = Path(events_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     observability.events.write(path, channel="sim")
-    observability.events.write(
-        path.with_name(path.stem + ".host" + (path.suffix or ".jsonl")),
-        channel="host",
-    )
+    observability.events.write(host_events_path(path), channel="host")
 
 
 def _execute_boundary(
@@ -175,16 +172,12 @@ def _execute_probe(
     )
     _write_events(observability, events_path)
     # Divergence oracle: after holding the level, is the (smoothed) spread
-    # still pinned above the balanced-prefix baseline?  Thresholds mirror
-    # the boundary detector's (factor 2.5 over the baseline median, 5%
-    # over the baseline peak).
+    # still pinned above the balanced-prefix baseline, by the boundary
+    # detector's threshold at the campaign detector's factor 2.5?
     smooth = moving_average(result.spread, 5)
     n_prefix = index + 1
     n_base = min(max(3, int(0.2 * n_prefix)), n_prefix)
-    baseline = float(np.median(smooth[:n_base]))
-    threshold = max(
-        2.5 * baseline, baseline + 1e-12, float(np.max(smooth[:n_base])) * 1.05
-    )
+    threshold = divergence_threshold(smooth[:n_base], 2.5)
     tail = smooth[-max(1, hold // 2):]
     trajectory = result.trajectory
     return {

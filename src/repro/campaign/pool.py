@@ -63,6 +63,7 @@ from typing import Callable, Collection
 
 from ..engine import effective_engine_workers
 from ..errors import ReproError, ServiceError
+from . import artifacts
 from .queue import QueuedRun, RunQueue, RunRegistry
 from .spec import RunSpec
 from .store import RunStore
@@ -260,12 +261,12 @@ class WorkerPool:
     def _events_path(self, item: QueuedRun) -> str | None:
         if not item.record_events or self.events_dir is None:
             return None
-        return f"{self.events_dir}/{item.run_hash}.events.jsonl"
+        return str(artifacts.events_path(self.events_dir, item.run_hash))
 
     def _run_checkpoint_dir(self, run_hash: str) -> str | None:
         if self.checkpoint_dir is None or self.checkpoint_every <= 0:
             return None
-        return f"{self.checkpoint_dir}/{run_hash}"
+        return str(artifacts.checkpoint_dir(self.checkpoint_dir, run_hash))
 
     def _clear_checkpoints(self, run_hash: str) -> None:
         """Drop a committed run's snapshots (they have served their purpose)."""

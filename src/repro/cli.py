@@ -32,7 +32,6 @@ import json
 import logging
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .campaign import (
     render_report,
     run_campaign,
 )
+from .campaign.artifacts import host_events_path, remove_run_artifacts
 from .campaign.pool import DEFAULT_LEASE_TTL
 from .config import BALANCER_NAMES, RunConfig
 from .core.results import write_result_json
@@ -62,11 +62,11 @@ from .obs import (
     EventLog,
     MetricsRegistry,
     Observability,
-    Profiler,
-    TraceRecorder,
+    collect_events,
     read_events,
     summarize_events,
     validate_events,
+    write_trace,
 )
 from .parallel.costmodel import calibrate_tau_pair
 from .reporting import (
@@ -75,22 +75,11 @@ from .reporting import (
     flight_report,
     format_table,
     phase_breakdown,
+    profile_table,
     series_preview,
 )
 from .theory.bounds import upper_bound
 from .workloads.presets import PRESETS, get_preset
-
-
-def host_events_path(path: str | Path) -> Path:
-    """The sidecar file holding the host channel of an events log.
-
-    ``run.events.jsonl`` -> ``run.events.host.jsonl``: the sim channel is
-    the canonical, backend-independent record; host events (engine worker
-    lifecycle, checkpoint writes) are real but machine-specific, so they
-    live next door instead of breaking the sim file's byte-identity.
-    """
-    path = Path(path)
-    return path.with_name(path.stem + ".host" + (path.suffix or ".jsonl"))
 
 
 def _cmd_presets(_: argparse.Namespace) -> int:
@@ -100,29 +89,6 @@ def _cmd_presets(_: argparse.Namespace) -> int:
     ]
     print(format_table(["name", "N", "PEs", "m", "steps", "description"], rows))
     return 0
-
-
-def _build_observability(args: argparse.Namespace) -> Observability | None:
-    """Assemble the ``run`` command's observability bundle from its flags."""
-    want_trace = getattr(args, "trace", None) is not None
-    want_metrics = getattr(args, "metrics", None) is not None
-    want_profile = bool(getattr(args, "profile", False))
-    want_events = getattr(args, "events", None) is not None
-    if not (want_trace or want_metrics or want_profile or want_events):
-        return None
-    recorder = TraceRecorder() if want_trace else None
-    registry = MetricsRegistry() if want_metrics else None
-    profiler = Profiler(trace=recorder, registry=registry)
-    obs = Observability(
-        trace=recorder,
-        metrics=registry,
-        profiler=profiler,
-        events=EventLog() if want_events else None,
-    )
-    if want_metrics and getattr(args, "metrics_every", 0):
-        obs.metrics_path = args.metrics
-        obs.metrics_every = args.metrics_every
-    return obs
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -153,10 +119,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except FaultInjectionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    obs = _build_observability(args)
-    if obs is not None and obs.trace is not None:
-        for pid, label in enumerate(balancers):
-            obs.trace.add_process(pid, f"{label} (simulated clock)", sort_index=pid)
+    # Each run records its own log; all runs share one registry.
+    observed = args.trace or args.metrics or args.profile or args.events
+    registry = MetricsRegistry() if args.metrics else None
+    bundles: list[Observability] = []
     audit = (
         api.AuditPolicy(every=args.audit_every, policy=args.audit_policy)
         if args.audit_invariants
@@ -177,8 +143,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.kill_after is not None and args.kill_after < steps:
         stop_after = args.kill_after
         killed_at = args.kill_after
-    for trace_pid, label in enumerate(balancers):
+    for label in balancers:
         print(f"running {label} ({steps} steps) ...", file=sys.stderr)
+        obs = None
+        if observed:
+            obs = Observability(
+                events=EventLog(), metrics=registry,
+                metrics_path=args.metrics, metrics_every=args.metrics_every,
+            )
+            bundles.append(obs)
         try:
             result = api.simulate(
                 args.preset,
@@ -195,7 +168,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 faults=fault_plan,
                 audit=audit,
                 checkpoints=checkpoints,
-                trace_pid=trace_pid,
                 stop_after=stop_after,
             )
         except ConfigurationError as exc:
@@ -233,7 +205,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         }
         write_result_json(args.result_json, payload)
         print(f"wrote result summary to {args.result_json}", file=sys.stderr)
-    events = obs.events if obs is not None else None
+    logs = [bundle.events for bundle in bundles]
+    events = logs[0] if args.events else None
     if events is not None:
         # Written even on the --kill-after path: the partial file is a valid
         # prefix, and the resumed run rewrites it byte-identically complete.
@@ -272,18 +245,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if events is not None:
         print()
         print(flight_report(events.records))
-    if obs is not None:
-        if obs.trace is not None:
-            obs.trace.write(args.trace)
-            print(f"wrote {len(obs.trace)} trace events to {args.trace}",
-                  file=sys.stderr)
-        if obs.metrics is not None:
-            obs.metrics.write(args.metrics)
-            print(f"wrote {len(obs.metrics)} metrics to {args.metrics}",
-                  file=sys.stderr)
-        if args.profile and obs.profiler is not None:
-            print()
-            print(obs.profiler.table())
+    if args.trace:
+        count = write_trace(args.trace, logs)
+        print(f"wrote {count} trace events to {args.trace}", file=sys.stderr)
+    if registry is not None:
+        for log in logs:
+            collect_events(registry, log)
+        registry.write(args.metrics)
+        print(f"wrote {len(registry)} metrics to {args.metrics}", file=sys.stderr)
+    if args.profile:
+        print()
+        print(profile_table(logs))
     return 0
 
 
@@ -345,6 +317,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 payload[key] = (
                     {"mean": stats[0], "std": stats[1]} if stats else None
                 )
+            payload["mean_point_et"] = (
+                _mean_point_et(args.m, group) if group.points else None
+            )
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     if group is None or not group.points:
@@ -370,17 +345,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ))
     mean = group.mean_point
     n_std, c0_std = group.error_range()
-    theory = float(upper_bound(args.m, mean.n))
     rows = [
         ("detected boundary points",
          f"{len(group.points)}/{len(group.repetitions)}"),
         ("concentration factor n", f"{mean.n:.3f} ± {n_std:.3f}"),
         ("C0/C at boundary (E)", f"{mean.c0_ratio:.4f} ± {c0_std:.4f}"),
-        ("theoretical bound f(m,n) (T)", f"{theory:.4f}"),
-        ("ratio E/T", f"{mean.c0_ratio / theory:.3f}"),
+        ("theoretical bound f(m, mean n) (T)",
+         f"{float(upper_bound(args.m, mean.n)):.4f}"),
+        ("E/T of the mean point: mean C0/C ÷ f(m, mean n)",
+         f"{_mean_point_et(args.m, group):.3f}"),
     ]
     print(format_table(["quantity", "value"], rows))
     return 0
+
+
+def _mean_point_et(m: int, group) -> float:
+    """Mean C0/C over the diverged repetitions ÷ f(m, their mean n).
+
+    Not the JSON ``et_ratio``, which is the mean of each repetition's own
+    C0/C ÷ f(m, n).
+    """
+    mean = group.mean_point
+    return mean.c0_ratio / float(upper_bound(m, mean.n))
 
 
 def _progress_printer(total: int):
@@ -470,8 +456,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 2
         removed_artifacts = 0
         for run_hash in evicted:
-            removed_artifacts += _remove_run_artifacts(
-                args.dir, run_hash, events_dir=args.events_dir
+            removed_artifacts += remove_run_artifacts(
+                run_hash, args.dir, args.events_dir
             )
         if args.json:
             print(json.dumps(
@@ -547,31 +533,6 @@ def _parse_duration(text: str) -> float:
     if value < 0:
         raise ReproError(f"duration must be >= 0, got {value}")
     return value * unit
-
-
-def _remove_run_artifacts(
-    store_dir: str, run_hash: str, events_dir: str | None = None
-) -> int:
-    """Delete an evicted run's checkpoint/event files; returns files removed."""
-    from pathlib import Path
-
-    removed = 0
-    checkpoint_dir = Path(store_dir) / "checkpoints" / run_hash
-    if checkpoint_dir.is_dir():
-        for path in checkpoint_dir.iterdir():
-            path.unlink(missing_ok=True)
-            removed += 1
-        try:
-            checkpoint_dir.rmdir()
-        except OSError:  # pragma: no cover - non-empty leftovers
-            pass
-    if events_dir is not None:
-        base = Path(events_dir) / f"{run_hash}.events.jsonl"
-        for path in (base, base.with_name(f"{run_hash}.events.host.jsonl")):
-            if path.exists():
-                path.unlink()
-                removed += 1
-    return removed
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
@@ -796,8 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         metavar="FILE",
         default=None,
-        help="write the metrics registry (.prom text, or JSON lines for "
-        ".json/.jsonl paths)",
+        help="write the metrics registry as Prometheus text",
     )
     run.add_argument(
         "--profile",

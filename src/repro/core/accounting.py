@@ -18,7 +18,7 @@ from ..decomp.assignment import CellAssignment
 from ..decomp.halo import compute_halo
 from ..dlb.protocol import Move, MoveBatch
 from ..md.celllist import CellList
-from ..obs.profiler import scope
+from ..obs.events import scope
 from ..parallel.costmodel import CellLoad, ComputeCostModel
 from ..parallel.instrumentation import StepComponents, StepTiming
 from ..parallel.message import TrafficLog
@@ -34,7 +34,6 @@ class StepAccountant:
         cell_list: CellList,
         n_pes: int,
         faults=None,
-        profiler=None,
         charge_dlb: bool = False,
     ) -> None:
         self.machine = machine
@@ -46,18 +45,12 @@ class StepAccountant:
         self.cost_model = ComputeCostModel(machine, cell_list)
         self.traffic = TrafficLog(n_pes)
         self._pending_migration = np.zeros(n_pes, dtype=np.float64)
-        #: Explicit nullable :class:`~repro.obs.profiler.Profiler`. When set,
-        #: timings go to it directly; only when ``None`` is the process-global
-        #: :func:`~repro.obs.profiler.scope` consulted. Worker processes hand
-        #: each accountant its own profiler, so two accountants in different
-        #: processes (or the same one) never share hidden global state.
-        self.profiler = profiler
         #: Nullable :class:`~repro.faults.injector.FaultInjector`; the
         #: default ``None`` path adds one branch per charge site and nothing
         #: else (the obs-off perf gate covers it).
         self.faults = faults
         #: Per-PE phase breakdown of the most recent :meth:`account_step`
-        #: (consumed by the trace recorder and the per-phase report).
+        #: (what the runner's ``step`` event record carries).
         self.last_components: StepComponents | None = None
 
     def charge_moves(self, moves: MoveBatch | list[Move], counts_grid: np.ndarray,
@@ -169,12 +162,7 @@ class StepAccountant:
         assignment: CellAssignment,
     ) -> tuple[StepTiming, np.ndarray]:
         """Charge one full step; returns (timing record, per-PE total times)."""
-        timer = (
-            self.profiler.timer("accounting.account_step")
-            if self.profiler is not None
-            else scope("accounting.account_step")
-        )
-        with timer:
+        with scope("accounting.account_step"):
             force_times, other_times, comm_times, wire_bytes, wire_messages = (
                 self._charge_step(step, load, assignment.cell_owner_map())
             )

@@ -37,13 +37,13 @@ from ..md.simulation import attractor_sites, build_system
 from ..md.system import ParticleSystem
 from ..md.thermostat import VelocityRescale
 from ..obs import (
-    ImbalanceTracker,
     Observability,
     collect_balancer,
-    collect_imbalance,
+    collect_events,
     collect_neighbor_stats,
     collect_timing,
     collect_traffic,
+    imbalance_summary,
 )
 from ..obs.events import EventLog
 from ..parallel.costmodel import CellLoad
@@ -58,9 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..faults.audit import InvariantAuditor
     from ..faults.injector import FaultInjector
 
-
-#: Span names of the per-PE phase timeline, in within-step order.
-_PHASE_SPANS = ("dlb", "force", "halo-comm", "integrate")
+#: Snapshot layout version. 2: the imbalance analytics are computed from the
+#: event buffer's ``step`` records instead of being snapshotted on their own,
+#: so a version-1 snapshot's buffer cannot resume.
+SNAPSHOT_FORMAT = 2
 
 
 class _ObservedRunner:
@@ -76,7 +77,9 @@ class _ObservedRunner:
 
     The observability hooks are no-ops unless an
     :class:`~repro.obs.Observability` bundle was supplied: the disabled path
-    is a single ``None`` check per step, with no allocation.
+    is a single ``None`` check per step, with no allocation. With a bundle,
+    each step appends one ``step`` record to its event log; the trace, the
+    metrics and the imbalance summary are computed from the log.
     """
 
     #: Runner kind, stamped into the ``run.start`` event and every snapshot.
@@ -86,7 +89,6 @@ class _ObservedRunner:
         self,
         config: SimulationConfig,
         observability: Observability | None,
-        trace_pid: int,
         faults: "FaultInjector | None",
         balancer: str | None,
     ) -> None:
@@ -95,10 +97,6 @@ class _ObservedRunner:
             raise ConfigurationError(
                 f"{type(self).__name__} implements the square-pillar "
                 f"decomposition (DLB's shape); got {dec.shape!r}"
-            )
-        if trace_pid < 0:
-            raise ConfigurationError(
-                f"trace_pid must be non-negative, got {trace_pid}"
             )
         self.config = config
         #: Nullable :class:`~repro.faults.injector.FaultInjector` /
@@ -128,7 +126,6 @@ class _ObservedRunner:
             self.cell_list,
             dec.n_pes,
             faults=faults,
-            profiler=observability.profiler if observability is not None else None,
             charge_dlb=self.balancer is not None,
         )
         #: The previous step's per-PE times and per-cell counts: what the
@@ -137,29 +134,27 @@ class _ObservedRunner:
         self._last_counts: np.ndarray | None = None
         self.step_count = 0
         self.observability = observability
-        self.trace_pid = int(trace_pid)
         #: Simulated-clock position (sum of barrier times so far).
         self.sim_time = 0.0
         self._mode_label = mode_label(self.balancer_name)
         #: Nullable flight recorder (the bundle's, shared with the injector
-        #: and auditor) and the imbalance analytics fed from every step.
+        #: and auditor): the run's one timed record.
         self.events: EventLog | None = (
             observability.events if observability is not None else None
         )
-        self.imbalance: ImbalanceTracker | None = None
-        if observability is not None and (
-            observability.metrics is not None or observability.events is not None
-        ):
-            self.imbalance = ImbalanceTracker(dec.n_pes)
+        #: The finished run's imbalance summary, computed from the log's
+        #: ``step`` records (None without a log, or before the run ends).
+        self.imbalance: dict | None = None
+
+    @property
+    def progress(self) -> int:
+        """What a checkpoint's cadence counts: steps (configurations for the
+        driven runner)."""
+        return self.step_count
 
     def _announce(self) -> None:
-        """Claim the trace pid and emit ``run.start``: the last act of
-        construction, so a runner that fails to build claims nothing."""
-        observability = self.observability
-        if observability is not None and observability.trace is not None:
-            # Fail loudly when two runners share a recorder and a pid: the
-            # old behavior silently interleaved their spans on one track.
-            observability.trace.claim_pid(self.trace_pid)
+        """Emit ``run.start``: the last act of construction, so a runner
+        that fails to build records nothing."""
         events = self.events
         if events is None:
             return
@@ -216,34 +211,32 @@ class _ObservedRunner:
     ) -> StepTiming:
         """Charge step ``self.step_count`` under ``load`` and run its tail.
 
-        Accounting, imbalance analytics, the invariant audit, trace spans and
-        metrics, then the simulated clock and the times/counts the next
+        Accounting, the invariant audit, the ``step`` event record and the
+        metrics flush, then the simulated clock and the times/counts the next
         balancer round reads. ``forces`` lets the audit check them.
         """
         timing, totals = self.accountant.account_step(
             self.step_count, load, self.assignment
         )
-        self._observe_totals(timing, totals, load)
         if self.auditor is not None:
             self.auditor.maybe_audit(
                 self.step_count, counts=load.counts, forces=forces, moves=moves
             )
+        if self.events is not None:
+            self._record_step(load)
         if self.observability is not None:
-            self._observe_step(timing, moves)
+            self.observability.maybe_flush(timing.step)
         self.sim_time += timing.tt
         self._last_times = totals
         self._last_counts = load.counts
         return timing
 
     def _checkpoint_if_due(
-        self,
-        checkpoint: CheckpointManager | None,
-        progress: int,
-        result: RunResult,
+        self, checkpoint: CheckpointManager | None, result: RunResult
     ) -> None:
         """Snapshot the runner when the manager's cadence asks for one at
-        ``progress`` (steps, or configurations for the driven runner)."""
-        if checkpoint is not None and checkpoint.due(progress):
+        :attr:`progress`."""
+        if checkpoint is not None and checkpoint.due(self.progress):
             checkpoint.save(self.step_count, self.state_dict(result))
             if self.events is not None:
                 self.events.emit_host(self.step_count, "checkpoint.save")
@@ -252,13 +245,14 @@ class _ObservedRunner:
         """The run epilogue: the ``run.end`` event and end-of-run metrics."""
         events = self.events
         if events is not None:
+            self.imbalance = imbalance_summary(
+                events.records, self.config.decomposition.n_pes
+            )
             events.emit(
                 self.step_count, "run.end",
                 steps=self.step_count,
                 sim_time=self.sim_time,
-                imbalance=(
-                    self.imbalance.summary() if self.imbalance is not None else None
-                ),
+                imbalance=self.imbalance,
             )
         self.collect_metrics(result)
         return result
@@ -313,70 +307,36 @@ class _ObservedRunner:
                 case=getattr(m.kind, "value", m.kind),
             )
 
-    def _observe_step(self, timing: StepTiming, moves: list) -> None:
-        """Emit one step's trace spans, migration instants and step metrics.
+    def _record_step(self, load: CellLoad) -> None:
+        """Append this step's ``step`` record: its simulated start, the DLB
+        charge, every PE's force, comm and other time and, when a balancer
+        runs, the barrier time had every cell stayed at home.
 
         Called with the step's start position still in ``self.sim_time``;
-        the caller advances the simulated clock by ``timing.tt`` afterwards.
+        the caller advances the simulated clock afterwards.
         """
-        obs = self.observability
-        if obs is None:
-            return
-        trace = obs.trace
-        if trace is not None:
-            components = self.accountant.last_components
-            base = self.sim_time
-            pid = self.trace_pid
-            step_args = {"step": timing.step}
-            for move in moves:
-                trace.migration(base, move.cell, move.src, move.dst, pid=pid)
-            for pe in range(components.n_pes):
-                cursor = base
-                durations = (
-                    components.dlb_time,
-                    float(components.force_times[pe]),
-                    float(components.comm_times[pe]),
-                    float(components.other_times[pe]),
-                )
-                for name, duration in zip(_PHASE_SPANS, durations):
-                    if duration > 0.0:
-                        trace.span(
-                            name, cursor, duration, pe=pe, pid=pid,
-                            category="phase", args=step_args,
-                        )
-                    cursor += duration
-        registry = obs.metrics
-        if registry is not None:
-            mode = self._mode_label
-            registry.counter("repro_steps_total", "simulated steps executed").inc(
-                1, mode=mode
-            )
-            if moves:
-                registry.counter(
-                    "repro_cell_migrations_total", "cells moved by the balancer"
-                ).inc(len(moves), mode=mode)
-        obs.maybe_flush(timing.step)
-
-    def _observe_totals(
-        self, timing: StepTiming, totals: np.ndarray, load: CellLoad
-    ) -> None:
-        """Feed the imbalance analytics (and its DLB counterfactual) one step."""
-        tracker = self.imbalance
-        if tracker is None:
-            return
-        counterfactual = None
+        components = self.accountant.last_components
+        extra = {}
         if self.balancer is not None:
-            counterfactual = self.accountant.counterfactual_step_time(
-                timing.step, load, self.assignment
+            extra["counterfactual"] = self.accountant.counterfactual_step_time(
+                self.step_count, load, self.assignment
             )
-        tracker.observe(timing.step, totals, timing.tt, counterfactual)
+        self.events.emit(
+            self.step_count, "step",
+            start=self.sim_time,
+            dlb=components.dlb_time,
+            force=components.force_times.tolist(),
+            comm=components.comm_times.tolist(),
+            other=components.other_times.tolist(),
+            **extra,
+        )
 
     def collect_metrics(self, result: RunResult | None = None) -> None:
         """Snapshot the run's stats objects into the metrics registry.
 
         Call once at the end of a run; feeds the pair-search counters (when
-        the runner has them), the traffic log, the balancer stats and the
-        timing series, all labelled with the runner's mode.
+        the runner has them), the traffic log, the balancer stats, the
+        timing series and the event log, all labelled with the runner's mode.
         """
         obs = self.observability
         if obs is None or obs.metrics is None:
@@ -391,8 +351,8 @@ class _ObservedRunner:
             collect_balancer(registry, self.balancer.stats, mode=mode)
         if result is not None and len(result.timing):
             collect_timing(registry, result.timing, mode=mode)
-        if self.imbalance is not None:
-            collect_imbalance(registry, self.imbalance, mode=mode)
+        if self.events is not None:
+            collect_events(registry, self.events)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -403,6 +363,7 @@ class _ObservedRunner:
         runner's own keys (system arrays and the neighbour list's build
         positions for MD, the configurations done for the driven runner)."""
         state = {
+            "format": SNAPSHOT_FORMAT,
             "kind": self.kind,
             "config_token": self._config_token(),
             "step_count": self.step_count,
@@ -415,9 +376,6 @@ class _ObservedRunner:
             "balancer": self.balancer.state_dict() if self.balancer is not None else None,
             "accountant": self.accountant.state_dict(),
             "events": self.events.state_dict() if self.events is not None else None,
-            "imbalance": (
-                self.imbalance.state_dict() if self.imbalance is not None else None
-            ),
             "records": list(result.records) if result is not None else [],
         }
         state.update(self._own_state())
@@ -427,8 +385,8 @@ class _ObservedRunner:
         """Restore a :meth:`state_dict` snapshot; returns the partial result.
 
         Raises :class:`~repro.errors.CheckpointMismatchError` when the
-        snapshot was taken under a different configuration or for a different
-        runner kind.
+        snapshot was taken under a different configuration, for a different
+        runner kind, or in an older snapshot format.
 
         The flight recorder's sim buffer is replaced wholesale: the resumed
         run inherits the killed run's events — including its original
@@ -436,6 +394,12 @@ class _ObservedRunner:
         construction, so the final file is byte-identical to an
         uninterrupted run's.
         """
+        if state.get("format") != SNAPSHOT_FORMAT:
+            raise CheckpointMismatchError(
+                f"snapshot format {state.get('format', 1)!r} is not "
+                f"{SNAPSHOT_FORMAT}: its event buffer lacks the per-step "
+                "records; refusing to resume"
+            )
         if state.get("kind") != self.kind:
             raise CheckpointMismatchError(
                 f"snapshot is for runner kind {state.get('kind')!r}, not {self.kind!r}"
@@ -460,8 +424,6 @@ class _ObservedRunner:
         self._restore_own(state)
         if self.events is not None and state.get("events") is not None:
             self.events.load_state_dict(state["events"])
-        if self.imbalance is not None and state.get("imbalance") is not None:
-            self.imbalance.load_state_dict(state["imbalance"])
         result = RunResult(dlb_enabled=self.balancer is not None)
         for record in state["records"]:
             result.append(record)
@@ -471,10 +433,8 @@ class _ObservedRunner:
 class ParallelMDRunner(_ObservedRunner):
     """A parallel MD simulation (real physics + simulated machine).
 
-    ``observability`` (nullable, default off) attaches the trace recorder /
-    metrics registry bundle; ``trace_pid`` selects which trace process the
-    per-PE tracks land under, so one recorder can hold a DDM and a DLB-DDM
-    run side by side.
+    ``observability`` (nullable, default off) attaches the event log /
+    metrics registry bundle.
     """
 
     kind = "parallel_md"
@@ -485,11 +445,10 @@ class ParallelMDRunner(_ObservedRunner):
         run_config: RunConfig,
         system: ParticleSystem | None = None,
         observability: Observability | None = None,
-        trace_pid: int = 0,
         faults: "FaultInjector | None" = None,
         engine: Engine | None = None,
     ) -> None:
-        super().__init__(config, observability, trace_pid, faults, run_config.balancer)
+        super().__init__(config, observability, faults, run_config.balancer)
         self.run_config = run_config
         md = config.md
         dec = config.decomposition
@@ -585,7 +544,7 @@ class ParallelMDRunner(_ObservedRunner):
             record = self.step()
             if self.step_count % self.run_config.record_interval == 0:
                 result.append(record)
-            self._checkpoint_if_due(checkpoint, self.step_count, result)
+            self._checkpoint_if_due(checkpoint, result)
         return self._finish(result)
 
     # -- checkpointing -------------------------------------------------------
@@ -639,7 +598,6 @@ class DrivenLoadRunner(_ObservedRunner):
         config: SimulationConfig,
         rounds_per_config: int = 1,
         observability: Observability | None = None,
-        trace_pid: int = 0,
         faults: "FaultInjector | None" = None,
         balancer: str | None = None,
     ) -> None:
@@ -647,11 +605,15 @@ class DrivenLoadRunner(_ObservedRunner):
             raise ConfigurationError(
                 f"rounds_per_config must be positive, got {rounds_per_config}"
             )
-        super().__init__(config, observability, trace_pid, faults, balancer)
+        super().__init__(config, observability, faults, balancer)
         self.rounds_per_config = int(rounds_per_config)
         #: Configurations already fully processed (resume skips this many).
         self.configs_done = 0
         self._announce()
+
+    @property
+    def progress(self) -> int:
+        return self.configs_done
 
     def run(
         self,
@@ -689,7 +651,7 @@ class DrivenLoadRunner(_ObservedRunner):
                 )
             )
             self.configs_done = index + 1
-            self._checkpoint_if_due(checkpoint, self.configs_done, result)
+            self._checkpoint_if_due(checkpoint, result)
         return self._finish(result)
 
     # -- checkpointing -------------------------------------------------------

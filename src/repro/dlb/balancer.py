@@ -17,7 +17,7 @@ import numpy as np
 from ..config import DLBConfig
 from ..decomp.assignment import CellAssignment
 from ..errors import ConfigurationError
-from ..obs.profiler import scope
+from ..obs.events import scope
 from ..parallel.topology import Torus2D
 from .protocol import Move, MoveBatch
 from .strategies import Balancer, DecisionView

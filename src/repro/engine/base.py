@@ -162,7 +162,7 @@ class Engine(abc.ABC):
         self._emit_lifecycle(0, "engine.start", self._lifecycle_entries())
 
     def attach_observability(self, observability: "Observability | None") -> None:
-        """Give the engine a sink for metrics/profiler output (nullable).
+        """Give the engine a sink for metrics and event records (nullable).
 
         Attach *before* :meth:`bind` so the bind-time ``engine.start``
         lifecycle events reach the flight recorder.

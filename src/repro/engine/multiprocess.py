@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core.ddm import DecomposedForceResult
 from ..errors import ConfigurationError, EngineError
-from ..obs.profiler import Profiler, scope
+from ..obs.events import EventLog, active, recording, scope
 from .base import FORCE_RESULT_TAG, Engine, EngineContext, SliceCutter
 
 #: Default worker cap when the caller does not specify one.
@@ -66,9 +66,12 @@ def _worker_main(
 
     Runs until a ``("close",)`` message arrives; replies to every request so
     the driver never blocks on a silent failure — exceptions travel back as
-    ``("error", step, traceback_text)``.
+    ``("error", step, traceback_text)``. While the main process records
+    host scopes, each request asks the worker to record the pass's scopes too,
+    into a log of its own (never one inherited through ``fork``), which
+    travels back on close.
     """
-    profiler = Profiler()  # local, explicit: workers never touch the global
+    log = EventLog()
     positions_shm = shared_memory.SharedMemory(name=positions_name)
     forces_shm = shared_memory.SharedMemory(name=forces_name)
     owner_shm = shared_memory.SharedMemory(name=owner_name)
@@ -83,14 +86,16 @@ def _worker_main(
         while True:
             message = conn.recv()
             if message[0] == "close":
-                conn.send(("closed", profiler.state_dict()))
+                conn.send(("closed", log.scopes))
                 return
             if message[0] != "force":  # defensive: protocol error
                 conn.send(("error", -1, f"unknown request {message[0]!r}"))
                 continue
-            step = message[1]
+            step, record = message[1], message[2]
             try:
-                with profiler.timer("engine.worker.force_pass"):
+                with recording(log if record else None), scope(
+                    "engine.worker.force_pass"
+                ):
                     pieces, list_info = cutter.cut(positions, cell_owner, pe_ids)
                     for piece in pieces:
                         forces[piece.owned_ids] = piece.forces
@@ -188,8 +193,9 @@ class MultiprocessEngine(Engine):
             self._positions[...] = positions
             self._owner[...] = cell_owner
             self._forces[...] = 0.0
+            record = active() is not None
             for pipe in self._pipes:
-                pipe.send(("force", step))
+                pipe.send(("force", step, record))
             replies = [self._recv(w, pipe) for w, pipe in enumerate(self._pipes)]
             for w, reply in enumerate(replies):
                 if reply[0] == "error":
@@ -238,7 +244,7 @@ class MultiprocessEngine(Engine):
                 pipe.send(("close",))
                 reply = pipe.recv()
                 if reply[0] == "closed":
-                    self._merge_worker_profile(w, reply[1])
+                    self._merge_worker_scopes(w, reply[1])
             except (EOFError, OSError, BrokenPipeError):
                 pass  # worker already gone; nothing to merge
             finally:
@@ -262,10 +268,11 @@ class MultiprocessEngine(Engine):
                 pass
         self._segments.clear()
 
-    def _merge_worker_profile(self, w: int, state: dict) -> None:
-        """Fold a worker's profiler snapshot into the session profiler."""
-        profiler = None
-        if self._observability is not None:
-            profiler = self._observability.profiler
-        if profiler is not None and state:
-            profiler.merge_state(state, prefix=f"worker{w}.")
+    def _merge_worker_scopes(self, w: int, scopes: list) -> None:
+        """Append a worker's host scope records to the run's log, each name
+        prefixed with ``worker<w>.``."""
+        log = self._observability.events if self._observability is not None else None
+        if log is not None:
+            log.scopes.extend(
+                (f"worker{w}.{name}", start, seconds) for name, start, seconds in scopes
+            )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.ddm import DecomposedForceResult
-from ..obs.profiler import scope
+from ..obs.events import scope
 from .base import FORCE_RESULT_TAG, Engine, SliceCutter
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
-from ..obs.profiler import scope
+from ..obs.events import scope
 from .kernels import (  # noqa: F401 -- forces_from_pairs re-exported; historically defined here
     ForceResult,
     create_kernel,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..errors import GeometryError
-from ..obs.profiler import scope
+from ..obs.events import scope
 from .celllist import HALF_STENCIL, CellList, CellSort
 from .pbc import minimum_image, minimum_image_inplace
 

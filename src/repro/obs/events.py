@@ -1,10 +1,9 @@
 """The run flight recorder: a schema-versioned, append-only JSONL event log.
 
-Every consequential run event — balancer decisions with their full
-:class:`~repro.dlb.views.TimingView` inputs, cell migrations, fault
-injections, invariant-audit outcomes and run boundaries — is recorded as one
-JSON object with deterministic ``(step, seq)`` ordering. The log is split
-into two channels:
+Every consequential run event (accounted steps, balancer decisions with
+their full :class:`~repro.dlb.views.TimingView` inputs, cell migrations,
+faults, audits, run boundaries) is one JSON object with deterministic
+``(step, seq)`` ordering, in one of two channels:
 
 ``sim`` (the canonical channel)
     Events of the *simulated* machine. Every emission happens on the driver
@@ -14,20 +13,27 @@ into two channels:
     kill/resume (the buffer rides in the runner's checkpoint state).
 
 ``host``
-    Events of the *host* execution environment — engine worker lifecycle,
-    checkpoint writes/resumes. These are real and recorded, but inherently
-    backend-dependent (a sequential engine has no worker processes), so they
-    are excluded from the determinism contract and written to a separate
-    sidecar file.
+    Facts of the *host* execution environment: engine worker lifecycle and
+    checkpoint writes/resumes (written to a ``.host`` sidecar file), and one
+    ``(name, start, seconds)`` wall-clock record per :func:`scope` the host
+    ran while the log was :func:`recording`. These are real but inherently
+    backend- and machine-dependent, so they are excluded from the
+    determinism contract.
 
-Like the profiler and trace recorder, the disabled path is allocation-free:
-runners hold a nullable log and every hook is a single ``None``/``enabled``
-check (the ``parallel_step_events_off`` perf gate enforces ≤1.05× overhead).
+A ``step`` record holds the per-PE force, comm and other times, the DLB
+charge, the simulated start, and the no-balance counterfactual barrier when
+a balancer runs: the Chrome trace, the ``--profile`` table and the run
+metrics are all rendered from the log. The disabled path is allocation-free:
+every hook is one ``None``/``enabled`` check, and :func:`scope` with no
+recording log returns one shared no-op.
 """
 
 from __future__ import annotations
 
 import json
+import time
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -37,7 +43,10 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EVENT_KINDS",
     "EventLog",
+    "profile",
     "read_events",
+    "recording",
+    "scope",
     "summarize_events",
     "validate_events",
 ]
@@ -51,6 +60,7 @@ EVENT_KINDS = frozenset(
     {
         "run.start",
         "run.end",
+        "step",
         "dlb.decision",
         "cell.migrate",
         "fault.message",
@@ -81,6 +91,11 @@ def _dump(record: dict) -> str:
     )
 
 
+def _append(buffer: list[dict], step: int, kind: str, fields: dict) -> None:
+    buffer.append({"v": EVENT_SCHEMA_VERSION, "step": int(step),
+                   "seq": len(buffer), "kind": kind, **fields})
+
+
 class EventLog:
     """Append-only event buffer with two channels and monotone sequencing.
 
@@ -91,14 +106,18 @@ class EventLog:
     byte-identical to an uninterrupted run's.
     """
 
-    __slots__ = ("enabled", "_records", "_host", "_seq", "_host_seq")
+    __slots__ = ("enabled", "_records", "_host", "scopes", "epoch")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
+        # A record's ``seq`` is its index in its channel's buffer.
         self._records: list[dict] = []
         self._host: list[dict] = []
-        self._seq = 0
-        self._host_seq = 0
+        #: Host wall-clock timings: ``(scope name, perf_counter start,
+        #: seconds)``, appended by :func:`scope` while this log records.
+        self.scopes: list[tuple[str, float, float]] = []
+        #: ``perf_counter`` at creation: the origin of the host trace track.
+        self.epoch = time.perf_counter()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -120,23 +139,13 @@ class EventLog:
         happen in non-decreasing step order (they do, because every sim
         emission is a driver-side program point inside the step loop).
         """
-        if not self.enabled:
-            return
-        record = {"v": EVENT_SCHEMA_VERSION, "step": int(step), "seq": self._seq,
-                  "kind": kind}
-        record.update(fields)
-        self._records.append(record)
-        self._seq += 1
+        if self.enabled:
+            _append(self._records, step, kind, fields)
 
     def emit_host(self, step: int, kind: str, **fields: Any) -> None:
         """Append one host-channel event (no-op when disabled)."""
-        if not self.enabled:
-            return
-        record = {"v": EVENT_SCHEMA_VERSION, "step": int(step),
-                  "seq": self._host_seq, "kind": kind}
-        record.update(fields)
-        self._host.append(record)
-        self._host_seq += 1
+        if self.enabled:
+            _append(self._host, step, kind, fields)
 
     # -- serialisation -------------------------------------------------------
 
@@ -166,12 +175,88 @@ class EventLog:
         process's* execution environment and must not leak into a resumed
         run on a different host.
         """
-        return {"seq": self._seq, "records": [dict(r) for r in self._records]}
+        return {"seq": len(self._records), "records": [dict(r) for r in self._records]}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""
-        self._seq = int(state["seq"])
         self._records = [dict(r) for r in state["records"]]
+
+
+# -- host timing scopes -------------------------------------------------------
+
+
+class _Scope:
+    """Active timing scope: appends one ``(name, start, seconds)`` on exit."""
+
+    __slots__ = ("_scopes", "_name", "_start")
+
+    def __init__(self, scopes: list, name: str) -> None:
+        self._scopes = scopes
+        self._name = name
+        self._start = 0.0
+
+    def __enter__(self) -> "_Scope":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        start = self._start
+        self._scopes.append((self._name, start, time.perf_counter() - start))
+
+
+#: Shared do-nothing scope for the disabled path (allocation-free).
+_NULL_SCOPE = nullcontext()
+
+#: The log host scopes record into (None = not recording, the default).
+_ACTIVE: EventLog | None = None
+
+
+def active() -> EventLog | None:
+    """The log :func:`scope` currently records into, if any."""
+    return _ACTIVE
+
+
+@contextmanager
+def recording(log: EventLog | None) -> Iterator[EventLog | None]:
+    """Make ``log`` the target of every :func:`scope` for the block.
+
+    The previous target (usually none) comes back afterwards; ``None``
+    switches recording off for the block.
+    """
+    global _ACTIVE
+    previous = _ACTIVE
+    _ACTIVE = log
+    try:
+        yield log
+    finally:
+        _ACTIVE = previous
+
+
+def scope(name: str) -> _Scope | nullcontext:
+    """Time one ``with`` block into the recording log; a no-op when none."""
+    log = _ACTIVE
+    if log is None:
+        return _NULL_SCOPE
+    return _Scope(log.scopes, name)
+
+
+def profile(logs: Sequence[EventLog]) -> dict[str, dict[str, float]]:
+    """Per-scope call count, total, mean and max seconds over ``logs``,
+    sorted by total time descending."""
+    stats: dict[str, list[float]] = {}
+    for log in logs:
+        for name, _, seconds in log.scopes:
+            stat = stats.setdefault(name, [0, 0.0, 0.0])
+            stat[0] += 1
+            stat[1] += seconds
+            stat[2] = max(stat[2], seconds)
+    return {
+        name: {"count": count, "total_s": total, "mean_s": total / count,
+               "max_s": peak}
+        for name, (count, total, peak) in sorted(
+            stats.items(), key=lambda item: -item[1][1]
+        )
+    }
 
 
 # -- reading and validation --------------------------------------------------

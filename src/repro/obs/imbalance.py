@@ -1,197 +1,67 @@
-"""Per-step load-imbalance analytics: ratio, efficiency, stragglers, benefit.
+"""Per-run load-imbalance analytics, folded from the ``step`` records.
 
-The :class:`ImbalanceTracker` is fed every accounted step with the per-PE
-total times (and, on DLB runs, the counterfactual no-balance step time the
-accountant derives from the same configuration) and accumulates:
-
-* the max/mean PE-time ratio and its running mean;
-* the paper's parallel-efficiency estimate (mean/max — what fraction of the
-  barrier time the average PE was busy);
-* straggler attribution (how often each PE set the barrier);
-* the cumulative DLB benefit: Σ(counterfactual Tt − actual Tt), i.e. the
-  simulated seconds the balancer saved versus leaving every cell at home.
-
-All quantities derive from the simulated clock, so they are deterministic
-across execution backends and checkpointable (the tracker snapshots with the
-runner). :func:`collect_imbalance` exports the summary through the metrics
-registry; :func:`repro.reporting.flight.flight_report` renders it.
+:func:`imbalance_summary` reports the max/mean PE-time ratio, the paper's
+parallel-efficiency estimate (mean/max: what fraction of the barrier time
+the average PE was busy), straggler attribution (how often each PE set the
+barrier) and the cumulative DLB benefit Σ(counterfactual Tt − actual Tt):
+the simulated seconds the balancer saved versus leaving every cell at home.
+All of it derives from the simulated clock, so it is deterministic across
+execution backends and survives kill/resume with the records.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from ..errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .metrics import MetricsRegistry
-
-__all__ = ["ImbalanceTracker", "collect_imbalance"]
+__all__ = ["imbalance_summary"]
 
 
-class ImbalanceTracker:
-    """Accumulates per-step load-imbalance statistics for one run."""
-
-    __slots__ = (
-        "n_pes",
-        "steps",
-        "sum_ratio",
-        "sum_efficiency",
-        "actual_seconds",
-        "counterfactual_seconds",
-        "benefit_seconds",
-        "counterfactual_steps",
-        "straggler_counts",
-        "worst_ratio",
-        "worst_step",
-    )
-
-    def __init__(self, n_pes: int) -> None:
-        if n_pes <= 0:
-            raise ConfigurationError(f"n_pes must be positive, got {n_pes}")
-        self.n_pes = int(n_pes)
-        self.steps = 0
-        self.sum_ratio = 0.0
-        self.sum_efficiency = 0.0
-        self.actual_seconds = 0.0
-        self.counterfactual_seconds = 0.0
-        self.benefit_seconds = 0.0
-        self.counterfactual_steps = 0
-        self.straggler_counts = np.zeros(self.n_pes, dtype=np.int64)
-        self.worst_ratio = 0.0
-        self.worst_step = -1
-
-    def observe(
-        self,
-        step: int,
-        totals: np.ndarray,
-        tt: float,
-        counterfactual_tt: float | None = None,
-    ) -> None:
-        """Fold one accounted step in.
-
-        ``totals`` is the per-PE total time array the accountant returned,
-        ``tt`` the step's barrier time, ``counterfactual_tt`` the same step's
-        barrier time with every cell at its home PE (None on plain-DDM runs,
-        where actual and counterfactual coincide by construction).
-        """
-        totals = np.asarray(totals, dtype=np.float64)
-        mean = float(totals.mean())
-        peak = float(totals.max())
-        ratio = peak / mean if mean > 0 else 1.0
-        self.steps += 1
-        self.sum_ratio += ratio
-        self.sum_efficiency += (mean / peak) if peak > 0 else 1.0
-        self.actual_seconds += float(tt)
-        self.straggler_counts[int(np.argmax(totals))] += 1
-        if ratio > self.worst_ratio:
-            self.worst_ratio = ratio
-            self.worst_step = int(step)
-        if counterfactual_tt is not None:
-            self.counterfactual_steps += 1
-            self.counterfactual_seconds += float(counterfactual_tt)
-            self.benefit_seconds += float(counterfactual_tt) - float(tt)
-
-    @property
-    def mean_ratio(self) -> float:
-        """Mean max/mean PE-time ratio over the observed steps."""
-        return self.sum_ratio / self.steps if self.steps else 1.0
-
-    @property
-    def mean_efficiency(self) -> float:
-        """Mean parallel-efficiency estimate (mean/max) over the steps."""
-        return self.sum_efficiency / self.steps if self.steps else 1.0
-
-    @property
-    def top_straggler(self) -> int | None:
-        """The PE that set the barrier most often (None before any step)."""
-        if self.steps == 0:
-            return None
-        return int(np.argmax(self.straggler_counts))
-
-    def summary(self) -> dict:
-        """JSON-friendly summary for run metadata, events and reports."""
-        return {
-            "steps": self.steps,
-            "mean_ratio": self.mean_ratio,
-            "mean_efficiency": self.mean_efficiency,
-            "worst_ratio": self.worst_ratio,
-            "worst_step": self.worst_step,
-            "actual_seconds": self.actual_seconds,
-            "counterfactual_seconds": (
-                self.counterfactual_seconds if self.counterfactual_steps else None
-            ),
-            "dlb_benefit_seconds": (
-                self.benefit_seconds if self.counterfactual_steps else None
-            ),
-            "top_straggler": self.top_straggler,
-            "straggler_counts": self.straggler_counts.tolist(),
-        }
-
-    # -- checkpointing -------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Snapshot of every accumulator (resume keeps analytics exact)."""
-        return {
-            "steps": self.steps,
-            "sum_ratio": self.sum_ratio,
-            "sum_efficiency": self.sum_efficiency,
-            "actual_seconds": self.actual_seconds,
-            "counterfactual_seconds": self.counterfactual_seconds,
-            "benefit_seconds": self.benefit_seconds,
-            "counterfactual_steps": self.counterfactual_steps,
-            "straggler_counts": self.straggler_counts.copy(),
-            "worst_ratio": self.worst_ratio,
-            "worst_step": self.worst_step,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        self.steps = int(state["steps"])
-        self.sum_ratio = float(state["sum_ratio"])
-        self.sum_efficiency = float(state["sum_efficiency"])
-        self.actual_seconds = float(state["actual_seconds"])
-        self.counterfactual_seconds = float(state["counterfactual_seconds"])
-        self.benefit_seconds = float(state["benefit_seconds"])
-        self.counterfactual_steps = int(state["counterfactual_steps"])
-        self.straggler_counts[...] = state["straggler_counts"]
-        self.worst_ratio = float(state["worst_ratio"])
-        self.worst_step = int(state["worst_step"])
+def _running_total(values: np.ndarray) -> float:
+    """Left-to-right float sum, the order a per-step accumulator adds in."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def collect_imbalance(
-    registry: "MetricsRegistry", tracker: ImbalanceTracker, **labels: str
-) -> None:
-    """Export a tracker's summary through the metrics registry.
+def imbalance_summary(records: list[dict], n_pes: int) -> dict:
+    """JSON-friendly imbalance summary of a run's ``step`` records.
 
-    Gauges are overwritten (idempotent by nature); the straggler counter is
-    advanced to the tracker's totals via the registry's delta pattern so
-    re-collection never double-counts.
+    ``records`` may hold any kinds; only ``step`` records are read, in
+    order. Without a ``counterfactual`` field (plain DDM, where actual and
+    counterfactual coincide by construction) the benefit fields are None.
+    A step's per-PE totals are summed as the accountant sums them (force +
+    comm + other + DLB charge), so their max is the step's Tt; the running
+    sums add step by step.
     """
-    from .metrics import _set_total
-
-    if tracker.steps == 0:
-        return
-    registry.gauge(
-        "repro_imbalance_ratio_mean", "mean max/mean PE step-time ratio"
-    ).set(tracker.mean_ratio, **labels)
-    registry.gauge(
-        "repro_imbalance_efficiency_mean",
-        "mean parallel-efficiency estimate (mean/max PE time)",
-    ).set(tracker.mean_efficiency, **labels)
-    registry.gauge(
-        "repro_imbalance_ratio_worst", "largest observed max/mean PE-time ratio"
-    ).set(tracker.worst_ratio, **labels)
-    straggler = registry.counter(
-        "repro_straggler_steps_total", "steps on which a PE set the barrier"
+    steps = [record for record in records if record["kind"] == "step"]
+    summary = {
+        "steps": len(steps), "mean_ratio": 1.0, "mean_efficiency": 1.0,
+        "worst_ratio": 0.0, "worst_step": -1, "actual_seconds": 0.0,
+        "counterfactual_seconds": None, "dlb_benefit_seconds": None,
+        "top_straggler": None, "straggler_counts": [0] * n_pes,
+    }
+    if not steps:
+        return summary
+    totals = (
+        np.array([r["force"] for r in steps]) + np.array([r["comm"] for r in steps])
+        + np.array([r["other"] for r in steps])
+        + np.array([r["dlb"] for r in steps])[:, None]
     )
-    for pe, count in enumerate(tracker.straggler_counts.tolist()):
-        if count:
-            _set_total(straggler, float(count), pe=str(pe), **labels)
-    if tracker.counterfactual_steps:
-        registry.gauge(
-            "repro_dlb_benefit_seconds",
-            "simulated seconds saved vs the no-balance counterfactual",
-        ).set(tracker.benefit_seconds, **labels)
+    mean, peak = totals.mean(axis=1), totals.max(axis=1)
+    ratio = np.divide(peak, mean, out=np.ones_like(peak), where=mean > 0)
+    efficiency = np.divide(mean, peak, out=np.ones_like(peak), where=peak > 0)
+    worst = int(np.argmax(ratio))
+    stragglers = np.bincount(np.argmax(totals, axis=1), minlength=n_pes)
+    summary.update(
+        mean_ratio=_running_total(ratio) / len(steps),
+        mean_efficiency=_running_total(efficiency) / len(steps),
+        worst_ratio=float(ratio[worst]),
+        worst_step=int(steps[worst]["step"]),
+        actual_seconds=_running_total(peak),
+        top_straggler=int(np.argmax(stragglers)),
+        straggler_counts=stragglers.tolist(),
+    )
+    balanced = [i for i, r in enumerate(steps) if "counterfactual" in r]
+    if balanced:
+        counterfactual = np.array([steps[i]["counterfactual"] for i in balanced])
+        summary["counterfactual_seconds"] = _running_total(counterfactual)
+        summary["dlb_benefit_seconds"] = _running_total(counterfactual - peak[balanced])
+    return summary

@@ -1,11 +1,11 @@
-"""Counter/Gauge/Histogram registry with Prometheus-text and JSON-lines export.
+"""Counter/Gauge/Histogram registry with Prometheus-text export.
 
 One :class:`MetricsRegistry` collects everything a run produces -- the
 pair-search counters (:class:`repro.md.neighbors.NeighborStats`), the traffic
-log's per-tag bytes/messages, the balancer's activity, and the per-step
-timing series -- and serialises it as either Prometheus text exposition
-format (``.prom``) or JSON lines (``.jsonl``), so the same numbers feed
-dashboards and ad-hoc analysis alike.
+log's per-tag bytes/messages, the balancer's activity, the per-step timing
+series, and what the run's event log records (steps, migrations, imbalance,
+host kernel time) -- and serialises it in the Prometheus text exposition
+format.
 
 Metrics are labelled: ``counter.inc(3, mode="dlb")`` keeps one value per
 label set, which is how a single registry holds the DDM and DLB-DDM sides of
@@ -14,7 +14,6 @@ a comparison run.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from pathlib import Path
@@ -27,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from ..md.neighbors import NeighborStats
     from ..parallel.instrumentation import TimingLog
     from ..parallel.message import TrafficLog
+    from .events import EventLog
 
 __all__ = [
     "Counter",
@@ -35,6 +35,7 @@ __all__ = [
     "MetricsRegistry",
     "TIME_BUCKETS",
     "collect_balancer",
+    "collect_events",
     "collect_neighbor_stats",
     "collect_service",
     "collect_timing",
@@ -96,19 +97,25 @@ class _Metric:
         """``(sample_name, label_string, value)`` triples for the exporter."""
         raise NotImplementedError
 
-    def to_records(self) -> list[dict]:
-        """JSON-serialisable records (one per label set) for JSONL export."""
-        raise NotImplementedError
 
-
-class Counter(_Metric):
-    """A monotonically increasing count, one value per label set."""
-
-    kind = "counter"
+class _Valued(_Metric):
+    """A metric holding one float per label set."""
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self._values: dict[LabelKey, float] = {}
+
+    def samples(self) -> list[tuple[str, str, float]]:
+        return [
+            (self.name, _format_labels(key), value)
+            for key, value in sorted(self._values.items())
+        ]
+
+
+class Counter(_Valued):
+    """A monotonically increasing count, one value per label set."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` (must be non-negative) to the labelled value."""
@@ -123,27 +130,11 @@ class Counter(_Metric):
         """Current value of one label set (0 if never incremented)."""
         return self._values.get(_label_key(labels), 0.0)
 
-    def samples(self) -> list[tuple[str, str, float]]:
-        return [
-            (self.name, _format_labels(key), value)
-            for key, value in sorted(self._values.items())
-        ]
 
-    def to_records(self) -> list[dict]:
-        return [
-            {"name": self.name, "type": self.kind, "labels": dict(key), "value": value}
-            for key, value in sorted(self._values.items())
-        ]
-
-
-class Gauge(_Metric):
+class Gauge(_Valued):
     """A point-in-time value, one per label set."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         """Record the labelled value (overwrites)."""
@@ -152,27 +143,6 @@ class Gauge(_Metric):
     def value(self, **labels: str) -> float:
         """Current value of one label set (NaN if never set)."""
         return self._values.get(_label_key(labels), math.nan)
-
-    def samples(self) -> list[tuple[str, str, float]]:
-        return [
-            (self.name, _format_labels(key), value)
-            for key, value in sorted(self._values.items())
-        ]
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"name": self.name, "type": self.kind, "labels": dict(key), "value": value}
-            for key, value in sorted(self._values.items())
-        ]
-
-
-class _HistogramState:
-    __slots__ = ("bucket_counts", "total", "count")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.bucket_counts = [0] * n_buckets
-        self.total = 0.0
-        self.count = 0
 
 
 class Histogram(_Metric):
@@ -196,64 +166,47 @@ class Histogram(_Metric):
                 f"histogram {name} buckets must be strictly ascending: {bounds}"
             )
         self.buckets = bounds
-        self._states: dict[LabelKey, _HistogramState] = {}
+        #: Per label set: the observations of each finite bucket, then the
+        #: sum and the count of all observations.
+        self._states: dict[LabelKey, list] = {}
 
     def observe(self, value: float, **labels: str) -> None:
         """File one observation into the labelled histogram."""
         key = _label_key(labels)
         state = self._states.get(key)
         if state is None:
-            state = self._states[key] = _HistogramState(len(self.buckets))
+            state = self._states[key] = [[0] * len(self.buckets), 0.0, 0]
         for index, bound in enumerate(self.buckets):
             if value <= bound:
-                state.bucket_counts[index] += 1
+                state[0][index] += 1
                 break
-        state.total += float(value)
-        state.count += 1
+        state[1] += float(value)
+        state[2] += 1
 
     def count(self, **labels: str) -> int:
         """Number of observations of one label set."""
-        state = self._states.get(_label_key(labels))
-        return state.count if state is not None else 0
+        return self._states.get(_label_key(labels), (None, 0.0, 0))[2]
 
     def sum(self, **labels: str) -> float:
         """Sum of observations of one label set."""
-        state = self._states.get(_label_key(labels))
-        return state.total if state is not None else 0.0
+        return self._states.get(_label_key(labels), (None, 0.0, 0))[1]
 
     def samples(self) -> list[tuple[str, str, float]]:
         out: list[tuple[str, str, float]] = []
-        for key, state in sorted(self._states.items()):
+        for key, (in_buckets, total, count) in sorted(self._states.items()):
             cumulative = 0
-            for bound, in_bucket in zip(self.buckets, state.bucket_counts):
+            for bound, in_bucket in zip(self.buckets, in_buckets):
                 cumulative += in_bucket
                 out.append(
                     (f"{self.name}_bucket", _format_labels(key, f'le="{bound:g}"'),
                      float(cumulative))
                 )
             out.append(
-                (f"{self.name}_bucket", _format_labels(key, 'le="+Inf"'),
-                 float(state.count))
+                (f"{self.name}_bucket", _format_labels(key, 'le="+Inf"'), float(count))
             )
-            out.append((f"{self.name}_sum", _format_labels(key), state.total))
-            out.append((f"{self.name}_count", _format_labels(key), float(state.count)))
+            out.append((f"{self.name}_sum", _format_labels(key), total))
+            out.append((f"{self.name}_count", _format_labels(key), float(count)))
         return out
-
-    def to_records(self) -> list[dict]:
-        return [
-            {
-                "name": self.name,
-                "type": self.kind,
-                "labels": dict(key),
-                "buckets": {
-                    f"{bound:g}": count
-                    for bound, count in zip(self.buckets, state.bucket_counts)
-                },
-                "sum": state.total,
-                "count": state.count,
-            }
-            for key, state in sorted(self._states.items())
-        ]
 
 
 class MetricsRegistry:
@@ -290,15 +243,8 @@ class MetricsRegistry:
             Histogram, name, help, buckets=buckets
         )
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def metrics(self) -> list[_Metric]:
-        """All registered metrics in registration order."""
-        return list(self._metrics.values())
 
     # -- exporters ---------------------------------------------------------
 
@@ -313,31 +259,10 @@ class MetricsRegistry:
                 lines.append(f"{sample_name}{label_str} {value:g}")
         return "\n".join(lines) + "\n"
 
-    def to_jsonl(self) -> str:
-        """One JSON record per metric/label-set, newline-delimited."""
-        lines = [
-            json.dumps(record, sort_keys=True)
-            for metric in self._metrics.values()
-            for record in metric.to_records()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write(self, path: str | Path, format: str | None = None) -> Path:
-        """Write the registry to ``path``.
-
-        ``format`` is ``"prom"`` or ``"jsonl"``; when ``None`` it is inferred
-        from the suffix (``.jsonl``/``.json`` -> JSONL, anything else ->
-        Prometheus text).
-        """
+    def write(self, path: str | Path) -> Path:
+        """Write the registry to ``path`` as Prometheus text."""
         path = Path(path)
-        if format is None:
-            format = "jsonl" if path.suffix in (".jsonl", ".json") else "prom"
-        if format == "prom":
-            path.write_text(self.to_prometheus_text())
-        elif format == "jsonl":
-            path.write_text(self.to_jsonl())
-        else:
-            raise ConfigurationError(f"unknown metrics format {format!r}")
+        path.write_text(self.to_prometheus_text())
         return path
 
 
@@ -499,3 +424,63 @@ def collect_service(registry: MetricsRegistry, snapshot: dict, **labels: str) ->
         "repro_service_fleet_instances",
         "service instances with a live heartbeat on this run store",
     ).set(float(snapshot.get("instances", 0)), **labels)
+
+
+#: (gauge, help, imbalance-summary key) filed by :func:`collect_events`.
+_IMBALANCE_GAUGES = (
+    ("repro_imbalance_ratio_mean", "mean max/mean PE step-time ratio",
+     "mean_ratio"),
+    ("repro_imbalance_efficiency_mean",
+     "mean parallel-efficiency estimate (mean/max PE time)", "mean_efficiency"),
+    ("repro_imbalance_ratio_worst", "largest observed max/mean PE-time ratio",
+     "worst_ratio"),
+)
+
+
+def collect_events(registry: MetricsRegistry, log: "EventLog") -> None:
+    """File one run's event log, labelled with its mode: step and
+    migration counts, the imbalance gauges and straggler counter, and every
+    host scope in ``repro_host_kernel_seconds``. Idempotent, so the registry
+    can be refilled at every flush and at the final write."""
+    from .imbalance import imbalance_summary
+
+    records = log.records
+    start = next((r for r in records if r["kind"] == "run.start"), None)
+    if start is None:
+        return
+    mode = start["mode"]
+    steps = sum(1 for r in records if r["kind"] == "step")
+    moves = sum(1 for r in records if r["kind"] == "cell.migrate")
+    if moves:
+        migrations = registry.counter(
+            "repro_cell_migrations_total", "cells moved by the balancer"
+        )
+        _set_total(migrations, moves, mode=mode)
+    if steps:
+        total = registry.counter("repro_steps_total", "simulated steps executed")
+        _set_total(total, steps, mode=mode)
+        summary = imbalance_summary(records, start["n_pes"])
+        for name, help, key in _IMBALANCE_GAUGES:
+            registry.gauge(name, help).set(summary[key], mode=mode)
+        straggler = registry.counter(
+            "repro_straggler_steps_total", "steps on which a PE set the barrier"
+        )
+        for pe, count in enumerate(summary["straggler_counts"]):
+            if count:
+                _set_total(straggler, float(count), pe=str(pe), mode=mode)
+        if summary["dlb_benefit_seconds"] is not None:
+            registry.gauge(
+                "repro_dlb_benefit_seconds",
+                "simulated seconds saved vs the no-balance counterfactual",
+            ).set(summary["dlb_benefit_seconds"], mode=mode)
+    if log.scopes:
+        histogram = registry.histogram(
+            "repro_host_kernel_seconds", "host wall-clock time per kernel scope"
+        )
+        by_name: dict[str, list[float]] = {}
+        for name, _, seconds in log.scopes:
+            by_name.setdefault(name, []).append(seconds)
+        # Scope records only ever append: observe the ones not filed yet.
+        for name, values in by_name.items():
+            for value in values[histogram.count(kernel=name, mode=mode):]:
+                histogram.observe(value, kernel=name, mode=mode)

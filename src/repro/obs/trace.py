@@ -1,222 +1,137 @@
-"""Chrome trace-event recording for the virtual machine and the host.
+"""Chrome trace rendering of one or more runs' event logs.
 
-:class:`TraceRecorder` accumulates events in the `Trace Event Format
+:func:`render_trace` turns :class:`~repro.obs.events.EventLog` records into
+the `Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
-(the JSON that ``chrome://tracing`` and Perfetto load). Two kinds of tracks
-coexist in one file:
-
-* **Simulated-clock tracks** -- one thread per virtual PE under a
-  per-run process id. The runners emit one ``force`` / ``halo-comm`` /
-  ``dlb`` / ``integrate`` span per PE per step on the virtual machine's
-  clock, plus an instant event for every cell migration (with the cell id
-  and the src/dst PEs), so the balancer's behaviour is visible *when it
-  happens*, not just in aggregate.
-* **A host wall-clock track** (:data:`TraceRecorder.HOST_PID`) -- fed by
-  :class:`repro.obs.profiler.Profiler` scopes around the real kernels
-  (pair search, decomposed force pass, ...), so host-side performance can
-  be read next to the simulated timeline.
-
-Timestamps are in microseconds, as the format requires; simulated seconds
-are scaled by :data:`SECONDS_TO_US`.
+(the JSON that ``chrome://tracing`` and Perfetto load). Run ``i`` of the list
+gets process id ``i`` with one simulated-clock track per virtual PE: each
+``step`` record becomes a ``dlb`` / ``force`` / ``halo-comm`` / ``integrate``
+span per PE, and each ``cell.migrate`` record an instant on its source and
+its destination PE at the start of the step it is charged to. Every host
+:func:`~repro.obs.events.scope` record becomes a span on the wall-clock
+track :data:`HOST_PID`. Timestamps are in microseconds.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..errors import AnalysisError, ConfigurationError
+from ..errors import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from .events import EventLog
 
 __all__ = [
+    "HOST_PID",
     "REQUIRED_EVENT_KEYS",
     "SECONDS_TO_US",
-    "TraceRecorder",
+    "render_trace",
     "validate_trace",
+    "write_trace",
 ]
 
 #: Scale from (simulated or host) seconds to trace-event microseconds.
 SECONDS_TO_US = 1e6
 
+#: Process id of the host wall-clock track.
+HOST_PID = 1000
+
 #: Keys every emitted trace event must carry (schema contract, also checked
 #: by :func:`validate_trace` and the CI smoke run).
 REQUIRED_EVENT_KEYS = ("name", "ph", "ts", "pid", "tid")
 
+#: Span names of the per-PE phase timeline, in within-step order.
+_PHASE_SPANS = ("dlb", "force", "halo-comm", "integrate")
 
-class TraceRecorder:
-    """Accumulates Chrome trace events for one or more simulated runs.
 
-    Parameters
-    ----------
-    time_scale:
-        Multiplier from recorded seconds to trace timestamps (microseconds
-        by default; only tests should need to change it).
-    """
+def _metadata(name: str, pid: int, tid: int, args: dict) -> dict[str, Any]:
+    return {"name": name, "ph": "M", "ts": 0, "pid": pid, "tid": tid, "args": args}
 
-    #: Process id of the host wall-clock profiling track.
-    HOST_PID = 1000
 
-    def __init__(self, time_scale: float = SECONDS_TO_US) -> None:
-        if time_scale <= 0:
-            raise ConfigurationError(f"time_scale must be positive, got {time_scale}")
-        self.time_scale = float(time_scale)
-        self._events: list[dict[str, Any]] = []
-        self._known_tracks: set[tuple[int, int]] = set()
-        self._known_processes: set[int] = set()
-        self._claimed_pids: set[int] = set()
+def _run_events(pid: int, records: list[dict]) -> list[dict[str, Any]]:
+    """The simulated-clock events of one run's sim records."""
+    start = next((r for r in records if r["kind"] == "run.start"), None)
+    label = start["dlb"]["balancer"] if start is not None else f"run {pid}"
+    events = [
+        _metadata("process_name", pid, 0, {"name": f"{label} (simulated clock)"}),
+        _metadata("process_sort_index", pid, 0, {"sort_index": pid}),
+    ]
+    if start is not None:
+        events += [
+            _metadata("thread_name", pid, pe, {"name": f"PE {pe}"})
+            for pe in range(start["n_pes"])
+        ]
+    # A round's migrations are charged to the next accounted step, and are
+    # drawn at that step's start.
+    pending: list[dict] = []
+    for record in records:
+        kind = record["kind"]
+        if kind == "cell.migrate":
+            pending.append(record)
+            continue
+        if kind != "step":
+            continue
+        base = record["start"]
+        for move in pending:
+            cell, src, dst = move["cell"], move["src"], move["dst"]
+            args = {"cell": cell, "src": src, "dst": dst}
+            for name, pe in ((f"migrate cell {cell} → PE {dst}", src),
+                             (f"receive cell {cell} ← PE {src}", dst)):
+                events.append({
+                    "name": name, "cat": "dlb", "ph": "i", "s": "t",
+                    "ts": base * SECONDS_TO_US, "pid": pid, "tid": pe, "args": args,
+                })
+        pending = []
+        step_args = {"step": record["step"]}
+        phases = zip(record["force"], record["comm"], record["other"])
+        for pe, (force, comm, other) in enumerate(phases):
+            cursor = base
+            for name, duration in zip(_PHASE_SPANS, (record["dlb"], force, comm, other)):
+                if duration > 0.0:
+                    events.append({
+                        "name": name, "cat": "phase", "ph": "X",
+                        "ts": cursor * SECONDS_TO_US, "dur": duration * SECONDS_TO_US,
+                        "pid": pid, "tid": pe, "args": step_args,
+                    })
+                cursor += duration
+    return events
 
-    # -- track metadata ----------------------------------------------------
 
-    def claim_pid(self, pid: int) -> None:
-        """Reserve a simulated-machine process id for one runner.
+def render_trace(logs: Sequence["EventLog"]) -> dict[str, Any]:
+    """The trace payload of ``logs``: run ``i`` gets process id ``i``, and
+    every log's host scopes share the :data:`HOST_PID` track."""
+    events: list[dict[str, Any]] = []
+    for pid, log in enumerate(logs):
+        events += _run_events(pid, log.records)
+    scopes = [record for log in logs for record in log.scopes]
+    if scopes:
+        epoch = min(log.epoch for log in logs)
+        events += [
+            _metadata("process_name", HOST_PID, 0, {"name": "host (wall clock)"}),
+            _metadata("process_sort_index", HOST_PID, 0, {"sort_index": HOST_PID}),
+            _metadata("thread_name", HOST_PID, 0, {"name": "profiler"}),
+        ]
+        events += [
+            {"name": name, "cat": "host", "ph": "X",
+             "ts": (start - epoch) * SECONDS_TO_US, "dur": seconds * SECONDS_TO_US,
+             "pid": HOST_PID, "tid": 0}
+            for name, start, seconds in scopes
+        ]
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"producer": "repro.obs.trace"},
+    }
 
-        Two runners sharing a recorder must claim distinct pids — otherwise
-        their per-PE spans interleave on the same tracks and the timeline
-        silently lies. Claiming an already-claimed (or invalid) pid raises
-        :class:`~repro.errors.ConfigurationError` instead of corrupting the
-        trace.
-        """
-        pid = int(pid)
-        if pid < 0:
-            raise ConfigurationError(f"trace_pid must be non-negative, got {pid}")
-        if pid == self.HOST_PID:
-            raise ConfigurationError(
-                f"trace_pid {pid} is reserved for the host wall-clock track"
-            )
-        if pid in self._claimed_pids:
-            raise ConfigurationError(
-                f"trace_pid {pid} is already claimed by another runner on this "
-                "recorder; give each runner sharing a recorder a distinct "
-                "trace_pid"
-            )
-        self._claimed_pids.add(pid)
 
-    def add_process(self, pid: int, name: str, sort_index: int | None = None) -> None:
-        """Name a process (one per run/mode; shows as a group in the viewer)."""
-        self._known_processes.add(pid)
-        self._events.append(
-            {"name": "process_name", "ph": "M", "ts": 0, "pid": pid, "tid": 0,
-             "args": {"name": name}}
-        )
-        if sort_index is not None:
-            self._events.append(
-                {"name": "process_sort_index", "ph": "M", "ts": 0, "pid": pid,
-                 "tid": 0, "args": {"sort_index": sort_index}}
-            )
-
-    def add_thread(self, pid: int, tid: int, name: str) -> None:
-        """Name one track (thread) inside a process."""
-        self._known_tracks.add((pid, tid))
-        self._events.append(
-            {"name": "thread_name", "ph": "M", "ts": 0, "pid": pid, "tid": tid,
-             "args": {"name": name}}
-        )
-
-    def _ensure_track(self, pid: int, tid: int) -> None:
-        if pid not in self._known_processes:
-            if pid == self.HOST_PID:
-                self.add_process(pid, "host (wall clock)", sort_index=pid)
-            else:
-                self.add_process(pid, f"simulated machine {pid}", sort_index=pid)
-        if (pid, tid) not in self._known_tracks:
-            name = "profiler" if pid == self.HOST_PID else f"PE {tid}"
-            self.add_thread(pid, tid, name)
-
-    # -- event emission ----------------------------------------------------
-
-    def span(
-        self,
-        name: str,
-        start_s: float,
-        duration_s: float,
-        pe: int = 0,
-        pid: int = 0,
-        category: str = "sim",
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        """One complete ('X') span on a PE track of the simulated clock."""
-        if duration_s < 0:
-            raise ConfigurationError(f"duration must be non-negative, got {duration_s}")
-        self._ensure_track(pid, pe)
-        event: dict[str, Any] = {
-            "name": name,
-            "cat": category,
-            "ph": "X",
-            "ts": start_s * self.time_scale,
-            "dur": duration_s * self.time_scale,
-            "pid": pid,
-            "tid": pe,
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
-
-    def instant(
-        self,
-        name: str,
-        ts_s: float,
-        pe: int = 0,
-        pid: int = 0,
-        category: str = "event",
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        """One instant ('i') event on a PE track (thread scope)."""
-        self._ensure_track(pid, pe)
-        event: dict[str, Any] = {
-            "name": name,
-            "cat": category,
-            "ph": "i",
-            "s": "t",
-            "ts": ts_s * self.time_scale,
-            "pid": pid,
-            "tid": pe,
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
-
-    def migration(self, ts_s: float, cell: int, src: int, dst: int, pid: int = 0) -> None:
-        """Record one cell migration as instants on both endpoint tracks."""
-        args = {"cell": int(cell), "src": int(src), "dst": int(dst)}
-        self.instant(f"migrate cell {cell} → PE {dst}", ts_s, pe=src, pid=pid,
-                     category="dlb", args=args)
-        self.instant(f"receive cell {cell} ← PE {src}", ts_s, pe=dst, pid=pid,
-                     category="dlb", args=args)
-
-    def host_span(
-        self,
-        name: str,
-        start_s: float,
-        duration_s: float,
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        """A wall-clock span on the host profiling track."""
-        self.span(name, start_s, duration_s, pe=0, pid=self.HOST_PID,
-                  category="host", args=args)
-
-    # -- export ------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def events(self) -> list[dict[str, Any]]:
-        """The accumulated events (live list; treat as read-only)."""
-        return self._events
-
-    def to_dict(self) -> dict[str, Any]:
-        """The JSON-object form of the trace (``traceEvents`` container)."""
-        return {
-            "traceEvents": self._events,
-            "displayTimeUnit": "ms",
-            "otherData": {"producer": "repro.obs.trace"},
-        }
-
-    def write(self, path: str | Path) -> Path:
-        """Serialise the trace to ``path``; returns the path written."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict()) + "\n")
-        return path
+def write_trace(path: str | Path, logs: Sequence["EventLog"]) -> int:
+    """Render ``logs`` to ``path``; returns the number of trace events."""
+    payload = render_trace(logs)
+    Path(path).write_text(json.dumps(payload) + "\n")
+    return len(payload["traceEvents"])
 
 
 def validate_trace(payload: dict[str, Any]) -> None:

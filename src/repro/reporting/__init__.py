@@ -1,6 +1,6 @@
 """Reporting helpers: ASCII tables, CSV series, experiment summaries."""
 
-from .flight import flight_report
+from .flight import flight_report, profile_table
 from .phases import phase_breakdown, phase_shares
 from .report import balancer_comparison_report, comparison_report, series_preview
 from .series import write_csv
@@ -13,6 +13,7 @@ __all__ = [
     "format_table",
     "phase_breakdown",
     "phase_shares",
+    "profile_table",
     "series_preview",
     "write_csv",
 ]

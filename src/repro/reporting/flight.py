@@ -6,14 +6,15 @@ tallies — plus the imbalance analytics the ``run.end`` record embeds
 (max/mean ratio, the paper's parallel-efficiency estimate, straggler
 attribution, and the cumulative DLB benefit versus the no-balance
 counterfactual). This is the block behind ``repro events summary`` and the
-flight section of ``repro run --events``.
+flight section of ``repro run --events``. :func:`profile_table` renders the
+logs' host scope records: the ``repro run --profile`` table.
 """
 
 from __future__ import annotations
 
 from .tables import format_table
 
-__all__ = ["flight_report"]
+__all__ = ["flight_report", "profile_table"]
 
 
 def _fmt_seconds(value: float | None) -> str:
@@ -77,3 +78,16 @@ def flight_report(records: list[dict], title: str | None = None) -> str:
                 f"{_fmt_seconds(imbalance['actual_seconds'])})"
             )
     return "\n".join(lines)
+
+
+def profile_table(logs, title: str = "host kernel profile (wall clock)") -> str:
+    """One row per host scope over ``logs``, by total time descending."""
+    from ..obs.events import profile
+
+    rows = [
+        (name, stat["count"], stat["total_s"], stat["mean_s"], stat["max_s"])
+        for name, stat in profile(logs).items()
+    ]
+    return format_table(
+        ["scope", "calls", "total [s]", "mean [s]", "max [s]"], rows, title=title
+    )

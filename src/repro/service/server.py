@@ -45,12 +45,13 @@ from typing import Any
 
 import sqlite3
 
+from ..campaign.artifacts import checkpoint_root, events_path, remove_run_artifacts
 from ..campaign.executor import _pool_worker
 from ..campaign.pool import DEFAULT_LEASE_TTL, Runner, WorkerPool
 from ..campaign.queue import QueuedRun, RunQueue, RunRegistry
 from ..campaign.store import RunStore
 from ..errors import ConfigurationError, SchemaError, ServiceError
-from ..obs import Observability, collect_service, scope
+from ..obs import MetricsRegistry, collect_service
 from .schemas import error_body, response_body, validate_submission
 
 __all__ = ["ServiceConfig", "SimulationService", "serve"]
@@ -128,14 +129,12 @@ class SimulationService:
         self.queue = RunQueue(self.config.queue_size)
         self.registry = RunRegistry()
         self.pool: WorkerPool | None = None
-        self.obs = Observability.create(trace=False, metrics=True, profiler=True)
-        self.metrics = self.obs.metrics
+        self.metrics = MetricsRegistry()
         self.port: int | None = None
         self.draining = False
         self._server: asyncio.Server | None = None
         self._stopped = asyncio.Event()
         self._streams = 0
-        self._obs_cm = None
         self._gc_task: asyncio.Task | None = None
         # Pre-create the counters so /metrics exposes zeros from request one.
         self.metrics.counter(
@@ -191,11 +190,9 @@ class SimulationService:
         )
         if self.config.events_dir is not None:
             Path(self.config.events_dir).mkdir(parents=True, exist_ok=True)
-        self._obs_cm = self.obs.activate()
-        self._obs_cm.__enter__()
         checkpoint_dir = None
         if self.config.store_dir is not None and self.config.checkpoint_every > 0:
-            checkpoint_dir = str(Path(self.config.store_dir) / "checkpoints")
+            checkpoint_dir = str(checkpoint_root(self.config.store_dir))
         self.pool = WorkerPool(
             self.store,
             self.queue,
@@ -292,9 +289,6 @@ class SimulationService:
         if self.store is not None:
             self.store.close()
             self.store = None
-        if self._obs_cm is not None:
-            self._obs_cm.__exit__(None, None, None)
-            self._obs_cm = None
         self._stopped.set()
 
     def _on_event(self, event: str, run_hash: str) -> None:
@@ -341,12 +335,7 @@ class SimulationService:
 
     def _cleanup_artifacts(self, run_hash: str) -> None:
         """Remove an evicted run's event logs and checkpoint snapshots."""
-        if self.config.events_dir is not None:
-            base = Path(self.config.events_dir) / f"{run_hash}.events.jsonl"
-            for path in (base, base.with_name(f"{run_hash}.events.host.jsonl")):
-                path.unlink(missing_ok=True)
-        if self.pool is not None:
-            self.pool._clear_checkpoints(run_hash)
+        remove_run_artifacts(run_hash, self.config.store_dir, self.config.events_dir)
 
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time service state (feeds the ``/metrics`` gauges)."""
@@ -455,18 +444,17 @@ class SimulationService:
         started = time.perf_counter()
         status = 500
         try:
-            with scope(f"service.{route}"):
-                if handler is None:
-                    status = await self._send_json(
-                        writer, 404,
-                        error_body(f"no route for {method} {path}", 404),
-                    )
-                elif run_id is not None:
-                    status = await handler(writer, run_id)
-                elif route == "submit":
-                    status = await handler(writer, body)
-                else:
-                    status = await handler(writer)
+            if handler is None:
+                status = await self._send_json(
+                    writer, 404,
+                    error_body(f"no route for {method} {path}", 404),
+                )
+            elif run_id is not None:
+                status = await handler(writer, run_id)
+            elif route == "submit":
+                status = await handler(writer, body)
+            else:
+                status = await handler(writer)
         finally:
             elapsed = time.perf_counter() - started
             self.metrics.counter("repro_service_requests_total").inc(
@@ -762,7 +750,7 @@ class SimulationService:
             return await self._send_json(
                 writer, 404, error_body("service records no events", 404)
             )
-        path = Path(self.config.events_dir) / f"{run_hash}.events.jsonl"
+        path = events_path(self.config.events_dir, run_hash)
         if not path.exists():
             return await self._send_json(
                 writer, 404,

@@ -86,9 +86,7 @@ def detect_divergence_step(
         raise AnalysisError(f"baseline_fraction must be in (0, 1), got {baseline_fraction}")
     smooth = moving_average(spread, window)
     n_base = max(1, int(len(smooth) * baseline_fraction))
-    baseline = float(np.median(smooth[:n_base]))
-    # An absolute floor keeps a near-zero baseline from flagging noise.
-    threshold = max(factor * baseline, baseline + 1e-12, float(np.max(smooth[:n_base])) * 1.05)
+    threshold = divergence_threshold(smooth[:n_base], factor)
 
     above = smooth > threshold
     # Find the first index from which `sustain` consecutive records are above.
@@ -101,6 +99,18 @@ def detect_divergence_step(
                 return int(np.asarray(steps)[start])
             return start
     raise AnalysisError("the spread never diverges: DLB stayed within its limit")
+
+
+def divergence_threshold(baseline: np.ndarray, factor: float) -> float:
+    """The smoothed spread above which a run counts as diverged.
+
+    ``baseline`` is the smoothed spread of the balanced prefix. The
+    threshold is ``factor`` times its median, at least 5 % over its peak,
+    and never below an absolute floor that keeps a near-zero baseline from
+    flagging noise.
+    """
+    median = float(np.median(baseline))
+    return max(factor * median, median + 1e-12, float(np.max(baseline)) * 1.05)
 
 
 def boundary_point(

@@ -1,5 +1,6 @@
 """The campaign scheduler: execution, caching, retries, timeouts, metrics."""
 
+import json
 import os
 
 import pytest
@@ -41,6 +42,30 @@ def tiny_campaign(n_runs: int = 2, n_steps: int = 40) -> CampaignSpec:
     return CampaignSpec(name="tiny", runs=runs)
 
 
+#: Probe payloads recorded before the probe's divergence oracle and the
+#: boundary detector shared one threshold function: it must not move a bit.
+PINNED_PROBES = [
+    (
+        dict(kind='probe', m=2, n_pes=9, density=0.256,
+             n_steps=60, seed=3, probe_index=5, probe_hold=10),
+        '{"c0_ratio": 0.009259259259259259, "density": 0.256, "diverged": false, '
+        '"index": 5, "kind": "probe", "m": 2, "n": 4.153846153846154, "n_pes": 9, "seed": 3}',
+    ),
+    (
+        dict(kind='probe', m=2, n_pes=9, density=0.256,
+             n_steps=60, seed=3, probe_index=45, probe_hold=10),
+        '{"c0_ratio": 0.26851851851851855, "density": 0.256, "diverged": true, '
+        '"index": 45, "kind": "probe", "m": 2, "n": 1.6233421750663128, "n_pes": 9, "seed": 3}',
+    ),
+    (
+        dict(kind='probe', m=3, n_pes=9, density=0.128,
+             n_steps=60, seed=7, probe_index=30, probe_hold=8),
+        '{"c0_ratio": 0.4883401920438957, "density": 0.128, "diverged": false, '
+        '"index": 30, "kind": "probe", "m": 3, "n": 1.334342152953969, "n_pes": 9, "seed": 7}',
+    ),
+]
+
+
 class TestExecuteRun:
     def test_boundary_payload_shape(self):
         payload = execute_run(RunSpec(m=2, n_pes=9, density=0.256,
@@ -60,6 +85,11 @@ class TestExecuteRun:
         assert payload["kind"] == "probe"
         assert payload["index"] == 5
         assert isinstance(payload["diverged"], bool)
+
+    @pytest.mark.parametrize("spec, expected", PINNED_PROBES)
+    def test_probe_payloads_are_pinned(self, spec, expected):
+        payload = execute_run(RunSpec(**spec))
+        assert json.dumps(payload, sort_keys=True) == expected
 
     def test_preset_payload_has_summary(self):
         payload = execute_run(RunSpec(kind="preset", preset="bench-m2",

@@ -113,33 +113,40 @@ class TestChargeMoves:
 
 
 class TestExplicitProfiler:
-    """Worker-safety: an accountant given its own profiler never touches the
-    process-global one (two accountants in different processes stay isolated)."""
+    """Host timings go to the recording event log only: an accountant holds
+    no timer of its own, and a worker's records join the main process's log."""
 
     def test_timings_go_to_the_given_profiler(self):
-        from repro.obs.profiler import Profiler
+        from repro.obs.events import EventLog, recording
 
         nc, n_pes = 6, 9
-        profiler = Profiler()
-        accountant = StepAccountant(
-            MachineConfig(), CellList(float(nc), nc), n_pes, profiler=profiler
-        )
+        accountant = StepAccountant(MachineConfig(), CellList(float(nc), nc), n_pes)
         counts = np.full((nc, nc, nc), 3)
-        accountant.account_step(
-            1, accountant.cost_model.load(counts), CellAssignment(nc, n_pes)
+        log = EventLog()
+        with recording(log):
+            accountant.account_step(
+                1, accountant.cost_model.load(counts), CellAssignment(nc, n_pes)
+            )
+        accountant.account_step(  # not recording: no record
+            2, accountant.cost_model.load(counts), CellAssignment(nc, n_pes)
         )
-        assert profiler.stats["accounting.account_step"].count == 1
+        assert [name for name, _, _ in log.scopes] == ["accounting.account_step"]
 
     def test_merge_state_folds_worker_snapshots(self):
-        from repro.obs.profiler import Profiler
+        from repro.engine.multiprocess import MultiprocessEngine
+        from repro.obs import Observability
+        from repro.obs.events import EventLog, recording, scope
 
-        worker = Profiler()
-        with worker.timer("engine.worker.force_pass"):
+        worker = EventLog()
+        with recording(worker), scope("engine.worker.force_pass"):
             pass
-        driver = Profiler()
-        driver.merge_state(worker.state_dict(), prefix="worker0.")
-        merged = driver.stats["worker0.engine.worker.force_pass"]
-        assert merged.count == 1
+        main = EventLog()
+        engine = MultiprocessEngine(workers=1)
+        engine.attach_observability(Observability(events=main))
+        engine._merge_worker_scopes(0, worker.scopes)
+        assert [name for name, _, _ in main.scopes] == [
+            "worker0.engine.worker.force_pass"
+        ]
 
 
 # -- array-wise charging against the per-PE scalar formulas --------------------

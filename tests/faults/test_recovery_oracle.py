@@ -38,7 +38,7 @@ ROUNDS = 2
 
 SHARED_KEYS = {
     "kind", "config_token", "step_count", "sim_time", "holder", "last_times",
-    "last_counts", "balancer", "accountant", "events", "imbalance", "records",
+    "last_counts", "balancer", "accountant", "events", "records", "format",
 }
 MD_KEYS = SHARED_KEYS | {"positions", "velocities", "forces", "force_cache"}
 DRIVEN_KEYS = SHARED_KEYS | {"configs_done"}
@@ -151,3 +151,23 @@ class TestOracleHasTeeth:
         for _, lines in (md_reference, driven_reference):
             kinds = {json.loads(line)["kind"] for line in lines}
             assert "cell.migrate" in kinds
+
+
+class TestOlderSnapshots:
+    def test_snapshot_without_step_records_is_refused(self):
+        """A format-1 snapshot (imbalance tracker state beside an event
+        buffer with no ``step`` records) cannot rebuild the imbalance
+        summary, so resume refuses it instead of reporting a wrong one."""
+        from repro.errors import CheckpointMismatchError
+
+        runner = md_runner()
+        runner.run(2)
+        state = runner.state_dict()
+        old = {key: value for key, value in state.items() if key != "format"}
+        old["imbalance"] = {}
+        old["events"]["records"] = [
+            r for r in old["events"]["records"] if r["kind"] != "step"
+        ]
+        with pytest.raises(CheckpointMismatchError, match="format"):
+            md_runner().restore(old)
+        md_runner().restore(state)  # the current format resumes

@@ -1,6 +1,5 @@
 """Metrics registry, exporters and collectors."""
 
-import json
 import math
 
 import numpy as np
@@ -130,22 +129,14 @@ class TestMetricsRegistry:
         text = registry.to_prometheus_text()
         assert "# HELP repro_level line one\\nline \\\\ two" in text
 
-    def test_jsonl_roundtrip(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_runs_total").inc(2, mode="dlb")
-        records = [json.loads(line) for line in registry.to_jsonl().splitlines()]
-        assert records == [
-            {"name": "repro_runs_total", "type": "counter",
-             "labels": {"mode": "dlb"}, "value": 2.0}
-        ]
-
     def test_write_infers_format(self, tmp_path):
+        """Every suffix gets Prometheus text: the JSON-lines export is gone."""
         registry = MetricsRegistry()
         registry.counter("repro_runs_total").inc()
-        prom = registry.write(tmp_path / "out.prom")
-        jsonl = registry.write(tmp_path / "out.jsonl")
-        assert prom.read_text().startswith("# TYPE repro_runs_total counter")
-        assert json.loads(jsonl.read_text().splitlines()[0])["value"] == 1.0
+        for name in ("out.prom", "out.jsonl", "out.json"):
+            written = registry.write(tmp_path / name)
+            assert written.read_text() == registry.to_prometheus_text()
+            assert written.read_text().startswith("# TYPE repro_runs_total counter")
 
 
 class TestCollectors:

@@ -1,142 +1,127 @@
-"""Scoped wall-clock profiler."""
+"""Host scope records: the event log's wall-clock channel and its views
+(the ``--profile`` table, the host trace track, the kernel histogram)."""
 
 import pytest
 
-from repro.obs import Observability
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import (
-    Profiler,
+from repro.obs import Observability, collect_events
+from repro.obs.events import (
+    EventLog,
     _NULL_SCOPE,
     active,
-    disable,
-    enable,
+    profile,
+    recording,
     scope,
 )
-from repro.obs.trace import TraceRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import HOST_PID, render_trace
+from repro.reporting import profile_table
 
 
 @pytest.fixture(autouse=True)
-def _clean_global_profiler():
-    disable()
+def _no_recording_log():
+    assert active() is None
     yield
-    disable()
+    assert active() is None
+
+
+def timed(log: EventLog, name: str) -> None:
+    with recording(log), scope(name):
+        pass
 
 
 class TestProfiler:
     def test_timer_accumulates_stats(self):
-        profiler = Profiler()
-        with profiler.timer("work"):
-            pass
-        with profiler.timer("work"):
-            pass
-        stat = profiler.stats["work"]
-        assert stat.count == 2
-        assert stat.total >= stat.max >= stat.min >= 0.0
-        assert stat.mean == pytest.approx(stat.total / 2)
+        log = EventLog()
+        timed(log, "work")
+        timed(log, "work")
+        stat = profile([log])["work"]
+        assert stat["count"] == 2
+        assert stat["total_s"] >= stat["max_s"] >= 0.0
+        assert stat["mean_s"] == pytest.approx(stat["total_s"] / 2)
 
     def test_as_dict_sorted_by_total(self):
-        profiler = Profiler()
-        profiler.record("fast", 0.001)
-        profiler.record("slow", 1.0)
-        assert list(profiler.as_dict()) == ["slow", "fast"]
-        assert profiler.as_dict()["slow"]["count"] == 1
+        log = EventLog()
+        log.scopes += [("fast", 0.0, 0.001), ("slow", 0.0, 1.0)]
+        assert list(profile([log])) == ["slow", "fast"]
+        assert profile([log])["slow"]["count"] == 1
 
     def test_record_feeds_registry_histogram(self):
         registry = MetricsRegistry()
-        profiler = Profiler(registry=registry)
-        profiler.record("kernel", 0.002)
+        log = EventLog()
+        log.emit(0, "run.start", mode="dlb", n_pes=1)
+        log.scopes.append(("kernel", 0.0, 0.002))
+        collect_events(registry, log)
+        collect_events(registry, log)  # refilling never double-counts
         hist = registry.histogram("repro_host_kernel_seconds")
-        assert hist.count(kernel="kernel") == 1
-        assert hist.sum(kernel="kernel") == pytest.approx(0.002)
+        assert hist.count(kernel="kernel", mode="dlb") == 1
+        assert hist.sum(kernel="kernel", mode="dlb") == pytest.approx(0.002)
 
     def test_record_emits_host_trace_span(self):
-        trace = TraceRecorder()
-        profiler = Profiler(trace=trace)
-        profiler.record("kernel", 0.5, start=profiler.epoch + 1.0)
-        spans = [e for e in trace.events if e["ph"] == "X"]
+        log = EventLog()
+        log.scopes.append(("kernel", log.epoch + 1.0, 0.5))
+        spans = [e for e in render_trace([log])["traceEvents"] if e["ph"] == "X"]
         assert len(spans) == 1
-        assert spans[0]["pid"] == TraceRecorder.HOST_PID
+        assert spans[0]["pid"] == HOST_PID
         assert spans[0]["ts"] == pytest.approx(1.0e6)
         assert spans[0]["dur"] == pytest.approx(0.5e6)
 
     def test_table_lists_scopes(self):
-        profiler = Profiler()
-        profiler.record("kernel", 0.1)
-        assert "kernel" in profiler.table()
+        log = EventLog()
+        log.scopes.append(("kernel", 0.0, 0.1))
+        assert "kernel" in profile_table([log])
 
 
 class TestStateMerging:
-    def profiler_with(self, samples: dict[str, list[float]]) -> Profiler:
-        profiler = Profiler()
+    """The profile aggregates scope records over any number of logs, and an
+    engine worker's records join the main process's log under a name prefix."""
+
+    def log_with(self, samples: dict[str, list[float]]) -> EventLog:
+        log = EventLog()
         for name, values in samples.items():
-            for value in values:
-                profiler.record(name, value)
-        return profiler
+            log.scopes += [(name, 0.0, value) for value in values]
+        return log
 
     def test_empty_state_merge_is_a_noop(self):
-        profiler = self.profiler_with({"a": [1.0]})
-        profiler.merge_state({})
-        assert set(profiler.stats) == {"a"}
-        assert profiler.stats["a"].count == 1
+        log = self.log_with({"a": [1.0]})
+        assert profile([log, EventLog()]) == profile([log])
+        assert profile([log])["a"]["count"] == 1
 
     def test_merge_into_empty_profiler(self):
-        source = self.profiler_with({"a": [1.0, 3.0]})
-        target = Profiler()
-        target.merge_state(source.state_dict())
-        assert target.stats["a"].count == 2
-        assert target.stats["a"].total == pytest.approx(4.0)
-        assert target.stats["a"].min == pytest.approx(1.0)
-        assert target.stats["a"].max == pytest.approx(3.0)
+        stat = profile([EventLog(), self.log_with({"a": [1.0, 3.0]})])["a"]
+        assert stat["count"] == 2
+        assert stat["total_s"] == pytest.approx(4.0)
+        assert stat["max_s"] == pytest.approx(3.0)
 
     def test_disjoint_scope_sets_union(self):
-        target = self.profiler_with({"a": [1.0]})
-        source = self.profiler_with({"b": [2.0]})
-        target.merge_state(source.state_dict())
-        assert set(target.stats) == {"a", "b"}
-        assert target.stats["a"].count == 1 and target.stats["b"].count == 1
+        merged = profile([self.log_with({"a": [1.0]}), self.log_with({"b": [2.0]})])
+        assert set(merged) == {"a", "b"}
+        assert merged["a"]["count"] == 1 and merged["b"]["count"] == 1
 
     def test_overlapping_scopes_accumulate(self):
-        target = self.profiler_with({"a": [1.0]})
-        source = self.profiler_with({"a": [3.0]})
-        target.merge_state(source.state_dict())
-        stat = target.stats["a"]
-        assert stat.count == 2
-        assert stat.total == pytest.approx(4.0)
-        assert (stat.min, stat.max) == (pytest.approx(1.0), pytest.approx(3.0))
+        merged = profile([self.log_with({"a": [1.0]}), self.log_with({"a": [3.0]})])
+        assert merged["a"]["count"] == 2
+        assert merged["a"]["total_s"] == pytest.approx(4.0)
+        assert merged["a"]["max_s"] == pytest.approx(3.0)
 
     def test_repeated_merge_accumulates_additively(self):
-        """merge_state is additive by design: merging the same snapshot twice
-        doubles the counts (the engine merges each worker exactly once)."""
-        target = Profiler()
-        state = self.profiler_with({"a": [1.0]}).state_dict()
-        target.merge_state(state)
-        target.merge_state(state)
-        stat = target.stats["a"]
-        assert stat.count == 2
-        assert stat.total == pytest.approx(2.0)
-        # min/max are idempotent even though count/total are not.
-        assert (stat.min, stat.max) == (pytest.approx(1.0), pytest.approx(1.0))
+        """Aggregation is additive: the same log twice doubles the counts
+        (the CLI passes each run's log exactly once)."""
+        log = self.log_with({"a": [1.0]})
+        stat = profile([log, log])["a"]
+        assert stat["count"] == 2
+        assert stat["total_s"] == pytest.approx(2.0)
+        assert stat["max_s"] == pytest.approx(1.0)
 
     def test_prefix_namespaces_worker_scopes(self):
-        target = self.profiler_with({"kernel.half": [1.0]})
-        source = self.profiler_with({"kernel.half": [2.0]})
-        target.merge_state(source.state_dict(), prefix="worker0.")
-        assert set(target.stats) == {"kernel.half", "worker0.kernel.half"}
-        assert target.stats["kernel.half"].total == pytest.approx(1.0)
+        from repro.engine.multiprocess import MultiprocessEngine
 
-    def test_zero_count_scope_round_trips_infinite_min(self):
-        """A never-fired stat snapshots min=inf and merges without poisoning."""
-        from repro.obs.profiler import TimerStat
-
-        profiler = Profiler()
-        profiler.stats["idle"] = TimerStat()
-        state = profiler.state_dict()
-        assert state["idle"]["min"] == float("inf")
-        target = self.profiler_with({"idle": [2.0]})
-        target.merge_state(state)
-        stat = target.stats["idle"]
-        assert stat.count == 1
-        assert stat.min == pytest.approx(2.0)  # inf never wins the min
+        main = self.log_with({"kernel.half": [1.0]})
+        engine = MultiprocessEngine(workers=1)
+        engine.attach_observability(Observability(events=main))
+        engine._merge_worker_scopes(0, [("kernel.half", 0.0, 2.0)])
+        merged = profile([main])
+        assert set(merged) == {"kernel.half", "worker0.kernel.half"}
+        assert merged["kernel.half"]["total_s"] == pytest.approx(1.0)
 
 
 class TestGlobalScope:
@@ -145,37 +130,37 @@ class TestGlobalScope:
         assert scope("anything") is _NULL_SCOPE
 
     def test_enable_routes_scopes(self):
-        profiler = enable()
+        log = EventLog()
+        with recording(log):
+            with scope("work"):
+                pass
         with scope("work"):
             pass
-        assert profiler.stats["work"].count == 1
-        disable()
-        with scope("work"):
-            pass
-        assert profiler.stats["work"].count == 1  # unchanged after disable
+        assert [name for name, _, _ in log.scopes] == ["work"]  # once only
 
 
 class TestObservabilityBundle:
     def test_create_cross_wires(self):
         obs = Observability.create()
-        assert obs.profiler.trace is obs.trace
-        assert obs.profiler.registry is obs.metrics
+        assert isinstance(obs.events, EventLog)
+        assert isinstance(obs.metrics, MetricsRegistry)
+        assert Observability.create(metrics=False).metrics is None
 
     def test_activate_installs_and_restores(self):
-        obs = Observability.create(trace=False, metrics=False)
-        assert active() is None
+        obs = Observability.create(metrics=False)
         with obs.activate():
-            assert active() is obs.profiler
+            assert active() is obs.events
         assert active() is None
 
     def test_activate_restores_previous(self):
-        outer = enable()
-        obs = Observability.create(trace=False, metrics=False)
-        with obs.activate():
-            assert active() is obs.profiler
-        assert active() is outer
+        outer = EventLog()
+        obs = Observability.create(metrics=False)
+        with recording(outer):
+            with obs.activate():
+                assert active() is obs.events
+            assert active() is outer
 
     def test_activate_without_profiler_is_noop(self):
-        obs = Observability(profiler=None)
+        obs = Observability(events=None)
         with obs.activate():
             assert active() is None

@@ -1,4 +1,5 @@
-"""End-to-end observability: runners feeding trace, metrics and profiler."""
+"""End-to-end observability: runners recording the event log that the
+trace, the metrics and the profile are rendered from."""
 
 import json
 
@@ -11,7 +12,7 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
-from repro.obs import Observability, validate_trace
+from repro.obs import Observability, profile, render_trace, validate_trace, write_trace
 from repro.obs.trace import REQUIRED_EVENT_KEYS
 from repro.workloads.concentration import ConcentrationSchedule
 
@@ -40,21 +41,25 @@ def observed_run():
     return obs, runner, result
 
 
+def trace_events(obs):
+    return render_trace([obs.events])["traceEvents"]
+
+
 class TestParallelMDRunnerObservability:
     def test_trace_has_one_track_per_pe(self, observed_run):
         obs, _, _ = observed_run
-        spans = [e for e in obs.trace.events if e["ph"] == "X" and e["pid"] == 0]
+        spans = [e for e in trace_events(obs) if e["ph"] == "X" and e["pid"] == 0]
         assert {e["tid"] for e in spans} == set(range(N_PES))
 
     def test_trace_has_phase_spans_and_migrations(self, observed_run):
         obs, _, result = observed_run
         span_names = {
-            e["name"] for e in obs.trace.events
+            e["name"] for e in trace_events(obs)
             if e["ph"] == "X" and e["pid"] == 0
         }
         assert {"force", "halo-comm", "dlb"} <= span_names
         migrations = [
-            e for e in obs.trace.events
+            e for e in trace_events(obs)
             if e["ph"] == "i" and e["name"].startswith("migrate cell")
         ]
         assert len(migrations) == result.total_moves
@@ -63,13 +68,14 @@ class TestParallelMDRunnerObservability:
 
     def test_trace_spans_advance_with_sim_clock(self, observed_run):
         obs, runner, _ = observed_run
-        spans = [e for e in obs.trace.events if e["ph"] == "X" and e["pid"] == 0]
+        spans = [e for e in trace_events(obs) if e["ph"] == "X" and e["pid"] == 0]
         last_end = max(e["ts"] + e["dur"] for e in spans)
         assert last_end <= runner.sim_time * 1e6 * (1 + 1e-9)
 
     def test_trace_roundtrips_through_json(self, observed_run, tmp_path):
         obs, _, _ = observed_run
-        path = obs.trace.write(tmp_path / "trace.json")
+        path = tmp_path / "trace.json"
+        write_trace(path, [obs.events])
         payload = json.loads(path.read_text())
         validate_trace(payload)
         for event in payload["traceEvents"]:
@@ -90,21 +96,22 @@ class TestParallelMDRunnerObservability:
 
     def test_profiler_saw_host_kernels(self, observed_run):
         obs, _, _ = observed_run
+        stats = profile([obs.events])
         # The default backend searches inside the neighbour-list build, and
         # only there: most steps reuse the list.
-        assert "pairs.verlet_build" in obs.profiler.stats
+        assert "pairs.verlet_build" in stats
         assert (
-            obs.profiler.stats["pairs.kdtree"].count
-            == obs.profiler.stats["pairs.verlet_build"].count
+            stats["pairs.kdtree"]["count"]
+            == stats["pairs.verlet_build"]["count"]
             == 1
         )
-        assert "accounting.account_step" in obs.profiler.stats
+        assert stats["accounting.account_step"]["count"] == 12
 
     def test_disabled_observability_records_nothing(self):
         obs = Observability.create()
         runner = ParallelMDRunner(small_sim_config(), RunConfig(steps=3, seed=1))
         runner.run()  # no bundle attached, nothing activated
-        assert len(obs.trace) == 0
+        assert len(obs.events) == 0 and obs.events.scopes == []
         assert len(obs.metrics) == 0
         assert runner.observability is None
 
@@ -126,10 +133,43 @@ class TestDrivenLoadRunnerObservability:
         schedule = ConcentrationSchedule(
             n_particles=1000, box_length=config.md.box_length, n_steps=10, seed=1
         )
-        runner = DrivenLoadRunner(config, observability=obs, trace_pid=2)
+        runner = DrivenLoadRunner(config, observability=obs)
         with obs.activate():
             runner.run(schedule)
-        spans = [e for e in obs.trace.events if e["ph"] == "X" and e["pid"] == 2]
+        spans = [e for e in trace_events(obs) if e["ph"] == "X" and e["pid"] == 0]
         assert {e["tid"] for e in spans} == set(range(N_PES))
         assert obs.metrics.counter("repro_steps_total").value(mode="dlb") == 10
         assert obs.metrics.counter("repro_dlb_rounds_total").value(mode="dlb") > 0
+
+
+class TestEngineWorkerScopes:
+    def test_workers_record_while_the_main_process_records(self):
+        """Worker passes join the run's log under ``worker<w>.`` names,
+        exactly one per recorded pass of the main process."""
+        from repro import api
+
+        obs = Observability.create(metrics=False)
+        api.simulate(
+            small_sim_config(), run=RunConfig(steps=3, seed=3),
+            engine="multiprocess", engine_workers=2, observability=obs,
+        )
+        stats = profile([obs.events])
+        assert stats["engine.force_pass"]["count"] == 3
+        for w in (0, 1):
+            assert stats[f"worker{w}.engine.worker.force_pass"]["count"] == 3
+
+    def test_workers_record_nothing_unless_the_main_process_records(self):
+        from repro.core.runner import ParallelMDRunner
+        from repro.engine import create_engine
+
+        obs = Observability.create(metrics=False)
+        engine = create_engine("multiprocess", workers=2)
+        try:
+            runner = ParallelMDRunner(
+                small_sim_config(), RunConfig(steps=2, seed=3),
+                observability=obs, engine=engine,
+            )
+            runner.run()  # the bundle is never activated
+        finally:
+            engine.close()
+        assert obs.events.scopes == []

@@ -105,13 +105,37 @@ def check_trace_and_metrics() -> None:
     assert {"force", "halo-comm"} <= spans, spans
     tracks = {e["tid"] for e in events if e["ph"] == "X" and e["pid"] == 0}
     assert len(tracks) >= 9, tracks
+    # Every cell migration is drawn on its source and destination PE.
+    instants = [e for e in events if e["ph"] == "i" and e["pid"] == 0]
+    sent = [e for e in instants if e["name"].startswith("migrate cell")]
+    received = [e for e in instants if e["name"].startswith("receive cell")]
+    assert sent and len(sent) == len(received), (len(sent), len(received))
+    # The host track carries one span per host scope the profile counts.
+    host = {}
+    for e in events:
+        if e["ph"] == "X" and e["pid"] == 1000:
+            host[e["name"]] = host.get(e["name"], 0) + 1
+    assert {"accounting.account_step", "force.accumulate"} <= set(host), host
+
+    with open("run.out") as handle:
+        out = handle.read()
+    assert "host kernel profile (wall clock)" in out, out[-2000:]
+    profiled = {}
+    for line in out.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) == 5 and cells[0] in host:
+            profiled[cells[0]] = int(cells[1])
+    assert profiled == host, (profiled, host)
 
     with open("metrics.prom") as handle:
         text = handle.read()
     for family in ("repro_steps_total", "repro_neighbor_rebuilds_total",
-                   "repro_traffic_bytes_total", "repro_dlb_rounds_total"):
+                   "repro_traffic_bytes_total", "repro_dlb_rounds_total",
+                   "repro_cell_migrations_total", "repro_host_kernel_seconds",
+                   "repro_imbalance_ratio_mean"):
         assert family in text, family
-    print("observability smoke run OK:", len(events), "trace events")
+    print("observability smoke run OK:", len(events), "trace events,",
+          len(sent), "migrations,", sum(host.values()), "host spans")
 
 
 # -- ledger: digest / energy-drift / audit checks, tracer wrap targets ------------
@@ -416,7 +440,7 @@ SCENARIOS: dict[str, list[Scenario]] = {
         Scenario("run --trace --metrics --profile", repro(
             "run", "quickstart", "--balancer", "permanent", "--steps", "30",
             "--trace", "trace.json", "--metrics", "metrics.prom", "--profile"),
-            check=check_trace_and_metrics),
+            stdout="run.out", check=check_trace_and_metrics),
     ],
     "balancers": [
         # The report must render a table per grid point and `permanent` must

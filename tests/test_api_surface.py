@@ -41,7 +41,6 @@ EXPECTED_SIGNATURES = {
         "audit: 'AuditPolicy | None' = None, "
         "checkpoints: 'CheckpointPolicy | None' = None, "
         "system: 'ParticleSystem | None' = None, "
-        "trace_pid: 'int' = 0, "
         "stop_after: 'int | None' = None) -> 'RunResult'"
     ),
     "simulate_driven": (
@@ -52,8 +51,7 @@ EXPECTED_SIGNATURES = {
         "observability: 'Observability | None' = None, "
         "faults: 'FaultPlan | FaultInjector | None' = None, "
         "audit: 'AuditPolicy | None' = None, "
-        "checkpoints: 'CheckpointPolicy | None' = None, "
-        "trace_pid: 'int' = 0) -> 'RunResult'"
+        "checkpoints: 'CheckpointPolicy | None' = None) -> 'RunResult'"
     ),
     "result_payload": "(result: 'RunResult') -> 'dict[str, Any]'",
     "save_config": (

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -129,6 +130,32 @@ class TestCommands:
         seeds = {rep["seed"] for rep in payload["repetitions"]}
         assert len(seeds) == 2  # independent per-repetition seeds
         assert payload["summary"]["completed"] == 2
+
+    def test_sweep_names_both_et_numbers(self, capsys):
+        """``et_ratio`` is the mean of each repetition's C0/C ÷ f(m, n); the
+        text row is the mean point's C0/C ÷ f(m, mean n), under its own
+        label and its own JSON key."""
+        from repro.theory.bounds import upper_bound
+
+        argv = ["sweep", "--m", "2", "--pes", "9", "--reps", "3", "--steps", "50"]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        diverged = [rep for rep in payload["repetitions"] if rep["diverged"]]
+        assert len(diverged) >= 2
+        per_rep = np.mean([rep["et_ratio"] for rep in diverged])
+        mean_n = np.mean([rep["n"] for rep in diverged])
+        mean_c0 = np.mean([rep["c0_ratio"] for rep in diverged])
+        of_mean = mean_c0 / float(upper_bound(2, mean_n))
+        assert payload["et_ratio"]["mean"] == pytest.approx(per_rep)
+        assert payload["mean_point_et"] == pytest.approx(of_mean)
+        assert payload["mean_point_et"] != pytest.approx(per_rep, rel=1e-9)
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "ratio E/T" not in out
+        row = next(line for line in out.splitlines()
+                   if "E/T of the mean point: mean C0/C ÷ f(m, mean n)" in line)
+        assert f"{of_mean:.3f}" in row
 
     def test_sweep_replay_seed_reproduces_repetition(self, capsys):
         # Run two repetitions, take the second one's reported seed ...
@@ -560,6 +587,63 @@ class TestRunsAndGcVerbs:
         with RunStore(store_dir) as store:
             assert store.get(done) is None
             assert store.get(poisoned).status == "quarantined"
+
+    def test_service_ttl_sweep_and_campaign_gc_delete_the_same_files(
+        self, tmp_path, capsys
+    ):
+        """Both eviction paths remove exactly the evicted run's snapshots,
+        events file and host sidecar, and nothing else."""
+        from repro.campaign import RunStore
+        from repro.campaign.artifacts import (
+            checkpoint_dir,
+            checkpoint_root,
+            events_path,
+            host_events_path,
+        )
+        from repro.service.server import ServiceConfig, SimulationService
+
+        def populate(root):
+            root.mkdir()
+            store_dir, done, poisoned = self._store_with_runs(root)
+            for run_hash in (done, poisoned):
+                snapshots = checkpoint_dir(checkpoint_root(store_dir), run_hash)
+                snapshots.mkdir(parents=True)
+                (snapshots / "ckpt-000000040.pkl").write_bytes(b"snapshot")
+                events = events_path(root / "events", run_hash)
+                events.parent.mkdir(exist_ok=True)
+                events.write_text("{}\n")
+                host_events_path(events).write_text("{}\n")
+            return store_dir, done
+
+        def files(root):
+            return sorted(
+                str(path.relative_to(root)) for path in root.rglob("*")
+                if path.is_file() and ".sqlite" not in path.name
+            )
+
+        gc_root, service_root = tmp_path / "gc", tmp_path / "service"
+        gc_store, evicted = populate(gc_root)
+        service_store, same = populate(service_root)
+        assert same == evicted
+        before = files(gc_root)
+
+        assert main(["campaign", "gc", "--older-than", "0", "--dir", gc_store,
+                     "--events-dir", str(gc_root / "events"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["evicted"] == [evicted]
+
+        service = SimulationService(ServiceConfig(
+            store_dir=service_store, events_dir=str(service_root / "events"),
+            result_ttl_s=0.0, campaign="svc",
+        ))
+        service.store = RunStore(service_store)
+        try:
+            assert service.evict_now() == [evicted]
+        finally:
+            service.store.close()
+
+        assert files(gc_root) == files(service_root)
+        assert len(before) - len(files(gc_root)) == 3
+        assert not any(evicted in name for name in files(gc_root))
 
     def test_campaign_gc_refuses_fresh_runs_and_bad_durations(
         self, tmp_path, capsys
