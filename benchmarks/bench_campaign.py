@@ -1,36 +1,16 @@
-"""The campaign engine: parallel scaling and adaptive-search efficiency.
+"""The campaign engine: parallel scaling.
 
-Two claims are measured and recorded into ``BENCH_campaign.json``:
-
-* **Scaling** -- the same campaign drained serially and through a 4-worker
-  process pool must produce byte-identical per-run payloads (same spec hash
-  => same payload), and on a machine with >= 4 cores the pool must be at
-  least 2x faster.  On smaller hosts the speedup is recorded but not
-  asserted (``cpu_count`` lands in the JSON so ``check_regression.py`` can
-  apply the same gate).
-* **Search efficiency** -- for each pillar cross-section m in {2, 3, 4},
-  bisection must localise the DLB effective-range boundary at the *same*
-  grid level as the exhaustive scan while evaluating at most half as many
-  probes.
+The same campaign drained serially and through a 4-worker process pool must
+produce byte-identical per-run payloads (same spec hash => same payload),
+and on a machine with >= 4 cores the pool must be at least 2x faster.  On
+smaller hosts the speedup is recorded but not asserted (``cpu_count`` lands
+in ``BENCH_campaign.json`` so ``check_regression.py`` can apply the same
+gate).
 """
 
 import os
 
-import pytest
-
-from repro.campaign import (
-    CampaignSpec,
-    RunSpec,
-    RunStore,
-    bisect_boundary,
-    exhaustive_boundary_scan,
-    run_campaign,
-)
-
-#: Search discretisation (shared by both strategies, so results align).
-SEARCH_STEPS = 60
-SEARCH_STRIDE = 4
-SEARCH_HOLD = 20
+from repro.campaign import CampaignSpec, RunSpec, RunStore, run_campaign
 
 
 def scaling_campaign() -> CampaignSpec:
@@ -76,35 +56,3 @@ def test_campaign_parallel_scaling(campaign_log):
         )
     else:
         print(f"  (speedup assertion skipped: only {cpu_count} cores)")
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_bisection_halves_the_search(benchmark, m, campaign_log):
-    kwargs = dict(
-        n_steps=SEARCH_STEPS, stride=SEARCH_STRIDE, seed=3,
-        probe_hold=SEARCH_HOLD,
-    )
-
-    bisect = benchmark.pedantic(
-        lambda: bisect_boundary(m, 9, 0.256, **kwargs),
-        rounds=1,
-        iterations=1,
-    )
-    exhaustive = exhaustive_boundary_scan(m, 9, 0.256, **kwargs)
-
-    print(f"\nboundary search m={m}: bisection {bisect.n_probes} probes, "
-          f"exhaustive {exhaustive.n_probes} "
-          f"(boundary level {bisect.boundary_index})")
-    campaign_log[f"search_m{m}"] = {
-        "bisect_probes": bisect.n_probes,
-        "exhaustive_probes": exhaustive.n_probes,
-        "boundary_index": bisect.boundary_index,
-    }
-
-    # Identical probes (same seeds, same grid) => identical localisation.
-    assert bisect.boundary_index == exhaustive.boundary_index
-    assert bisect.found == exhaustive.found
-    # The efficiency claim: at most half the runs of the exhaustive sweep.
-    assert bisect.n_probes <= exhaustive.n_probes // 2, (
-        f"bisection used {bisect.n_probes} of {exhaustive.n_probes} probes"
-    )

@@ -133,12 +133,9 @@ def check_campaign(
 ) -> tuple[list[str], list[str]]:
     """Guard the campaign engine's invariants recorded in BENCH_campaign.json.
 
-    Always enforced on the fresh payload:
-
-    * bisection localises each boundary in at most half the exhaustive
-      scan's probes (the engine's core efficiency claim);
-    * on hosts with >= 4 cores (per the *recorded* ``cpu_count``), the
-      4-worker drain is >= 2x faster than serial.
+    Always enforced on the fresh payload: on hosts with >= 4 cores (per
+    the *recorded* ``cpu_count``), the 4-worker drain is >= 2x faster than
+    serial.
 
     With a baseline, the serial wall-clock additionally must not grow
     beyond ``threshold`` x the baseline.
@@ -146,18 +143,6 @@ def check_campaign(
     failures: list[str] = []
     notes: list[str] = []
     entries = fresh.get("campaign", {})
-
-    for name in sorted(entries):
-        if not name.startswith("search_m"):
-            continue
-        entry = entries[name]
-        bisect = int(entry["bisect_probes"])
-        exhaustive = int(entry["exhaustive_probes"])
-        line = f"{name}: bisection {bisect} vs exhaustive {exhaustive} probes"
-        if bisect <= exhaustive // 2:
-            notes.append(f"SEARCH OK       {line}")
-        else:
-            failures.append(f"SEARCH SLOWER   {line} (limit {exhaustive // 2})")
 
     cpu_count = int(fresh.get("cpu_count", 1))
     speedup = fresh.get("derived", {}).get("speedup_4workers")

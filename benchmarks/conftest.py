@@ -87,10 +87,10 @@ def kernel_log():
 def campaign_log():
     """Collector for campaign-engine benchmarks, flushed to BENCH_campaign.json.
 
-    ``benchmarks/bench_campaign.py`` files serial/parallel wall-clock and
-    search probe counts here; at session end they land in a machine-readable
-    file at the repo root so ``benchmarks/check_regression.py`` can compare
-    the campaign engine's trajectory across PRs.
+    ``benchmarks/bench_campaign.py`` files serial/parallel wall-clock here;
+    at session end they land in a machine-readable file at the repo root so
+    ``benchmarks/check_regression.py`` can compare the campaign engine's
+    trajectory across PRs.
     """
     entries: dict[str, dict] = {}
     yield entries

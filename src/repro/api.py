@@ -153,52 +153,59 @@ def _wire(
     return sim_config, preset_name, injector
 
 
+_Runner = ParallelMDRunner | DrivenLoadRunner
+
+
 def _drive(
-    runner: ParallelMDRunner | DrivenLoadRunner,
-    execute: Callable[[CheckpointManager | None, RunResult | None], RunResult],
+    build: Callable[[], _Runner],
+    execute: Callable[[_Runner, CheckpointManager | None, RunResult | None], RunResult],
     *,
     observability: Observability | None,
     audit: AuditPolicy | None,
     checkpoints: CheckpointPolicy | None,
     preset_name: str | None,
     engine: Engine | None = None,
-    n_particles: int | None = None,
-    extra_meta: Callable[[], dict[str, Any]] | None = None,
+    extra_meta: Callable[[_Runner], dict[str, Any]] | None = None,
 ) -> RunResult:
-    """The lifecycle both entry points share around a constructed runner.
+    """The lifecycle both entry points share around a runner.
 
-    Attaches the auditor, resumes from the newest snapshot when asked,
-    runs ``execute(manager, partial)`` with the bundle recording, and
-    stamps the shared ``meta`` keys (``extra_meta()``'s, read after the
-    run, go before ``balancer``).
+    With the bundle recording from the start (so the constructor's first
+    pair search and force pass are profiled like every later step), builds
+    the runner, attaches the auditor, resumes from the newest snapshot when
+    asked and runs ``execute(runner, manager, partial)``; then stamps the
+    shared ``meta`` keys (``extra_meta(runner)``'s, read after the run, go
+    before ``balancer``).
     """
-    events = runner.events
-    auditor = None
-    if audit is not None:
-        auditor = InvariantAuditor(
-            runner.assignment,
-            n_particles=n_particles,
-            every=audit.every,
-            policy=audit.policy,
-            metrics=observability.metrics if observability is not None else None,
-            events=events,
-            strategy=runner.balancer_name,
-        )
-        runner.auditor = auditor
-    manager = None
-    partial = None
-    resumed_at = None
-    if checkpoints is not None:
-        manager = CheckpointManager(
-            checkpoints.directory, every=checkpoints.every, keep=checkpoints.keep
-        )
-        if checkpoints.resume:
-            partial = runner.restore(manager.load_latest()["state"])
-            resumed_at = runner.progress
-            if events is not None:
-                events.emit_host(runner.step_count, "checkpoint.resume")
     with observability.activate() if observability is not None else nullcontext():
-        result = execute(manager, partial)
+        runner = build()
+        events = runner.events
+        auditor = None
+        if audit is not None:
+            auditor = InvariantAuditor(
+                runner.assignment,
+                n_particles=(
+                    runner.system.n if isinstance(runner, ParallelMDRunner) else None
+                ),
+                every=audit.every,
+                policy=audit.policy,
+                metrics=observability.metrics if observability is not None else None,
+                events=events,
+                strategy=runner.balancer_name,
+            )
+            runner.auditor = auditor
+        manager = None
+        partial = None
+        resumed_at = None
+        if checkpoints is not None:
+            manager = CheckpointManager(
+                checkpoints.directory, every=checkpoints.every, keep=checkpoints.keep
+            )
+            if checkpoints.resume:
+                partial = runner.restore(manager.load_latest()["state"])
+                resumed_at = runner.progress
+                if events is not None:
+                    events.emit_host(runner.step_count, "checkpoint.resume")
+        result = execute(runner, manager, partial)
     result.meta.update(
         {
             "schema_version": RESULT_SCHEMA_VERSION,
@@ -208,7 +215,7 @@ def _drive(
             "engine_workers": engine.workers if engine is not None else None,
             "resumed_at": resumed_at,
             "audit": auditor.summary() if auditor is not None else None,
-            **(extra_meta() if extra_meta is not None else {}),
+            **(extra_meta(runner) if extra_meta is not None else {}),
             "balancer": runner.balancer_name,
             "imbalance": runner.imbalance,
             "events": len(events) if events is not None else None,
@@ -268,39 +275,38 @@ def simulate(
         combined with ``checkpoints`` the truncated run is resumable.
     """
     sim_config, preset_name, injector = _wire(config, faults, observability)
+
+    def execute(runner, manager, partial):
+        remaining = run.steps - runner.step_count
+        if remaining < 0:
+            raise ConfigurationError(
+                f"checkpoint is at step {runner.step_count}, beyond the "
+                f"requested {run.steps} steps"
+            )
+        if stop_after is not None:
+            if stop_after < 0:
+                raise ConfigurationError(f"stop_after must be >= 0, got {stop_after}")
+            remaining = min(remaining, stop_after)
+        return runner.run(remaining, checkpoint=manager, result=partial)
+
     resolved_engine = create_engine(engine, workers=engine_workers)
     owns_engine = resolved_engine is not None and not isinstance(engine, Engine)
     try:
-        runner = ParallelMDRunner(
-            sim_config,
-            run,
-            system=system,
-            observability=observability,
-            faults=injector,
-            engine=resolved_engine,
-        )
-
-        def execute(manager, partial):
-            remaining = run.steps - runner.step_count
-            if remaining < 0:
-                raise ConfigurationError(
-                    f"checkpoint is at step {runner.step_count}, beyond the "
-                    f"requested {run.steps} steps"
-                )
-            if stop_after is not None:
-                if stop_after < 0:
-                    raise ConfigurationError(
-                        f"stop_after must be >= 0, got {stop_after}"
-                    )
-                remaining = min(remaining, stop_after)
-            return runner.run(remaining, checkpoint=manager, result=partial)
-
         return _drive(
-            runner, execute,
+            lambda: ParallelMDRunner(
+                sim_config,
+                run,
+                system=system,
+                observability=observability,
+                faults=injector,
+                engine=resolved_engine,
+            ),
+            execute,
             observability=observability, audit=audit, checkpoints=checkpoints,
             preset_name=preset_name, engine=resolved_engine,
-            n_particles=runner.system.n,
-            extra_meta=lambda: {"neighbor_stats": runner.neighbor_stats.as_dict()},
+            extra_meta=lambda runner: {
+                "neighbor_stats": runner.neighbor_stats.as_dict()
+            },
         )
     finally:
         if owns_engine:
@@ -329,16 +335,15 @@ def simulate_driven(
     plain DDM).
     """
     sim_config, preset_name, injector = _wire(config, faults, observability)
-    runner = DrivenLoadRunner(
-        sim_config,
-        rounds_per_config=rounds_per_config,
-        observability=observability,
-        faults=injector,
-        balancer=balancer,
-    )
     return _drive(
-        runner,
-        lambda manager, partial: runner.run(
+        lambda: DrivenLoadRunner(
+            sim_config,
+            rounds_per_config=rounds_per_config,
+            observability=observability,
+            faults=injector,
+            balancer=balancer,
+        ),
+        lambda runner, manager, partial: runner.run(
             configurations, checkpoint=manager, result=partial
         ),
         observability=observability, audit=audit, checkpoints=checkpoints,

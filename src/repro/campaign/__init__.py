@@ -12,8 +12,6 @@ package turns that grid into a first-class object --
   with retries, per-run timeouts and graceful cancellation;
 * :mod:`~repro.campaign.pool` is that pool: the one lease-driven scheduler,
   shared with the simulation service;
-* :mod:`~repro.campaign.search` localises the DLB effective-range boundary
-  by bisection in ``O(log G)`` probes instead of an ``O(G)`` sweep;
 * :mod:`~repro.campaign.report` aggregates stored payloads back into the
   paper's tables: Figure 10 and Table 1 are rendered from it alone.
 """
@@ -24,13 +22,6 @@ from .report import (
     CampaignReport,
     campaign_report,
     render_report,
-)
-from .search import (
-    SearchResult,
-    bisect_boundary,
-    evaluate_probe,
-    exhaustive_boundary_scan,
-    probe_spec,
 )
 from .spec import (
     BUILTIN_CAMPAIGNS,
@@ -49,18 +40,13 @@ __all__ = [
     "CampaignSummary",
     "RunSpec",
     "RunStore",
-    "SearchResult",
     "StoredRun",
-    "bisect_boundary",
     "campaign_names",
     "campaign_report",
     "canonical_payload",
     "drain_report",
-    "evaluate_probe",
     "execute_run",
-    "exhaustive_boundary_scan",
     "get_campaign",
-    "probe_spec",
     "render_report",
     "run_campaign",
 ]

@@ -39,7 +39,7 @@ import numpy as np
 from ..config import RunConfig
 from ..core.checkpoint import CheckpointManager
 from ..errors import CampaignError, CheckpointMismatchError
-from ..experiments.fig10 import run_boundary_repetition
+from ..experiments.fig10 import drive_sweep, run_boundary_repetition
 from ..theory.boundary import divergence_threshold, moving_average
 from ..theory.bounds import upper_bound
 from .artifacts import host_events_path
@@ -122,18 +122,6 @@ def _execute_boundary(
     return payload
 
 
-def _probe_configurations(schedule, index: int, hold: int):
-    """The probe's driven sequence: schedule prefix, then hold the level."""
-    last = None
-    for i, configuration in enumerate(schedule.configurations()):
-        if i > index:
-            break
-        last = configuration
-        yield configuration
-    for _ in range(hold):
-        yield last
-
-
 def _execute_probe(
     spec: RunSpec,
     events_path: str | None = None,
@@ -142,33 +130,11 @@ def _execute_probe(
 ) -> dict:
     # Probes drive many short configuration holds; like boundary runs they
     # have no single resumable runner state, so checkpointing is a no-op.
-    from .. import api
-    from ..experiments.common import droplets_for, geometry_for, simulation_config_for
-    from ..experiments.fig10 import auto_rounds
-    from ..workloads.concentration import ConcentrationSchedule
-
-    geometry = geometry_for(spec.m, spec.n_pes, spec.density)
-    config = simulation_config_for(geometry)
-    rounds = spec.rounds_per_config
-    if rounds is None:
-        rounds = auto_rounds(geometry)
-    schedule = ConcentrationSchedule(
-        n_particles=geometry.n_particles,
-        box_length=geometry.box_length,
-        n_steps=spec.n_steps,
-        n_droplets=droplets_for(geometry),
-        seed=spec.seed,
-    )
     index, hold = int(spec.probe_index), int(spec.probe_hold)
     observability = _build_events(events_path)
-    # Like boundary runs, probes interrogate the permanent-cell protocol's
-    # DLB limit: the strategy is part of the experiment, not an env knob.
-    result = api.simulate_driven(
-        config,
-        _probe_configurations(schedule, index, hold),
-        rounds_per_config=rounds,
-        balancer="permanent",
-        observability=observability,
+    result = drive_sweep(
+        spec.m, spec.n_pes, spec.density, spec.seed, spec.n_steps,
+        spec.rounds_per_config, hold=(index, hold), observability=observability,
     )
     _write_events(observability, events_path)
     # Divergence oracle: after holding the level, is the (smoothed) spread

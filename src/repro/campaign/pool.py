@@ -20,22 +20,22 @@ workers:
   (its lease renewed by the keeper) from the moment it is reclaimed until
   a worker gets to it.
 
-So service instances, campaign invocations and boundary searches sharing
-one store never double-execute a hash, and any of them finishes a run
-another one died holding. The simulation service runs a pool for as long
-as it serves; :class:`Batch` runs one for a campaign invocation or a
-search probe, until every run has settled.
+So service instances and campaign invocations sharing one store never
+double-execute a hash, and any of them finishes a run another one died
+holding. The simulation service runs a pool for as long as it serves;
+:class:`Batch` runs one for a campaign invocation, until every run has
+settled.
 
 Execution happens off the event loop: on a lazily-created
 ``ProcessPoolExecutor`` running the picklable ``runner`` (the campaign
 engine's :func:`~repro.campaign.executor._pool_worker`: per-run
 ``SIGALRM`` timeout inside the child, warm workers across runs), or with
 ``threads=True`` on a thread pool in this process — the seam tests use to
-block, fail or count executions, and where a boundary search evaluates its
-probes. Each multiprocess-engine spec is rewritten through
-:func:`repro.engine.effective_engine_workers` with the pool size as the
-sibling count, so pool slots x engine workers never oversubscribes the
-machine (worker count is not part of the content hash).
+block, fail or count executions. Each multiprocess-engine spec is
+rewritten through :func:`repro.engine.effective_engine_workers` with the
+pool size as the sibling count, so pool slots x engine workers never
+oversubscribes the machine (worker count is not part of the content
+hash).
 
 ``drain()`` is the graceful-shutdown half: stop consuming, cancel the
 tasks, demote every still-claimed row back to ``pending`` (resumable by a
@@ -608,9 +608,9 @@ _SETTLED = ("done", "failed", "quarantined", "cached", "skipped")
 class Batch:
     """A fixed set of runs drained to completion by one in-process pool.
 
-    One campaign invocation, or one boundary-search probe. :meth:`run`
-    starts a :class:`WorkerPool` on a private event loop, queues every run
-    and returns once each has *settled*: executed here, found done, or
+    What one campaign invocation runs. :meth:`run` starts a
+    :class:`WorkerPool` on a private event loop, queues every run and
+    returns once each has *settled*: executed here, found done, or
     resolved by the instance holding it. A run of the batch a dead process
     left ``running`` is reclaimed by the reaper once its lease expires, so
     the batch waits at most one lease TTL plus one reap interval for it.

@@ -17,8 +17,8 @@ Three run kinds cover the repo's experiment surface:
     :func:`repro.experiments.fig10.run_boundary_repetition`.
 ``"probe"``
     A prefix of a concentration sweep held at a fixed concentration level:
-    the yes/no divergence oracle the adaptive bisection search is built on
-    (see :mod:`repro.campaign.search`).
+    a yes/no divergence check at that one level (the boundary itself is
+    located by the ``"boundary"`` kind's detector sweep).
 ``"preset"``
     A named workload preset run under one balancer -- ``"none"`` is plain
     DDM, every other name DLB-DDM (the Figure 5/6 unit).

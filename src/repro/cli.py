@@ -14,8 +14,8 @@ Commands
 ``campaign``
     Drive named experiment campaigns: ``run``/``resume`` a grid through the
     persistent run store, ``status`` and ``report`` what is stored (the
-    report prints each (m, P) pair's fitted E/T: Figure 10 and Table 1),
-    ``list`` the built-ins, ``search`` the DLB boundary by bisection.
+    report prints each (m, P) pair's fitted E/T: Figure 10 and Table 1)
+    and ``list`` the built-ins.
 ``bounds``
     Print the theoretical upper bounds f(m, n) over a range of n.
 ``calibrate``
@@ -39,7 +39,6 @@ from . import api
 from .campaign import (
     CampaignSpec,
     RunStore,
-    bisect_boundary,
     campaign_names,
     campaign_report,
     get_campaign,
@@ -482,35 +481,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(render_report(report))
         return 0
 
-    if verb == "search":
-        with RunStore(args.dir) as store:
-            result = bisect_boundary(
-                args.m, args.pes, args.density,
-                n_steps=args.steps, stride=args.stride, seed=args.seed,
-                store=store,
-            )
-        if args.json:
-            payload = {
-                "m": result.m,
-                "pes": result.n_pes,
-                "density": result.density,
-                "boundary_index": result.boundary_index,
-                "point": list(result.point) if result.point else None,
-                "n_probes": result.n_probes,
-                "grid_size": len(result.grid),
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        elif result.found:
-            n, c0 = result.point
-            print(
-                f"boundary at schedule level {result.boundary_index} "
-                f"(n={n:.3f}, C0/C={c0:.4f}) in {result.n_probes} probes "
-                f"(exhaustive scan: {len(result.grid)})"
-            )
-        else:
-            print(f"no boundary found on the grid ({result.n_probes} probes)")
-        return 0
-
     raise AssertionError(f"unhandled campaign verb {verb!r}")  # pragma: no cover
 
 
@@ -920,17 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also delete the evicted runs' event logs from DIR")
     _store_args(gc)
     gc.set_defaults(func=_cmd_campaign)
-    search = campaign_sub.add_parser(
-        "search", help="bisect the DLB effective-range boundary"
-    )
-    search.add_argument("--m", type=int, default=3)
-    search.add_argument("--pes", type=int, default=9)
-    search.add_argument("--density", type=float, default=0.256)
-    search.add_argument("--steps", type=int, default=100)
-    search.add_argument("--stride", type=int, default=4)
-    search.add_argument("--seed", type=int, default=0)
-    _store_args(search)
-    search.set_defaults(func=_cmd_campaign)
 
     events = sub.add_parser(
         "events", help="inspect a flight-recorder event log (JSONL)"

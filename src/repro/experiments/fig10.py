@@ -9,13 +9,16 @@ points) always lies below the bound, is closer to it for larger m, and mostly
 exceeds half of it.
 
 The repetitions are a campaign (``fig10-quick``/``fig10-full``): this module
-holds the campaign's unit of work, :func:`run_boundary_repetition`, and the
-figure rendered from a stored report, :meth:`Fig10Result.from_report`.
+holds the campaign's unit of work, :func:`run_boundary_repetition` (one
+:func:`drive_sweep` and the detector -- the only code that locates a
+boundary), and the figure rendered from a stored report,
+:meth:`Fig10Result.from_report`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,6 +34,7 @@ from .common import ExperimentGeometry, droplets_for, geometry_for, simulation_c
 
 if TYPE_CHECKING:
     from ..campaign.report import BoundaryGroup, CampaignReport
+    from ..obs import Observability
 
 
 def auto_rounds(geometry: ExperimentGeometry) -> int:
@@ -43,6 +47,52 @@ def auto_rounds(geometry: ExperimentGeometry) -> int:
     """
     cells_per_pe = geometry.cells_per_side**3 // geometry.n_pes
     return max(2, round(cells_per_pe / 20))
+
+
+def drive_sweep(
+    m: int,
+    n_pes: int,
+    density: float,
+    schedule_seed: int,
+    n_steps: int,
+    rounds_per_config: int | None = None,
+    hold: tuple[int, int] | None = None,
+    observability: Observability | None = None,
+) -> RunResult:
+    """Drive one (m, P, density) concentration sweep under the permanent-cell
+    balancer: the setup both driven run kinds share.
+
+    ``rounds_per_config`` None is :func:`auto_rounds`. ``hold=(index,
+    n_hold)`` stops the schedule at level ``index`` and holds that level for
+    ``n_hold`` more configurations (the probe run kind).
+    """
+    geometry = geometry_for(m, n_pes, density)
+    if rounds_per_config is None:
+        rounds_per_config = auto_rounds(geometry)
+    schedule = ConcentrationSchedule(
+        n_particles=geometry.n_particles,
+        box_length=geometry.box_length,
+        n_steps=n_steps,
+        n_droplets=droplets_for(geometry),
+        seed=int(schedule_seed),
+    )
+    configurations = schedule if hold is None else _held(schedule, *hold)
+    # Driven sweeps probe the permanent-cell protocol's DLB limit, so the
+    # strategy is part of the experiment's definition.
+    return api.simulate_driven(
+        simulation_config_for(geometry),
+        configurations,
+        rounds_per_config=rounds_per_config,
+        balancer="permanent",
+        observability=observability,
+    )
+
+
+def _held(schedule: ConcentrationSchedule, index: int, n_hold: int):
+    """The schedule's prefix up to level ``index``, then that level held."""
+    for configuration in islice(schedule, index + 1):
+        yield configuration
+    yield from repeat(configuration, n_hold)
 
 
 def run_boundary_repetition(
@@ -61,27 +111,11 @@ def run_boundary_repetition(
     determines the run (geometry is derived from the arguments); the same
     seed always reproduces the same outcome.
     """
-    geometry = geometry_for(m, n_pes, density)
-    config = simulation_config_for(geometry)
     # A conservative detector (sustained exceedance well above baseline)
     # avoids flagging the first noise bump as the boundary; the paper's own
     # criterion ("begins to increase") is equally about a sustained rise.
     detector_kwargs = {"factor": 2.5, "sustain": 15, **(detector_kwargs or {})}
-    if rounds_per_config is None:
-        rounds_per_config = auto_rounds(geometry)
-    schedule = ConcentrationSchedule(
-        n_particles=geometry.n_particles,
-        box_length=geometry.box_length,
-        n_steps=n_steps,
-        n_droplets=droplets_for(geometry),
-        seed=int(schedule_seed),
-    )
-    # Boundary repetitions probe the permanent-cell protocol's DLB limit,
-    # so the strategy is part of the experiment's definition.
-    result = api.simulate_driven(
-        config, schedule, rounds_per_config=rounds_per_config,
-        balancer="permanent",
-    )
+    result = drive_sweep(m, n_pes, density, schedule_seed, n_steps, rounds_per_config)
     try:
         point = boundary_point(
             result.spread, result.trajectory, steps=result.steps, **detector_kwargs

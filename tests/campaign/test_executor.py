@@ -99,6 +99,23 @@ class TestExecuteRun:
         assert "tt_mean" in payload
 
 
+class TestRealProbe:
+    """One real probe at the smallest viable scale: the fixed-level
+    divergence check holds at a low level and trips at the top one."""
+
+    def test_low_level_probe_does_not_diverge(self):
+        payload = execute_run(RunSpec(kind="probe", m=2, n_pes=9, density=0.256,
+                                      n_steps=40, seed=3, probe_index=2,
+                                      probe_hold=8))
+        assert payload["diverged"] is False
+
+    def test_top_level_probe_diverges(self):
+        payload = execute_run(RunSpec(kind="probe", m=2, n_pes=9, density=0.256,
+                                      n_steps=40, seed=3, probe_index=39,
+                                      probe_hold=8))
+        assert payload["diverged"] is True
+
+
 class TestSerialExecution:
     def test_all_runs_complete(self):
         campaign = tiny_campaign()

@@ -1,9 +1,11 @@
-"""The in-process batch scheduler: reclaimed leases and the reaper's scope."""
+"""The in-process batch scheduler: runs held elsewhere, failing runs,
+reclaimed leases and the reaper's scope."""
 
 import threading
 import time
 from collections import Counter
 
+import repro.campaign.executor as executor
 from repro.campaign import CampaignSpec, RunSpec, RunStore, run_campaign
 from repro.campaign.pool import Batch
 
@@ -31,6 +33,52 @@ class SlowRunner:
         time.sleep(self.seconds)
         return {"ok": True, "payload": {"seed": spec_dict["seed"]},
                 "duration_s": self.seconds}
+
+
+class TestHeldAndFailingRuns:
+    def test_sibling_held_run_is_served_not_executed(self, tmp_path):
+        """A run another store owner holds is waited for, never run twice;
+        the payload served is the one that owner commits."""
+        spec = RunSpec(m=2, n_pes=9, density=0.256, n_steps=40, seed=730)
+        sibling = RunStore(tmp_path, instance_id="sibling-1-x")
+        run_hash = sibling.register(spec, "held")
+        lease = sibling.acquire_lease(run_hash, ttl=60.0)
+        runner = SlowRunner(0.0)
+        served = {}
+
+        def drain():
+            with RunStore(tmp_path) as store:
+                Batch(store, {run_hash: spec}, runner=runner, threads=True,
+                      retries=0).run()
+                served["payload"] = store.get(run_hash).payload
+
+        batch = threading.Thread(target=drain)
+        batch.start()
+        time.sleep(0.5)  # the batch is now watching the sibling's lease
+        assert sibling.complete(
+            run_hash, {"kind": "boundary", "from": "sibling"}, 0.1, lease=lease
+        )
+        batch.join(timeout=30)
+        assert not batch.is_alive()
+        assert runner.executions == Counter()  # not executed here
+        assert served["payload"]["from"] == "sibling"
+        assert sibling.get(run_hash).attempts == 1
+        sibling.close()
+
+    def test_raising_run_ends_failed_and_unowned(self, monkeypatch):
+        def explode(spec, *args):
+            raise RuntimeError("run exploded")
+
+        monkeypatch.setattr(executor, "execute_run", explode)
+        spec = RunSpec(m=2, n_pes=9, density=0.256, n_steps=40, seed=731)
+        with RunStore() as store:
+            run_hash = store.register(spec, "explodes")
+            Batch(store, {run_hash: spec}, runner=executor._pool_worker,
+                  threads=True, retries=0).run()
+            row = store.get(run_hash)
+            assert row.status == "failed"
+            assert "run exploded" in row.error
+            assert row.owner is None
 
 
 class TestReclaimedRunWhileQueued:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import api
 from repro.config import (
     DecompositionConfig,
     MDConfig,
@@ -29,16 +30,10 @@ def small_sim_config() -> SimulationConfig:
 @pytest.fixture
 def observed_run():
     obs = Observability.create()
-    # Construction evaluates the initial forces -- the run's one pair search
-    # at this length -- so the profile has to cover it.
-    with obs.activate():
-        runner = ParallelMDRunner(
-            small_sim_config(),
-            RunConfig(steps=12, seed=3),
-            observability=obs,
-        )
-        result = runner.run()
-    return obs, runner, result
+    result = api.simulate(
+        small_sim_config(), run=RunConfig(steps=12, seed=3), observability=obs
+    )
+    return obs, result
 
 
 def trace_events(obs):
@@ -47,12 +42,12 @@ def trace_events(obs):
 
 class TestParallelMDRunnerObservability:
     def test_trace_has_one_track_per_pe(self, observed_run):
-        obs, _, _ = observed_run
+        obs, _ = observed_run
         spans = [e for e in trace_events(obs) if e["ph"] == "X" and e["pid"] == 0]
         assert {e["tid"] for e in spans} == set(range(N_PES))
 
     def test_trace_has_phase_spans_and_migrations(self, observed_run):
-        obs, _, result = observed_run
+        obs, result = observed_run
         span_names = {
             e["name"] for e in trace_events(obs)
             if e["ph"] == "X" and e["pid"] == 0
@@ -67,13 +62,13 @@ class TestParallelMDRunnerObservability:
             assert set(event["args"]) == {"cell", "src", "dst"}
 
     def test_trace_spans_advance_with_sim_clock(self, observed_run):
-        obs, runner, _ = observed_run
+        obs, result = observed_run
         spans = [e for e in trace_events(obs) if e["ph"] == "X" and e["pid"] == 0]
         last_end = max(e["ts"] + e["dur"] for e in spans)
-        assert last_end <= runner.sim_time * 1e6 * (1 + 1e-9)
+        assert last_end <= sum(result.tt) * 1e6 * (1 + 1e-9)
 
     def test_trace_roundtrips_through_json(self, observed_run, tmp_path):
-        obs, _, _ = observed_run
+        obs, _ = observed_run
         path = tmp_path / "trace.json"
         write_trace(path, [obs.events])
         payload = json.loads(path.read_text())
@@ -83,7 +78,7 @@ class TestParallelMDRunnerObservability:
                 assert key in event
 
     def test_metrics_populated(self, observed_run):
-        obs, _, result = observed_run
+        obs, result = observed_run
         registry = obs.metrics
         assert registry.counter("repro_steps_total").value(mode="dlb") == 12
         assert registry.counter("repro_cell_migrations_total").value(
@@ -95,7 +90,7 @@ class TestParallelMDRunnerObservability:
         assert registry.gauge("repro_step_time_mean_seconds").value(mode="dlb") > 0
 
     def test_profiler_saw_host_kernels(self, observed_run):
-        obs, _, _ = observed_run
+        obs, _ = observed_run
         stats = profile([obs.events])
         # The default backend searches inside the neighbour-list build, and
         # only there: most steps reuse the list.
@@ -106,6 +101,18 @@ class TestParallelMDRunnerObservability:
             == 1
         )
         assert stats["accounting.account_step"]["count"] == 12
+
+    def test_profile_covers_the_constructors_force_pass(self):
+        """Construction evaluates the initial forces -- at this length the
+        run's one pair search -- so the profile counts one force pass more
+        than there are steps, and the search itself."""
+        obs = Observability.create(metrics=False)
+        api.simulate(
+            small_sim_config(), run=RunConfig(steps=5, seed=3), observability=obs
+        )
+        stats = profile([obs.events])
+        assert stats["force.accumulate"]["count"] == 5 + 1
+        assert any(name.startswith("pairs.") for name in stats)
 
     def test_disabled_observability_records_nothing(self):
         obs = Observability.create()
@@ -145,18 +152,17 @@ class TestDrivenLoadRunnerObservability:
 class TestEngineWorkerScopes:
     def test_workers_record_while_the_main_process_records(self):
         """Worker passes join the run's log under ``worker<w>.`` names,
-        exactly one per recorded pass of the main process."""
-        from repro import api
-
+        exactly one per recorded pass of the main process (the
+        constructor's initial pass and one per step)."""
         obs = Observability.create(metrics=False)
         api.simulate(
             small_sim_config(), run=RunConfig(steps=3, seed=3),
             engine="multiprocess", engine_workers=2, observability=obs,
         )
         stats = profile([obs.events])
-        assert stats["engine.force_pass"]["count"] == 3
+        assert stats["engine.force_pass"]["count"] == 3 + 1
         for w in (0, 1):
-            assert stats[f"worker{w}.engine.worker.force_pass"]["count"] == 3
+            assert stats[f"worker{w}.engine.worker.force_pass"]["count"] == 3 + 1
 
     def test_workers_record_nothing_unless_the_main_process_records(self):
         from repro.core.runner import ParallelMDRunner

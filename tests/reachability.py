@@ -136,8 +136,6 @@ EXEMPT: dict[str, str] = {
         "reference the neighbour oracle compares against; ledger/trace.py wraps it",
     "repro/theory/concentration.py:exact_concentration_factor":
         "oracle the tests check measure_concentration against",
-    "repro/campaign/search.py:exhaustive_boundary_scan":
-        "oracle the tests check bisect_boundary against",
     "repro/decomp/shapes.py": "benchmarks import it",
     "repro/api.py": "public surface pinned by test_api_surface",
     "repro/dlb/limits.py:dlb_limit_ratio": "closed form re-exported from repro",

@@ -578,9 +578,8 @@ SCENARIOS: dict[str, list[Scenario]] = {
         Scenario("sweep", repro(
             "sweep", "--m", "2", "--pes", "9", "--reps", "1", "--steps", "60")),
         Scenario("campaign list", repro("campaign", "list")),
-        Scenario("campaign search", repro(
-            "campaign", "search", "--m", "2", "--pes", "9", "--steps", "60",
-            "--stride", "8", "--dir", "store")),
+        Scenario("campaign run (fills the store)", repro(
+            "campaign", "run", "smoke", "--max-runs", "1", "--dir", "store")),
         Scenario("campaign status", repro("campaign", "status", "--dir", "store")),
         Scenario("campaign gc", repro(
             "campaign", "gc", "--older-than", "7d", "--dir", "store")),

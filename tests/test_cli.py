@@ -26,7 +26,6 @@ class TestParser:
             ["campaign", "resume", "smoke", "--dir", "d"],
             ["campaign", "status"],
             ["campaign", "report", "smoke", "--json"],
-            ["campaign", "search", "--m", "2", "--stride", "5"],
             ["run", "bench-m2", "--balancer", "permanent", "--events", "ev.jsonl",
              "--metrics", "m.prom", "--metrics-every", "5"],
             ["events", "tail", "ev.jsonl", "-n", "3"],
@@ -49,6 +48,14 @@ class TestParser:
     def test_campaign_requires_a_verb(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])
+
+    def test_campaign_search_is_gone(self, capsys):
+        # The detector sweep (a boundary campaign) is the one boundary
+        # measurement; the bisection verb is an invalid choice.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "search", "--m", "2"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'search'" in capsys.readouterr().err
 
 
 class TestCommands:
