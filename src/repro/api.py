@@ -249,11 +249,11 @@ def simulate(
         strategy. The concrete strategy name lands in
         ``result.meta["balancer"]``; ``balancer="none"`` runs plain DDM.
     engine:
-        Execution engine for the force path: an engine name
-        (``"sequential"`` / ``"multiprocess"``), a constructed
-        :class:`~repro.engine.Engine` (caller keeps ownership), or ``None``
-        for the classic in-process path. Engines created here are closed
-        before returning.
+        Where the force pass runs: an engine name (``"sequential"`` /
+        ``"multiprocess"``), a constructed :class:`~repro.engine.Engine`
+        (caller keeps ownership), or ``None`` for the classic in-process
+        path. Every choice gives the same forces and run digest; engines
+        created here are closed before returning.
     engine_workers:
         Worker-process count when ``engine`` is a name (multiprocess only).
     observability:

@@ -32,6 +32,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import InitVar, asdict, dataclass, fields
 
 from ..config import BALANCER_NAMES, SimulationConfig, mode_label
+from ..engine.base import ENGINE_NAMES
 from ..errors import CampaignError, ConfigurationError
 from ..experiments.common import geometry_for, simulation_config_for
 from ..rng import repetition_seeds
@@ -159,7 +160,7 @@ class RunSpec:
         if self.engine is not None:
             if self.kind != "preset":
                 raise CampaignError("engines apply to preset runs only")
-            if self.engine not in ("sequential", "multiprocess"):
+            if self.engine not in ENGINE_NAMES:
                 raise CampaignError(f"unknown engine {self.engine!r}")
         elif self.engine_workers is not None:
             raise CampaignError("engine_workers given without an engine")

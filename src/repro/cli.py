@@ -705,9 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=list(ENGINE_NAMES),
         default=None,
-        help="execution engine for the force path (default: classic in-process; "
-        "multiprocess shards virtual PEs over worker processes, bit-identical "
-        "results by construction)",
+        help="execution engine for the force pass (default: classic in-process; "
+        "multiprocess splits its force blocks over worker processes; every "
+        "engine gives the classic path's digest)",
     )
     run.add_argument(
         "--engine-workers",

@@ -9,12 +9,10 @@ Figures 9-10 and Table 1.
 """
 
 from .accounting import StepAccountant
-from .ddm import DecomposedForceResult
 from .results import RunResult, StepRecord
 from .runner import DrivenLoadRunner, ParallelMDRunner
 
 __all__ = [
-    "DecomposedForceResult",
     "DrivenLoadRunner",
     "ParallelMDRunner",
     "RunResult",

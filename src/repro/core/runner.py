@@ -60,8 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 #: Snapshot layout version. 2: the imbalance analytics are computed from the
 #: event buffer's ``step`` records instead of being snapshotted on their own,
-#: so a version-1 snapshot's buffer cannot resume.
-SNAPSHOT_FORMAT = 2
+#: so a version-1 snapshot's buffer cannot resume. 3: forces are folded from
+#: fixed force blocks (:mod:`repro.md.kernels`), so an older snapshot's state
+#: was integrated under other force bits and cannot resume onto this digest.
+SNAPSHOT_FORMAT = 3
 
 
 class _ObservedRunner:
@@ -397,8 +399,8 @@ class _ObservedRunner:
         if state.get("format") != SNAPSHOT_FORMAT:
             raise CheckpointMismatchError(
                 f"snapshot format {state.get('format', 1)!r} is not "
-                f"{SNAPSHOT_FORMAT}: its event buffer lacks the per-step "
-                "records; refusing to resume"
+                f"{SNAPSHOT_FORMAT}: an older layout or force kernel wrote it; "
+                "refusing to resume"
             )
         if state.get("kind") != self.kind:
             raise CheckpointMismatchError(
@@ -452,8 +454,8 @@ class ParallelMDRunner(_ObservedRunner):
         self.run_config = run_config
         md = config.md
         dec = config.decomposition
-        #: Nullable execution engine; ``None`` keeps the classic in-process
-        #: force path (one global pair kernel).
+        #: Nullable execution engine; ``None`` runs the force pass in-process
+        #: through :class:`~repro.md.forces.ForceField` (same bits either way).
         self.engine = engine
 
         rng = generator(run_config.seed)
@@ -473,16 +475,12 @@ class ParallelMDRunner(_ObservedRunner):
                     n_particles=self.system.n,
                     n_pes=dec.n_pes,
                     box_length=md.box_length,
-                    cells_per_side=dec.cells_per_side,
                     potential=self.potential,
                     skin=run_config.skin,
                 )
             )
             self.force_field = EngineForceField(
-                engine,
-                self.assignment.cell_owner_map,
-                attraction=md.attraction,
-                attractors=attractors,
+                engine, attraction=md.attraction, attractors=attractors
             )
         else:
             self.force_field = ForceField(

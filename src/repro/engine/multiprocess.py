@@ -1,37 +1,30 @@
-"""Multiprocess engine: virtual PEs sharded across worker processes.
+"""Multiprocess engine: the force blocks of a pass split across workers.
 
 Execution model
 ---------------
-At :meth:`bind` the engine allocates three shared-memory blocks — positions
-``(N, 3)``, forces ``(N, 3)`` and the cell-owner map ``(n_cells,)`` — and
-spawns ``workers`` long-lived processes, each owning the PE shard
-``{w, w+W, w+2W, ...}`` (striding balances the spatially-clustered load of
-adjacent PEs). Per step the driver writes positions and the owner map into
-shared memory, zeroes the force block, and broadcasts one tiny ``("force",
-step)`` message per worker pipe. Each worker is one
-:class:`~repro.engine.base.SliceCutter`: it keeps its own cached neighbour
-list (every worker decides rebuilds from the same shared positions, so they
-rebuild on the same passes), cuts its PEs' slices out of it, writes the owned
-particles' force rows straight into shared memory (ownership makes the row
-sets disjoint, so concurrent writes never overlap), and returns only per-PE
-scalars and the pass's ``(list rebuilt?, candidates)`` over its pipe.
+At :meth:`bind` the engine allocates two shared-memory segments -- the
+positions ``(N, 3)`` and one ``(3, N)`` partial-force slot per force block
+(the block count is a function of N alone) -- and spawns ``workers``
+long-lived processes. Per pass the main process writes the positions and
+sends one tiny ``("force", record)`` message per worker pipe. Each worker
+keeps its own cached pair list (every worker decides rebuilds from the same
+shared positions, so they rebuild on the same passes), takes a contiguous
+range of blocks balanced by list rows (:func:`worker_blocks`), writes each
+block's partial forces into its slot and returns only the blocks' scalars,
+the pass's ``(list rebuilt?, candidates)`` and its compute seconds.
 
 Determinism
 -----------
-A particle's force rows are computed entirely within its owner PE's slice,
-so the bits are independent of *which process* ran the slice. The scalar
-reductions (energy, virial) are the only order-sensitive part, and those go
-through the :class:`~repro.engine.router.DeterministicRouter`: the driver
-posts each worker's scalars as they arrive but :meth:`Engine._fold` reduces
-them in ``(step, tag, src)`` order — PE rank order — exactly as the
-sequential engine does. Hence the SHA-256 run digest is bit-identical to
-the sequential backend's, for any worker count.
+A block's partial is computed from the block's rows alone, so its bits do
+not depend on which process computed it. The main process folds the slots
+and the scalars in block order with :func:`repro.md.kernels.fold_partials`,
+the function the in-process path folds with, so the run digest is the
+classic path's for any worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 import traceback
 from multiprocessing import shared_memory
@@ -39,13 +32,10 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 
-from ..core.ddm import DecomposedForceResult
-from ..errors import ConfigurationError, EngineError
+from ..errors import EngineError
+from ..md.kernels import block_partial, block_rows, fold_partials, n_blocks
 from ..obs.events import EventLog, active, recording, scope
-from .base import FORCE_RESULT_TAG, Engine, EngineContext, SliceCutter
-
-#: Default worker cap when the caller does not specify one.
-DEFAULT_WORKERS = 4
+from .base import Engine, EngineContext, EnginePass, effective_engine_workers, search
 
 
 def _preferred_context() -> mp.context.BaseContext:
@@ -54,98 +44,104 @@ def _preferred_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
+def worker_blocks(rows: np.ndarray, worker: int, n_workers: int) -> np.ndarray:
+    """The blocks ``worker`` computes: a contiguous range, balanced by rows.
+
+    Each block goes to the worker whose equal share of the list holds the
+    block's middle row; shares follow worker order, so concatenating the
+    workers' blocks in worker order gives block order.
+    """
+    doubled_middles = rows[:-1] + rows[1:]
+    share = doubled_middles * n_workers // max(2 * int(rows[-1]), 1)
+    return np.flatnonzero(np.minimum(share, n_workers - 1) == worker)
+
+
 def _worker_main(
     conn: Connection,
     context: EngineContext,
-    pe_ids: list[int],
+    worker: int,
+    n_workers: int,
     positions_name: str,
-    forces_name: str,
-    owner_name: str,
+    partials_name: str,
 ) -> None:
-    """Worker loop: serve force-pass requests for one shard of PEs.
+    """Worker loop: serve force-pass requests with this worker's blocks.
 
     Runs until a ``("close",)`` message arrives; replies to every request so
-    the driver never blocks on a silent failure — exceptions travel back as
-    ``("error", step, traceback_text)``. While the main process records
-    host scopes, each request asks the worker to record the pass's scopes too,
+    the main process never blocks on a silent failure -- exceptions travel
+    back as ``("error", traceback_text)``. While the main process records host
+    scopes, each request asks the worker to record the pass's scopes too,
     into a log of its own (never one inherited through ``fork``), which
     travels back on close.
     """
     log = EventLog()
     positions_shm = shared_memory.SharedMemory(name=positions_name)
-    forces_shm = shared_memory.SharedMemory(name=forces_name)
-    owner_shm = shared_memory.SharedMemory(name=owner_name)
+    partials_shm = shared_memory.SharedMemory(name=partials_name)
     try:
         n = context.n_particles
         positions = np.ndarray((n, 3), dtype=np.float64, buffer=positions_shm.buf)
-        forces = np.ndarray((n, 3), dtype=np.float64, buffer=forces_shm.buf)
-        cutter = SliceCutter(context)
-        cell_owner = np.ndarray(
-            (cutter.cell_list.n_cells,), dtype=np.int64, buffer=owner_shm.buf
+        partials = np.ndarray(
+            (n_blocks(n), 3, n), dtype=np.float64, buffer=partials_shm.buf
         )
+        pair_list = context.pair_list()
         while True:
             message = conn.recv()
             if message[0] == "close":
                 conn.send(("closed", log.scopes))
                 return
             if message[0] != "force":  # defensive: protocol error
-                conn.send(("error", -1, f"unknown request {message[0]!r}"))
+                conn.send(("error", f"unknown request {message[0]!r}"))
                 continue
-            step, record = message[1], message[2]
             try:
-                with recording(log if record else None), scope(
+                with recording(log if message[1] else None), scope(
                     "engine.worker.force_pass"
                 ):
-                    pieces, list_info = cutter.cut(positions, cell_owner, pe_ids)
-                    for piece in pieces:
-                        forces[piece.owned_ids] = piece.forces
+                    start = time.perf_counter()
+                    candidates, rebuilt = search(pair_list, positions)
+                    rows = block_rows(candidates, n)
                     scalars = [
-                        (p.pe, p.energy, p.virial, p.seconds, p.n_pairs) for p in pieces
+                        block_partial(
+                            positions, candidates[rows[k] : rows[k + 1]],
+                            context.box_length, context.potential, partials[k],
+                        )[1:]
+                        for k in worker_blocks(rows, worker, n_workers)
                     ]
-                conn.send(("done", step, scalars, list_info))
+                    seconds = time.perf_counter() - start
+                conn.send(("done", scalars, rebuilt, len(candidates), seconds))
             except Exception:
-                conn.send(("error", step, traceback.format_exc()))
+                conn.send(("error", traceback.format_exc()))
     finally:
         positions_shm.close()
-        forces_shm.close()
-        owner_shm.close()
+        partials_shm.close()
 
 
 class MultiprocessEngine(Engine):
-    """Shards the per-PE force pass across long-lived worker processes."""
+    """Splits each force pass's blocks across long-lived worker processes."""
 
     name = "multiprocess"
 
     def __init__(self, workers: int | None = None) -> None:
         super().__init__()
-        if workers is not None and workers <= 0:
-            raise ConfigurationError(
-                f"engine workers must be positive, got {workers}"
-            )
         self._requested_workers = workers
         self._workers: list[mp.process.BaseProcess] = []
         self._pipes: list[Connection] = []
-        self._shards: list[list[int]] = []
         self._segments: list[shared_memory.SharedMemory] = []
         self._positions: np.ndarray | None = None
-        self._forces: np.ndarray | None = None
-        self._owner: np.ndarray | None = None
+        self._partials: np.ndarray | None = None
 
     @property
     def workers(self) -> int:
         """Live worker-process count (resolved at bind time)."""
         if self._workers:
             return len(self._workers)
-        requested = self._requested_workers
-        if requested is None:
-            return min(DEFAULT_WORKERS, os.cpu_count() or 1)
-        return requested
+        if self._requested_workers is None:
+            return effective_engine_workers(None)
+        return self._requested_workers
 
     def _start(self) -> None:
         context: EngineContext = self._context  # bound by Engine.bind
+        # Never more worker processes than the run has virtual PEs.
         n_workers = max(1, min(self.workers, context.n_pes))
         n = context.n_particles
-        n_cells = context.cells_per_side ** 3
 
         def segment(nbytes: int) -> shared_memory.SharedMemory:
             shm = shared_memory.SharedMemory(create=True, size=nbytes)
@@ -154,20 +150,18 @@ class MultiprocessEngine(Engine):
 
         try:
             positions_shm = segment(n * 3 * 8)
-            forces_shm = segment(n * 3 * 8)
-            owner_shm = segment(n_cells * 8)
+            partials_shm = segment(n_blocks(n) * 3 * n * 8)
             self._positions = np.ndarray((n, 3), np.float64, buffer=positions_shm.buf)
-            self._forces = np.ndarray((n, 3), np.float64, buffer=forces_shm.buf)
-            self._owner = np.ndarray((n_cells,), np.int64, buffer=owner_shm.buf)
-
+            self._partials = np.ndarray(
+                (n_blocks(n), 3, n), np.float64, buffer=partials_shm.buf
+            )
             ctx = _preferred_context()
             for w in range(n_workers):
-                shard = list(range(w, context.n_pes, n_workers))
                 ours, theirs = ctx.Pipe()
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(theirs, context, shard,
-                          positions_shm.name, forces_shm.name, owner_shm.name),
+                    args=(theirs, context, w, n_workers,
+                          positions_shm.name, partials_shm.name),
                     daemon=True,
                     name=f"repro-engine-{w}",
                 )
@@ -175,58 +169,33 @@ class MultiprocessEngine(Engine):
                 theirs.close()
                 self._workers.append(process)
                 self._pipes.append(ours)
-                self._shards.append(shard)
         except Exception:
             self._shutdown()
             raise
 
-    def force_pass(
-        self, positions: np.ndarray, cell_owner: np.ndarray, step: int
-    ) -> DecomposedForceResult:
-        context = self._require_context()
-        if positions.shape != (context.n_particles, 3):
+    def _run_pass(self, context: EngineContext, positions: np.ndarray) -> EnginePass:
+        self._positions[...] = positions
+        record = active() is not None
+        for pipe in self._pipes:
+            pipe.send(("force", record))
+        replies = [self._recv(w, pipe) for w, pipe in enumerate(self._pipes)]
+        for w, reply in enumerate(replies):
+            if reply[0] == "error":
+                raise EngineError(f"engine worker {w} failed:\n{reply[1]}")
+        scalars = [block for reply in replies for block in reply[1]]
+        if len(scalars) != len(self._partials):
             raise EngineError(
-                f"positions shape {positions.shape} != "
-                f"({context.n_particles}, 3) the engine was bound to"
+                f"workers computed {len(scalars)} force blocks, "
+                f"expected {len(self._partials)}"
             )
-        with scope("engine.force_pass"):
-            self._positions[...] = positions
-            self._owner[...] = cell_owner
-            self._forces[...] = 0.0
-            record = active() is not None
-            for pipe in self._pipes:
-                pipe.send(("force", step, record))
-            replies = [self._recv(w, pipe) for w, pipe in enumerate(self._pipes)]
-            for w, reply in enumerate(replies):
-                if reply[0] == "error":
-                    raise EngineError(
-                        f"engine worker {w} failed at step {reply[1]}:\n{reply[2]}"
-                    )
-                for pe, energy, virial, seconds, n_pairs in reply[2]:
-                    self.router.post(
-                        step, FORCE_RESULT_TAG, pe, 0,
-                        (energy, virial, seconds, n_pairs),
-                    )
-            # Every worker watches the same positions: take rank 0's list info.
-            result = self._fold(np.array(self._forces, copy=True), step, replies[0][3])
-        if self._observability is not None and self._observability.metrics is not None:
-            metrics = self._observability.metrics
-            metrics.counter(
-                "repro_engine_force_passes_total",
-                "Decomposed force passes executed by the engine",
-            ).inc(engine=self.name)
-            metrics.gauge(
-                "repro_engine_workers",
-                "Worker processes backing the execution engine",
-            ).set(len(self._workers), engine=self.name)
-        return result
-
-    def _lifecycle_entries(self) -> list[tuple[int, dict]]:
-        """One row per worker process, carrying its strided PE shard."""
-        return [
-            (w, {"engine": self.name, "workers": len(self._shards), "shard": shard})
-            for w, shard in enumerate(self._shards)
-        ]
+        force = fold_partials(
+            ((partial, *block) for partial, block in zip(self._partials, scalars)),
+            context.n_particles,
+        )
+        # Every worker watches the same positions: take worker 0's list info.
+        _, _, rebuilt, n_candidates, _ = replies[0]
+        seconds = np.array([reply[4] for reply in replies])
+        return EnginePass(force, n_candidates, rebuilt, seconds)
 
     def _recv(self, w: int, pipe: Connection):
         try:
@@ -234,8 +203,7 @@ class MultiprocessEngine(Engine):
         except (EOFError, OSError) as exc:
             process = self._workers[w]
             raise EngineError(
-                f"engine worker {w} died (exitcode {process.exitcode}); "
-                f"PE shard {self._shards[w]} is lost"
+                f"engine worker {w} died (exitcode {process.exitcode})"
             ) from exc
 
     def _shutdown(self) -> None:
@@ -259,7 +227,7 @@ class MultiprocessEngine(Engine):
         self._pipes.clear()
         # Views into the segments must drop before close(): a live ndarray
         # keeps the mmap referenced and unlink would leak it.
-        self._positions = self._forces = self._owner = None
+        self._positions = self._partials = None
         for shm in self._segments:
             try:
                 shm.close()

@@ -1,52 +1,34 @@
-"""In-process engine: PEs execute in rank order, one per loop iteration.
+"""In-process engine: every force block of a pass, in block order.
 
-This is the reference backend — the extracted form of what the runner always
-did. It exists so the multiprocess engine has a bit-identical baseline to be
-checked against: both cut their slices with one :class:`SliceCutter`, post
-the same per-PE scalars through the same router and share
-:meth:`Engine._fold`.
+It runs exactly what the classic path's kernel runs, behind the engine
+protocol: one cached pair list and :func:`repro.md.kernels.fold_blocks`.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from ..core.ddm import DecomposedForceResult
-from ..obs.events import scope
-from .base import FORCE_RESULT_TAG, Engine, SliceCutter
+from ..md.kernels import fold_blocks
+from .base import Engine, EngineContext, EnginePass, search
 
 
+# Kept only because the ledger's md_engine check compares against engine="sequential".
 class SequentialEngine(Engine):
-    """Executes every PE's force slice in rank order in the calling process."""
+    """Computes and folds every force block in the calling process."""
 
     name = "sequential"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._cutter: SliceCutter | None = None
-
     def _start(self) -> None:
-        self._cutter = SliceCutter(self._context)  # bound by Engine.bind
+        self._pair_list = self._context.pair_list()  # bound by Engine.bind
 
-    def force_pass(
-        self, positions: np.ndarray, cell_owner: np.ndarray, step: int
-    ) -> DecomposedForceResult:
-        context = self._require_context()
-        with scope("engine.force_pass"):
-            pieces, list_info = self._cutter.cut(
-                positions, cell_owner, range(context.n_pes)
-            )
-            forces = np.zeros_like(positions)
-            for piece in pieces:
-                forces[piece.owned_ids] = piece.forces
-                self.router.post(
-                    step, FORCE_RESULT_TAG, piece.pe, 0,
-                    (piece.energy, piece.virial, piece.seconds, piece.n_pairs),
-                )
-            result = self._fold(forces, step, list_info)
-        if self._observability is not None and self._observability.metrics is not None:
-            self._observability.metrics.counter(
-                "repro_engine_force_passes_total",
-                "Decomposed force passes executed by the engine",
-            ).inc(engine=self.name)
-        return result
+    def _run_pass(self, context: EngineContext, positions: np.ndarray) -> EnginePass:
+        start = time.perf_counter()
+        candidates, rebuilt = search(self._pair_list, positions)
+        force = fold_blocks(
+            positions, candidates, context.box_length, context.potential,
+            context.n_particles,
+        )
+        seconds = time.perf_counter() - start
+        return EnginePass(force, len(candidates), rebuilt, np.array([seconds]))

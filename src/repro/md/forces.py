@@ -154,6 +154,11 @@ class ForceField:
                 system.positions, pairs, system.box_length, self.potential, system.n
             )
         self.stats.record_evaluation(len(pairs), result.n_pairs)
+        return self._finish(system, result)
+
+    def _finish(self, system: ParticleSystem, result: ForceResult) -> ForceResult:
+        """Add the attraction to the pair result, check it is finite and
+        write it into ``system.forces``."""
         forces = result.forces
         potential_energy = result.potential_energy
         if self.attraction > 0.0:

@@ -1,32 +1,41 @@
-"""The LJ pair kernel: one copy of the pair math for every force path.
+"""The LJ pair kernel: one copy of the pair math and one force pass.
 
 :func:`pair_terms` turns a candidate pair list (possibly beyond the cut-off)
 into the per-pair force vectors, energies and squared distances of the pairs
-inside it; :func:`forces_from_pairs` scatters those to both endpoints
-(Newton's third law) and reduces them. The classic path
-(:class:`~repro.md.forces.ForceField`) calls the latter, the per-PE path
-(:func:`repro.core.ddm.pe_force_slice`) the former with its own ownership
-weighting, so the two share every elementwise operation.
+inside it. A force pass cuts the canonical list into force blocks by first
+particle index (:func:`block_rows`), reduces each block to a partial force
+array, energy and virial (:func:`block_partial`) and folds the partials in
+block order (:func:`fold_partials`). :func:`fold_blocks` runs all three
+in-process (:func:`forces_from_pairs` first puts any list into canonical
+order); the multiprocess engine computes the partials in its workers and
+folds them with the same function, so every path gives the same bits.
 
-Surviving pairs keep their *original candidate order*: that order is the
-floating-point accumulation order of the sequential-scatter force reduction,
-hence the reproducibility contract (DESIGN.md section 11 says why there is
-one kernel and not a choice of them).
+A block holds the pairs whose first index lies in its particle range, and
+surviving pairs keep their candidate order, so a block's accepted pairs --
+hence the result -- are a function of the positions alone, whichever
+beyond-cut-off rows a skinned list carries and whenever it was last rebuilt
+(DESIGN.md section 11).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .neighbors import canonical_pairs
 from .pbc import minimum_image_inplace
 from .potential import LennardJones
 
-# Rows of the candidate list per pair_terms call: its temporaries (under
-# 2 MB) then stay cache- and heap-resident instead of being page-faulted in
-# again every step. Not a tuning knob (8k-32k measure the same end to end).
-_PAIR_BLOCK = 16_384
+#: Particles per force block: a canonical pair list is cut where its first
+#: index crosses a multiple of this. Part of the numerical definition: every
+#: path folds the same blocks in the same order, so changing it moves every
+#: MD digest.
+_BLOCK_PARTICLES = 1024
+
+#: One block's reduction: ``((3, n) forces, energy, virial, accepted pairs)``.
+Partial = tuple[np.ndarray, float, float, int]
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,80 @@ def pair_terms(
         i, j, r_sq = np.compress(mask, i), np.compress(mask, j), np.compress(mask, r_sq)
         delta = np.compress(mask, delta, axis=0)
     energies, f_over_r = potential.energy_force_sq(r_sq)
-    fvec = delta * f_over_r[:, None]
+    # Column-major, so each axis is a contiguous bincount weight vector.
+    fvec = np.multiply(delta.T, f_over_r, out=np.empty((3, len(r_sq)))).T
     return i, j, fvec, energies, f_over_r, r_sq
+
+
+def n_blocks(n_particles: int) -> int:
+    """Force blocks of an ``n_particles`` system (a function of N alone)."""
+    return -(-n_particles // _BLOCK_PARTICLES)
+
+
+def block_rows(pairs: np.ndarray, n_particles: int) -> np.ndarray:
+    """Row offsets of the force blocks of ``pairs`` (first column ascending).
+
+    Block ``k`` is ``pairs[rows[k]:rows[k + 1]]``: the pairs whose first
+    index lies in ``[k, k + 1) * _BLOCK_PARTICLES``.
+    """
+    edges = np.arange(n_blocks(n_particles) + 1) * _BLOCK_PARTICLES
+    return np.searchsorted(pairs[:, 0], edges)
+
+
+def block_partial(
+    positions: np.ndarray,
+    pairs: np.ndarray,
+    box_length: float,
+    potential: LennardJones,
+    out: np.ndarray,
+) -> Partial:
+    """Reduce one block's pairs, writing its forces into ``out`` ``(3, n)``.
+
+    Newton's third law: ``bincount`` adds each particle's terms in candidate
+    order, its ``i`` terms and its ``j`` terms apart. Energy and virial are
+    ``np.sum`` of the block's arrays (pairwise, no BLAS).
+    """
+    i, j, fvec, energies, f_over_r, r_sq = pair_terms(positions, pairs, box_length, potential)
+    n = out.shape[1]
+    for axis in range(3):
+        np.subtract(
+            np.bincount(i, weights=fvec[:, axis], minlength=n),
+            np.bincount(j, weights=fvec[:, axis], minlength=n),
+            out=out[axis],
+        )
+    return out, float(np.sum(energies)), float(np.sum(f_over_r * r_sq)), len(i)
+
+
+def fold_partials(partials: Iterable[Partial], n_particles: int) -> ForceResult:
+    """Fold block partials in block order: the one reduction of every path."""
+    forces = np.zeros((3, n_particles), dtype=np.float64)
+    energy = virial = 0.0
+    n_pairs = 0
+    for block_forces, block_energy, block_virial, block_pairs in partials:
+        forces += block_forces
+        energy += block_energy
+        virial += block_virial
+        n_pairs += block_pairs
+    return ForceResult(np.ascontiguousarray(forces.T), energy, virial, n_pairs)
+
+
+def fold_blocks(
+    positions: np.ndarray,
+    pairs: np.ndarray,
+    box_length: float,
+    potential: LennardJones,
+    n_particles: int,
+) -> ForceResult:
+    """The force pass in-process: every block of a canonical list, folded."""
+    rows = block_rows(pairs, n_particles)
+    return fold_partials(
+        (
+            block_partial(positions, pairs[start:stop], box_length, potential,
+                          np.empty((3, n_particles), dtype=np.float64))
+            for start, stop in zip(rows[:-1], rows[1:])
+        ),
+        n_particles,
+    )
 
 
 def forces_from_pairs(
@@ -93,38 +174,13 @@ def forces_from_pairs(
 
     ``pairs`` may contain pairs beyond the cut-off (candidate lists); they are
     filtered by :func:`pair_terms`. Newton's third law is applied, so each
-    unordered pair must appear exactly once. The list is streamed through
-    :func:`pair_terms` in blocks of ``_PAIR_BLOCK`` rows; the candidate
-    traversal order fixes the floating-point accumulation order of the
-    sequential scatter.
+    unordered pair must appear exactly once. A list whose first column is not
+    ascending is put into canonical order first, so its blocks are defined.
     """
+    if len(pairs) > 1 and (np.diff(pairs[:, 0]) < 0).any():
+        pairs = canonical_pairs(pairs)
     n = len(positions) if n_particles is None else n_particles
-    plus = np.zeros((3, n), dtype=np.float64)
-    minus = np.zeros((3, n), dtype=np.float64)
-    # Kept whole because their reductions (pairwise sum, BLAS dot) depend on
-    # the full array; every other per-pair quantity lives one block.
-    energies = np.empty(len(pairs), dtype=np.float64)
-    f_over_r = np.empty(len(pairs), dtype=np.float64)
-    r_sq = np.empty(len(pairs), dtype=np.float64)
-    kept = 0
-    for start in range(0, len(pairs), _PAIR_BLOCK):
-        i, j, fvec, block_energies, block_f_over_r, block_r_sq = pair_terms(
-            positions, pairs[start : start + _PAIR_BLOCK], box_length, potential
-        )
-        # add.at is unbuffered and sequential: across blocks every particle
-        # gets the terms, in the order, one whole-list bincount would give it.
-        for axis in range(3):
-            np.add.at(plus[axis], i, fvec[:, axis])
-            np.add.at(minus[axis], j, fvec[:, axis])
-        block = slice(kept, kept + len(i))
-        energies[block] = block_energies
-        f_over_r[block] = block_f_over_r
-        r_sq[block] = block_r_sq
-        kept = block.stop
-    forces = np.subtract(plus.T, minus.T, order="C")
-    potential_energy = float(energies[:kept].sum())
-    virial = float(np.dot(f_over_r[:kept], r_sq[:kept]))
-    return ForceResult(forces, potential_energy, virial, kept)
+    return fold_blocks(positions, pairs, box_length, potential, n)
 
 
 class NumpyKernel:
@@ -140,8 +196,9 @@ class NumpyKernel:
         potential: LennardJones,
         n_particles: int | None = None,
     ) -> ForceResult:
-        """Reduce a candidate pair list to forces / energy / virial."""
-        return forces_from_pairs(positions, candidates, box_length, potential, n_particles)
+        """Reduce a canonical candidate list to forces / energy / virial."""
+        n = len(positions) if n_particles is None else n_particles
+        return fold_blocks(positions, candidates, box_length, potential, n)
 
 
 def create_kernel(name: str = "numpy") -> NumpyKernel:

@@ -5,7 +5,7 @@
     by scipy's periodic cKDTree (``pairs_kdtree``, compiled C) at
     ``cutoff + skin`` and reused across steps until any particle moves
     farther than ``skin / 2``. :class:`repro.md.forces.ForceField` evaluates
-    over it, and every engine unit cuts its PE slices from it.
+    over it, and every engine unit keeps its own copy of it.
 ``pairs_celllist``
     the paper's linked-cell search over the 26-neighbour stencil, vectorised
     with a CSR (sorted-run) candidate generator -- pure NumPy, linear in the

@@ -1,21 +1,19 @@
-"""The engines' shared neighbour list as an oracle, not as examples.
+"""The engines' force pass as an oracle, not as examples.
 
-Every execution unit cuts its PE slices out of one cached, canonically
-ordered list, and local ids are ascending global ids, so for *any*
-configuration
+Every path -- the classic ``ForceField`` and every engine at any worker
+count -- folds the same force blocks of one canonically ordered list in
+block order, so for *any* configuration
 
-(a) ``sequential``, ``multiprocess`` (any worker count) and the classic
-    ``ForceField("kdtree")`` path give bitwise-equal forces and positions on
-    every step, the two engines one run digest, and all of them one rebuild
-    schedule;
+(a) the classic path, ``sequential`` and ``multiprocess`` (1, 2 and 3
+    workers) give bitwise-equal forces and positions on every step, one run
+    digest and one rebuild schedule;
 (b) no pass ever misses a pair (and the check that says so trips on a list
     that is never rebuilt);
 (c) a ``multiprocess`` run killed just before, on or just after a rebuild
-    step resumes onto the uninterrupted digest;
+    step resumes onto the uninterrupted digest, and a classic run killed
+    mid-run resumes under ``multiprocess`` onto the classic digest;
 (d) ``RunConfig.skin`` reaches the engine's units: it moves the pair-search
-    counters and never the digest;
-(e) an engine pass clocks every PE that owns particles, and a PE that owns
-    none cuts an empty slice.
+    counters and never the digest.
 """
 
 from contextlib import ExitStack
@@ -25,15 +23,13 @@ import pytest
 
 from repro import api
 from repro.config import MDConfig, RunConfig, SimulationConfig
-from repro.core.ddm import pair_table, pe_force_slice
 from repro.core.runner import ParallelMDRunner
-from repro.decomp.assignment import CellAssignment
 from repro.engine import MultiprocessEngine, SequentialEngine
-from repro.engine import base as engine_base
-from repro.md.celllist import CellList
+from repro.engine import sequential as sequential_module
+from repro.md import kernels
+from repro.md.kernels import pair_terms
 from repro.md.neighbors import VerletList, canonical_pairs, pairs_kdtree
 from repro.md.potential import LennardJones
-from repro.md.system import ParticleSystem
 from tests.core.test_neighbor_oracle import (
     CONFIGURATIONS,
     KILL_RUN,
@@ -47,10 +43,17 @@ from tests.core.test_neighbor_oracle import (
 # -- (a) one answer across engines and the classic path ---------------------------
 
 
+#: Particles per force block in (a): small enough that the 1000-particle
+#: systems have eight blocks to split across workers (the real block holds
+#: them whole). Set before the engines bind, so forked workers inherit it.
+SMALL_BLOCK = 128
+
+
 @pytest.mark.parametrize("name", CONFIGURATIONS)
-def test_engines_and_classic_path_bit_identical_every_step(name):
+def test_engines_and_classic_path_bit_identical_every_step(name, monkeypatch):
     config, _ = CONFIGURATIONS[name]
     run = RunConfig(steps=STEPS, seed=3, skin=SKIN)
+    monkeypatch.setattr(kernels, "_BLOCK_PARTICLES", SMALL_BLOCK)
     with ExitStack() as stack:
         engines = {
             "classic": None,
@@ -76,7 +79,7 @@ def test_engines_and_classic_path_bit_identical_every_step(name):
                 ), (label, step)
         assert results["sequential"].total_moves > 0  # DLB moved cells under the passes
 
-        digests = {label: results[label].digest() for label in runners if label != "classic"}
+        digests = {label: result.digest() for label, result in results.items()}
         assert len(set(digests.values())) == 1, digests
         # Same positions, same criterion: one rebuild schedule everywhere,
         # incl. the two displacement rebuilds inside the horizon.
@@ -84,11 +87,7 @@ def test_engines_and_classic_path_bit_identical_every_step(name):
         assert want.rebuilds >= 3 and want.reuses > 0
         for label, runner in runners.items():
             got = runner.neighbor_stats
-            assert (got.rebuilds, got.reuses, got.candidate_pairs) == (
-                want.rebuilds, want.reuses, want.candidate_pairs
-            ), label
-        # Split pairs are evaluated by both owners, so an engine counts more.
-        assert runners["sequential"].neighbor_stats.accepted_pairs >= want.accepted_pairs
+            assert got.as_dict() == want.as_dict(), label
 
 
 # -- (b) no missed pair ---------------------------------------------------------------
@@ -120,12 +119,14 @@ def record_passes(monkeypatch, engine) -> list:
 def assert_no_missed_pair(monkeypatch, steps: int) -> ParallelMDRunner:
     seen = []
 
-    def recording_pair_table(positions, *args):
-        table = pair_table(positions, *args)
-        seen.append((positions.copy(), table.pairs))
-        return table
+    def recording_search(pair_list, positions):
+        candidates, rebuilt = search(pair_list, positions)
+        i, j = pair_terms(positions, candidates, pair_list.box_length, LennardJones())[:2]
+        seen.append((positions.copy(), np.column_stack([i, j])))
+        return candidates, rebuilt
 
-    monkeypatch.setattr(engine_base, "pair_table", recording_pair_table)
+    search = sequential_module.search
+    monkeypatch.setattr(sequential_module, "search", recording_search)
     with SequentialEngine() as engine:
         passes = record_passes(monkeypatch, engine)
         runner = hot_clustered_runner(engine)
@@ -136,9 +137,8 @@ def assert_no_missed_pair(monkeypatch, steps: int) -> ParallelMDRunner:
                 pairs_kdtree(positions, runner.system.box_length, runner.potential.cutoff)
             )
             assert np.array_equal(got, want), f"pair set differs at step {step}"
-            split = passes[-1].per_pe_pairs.sum() - len(want)
-            assert 0 <= split <= len(want)
-    assert len(seen) == steps + 1  # one table per pass, incl. the initial one
+            assert passes[-1].force.n_pairs == len(want)
+    assert len(seen) == steps + 1  # one search per pass, incl. the initial one
     return runner
 
 
@@ -183,6 +183,26 @@ def test_multiprocess_kill_and_resume_around_a_rebuild(tmp_path, offset):
     assert resumed.digest() == full.digest()
 
 
+def test_classic_run_resumes_under_multiprocess_onto_the_classic_digest(tmp_path):
+    # The snapshot carries the classic list's build positions; the workers
+    # ignore them and build their own lists, which cannot move the blocks.
+    config, _ = CONFIGURATIONS["clustered"]
+    kill_at = first_rebuild_step()
+    full = api.simulate(config, run=KILL_RUN, system=fresh_system("clustered"))
+    api.simulate(
+        config, run=KILL_RUN, system=fresh_system("clustered"),
+        checkpoints=api.CheckpointPolicy(directory=tmp_path, every=kill_at),
+        stop_after=kill_at,
+    )
+    resumed = api.simulate(
+        config, run=KILL_RUN, system=fresh_system("clustered"),
+        checkpoints=api.CheckpointPolicy(directory=tmp_path, resume=True),
+        engine="multiprocess", engine_workers=2,
+    )
+    assert resumed.meta["resumed_at"] == kill_at
+    assert resumed.digest() == full.digest()
+
+
 # -- (d) the run's skin reaches the units ------------------------------------------------
 
 
@@ -202,54 +222,3 @@ def test_skin_changes_the_counters_not_the_digest(engine, workers):
     assert thin["rebuilds"] > wide["rebuilds"]
     assert thin["accepted_pairs"] == wide["accepted_pairs"]
     assert 0.0 < wide["reuse_ratio"] < 1.0 and wide["acceptance_ratio"] < 1.0
-
-
-# -- (e) per-PE clocks and the early returns -----------------------------------------------
-
-
-def lopsided_system(box_length: float) -> ParticleSystem:
-    """A 4x4x4 lattice blob inside PE 0's pillar and one particle, out of
-    everyone's reach, inside the middle PE's: seven PEs own nothing."""
-    blob = np.indices((4, 4, 4)).reshape(3, -1).T * 1.12 + 0.5
-    return ParticleSystem(np.vstack([blob, [[8.0, 8.0, 8.0]]]), box_length=box_length)
-
-
-@pytest.mark.parametrize("make_engine", [SequentialEngine, lambda: MultiprocessEngine(workers=2)])
-def test_engine_pass_clocks_owners_and_empty_pes_cut_nothing(make_engine, monkeypatch):
-    config, _ = CONFIGURATIONS["uniform"]
-    run = RunConfig(steps=3, seed=1)
-    with make_engine() as engine:
-        passes = record_passes(monkeypatch, engine)
-        runner = ParallelMDRunner(
-            config, run, system=lopsided_system(config.md.box_length), engine=engine
-        )
-        for _ in range(run.steps):
-            record = runner.step()
-            last = passes[-1]
-            owner = runner.assignment.cell_owner_map()[
-                runner.cell_list.assign(runner.system.positions)
-            ]
-            owned = np.bincount(owner, minlength=9)
-            assert (owned > 0).sum() >= 2 and (owned == 0).any()
-            assert np.all(last.per_pe_seconds[owned > 0] > 0.0)
-            assert np.all(last.per_pe_pairs[owned == 0] == 0)
-            assert last.per_pe_pairs.sum() > 0 and record.timing.tt > 0.0
-
-
-def test_slices_of_an_empty_pe_and_of_a_pe_out_of_reach():
-    config, _ = CONFIGURATIONS["uniform"]
-    system = lopsided_system(config.md.box_length)
-    cells = config.decomposition.cells_per_side
-    table = pair_table(
-        system.positions, CellList(system.box_length, cells),
-        CellAssignment(cells, 9).cell_owner_map(), 2.5,
-        canonical_pairs(pairs_kdtree(system.positions, system.box_length, 2.9)),
-    )
-    assert len(table.pairs) > 0
-    loner = int(table.particle_owner[-1])
-    empty = next(pe for pe in range(9) if not (table.particle_owner == pe).any())
-    for pe, n_owned in ((empty, 0), (loner, 1)):
-        piece = pe_force_slice(pe, system.positions, system.box_length, table, LennardJones())
-        assert piece.n_pairs == 0 and piece.energy == 0.0 and piece.virial == 0.0
-        assert piece.forces.shape == (n_owned, 3) and not piece.forces.any()
-        assert len(piece.owned_ids) == n_owned and piece.seconds > 0.0

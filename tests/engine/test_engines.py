@@ -1,9 +1,8 @@
 """Execution engines: bit-identity across backends, lifecycle, guards.
 
-The digest-equality tests are the PR's acceptance criterion in miniature:
-the multiprocess engine must reproduce the sequential engine's SHA-256
-run digest bit-for-bit, for any worker count, with and without a fault
-plan, and across a kill/resume cycle.
+The multiprocess engine must reproduce the sequential engine's SHA-256 run
+digest bit-for-bit, for any worker count, with and without a fault plan,
+and across a kill/resume cycle.
 """
 
 import numpy as np
@@ -145,14 +144,13 @@ class TestEngineLifecycle:
             n_particles=100,
             n_pes=n_pes,
             box_length=10.0,
-            cells_per_side=4,
             potential=LennardJones(cutoff=2.5),
         )
 
     def test_force_pass_before_bind_raises(self):
         engine = SequentialEngine()
         with pytest.raises(EngineError):
-            engine.force_pass(np.zeros((100, 3)), np.zeros(64, dtype=np.int64), 0)
+            engine.force_pass(np.zeros((100, 3)))
 
     def test_rebind_same_context_is_idempotent(self):
         with SequentialEngine() as engine:
@@ -170,7 +168,7 @@ class TestEngineLifecycle:
         engine.bind(self.context())
         engine.close()
         with pytest.raises(EngineError):
-            engine.force_pass(np.zeros((100, 3)), np.zeros(64, dtype=np.int64), 0)
+            engine.force_pass(np.zeros((100, 3)))
         with pytest.raises(EngineError):
             engine.bind(self.context())
 
@@ -184,7 +182,7 @@ class TestEngineLifecycle:
         with MultiprocessEngine(workers=2) as engine:
             engine.bind(self.context())
             with pytest.raises(EngineError):
-                engine.force_pass(np.zeros((7, 3)), np.zeros(64, dtype=np.int64), 0)
+                engine.force_pass(np.zeros((7, 3)))
 
     def test_multiprocess_worker_cap_at_pe_count(self):
         with MultiprocessEngine(workers=8) as engine:
@@ -193,15 +191,15 @@ class TestEngineLifecycle:
 
     def test_context_validation(self):
         with pytest.raises(ConfigurationError):
-            EngineContext(0, 4, 10.0, 4, LennardJones(cutoff=2.5))
+            EngineContext(0, 4, 10.0, LennardJones(cutoff=2.5))
         with pytest.raises(ConfigurationError):
-            EngineContext(100, 0, 10.0, 4, LennardJones(cutoff=2.5))
+            EngineContext(100, 0, 10.0, LennardJones(cutoff=2.5))
 
 
 class TestRunnerIntegration:
     def test_engine_requires_kdtree_backend(self):
-        # Engines cut every slice from the cached kd-tree list; the per-step
-        # "cells" search is refused before any run, engine or not.
+        # Engines run the cached kd-tree list; the per-step "cells" search
+        # is refused before any run, engine or not.
         with pytest.raises(ConfigurationError, match="linked-cell search was removed"):
             api.simulate(
                 small_config(),

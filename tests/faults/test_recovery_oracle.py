@@ -171,3 +171,15 @@ class TestOlderSnapshots:
         with pytest.raises(CheckpointMismatchError, match="format"):
             md_runner().restore(old)
         md_runner().restore(state)  # the current format resumes
+
+    def test_snapshot_from_the_per_row_force_kernel_is_refused(self):
+        """A format-2 snapshot was integrated under the kernel that scattered
+        the whole list row by row; resumed under the block fold it would go
+        on with other force bits, so resume refuses it."""
+        from repro.errors import CheckpointMismatchError
+
+        runner = md_runner()
+        runner.run(2)
+        state = runner.state_dict()
+        with pytest.raises(CheckpointMismatchError, match="format 2 "):
+            md_runner().restore({**state, "format": 2})

@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import DecompositionConfig, MDConfig, SimulationConfig
-from repro.core.ddm import DecomposedForceResult
-from repro.engine import EngineContext, SequentialEngine
+from repro.engine import EngineContext, EnginePass, SequentialEngine
 from repro.faults import FaultPlan, MessageFaultRule, SlowdownRule, TimingFaultRule
 from repro.md.potential import LennardJones
+from repro.md.system import ParticleSystem
 
 
 def fig5_config() -> SimulationConfig:
@@ -30,28 +30,59 @@ def readme_plan() -> FaultPlan:
     )
 
 
+def droplet_system(
+    n_particles: int, density: float, seed: int, n_droplets: int = 6,
+    fraction: float = 0.6, temperature: float = 0.722,
+) -> ParticleSystem:
+    """``fraction`` of the particles in ``n_droplets`` dense droplets, the
+    rest a lattice gas: the shape of the ledger's ``md_engine`` system.
+
+    Droplets are simple-cubic blobs (spacing 1.1) on distinct sites of a
+    2x2x2 grid half a box apart, each on the axis of one pillar of a 4x4
+    pillar decomposition, so that pillar's PE owns it whole; gas particles
+    take seeded sites of a box-wide lattice at least 1.2 from every droplet.
+    """
+    rng = np.random.default_rng(seed)
+    box = (n_particles / density) ** (1.0 / 3.0)
+    grid = (np.indices((2, 2, 2)).reshape(3, -1).T * 2 + 0.5) * (box / 4.0)
+    centres = grid[rng.permutation(8)[:n_droplets]]
+    per_droplet = int(fraction * n_particles) // n_droplets
+    axis = np.arange(-10, 11) * 1.1
+    offsets = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    radius = np.linalg.norm(offsets, axis=1)
+    blob = offsets[np.argsort(radius, kind="stable")[:per_droplet]]
+    reach = np.sort(radius)[per_droplet] + 1.2
+    per_side = int(box)
+    sites = (np.indices((per_side,) * 3).reshape(3, -1).T + 0.5) * (box / per_side)
+    gap = sites[:, None, :] - centres[None, :, :]
+    gap -= box * np.round(gap / box)
+    free = sites[(np.linalg.norm(gap, axis=2) > reach).all(axis=1)]
+    n_gas = n_particles - n_droplets * per_droplet
+    gas = free[rng.choice(len(free), n_gas, replace=False)]
+    positions = np.mod(np.vstack([c + blob for c in centres] + [gas]), box)
+    velocities = rng.normal(0.0, np.sqrt(temperature), positions.shape)
+    velocities -= velocities.mean(axis=0)
+    return ParticleSystem(positions, velocities, box)
+
+
 def sequential_passes(
     positions: np.ndarray,
     box_length: float,
-    cells_per_side: int,
-    cell_owner: np.ndarray,
     potential: LennardJones,
     n_pes: int = 9,
     passes: int = 1,
-) -> list[DecomposedForceResult]:
-    """``passes`` decomposed force passes of one sequential engine over the
-    same positions and owner map (the first builds its neighbour list, the
-    rest reuse it)."""
+) -> list[EnginePass]:
+    """``passes`` force passes of one sequential engine over the same
+    positions (the first builds its neighbour list, the rest reuse it)."""
     context = EngineContext(
         n_particles=len(positions),
         n_pes=n_pes,
         box_length=box_length,
-        cells_per_side=cells_per_side,
         potential=potential,
     )
     with SequentialEngine() as engine:
         engine.bind(context)
-        return [engine.force_pass(positions, cell_owner, step) for step in range(passes)]
+        return [engine.force_pass(positions) for _ in range(passes)]
 
 
 def leave_unmonitored_claim(store_dir, run_hash: str, owner: str = "old-1-x") -> None:

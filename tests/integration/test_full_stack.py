@@ -68,7 +68,7 @@ class TestDLBHelpsOnConcentratingWorkload:
 
 class TestParallelCorrectnessDuringMD:
     def test_decomposed_forces_stay_exact_through_dlb_run(self):
-        """After DLB has migrated cells mid-run, the decomposed force pass
+        """After DLB has migrated cells mid-run, an engine's force pass
         still reproduces the global kernel exactly."""
         config = supercooled_simulation_config(
             n_particles=1000, n_pes=9, density=0.256, attraction=0.5, n_attractors=5
@@ -85,11 +85,10 @@ class TestParallelCorrectnessDuringMD:
             system.positions, pairs, system.box_length, runner.potential
         )
         (decomposed,) = sequential_passes(
-            system.positions, system.box_length, config.decomposition.cells_per_side,
-            runner.assignment.cell_owner_map(), runner.potential,
+            system.positions, system.box_length, runner.potential
         )
-        assert np.array_equal(decomposed.forces, want.forces)
-        assert decomposed.per_pe_pairs.sum() >= want.n_pairs
+        assert np.array_equal(decomposed.force.forces, want.forces)
+        assert decomposed.force.n_pairs == want.n_pairs
 
     def test_structure_invariants_after_md_run(self):
         config = supercooled_simulation_config(

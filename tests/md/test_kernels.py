@@ -1,4 +1,4 @@
-"""The one pair kernel: ``pair_terms`` and its ``forces_from_pairs`` reduction.
+"""The one pair kernel: ``pair_terms`` and the block fold of ``forces_from_pairs``.
 
 The generators cover the regimes where a pair kernel goes wrong if it is
 going to: uniform random gases, clustered blobs (the paper's concentration
@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.config import RunConfig
 from repro.md import kernels
 from repro.md.kernels import ForceResult, forces_from_pairs, pair_terms
-from repro.md.neighbors import pairs_kdtree
+from repro.md.neighbors import canonical_pairs, pairs_kdtree
 from repro.md.pbc import minimum_image
 from repro.md.potential import LennardJones
 
@@ -27,8 +27,8 @@ CUTOFF = POTENTIAL.cutoff
 
 
 def candidate_list(positions: np.ndarray, box: float) -> np.ndarray:
-    """A skin-padded candidate list (contains beyond-cut-off pairs)."""
-    return pairs_kdtree(positions, box, CUTOFF + 0.4)
+    """A skin-padded canonical candidate list (contains beyond-cut-off pairs)."""
+    return canonical_pairs(pairs_kdtree(positions, box, CUTOFF + 0.4))
 
 
 def uniform_gas(seed: int, n: int, box: float) -> np.ndarray:
@@ -84,7 +84,8 @@ def test_forces_are_pair_terms_scattered_in_candidate_order(regime, seed, n):
     assert np.array_equal(np.column_stack([i, j]), candidates[within])
     assert np.array_equal(fvec, delta[within] * f_over_r[:, None])
 
-    # The reduction is the sequential Newton-3 scatter of those terms.
+    # At most 160 particles are one force block: the reduction is the
+    # sequential Newton-3 scatter of those terms.
     plus = np.zeros((n, 3))
     minus = np.zeros((n, 3))
     for row in range(len(i)):
@@ -93,7 +94,7 @@ def test_forces_are_pair_terms_scattered_in_candidate_order(regime, seed, n):
     result = forces_from_pairs(positions, candidates, box, POTENTIAL, n)
     assert np.array_equal(result.forces, plus - minus)
     assert result.potential_energy == float(energies.sum())
-    assert result.virial == float(np.dot(f_over_r, r_sq))
+    assert result.virial == float(np.sum(f_over_r * r_sq))
     assert result.n_pairs == len(i)
 
 
@@ -114,53 +115,78 @@ def test_empty_and_all_rejected_candidates():
         assert not result.forces.any()
 
 
+def test_a_list_out_of_canonical_order_is_folded_in_canonical_order(monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK_PARTICLES", 16)
+    n = 120
+    box = max((n / 0.25) ** (1.0 / 3.0), 3.0 * CUTOFF)
+    positions = clustered_gas(3, n, box)
+    candidates = candidate_list(positions, box)
+    scrambled = np.random.default_rng(0).permutation(candidates)[:, ::-1]
+    got = forces_from_pairs(positions, scrambled, box, POTENTIAL)
+    want = forces_from_pairs(positions, candidates, box, POTENTIAL)
+    assert np.array_equal(got.forces, want.forces)
+    assert (got.potential_energy, got.virial, got.n_pairs) == (
+        want.potential_energy, want.virial, want.n_pairs
+    )
+
+
 def single_pass_reference(positions, pairs, box_length, potential, n_particles=None):
-    """The body ``forces_from_pairs`` had before it streamed blocks, byte-copied:
-    whole-list ``pair_terms``, six ``bincount``, ``energies.sum()``, ``np.dot``."""
+    """The block fold spelled out over one whole-list pass: whole-list
+    ``pair_terms``, each pair's block from its first index, then per block
+    six ``bincount`` and ``sum`` of energies and ``f_over_r * r_sq``, folded
+    in block order."""
     n = len(positions) if n_particles is None else n_particles
-    forces = np.zeros((n, 3), dtype=np.float64)
     i, j, fvec, energies, f_over_r, r_sq = pair_terms(
         positions, pairs, box_length, potential
     )
-    for axis in range(3):
-        forces[:, axis] += np.bincount(i, weights=fvec[:, axis], minlength=n)
-        forces[:, axis] -= np.bincount(j, weights=fvec[:, axis], minlength=n)
-    potential_energy = float(energies.sum())
-    virial = float(np.dot(f_over_r, r_sq))
-    return ForceResult(forces, potential_energy, virial, int(len(i)))
+    block = i // kernels._BLOCK_PARTICLES
+    forces = np.zeros((n, 3), dtype=np.float64)
+    energy = virial = 0.0
+    for k in range(kernels.n_blocks(n)):
+        rows = block == k
+        part = np.zeros((n, 3), dtype=np.float64)
+        for axis in range(3):
+            part[:, axis] = np.bincount(
+                i[rows], weights=fvec[rows, axis], minlength=n
+            ) - np.bincount(j[rows], weights=fvec[rows, axis], minlength=n)
+        forces += part
+        energy += float(energies[rows].sum())
+        virial += float((f_over_r[rows] * r_sq[rows]).sum())
+    return ForceResult(forces, energy, virial, int(len(i)))
 
 
 def seeded_stream(positions, pairs, box_length, potential, n_particles=None, *, bug, block):
-    """A block-streaming reduction with one of the bugs streaming invites."""
+    """A block-by-block reduction with one of the bugs a block fold invites."""
     n = len(positions) if n_particles is None else n_particles
-    plus, minus = np.zeros((3, n)), np.zeros((3, n))
-    forces = np.zeros((n, 3))
-    energies, f_over_r, r_sq = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
-    for start in range(0, len(pairs), block):
-        i, j, fvec, *scalars = pair_terms(
-            positions, pairs[start : start + block], box_length, potential
+    edges = np.arange(-(-n // block) + 1) * block
+    rows = np.searchsorted(pairs[:, 0], edges)
+    forces = np.zeros((3, n))
+    energy = virial = 0.0
+    every_energy = []
+    for start, stop in zip(rows[:-1], rows[1:]):
+        i, j, fvec, energies, f_over_r, r_sq = pair_terms(
+            positions, pairs[start:stop], box_length, potential
         )
         for axis in range(3):
-            if bug == "per_block_bincount":
-                forces[:, axis] += np.bincount(
-                    i, weights=fvec[:, axis], minlength=n
-                ) - np.bincount(j, weights=fvec[:, axis], minlength=n)
-            elif bug == "j_before_i":
-                np.add.at(plus[axis], j, -fvec[:, axis])
-                np.add.at(plus[axis], i, fvec[:, axis])
+            plus = np.bincount(i, weights=fvec[:, axis], minlength=n)
+            minus = np.bincount(j, weights=fvec[:, axis], minlength=n)
+            if bug == "per_block_bincount":  # counts folded in without a partial
+                forces[axis] += plus
+                forces[axis] -= minus
+            elif bug == "j_before_i":  # one accumulator, j's terms first
+                forces[axis] += np.bincount(
+                    np.concatenate([j, i]),
+                    weights=np.concatenate([-fvec[:, axis], fvec[:, axis]]),
+                    minlength=n,
+                )
             else:
-                np.add.at(plus[axis], i, fvec[:, axis])
-                np.add.at(minus[axis], j, fvec[:, axis])
-        for kept, values in zip((energies, f_over_r, r_sq), scalars):
-            kept.append(values)
-    if bug != "per_block_bincount":
-        forces = (plus - minus).T
-    if bug == "per_block_energy":
-        potential_energy = float(sum(part.sum() for part in energies))
-    else:
-        potential_energy = float(np.concatenate(energies).sum())
-    virial = float(np.dot(np.concatenate(f_over_r), np.concatenate(r_sq)))
-    return ForceResult(forces, potential_energy, virial, sum(map(len, energies)))
+                forces[axis] += plus - minus
+        every_energy.append(energies)
+        energy += float(energies.sum())
+        virial += float((f_over_r * r_sq).sum())
+    if bug == "per_block_energy":  # one whole-list sum instead of the blocks'
+        energy = float(np.concatenate(every_energy).sum())
+    return ForceResult(forces.T, energy, virial, sum(map(len, every_energy)))
 
 
 def assert_equals_single_pass(evaluate, positions, candidates, box, n_particles=None):
@@ -186,25 +212,26 @@ def block_boundary_cases():
     yield two, np.array([[0, 1]], dtype=np.int64), 20.0, None
 
 
-def block_sizes(n_candidates: int) -> list[int]:
-    return [1, 7, 64] + [size for size in range(n_candidates - 1, n_candidates + 2) if size > 0]
+def block_sizes(n_particles: int) -> list[int]:
+    """Particles per block: tiny, and either side of the whole system."""
+    return [1, 7, 64] + [size for size in range(n_particles - 1, n_particles + 2) if size > 0]
 
 
 @pytest.fixture(scope="module")
 def many_block_list():
-    """A clustered list of well over four real blocks (N = 3000)."""
+    """A clustered list of three real blocks (N = 3000)."""
     n = 3000
     box = (n / 0.25) ** (1.0 / 3.0)
     positions = clustered_gas(5, n, box)
     candidates = candidate_list(positions, box)
-    assert len(candidates) >= 4 * kernels._PAIR_BLOCK >= 65_536
+    assert kernels.n_blocks(n) == 3
     return positions, candidates, box
 
 
 def test_streamed_blocks_equal_the_single_pass_at_every_block_boundary(monkeypatch):
     for positions, candidates, box, n_particles in block_boundary_cases():
-        for block in block_sizes(len(candidates)):
-            monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+        for block in block_sizes(len(positions)):
+            monkeypatch.setattr(kernels, "_BLOCK_PARTICLES", block)
             assert_equals_single_pass(forces_from_pairs, positions, candidates, box, n_particles)
 
 
@@ -212,28 +239,29 @@ def test_streamed_blocks_equal_the_single_pass_at_the_real_block(many_block_list
     assert_equals_single_pass(forces_from_pairs, *many_block_list)
 
 
-def sweep_seeded_stream(bug: str) -> None:
+def sweep_seeded_stream(bug: str, monkeypatch) -> None:
     for positions, candidates, box, n_particles in block_boundary_cases():
-        for block in block_sizes(len(candidates)):
+        for block in block_sizes(len(positions)):
+            monkeypatch.setattr(kernels, "_BLOCK_PARTICLES", block)
             evaluate = functools.partial(seeded_stream, bug=bug, block=block)
             assert_equals_single_pass(evaluate, positions, candidates, box, n_particles)
 
 
-def test_seeded_stream_without_a_bug_is_clean():
-    sweep_seeded_stream("none")
+def test_seeded_stream_without_a_bug_is_clean(monkeypatch):
+    sweep_seeded_stream("none", monkeypatch)
 
 
 @pytest.mark.parametrize("bug", ["per_block_bincount", "per_block_energy", "j_before_i"])
-def test_block_boundary_oracle_trips_on_seeded_bugs(bug):
+def test_block_boundary_oracle_trips_on_seeded_bugs(bug, monkeypatch):
     with pytest.raises(AssertionError):
-        sweep_seeded_stream(bug)
+        sweep_seeded_stream(bug, monkeypatch)
 
 
-#: Traced bytes one call may hold per row of a block on top of the three
-#: list-length float64 buffers: ``pair_terms``' temporaries peak near 120 and
-#: the (3, n) accumulators add 13 at N = 3000; the single pass holds 72 per
-#: row of the *whole list*.
-BLOCK_BYTES_PER_ROW = 192
+#: Traced bytes one call may hold per row of its largest block
+#: (``pair_terms``' temporaries peak near 72) and per particle (the folded
+#: total, one partial and two ``bincount`` outputs: 8 float64).
+BLOCK_BYTES_PER_ROW = 128
+BYTES_PER_PARTICLE = 64
 
 
 def traced_peak(evaluate, positions, candidates, box) -> int:
@@ -247,9 +275,12 @@ def traced_peak(evaluate, positions, candidates, box) -> int:
         tracemalloc.stop()
 
 
-def test_no_list_length_temporaries_are_assembled(many_block_list):
+def test_no_list_length_temporaries_are_assembled(many_block_list, monkeypatch):
+    # Blocks of 256 particles: the blob's rows spread over six of them.
+    monkeypatch.setattr(kernels, "_BLOCK_PARTICLES", 256)
     positions, candidates, box = many_block_list
-    budget = 3 * 8 * len(candidates) + BLOCK_BYTES_PER_ROW * kernels._PAIR_BLOCK
+    largest = int(np.diff(kernels.block_rows(candidates, len(positions))).max())
+    budget = BLOCK_BYTES_PER_ROW * largest + BYTES_PER_PARTICLE * len(positions)
     assert traced_peak(forces_from_pairs, positions, candidates, box) <= budget
     # The guard has teeth: the monolithic body blows the same budget.
     assert traced_peak(single_pass_reference, positions, candidates, box) > 1.5 * budget

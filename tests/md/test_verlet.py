@@ -71,7 +71,7 @@ class TestVerletListConstruction:
         with pytest.raises(TypeError):
             RunConfig(steps=1, neighbor_max_reuse=20)
         with pytest.raises(TypeError):
-            EngineContext(27, 1, BOX, 4, lj, neighbor_max_reuse=20)
+            EngineContext(27, 1, BOX, lj, neighbor_max_reuse=20)
 
     def test_rejects_unknown_builder(self):
         # Builds always use the kd-tree search; there is no builder to pick.

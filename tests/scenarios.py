@@ -322,7 +322,7 @@ def check_engine_digests() -> None:
     killed = load("killed.json")
     resumed = load("resumed.json")["runs"]["permanent"]
 
-    # The acceptance criterion: engines never change the physics.
+    # Engines never change the physics.
     assert multiprocess["digest"] == sequential["digest"], (
         multiprocess["digest"], sequential["digest"])
     assert multiprocess["meta"]["engine"] == "multiprocess"
@@ -339,15 +339,19 @@ def check_engine_digests() -> None:
 
 
 def check_classic_vs_engine() -> None:
-    # Forces-equal-classic, end to end: same velocities after 40 steps.
+    # One force pass for every path: one run digest after 40 steps.
     run = RunConfig(steps=40, seed=1)
-    classic = api.simulate("fig5b-scaled", run=run)
-    engine = api.simulate("fig5b-scaled", run=run,
-                          engine="multiprocess", engine_workers=4)
-    assert engine.records[-1].temperature == classic.records[-1].temperature, (
-        engine.records[-1].temperature, classic.records[-1].temperature)
-    print("final temperature", classic.records[-1].temperature,
-          "identical with and without the engine")
+    digests = {
+        label: api.simulate("fig5b-scaled", run=run, engine=engine,
+                            engine_workers=workers).digest()
+        for label, engine, workers in (
+            ("classic", None, None),
+            ("sequential", "sequential", None),
+            ("multiprocess-4", "multiprocess", 4),
+        )
+    }
+    assert len(set(digests.values())) == 1, digests
+    print("digest", digests["classic"][:16], "identical with and without an engine")
 
 
 # -- service: serve, submit, poll, dedupe, SIGTERM ---------------------------------
@@ -557,7 +561,7 @@ SCENARIOS: dict[str, list[Scenario]] = {
             "run", "fig5b-scaled", *ENGINE, "--engine", "multiprocess",
             "--engine-workers", "4", "--resume", "ck",
             "--result-json", "resumed.json"), check=check_engine_digests),
-        Scenario("classic vs engine final temperature", (),
+        Scenario("classic vs engine digest", (),
                  check=check_classic_vs_engine),
     ],
     "service": [

@@ -63,8 +63,8 @@ def test_setup_shim_lists_the_same_requirements():
 
 
 def test_installed_numpy_meets_the_declared_floor():
-    """``np.add.at`` (the force scatter) is tens of times slower before 1.25:
-    an old image should fail here, not run the kernel off a cliff."""
+    """``np.add.at`` (the migration charges) is tens of times slower before
+    1.25: an old image should fail here, not run off a cliff."""
     project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]
     (floor,) = [
         re.fullmatch(r"numpy>=(\d+)\.(\d+)", req).groups()
