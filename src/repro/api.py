@@ -21,24 +21,16 @@ their runs through this module; the runner classes in
 
 from __future__ import annotations
 
-import dataclasses
+import json
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .config import (
-    DecompositionConfig,
-    DLBConfig,
-    MachineConfig,
-    MDConfig,
-    RunConfig,
-    SimulationConfig,
-    mode_label,
-)
+from .config import Checked, RunConfig, SimulationConfig, from_dict, mode_label
 from .core.checkpoint import CheckpointManager
 from .core.results import (
     RESULT_SCHEMA_VERSION,
@@ -50,7 +42,7 @@ from .core.results import (
 )
 from .core.runner import DrivenLoadRunner, ParallelMDRunner
 from .engine.base import Engine, create_engine
-from .errors import ConfigurationError, ReproError, SchemaError
+from .errors import ConfigurationError, FaultInjectionError, ReproError, SchemaError
 from .faults.audit import InvariantAuditor
 from .faults.injector import FaultInjector
 from .faults.plan import FaultPlan
@@ -77,7 +69,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CheckpointPolicy:
+class CheckpointPolicy(Checked):
     """How a run checkpoints (and optionally resumes).
 
     Attributes
@@ -101,7 +93,7 @@ class CheckpointPolicy:
 
 
 @dataclass(frozen=True)
-class AuditPolicy:
+class AuditPolicy(Checked):
     """How a run validates structural invariants while stepping.
 
     ``every`` is the audit cadence in steps; ``policy`` is ``"raise"``
@@ -404,7 +396,7 @@ def canonicalize_submission(submission: dict[str, Any]) -> CanonicalSubmission:
     submissions, campaign grids and ad-hoc sweeps all dedupe against the
     same stored runs.
     """
-    from .campaign.spec import SPEC_KEYS, RunSpec
+    from .campaign.spec import RunSpec
 
     if not isinstance(submission, dict):
         raise ConfigurationError(
@@ -412,25 +404,36 @@ def canonicalize_submission(submission: dict[str, Any]) -> CanonicalSubmission:
         )
     if "schema_version" in submission:
         check_schema_version(submission, source="submission")
-    known = SPEC_KEYS
-    unknown = sorted(set(submission) - known - {"schema_version"})
-    if unknown:
-        raise ConfigurationError(
-            f"unknown submission field(s) {', '.join(map(repr, unknown))}; "
-            f"expected a subset of {sorted(known)}"
-        )
     try:
-        spec = RunSpec(**{k: v for k, v in submission.items() if k in known})
-        content = spec.content()
+        spec = from_dict(
+            RunSpec, {k: v for k, v in submission.items() if k != "schema_version"}
+        )
         run_hash = spec.spec_hash()
     except ConfigurationError:
         raise
     except (ReproError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid submission: {exc}") from exc
-    return CanonicalSubmission(spec=spec, run_hash=run_hash, content=content)
+    return CanonicalSubmission(spec=spec, run_hash=run_hash, content=spec.content())
 
 
 # -- persisted artifacts ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LoadedConfig(Checked):
+    """A saved configuration file: the simulation and (optional) run."""
+
+    simulation: SimulationConfig
+    run: RunConfig | None = None
+
+    #: A file that is not a saved configuration is a schema fault.
+    error_type = SchemaError
+
+
+#: Keys older versions wrote into saved configuration files, dropped on load.
+_RETIRED_CONFIG_KEYS = (
+    "simulation.dlb.enabled", "run.timing_mode", "run.neighbor_max_reuse"
+)
 
 
 def save_config(
@@ -439,56 +442,22 @@ def save_config(
     run: RunConfig | None = None,
 ) -> None:
     """Persist a simulation (and optionally run) configuration as JSON."""
-    payload: dict[str, Any] = {
-        "simulation": {
-            "md": dataclasses.asdict(config.md),
-            "decomposition": dataclasses.asdict(config.decomposition),
-            "dlb": dataclasses.asdict(config.dlb),
-            "machine": dataclasses.asdict(config.machine),
-        },
-    }
-    if run is not None:
-        payload["run"] = dataclasses.asdict(run)
-    write_result_json(path, payload)
-
-
-def _from_dict(cls, data: dict[str, Any]):
-    """Build a config dataclass, ignoring unknown keys (forward compat)."""
-    known = {f.name for f in dataclasses.fields(cls) if f.init}
-    return cls(**{k: v for k, v in data.items() if k in known})
-
-
-@dataclass(frozen=True)
-class LoadedConfig:
-    """What :func:`load_config` returns: the simulation and (optional) run."""
-
-    simulation: SimulationConfig
-    run: RunConfig | None
+    write_result_json(path, asdict(LoadedConfig(simulation=config, run=run)))
 
 
 def load_config(path: str | Path) -> LoadedConfig:
-    """Load a configuration written by :func:`save_config` (schema-checked)."""
+    """Load a configuration written by :func:`save_config` (schema-checked,
+    strictly read). The retired ``dlb.enabled`` may be true, today's only
+    behaviour; false (plain DDM) must not load as a balancing run."""
     payload = read_result_json(path, source=f"config {path}")
     sim = payload.get("simulation")
-    if not isinstance(sim, dict):
-        raise SchemaError(f"config {path} has no 'simulation' section")
-    # Older configs carry dlb.enabled: true is dropped like any unknown key,
-    # but false (plain DDM) must not load as a balancing run.
-    if not sim.get("dlb", {}).get("enabled", True):
+    dlb = sim.get("dlb") if isinstance(sim, dict) else None
+    if isinstance(dlb, dict) and dlb.get("enabled") is False:
         raise SchemaError(
             f'config {path} sets dlb.enabled=false; plain DDM is now balancer="none"'
         )
-    simulation = SimulationConfig(
-        md=_from_dict(MDConfig, sim.get("md", {})),
-        decomposition=_from_dict(DecompositionConfig, sim.get("decomposition", {})),
-        dlb=_from_dict(DLBConfig, sim.get("dlb", {})),
-        machine=_from_dict(MachineConfig, sim.get("machine", {})),
-    )
-    run = payload.get("run")
-    return LoadedConfig(
-        simulation=simulation,
-        run=_from_dict(RunConfig, run) if isinstance(run, dict) else None,
-    )
+    del payload["schema_version"]
+    return from_dict(LoadedConfig, payload, retired=_RETIRED_CONFIG_KEYS)
 
 
 def load_result(path: str | Path) -> dict[str, Any]:
@@ -502,4 +471,11 @@ def load_result(path: str | Path) -> dict[str, Any]:
 
 def load_faults(path: str | Path) -> FaultPlan:
     """Load a JSON fault plan (see ``repro run --faults``)."""
-    return FaultPlan.from_json_file(path)
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise FaultInjectionError(f"cannot read fault plan {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FaultInjectionError(f"fault plan {path} is not valid JSON: {exc}") from exc
+    return FaultPlan.from_dict(data)

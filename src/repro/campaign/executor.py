@@ -31,12 +31,12 @@ import signal
 import time
 import traceback
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..config import RunConfig
+from ..config import RunConfig, from_dict
 from ..core.checkpoint import CheckpointManager
 from ..errors import CampaignError, CheckpointMismatchError
 from ..experiments.fig10 import drive_sweep, run_boundary_repetition
@@ -313,7 +313,7 @@ def _pool_worker(
     checkpoint_every: int = 0,
 ) -> dict:
     """Top-level (picklable) worker entry: never raises across the pool."""
-    spec = RunSpec.from_dict(spec_dict)
+    spec = from_dict(RunSpec, spec_dict)
     started = time.perf_counter()
     try:
         payload = _execute_with_timeout(
@@ -351,25 +351,12 @@ class CampaignSummary:
     retries: int = 0
     failures: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def done(self) -> int:
-        """Runs with a payload available after this invocation."""
-        return self.completed + self.cached
-
     def to_dict(self) -> dict:
-        """JSON-serialisable form (the CLI's ``--json`` output)."""
-        return {
-            "campaign": self.campaign,
-            "total": self.total,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cached": self.cached,
-            "cancelled": self.cancelled,
-            "skipped": self.skipped,
-            "interrupted": self.interrupted,
-            "retries": self.retries,
-            "wall_s": self.wall_s,
-        }
+        """JSON-serialisable form (the CLI's ``--json`` output): every field
+        but ``failures``."""
+        data = asdict(self)
+        del data["failures"]
+        return data
 
 
 #: The :class:`CampaignSummary` field each settling pool event counts toward

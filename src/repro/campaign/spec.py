@@ -29,9 +29,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import InitVar, asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass
 
-from ..config import BALANCER_NAMES, SimulationConfig, mode_label
+from ..config import BALANCER_NAMES, SimulationConfig, check_types, mode_label
 from ..engine.base import ENGINE_NAMES
 from ..errors import CampaignError, ConfigurationError
 from ..experiments.common import geometry_for, simulation_config_for
@@ -43,15 +43,6 @@ SPEC_SCHEMA = 1
 
 #: Valid run kinds.
 RUN_KINDS = ("boundary", "probe", "preset")
-
-#: Fields that must hold an ``int`` (never a ``bool`` or a float): a JSON
-#: ``5.0`` or ``true`` would otherwise hash apart from ``5``/``1`` and fail
-#: or repeat at execution time.
-_INT_FIELDS = (
-    "m", "n_pes", "n_steps", "seed", "repetition", "rounds_per_config",
-    "detector_sustain", "probe_index", "probe_hold", "engine_workers",
-)
-
 
 def fold_mode(mode: str | None, balancer: str | None) -> str | None:
     """The balancer a spec names once the compat ``"mode"`` key is folded in:
@@ -132,14 +123,14 @@ class RunSpec:
     balancer: str | None = None
     mode: InitVar[str | None] = None
 
+    #: What the type check raises (a ``5.0`` or ``true`` would hash apart).
+    error_type = CampaignError
+
     def __post_init__(self, mode: str | None) -> None:
+        check_types(self)
         object.__setattr__(self, "balancer", fold_mode(mode, self.balancer))
         if self.kind not in RUN_KINDS:
             raise CampaignError(f"unknown run kind {self.kind!r} (expected {RUN_KINDS})")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise CampaignError(f"{name} must be an integer, got {value!r}")
         if self.n_steps <= 0:
             raise CampaignError(f"n_steps must be positive, got {self.n_steps}")
         if self.kind == "probe":
@@ -233,10 +224,11 @@ class RunSpec:
         canonical = json.dumps(self.content(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    # -- (de)serialisation -------------------------------------------------
+    # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain-dict form (what the run store persists).
+        """Plain-dict form (what the run store persists; read back with
+        :func:`repro.config.from_dict`).
 
         Engine fields are omitted at their defaults, so stored spec JSON is
         byte-identical to pre-engine stores for engine-less runs.
@@ -248,15 +240,6 @@ class RunSpec:
         if self.balancer is None:
             del data["balancer"]
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_dict` output (extra keys ignored)."""
-        return cls(**{k: v for k, v in data.items() if k in SPEC_KEYS})
-
-
-#: Every key a spec mapping may carry: the fields plus the compat ``"mode"``.
-SPEC_KEYS = frozenset(f.name for f in fields(RunSpec)) | {"mode"}
 
 
 @dataclass(frozen=True)

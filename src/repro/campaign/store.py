@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Collection
 
+from ..config import from_dict
 from ..core.results import attach_schema_version, check_schema_version
 from ..errors import CampaignError
 from .spec import RunSpec
@@ -177,8 +178,9 @@ class StoredRun:
         return decoded if isinstance(decoded, dict) else {"reason": self.error}
 
     def run_spec(self) -> RunSpec:
-        """The stored spec, rebuilt as a :class:`RunSpec`."""
-        return RunSpec.from_dict(self.spec)
+        """The stored spec, rebuilt as a :class:`RunSpec` (older rows carry
+        the retired pair-search ``backend`` key)."""
+        return from_dict(RunSpec, self.spec, retired=("backend",))
 
 
 class RunStore:
@@ -716,15 +718,6 @@ class RunStore:
             (self.clock(),),
         ).fetchall()
         return [row[0] for row in rows]
-
-    def prune_instances(self, older_than: float = 3600.0) -> int:
-        """Drop instance rows dead for more than ``older_than`` seconds."""
-        cursor = self._db.execute(
-            "DELETE FROM instances WHERE deadline < ?",
-            (self.clock() - float(older_than),),
-        )
-        self._db.commit()
-        return cursor.rowcount
 
     # -- summaries ---------------------------------------------------------
 

@@ -169,7 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 checkpoints=checkpoints,
                 stop_after=stop_after,
             )
-        except ConfigurationError as exc:
+        except (ConfigurationError, FaultInjectionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         results[label] = result

@@ -1,16 +1,25 @@
 """Configuration dataclasses shared across the library.
 
-Each dataclass validates itself in ``__post_init__`` and raises
-:class:`repro.errors.ConfigurationError` on inconsistency, so invalid setups
-fail loudly at construction time rather than deep inside a simulation.
+Each dataclass checks its field types (:func:`check_types`), then its values
+in ``__post_init__``, raising :class:`repro.errors.ConfigurationError` (or
+its ``error_type``), so invalid setups fail loudly at construction time.
+:func:`from_dict` reads a config tree from JSON-shaped data (the writer is
+:func:`dataclasses.asdict`); :func:`config_token` keys a checkpoint to it.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import math
-from dataclasses import dataclass, field
+import types
+import typing
+from collections.abc import Collection
+from dataclasses import MISSING, InitVar, dataclass, field, fields, is_dataclass
+from typing import Any
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReproError
 from .units import (
     PAPER_CUTOFF,
     PAPER_DT,
@@ -19,6 +28,130 @@ from .units import (
     PAPER_T_REF,
     box_length_for,
 )
+
+# -- one type check, one reader, one token ----------------------------------
+
+_WANTS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", type(None): "null"}
+
+
+@functools.cache
+def _hints(cls: type) -> dict[str, Any]:
+    """The resolved annotation of each constructor argument (and InitVar)."""
+    init = {f.name for f in fields(cls) if f.init}
+    return {
+        name: hint.type if isinstance(hint, InitVar) else hint
+        for name, hint in typing.get_type_hints(cls).items()
+        if name in init or isinstance(hint, InitVar)
+    }
+
+
+def _expected(hint: Any, value: Any) -> str | None:
+    """None when ``value`` fits the annotation ``hint``, else what it wants.
+    Ints refuse ``bool`` and floats; floats accept ints."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        wants = [_expected(arg, value) for arg in args]
+        return None if None in wants else " or ".join(wants)
+    if origin is tuple:
+        fits = isinstance(value, tuple) and not any(_expected(args[0], v) for v in value)
+    else:
+        fits = isinstance(value, (int, float) if hint is float else hint) and not (
+            isinstance(value, bool) and hint in (int, float)
+        )
+    return None if fits else _WANTS.get(hint, f"a {(origin or hint).__name__}")
+
+
+def check_types(config: Any) -> None:
+    """Refuse any field whose value does not match its annotation (the first
+    check of every config's ``__post_init__``)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        want = _expected(_hints(type(config))[f.name], value)
+        if want:
+            error = getattr(config, "error_type", ConfigurationError)
+            raise error(f"{f.name} must be {want}, got {value!r}")
+
+
+class Checked:
+    """Base of the config dataclasses whose only check is :func:`check_types`."""
+
+    def __post_init__(self) -> None:
+        check_types(self)
+
+
+def _read(hint: Any, value: Any, path: str, retired: Collection[str], error) -> Any:
+    """One JSON value read against ``hint`` (objects to dataclasses, lists to
+    tuples), then type-checked."""
+    nested = [arg for arg in typing.get_args(hint) or (hint,) if is_dataclass(arg)]
+    if nested and isinstance(value, dict):
+        value = from_dict(nested[0], value, retired=retired, _path=path)
+    elif typing.get_origin(hint) is tuple and isinstance(value, list | tuple):
+        item = typing.get_args(hint)[0]
+        value = tuple(
+            _read(item, v, f"{path}[{i}]", retired, error) for i, v in enumerate(value)
+        )
+    want = _expected(hint, value)
+    if want:
+        raise error(f"{path} must be {want}, got {value!r}")
+    return value
+
+
+def from_dict(
+    cls: type, data: Any, *, retired: Collection[str] = (), _path: str = ""
+) -> Any:
+    """Build the config dataclass ``cls`` (and all nested in it) from
+    JSON-shaped data: the strict inverse of :func:`dataclasses.asdict`.
+    Unknown keys are refused, except the dotted paths in ``retired`` (keys
+    older versions of a persisted format wrote), which are dropped. Errors
+    have the type ``cls.error_type`` and name the dotted path of the first
+    bad key or value (``slowdowns[0].pe``)."""
+    error = getattr(cls, "error_type", ConfigurationError)
+    where = _path or "the top level"
+    if not isinstance(data, dict):
+        raise error(f"{_path or cls.__name__} must be an object, got {type(data).__name__}")
+    hints = _hints(cls)
+    paths = {key: f"{_path}.{key}" if _path else key for key in data}
+    unknown = [key for key in data if key not in hints and paths[key] not in retired]
+    if unknown:
+        raise error(f"unknown field(s) {', '.join(map(repr, sorted(unknown)))} at "
+                    f"{where}; known: {sorted(hints)}")
+    missing = [f.name for f in fields(cls) if f.init and f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise error(f"missing field(s) {', '.join(map(repr, missing))} at {where}")
+    kwargs = {key: _read(hints[key], value, paths[key], retired, error)
+              for key, value in data.items() if key in hints}
+    try:
+        return cls(**kwargs)
+    except ReproError as exc:
+        if not _path:
+            raise
+        raise type(exc)(f"{_path}: {exc}") from exc
+
+
+def _sparse(config: Any) -> dict[str, Any]:
+    """``config`` as JSON data without its default-valued leaves (and
+    without the nested configs that leaves empty)."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = _sparse(value)
+        if value != f.default and value != {}:
+            out[f.name] = value
+    return out
+
+
+def config_token(**parts: Any) -> str:
+    """Identity of the configuration a checkpoint belongs to: SHA-256 of the
+    canonical JSON of ``parts``, each config without its default-valued
+    leaves, so fields added or removed at their defaults keep snapshots
+    resumable (a changed default needs a ``SNAPSHOT_FORMAT`` bump)."""
+    tree = {name: _sparse(part) if is_dataclass(part) else part
+            for name, part in parts.items()}
+    canonical = json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -61,6 +194,7 @@ class MDConfig:
     n_attractors: int = 1
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.n_particles <= 0:
             raise ConfigurationError(f"n_particles must be positive, got {self.n_particles}")
         if self.density <= 0:
@@ -129,6 +263,7 @@ class DecompositionConfig:
     shape: str = "pillar"
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.cells_per_side <= 0:
             raise ConfigurationError(f"cells_per_side must be positive, got {self.cells_per_side}")
         if self.n_pes <= 0:
@@ -211,6 +346,7 @@ class DLBConfig:
     threshold: float = 0.1
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.interval <= 0:
             raise ConfigurationError(f"interval must be positive, got {self.interval}")
         if self.max_sends_per_step <= 0:
@@ -262,6 +398,7 @@ class MachineConfig:
     bytes_per_particle: int = 48  # 6 doubles: position + velocity
 
     def __post_init__(self) -> None:
+        check_types(self)
         for attr in (
             "latency",
             "inv_bandwidth",
@@ -293,9 +430,9 @@ class RunConfig:
         list, and nothing in the library reads this field. ``"kdtree"``
         (default) and ``"verlet"`` are accepted; ``"cells"`` is refused,
         since the per-step linked-cell search was removed. The field keeps
-        its place so ``repr(RunConfig)``, and with it every checkpoint's
-        config token, stays the same. It goes when Ledger v2 edits
-        ``ledger/workloads.py``, which still passes it.
+        its place only because ``ledger/workloads.py`` still passes it, and
+        goes with Ledger v2; held at its default, it leaves every
+        checkpoint's config token unchanged when it goes.
     skin:
         Neighbour-list search margin beyond the cut-off (clamped to what the
         box admits). The list is rebuilt exactly when some particle has
@@ -317,6 +454,7 @@ class RunConfig:
     balancer: str | None = None
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.steps < 0:
             raise ConfigurationError(f"steps must be non-negative, got {self.steps}")
         if self.record_interval <= 0:
@@ -348,12 +486,12 @@ class SimulationConfig:
     machine: MachineConfig = field(default_factory=MachineConfig)
 
     def __post_init__(self) -> None:
-        cell_size = self.md.box_length / self.decomposition.cells_per_side
+        check_types(self)
         # Cells must be at least as large as the cut-off (Section 2.2), or the
         # 26-neighbour stencil misses interacting pairs.
-        if cell_size < self.md.cutoff - 1e-12:
+        if self.cell_size < self.md.cutoff - 1e-12:
             raise ConfigurationError(
-                f"cell size {cell_size:.4f} smaller than cutoff {self.md.cutoff}: "
+                f"cell size {self.cell_size:.4f} smaller than cutoff {self.md.cutoff}: "
                 "reduce cells_per_side or the cutoff"
             )
 

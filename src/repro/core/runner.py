@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..config import RunConfig, SimulationConfig, mode_label
+from ..config import RunConfig, SimulationConfig, config_token, mode_label
 from ..decomp.assignment import CellAssignment
 from ..dlb.strategies import create_balancer, resolve_balancer_name
 from ..engine.base import Engine, EngineContext
@@ -63,7 +63,9 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 #: so a version-1 snapshot's buffer cannot resume. 3: forces are folded from
 #: fixed force blocks (:mod:`repro.md.kernels`), so an older snapshot's state
 #: was integrated under other force bits and cannot resume onto this digest.
-SNAPSHOT_FORMAT = 3
+#: 4: the config token is :func:`repro.config.config_token`, not the configs'
+#: ``repr``. Bump it whenever a default that reaches the token changes.
+SNAPSHOT_FORMAT = 4
 
 
 class _ObservedRunner:
@@ -73,9 +75,10 @@ class _ObservedRunner:
     balancer, and owns the one balancer round (:meth:`_rebalance`), the one
     accounting tail (:meth:`_account`), the checkpoint step, the run
     epilogue and the snapshot (:meth:`state_dict` / :meth:`restore`).
-    Subclasses set :attr:`kind`, finish construction with
-    :meth:`_announce`, and supply ``_config_token`` plus their own snapshot
-    keys through ``_own_state`` / ``_restore_own``.
+    Subclasses set :attr:`kind` and ``_token_parts`` (what
+    :func:`~repro.config.config_token` keys their snapshots to), finish
+    construction with :meth:`_announce`, and supply their own snapshot keys
+    through ``_own_state`` / ``_restore_own``.
 
     The observability hooks are no-ops unless an
     :class:`~repro.obs.Observability` bundle was supplied: the disabled path
@@ -367,7 +370,7 @@ class _ObservedRunner:
         state = {
             "format": SNAPSHOT_FORMAT,
             "kind": self.kind,
-            "config_token": self._config_token(),
+            "config_token": config_token(**self._token_parts),
             "step_count": self.step_count,
             "sim_time": self.sim_time,
             "holder": self.assignment.holder.copy(),
@@ -406,7 +409,7 @@ class _ObservedRunner:
             raise CheckpointMismatchError(
                 f"snapshot is for runner kind {state.get('kind')!r}, not {self.kind!r}"
             )
-        if state.get("config_token") != self._config_token():
+        if state.get("config_token") != config_token(**self._token_parts):
             raise CheckpointMismatchError(
                 "snapshot was taken under a different configuration; refusing "
                 "to resume (same config + seed is what makes resume bit-identical)"
@@ -452,6 +455,9 @@ class ParallelMDRunner(_ObservedRunner):
     ) -> None:
         super().__init__(config, observability, faults, run_config.balancer)
         self.run_config = run_config
+        self._token_parts = dict(
+            simulation=config, run=run_config, balancer=self.balancer_name
+        )
         md = config.md
         dec = config.decomposition
         #: Nullable execution engine; ``None`` runs the force pass in-process
@@ -547,16 +553,6 @@ class ParallelMDRunner(_ObservedRunner):
 
     # -- checkpointing -------------------------------------------------------
 
-    def _config_token(self) -> str:
-        """Identity of the configuration a snapshot belongs to.
-
-        Frozen-dataclass reprs are deterministic, so a snapshot can refuse
-        to restore into a runner built from different settings. The
-        concrete balancer name follows the configs (a ``None`` field reads
-        ``permanent`` there), the format existing snapshots carry.
-        """
-        return f"{self.config!r}|{self.run_config!r}|balancer={self.balancer_name}"
-
     def _own_state(self) -> dict:
         return {
             "positions": self.system.positions.copy(),
@@ -605,6 +601,9 @@ class DrivenLoadRunner(_ObservedRunner):
             )
         super().__init__(config, observability, faults, balancer)
         self.rounds_per_config = int(rounds_per_config)
+        self._token_parts = dict(
+            simulation=config, balancer=self.balancer_name, rounds=self.rounds_per_config
+        )
         #: Configurations already fully processed (resume skips this many).
         self.configs_done = 0
         self._announce()
@@ -653,12 +652,6 @@ class DrivenLoadRunner(_ObservedRunner):
         return self._finish(result)
 
     # -- checkpointing -------------------------------------------------------
-
-    def _config_token(self) -> str:
-        return (
-            f"{self.config!r}|rounds={self.rounds_per_config}"
-            f"|balancer={self.balancer_name}"
-        )
 
     def _own_state(self) -> dict:
         return {"configs_done": self.configs_done}

@@ -10,7 +10,8 @@ by name through :func:`repro.dlb.strategies.create_balancer` (or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -165,13 +166,7 @@ class DynamicLoadBalancer:
         """Snapshot of balancer bookkeeping (assignment is snapshotted by
         the runner; the two are restored together)."""
         state: dict = {
-            "stats": {
-                "steps": self.stats.steps,
-                "lends": self.stats.lends,
-                "returns": self.stats.returns,
-                "idle_steps": self.stats.idle_steps,
-                "moves_per_step": list(self.stats.moves_per_step),
-            },
+            "stats": asdict(self.stats),
             "view": self._view.state_dict() if self._view is not None else None,
             "strategy": {
                 "name": self.strategy.name,
@@ -182,12 +177,8 @@ class DynamicLoadBalancer:
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""
-        stats = state["stats"]
-        self.stats.steps = int(stats["steps"])
-        self.stats.lends = int(stats["lends"])
-        self.stats.returns = int(stats["returns"])
-        self.stats.idle_steps = int(stats["idle_steps"])
-        self.stats.moves_per_step = list(stats["moves_per_step"])
+        for name, value in state["stats"].items():
+            setattr(self.stats, name, copy.copy(value))
         if state.get("view") is not None and self._view is not None:
             self._view.load_state_dict(state["view"])
         recorded = state.get("strategy")  # absent in pre-seam checkpoints

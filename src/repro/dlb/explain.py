@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DLBConfig
+from ..config import DLBConfig, from_dict
 from ..decomp.assignment import CellAssignment
 from ..errors import AnalysisError
 from ..parallel.topology import Torus2D
@@ -103,14 +103,12 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     timing: TimingView | None = None
     view_state = event.get("view")
     if view_state is not None:
-        timing = TimingView(n_pes, int(view_state["max_staleness"]))
-        timing.times[...] = np.asarray(view_state["times"], dtype=np.float64)
-        timing.age[...] = np.asarray(view_state["age"], dtype=np.int64)
+        timing = TimingView(n_pes)
+        timing.load_state_dict(view_state)
     counts = event.get("counts")
-    config = DLBConfig(
-        policy=dlb.get("policy", "fastest"),
-        threshold=float(dlb.get("threshold", 0.0)),
-        max_sends_per_step=int(dlb.get("max_sends_per_step", 1)),
+    # run.start logs the DLB config's fields beside the run's own two keys.
+    config = from_dict(
+        DLBConfig, {k: v for k, v in dlb.items() if k not in ("enabled", "balancer")}
     )
     view = DecisionView(
         times=times,

@@ -10,7 +10,7 @@ stored report by :meth:`Fig10Result.from_report` /
 
 from .common import ExperimentGeometry, geometry_for
 from .fig5 import Fig5Result, run_fig5
-from .fig6 import Fig6Result, fig6_from_fig5, run_fig6
+from .fig6 import Fig6Result, fig6_from_fig5
 from .fig9 import Fig9Result, run_fig9
 from .fig10 import Fig10Result, run_boundary_repetition
 from .table1 import Table1Result
@@ -26,6 +26,5 @@ __all__ = [
     "geometry_for",
     "run_boundary_repetition",
     "run_fig5",
-    "run_fig6",
     "run_fig9",
 ]

@@ -33,11 +33,6 @@ class ExperimentGeometry:
     box_length: float
     n_particles: int
 
-    @property
-    def pe_side(self) -> int:
-        """Torus side ``sqrt(P)``."""
-        return math.isqrt(self.n_pes)
-
 
 def geometry_for(m: int, n_pes: int, density: float = PAPER_RHO) -> ExperimentGeometry:
     """Problem geometry for a pillar cross-section ``m`` on ``P`` PEs."""

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .. import api
 from ..config import RunConfig
 from ..core.results import RunResult
@@ -29,11 +27,6 @@ class Fig5Result:
     preset: Preset
     ddm: RunResult
     dlb: RunResult
-
-    @property
-    def steps(self) -> np.ndarray:
-        """Recorded step indices (identical for both runs)."""
-        return self.ddm.steps
 
     def growth(self) -> tuple[float, float]:
         """Per-curve growth factor ``tt_last / tt_first`` (DDM, DLB-DDM).

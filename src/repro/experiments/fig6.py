@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.results import RunResult
 from ..errors import AnalysisError
-from .fig5 import Fig5Result, run_fig5
+from .fig5 import Fig5Result
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,6 @@ def _panel(result: RunResult) -> Fig6Panel:
     return Fig6Panel(
         steps=log.steps, tt=log.tt, fmax=log.fmax, fave=log.fave, fmin=log.fmin
     )
-
-
-def run_fig6(
-    preset: str = "fig5a-scaled",
-    steps: int | None = None,
-    seed: int = 7,
-    record_interval: int = 20,
-) -> Fig6Result:
-    """Run the Figure 6 detail experiment (same workload as Figure 5a)."""
-    fig5 = run_fig5(preset=preset, steps=steps, seed=seed, record_interval=record_interval)
-    return fig6_from_fig5(fig5)
 
 
 def fig6_from_fig5(fig5: Fig5Result) -> Fig6Result:

@@ -5,19 +5,18 @@ A :class:`FaultPlan` is pure data: what goes wrong, where, how often. The
 from the plan's seed, so a plan + seed fully determines every perturbation of
 a run (and of its resumed-from-checkpoint continuation).
 
-Plans round-trip through JSON (``FaultPlan.from_dict`` / ``to_dict`` /
-``from_json_file``), which is what the CLI's ``--faults PLAN.json`` loads.
-Validation is strict: unknown keys and out-of-range values raise
-:class:`~repro.errors.FaultInjectionError` at construction time, never deep
-inside a simulation.
+Plans round-trip through JSON (``dataclasses.asdict`` out,
+``FaultPlan.from_dict`` in); ``api.load_faults`` reads the CLI's ``--faults
+PLAN.json``. Validation is strict: unknown keys, mistyped
+and out-of-range values raise :class:`~repro.errors.FaultInjectionError` at
+load time, never deep inside a simulation.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass
 
+from ..config import check_types, from_dict
 from ..errors import FaultInjectionError
 
 
@@ -31,21 +30,15 @@ def _check_non_negative(name: str, value: float) -> None:
         raise FaultInjectionError(f"{name} must be non-negative, got {value}")
 
 
-def _from_dict(cls, data: dict, label: str):
-    """Build a rule dataclass from a dict, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise FaultInjectionError(f"{label} must be an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise FaultInjectionError(
-            f"unknown {label} field(s) {sorted(unknown)}; known: {sorted(known)}"
-        )
-    return cls(**data)
+class _FaultConfig:
+    """Base of the plan dataclasses: their type checks and the reader raise
+    :class:`~repro.errors.FaultInjectionError`."""
+
+    error_type = FaultInjectionError
 
 
 @dataclass(frozen=True)
-class SlowdownRule:
+class SlowdownRule(_FaultConfig):
     """A sustained per-PE compute slowdown (OS jitter victim, slow node).
 
     ``pe`` is the flat PE id; every compute second on it costs ``factor``
@@ -58,6 +51,7 @@ class SlowdownRule:
     stop: int | None = None
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.pe < 0:
             raise FaultInjectionError(f"slowdown pe must be non-negative, got {self.pe}")
         if self.factor <= 0:
@@ -75,7 +69,7 @@ class SlowdownRule:
 
 
 @dataclass(frozen=True)
-class StallRule:
+class StallRule(_FaultConfig):
     """A transient stall: one PE loses ``extra`` seconds per step for a
     window of ``duration`` steps starting at ``step`` (preemption, page
     fault storm, checkpointing daemon)."""
@@ -86,6 +80,7 @@ class StallRule:
     extra: float = 0.0
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.pe < 0:
             raise FaultInjectionError(f"stall pe must be non-negative, got {self.pe}")
         if self.step < 0:
@@ -100,7 +95,7 @@ class StallRule:
 
 
 @dataclass(frozen=True)
-class MessageFaultRule:
+class MessageFaultRule(_FaultConfig):
     """Per-tag message faults (halo exchange, cell migration, bookkeeping).
 
     Attributes
@@ -130,6 +125,7 @@ class MessageFaultRule:
     duplicate: float = 0.0
 
     def __post_init__(self) -> None:
+        check_types(self)
         if not self.tag:
             raise FaultInjectionError("message fault tag must be non-empty ('*' for all)")
         _check_probability("message loss", self.loss)
@@ -140,7 +136,7 @@ class MessageFaultRule:
 
 
 @dataclass(frozen=True)
-class TimingFaultRule:
+class TimingFaultRule(_FaultConfig):
     """Faults on the DLB protocol's step-1 timing reports.
 
     ``drop`` is the per-report probability that a PE's last-step time never
@@ -154,6 +150,7 @@ class TimingFaultRule:
     max_staleness: int = 3
 
     def __post_init__(self) -> None:
+        check_types(self)
         _check_probability("timing drop", self.drop)
         if self.max_staleness < 0:
             raise FaultInjectionError(
@@ -162,7 +159,7 @@ class TimingFaultRule:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(_FaultConfig):
     """One deterministic chaos scenario.
 
     Attributes
@@ -192,15 +189,11 @@ class FaultPlan:
     timing: TimingFaultRule | None = None
 
     def __post_init__(self) -> None:
+        check_types(self)
         # numpy's SeedSequence rejects negative entries, so catch a bad seed
         # at plan load instead of deep inside the first random draw.
         _check_non_negative("seed", self.seed)
         _check_non_negative("jitter", self.jitter)
-        # Normalise list inputs (e.g. straight from JSON) to tuples.
-        for name in ("slowdowns", "stalls", "messages"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
 
     @property
     def is_null(self) -> bool:
@@ -230,63 +223,7 @@ class FaultPlan:
 
     # -- (de)serialisation -------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (inverse of :meth:`from_dict`)."""
-        out: dict = {"seed": self.seed}
-        if self.slowdowns:
-            out["slowdowns"] = [asdict(r) for r in self.slowdowns]
-        if self.jitter:
-            out["jitter"] = self.jitter
-        if self.stalls:
-            out["stalls"] = [asdict(r) for r in self.stalls]
-        if self.messages:
-            out["messages"] = [asdict(r) for r in self.messages]
-        if self.timing is not None:
-            out["timing"] = asdict(self.timing)
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Build a plan from a (JSON-decoded) dict, rejecting unknown keys."""
-        if not isinstance(data, dict):
-            raise FaultInjectionError(
-                f"fault plan must be an object, got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise FaultInjectionError(
-                f"unknown fault plan field(s) {sorted(unknown)}; known: {sorted(known)}"
-            )
-        kwargs: dict = {}
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        if "jitter" in data:
-            kwargs["jitter"] = float(data["jitter"])
-        if "slowdowns" in data:
-            kwargs["slowdowns"] = tuple(
-                _from_dict(SlowdownRule, r, "slowdown") for r in data["slowdowns"]
-            )
-        if "stalls" in data:
-            kwargs["stalls"] = tuple(
-                _from_dict(StallRule, r, "stall") for r in data["stalls"]
-            )
-        if "messages" in data:
-            kwargs["messages"] = tuple(
-                _from_dict(MessageFaultRule, r, "message fault") for r in data["messages"]
-            )
-        if "timing" in data and data["timing"] is not None:
-            kwargs["timing"] = _from_dict(TimingFaultRule, data["timing"], "timing fault")
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "FaultPlan":
-        """Load a plan from a JSON file (the CLI's ``--faults`` argument)."""
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise FaultInjectionError(f"cannot read fault plan {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FaultInjectionError(f"fault plan {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        """Build a plan from JSON-decoded data (:func:`repro.config.from_dict`)."""
+        return from_dict(cls, data)

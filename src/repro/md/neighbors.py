@@ -19,7 +19,7 @@ a function of the positions alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -258,14 +258,7 @@ class NeighborStats:
 
     def state_dict(self) -> dict[str, int]:
         """Checkpoint snapshot of the raw counters."""
-        return {
-            "rebuilds": self.rebuilds,
-            "reuses": self.reuses,
-            "candidate_pairs": self.candidate_pairs,
-            "accepted_pairs": self.accepted_pairs,
-            "total_candidates": self.total_candidates,
-            "total_accepted": self.total_accepted,
-        }
+        return asdict(self)
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""
@@ -351,8 +344,6 @@ class VerletList:
         """Restore a :meth:`state_dict` snapshot by re-searching its reference.
 
         The rebuild is not counted in :attr:`stats` (the original build was).
-        Older snapshots also carry ``pairs`` (before the canonical order) or
-        the streak counter of the removed reuse cap; both are ignored.
         """
         reference = state["reference"]
         self._reference = None if reference is None else np.array(reference, copy=True)

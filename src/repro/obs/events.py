@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from ..errors import ConfigurationError, SchemaError
+from .imbalance import ImbalanceFold
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -96,6 +97,17 @@ def _append(buffer: list[dict], step: int, kind: str, fields: dict) -> None:
                    "seq": len(buffer), "kind": kind, **fields})
 
 
+class LogFold:
+    """One log's aggregates over its first ``records`` records and
+    ``scopes`` scopes, as :func:`~repro.obs.metrics.collect_events` files them."""
+
+    def __init__(self) -> None:
+        self.start: dict | None = None
+        self.records = self.scopes = self.steps = self.moves = 0
+        self.imbalance: ImbalanceFold | None = None
+        self.by_kernel: dict[str, list[float]] = {}
+
+
 class EventLog:
     """Append-only event buffer with two channels and monotone sequencing.
 
@@ -106,7 +118,7 @@ class EventLog:
     byte-identical to an uninterrupted run's.
     """
 
-    __slots__ = ("enabled", "_records", "_host", "scopes", "epoch")
+    __slots__ = ("enabled", "_records", "_host", "scopes", "epoch", "_fold")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
@@ -118,6 +130,7 @@ class EventLog:
         self.scopes: list[tuple[str, float, float]] = []
         #: ``perf_counter`` at creation: the origin of the host trace track.
         self.epoch = time.perf_counter()
+        self._fold = LogFold()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -126,6 +139,26 @@ class EventLog:
     def records(self) -> list[dict]:
         """The sim-channel records, in ``(step, seq)`` emission order."""
         return list(self._records)
+
+    def fold(self) -> "LogFold":
+        """The log's running aggregates, advanced over what was appended
+        since the last call (a restored buffer starts them afresh)."""
+        fold = self._fold
+        if fold.start is None:
+            starts = (r for r in self._records if r["kind"] == "run.start")
+            fold.start = next(starts, None)
+            if fold.start is None:
+                return fold
+            fold.imbalance = ImbalanceFold(fold.start["n_pes"])
+        new = self._records[fold.records:]
+        fold.records += len(new)
+        fold.steps += sum(1 for r in new if r["kind"] == "step")
+        fold.moves += sum(1 for r in new if r["kind"] == "cell.migrate")
+        fold.imbalance.add(new)
+        for name, _, seconds in self.scopes[fold.scopes:]:
+            fold.by_kernel.setdefault(name, []).append(seconds)
+        fold.scopes = len(self.scopes)
+        return fold
 
     @property
     def host_records(self) -> list[dict]:
@@ -180,6 +213,7 @@ class EventLog:
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""
         self._records = [dict(r) for r in state["records"]]
+        self._fold = LogFold()
 
 
 # -- host timing scopes -------------------------------------------------------

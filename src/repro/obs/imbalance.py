@@ -13,55 +13,80 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["imbalance_summary"]
+__all__ = ["ImbalanceFold", "imbalance_summary"]
 
 
-def _running_total(values: np.ndarray) -> float:
-    """Left-to-right float sum, the order a per-step accumulator adds in."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+def _running_total(values: np.ndarray, start: float = 0.0) -> float:
+    """``start`` plus a left-to-right float sum of ``values``: the order a
+    per-step accumulator adds in, so folding in chunks gives the same bits."""
+    for value in values.tolist():
+        start += value
+    return start
+
+
+class ImbalanceFold:
+    """The summary of a run's ``step`` records, folded chunk by chunk: after
+    any sequence of :meth:`add` calls, :meth:`summary` equals one pass over
+    the same records bit for bit. A step's per-PE totals are summed as the
+    accountant sums them (force + comm + other + DLB charge), so their max
+    is the step's Tt. Without a ``counterfactual`` field (plain DDM) the
+    benefit fields are None.
+    """
+
+    def __init__(self, n_pes: int) -> None:
+        self.steps = self.balanced = 0
+        self.ratio = self.efficiency = self.actual = 0.0
+        self.counterfactual = self.benefit = 0.0
+        self.worst_ratio, self.worst_step = 0.0, -1
+        self.n_pes = n_pes
+        self.stragglers = np.zeros(n_pes, dtype=np.int64)
+
+    def add(self, records: list[dict]) -> None:
+        """Fold ``records`` (any kinds; only ``step`` records are read)."""
+        steps = [record for record in records if record["kind"] == "step"]
+        if not steps:
+            return
+        totals = (
+            np.array([r["force"] for r in steps]) + np.array([r["comm"] for r in steps])
+            + np.array([r["other"] for r in steps])
+            + np.array([r["dlb"] for r in steps])[:, None]
+        )
+        mean, peak = totals.mean(axis=1), totals.max(axis=1)
+        ratio = np.divide(peak, mean, out=np.ones_like(peak), where=mean > 0)
+        efficiency = np.divide(mean, peak, out=np.ones_like(peak), where=peak > 0)
+        worst = int(np.argmax(ratio))
+        if not self.steps or ratio[worst] > self.worst_ratio:
+            self.worst_ratio = float(ratio[worst])
+            self.worst_step = int(steps[worst]["step"])
+        self.steps += len(steps)
+        self.ratio = _running_total(ratio, self.ratio)
+        self.efficiency = _running_total(efficiency, self.efficiency)
+        self.actual = _running_total(peak, self.actual)
+        self.stragglers += np.bincount(np.argmax(totals, axis=1), minlength=self.n_pes)
+        balanced = [i for i, r in enumerate(steps) if "counterfactual" in r]
+        if balanced:
+            counterfactual = np.array([steps[i]["counterfactual"] for i in balanced])
+            self.balanced += len(balanced)
+            self.counterfactual = _running_total(counterfactual, self.counterfactual)
+            self.benefit = _running_total(counterfactual - peak[balanced], self.benefit)
+
+    def summary(self) -> dict:
+        """JSON-friendly summary of everything folded so far."""
+        steps, balanced = self.steps, self.balanced
+        return {
+            "steps": steps, "mean_ratio": self.ratio / steps if steps else 1.0,
+            "mean_efficiency": self.efficiency / steps if steps else 1.0,
+            "worst_ratio": self.worst_ratio, "worst_step": self.worst_step,
+            "actual_seconds": self.actual,
+            "counterfactual_seconds": self.counterfactual if balanced else None,
+            "dlb_benefit_seconds": self.benefit if balanced else None,
+            "top_straggler": int(np.argmax(self.stragglers)) if steps else None,
+            "straggler_counts": self.stragglers.tolist(),
+        }
 
 
 def imbalance_summary(records: list[dict], n_pes: int) -> dict:
-    """JSON-friendly imbalance summary of a run's ``step`` records.
-
-    ``records`` may hold any kinds; only ``step`` records are read, in
-    order. Without a ``counterfactual`` field (plain DDM, where actual and
-    counterfactual coincide by construction) the benefit fields are None.
-    A step's per-PE totals are summed as the accountant sums them (force +
-    comm + other + DLB charge), so their max is the step's Tt; the running
-    sums add step by step.
-    """
-    steps = [record for record in records if record["kind"] == "step"]
-    summary = {
-        "steps": len(steps), "mean_ratio": 1.0, "mean_efficiency": 1.0,
-        "worst_ratio": 0.0, "worst_step": -1, "actual_seconds": 0.0,
-        "counterfactual_seconds": None, "dlb_benefit_seconds": None,
-        "top_straggler": None, "straggler_counts": [0] * n_pes,
-    }
-    if not steps:
-        return summary
-    totals = (
-        np.array([r["force"] for r in steps]) + np.array([r["comm"] for r in steps])
-        + np.array([r["other"] for r in steps])
-        + np.array([r["dlb"] for r in steps])[:, None]
-    )
-    mean, peak = totals.mean(axis=1), totals.max(axis=1)
-    ratio = np.divide(peak, mean, out=np.ones_like(peak), where=mean > 0)
-    efficiency = np.divide(mean, peak, out=np.ones_like(peak), where=peak > 0)
-    worst = int(np.argmax(ratio))
-    stragglers = np.bincount(np.argmax(totals, axis=1), minlength=n_pes)
-    summary.update(
-        mean_ratio=_running_total(ratio) / len(steps),
-        mean_efficiency=_running_total(efficiency) / len(steps),
-        worst_ratio=float(ratio[worst]),
-        worst_step=int(steps[worst]["step"]),
-        actual_seconds=_running_total(peak),
-        top_straggler=int(np.argmax(stragglers)),
-        straggler_counts=stragglers.tolist(),
-    )
-    balanced = [i for i, r in enumerate(steps) if "counterfactual" in r]
-    if balanced:
-        counterfactual = np.array([steps[i]["counterfactual"] for i in balanced])
-        summary["counterfactual_seconds"] = _running_total(counterfactual)
-        summary["dlb_benefit_seconds"] = _running_total(counterfactual - peak[balanced])
-    return summary
+    """The :class:`ImbalanceFold` summary of ``records`` in one pass."""
+    fold = ImbalanceFold(n_pes)
+    fold.add(records)
+    return fold.summary()

@@ -14,6 +14,7 @@ a comparison run.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from pathlib import Path
@@ -75,6 +76,7 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
+@functools.lru_cache(maxsize=4096)
 def _format_labels(key: LabelKey, extra: str = "") -> str:
     parts = [f'{k}="{_escape_label_value(v)}"' for k, v in key]
     if extra:
@@ -193,13 +195,13 @@ class Histogram(_Metric):
 
     def samples(self) -> list[tuple[str, str, float]]:
         out: list[tuple[str, str, float]] = []
+        les = [f'le="{bound:g}"' for bound in self.buckets]
         for key, (in_buckets, total, count) in sorted(self._states.items()):
             cumulative = 0
-            for bound, in_bucket in zip(self.buckets, in_buckets):
+            for le, in_bucket in zip(les, in_buckets):
                 cumulative += in_bucket
                 out.append(
-                    (f"{self.name}_bucket", _format_labels(key, f'le="{bound:g}"'),
-                     float(cumulative))
+                    (f"{self.name}_bucket", _format_labels(key, le), float(cumulative))
                 )
             out.append(
                 (f"{self.name}_bucket", _format_labels(key, 'le="+Inf"'), float(count))
@@ -260,9 +262,16 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> Path:
-        """Write the registry to ``path`` as Prometheus text."""
+        """Write the registry to ``path`` as Prometheus text.
+
+        An existing file is overwritten in place, then cut to length:
+        truncating on open frees and reallocates its blocks, which at a
+        flush per step costs more than rendering the text.
+        """
         path = Path(path)
-        path.write_text(self.to_prometheus_text())
+        with open(path, "r+b" if path.exists() else "wb") as fh:
+            fh.write(self.to_prometheus_text().encode())
+            fh.truncate()
         return path
 
 
@@ -441,25 +450,21 @@ def collect_events(registry: MetricsRegistry, log: "EventLog") -> None:
     """File one run's event log, labelled with its mode: step and
     migration counts, the imbalance gauges and straggler counter, and every
     host scope in ``repro_host_kernel_seconds``. Idempotent, so the registry
-    can be refilled at every flush and at the final write."""
-    from .imbalance import imbalance_summary
-
-    records = log.records
-    start = next((r for r in records if r["kind"] == "run.start"), None)
-    if start is None:
+    can be refilled at every flush and at the final write; each call folds
+    only the records and scopes appended since the last one on ``log``."""
+    fold = log.fold()
+    if fold.start is None:
         return
-    mode = start["mode"]
-    steps = sum(1 for r in records if r["kind"] == "step")
-    moves = sum(1 for r in records if r["kind"] == "cell.migrate")
-    if moves:
+    mode = fold.start["mode"]
+    if fold.moves:
         migrations = registry.counter(
             "repro_cell_migrations_total", "cells moved by the balancer"
         )
-        _set_total(migrations, moves, mode=mode)
-    if steps:
+        _set_total(migrations, fold.moves, mode=mode)
+    if fold.steps:
         total = registry.counter("repro_steps_total", "simulated steps executed")
-        _set_total(total, steps, mode=mode)
-        summary = imbalance_summary(records, start["n_pes"])
+        _set_total(total, fold.steps, mode=mode)
+        summary = fold.imbalance.summary()
         for name, help, key in _IMBALANCE_GAUGES:
             registry.gauge(name, help).set(summary[key], mode=mode)
         straggler = registry.counter(
@@ -477,10 +482,7 @@ def collect_events(registry: MetricsRegistry, log: "EventLog") -> None:
         histogram = registry.histogram(
             "repro_host_kernel_seconds", "host wall-clock time per kernel scope"
         )
-        by_name: dict[str, list[float]] = {}
-        for name, _, seconds in log.scopes:
-            by_name.setdefault(name, []).append(seconds)
         # Scope records only ever append: observe the ones not filed yet.
-        for name, values in by_name.items():
+        for name, values in fold.by_kernel.items():
             for value in values[histogram.count(kernel=name, mode=mode):]:
                 histogram.observe(value, kernel=name, mode=mode)

@@ -166,25 +166,3 @@ class TimingLog:
             cached = self.fmax - self.fmin
             self._columns["spread"] = cached
         return cached
-
-    @property
-    def imbalance_ratio(self) -> np.ndarray:
-        """Per-step ``Fmax / Fave`` (1.0 = perfectly balanced force load)."""
-        cached = self._columns.get("imbalance_ratio")
-        if cached is None:
-            fave = self.fave
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cached = np.where(fave > 0, self.fmax / fave, 1.0)
-            self._columns["imbalance_ratio"] = cached
-        return cached
-
-    @property
-    def efficiency(self) -> np.ndarray:
-        """Per-step ``Fave / Fmax`` — the paper's parallel-efficiency estimate."""
-        cached = self._columns.get("efficiency")
-        if cached is None:
-            fmax = self.fmax
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cached = np.where(fmax > 0, self.fave / fmax, 1.0)
-            self._columns["efficiency"] = cached
-        return cached

@@ -12,7 +12,7 @@ import math
 
 from ..config import DecompositionConfig, MachineConfig, MDConfig, SimulationConfig
 from ..errors import ConfigurationError
-from ..units import PAPER_CUTOFF, PAPER_DT, PAPER_RESCALE_INTERVAL, PAPER_RHO, PAPER_T_REF
+from ..units import PAPER_RHO
 
 
 def supercooled_config(
@@ -21,14 +21,11 @@ def supercooled_config(
     attraction: float = 0.0,
     n_attractors: int = 1,
 ) -> MDConfig:
-    """MD configuration under the paper's supercooled-gas conditions."""
+    """MD configuration under the paper's supercooled-gas conditions (the
+    :class:`MDConfig` defaults)."""
     return MDConfig(
         n_particles=n_particles,
         density=density,
-        temperature=PAPER_T_REF,
-        cutoff=PAPER_CUTOFF,
-        dt=PAPER_DT,
-        rescale_interval=PAPER_RESCALE_INTERVAL,
         attraction=attraction,
         n_attractors=n_attractors,
     )

@@ -8,6 +8,7 @@ from collections import Counter
 import repro.campaign.executor as executor
 from repro.campaign import CampaignSpec, RunSpec, RunStore, run_campaign
 from repro.campaign.pool import Batch
+from repro.config import from_dict
 
 
 def expired_claim(store_dir, spec, campaign, owner="dead-1-x"):
@@ -29,7 +30,7 @@ class SlowRunner:
 
     def __call__(self, spec_dict, timeout, events_path):
         with self._lock:
-            self.executions[RunSpec.from_dict(spec_dict).spec_hash()] += 1
+            self.executions[from_dict(RunSpec, spec_dict).spec_hash()] += 1
         time.sleep(self.seconds)
         return {"ok": True, "payload": {"seed": spec_dict["seed"]},
                 "duration_s": self.seconds}

@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.campaign import CampaignSpec, RunSpec, campaign_names, get_campaign
+from repro.config import from_dict
 from repro.errors import CampaignError, ConfigurationError
 from repro.rng import repetition_seeds
 
@@ -84,15 +85,19 @@ class TestSpecHash:
 
     def test_roundtrips_through_dict(self):
         spec = RunSpec(kind="probe", probe_index=7, seed=42)
-        again = RunSpec.from_dict(spec.to_dict())
+        again = from_dict(RunSpec, spec.to_dict())
         assert again == spec
         assert again.spec_hash() == spec.spec_hash()
 
-    def test_from_dict_ignores_unknown_keys(self):
-        data = RunSpec().to_dict() | {"future_field": 1}
-        assert RunSpec.from_dict(data) == RunSpec()
+    def test_from_dict_drops_only_retired_keys(self):
+        data = RunSpec().to_dict()
         # Stored specs from before the pair-search axis was removed.
-        assert RunSpec.from_dict(data | {"backend": "kdtree"}) == RunSpec()
+        stored = data | {"backend": "kdtree"}
+        assert from_dict(RunSpec, stored, retired=("backend",)) == RunSpec()
+        with pytest.raises(CampaignError, match="'backend'"):
+            from_dict(RunSpec, stored)
+        with pytest.raises(CampaignError, match="'future_field'"):
+            from_dict(RunSpec, data | {"future_field": 1}, retired=("backend",))
 
 
 class TestPinnedHashes:
@@ -135,7 +140,7 @@ class TestModeCompatibility:
     def test_every_spelling_of_plain_ddm_hashes_equal(self, selector):
         data = self.DDM_SPEC | selector
         assert api.canonicalize_submission(data).run_hash == "1b55cd6b19bffa5d"
-        spec = RunSpec.from_dict(data)
+        spec = from_dict(RunSpec, data)
         assert spec.balancer == "none"
         assert spec.spec_hash() == "1b55cd6b19bffa5d"
 
@@ -145,7 +150,7 @@ class TestModeCompatibility:
         with pytest.raises(ConfigurationError, match="contradicts"):
             api.canonicalize_submission(data)
         with pytest.raises(ConfigurationError, match="contradicts"):
-            RunSpec.from_dict(data)
+            from_dict(RunSpec, data)
 
     def test_dlb_mode_is_a_no_op(self):
         for balancer in (None, "diffusion"):
@@ -160,7 +165,7 @@ class TestModeCompatibility:
             "detector_sustain": 15, "probe_index": None, "probe_hold": 30,
             "mode": "ddm",
         }
-        spec = RunSpec.from_dict(stored)
+        spec = from_dict(RunSpec, stored)
         assert spec == RunSpec(**self.DDM_SPEC, balancer="none")
         assert "mode" not in spec.to_dict()
         assert spec.to_dict()["balancer"] == "none"
@@ -274,4 +279,4 @@ class TestEngineFields:
         spec = RunSpec(
             kind="preset", preset="quickstart", engine="multiprocess", engine_workers=3
         )
-        assert RunSpec.from_dict(spec.to_dict()) == spec
+        assert from_dict(RunSpec, spec.to_dict()) == spec

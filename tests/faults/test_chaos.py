@@ -11,6 +11,8 @@ Acceptance criteria exercised here:
 * with every report dropped the protocol degrades to the safe no-move.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ class TestReproducibility:
 
     def test_different_fault_seed_diverges(self):
         base = FAULT_CLASSES["everything"]
-        other = FaultPlan.from_dict({**base.to_dict(), "seed": 99})
+        other = FaultPlan.from_dict({**asdict(base), "seed": 99})
         a = faulted_runner(base).run(10)
         b = faulted_runner(other).run(10)
         assert a.digest() != b.digest()

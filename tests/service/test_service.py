@@ -174,7 +174,7 @@ class TestValidationOverHttp:
         handle = service_factory(runner=runner)
         response = handle.client().submit(dict(SPEC, backend="kdtree"))
         assert response.status == 400
-        assert "unknown submission field(s) 'backend'" in response.body["error"]
+        assert "unknown field(s) 'backend'" in response.body["error"]
         assert runner.calls == 0
 
     def test_ddm_beside_a_balancer_gets_400_not_a_mislabelled_run(

@@ -1,5 +1,6 @@
 """The ``repro.api`` facade: entry points, persisted artifacts, validation."""
 
+import json
 import warnings
 
 import numpy as np
@@ -124,6 +125,30 @@ class TestPersistedArtifacts:
         else:
             with pytest.raises(SchemaError, match='balancer="none"'):
                 api.load_config(path)
+
+    def test_load_config_refuses_a_float_particle_count(self, tmp_path):
+        # It used to load, then die in simulate() with "slice indices must
+        # be integers".
+        path = tmp_path / "config.json"
+        api.save_config(path, small_config(), RunConfig(steps=2))
+        text = path.read_text().replace('"n_particles": 1000', '"n_particles": 1000.0')
+        path.write_text(text)
+        with pytest.raises(
+            ConfigurationError, match=r"simulation\.md\.n_particles must be an integer"
+        ):
+            api.load_config(path)
+
+    def test_load_config_refuses_unknown_keys_but_drops_retired_ones(self, tmp_path):
+        path = tmp_path / "config.json"
+        api.save_config(path, small_config(), RunConfig(steps=2))
+        payload = json.loads(path.read_text())
+        payload["run"] |= {"timing_mode": "model", "neighbor_max_reuse": 8}
+        path.write_text(json.dumps(payload))
+        assert api.load_config(path).run == RunConfig(steps=2)
+        payload["run"]["skinn"] = 0.3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="unknown field.*'skinn' at run"):
+            api.load_config(path)
 
     def test_load_config_rejects_missing_simulation(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -384,6 +384,21 @@ class TestChaosFlags:
                      "--faults", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("pe, message", [
+        # A fractional PE id used to load, then die mid-run with an
+        # IndexError traceback (exit 1).
+        ("1.5", "error: slowdowns[0].pe must be an integer, got 1.5"),
+        # A PE the machine lacks was refused with a traceback (exit 1).
+        ("99", "error: fault plan names PE 99 but the machine has 9 PEs"),
+    ])
+    def test_bad_fault_plan_is_a_usage_error(self, tmp_path, capsys, pe, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"slowdowns": [{"pe": %s, "factor": 2}]}' % pe)
+        code = main(["run", "bench-m2", "--balancer", "permanent", "--steps", "3",
+                     "--faults", str(bad)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_kill_resume_digest_matches_uninterrupted(self, tmp_path, capsys):
         """The ``chaos`` scenario group, in miniature."""
         plan = self.write_plan(tmp_path)
