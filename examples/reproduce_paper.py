@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce every table and figure of the paper's evaluation in one run.
 
-Drives the same experiment code as the benchmark suite, at a selectable
-scale, and prints a consolidated report (plus CSVs under examples/out/).
+Drives the experiment drivers of ``repro.experiments`` at a selectable
+scale and prints a consolidated report (plus CSVs under examples/out/).
 Figure 10 and Table 1 are campaigns, drained through an in-memory run store
 and rendered from its report; the quick and paper scales use the built-in
 ``fig10-*`` / ``table1-*`` campaigns by name (``repro campaign run`` runs the
@@ -14,14 +14,23 @@ same grids against a persistent store):
   Figure 10(a)-(c) -- theoretical bound vs experimental boundary points
   Table 1          -- E/T ratios across machine sizes
 
-Run:  python examples/reproduce_paper.py --scale quick    (~5 min)
+The paper's qualitative findings for Figures 5, 6 and 9 are checked on the
+series as they are computed: DDM's Fmax - Fmin grows with concentration while
+DLB-DDM's stays below it, Tt bounds Fmax, and the (n, C0/C) trajectory climbs
+from the dilute corner. Each check prints ``ok`` or ``FAILED``; the script
+exits 1 naming every finding that failed.
+
+Run:  python examples/reproduce_paper.py --scale quick    (~1 min on 2 cores)
       python examples/reproduce_paper.py --scale medium   (~30 min)
       python examples/reproduce_paper.py --scale paper    (hours)
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.campaign import CampaignSpec, drain_report, get_campaign
 from repro.experiments.fig5 import run_fig5
@@ -56,7 +65,14 @@ SCALES = {
 }
 
 
-def main() -> None:
+def check(failed: list[str], finding: str, holds) -> None:
+    """Print one paper finding's verdict; remember it when it fails."""
+    print(f"  {'ok' if holds else 'FAILED'}: {finding}")
+    if not holds:
+        failed.append(finding)
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=sorted(SCALES), default="quick")
     parser.add_argument("--out", type=Path, default=Path("examples/out"))
@@ -64,6 +80,7 @@ def main() -> None:
     p = SCALES[args.scale]
     args.out.mkdir(parents=True, exist_ok=True)
     started = time.time()
+    failed: list[str] = []
 
     # ---- Figure 5 / 6 -----------------------------------------------------
     for panel, preset, steps in (("b", "bench-m2", p["fig5b"]),
@@ -81,6 +98,26 @@ def main() -> None:
             write_csv(args.out / f"fig5{panel}_{label}.csv",
                       {"step": run.steps, "tt": run.tt, "fmax": run.fmax,
                        "fave": run.fave, "fmin": run.fmin})
+        # Section 3.3: DDM's force-time imbalance grows with concentration,
+        # DLB-DDM's stays below it, and Tt (set at the barrier) bounds Fmax.
+        name = f"Fig. 5({panel})/6 {preset}"
+        ddm, dlb = fig5.ddm.spread, fig5.dlb.spread
+        check(failed, f"{name}: DDM Fmax-Fmin grows > 1.5x",
+              ddm[-k:].mean() / max(ddm[:k].mean(), 1e-12) > 1.5)
+        check(failed, f"{name}: DLB-DDM ends with a smaller Fmax-Fmin gap than DDM",
+              dlb[-k:].mean() < ddm[-k:].mean())
+        if panel == "b":
+            name = f"Fig. 6 {preset}"
+            check(failed, f"{name}: Tt >= Fmax at every step",
+                  np.all(fig6.ddm.tt >= fig6.ddm.fmax)
+                  and np.all(fig6.dlb.tt >= fig6.dlb.fmax))
+            check(failed, f"{name}: DDM gap grows > 1.5x (decile-smoothed)",
+                  fig6.ddm.gap_growth() > 1.5)
+            mid = slice(len(fig6.dlb.steps) // 3, 2 * len(fig6.dlb.steps) // 3)
+            check(failed, f"{name}: DLB-DDM holds Fmax/Fave at or below DDM's "
+                          "in the middle third",
+                  np.median(fig6.dlb.fmax[mid] / fig6.dlb.fave[mid])
+                  < np.median(fig6.ddm.fmax[mid] / fig6.ddm.fave[mid]) + 1e-9)
 
     # ---- Figure 9 ----------------------------------------------------------
     print(f"\n=== Figure 9: trajectory [{time.time() - started:.0f}s] ===")
@@ -94,6 +131,12 @@ def main() -> None:
     write_csv(args.out / "fig9.csv",
               {"step": trajectory.steps, "n": trajectory.n,
                "c0_ratio": trajectory.c0_ratio})
+    # The paper's example trajectory: starts near C0/C = 0 and climbs.
+    c0 = trajectory.c0_ratio
+    check(failed, "Fig. 9: the trajectory starts at C0/C < 0.05", c0[0] < 0.05)
+    check(failed, "Fig. 9: C0/C climbs over 5x from the first to the last "
+                  "five records", c0[-5:].mean() > 5 * max(c0[:5].mean(), 1e-4))
+    check(failed, "Fig. 9: n >= 1 on every record", np.all(trajectory.n >= 1.0))
 
     # ---- Figure 10 ---------------------------------------------------------
     campaign = p["fig10"]
@@ -132,7 +175,13 @@ def main() -> None:
 
     print(f"\nall experiments done in {time.time() - started:.0f}s; "
           f"CSVs under {args.out}/")
+    if failed:
+        print("paper findings not reproduced:", file=sys.stderr)
+        for finding in failed:
+            print(f"  {finding}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

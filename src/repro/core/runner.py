@@ -341,21 +341,22 @@ class _ObservedRunner:
 
         Call once at the end of a run; feeds the pair-search counters (when
         the runner has them), the traffic log, the balancer stats, the
-        timing series and the event log, all labelled with the runner's mode.
+        timing series and the event log, all labelled with the runner's mode
+        and balancer.
         """
         obs = self.observability
         if obs is None or obs.metrics is None:
             return
         registry = obs.metrics
-        mode = self._mode_label
+        labels = {"mode": self._mode_label, "balancer": self.balancer_name}
         stats = getattr(self, "neighbor_stats", None)
         if stats is not None:
-            collect_neighbor_stats(registry, stats, mode=mode)
-        collect_traffic(registry, self.accountant.traffic, mode=mode)
+            collect_neighbor_stats(registry, stats, **labels)
+        collect_traffic(registry, self.accountant.traffic, **labels)
         if self.balancer is not None:
-            collect_balancer(registry, self.balancer.stats, mode=mode)
+            collect_balancer(registry, self.balancer.stats, **labels)
         if result is not None and len(result.timing):
-            collect_timing(registry, result.timing, mode=mode)
+            collect_timing(registry, result.timing, **labels)
         if self.events is not None:
             collect_events(registry, self.events)
 

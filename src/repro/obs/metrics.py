@@ -447,7 +447,8 @@ _IMBALANCE_GAUGES = (
 
 
 def collect_events(registry: MetricsRegistry, log: "EventLog") -> None:
-    """File one run's event log, labelled with its mode: step and
+    """File one run's event log, labelled with its mode and balancer (from
+    ``run.start``, so runs sharing a registry keep one series each): step and
     migration counts, the imbalance gauges and straggler counter, and every
     host scope in ``repro_host_kernel_seconds``. Idempotent, so the registry
     can be refilled at every flush and at the final write; each call folds
@@ -455,34 +456,34 @@ def collect_events(registry: MetricsRegistry, log: "EventLog") -> None:
     fold = log.fold()
     if fold.start is None:
         return
-    mode = fold.start["mode"]
+    labels = {"mode": fold.start["mode"], "balancer": fold.start["dlb"]["balancer"]}
     if fold.moves:
         migrations = registry.counter(
             "repro_cell_migrations_total", "cells moved by the balancer"
         )
-        _set_total(migrations, fold.moves, mode=mode)
+        _set_total(migrations, fold.moves, **labels)
     if fold.steps:
         total = registry.counter("repro_steps_total", "simulated steps executed")
-        _set_total(total, fold.steps, mode=mode)
+        _set_total(total, fold.steps, **labels)
         summary = fold.imbalance.summary()
         for name, help, key in _IMBALANCE_GAUGES:
-            registry.gauge(name, help).set(summary[key], mode=mode)
+            registry.gauge(name, help).set(summary[key], **labels)
         straggler = registry.counter(
             "repro_straggler_steps_total", "steps on which a PE set the barrier"
         )
         for pe, count in enumerate(summary["straggler_counts"]):
             if count:
-                _set_total(straggler, float(count), pe=str(pe), mode=mode)
+                _set_total(straggler, float(count), pe=str(pe), **labels)
         if summary["dlb_benefit_seconds"] is not None:
             registry.gauge(
                 "repro_dlb_benefit_seconds",
                 "simulated seconds saved vs the no-balance counterfactual",
-            ).set(summary["dlb_benefit_seconds"], mode=mode)
+            ).set(summary["dlb_benefit_seconds"], **labels)
     if log.scopes:
         histogram = registry.histogram(
             "repro_host_kernel_seconds", "host wall-clock time per kernel scope"
         )
         # Scope records only ever append: observe the ones not filed yet.
         for name, values in fold.by_kernel.items():
-            for value in values[histogram.count(kernel=name, mode=mode):]:
-                histogram.observe(value, kernel=name, mode=mode)
+            for value in values[histogram.count(kernel=name, **labels):]:
+                histogram.observe(value, kernel=name, **labels)

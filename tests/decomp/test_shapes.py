@@ -59,6 +59,12 @@ class TestShapeComparison:
         pillar = domain_comm_volume("pillar", nc, p)
         assert cube < pillar
 
+    def test_pillar_ghosts_stay_on_the_plane_scale(self):
+        # Sanity scale: a 36-PE pillar imports fewer ghosts than 24 times a
+        # 4-PE plane domain.
+        pillar = domain_comm_volume("pillar", 24, 36)
+        assert pillar < domain_comm_volume("plane", 24, 4) * 24
+
     def test_best_shape_midsize(self):
         assert best_shape(32, 16) == "pillar"
 

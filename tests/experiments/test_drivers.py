@@ -1,8 +1,9 @@
 """Experiment drivers (smoke-scale runs).
 
-These tests run the same code paths the benchmarks and examples use, at
+These tests run the same code paths ``examples/reproduce_paper.py`` uses, at
 deliberately tiny parameters, and assert the *qualitative* shapes the paper
-reports. Figure 10 and Table 1 are rendered from a drained campaign's report.
+reports (the example checks the paper's findings at its own scales).
+Figure 10 and Table 1 are rendered from a drained campaign's report.
 """
 
 import numpy as np

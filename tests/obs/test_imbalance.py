@@ -127,7 +127,7 @@ class TestImbalanceTracker:
 class TestCollectImbalance:
     def log(self):
         log = EventLog()
-        log.emit(0, "run.start", mode="dlb", n_pes=2)
+        log.emit(0, "run.start", mode="dlb", n_pes=2, dlb={"balancer": "permanent"})
         for index, totals in enumerate(([1.0, 2.0], [2.0, 1.0])):
             log.emit(index, "step", **fields(totals, counterfactual=2.5))
         return log
@@ -140,9 +140,9 @@ class TestCollectImbalance:
         assert "repro_imbalance_efficiency_mean" in text
         assert "repro_imbalance_ratio_worst" in text
         assert "repro_dlb_benefit_seconds" in text
-        assert 'repro_steps_total{mode="dlb"} 2' in text
-        assert 'repro_straggler_steps_total{mode="dlb",pe="0"} 1' in text
-        assert 'repro_straggler_steps_total{mode="dlb",pe="1"} 1' in text
+        assert 'repro_steps_total{balancer="permanent",mode="dlb"} 2' in text
+        assert 'repro_straggler_steps_total{balancer="permanent",mode="dlb",pe="0"} 1' in text
+        assert 'repro_straggler_steps_total{balancer="permanent",mode="dlb",pe="1"} 1' in text
 
     def test_recollection_never_double_counts(self):
         registry = MetricsRegistry()
@@ -150,13 +150,13 @@ class TestCollectImbalance:
         collect_events(registry, log)
         collect_events(registry, log)
         text = registry.to_prometheus_text()
-        assert 'repro_straggler_steps_total{mode="dlb",pe="0"} 1' in text
-        assert 'repro_steps_total{mode="dlb"} 2' in text
+        assert 'repro_straggler_steps_total{balancer="permanent",mode="dlb",pe="0"} 1' in text
+        assert 'repro_steps_total{balancer="permanent",mode="dlb"} 2' in text
 
     def test_empty_tracker_exports_nothing(self):
         registry = MetricsRegistry()
         log = EventLog()
-        log.emit(0, "run.start", mode="dlb", n_pes=2)
+        log.emit(0, "run.start", mode="dlb", n_pes=2, dlb={"balancer": "permanent"})
         collect_events(registry, log)
         collect_events(registry, EventLog())  # no run.start at all
         assert len(registry) == 0

@@ -48,13 +48,14 @@ class TestProfiler:
     def test_record_feeds_registry_histogram(self):
         registry = MetricsRegistry()
         log = EventLog()
-        log.emit(0, "run.start", mode="dlb", n_pes=1)
+        log.emit(0, "run.start", mode="dlb", n_pes=1, dlb={"balancer": "permanent"})
         log.scopes.append(("kernel", 0.0, 0.002))
         collect_events(registry, log)
         collect_events(registry, log)  # refilling never double-counts
         hist = registry.histogram("repro_host_kernel_seconds")
-        assert hist.count(kernel="kernel", mode="dlb") == 1
-        assert hist.sum(kernel="kernel", mode="dlb") == pytest.approx(0.002)
+        labels = {"kernel": "kernel", "mode": "dlb", "balancer": "permanent"}
+        assert hist.count(**labels) == 1
+        assert hist.sum(**labels) == pytest.approx(0.002)
 
     def test_record_emits_host_trace_span(self):
         log = EventLog()

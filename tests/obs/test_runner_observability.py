@@ -13,11 +13,21 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
-from repro.obs import Observability, profile, render_trace, validate_trace, write_trace
+from repro.obs import (
+    MetricsRegistry,
+    Observability,
+    profile,
+    render_trace,
+    validate_trace,
+    write_trace,
+)
 from repro.obs.trace import REQUIRED_EVENT_KEYS
 from repro.workloads.concentration import ConcentrationSchedule
 
 N_PES = 9
+
+#: The labels of a default (permanent-cell) run's metric series.
+DLB = {"mode": "dlb", "balancer": "permanent"}
 
 
 def small_sim_config() -> SimulationConfig:
@@ -80,14 +90,14 @@ class TestParallelMDRunnerObservability:
     def test_metrics_populated(self, observed_run):
         obs, result = observed_run
         registry = obs.metrics
-        assert registry.counter("repro_steps_total").value(mode="dlb") == 12
+        assert registry.counter("repro_steps_total").value(**DLB) == 12
         assert registry.counter("repro_cell_migrations_total").value(
-            mode="dlb"
+            **DLB
         ) == result.total_moves
-        assert registry.counter("repro_traffic_total_bytes").value(mode="dlb") > 0
-        assert registry.counter("repro_dlb_rounds_total").value(mode="dlb") > 0
-        assert registry.counter("repro_neighbor_rebuilds_total").value(mode="dlb") > 0
-        assert registry.gauge("repro_step_time_mean_seconds").value(mode="dlb") > 0
+        assert registry.counter("repro_traffic_total_bytes").value(**DLB) > 0
+        assert registry.counter("repro_dlb_rounds_total").value(**DLB) > 0
+        assert registry.counter("repro_neighbor_rebuilds_total").value(**DLB) > 0
+        assert registry.gauge("repro_step_time_mean_seconds").value(**DLB) > 0
 
     def test_profiler_saw_host_kernels(self, observed_run):
         obs, _ = observed_run
@@ -122,6 +132,17 @@ class TestParallelMDRunnerObservability:
         assert len(obs.metrics) == 0
         assert runner.observability is None
 
+    def test_metrics_only_bundle_keeps_the_recorder_off(self):
+        # A registry without an event log: every event hook stays a None
+        # check, and the stats collectors still fill the registry.
+        obs = Observability(metrics=MetricsRegistry())
+        runner = ParallelMDRunner(
+            small_sim_config(), RunConfig(steps=3, seed=1), observability=obs
+        )
+        runner.run()
+        assert runner.events is None
+        assert obs.metrics.counter("repro_traffic_total_bytes").value(**DLB) > 0
+
     def test_observability_does_not_change_physics(self):
         plain = ParallelMDRunner(small_sim_config(), RunConfig(steps=5, seed=3)).run()
         obs = Observability.create()
@@ -145,8 +166,8 @@ class TestDrivenLoadRunnerObservability:
             runner.run(schedule)
         spans = [e for e in trace_events(obs) if e["ph"] == "X" and e["pid"] == 0]
         assert {e["tid"] for e in spans} == set(range(N_PES))
-        assert obs.metrics.counter("repro_steps_total").value(mode="dlb") == 10
-        assert obs.metrics.counter("repro_dlb_rounds_total").value(mode="dlb") > 0
+        assert obs.metrics.counter("repro_steps_total").value(**DLB) == 10
+        assert obs.metrics.counter("repro_dlb_rounds_total").value(**DLB) > 0
 
 
 class TestEngineWorkerScopes:

@@ -18,8 +18,9 @@ traced and untraced). Every ``src/repro`` function is then classified:
 
 A module is *tests only* when none of its functions ran under the product
 and at least one ran under tier-1. Names that stay on purpose (references
-the tests compare product code against, fault branches, names the ledger or
-benchmarks import) are listed in :data:`EXEMPT` and marked in the report.
+the tests compare product code against, fault branches, names the ledger
+imports, design arguments and ablations the tests check) are listed in
+:data:`EXEMPT` and marked in the report.
 The exit status is 1 when a pass failed or a non-exempt module is tests
 only.
 
@@ -120,7 +121,8 @@ EXEMPT: dict[str, str] = {
         "scalar reference for the accountant's array charging",
     "repro/parallel/network.py:NetworkModel.particles_time":
         "scalar reference for the accountant's array charging",
-    "repro/parallel/network.py:preset": "benchmarks import it",
+    "repro/parallel/network.py:preset":
+        "machine presets the ablation tests sweep (tests/experiments/test_ablations.py)",
     "repro/parallel/message.py:TrafficLog.record_bulk":
         "scalar reference for the accountant's array charging",
     "repro/campaign/store.py:RunStore.renew_lease": "lease branch of product code",
@@ -136,7 +138,9 @@ EXEMPT: dict[str, str] = {
         "reference the neighbour oracle compares against; ledger/trace.py wraps it",
     "repro/theory/concentration.py:exact_concentration_factor":
         "oracle the tests check measure_concentration against",
-    "repro/decomp/shapes.py": "benchmarks import it",
+    "repro/decomp/shapes.py":
+        "Section 2.2's design argument (plane vs pillar vs cube), checked by "
+        "tests/decomp/test_shapes.py",
     "repro/api.py": "public surface pinned by test_api_surface",
     "repro/dlb/limits.py:dlb_limit_ratio": "closed form re-exported from repro",
     "repro/dlb/cells.py:movable_fraction": "closed form re-exported from repro",

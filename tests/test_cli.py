@@ -320,8 +320,8 @@ class TestObservabilityFlags:
         assert {e["pid"] for e in events if e["ph"] == "X"} >= {0, 1}
         assert {e["name"] for e in events if e["ph"] == "X"} >= {"force", "halo-comm"}
         text = metrics_path.read_text()
-        assert 'repro_steps_total{mode="ddm"} 6' in text
-        assert 'repro_steps_total{mode="dlb"} 6' in text
+        assert 'repro_steps_total{balancer="none",mode="ddm"} 6' in text
+        assert 'repro_steps_total{balancer="permanent",mode="dlb"} 6' in text
         assert "repro_traffic_bytes_total" in text
         captured = capsys.readouterr()
         assert "per-phase step-time breakdown" in captured.out
@@ -492,7 +492,22 @@ class TestFlightRecorderFlags:
                      "--record-interval", "1", "--metrics", str(metrics),
                      "--metrics-every", "2"])
         assert code == 0
-        assert 'repro_steps_total{mode="dlb"} 4' in metrics.read_text()
+        text = metrics.read_text()
+        assert 'repro_steps_total{balancer="permanent",mode="dlb"} 4' in text
+
+    def test_each_balancer_keeps_its_own_series(self, tmp_path):
+        # Three DLB runs share one registry and one mode; the balancer label
+        # keeps their counters apart instead of the last run overwriting.
+        metrics = tmp_path / "m.prom"
+        code = main(["run", "bench-m2", "--steps", "60", "--balancer", "permanent",
+                     "diffusion", "sfc", "--metrics", str(metrics)])
+        assert code == 0
+        steps = [line for line in metrics.read_text().splitlines()
+                 if line.startswith("repro_steps_total")]
+        assert sorted(steps) == [
+            f'repro_steps_total{{balancer="{name}",mode="dlb"}} 60'
+            for name in ("diffusion", "permanent", "sfc")
+        ]
 
     def test_events_summary_and_tail(self, tmp_path, capsys):
         events = self.record(tmp_path)

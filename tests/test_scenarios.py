@@ -62,10 +62,10 @@ class TestCI:
         extra = re.findall(r"-\s*\{\s*group:\s*(\w+),\s*python-version:\s*\"3\.11\"\s*\}", job)
         assert sorted(extra) == ["balancers", "ledger", "obs"]
 
-    def test_three_jobs_no_heredocs(self):
+    def test_two_jobs_no_heredocs(self):
         text = CI.read_text()
         jobs = re.findall(r"^  (\S+):\s*$", text.split("\njobs:\n", 1)[1], re.M)
-        assert jobs == ["tier1", "scenarios", "perf"]
+        assert jobs == ["tier1", "scenarios"]
         assert "<<" not in text
         assert not re.search(r"python3? -c\b", text)
 
