@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import fig6_from_fig5
 from repro.reporting import comparison_report, format_table, write_csv
 
 
@@ -33,23 +32,22 @@ def main() -> None:
     preset_name = f"fig5{args.panel}-scaled"
     print(f"running {preset_name} (both curves) ...")
     fig5 = run_fig5(preset_name, steps=args.steps, seed=args.seed)
-    fig6 = fig6_from_fig5(fig5)
 
     print()
     print(comparison_report(fig5.ddm, fig5.dlb,
                             title=f"Figure 5({args.panel}) -- {fig5.preset.description}"))
 
     growth_ddm, growth_dlb = fig5.growth()
+    gap_ddm, gap_dlb = fig5.gap_growth()
     print(f"\nper-step time growth: DDM x{growth_ddm:.2f}, DLB-DDM x{growth_dlb:.2f}")
-    print(f"gap (Fmax - Fmin) growth: DDM x{fig6.ddm.gap_growth():.2f}, "
-          f"DLB-DDM x{fig6.dlb.gap_growth():.2f}")
+    print(f"gap (Fmax - Fmin) growth: DDM x{gap_ddm:.2f}, DLB-DDM x{gap_dlb:.2f}")
 
     # Down-sampled Figure 6 table for the terminal.
-    idx = np.unique(np.linspace(0, len(fig6.ddm.steps) - 1, 12).astype(int))
+    ddm, dlb = fig5.ddm, fig5.dlb
+    idx = np.unique(np.linspace(0, len(ddm.steps) - 1, 12).astype(int))
     rows = [
-        (int(fig6.ddm.steps[i]),
-         fig6.ddm.tt[i], fig6.ddm.fmax[i], fig6.ddm.fmin[i],
-         fig6.dlb.tt[i], fig6.dlb.fmax[i], fig6.dlb.fmin[i])
+        (int(ddm.steps[i]), ddm.tt[i], ddm.fmax[i], ddm.fmin[i],
+         dlb.tt[i], dlb.fmax[i], dlb.fmin[i])
         for i in idx
     ]
     print()
@@ -60,11 +58,11 @@ def main() -> None:
     ))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    for label, panel in (("ddm", fig6.ddm), ("dlb", fig6.dlb)):
+    for label, run in (("ddm", ddm), ("dlb", dlb)):
         path = write_csv(
             args.out / f"fig5{args.panel}_{label}.csv",
-            {"step": panel.steps, "tt": panel.tt, "fmax": panel.fmax,
-             "fave": panel.fave, "fmin": panel.fmin},
+            {"step": run.steps, "tt": run.tt, "fmax": run.fmax,
+             "fave": run.fave, "fmin": run.fmin},
         )
         print(f"wrote {path}")
 

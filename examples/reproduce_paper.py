@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.campaign import CampaignSpec, drain_report, get_campaign
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import fig6_from_fig5
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import Fig10Result
 from repro.experiments.table1 import Table1Result
@@ -88,13 +87,12 @@ def main() -> int:
         print(f"\n=== Figure 5({panel}) / 6: {preset}, {steps} steps "
               f"[{time.time() - started:.0f}s] ===")
         fig5 = run_fig5(preset, steps=steps, seed=7, record_interval=20)
-        fig6 = fig6_from_fig5(fig5)
         g_ddm, g_dlb = fig5.growth()
         print(f"  Tt growth: DDM x{g_ddm:.2f}  DLB-DDM x{g_dlb:.2f}")
         k = max(1, len(fig5.ddm.spread) // 8)
         print(f"  late Fmax-Fmin: DDM {fig5.ddm.spread[-k:].mean():.2e}  "
               f"DLB-DDM {fig5.dlb.spread[-k:].mean():.2e}")
-        for label, run in (("ddm", fig6.ddm), ("dlb", fig6.dlb)):
+        for label, run in (("ddm", fig5.ddm), ("dlb", fig5.dlb)):
             write_csv(args.out / f"fig5{panel}_{label}.csv",
                       {"step": run.steps, "tt": run.tt, "fmax": run.fmax,
                        "fave": run.fave, "fmin": run.fmin})
@@ -109,15 +107,15 @@ def main() -> int:
         if panel == "b":
             name = f"Fig. 6 {preset}"
             check(failed, f"{name}: Tt >= Fmax at every step",
-                  np.all(fig6.ddm.tt >= fig6.ddm.fmax)
-                  and np.all(fig6.dlb.tt >= fig6.dlb.fmax))
+                  np.all(fig5.ddm.tt >= fig5.ddm.fmax)
+                  and np.all(fig5.dlb.tt >= fig5.dlb.fmax))
             check(failed, f"{name}: DDM gap grows > 1.5x (decile-smoothed)",
-                  fig6.ddm.gap_growth() > 1.5)
-            mid = slice(len(fig6.dlb.steps) // 3, 2 * len(fig6.dlb.steps) // 3)
+                  fig5.gap_growth()[0] > 1.5)
+            mid = slice(len(fig5.dlb.steps) // 3, 2 * len(fig5.dlb.steps) // 3)
             check(failed, f"{name}: DLB-DDM holds Fmax/Fave at or below DDM's "
                           "in the middle third",
-                  np.median(fig6.dlb.fmax[mid] / fig6.dlb.fave[mid])
-                  < np.median(fig6.ddm.fmax[mid] / fig6.ddm.fave[mid]) + 1e-9)
+                  np.median(fig5.dlb.fmax[mid] / fig5.dlb.fave[mid])
+                  < np.median(fig5.ddm.fmax[mid] / fig5.ddm.fave[mid]) + 1e-9)
 
     # ---- Figure 9 ----------------------------------------------------------
     print(f"\n=== Figure 9: trajectory [{time.time() - started:.0f}s] ===")

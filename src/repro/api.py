@@ -353,7 +353,7 @@ def result_payload(result: RunResult) -> dict[str, Any]:
         {
             "summary": result.summary() if result.records else None,
             "digest": result.digest(),
-            "steps_run": len(result.records),
+            "steps_run": result.steps_run,
             "audit": result.meta.get("audit"),
             "meta": dict(result.meta),
         }
@@ -432,7 +432,8 @@ class LoadedConfig(Checked):
 
 #: Keys older versions wrote into saved configuration files, dropped on load.
 _RETIRED_CONFIG_KEYS = (
-    "simulation.dlb.enabled", "run.timing_mode", "run.neighbor_max_reuse"
+    "simulation.dlb.enabled", "simulation.decomposition.shape", "run.timing_mode",
+    "run.neighbor_max_reuse",
 )
 
 
@@ -447,14 +448,22 @@ def save_config(
 
 def load_config(path: str | Path) -> LoadedConfig:
     """Load a configuration written by :func:`save_config` (schema-checked,
-    strictly read). The retired ``dlb.enabled`` may be true, today's only
-    behaviour; false (plain DDM) must not load as a balancing run."""
+    strictly read). The retired ``dlb.enabled`` and ``decomposition.shape``
+    may hold today's only behaviour (true, ``"pillar"``); any other value
+    must not load as a run it does not describe."""
     payload = read_result_json(path, source=f"config {path}")
     sim = payload.get("simulation")
-    dlb = sim.get("dlb") if isinstance(sim, dict) else None
+    sim = sim if isinstance(sim, dict) else {}
+    dlb, decomposition = sim.get("dlb"), sim.get("decomposition")
     if isinstance(dlb, dict) and dlb.get("enabled") is False:
         raise SchemaError(
             f'config {path} sets dlb.enabled=false; plain DDM is now balancer="none"'
+        )
+    shape = decomposition.get("shape") if isinstance(decomposition, dict) else None
+    if shape not in (None, "pillar"):
+        raise SchemaError(
+            f"config {path} sets decomposition.shape={shape!r}; "
+            "the runners implement only the square-pillar decomposition"
         )
     del payload["schema_version"]
     return from_dict(LoadedConfig, payload, retired=_RETIRED_CONFIG_KEYS)

@@ -232,7 +232,7 @@ def _execute_preset(
         # digest, so a cached service/campaign hit is checkable against a
         # direct api.simulate of the same spec down to the last IEEE bit.
         "digest": result.digest(),
-        "steps_run": len(result.records),
+        "steps_run": result.steps_run,
     }
     payload.update({key: float(value) for key, value in result.summary().items()})
     return payload

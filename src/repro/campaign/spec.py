@@ -181,7 +181,8 @@ class RunSpec:
         Everything that influences the run's payload is in here; pure
         metadata (the repetition index) is not, so re-gridding a campaign
         never re-executes work it has already stored. Hash-preserving:
-        ``dlb.enabled`` and ``preset.mode`` are derived from the balancer.
+        ``dlb.enabled`` and ``preset.mode`` are derived from the balancer,
+        and ``decomposition.shape`` is the one shape the runners implement.
         """
         mode = mode_label(self.balancer)
         knobs = {
@@ -217,6 +218,7 @@ class RunSpec:
                 knobs["preset"]["balancer"] = self.balancer
         config = asdict(self.resolved_config())
         config["dlb"]["enabled"] = mode == "dlb"
+        config["decomposition"]["shape"] = "pillar"
         return {"schema": SPEC_SCHEMA, "config": config, "run": knobs}
 
     def spec_hash(self) -> str:

@@ -239,7 +239,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for label, result in results.items():
         print()
         print(phase_breakdown(
-            result.timing, title=f"{label}: per-phase step-time breakdown"
+            result, title=f"{label}: per-phase step-time breakdown"
         ))
     if events is not None:
         print()

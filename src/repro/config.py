@@ -238,29 +238,23 @@ def mode_label(balancer: str | None) -> str:
     return "ddm" if balancer == "none" else "dlb"
 
 
-#: Valid domain shapes for 3-D DDM (Figure 2 of the paper).
-DOMAIN_SHAPES = ("plane", "pillar", "cube")
-
-
 @dataclass(frozen=True)
 class DecompositionConfig:
-    """Cell grid and PE layout of a domain decomposition.
+    """Cell grid and PE layout of a square-pillar domain decomposition:
+    the paper's choice for DLB, each PE a pillar of ``m x m`` cell columns
+    on a 2-D torus (the plane and cube shapes of Section 2.2 are compared
+    in closed form by :mod:`repro.decomp.shapes`).
 
     Attributes
     ----------
     cells_per_side:
         ``C^(1/3)``: number of cells along each axis of the cubic grid.
     n_pes:
-        Number of processing elements ``P``.
-    shape:
-        Domain shape: ``"plane"`` (slabs, ring of PEs), ``"pillar"``
-        (square pillars, 2-D torus -- the paper's choice for DLB) or
-        ``"cube"`` (3-D torus).
+        Number of processing elements ``P``, a perfect square.
     """
 
     cells_per_side: int
     n_pes: int
-    shape: str = "pillar"
 
     def __post_init__(self) -> None:
         check_types(self)
@@ -268,38 +262,16 @@ class DecompositionConfig:
             raise ConfigurationError(f"cells_per_side must be positive, got {self.cells_per_side}")
         if self.n_pes <= 0:
             raise ConfigurationError(f"n_pes must be positive, got {self.n_pes}")
-        if self.shape not in DOMAIN_SHAPES:
-            raise ConfigurationError(f"shape must be one of {DOMAIN_SHAPES}, got {self.shape!r}")
-        if self.shape == "plane":
-            if self.cells_per_side % self.n_pes != 0:
-                raise ConfigurationError(
-                    f"plane decomposition needs n_pes | cells_per_side, "
-                    f"got {self.n_pes} and {self.cells_per_side}"
-                )
-        elif self.shape == "pillar":
-            side = math.isqrt(self.n_pes)
-            if side * side != self.n_pes:
-                raise ConfigurationError(
-                    f"pillar decomposition needs a square n_pes, got {self.n_pes}"
-                )
-            if self.cells_per_side % side != 0:
-                raise ConfigurationError(
-                    f"pillar decomposition needs sqrt(n_pes) | cells_per_side, "
-                    f"got sqrt({self.n_pes})={side} and {self.cells_per_side}"
-                )
-            if self.pillar_m < 1:
-                raise ConfigurationError("pillar cross-section m must be >= 1")
-        else:  # cube
-            side = round(self.n_pes ** (1.0 / 3.0))
-            if side**3 != self.n_pes:
-                raise ConfigurationError(
-                    f"cube decomposition needs a cubic n_pes, got {self.n_pes}"
-                )
-            if self.cells_per_side % side != 0:
-                raise ConfigurationError(
-                    f"cube decomposition needs cbrt(n_pes) | cells_per_side, "
-                    f"got cbrt({self.n_pes})={side} and {self.cells_per_side}"
-                )
+        side = math.isqrt(self.n_pes)
+        if side * side != self.n_pes:
+            raise ConfigurationError(
+                f"pillar decomposition needs a square n_pes, got {self.n_pes}"
+            )
+        if self.cells_per_side % side != 0:
+            raise ConfigurationError(
+                f"pillar decomposition needs sqrt(n_pes) | cells_per_side, "
+                f"got sqrt({self.n_pes})={side} and {self.cells_per_side}"
+            )
 
     @property
     def n_cells(self) -> int:
@@ -308,11 +280,8 @@ class DecompositionConfig:
 
     @property
     def pe_side(self) -> int:
-        """``P^(1/2)`` for pillar decompositions (torus side length)."""
-        side = math.isqrt(self.n_pes)
-        if side * side != self.n_pes:
-            raise ConfigurationError(f"n_pes={self.n_pes} is not a perfect square")
-        return side
+        """``P^(1/2)``: the side of the PE torus."""
+        return math.isqrt(self.n_pes)
 
     @property
     def pillar_m(self) -> int:

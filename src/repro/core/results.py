@@ -22,9 +22,9 @@ from typing import Any
 import numpy as np
 
 from ..errors import AnalysisError, SchemaError
-from ..parallel.instrumentation import StepTiming, TimingLog
+from ..parallel.instrumentation import StepTiming
 from ..theory.concentration import ConcentrationState
-from ..theory.trajectory import Trajectory, TrajectoryRecorder
+from ..theory.trajectory import Trajectory
 
 #: Schema version stamped into every persisted result payload.
 RESULT_SCHEMA_VERSION = "1.0"
@@ -106,51 +106,114 @@ class StepRecord:
     potential_energy: float = float("nan")
 
 
+#: How each column of :class:`RunResult` reads one record.
+_COLUMNS = {
+    "steps": (np.int64, lambda r: r.step),
+    "tt": (np.float64, lambda r: r.timing.tt),
+    "fmax": (np.float64, lambda r: r.timing.fmax),
+    "fave": (np.float64, lambda r: r.timing.fave),
+    "fmin": (np.float64, lambda r: r.timing.fmin),
+    "comm_max": (np.float64, lambda r: r.timing.comm_max),
+    "dlb_time": (np.float64, lambda r: r.timing.dlb_time),
+    "n": (np.float64, lambda r: r.concentration.n),
+    "c0_ratio": (np.float64, lambda r: r.concentration.c0_ratio),
+}
+
+
 @dataclass
 class RunResult:
     """History of a DDM or DLB-DDM run.
 
-    ``timing`` carries the Figure 5/6 series; ``trajectory`` the Figure 9
-    series; ``records`` the full per-step details.
+    ``records`` holds one row per recorded step: every
+    ``record_interval``-th MD step, every configuration of a driven run.
+    The Figure 5/6 columns (``tt``, ``fmax``, ...) and the Figure 9
+    ``trajectory`` are views over those rows, built on first read and
+    dropped on :meth:`append`; treat them as read-only. ``steps_run`` and
+    ``total_moves`` count every executed step, recorded or not.
     """
 
     dlb_enabled: bool
     records: list[StepRecord] = field(default_factory=list)
-    timing: TimingLog = field(default_factory=TimingLog)
-    _trajectory: TrajectoryRecorder = field(default_factory=TrajectoryRecorder)
+    steps_run: int = 0
     total_moves: int = 0
     #: Provenance sidecar filled by :func:`repro.api.simulate` (engine name,
     #: worker count, preset, resume point, audit summary). Not hashed by
     #: :meth:`digest` — two runs that computed the same physics digest
     #: equal even if one ran multiprocess and the other sequential.
     meta: dict[str, Any] = field(default_factory=dict)
+    _columns: dict[str, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
-    def append(self, record: StepRecord) -> None:
-        """Add one step record, updating the derived logs."""
-        self.records.append(record)
-        self.timing.append(record.timing)
-        self._trajectory.record(record.step, record.concentration)
+    def append(self, record: StepRecord, keep: bool = True) -> None:
+        """Count one executed step (one configuration of a driven run) and,
+        when ``keep``, add its row."""
+        self.steps_run += 1
         self.total_moves += record.n_moves
+        if keep:
+            self.records.append(record)
+            if self._columns:
+                self._columns.clear()
 
-    @property
-    def trajectory(self) -> Trajectory:
-        """The (n, C0/C) trajectory of the run."""
-        return self._trajectory.freeze()
+    def _column(self, name: str) -> np.ndarray:
+        cached = self._columns.get(name)
+        if cached is None:
+            if not self.records:
+                raise AnalysisError("the run has no recorded step")
+            dtype, read = _COLUMNS[name]
+            cached = np.array([read(r) for r in self.records], dtype=dtype)
+            self._columns[name] = cached
+        return cached
 
     @property
     def steps(self) -> np.ndarray:
         """Recorded step indices."""
-        return self.timing.steps
+        return self._column("steps")
 
     @property
     def tt(self) -> np.ndarray:
         """Execution time per step (the Figure 5 series)."""
-        return self.timing.tt
+        return self._column("tt")
+
+    @property
+    def fmax(self) -> np.ndarray:
+        """Maximum force time across PEs per step (Figure 6)."""
+        return self._column("fmax")
+
+    @property
+    def fave(self) -> np.ndarray:
+        """Average force time across PEs per step (Figure 6)."""
+        return self._column("fave")
+
+    @property
+    def fmin(self) -> np.ndarray:
+        """Minimum force time across PEs per step (Figure 6)."""
+        return self._column("fmin")
+
+    @property
+    def comm_max(self) -> np.ndarray:
+        """Maximum communication time across PEs per step."""
+        return self._column("comm_max")
+
+    @property
+    def dlb_time(self) -> np.ndarray:
+        """DLB protocol overhead per step."""
+        return self._column("dlb_time")
 
     @property
     def spread(self) -> np.ndarray:
         """``Fmax - Fmin`` per step (the boundary detector's input)."""
-        return self.timing.spread
+        cached = self._columns.get("spread")
+        if cached is None:
+            cached = self._columns["spread"] = self.fmax - self.fmin
+        return cached
+
+    @property
+    def trajectory(self) -> Trajectory:
+        """The (n, C0/C) trajectory of the run (Figure 9)."""
+        return Trajectory(
+            steps=self.steps, n=self._column("n"), c0_ratio=self._column("c0_ratio")
+        )
 
     def mean_tt(self, tail_fraction: float = 1.0) -> float:
         """Mean execution time over the last ``tail_fraction`` of the run."""
@@ -186,11 +249,13 @@ class RunResult:
         return h.hexdigest()
 
     def summary(self) -> dict[str, float]:
-        """Headline numbers of the run (for reports and quick comparisons)."""
+        """Headline numbers of the run (for reports and quick comparisons):
+        ``steps`` and ``total_moves`` count every executed step, the rest
+        read the recorded rows."""
         tt = self.tt
         spread = self.spread
         return {
-            "steps": float(len(tt)),
+            "steps": float(self.steps_run),
             "tt_first": float(tt[0]),
             "tt_last": float(tt[-1]),
             "tt_mean": float(tt.mean()),

@@ -38,10 +38,8 @@ from ..md.system import ParticleSystem
 from ..md.thermostat import VelocityRescale
 from ..obs import (
     Observability,
-    collect_balancer,
     collect_events,
     collect_neighbor_stats,
-    collect_timing,
     collect_traffic,
     imbalance_summary,
 )
@@ -98,11 +96,6 @@ class _ObservedRunner:
         balancer: str | None,
     ) -> None:
         dec = config.decomposition
-        if dec.shape != "pillar":
-            raise ConfigurationError(
-                f"{type(self).__name__} implements the square-pillar "
-                f"decomposition (DLB's shape); got {dec.shape!r}"
-            )
         self.config = config
         #: Nullable :class:`~repro.faults.injector.FaultInjector` /
         #: :class:`~repro.faults.audit.InvariantAuditor` (the auditor is
@@ -259,7 +252,7 @@ class _ObservedRunner:
                 sim_time=self.sim_time,
                 imbalance=self.imbalance,
             )
-        self.collect_metrics(result)
+        self.collect_metrics()
         return result
 
     # -- observability -------------------------------------------------------
@@ -336,13 +329,12 @@ class _ObservedRunner:
             **extra,
         )
 
-    def collect_metrics(self, result: RunResult | None = None) -> None:
-        """Snapshot the run's stats objects into the metrics registry.
+    def collect_metrics(self) -> None:
+        """Fill the metrics registry from the run.
 
-        Call once at the end of a run; feeds the pair-search counters (when
-        the runner has them), the traffic log, the balancer stats, the
-        timing series and the event log, all labelled with the runner's mode
-        and balancer.
+        Called at the end of a run; files the pair-search counters (when
+        the runner has them) and the traffic log, labelled with the runner's
+        mode and balancer, and every family the event log folds into.
         """
         obs = self.observability
         if obs is None or obs.metrics is None:
@@ -353,21 +345,18 @@ class _ObservedRunner:
         if stats is not None:
             collect_neighbor_stats(registry, stats, **labels)
         collect_traffic(registry, self.accountant.traffic, **labels)
-        if self.balancer is not None:
-            collect_balancer(registry, self.balancer.stats, **labels)
-        if result is not None and len(result.timing):
-            collect_timing(registry, result.timing, **labels)
         if self.events is not None:
             collect_events(registry, self.events)
 
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self, result: RunResult | None = None) -> dict:
-        """Everything mutable, deep-copied: holder map, balancer ledger and
-        timing view, pending accounting charges, clocks, the last step's
-        times and counts, the flight recorder, the partial records, and the
-        runner's own keys (system arrays and the neighbour list's build
-        positions for MD, the configurations done for the driven runner)."""
+        """Everything mutable, deep-copied: holder map, balancer timing view
+        and strategy state, pending accounting charges, clocks, the last
+        step's times and counts, the flight recorder, the partial records,
+        the executed steps and moves, and the runner's own keys (system
+        arrays and the neighbour list's build positions for MD, the
+        configurations done for the driven runner)."""
         state = {
             "format": SNAPSHOT_FORMAT,
             "kind": self.kind,
@@ -383,6 +372,10 @@ class _ObservedRunner:
             "accountant": self.accountant.state_dict(),
             "events": self.events.state_dict() if self.events is not None else None,
             "records": list(result.records) if result is not None else [],
+            "counts": (
+                {"steps": result.steps_run, "moves": result.total_moves}
+                if result is not None else {"steps": 0, "moves": 0}
+            ),
         }
         state.update(self._own_state())
         return state
@@ -430,10 +423,17 @@ class _ObservedRunner:
         self._restore_own(state)
         if self.events is not None and state.get("events") is not None:
             self.events.load_state_dict(state["events"])
-        result = RunResult(dlb_enabled=self.balancer is not None)
-        for record in state["records"]:
-            result.append(record)
-        return result
+        counts = state.get("counts")
+        if counts is None:  # written before the counts were kept
+            stats = (state["balancer"] or {}).get("stats", {})
+            moves = stats.get("lends", 0) + stats.get("returns", 0)
+            counts = {"steps": self.progress, "moves": moves}
+        return RunResult(
+            dlb_enabled=self.balancer is not None,
+            records=list(state["records"]),
+            steps_run=counts["steps"],
+            total_moves=counts["moves"],
+        )
 
 
 class ParallelMDRunner(_ObservedRunner):
@@ -547,8 +547,9 @@ class ParallelMDRunner(_ObservedRunner):
             result = RunResult(dlb_enabled=self.balancer is not None)
         for _ in range(steps):
             record = self.step()
-            if self.step_count % self.run_config.record_interval == 0:
-                result.append(record)
+            result.append(
+                record, keep=self.step_count % self.run_config.record_interval == 0
+            )
             self._checkpoint_if_due(checkpoint, result)
         return self._finish(result)
 

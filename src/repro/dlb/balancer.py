@@ -1,17 +1,14 @@
 """The dynamic load balancer: protocol + policy + bookkeeping.
 
 Since the strategy seam landed, this class is a *shell*: it owns the
-assignment, the policy config, the bounded-staleness timing view and the
-stats counters, and delegates the per-round decision to a
+assignment, the policy config and the bounded-staleness timing view, and
+delegates the per-round decision to a
 :class:`~repro.dlb.strategies.Balancer` strategy instance. Build instances
 by name through :func:`repro.dlb.strategies.create_balancer` (or
 ``RunConfig.balancer`` for a whole run).
 """
 
 from __future__ import annotations
-
-import copy
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,17 +20,6 @@ from ..parallel.topology import Torus2D
 from .protocol import Move, MoveBatch
 from .strategies import Balancer, DecisionView
 from .views import TimingView
-
-
-@dataclass
-class BalancerStats:
-    """Cumulative counters of a balancer's activity."""
-
-    steps: int = 0
-    lends: int = 0
-    returns: int = 0
-    idle_steps: int = 0
-    moves_per_step: list[int] = field(default_factory=list)
 
 
 class DynamicLoadBalancer:
@@ -63,7 +49,6 @@ class DynamicLoadBalancer:
         self.assignment = assignment
         self.config = config or DLBConfig()
         self.topology = Torus2D(assignment.pe_side)
-        self.stats = BalancerStats()
         self.strategy = strategy
         # Fault injection is strictly opt-in: with no injector the decision
         # path below is byte-for-byte the original (perf gate relies on it).
@@ -127,12 +112,12 @@ class DynamicLoadBalancer:
             return self.strategy.decide(view, step)
 
     def apply(self, moves: MoveBatch | list[Move]) -> None:
-        """Execute decided moves as one atomic batch and update counters.
+        """Execute decided moves as one atomic batch.
 
         Constrained strategies (``permanent``) go through the strict
         ``CellAssignment.transfer`` that enforces the permanent-cell
         invariants; unconstrained rivals use ``transfer_any``. A refused
-        batch moves and counts nothing.
+        batch moves nothing.
         """
         transfer = (
             self.assignment.transfer
@@ -141,13 +126,6 @@ class DynamicLoadBalancer:
         )
         moves = MoveBatch.of(moves)
         transfer(moves.cell, moves.dst)
-        lends = int(np.count_nonzero(moves.lend))
-        self.stats.lends += lends
-        self.stats.returns += len(moves) - lends
-        self.stats.steps += 1
-        self.stats.moves_per_step.append(len(moves))
-        if not moves:
-            self.stats.idle_steps += 1
 
     def step(
         self,
@@ -165,20 +143,17 @@ class DynamicLoadBalancer:
     def state_dict(self) -> dict:
         """Snapshot of balancer bookkeeping (assignment is snapshotted by
         the runner; the two are restored together)."""
-        state: dict = {
-            "stats": asdict(self.stats),
+        return {
             "view": self._view.state_dict() if self._view is not None else None,
             "strategy": {
                 "name": self.strategy.name,
                 "state": self.strategy.state_dict(),
             },
         }
-        return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, copy.copy(value))
+        """Restore a snapshot taken by :meth:`state_dict` (an older
+        snapshot's ``stats`` key is ignored)."""
         if state.get("view") is not None and self._view is not None:
             self._view.load_state_dict(state["view"])
         recorded = state.get("strategy")  # absent in pre-seam checkpoints

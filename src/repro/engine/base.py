@@ -166,7 +166,7 @@ class Engine(abc.ABC):
         """One host-channel record per worker, in worker order."""
         obs = self._observability
         events = obs.events if obs is not None else None
-        if events is None or not events.enabled:
+        if events is None:
             return
         for worker in range(self.workers):
             events.emit_host(

@@ -77,7 +77,6 @@ def simulation_config_for(
         decomposition=DecompositionConfig(
             cells_per_side=geometry.cells_per_side,
             n_pes=geometry.n_pes,
-            shape="pillar",
         ),
         machine=machine if machine is not None else MachineConfig(),
     )

@@ -5,9 +5,10 @@ record: sim events with deterministic ``(step, seq)`` ordering (one ``step``
 record per accounted step, balancer decisions, migrations, faults, audits)
 and the host channel (engine lifecycle, checkpoints, :func:`scope` timings).
 :mod:`repro.obs.trace` renders logs as a Chrome trace,
-:mod:`repro.obs.metrics` fills a Prometheus registry from them and from the
-stats objects, and :mod:`repro.obs.imbalance` summarises their ``step``
-records.
+:mod:`repro.obs.metrics` folds every run-metric family from them (only the
+pair-search counters and the network traffic, which no record carries, come
+from their stats objects), and :mod:`repro.obs.imbalance` summarises their
+``step`` records.
 
 :class:`Observability` bundles a run's log and a registry behind one
 nullable handle: the runners accept ``observability=None`` (the default)
@@ -32,11 +33,9 @@ from .events import (
 from .imbalance import imbalance_summary
 from .metrics import (
     MetricsRegistry,
-    collect_balancer,
     collect_events,
     collect_neighbor_stats,
     collect_service,
-    collect_timing,
     collect_traffic,
 )
 from .trace import render_trace, validate_trace, write_trace
@@ -45,11 +44,9 @@ __all__ = [
     "EventLog",
     "MetricsRegistry",
     "Observability",
-    "collect_balancer",
     "collect_events",
     "collect_neighbor_stats",
     "collect_service",
-    "collect_timing",
     "collect_traffic",
     "imbalance_summary",
     "profile",
@@ -69,8 +66,8 @@ class Observability:
     """The nullable bundle the runners are instrumented against.
 
     ``events`` is the run's one record (None: nothing is recorded), and
-    ``metrics`` the registry it is rendered into, together with the stats
-    collectors' output (None: no metrics). Several runs may share one
+    ``metrics`` the registry it is rendered into, together with the
+    pair-search and traffic counters (None: no metrics). Several runs may share one
     registry, each with its own log.
     """
 

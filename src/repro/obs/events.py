@@ -23,9 +23,9 @@ faults, audits, run boundaries) is one JSON object with deterministic
 A ``step`` record holds the per-PE force, comm and other times, the DLB
 charge, the simulated start, and the no-balance counterfactual barrier when
 a balancer runs: the Chrome trace, the ``--profile`` table and the run
-metrics are all rendered from the log. The disabled path is allocation-free:
-every hook is one ``None``/``enabled`` check, and :func:`scope` with no
-recording log returns one shared no-op.
+metrics are all rendered from the log. A run without a log (the runners'
+``observability=None``) is allocation-free: every hook is one ``None``
+check, and :func:`scope` with no recording log returns one shared no-op.
 """
 
 from __future__ import annotations
@@ -99,13 +99,37 @@ def _append(buffer: list[dict], step: int, kind: str, fields: dict) -> None:
 
 class LogFold:
     """One log's aggregates over its first ``records`` records and
-    ``scopes`` scopes, as :func:`~repro.obs.metrics.collect_events` files them."""
+    ``scopes`` scopes, as :func:`~repro.obs.metrics.collect_events` files them.
+
+    ``imbalance`` folds the ``step`` records; the counters here fold the
+    ``cell.migrate`` records and the balancer rounds (``dlb.decision``
+    records, whose ``send_own`` moves are lends and the rest returns).
+    """
 
     def __init__(self) -> None:
         self.start: dict | None = None
-        self.records = self.scopes = self.steps = self.moves = 0
+        self.records = self.scopes = self.moves = 0
+        self.rounds = self.lends = self.returns = self.idle_rounds = 0
+        self.largest_round = 0
         self.imbalance: ImbalanceFold | None = None
         self.by_kernel: dict[str, list[float]] = {}
+
+    def add(self, records: list[dict]) -> None:
+        """Fold ``records``, the log's next ones."""
+        for record in records:
+            kind = record["kind"]
+            if kind == "cell.migrate":
+                self.moves += 1
+            elif kind == "dlb.decision":
+                moves = record["moves"]
+                lends = sum(1 for move in moves if move["case"] == "send_own")
+                self.rounds += 1
+                self.lends += lends
+                self.returns += len(moves) - lends
+                self.idle_rounds += not moves
+                self.largest_round = max(self.largest_round, len(moves))
+        self.imbalance.add(records)
+        self.records += len(records)
 
 
 class EventLog:
@@ -118,10 +142,9 @@ class EventLog:
     byte-identical to an uninterrupted run's.
     """
 
-    __slots__ = ("enabled", "_records", "_host", "scopes", "epoch", "_fold")
+    __slots__ = ("_records", "_host", "scopes", "epoch", "_fold")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         # A record's ``seq`` is its index in its channel's buffer.
         self._records: list[dict] = []
         self._host: list[dict] = []
@@ -150,11 +173,7 @@ class EventLog:
             if fold.start is None:
                 return fold
             fold.imbalance = ImbalanceFold(fold.start["n_pes"])
-        new = self._records[fold.records:]
-        fold.records += len(new)
-        fold.steps += sum(1 for r in new if r["kind"] == "step")
-        fold.moves += sum(1 for r in new if r["kind"] == "cell.migrate")
-        fold.imbalance.add(new)
+        fold.add(self._records[fold.records:])
         for name, _, seconds in self.scopes[fold.scopes:]:
             fold.by_kernel.setdefault(name, []).append(seconds)
         fold.scopes = len(self.scopes)
@@ -166,19 +185,17 @@ class EventLog:
         return list(self._host)
 
     def emit(self, step: int, kind: str, **fields: Any) -> None:
-        """Append one sim-channel event (no-op when disabled).
+        """Append one sim-channel event.
 
         ``step`` is the simulation step the event belongs to; emissions must
         happen in non-decreasing step order (they do, because every sim
         emission is a driver-side program point inside the step loop).
         """
-        if self.enabled:
-            _append(self._records, step, kind, fields)
+        _append(self._records, step, kind, fields)
 
     def emit_host(self, step: int, kind: str, **fields: Any) -> None:
-        """Append one host-channel event (no-op when disabled)."""
-        if self.enabled:
-            _append(self._host, step, kind, fields)
+        """Append one host-channel event."""
+        _append(self._host, step, kind, fields)
 
     # -- serialisation -------------------------------------------------------
 
@@ -238,7 +255,7 @@ class _Scope:
         self._scopes.append((self._name, start, time.perf_counter() - start))
 
 
-#: Shared do-nothing scope for the disabled path (allocation-free).
+#: Shared do-nothing scope for when no log records (allocation-free).
 _NULL_SCOPE = nullcontext()
 
 #: The log host scopes record into (None = not recording, the default).

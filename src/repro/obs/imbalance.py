@@ -5,6 +5,8 @@ parallel-efficiency estimate (mean/max: what fraction of the barrier time
 the average PE was busy), straggler attribution (how often each PE set the
 barrier) and the cumulative DLB benefit Σ(counterfactual Tt − actual Tt):
 the simulated seconds the balancer saved versus leaving every cell at home.
+:class:`ImbalanceFold` also keeps what the run metrics read off the same
+records: the Tt sum and maximum and each step's force-time spread.
 All of it derives from the simulated clock, so it is deterministic across
 execution backends and survives kill/resume with the records.
 """
@@ -29,13 +31,15 @@ class ImbalanceFold:
     any sequence of :meth:`add` calls, :meth:`summary` equals one pass over
     the same records bit for bit. A step's per-PE totals are summed as the
     accountant sums them (force + comm + other + DLB charge), so their max
-    is the step's Tt. Without a ``counterfactual`` field (plain DDM) the
-    benefit fields are None.
+    is the step's Tt (``actual`` sums it, ``tt_max`` is its largest value)
+    and ``spreads`` holds each step's ``Fmax - Fmin``. Without a
+    ``counterfactual`` field (plain DDM) the benefit fields are None.
     """
 
     def __init__(self, n_pes: int) -> None:
         self.steps = self.balanced = 0
-        self.ratio = self.efficiency = self.actual = 0.0
+        self.ratio = self.efficiency = self.actual = self.tt_max = 0.0
+        self.spreads: list[float] = []
         self.counterfactual = self.benefit = 0.0
         self.worst_ratio, self.worst_step = 0.0, -1
         self.n_pes = n_pes
@@ -46,12 +50,15 @@ class ImbalanceFold:
         steps = [record for record in records if record["kind"] == "step"]
         if not steps:
             return
+        force = np.array([r["force"] for r in steps])
         totals = (
-            np.array([r["force"] for r in steps]) + np.array([r["comm"] for r in steps])
+            force + np.array([r["comm"] for r in steps])
             + np.array([r["other"] for r in steps])
             + np.array([r["dlb"] for r in steps])[:, None]
         )
         mean, peak = totals.mean(axis=1), totals.max(axis=1)
+        self.tt_max = max(self.tt_max, float(peak.max()))
+        self.spreads.extend((force.max(axis=1) - force.min(axis=1)).tolist())
         ratio = np.divide(peak, mean, out=np.ones_like(peak), where=mean > 0)
         efficiency = np.divide(mean, peak, out=np.ones_like(peak), where=peak > 0)
         worst = int(np.argmax(ratio))

@@ -1,11 +1,11 @@
 """Counter/Gauge/Histogram registry with Prometheus-text export.
 
 One :class:`MetricsRegistry` collects everything a run produces -- the
-pair-search counters (:class:`repro.md.neighbors.NeighborStats`), the traffic
-log's per-tag bytes/messages, the balancer's activity, the per-step timing
-series, and what the run's event log records (steps, migrations, imbalance,
-host kernel time) -- and serialises it in the Prometheus text exposition
-format.
+pair-search counters (:class:`repro.md.neighbors.NeighborStats`) and the
+traffic log's per-tag bytes/messages, which the event log does not carry,
+and every family folded from the run's event log (balancer rounds, step
+times, imbalance, steps, migrations, host kernel time) -- and serialises it
+in the Prometheus text exposition format.
 
 Metrics are labelled: ``counter.inc(3, mode="dlb")`` keeps one value per
 label set, which is how a single registry holds the DDM and DLB-DDM sides of
@@ -23,9 +23,7 @@ from typing import TYPE_CHECKING
 from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from ..dlb.balancer import BalancerStats
     from ..md.neighbors import NeighborStats
-    from ..parallel.instrumentation import TimingLog
     from ..parallel.message import TrafficLog
     from .events import EventLog
 
@@ -35,11 +33,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "TIME_BUCKETS",
-    "collect_balancer",
     "collect_events",
     "collect_neighbor_stats",
     "collect_service",
-    "collect_timing",
     "collect_traffic",
 ]
 
@@ -277,11 +273,11 @@ class MetricsRegistry:
 
 # -- collectors ------------------------------------------------------------
 #
-# Each collector snapshots one of the repo's existing stats objects into the
-# registry at the end of a run. Cumulative sources are folded in as deltas
-# against the counter's current value, so re-collecting (a second run() on
-# the same runner, or an explicit collect after an automatic one) is
-# idempotent rather than double-counting.
+# Each collector snapshots one source (the pair-search counters, the traffic
+# log, a run's event log, a service snapshot) into the registry. Cumulative
+# sources are folded in as deltas against the counter's current value, so
+# re-collecting (a second run() on the same runner, or an explicit collect
+# after an automatic one) is idempotent rather than double-counting.
 
 
 def _set_total(counter: Counter, total: float, **labels: str) -> None:
@@ -355,60 +351,6 @@ def collect_traffic(
     ).set(summary["max_pe_bytes_sent"], **labels)
 
 
-def collect_balancer(
-    registry: MetricsRegistry, stats: "BalancerStats", **labels: str
-) -> None:
-    """File the balancer's cumulative activity counters."""
-    _set_total(
-        registry.counter("repro_dlb_rounds_total", "redistribution rounds executed"),
-        stats.steps, **labels,
-    )
-    _set_total(
-        registry.counter("repro_dlb_lends_total", "cells lent to a neighbour (Case 1)"),
-        stats.lends, **labels,
-    )
-    _set_total(
-        registry.counter(
-            "repro_dlb_returns_total", "borrowed cells returned (Cases 2-3)"
-        ),
-        stats.returns, **labels,
-    )
-    _set_total(
-        registry.counter("repro_dlb_idle_rounds_total", "rounds that moved nothing"),
-        stats.idle_steps, **labels,
-    )
-    if stats.moves_per_step:
-        registry.gauge(
-            "repro_dlb_moves_per_round_max", "largest single-round move count"
-        ).set(max(stats.moves_per_step), **labels)
-
-
-def collect_timing(
-    registry: MetricsRegistry, log: "TimingLog", **labels: str
-) -> None:
-    """File the per-step timing series: Tt summary and imbalance."""
-    if not len(log):
-        return
-    tt = log.tt
-    spread = log.spread
-    registry.gauge("repro_step_time_mean_seconds", "mean Tt over the run").set(
-        float(tt.mean()), **labels
-    )
-    registry.gauge("repro_step_time_max_seconds", "max Tt over the run").set(
-        float(tt.max()), **labels
-    )
-    registry.gauge(
-        "repro_step_imbalance_last_seconds", "final-step Fmax - Fmin"
-    ).set(float(spread[-1]), **labels)
-    histogram = registry.histogram(
-        "repro_step_imbalance_seconds", "per-step Fmax - Fmin distribution"
-    )
-    # The log is append-only: observing from the current count onward keeps
-    # re-collection idempotent.
-    for value in spread[histogram.count(**labels):]:
-        histogram.observe(float(value), **labels)
-
-
 def collect_service(registry: MetricsRegistry, snapshot: dict, **labels: str) -> None:
     """File a simulation-service snapshot: queue depth and run states.
 
@@ -448,7 +390,8 @@ _IMBALANCE_GAUGES = (
 
 def collect_events(registry: MetricsRegistry, log: "EventLog") -> None:
     """File one run's event log, labelled with its mode and balancer (from
-    ``run.start``, so runs sharing a registry keep one series each): step and
+    ``run.start``, so runs sharing a registry keep one series each): the
+    balancer's rounds, the step-time and imbalance series, step and
     migration counts, the imbalance gauges and straggler counter, and every
     host scope in ``repro_host_kernel_seconds``. Idempotent, so the registry
     can be refilled at every flush and at the final write; each call folds
@@ -457,15 +400,45 @@ def collect_events(registry: MetricsRegistry, log: "EventLog") -> None:
     if fold.start is None:
         return
     labels = {"mode": fold.start["mode"], "balancer": fold.start["dlb"]["balancer"]}
-    if fold.moves:
-        migrations = registry.counter(
-            "repro_cell_migrations_total", "cells moved by the balancer"
+    if fold.rounds:
+        for name, help, total in (
+            ("repro_dlb_rounds_total", "redistribution rounds executed", fold.rounds),
+            ("repro_dlb_lends_total", "cells lent to a neighbour (Case 1)", fold.lends),
+            ("repro_dlb_returns_total", "borrowed cells returned (Cases 2-3)",
+             fold.returns),
+            ("repro_dlb_idle_rounds_total", "rounds that moved nothing",
+             fold.idle_rounds),
+        ):
+            _set_total(registry.counter(name, help), total, **labels)
+        registry.gauge(
+            "repro_dlb_moves_per_round_max", "largest single-round move count"
+        ).set(fold.largest_round, **labels)
+    steps = fold.imbalance  # the step records' fold
+    if steps.steps:
+        registry.gauge("repro_step_time_mean_seconds", "mean Tt over the run").set(
+            steps.actual / steps.steps, **labels
         )
-        _set_total(migrations, fold.moves, **labels)
-    if fold.steps:
+        registry.gauge("repro_step_time_max_seconds", "max Tt over the run").set(
+            steps.tt_max, **labels
+        )
+        registry.gauge(
+            "repro_step_imbalance_last_seconds", "final-step Fmax - Fmin"
+        ).set(steps.spreads[-1], **labels)
+        histogram = registry.histogram(
+            "repro_step_imbalance_seconds", "per-step Fmax - Fmin distribution"
+        )
+        for value in steps.spreads[histogram.count(**labels):]:
+            histogram.observe(value, **labels)
+        # Families are created in the order the text file lists them; every
+        # migration follows a round decided on an accounted step.
+        if fold.moves:
+            migrations = registry.counter(
+                "repro_cell_migrations_total", "cells moved by the balancer"
+            )
+            _set_total(migrations, fold.moves, **labels)
         total = registry.counter("repro_steps_total", "simulated steps executed")
-        _set_total(total, fold.steps, **labels)
-        summary = fold.imbalance.summary()
+        _set_total(total, steps.steps, **labels)
+        summary = steps.summary()
         for name, help, key in _IMBALANCE_GAUGES:
             registry.gauge(name, help).set(summary[key], **labels)
         straggler = registry.counter(

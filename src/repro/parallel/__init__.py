@@ -8,7 +8,7 @@ measures (per-step execution time ``Tt`` and the per-PE force-time spread
 """
 
 from .costmodel import ComputeCostModel, calibrate_tau_pair
-from .instrumentation import NeighborStats, StepTiming, TimingLog
+from .instrumentation import NeighborStats, StepTiming
 from .message import TrafficLog
 from .network import NetworkModel, preset
 from .topology import Torus2D
@@ -18,7 +18,6 @@ __all__ = [
     "NeighborStats",
     "NetworkModel",
     "StepTiming",
-    "TimingLog",
     "Torus2D",
     "TrafficLog",
     "calibrate_tau_pair",

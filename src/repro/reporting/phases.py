@@ -2,8 +2,8 @@
 
 Splits the mean ``Tt`` into the phases the accountant charges -- force,
 halo communication, DLB protocol, and everything else (integration,
-cell-list upkeep) -- using the aggregate columns of a
-:class:`~repro.parallel.instrumentation.TimingLog`. The "other" share is
+cell-list upkeep) -- using the recorded columns of a
+:class:`~repro.core.results.RunResult`. The "other" share is
 the remainder ``Tt - Fmax - comm_max - dlb``, i.e. whatever the critical
 PE spent outside the three named phases.
 """
@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel.instrumentation import TimingLog
+from ..core.results import RunResult
 from .tables import format_table
 
 
-def phase_shares(log: TimingLog) -> dict[str, float]:
+def phase_shares(result: RunResult) -> dict[str, float]:
     """Mean seconds per step spent in each phase (keys: force/halo-comm/dlb/other/total)."""
-    tt = float(log.tt.mean())
-    force = float(log.fmax.mean())
-    comm = float(log.comm_max.mean())
-    dlb = float(log.dlb_time.mean())
+    tt = float(result.tt.mean())
+    force = float(result.fmax.mean())
+    comm = float(result.comm_max.mean())
+    dlb = float(result.dlb_time.mean())
     other = max(0.0, tt - force - comm - dlb)
     return {
         "force": force,
@@ -32,9 +32,9 @@ def phase_shares(log: TimingLog) -> dict[str, float]:
     }
 
 
-def phase_breakdown(log: TimingLog, title: str | None = None) -> str:
+def phase_breakdown(result: RunResult, title: str | None = None) -> str:
     """ASCII table of the per-phase mean step time and its share of ``Tt``."""
-    shares = phase_shares(log)
+    shares = phase_shares(result)
     total = shares["total"]
     rows = []
     for phase in ("force", "halo-comm", "dlb", "other"):

@@ -1,4 +1,4 @@
-"""Higher-level report builders used by examples and benchmarks."""
+"""Higher-level report builders used by the CLI and the examples."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benchmark and experiment output."""
+"""Plain-text table rendering for CLI and experiment output."""
 
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-#: Default root seed used by examples and benchmarks.
+#: Default root seed: what a run without an explicit seed uses.
 DEFAULT_SEED = 20000501  # IPPS 2000, May 1-5, Cancun.
 
 

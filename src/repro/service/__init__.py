@@ -12,8 +12,8 @@ Public surface:
 :class:`ServiceConfig` / :class:`SimulationService` / :func:`serve`
     Server construction and the blocking CLI entry point.
 :class:`ServiceClient`
-    A stdlib HTTP client for the API (used by the tests, the benchmark and
-    the CI smoke job — and handy from a notebook), with full-jitter retry
+    A stdlib HTTP client for the API (used by the tests, the performance
+    ledger and the CI scenarios — and handy from a notebook), with full-jitter retry
     helpers (:func:`full_jitter_backoff`).
 :class:`WorkerPool`
     The scheduler, with the lease keeper and the expired-lease reaper that

@@ -1,7 +1,7 @@
 """A small stdlib client for the simulation service.
 
 ``http.client`` only — the client must work everywhere the service does
-(tests, CI smoke job, benchmark harness, a bare notebook) without pulling
+(tests, CI scenarios, the performance ledger, a bare notebook) without pulling
 in an HTTP library the container may not have. One connection per request,
 matching the server's ``Connection: close`` discipline.
 

@@ -10,14 +10,13 @@ from .boundary import BoundaryPoint, detect_divergence_step
 from .bounds import f2, f3, f4, ordering_gap, upper_bound
 from .concentration import ConcentrationState, measure_concentration
 from .fitting import ETComparison, fit_boundary_scale
-from .trajectory import Trajectory, TrajectoryRecorder
+from .trajectory import Trajectory
 
 __all__ = [
     "BoundaryPoint",
     "ConcentrationState",
     "ETComparison",
     "Trajectory",
-    "TrajectoryRecorder",
     "detect_divergence_step",
     "f2",
     "f3",

@@ -8,12 +8,11 @@ specific point on this trajectory (see :mod:`repro.theory.boundary`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import AnalysisError
-from .concentration import ConcentrationState
 
 
 @dataclass(frozen=True)
@@ -37,29 +36,3 @@ class Trajectory:
             raise AnalysisError("empty trajectory")
         idx = int(np.argmin(np.abs(self.steps - step)))
         return float(self.n[idx]), float(self.c0_ratio[idx])
-
-
-@dataclass
-class TrajectoryRecorder:
-    """Accumulates concentration measurements step by step."""
-
-    _steps: list[int] = field(default_factory=list)
-    _n: list[float] = field(default_factory=list)
-    _c0: list[float] = field(default_factory=list)
-
-    def record(self, step: int, state: ConcentrationState) -> None:
-        """Append one measurement."""
-        self._steps.append(step)
-        self._n.append(state.n)
-        self._c0.append(state.c0_ratio)
-
-    def freeze(self) -> Trajectory:
-        """Snapshot the accumulated series as an immutable trajectory."""
-        return Trajectory(
-            steps=np.array(self._steps, dtype=np.int64),
-            n=np.array(self._n, dtype=np.float64),
-            c0_ratio=np.array(self._c0, dtype=np.float64),
-        )
-
-    def __len__(self) -> int:
-        return len(self._steps)

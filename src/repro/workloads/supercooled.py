@@ -68,8 +68,6 @@ def supercooled_simulation_config(
             )
     return SimulationConfig(
         md=md,
-        decomposition=DecompositionConfig(
-            cells_per_side=cells_per_side, n_pes=n_pes, shape="pillar"
-        ),
+        decomposition=DecompositionConfig(cells_per_side=cells_per_side, n_pes=n_pes),
         machine=machine if machine is not None else MachineConfig(),
     )

@@ -147,7 +147,7 @@ TOKEN_DEFAULTS = {
         "density": 0.256, "temperature": 0.722, "cutoff": 2.5, "dt": 0.001,
         "rescale_interval": 50, "attraction": 0.0, "n_attractors": 1,
     },
-    "DecompositionConfig": {"shape": "pillar"},
+    "DecompositionConfig": {},
     "DLBConfig": {
         "interval": 1, "max_sends_per_step": 1, "policy": "fastest",
         "threshold": 0.1,

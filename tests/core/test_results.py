@@ -65,6 +65,77 @@ class TestRunResult:
         trajectory = result.trajectory
         assert trajectory.point_at_step(4) == (1.4, 0.04)
 
+    def test_trajectory_follows_every_record(self):
+        result = RunResult(dlb_enabled=True)
+        result.append(record(4, 1.0))
+        result.append(record(8, 1.0))
+        trajectory = result.trajectory
+        assert len(trajectory) == 2
+        assert np.array_equal(trajectory.steps, [4, 8])
+        assert np.allclose(trajectory.n, [1.4, 1.8])
+        assert np.allclose(trajectory.c0_ratio, [0.04, 0.08])
+
+    def test_trajectory_snapshot_is_stable(self):
+        result = RunResult(dlb_enabled=True)
+        result.append(record(1, 1.0))
+        frozen = result.trajectory
+        result.append(record(2, 1.0))
+        assert len(frozen) == 1
+        assert len(result.trajectory) == 2
+
+    def test_columns_roundtrip(self):
+        result = RunResult(dlb_enabled=False)
+        for step in range(5):
+            result.append(record(step, float(step) + 1.0))
+        assert np.array_equal(result.steps, np.arange(5))
+        assert result.steps.dtype == np.int64
+        assert np.array_equal(result.tt, np.arange(1.0, 6.0))
+        assert np.allclose(result.fmax, 0.8 * result.tt)
+        assert np.allclose(result.fave, 0.5 * result.tt)
+        assert np.allclose(result.fmin, 0.3 * result.tt)
+        assert np.array_equal(result.spread, result.fmax - result.fmin)
+
+    def test_empty_result_columns_raise(self):
+        for column in ("tt", "steps", "fmax", "fave", "fmin", "comm_max",
+                       "dlb_time", "spread", "trajectory"):
+            with pytest.raises(AnalysisError):
+                getattr(RunResult(dlb_enabled=False), column)
+
+    def test_comm_and_dlb_columns(self):
+        result = RunResult(dlb_enabled=True)
+        for step in range(3):
+            result.append(StepRecord(
+                step=step,
+                timing=StepTiming(step=step, tt=1.0, fmax=0.5, fave=0.4, fmin=0.3,
+                                  comm_max=0.1 * step, dlb_time=0.01 * step),
+                concentration=record(step, 1.0).concentration,
+                n_moves=0,
+            ))
+        assert np.allclose(result.comm_max, [0.0, 0.1, 0.2])
+        assert np.allclose(result.dlb_time, [0.0, 0.01, 0.02])
+
+    def test_column_cache_invalidated_on_append(self):
+        result = RunResult(dlb_enabled=False)
+        result.append(record(0, 1.0))
+        first = result.tt
+        assert result.tt is first  # cached between reads
+        result.append(record(1, 2.0))
+        refreshed = result.tt
+        assert refreshed is not first
+        assert np.array_equal(refreshed, [1.0, 2.0])
+        assert np.array_equal(result.steps, [0, 1])
+
+    def test_unkept_steps_are_counted_but_not_recorded(self):
+        result = RunResult(dlb_enabled=True)
+        for s in range(1, 7):
+            result.append(record(s, float(s), n_moves=2), keep=s % 3 == 0)
+        assert [r.step for r in result.records] == [3, 6]
+        assert np.array_equal(result.tt, [3.0, 6.0])
+        summary = result.summary()
+        assert summary["steps"] == 6
+        assert summary["total_moves"] == 12
+        assert summary["tt_first"] == 3.0
+
 
 class TestResultSchema:
     """The versioned result schema: one writer/reader pair for every artifact."""

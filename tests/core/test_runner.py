@@ -1,8 +1,11 @@
 """Top-level runners."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import api
 from repro.config import (
     DecompositionConfig,
     MDConfig,
@@ -25,14 +28,6 @@ def small_sim_config() -> SimulationConfig:
 
 
 class TestParallelMDRunner:
-    def test_rejects_non_pillar_shape(self):
-        config = SimulationConfig(
-            md=MDConfig(n_particles=1000, density=0.256),
-            decomposition=DecompositionConfig(cells_per_side=6, n_pes=2, shape="plane"),
-        )
-        with pytest.raises(ConfigurationError):
-            ParallelMDRunner(config, RunConfig(steps=1))
-
     def test_short_run_produces_records(self):
         runner = ParallelMDRunner(small_sim_config(), RunConfig(steps=5, seed=1))
         result = runner.run()
@@ -45,6 +40,31 @@ class TestParallelMDRunner:
         )
         result = runner.run()
         assert [r.step for r in result.records] == [3, 6]
+
+    def test_summary_counts_every_step_at_any_record_interval(self):
+        every, sparse = (
+            api.result_payload(api.simulate(small_sim_config(), run=RunConfig(
+                steps=40, seed=1, record_interval=interval
+            )))
+            for interval in (1, 20)
+        )
+        assert every["steps_run"] == sparse["steps_run"] == 40
+        for key in ("steps", "total_moves"):
+            assert every["summary"][key] == sparse["summary"][key]
+        assert every["summary"]["steps"] == 40
+        assert every["summary"]["total_moves"] > 0
+
+    def test_counts_survive_a_checkpoint_resume(self, tmp_path):
+        run = RunConfig(steps=40, seed=1, record_interval=20)
+        full = api.simulate(small_sim_config(), run=run)
+        policy = api.CheckpointPolicy(directory=str(tmp_path), every=10)
+        api.simulate(small_sim_config(), run=run, checkpoints=policy, stop_after=25)
+        resumed = api.simulate(small_sim_config(), run=run, checkpoints=replace(
+            policy, resume=True
+        ))
+        assert resumed.digest() == full.digest()
+        assert resumed.summary() == full.summary()
+        assert (resumed.steps_run, resumed.total_moves) == (40, full.total_moves)
 
     def test_ddm_runner_never_moves_cells(self):
         runner = ParallelMDRunner(
@@ -238,6 +258,6 @@ class TestVerletBackendRunner:
             )
             result = runner.run()
         assert len(result.records) == 3
-        assert result.timing.fmax[0] > 0
+        assert result.fmax[0] > 0
         # One rebuild at initialization; the decomposed passes ride the cache.
         assert runner.neighbor_stats.rebuilds <= 2

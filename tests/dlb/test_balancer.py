@@ -12,6 +12,8 @@ from repro.dlb.balancer import DynamicLoadBalancer
 from repro.dlb.strategies import create_balancer
 from repro.dlb.protocol import Case
 from repro.errors import ConfigurationError
+from repro.obs.events import LogFold
+from repro.obs.imbalance import ImbalanceFold
 from tests.dlb.rank_rule import borrowed_by
 
 
@@ -19,6 +21,18 @@ def make_balancer(nc: int = 9, n_pes: int = 9, **kwargs) -> DynamicLoadBalancer:
     return create_balancer(
         CellAssignment(nc, n_pes), DLBConfig(**kwargs), strategy="permanent"
     )
+
+
+def run_stats(*rounds) -> LogFold:
+    """A run's balancer counters, folded from its rounds' ``dlb.decision``
+    records (each move's ``case`` as the runner records it)."""
+    fold = LogFold()
+    fold.imbalance = ImbalanceFold(9)
+    fold.add([
+        {"kind": "dlb.decision", "moves": [{"case": m.kind.value} for m in moves]}
+        for moves in rounds
+    ])
+    return fold
 
 
 class TestConstruction:
@@ -97,9 +111,11 @@ class TestApplyAndStats:
         times = np.ones(9)
         fast = balancer.assignment.pe_flat(0, 1)
         times[fast] = 0.1
-        balancer.step(times)
-        assert balancer.stats.lends > 0
-        assert balancer.stats.steps == 1
+        moves = balancer.step(times)
+        stats = run_stats(moves)
+        assert stats.lends > 0
+        assert stats.lends + stats.returns == len(moves)
+        assert stats.rounds == 1
 
     def test_returns_flow_back(self):
         balancer = make_balancer()
@@ -124,8 +140,8 @@ class TestApplyAndStats:
 
     def test_idle_steps_counted(self):
         balancer = make_balancer()
-        balancer.step(np.ones(9))
-        assert balancer.stats.idle_steps == 1
+        stats = run_stats(balancer.step(np.ones(9)))
+        assert (stats.rounds, stats.idle_rounds, stats.largest_round) == (1, 1, 0)
 
 
 class TestConvergence:

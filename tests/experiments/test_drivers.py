@@ -12,7 +12,6 @@ import pytest
 from repro.campaign import CampaignSpec, drain_report, execute_run, get_campaign
 from repro.experiments.common import geometry_for
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import fig6_from_fig5
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import Fig10Result, auto_rounds
 from repro.experiments.table1 import Table1Result
@@ -44,17 +43,21 @@ class TestFig5:
 
 
 class TestFig6:
+    """Figure 6 is the Figure 5 runs' Tt/Fmax/Fave/Fmin columns."""
+
     def test_panels_from_fig5(self):
         fig5 = run_fig5(TINY, steps=30, record_interval=5)
-        fig6 = fig6_from_fig5(fig5)
-        assert np.all(fig6.ddm.fmax >= fig6.ddm.fave)
-        assert np.all(fig6.ddm.fave >= fig6.ddm.fmin)
-        assert np.all(fig6.ddm.tt >= fig6.ddm.fmax)  # Tt includes comm etc.
+        for run in (fig5.ddm, fig5.dlb):
+            assert np.all(run.fmax >= run.fave)
+            assert np.all(run.fave >= run.fmin)
+            assert np.all(run.tt >= run.fmax)  # Tt includes comm etc.
 
     def test_gap_is_fmax_minus_fmin(self):
         fig5 = run_fig5(TINY, steps=30, record_interval=5)
-        panel = fig6_from_fig5(fig5).dlb
-        assert np.allclose(panel.gap, panel.fmax - panel.fmin)
+        gap = fig5.dlb.fmax - fig5.dlb.fmin
+        assert np.array_equal(fig5.dlb.spread, gap)
+        k = max(1, len(gap) // 10)
+        assert fig5.gap_growth()[1] == pytest.approx(gap[-k:].mean() / gap[:k].mean())
 
 
 class TestFig9:

@@ -38,7 +38,8 @@ ROUNDS = 2
 
 SHARED_KEYS = {
     "kind", "config_token", "step_count", "sim_time", "holder", "last_times",
-    "last_counts", "balancer", "accountant", "events", "records", "format",
+    "last_counts", "balancer", "accountant", "events", "records", "counts",
+    "format",
 }
 MD_KEYS = SHARED_KEYS | {"positions", "velocities", "forces", "force_cache"}
 DRIVEN_KEYS = SHARED_KEYS | {"configs_done"}
@@ -95,14 +96,14 @@ def configurations() -> list[np.ndarray]:
 def md_reference():
     runner = md_runner()
     result = runner.run()
-    return result.digest(), runner.events.lines()
+    return result.digest(), result.summary(), runner.events.lines()
 
 
 @pytest.fixture(scope="module")
 def driven_reference():
     runner = driven_runner()
     result = runner.run(configurations())
-    return result.digest(), runner.events.lines()
+    return result.digest(), result.summary(), runner.events.lines()
 
 
 class TestEveryKillPoint:
@@ -119,7 +120,7 @@ class TestEveryKillPoint:
         partial = resumed.restore(state)
         assert resumed.step_count == kill_at
         result = resumed.run(MD_STEPS - kill_at, result=partial)
-        assert (result.digest(), resumed.events.lines()) == md_reference
+        assert (result.digest(), result.summary(), resumed.events.lines()) == md_reference
 
     @pytest.mark.parametrize("kill_after", range(1, CONFIGS))
     def test_driven_resumes_to_the_uninterrupted_run(
@@ -136,7 +137,9 @@ class TestEveryKillPoint:
         assert resumed.configs_done == kill_after
         assert resumed.step_count == kill_after * ROUNDS
         result = resumed.run(sequence, result=partial)
-        assert (result.digest(), resumed.events.lines()) == driven_reference
+        assert (
+            result.digest(), result.summary(), resumed.events.lines()
+        ) == driven_reference
 
 
 class TestOracleHasTeeth:
@@ -148,9 +151,10 @@ class TestOracleHasTeeth:
         assert view is not None and view.age.max() > 0
 
     def test_the_runs_move_cells(self, md_reference, driven_reference):
-        for _, lines in (md_reference, driven_reference):
+        for _, summary, lines in (md_reference, driven_reference):
             kinds = {json.loads(line)["kind"] for line in lines}
             assert "cell.migrate" in kinds
+            assert summary["total_moves"] > 0
 
 
 class TestOlderSnapshots:
@@ -183,3 +187,17 @@ class TestOlderSnapshots:
         state = runner.state_dict()
         with pytest.raises(CheckpointMismatchError, match="format 2 "):
             md_runner().restore({**state, "format": 2})
+
+    def test_snapshot_without_counts_resumes_with_its_balancer_stats(self):
+        """A snapshot written before the executed steps and moves were
+        counted apart from the records still resumes: the steps are the
+        runner's, the moves its balancer stats' lends and returns."""
+        runner = md_runner()
+        runner.run(3)
+        state = runner.state_dict()
+        del state["counts"]
+        state["balancer"]["stats"] = {"steps": 2, "lends": 5, "returns": 2,
+                                      "idle_steps": 0, "moves_per_step": [3, 4]}
+        resumed = md_runner()
+        partial = resumed.restore(state)
+        assert (partial.steps_run, partial.total_moves) == (3, 7)

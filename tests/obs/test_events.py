@@ -31,12 +31,6 @@ class TestEventLog:
         assert [r["seq"] for r in log.host_records] == [0, 1]
         assert len(log) == 1  # len counts the canonical channel only
 
-    def test_disabled_log_is_a_no_op(self):
-        log = EventLog(enabled=False)
-        log.emit(0, "run.start")
-        log.emit_host(0, "checkpoint.save")
-        assert log.records == [] and log.host_records == []
-
     def test_lines_are_canonical_sorted_compact_json(self):
         log = EventLog()
         log.emit(0, "audit", zebra=1, alpha=2)

@@ -11,10 +11,10 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    collect_timing,
+    collect_events,
     collect_traffic,
 )
-from repro.parallel.instrumentation import StepTiming, TimingLog
+from repro.obs.events import EventLog
 from repro.parallel.message import TrafficLog
 
 
@@ -161,21 +161,64 @@ class TestCollectors:
         collect_traffic(registry, traffic)
         assert registry.counter("repro_traffic_bytes_total").value(tag="halo") == 150
 
-    def test_collect_timing_histogram_idempotent(self):
-        registry = MetricsRegistry()
-        log = TimingLog()
-        for step in range(4):
-            log.append(StepTiming(step=step, tt=1.0, fmax=0.6, fave=0.5,
-                                  fmin=0.4))
-        collect_timing(registry, log, mode="ddm")
-        collect_timing(registry, log, mode="ddm")
-        hist = registry.histogram("repro_step_imbalance_seconds")
-        assert hist.count(mode="ddm") == 4
-        assert registry.gauge("repro_step_time_mean_seconds").value(
-            mode="ddm"
-        ) == pytest.approx(1.0)
+    def run_log(self):
+        """A two-PE run's log: three steps and two balancer rounds."""
+        log = EventLog()
+        log.emit(0, "run.start", mode="dlb", n_pes=2, dlb={"balancer": "permanent"})
+        zeros = [0.0, 0.0]
+        for index, force in enumerate(([0.6, 0.4], [0.9, 0.3], [0.5, 0.5])):
+            if index:
+                moves = [{"cell": 0, "src": 0, "dst": 1, "case": "send_own"},
+                         {"cell": 3, "src": 1, "dst": 0, "case": "return_borrowed"}]
+                log.emit(index, "dlb.decision", moves=moves[:2 * (index - 1)])
+            log.emit(index + 1, "step", start=0.0, dlb=0.1, force=force,
+                     comm=zeros, other=zeros)
+        return log
 
-    def test_collect_timing_empty_log_is_noop(self):
+    def test_collect_events_files_step_and_round_families(self):
         registry = MetricsRegistry()
-        collect_timing(registry, TimingLog())
+        collect_events(registry, self.run_log())
+        labels = {"mode": "dlb", "balancer": "permanent"}
+        assert registry.gauge("repro_step_time_mean_seconds").value(
+            **labels
+        ) == pytest.approx((0.7 + 1.0 + 0.6) / 3)
+        assert registry.gauge("repro_step_time_max_seconds").value(**labels) == 1.0
+        assert registry.gauge("repro_step_imbalance_last_seconds").value(**labels) == 0.0
+        assert registry.counter("repro_dlb_rounds_total").value(**labels) == 2
+        assert registry.counter("repro_dlb_lends_total").value(**labels) == 1
+        assert registry.counter("repro_dlb_returns_total").value(**labels) == 1
+        assert registry.counter("repro_dlb_idle_rounds_total").value(**labels) == 1
+        assert registry.gauge("repro_dlb_moves_per_round_max").value(**labels) == 2
+
+    def test_collect_events_step_histogram_idempotent(self):
+        registry = MetricsRegistry()
+        log = self.run_log()
+        collect_events(registry, log)
+        collect_events(registry, log)
+        hist = registry.histogram("repro_step_imbalance_seconds")
+        labels = {"mode": "dlb", "balancer": "permanent"}
+        assert hist.count(**labels) == 3
+        assert hist.sum(**labels) == pytest.approx(0.2 + 0.6 + 0.0)
+        log.emit(4, "step", start=0.0, dlb=0.1, force=[0.2, 0.1],
+                 comm=[0.0, 0.0], other=[0.0, 0.0])
+        collect_events(registry, log)
+        assert hist.count(**labels) == 4
+        assert registry.counter("repro_steps_total").value(**labels) == 4
+
+    def test_collect_events_empty_log_is_noop(self):
+        registry = MetricsRegistry()
+        log = EventLog()
+        log.emit(0, "run.start", mode="ddm", n_pes=2, dlb={"balancer": "none"})
+        collect_events(registry, log)
         assert len(registry) == 0
+
+    def test_plain_ddm_log_files_no_round_families(self):
+        registry = MetricsRegistry()
+        log = EventLog()
+        log.emit(0, "run.start", mode="ddm", n_pes=2, dlb={"balancer": "none"})
+        log.emit(1, "step", start=0.0, dlb=0.0, force=[0.6, 0.4],
+                 comm=[0.0, 0.0], other=[0.0, 0.0])
+        collect_events(registry, log)
+        text = registry.to_prometheus_text()
+        assert "repro_dlb_" not in text
+        assert 'repro_step_imbalance_seconds_count{balancer="none",mode="ddm"} 1' in text

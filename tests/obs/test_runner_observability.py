@@ -170,6 +170,45 @@ class TestDrivenLoadRunnerObservability:
         assert obs.metrics.counter("repro_dlb_rounds_total").value(**DLB) > 0
 
 
+def sample(text: str, name: str) -> float:
+    """The value of the permanent-cell run's ``name`` series in ``text``."""
+    prefix = f'{name}{{balancer="permanent",mode="dlb"}} '
+    (line,) = [line for line in text.splitlines() if line.startswith(prefix)]
+    return float(line[len(prefix):])
+
+
+class TestMetricsCoverEveryStep:
+    """Every run-metric family is folded from the event log, which records
+    every step and round whatever the result's ``record_interval``."""
+
+    def test_families_agree_mid_run_and_at_the_end(self, tmp_path):
+        path = tmp_path / "m.prom"
+        obs = Observability.create()
+        obs.metrics_path, obs.metrics_every = str(path), 25
+        api.simulate(
+            "quickstart", observability=obs,
+            run=RunConfig(steps=40, seed=3, record_interval=20, balancer="permanent"),
+        )
+        records = obs.events.records
+        step_at = [i for i, r in enumerate(records) if r["kind"] == "step"]
+        before_flush = records[:step_at[24]]  # the flush after step 25
+        flushed = path.read_text()
+        assert sample(flushed, "repro_steps_total") == 25
+        assert sample(flushed, "repro_step_imbalance_seconds_count") == 25
+        assert sample(flushed, "repro_dlb_rounds_total") == sum(
+            r["kind"] == "dlb.decision" for r in before_flush
+        )
+        final = obs.metrics.to_prometheus_text()
+        assert sample(final, "repro_steps_total") == 40
+        assert sample(final, "repro_step_imbalance_seconds_count") == 40
+        decisions = [r for r in records if r["kind"] == "dlb.decision"]
+        assert sample(final, "repro_dlb_rounds_total") == len(decisions) == 39
+        moved = sum(len(r["moves"]) for r in decisions)
+        assert sample(final, "repro_dlb_lends_total") + sample(
+            final, "repro_dlb_returns_total"
+        ) == moved == sample(final, "repro_cell_migrations_total")
+
+
 class TestEngineWorkerScopes:
     def test_workers_record_while_the_main_process_records(self):
         """Worker passes join the run's log under ``worker<w>.`` names,

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import AnalysisError
-from repro.parallel.instrumentation import StepComponents, StepTiming, TimingLog
+from repro.parallel.instrumentation import StepComponents, StepTiming
 
 
 class TestStepTiming:
@@ -34,45 +33,6 @@ class TestStepTiming:
         force = np.array([1.0, 1.0, 10.0])
         timing = StepTiming.from_components(0, force, np.zeros(3), np.zeros(3))
         assert timing.tt == 10.0
-
-
-class TestTimingLog:
-    def test_arrays_roundtrip(self):
-        log = TimingLog()
-        for step in range(5):
-            log.append(
-                StepTiming(step=step, tt=float(step), fmax=2.0, fave=1.5, fmin=1.0)
-            )
-        assert len(log) == 5
-        assert np.array_equal(log.steps, np.arange(5))
-        assert np.array_equal(log.tt, np.arange(5.0))
-        assert np.all(log.spread == 1.0)
-
-    def test_empty_log_raises(self):
-        for column in ("tt", "steps", "fmax", "fave", "fmin", "comm_max",
-                       "dlb_time", "spread"):
-            with pytest.raises(AnalysisError):
-                getattr(TimingLog(), column)
-
-    def test_comm_and_dlb_columns(self):
-        log = TimingLog()
-        for step in range(3):
-            log.append(StepTiming(step=step, tt=1.0, fmax=0.5, fave=0.4,
-                                  fmin=0.3, comm_max=0.1 * step,
-                                  dlb_time=0.01 * step))
-        assert np.allclose(log.comm_max, [0.0, 0.1, 0.2])
-        assert np.allclose(log.dlb_time, [0.0, 0.01, 0.02])
-
-    def test_column_cache_invalidated_on_append(self):
-        log = TimingLog()
-        log.append(StepTiming(step=0, tt=1.0, fmax=1.0, fave=1.0, fmin=1.0))
-        first = log.tt
-        assert log.tt is first  # cached between reads
-        log.append(StepTiming(step=1, tt=2.0, fmax=1.0, fave=1.0, fmin=1.0))
-        refreshed = log.tt
-        assert refreshed is not first
-        assert np.array_equal(refreshed, [1.0, 2.0])
-        assert np.array_equal(log.steps, [0, 1])
 
 
 class TestStepComponents:

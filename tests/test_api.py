@@ -126,6 +126,24 @@ class TestPersistedArtifacts:
             with pytest.raises(SchemaError, match='balancer="none"'):
                 api.load_config(path)
 
+    @pytest.mark.parametrize("shape", ["pillar", "plane", "cube"])
+    def test_older_config_with_a_decomposition_shape(self, tmp_path, shape):
+        """A config saved while ``DecompositionConfig.shape`` existed.
+        ``"pillar"`` is the one shape the runners implement and loads;
+        any other is refused rather than loaded as a pillar run."""
+        path = tmp_path / "older.json"
+        path.write_text(
+            '{"schema_version": "1.0", "simulation": {'
+            '"md": {"n_particles": 1000, "density": 0.256}, '
+            '"decomposition": {"cells_per_side": 6, "n_pes": 9, "shape": "'
+            + shape + '"}}}'
+        )
+        if shape == "pillar":
+            assert api.load_config(path).simulation == small_config()
+        else:
+            with pytest.raises(SchemaError, match=f"shape='{shape}'"):
+                api.load_config(path)
+
     def test_load_config_refuses_a_float_particle_count(self, tmp_path):
         # It used to load, then die in simulate() with "slice indices must
         # be integers".

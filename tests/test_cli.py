@@ -427,8 +427,8 @@ class TestChaosFlags:
 
     def test_kill_before_the_first_record_still_exits_3(self, tmp_path, capsys):
         """A kill below the default --record-interval leaves no step recorded:
-        the killed payload has a null summary, and resuming still reaches the
-        uninterrupted digest."""
+        the killed payload has a null summary but counts the steps it ran, and
+        resuming still reaches the uninterrupted digest and summary."""
         base = ["run", "quickstart", "--balancer", "permanent", "--steps", "20"]
         full_json = tmp_path / "full.json"
         assert main(base + ["--result-json", str(full_json)]) == 0
@@ -440,7 +440,7 @@ class TestChaosFlags:
         killed = json.loads(killed_json.read_text())
         assert killed["killed_at"] == 10
         assert killed["runs"]["permanent"]["summary"] is None
-        assert killed["runs"]["permanent"]["steps_run"] == 0
+        assert killed["runs"]["permanent"]["steps_run"] == 10
 
         resumed_json = tmp_path / "resumed.json"
         assert main(base + ["--resume", str(ck), "--result-json", str(resumed_json)]) == 0

@@ -60,27 +60,13 @@ class TestDecompositionConfig:
         assert config.pe_side == 6
         assert config.n_cells == 1728
 
-    def test_plane_needs_divisibility(self):
-        DecompositionConfig(cells_per_side=12, n_pes=4, shape="plane")
-        with pytest.raises(ConfigurationError):
-            DecompositionConfig(cells_per_side=12, n_pes=5, shape="plane")
-
     def test_pillar_needs_square_pes(self):
         with pytest.raises(ConfigurationError):
-            DecompositionConfig(cells_per_side=12, n_pes=8, shape="pillar")
+            DecompositionConfig(cells_per_side=12, n_pes=8)
 
     def test_pillar_needs_divisible_grid(self):
         with pytest.raises(ConfigurationError):
-            DecompositionConfig(cells_per_side=13, n_pes=9, shape="pillar")
-
-    def test_cube_needs_cubic_pes(self):
-        DecompositionConfig(cells_per_side=12, n_pes=27, shape="cube")
-        with pytest.raises(ConfigurationError):
-            DecompositionConfig(cells_per_side=12, n_pes=36, shape="cube")
-
-    def test_rejects_unknown_shape(self):
-        with pytest.raises(ConfigurationError):
-            DecompositionConfig(cells_per_side=12, n_pes=4, shape="sphere")
+            DecompositionConfig(cells_per_side=13, n_pes=9)
 
 
 class TestDLBConfig:

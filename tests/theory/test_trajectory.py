@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.theory.concentration import ConcentrationState
-from repro.theory.trajectory import Trajectory, TrajectoryRecorder
-
-
-def state(n: float, c0: float) -> ConcentrationState:
-    return ConcentrationState(
-        n_cells=100, empty_cells=int(c0 * 100), c0_ratio=c0, n=n, max_domain_cells=50
-    )
+from repro.theory.trajectory import Trajectory
 
 
 class TestTrajectory:
@@ -43,22 +36,3 @@ class TestTrajectory:
     def test_len(self):
         t = Trajectory(steps=np.arange(4), n=np.ones(4), c0_ratio=np.ones(4))
         assert len(t) == 4
-
-
-class TestTrajectoryRecorder:
-    def test_records_and_freezes(self):
-        recorder = TrajectoryRecorder()
-        recorder.record(1, state(1.0, 0.0))
-        recorder.record(2, state(1.5, 0.1))
-        assert len(recorder) == 2
-        trajectory = recorder.freeze()
-        assert np.array_equal(trajectory.steps, [1, 2])
-        assert np.allclose(trajectory.n, [1.0, 1.5])
-        assert np.allclose(trajectory.c0_ratio, [0.0, 0.1])
-
-    def test_freeze_snapshot_is_stable(self):
-        recorder = TrajectoryRecorder()
-        recorder.record(1, state(1.0, 0.0))
-        frozen = recorder.freeze()
-        recorder.record(2, state(2.0, 0.5))
-        assert len(frozen) == 1
