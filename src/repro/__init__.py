@@ -47,12 +47,7 @@ from .theory import (
     measure_concentration,
     upper_bound,
 )
-from .workloads import (
-    ConcentrationSchedule,
-    Preset,
-    get_preset,
-    supercooled_simulation_config,
-)
+from .workloads import ConcentrationSchedule, Preset, get_preset
 
 __version__ = "1.0.0"
 
@@ -91,6 +86,5 @@ __all__ = [
     "get_preset",
     "measure_concentration",
     "movable_fraction",
-    "supercooled_simulation_config",
     "upper_bound",
 ]

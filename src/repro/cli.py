@@ -48,7 +48,7 @@ from .campaign import (
 from .campaign.artifacts import host_events_path, remove_run_artifacts
 from .campaign.pool import DEFAULT_LEASE_TTL
 from .config import BALANCER_NAMES, RunConfig
-from .core.results import write_result_json
+from .core.results import RunResult, write_result_json
 from .engine import ENGINE_NAMES
 from .errors import (
     AnalysisError,
@@ -88,6 +88,35 @@ def _cmd_presets(_: argparse.Namespace) -> int:
     ]
     print(format_table(["name", "N", "PEs", "m", "steps", "description"], rows))
     return 0
+
+
+def _print_run_report(
+    results: dict[str, RunResult], title: str, record_interval: int
+) -> None:
+    """The Tt tables and phase breakdowns of ``repro run``; a run shorter
+    than ``--record-interval`` kept no row, so only its counts are printed."""
+    if not all(result.records for result in results.values()):
+        for label, result in results.items():
+            print(f"  {label}: steps_run {result.steps_run}, "
+                  f"total_moves {result.total_moves} "
+                  f"(no step recorded at --record-interval {record_interval})")
+        return
+    if len(results) == 1:
+        ((label, result),) = results.items()
+        print(series_preview(result.steps, result.tt, label=f"{label} Tt [s]"))
+        print()
+        for key, value in result.summary().items():
+            print(f"  {key}: {value:.6g}")
+    elif len(results) == 2 and "none" in results:
+        (other,) = (label for label in results if label != "none")
+        print(comparison_report(results["none"], results[other], title=title))
+    else:
+        print(balancer_comparison_report(results, title=title))
+    for label, result in results.items():
+        print()
+        print(phase_breakdown(
+            result, title=f"{label}: per-phase step-time breakdown"
+        ))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -224,23 +253,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    if len(results) == 1:
-        ((label, result),) = results.items()
-        print(series_preview(result.steps, result.tt, label=f"{label} Tt [s]"))
-        print()
-        for key, value in result.summary().items():
-            print(f"  {key}: {value:.6g}")
-    elif len(results) == 2 and "none" in results:
-        (other,) = (label for label in results if label != "none")
-        print(comparison_report(results["none"], results[other],
-                                title=preset.description))
-    else:
-        print(balancer_comparison_report(results, title=preset.description))
-    for label, result in results.items():
-        print()
-        print(phase_breakdown(
-            result, title=f"{label}: per-phase step-time breakdown"
-        ))
+    _print_run_report(results, preset.description, args.record_interval)
     if events is not None:
         print()
         print(flight_report(events.records))

@@ -19,7 +19,7 @@ from collections.abc import Collection
 from dataclasses import MISSING, InitVar, dataclass, field, fields, is_dataclass
 from typing import Any
 
-from .errors import ConfigurationError, ReproError
+from .errors import ConfigurationError, DecompositionError, ReproError
 from .units import (
     PAPER_CUTOFF,
     PAPER_DT,
@@ -238,20 +238,39 @@ def mode_label(balancer: str | None) -> str:
     return "ddm" if balancer == "none" else "dlb"
 
 
+def pe_side_for(n_pes: int) -> int:
+    """``P^(1/2)``: the side of the square PE torus, the one place a PE count
+    is checked for a square-pillar decomposition (Section 2.2). Raises
+    :class:`DecompositionError` unless ``n_pes`` is a positive square."""
+    side = math.isqrt(n_pes) if n_pes > 0 else 0
+    if side == 0 or side * side != n_pes:
+        raise DecompositionError(
+            f"pillar decomposition needs a positive square n_pes, got {n_pes}"
+        )
+    return side
+
+
 @dataclass(frozen=True)
 class DecompositionConfig:
     """Cell grid and PE layout of a square-pillar domain decomposition:
     the paper's choice for DLB, each PE a pillar of ``m x m`` cell columns
     on a 2-D torus (the plane and cube shapes of Section 2.2 are compared
-    in closed form by :mod:`repro.decomp.shapes`).
+    in closed form by :mod:`repro.decomp.shapes`). The one owner of the
+    pillar geometry: the partition, the permanent wall and
+    :class:`~repro.decomp.assignment.CellAssignment` read ``pe_side`` and
+    ``pillar_m`` from here, and every check raises
+    :class:`DecompositionError`.
 
     Attributes
     ----------
     cells_per_side:
         ``C^(1/3)``: number of cells along each axis of the cubic grid.
     n_pes:
-        Number of processing elements ``P``, a perfect square.
+        Number of processing elements ``P``, a perfect square whose root
+        divides ``cells_per_side``.
     """
+
+    error_type = DecompositionError
 
     cells_per_side: int
     n_pes: int
@@ -259,18 +278,13 @@ class DecompositionConfig:
     def __post_init__(self) -> None:
         check_types(self)
         if self.cells_per_side <= 0:
-            raise ConfigurationError(f"cells_per_side must be positive, got {self.cells_per_side}")
-        if self.n_pes <= 0:
-            raise ConfigurationError(f"n_pes must be positive, got {self.n_pes}")
-        side = math.isqrt(self.n_pes)
-        if side * side != self.n_pes:
-            raise ConfigurationError(
-                f"pillar decomposition needs a square n_pes, got {self.n_pes}"
+            raise DecompositionError(
+                f"cells_per_side must be positive, got {self.cells_per_side}"
             )
-        if self.cells_per_side % side != 0:
-            raise ConfigurationError(
+        if self.cells_per_side % self.pe_side != 0:
+            raise DecompositionError(
                 f"pillar decomposition needs sqrt(n_pes) | cells_per_side, "
-                f"got sqrt({self.n_pes})={side} and {self.cells_per_side}"
+                f"got sqrt({self.n_pes})={self.pe_side} and {self.cells_per_side}"
             )
 
     @property
@@ -281,7 +295,7 @@ class DecompositionConfig:
     @property
     def pe_side(self) -> int:
         """``P^(1/2)``: the side of the PE torus."""
-        return math.isqrt(self.n_pes)
+        return pe_side_for(self.n_pes)
 
     @property
     def pillar_m(self) -> int:

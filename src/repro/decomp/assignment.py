@@ -12,14 +12,16 @@ property.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
+from ..config import DecompositionConfig
 from ..errors import DecompositionError, ProtocolError
 from .partition import expand_columns_to_cells, pillar_partition
 
 
+@functools.cache
 def classify_permanent_columns(cells_per_side: int, n_pes: int) -> np.ndarray:
     """Boolean mask over *columns*: the permanent wall of each domain.
 
@@ -28,18 +30,17 @@ def classify_permanent_columns(cells_per_side: int, n_pes: int) -> np.ndarray:
     wall column ``v = m-1``: ``2m - 1`` columns, leaving ``(m-1)^2`` movable
     (Section 2.3: for m=2 a quarter of the domain is movable, for m=4 it is
     9/16). The wall sits on the high-coordinate edges because the protocol
-    only lends cells toward lower-coordinate neighbours (Case 1).
+    only lends cells toward lower-coordinate neighbours (Case 1). Like
+    :func:`~repro.decomp.partition.pillar_partition`, built once per
+    ``(nc, P)`` and read-only.
     """
-    side = math.isqrt(n_pes)
-    if side * side != n_pes:
-        raise DecompositionError(f"need square n_pes, got {n_pes}")
-    if cells_per_side % side != 0:
-        raise DecompositionError(f"need sqrt(P) | nc, got {side}, {cells_per_side}")
-    m = cells_per_side // side
+    m = DecompositionConfig(int(cells_per_side), int(n_pes)).pillar_m
     cols = np.arange(cells_per_side**2)
     cx, cy = cols // cells_per_side, cols % cells_per_side
     u, v = cx % m, cy % m
-    return (u == m - 1) | (v == m - 1)
+    wall = (u == m - 1) | (v == m - 1)
+    wall.setflags(write=False)
+    return wall
 
 
 class CellAssignment:
@@ -59,18 +60,17 @@ class CellAssignment:
     ASCENDING = len(LEND_OFFSETS)
 
     def __init__(self, cells_per_side: int, n_pes: int) -> None:
-        self.cells_per_side = int(cells_per_side)
-        self.n_cells = self.cells_per_side**3
-        self.n_pes = int(n_pes)
-        self.pe_side = math.isqrt(n_pes)
-        if self.pe_side * self.pe_side != n_pes:
-            raise DecompositionError(f"need square n_pes, got {n_pes}")
-        self.m = cells_per_side // self.pe_side
-        column_home = pillar_partition(cells_per_side, n_pes)
-        self.home = expand_columns_to_cells(column_home, cells_per_side)
+        geometry = DecompositionConfig(int(cells_per_side), int(n_pes))
+        self.cells_per_side = geometry.cells_per_side
+        self.n_cells = geometry.n_cells
+        self.n_pes = geometry.n_pes
+        self.pe_side = geometry.pe_side
+        self.m = geometry.pillar_m
+        column_home = pillar_partition(self.cells_per_side, self.n_pes)
+        self.home = expand_columns_to_cells(column_home, self.cells_per_side)
         self.holder = self.home.copy()
-        column_permanent = classify_permanent_columns(cells_per_side, n_pes)
-        self.permanent = np.repeat(column_permanent, cells_per_side)
+        column_permanent = classify_permanent_columns(self.cells_per_side, self.n_pes)
+        self.permanent = np.repeat(column_permanent, self.cells_per_side)
         nc, m = self.cells_per_side, self.m
         home_cells = np.argsort(self.home, kind="stable").reshape(self.n_pes, -1)
         movable = home_cells[~self.permanent[home_cells]].reshape(self.n_pes, -1)

@@ -9,9 +9,9 @@ each shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from ..config import DecompositionConfig
 from ..errors import ConfigurationError
 
 
@@ -52,10 +52,8 @@ def domain_shape_info(shape: str, cells_per_side: int, n_pes: int) -> DomainShap
         ghost = 2 * nc * nc if n_pes > 1 else 0
         return DomainShapeInfo("plane", thickness * nc * nc, ghost, min(2, n_pes - 1) if n_pes > 1 else 0)
     if shape == "pillar":
-        side = math.isqrt(n_pes)
-        if side * side != n_pes or nc % side != 0:
-            raise ConfigurationError(f"pillar needs square P with sqrt(P) | nc, got {n_pes}, {nc}")
-        m = nc // side
+        geometry = DecompositionConfig(nc, n_pes)
+        side, m = geometry.pe_side, geometry.pillar_m
         ghost = ((m + 2) ** 2 - m * m) * nc if side > 1 else 0
         return DomainShapeInfo("pillar", m * m * nc, ghost, 8 if side > 2 else (3 if side == 2 else 0))
     if shape == "cube":

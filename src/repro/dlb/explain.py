@@ -21,7 +21,7 @@ import numpy as np
 
 from ..config import DLBConfig, from_dict
 from ..decomp.assignment import CellAssignment
-from ..errors import AnalysisError
+from ..errors import AnalysisError, DecompositionError
 from ..parallel.topology import Torus2D
 from .protocol import Case, Move
 from .strategies import (
@@ -77,9 +77,9 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     (``permanent``, ``diffusion``) the round's moves are narrated grouped
     by source PE, each PE from its own view of the round; global ones
     (``sfc``) narrate move by move. A log recorded by a
-    strategy this build does not know raises
-    :class:`~repro.errors.AnalysisError` instead of reporting a spurious
-    divergence.
+    strategy this build does not know, or whose grid and PE count admit no
+    pillar decomposition, raises :class:`~repro.errors.AnalysisError`
+    instead of reporting a spurious divergence.
     """
     dlb = run_start.get("dlb") or {}
     balancer_name = dlb.get("balancer", "permanent")
@@ -90,7 +90,10 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
             "cannot replay its decisions"
         )
     n_pes = int(run_start["n_pes"])
-    assignment = CellAssignment(int(run_start["cells_per_side"]), n_pes)
+    try:
+        assignment = CellAssignment(int(run_start["cells_per_side"]), n_pes)
+    except DecompositionError as exc:
+        raise AnalysisError(f"event log's run.start has no pillar grid: {exc}") from exc
     for cell, holder in event.get("lent") or []:
         # Mirror runner.restore: the holder map is data, not a protocol step.
         assignment.holder[int(cell)] = int(holder)

@@ -15,9 +15,9 @@ class ReproError(Exception):
 class ConfigurationError(ReproError):
     """Raised when a configuration object is internally inconsistent.
 
-    Examples: a cell size smaller than the cutoff, a PE count that is not a
-    perfect square for a square-pillar decomposition, or a cell grid that does
-    not divide evenly among PEs.
+    Examples: a cell size smaller than the cutoff or an unknown balancer
+    name; a PE count or cell grid that admits no square-pillar decomposition
+    raises the subclass :class:`DecompositionError`.
     """
 
 
@@ -25,8 +25,10 @@ class GeometryError(ReproError):
     """Raised for invalid spatial inputs (out-of-box positions, bad cell ids)."""
 
 
-class DecompositionError(ReproError):
-    """Raised when a cell-to-PE assignment violates a structural invariant."""
+class DecompositionError(ConfigurationError):
+    """Raised when a cell grid and PE count admit no square-pillar
+    decomposition (:class:`repro.config.DecompositionConfig`), or when a
+    cell-to-PE assignment violates a structural invariant."""
 
 
 class ProtocolError(ReproError):

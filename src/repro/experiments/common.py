@@ -10,10 +10,15 @@ compared at identical cell size and gas statistics, as in the paper.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..config import DecompositionConfig, MachineConfig, MDConfig, SimulationConfig
+from ..config import (
+    DecompositionConfig,
+    MachineConfig,
+    MDConfig,
+    SimulationConfig,
+    pe_side_for,
+)
 from ..errors import ConfigurationError
 from ..units import PAPER_CUTOFF, PAPER_RHO
 
@@ -38,10 +43,7 @@ def geometry_for(m: int, n_pes: int, density: float = PAPER_RHO) -> ExperimentGe
     """Problem geometry for a pillar cross-section ``m`` on ``P`` PEs."""
     if m < 1:
         raise ConfigurationError(f"m must be >= 1, got {m}")
-    pe_side = math.isqrt(n_pes)
-    if pe_side * pe_side != n_pes:
-        raise ConfigurationError(f"n_pes must be a perfect square, got {n_pes}")
-    cells_per_side = m * pe_side
+    cells_per_side = m * pe_side_for(n_pes)
     box_length = cells_per_side * EXPERIMENT_CELL_SIZE
     n_particles = int(round(density * box_length**3))
     return ExperimentGeometry(

@@ -47,17 +47,19 @@ class ETComparison:
 def fit_boundary_scale(points: list[BoundaryPoint], m: int) -> ETComparison:
     """Least-squares fit of ``C0/C = k * f(m, n)`` through boundary points.
 
-    Minimising ``sum (y_i - k f_i)^2`` gives ``k = sum(y f) / sum(f^2)``.
+    Minimising ``sum (y_i - k f_i)^2`` gives ``k = sum(y f) / sum(f^2)``,
+    both sums ``np.sum`` of products (no BLAS dot, whose summation order
+    depends on the build).
     """
     if not points:
         raise AnalysisError("cannot fit a boundary through zero points")
     n_vals = np.array([p.n for p in points], dtype=float)
     y_vals = np.array([p.c0_ratio for p in points], dtype=float)
     f_vals = np.asarray(upper_bound(m, n_vals), dtype=float)
-    denom = float(np.dot(f_vals, f_vals))
+    denom = float(np.sum(f_vals * f_vals))
     if denom <= 0:
         raise AnalysisError("degenerate fit: all theoretical values are zero")
-    k = float(np.dot(y_vals, f_vals)) / denom
+    k = float(np.sum(y_vals * f_vals)) / denom
     residuals = y_vals - k * f_vals
     rms = float(np.sqrt(np.mean(residuals**2)))
     return ETComparison(m=m, ratio=k, residual_rms=rms, n_points=len(points))

@@ -1,14 +1,11 @@
-"""Workload generators: the paper's physical conditions and concentration drivers."""
+"""Workload generators: the named presets and the concentration driver."""
 
 from .concentration import ConcentrationSchedule
 from .presets import PRESETS, Preset, get_preset
-from .supercooled import supercooled_config, supercooled_simulation_config
 
 __all__ = [
     "PRESETS",
     "ConcentrationSchedule",
     "Preset",
     "get_preset",
-    "supercooled_config",
-    "supercooled_simulation_config",
 ]

@@ -10,12 +10,10 @@ steps instead of the paper's thousands (see DESIGN.md).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..config import SimulationConfig
+from ..config import DecompositionConfig, MDConfig, SimulationConfig
 from ..errors import ConfigurationError
-from .supercooled import supercooled_simulation_config
 
 
 @dataclass(frozen=True)
@@ -51,17 +49,19 @@ class Preset:
     @property
     def m(self) -> int:
         """Pillar cross-section of the preset."""
-        return self.cells_per_side // math.isqrt(self.n_pes)
+        return DecompositionConfig(self.cells_per_side, self.n_pes).pillar_m
 
     def simulation_config(self) -> SimulationConfig:
-        """Materialise the preset as a :class:`SimulationConfig`."""
-        return supercooled_simulation_config(
-            n_particles=self.n_particles,
-            n_pes=self.n_pes,
-            density=self.density,
-            cells_per_side=self.cells_per_side,
-            attraction=self.attraction,
-            n_attractors=self.n_attractors,
+        """Materialise the preset as a :class:`SimulationConfig` (the paper's
+        Section 3.2 conditions are the :class:`MDConfig` defaults)."""
+        return SimulationConfig(
+            md=MDConfig(
+                n_particles=self.n_particles,
+                density=self.density,
+                attraction=self.attraction,
+                n_attractors=self.n_attractors,
+            ),
+            decomposition=DecompositionConfig(self.cells_per_side, self.n_pes),
         )
 
 

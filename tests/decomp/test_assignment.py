@@ -32,6 +32,12 @@ class TestPermanentClassification:
         mask = classify_permanent_columns(3, 9)  # m = 1
         assert mask.all()
 
+    def test_mask_is_shared_and_read_only(self):
+        mask = classify_permanent_columns(6, 9)
+        assert mask is classify_permanent_columns(6, 9)
+        with pytest.raises(ValueError):
+            mask[0] = False
+
     def test_rejects_non_square_pes(self):
         with pytest.raises(DecompositionError):
             classify_permanent_columns(9, 8)

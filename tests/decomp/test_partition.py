@@ -21,6 +21,12 @@ class TestPillarPartition:
             for j in range(3):
                 assert np.all(owner[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] == i * 3 + j)
 
+    def test_map_is_shared_and_read_only(self):
+        owner = pillar_partition(6, 9)
+        assert owner is pillar_partition(6, 9)
+        with pytest.raises(ValueError):
+            owner[0] = 1
+
     def test_rejects_non_square_pe_count(self):
         with pytest.raises(DecompositionError):
             pillar_partition(12, 8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import RunConfig, supercooled_simulation_config
+from repro import DecompositionConfig, MDConfig, RunConfig, SimulationConfig
 from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
 from repro.decomp.validation import check_eight_neighbor_property
 from repro.md.kernels import forces_from_pairs
@@ -21,11 +21,9 @@ class TestDLBHelpsOnConcentratingWorkload:
         results = {}
         # nc = 9 gives m = 3 on 9 PEs: enough movable cells for the
         # balancer to show its effect at this scale.
-        config = supercooled_simulation_config(
-            n_particles=3000,
-            n_pes=9,
-            density=0.256,
-            cells_per_side=9,
+        config = SimulationConfig(
+            md=MDConfig(n_particles=3000, density=0.256),
+            decomposition=DecompositionConfig(cells_per_side=9, n_pes=9),
         )
         for balancer in ("none", "permanent"):
             schedule = ConcentrationSchedule(
@@ -70,8 +68,9 @@ class TestParallelCorrectnessDuringMD:
     def test_decomposed_forces_stay_exact_through_dlb_run(self):
         """After DLB has migrated cells mid-run, an engine's force pass
         still reproduces the global kernel exactly."""
-        config = supercooled_simulation_config(
-            n_particles=1000, n_pes=9, density=0.256, attraction=0.5, n_attractors=5
+        config = SimulationConfig(
+            md=MDConfig(n_particles=1000, density=0.256, attraction=0.5, n_attractors=5),
+            decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
         )
         runner = ParallelMDRunner(config, RunConfig(steps=30, seed=4))
         runner.run()
@@ -91,8 +90,9 @@ class TestParallelCorrectnessDuringMD:
         assert decomposed.force.n_pairs == want.n_pairs
 
     def test_structure_invariants_after_md_run(self):
-        config = supercooled_simulation_config(
-            n_particles=1000, n_pes=9, density=0.256, attraction=0.5, n_attractors=5
+        config = SimulationConfig(
+            md=MDConfig(n_particles=1000, density=0.256, attraction=0.5, n_attractors=5),
+            decomposition=DecompositionConfig(cells_per_side=6, n_pes=9),
         )
         # Pinned to permanent: the structural invariants under test are the
         # permanent-cell protocol's, which rival strategies don't promise.

@@ -105,6 +105,20 @@ class TestCommands:
                 for line in capsys.readouterr().out.splitlines()]
         assert {"none", "permanent", "sfc"} <= set(rows)
 
+    @pytest.mark.parametrize("balancers", [["permanent"], ["none", "permanent"]])
+    def test_run_shorter_than_record_interval_prints_counts(self, capsys, balancers):
+        """A completed run below --record-interval (default 20) keeps no
+        row: each run's step and move counts are printed, the row tables
+        are skipped, and the run succeeds."""
+        code = main(["run", "quickstart", "--steps", "10", "--balancer", *balancers])
+        assert code == 0
+        out = capsys.readouterr().out
+        for label in balancers:
+            assert f"{label}: steps_run 10, total_moves " in out
+        if "none" in balancers:
+            assert "none: steps_run 10, total_moves 0 " in out
+        assert "per-phase" not in out
+
     def test_run_unknown_preset_raises(self):
         from repro.errors import ConfigurationError
 
@@ -534,6 +548,17 @@ class TestFlightRecorderFlags:
         capsys.readouterr()
         assert main(["explain", str(events)]) == 0
         assert "replay matches the log" in capsys.readouterr().out
+
+    def test_explain_refuses_a_log_without_a_pillar_grid(self, tmp_path, capsys):
+        # The log is outside input: 7 cells cannot split across a 3 x 3 torus.
+        events = self.record(tmp_path, steps=8)
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        assert records[0]["kind"] == "run.start"
+        records[0]["cells_per_side"] = 7
+        events.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert main(["explain", str(events), "--step", "5"]) == 2
+        assert "error: event log's run.start has no pillar grid" in capsys.readouterr().err
 
     def test_explain_flags_divergence(self, tmp_path, capsys):
         events = self.record(tmp_path, steps=8)

@@ -13,8 +13,9 @@ from repro.config import (
     RunConfig,
     SimulationConfig,
     from_dict,
+    pe_side_for,
 )
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, DecompositionError, ReproError
 
 
 class TestMDConfig:
@@ -59,6 +60,14 @@ class TestDecompositionConfig:
         assert config.pillar_m == 2
         assert config.pe_side == 6
         assert config.n_cells == 1728
+
+    def test_pe_side_for_is_the_one_square_check(self):
+        assert pe_side_for(36) == 6
+        for n_pes in (0, -9, 8):
+            with pytest.raises(DecompositionError, match="square n_pes"):
+                pe_side_for(n_pes)
+        # Every geometry error is also a configuration error.
+        assert issubclass(DecompositionError, ConfigurationError)
 
     def test_pillar_needs_square_pes(self):
         with pytest.raises(ConfigurationError):

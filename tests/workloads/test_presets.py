@@ -34,6 +34,17 @@ class TestPaperParameters:
         assert preset.cells_per_side == 12
         assert preset.m == 2
 
+    def test_paper_grid_rule(self):
+        # "the size of the cells is equal to r_c, or a little larger": the
+        # largest multiple of sqrt(P) whose cell still covers the cut-off.
+        for name, grid in (("fig5a-paper", 24), ("fig5b-paper", 12)):
+            config = get_preset(name).simulation_config()
+            side = config.decomposition.pe_side
+            assert config.decomposition.cells_per_side == grid
+            assert grid % side == 0
+            assert config.md.box_length / grid >= config.md.cutoff
+            assert config.md.box_length / (grid + side) < config.md.cutoff
+
     def test_scaled_presets_preserve_m(self):
         assert get_preset("fig5a-scaled").m == get_preset("fig5a-paper").m
         assert get_preset("fig5b-scaled").m == get_preset("fig5b-paper").m
