@@ -22,7 +22,6 @@ import importlib
 
 from .config import (
     DecompositionConfig,
-    DLBConfig,
     MachineConfig,
     MDConfig,
     RunConfig,
@@ -62,7 +61,6 @@ __all__ = [
     "BoundaryPoint",
     "ConcentrationSchedule",
     "ConfigurationError",
-    "DLBConfig",
     "DecompositionConfig",
     "DecompositionError",
     "DynamicLoadBalancer",

@@ -30,7 +30,15 @@ from typing import Any
 
 import numpy as np
 
-from .config import Checked, RunConfig, SimulationConfig, from_dict, mode_label
+from .config import (
+    PROTOCOL_SETTINGS,
+    Checked,
+    RunConfig,
+    SimulationConfig,
+    from_dict,
+    mode_label,
+    off_protocol,
+)
 from .core.checkpoint import CheckpointManager
 from .core.results import (
     RESULT_SCHEMA_VERSION,
@@ -432,7 +440,7 @@ class LoadedConfig(Checked):
 
 #: Keys older versions wrote into saved configuration files, dropped on load.
 _RETIRED_CONFIG_KEYS = (
-    "simulation.dlb.enabled", "simulation.decomposition.shape", "run.timing_mode",
+    "simulation.dlb", "simulation.decomposition.shape", "run.timing_mode",
     "run.neighbor_max_reuse",
 )
 
@@ -448,16 +456,27 @@ def save_config(
 
 def load_config(path: str | Path) -> LoadedConfig:
     """Load a configuration written by :func:`save_config` (schema-checked,
-    strictly read). The retired ``dlb.enabled`` and ``decomposition.shape``
-    may hold today's only behaviour (true, ``"pillar"``); any other value
-    must not load as a run it does not describe."""
+    strictly read). The retired ``dlb`` block and ``decomposition.shape``
+    may hold today's only behaviour (``enabled: true`` and the protocol's
+    fixed settings, ``"pillar"``); any other value must not load as a run
+    it does not describe."""
     payload = read_result_json(path, source=f"config {path}")
     sim = payload.get("simulation")
     sim = sim if isinstance(sim, dict) else {}
-    dlb, decomposition = sim.get("dlb"), sim.get("decomposition")
-    if isinstance(dlb, dict) and dlb.get("enabled") is False:
+    dlb, decomposition = sim.get("dlb", {}), sim.get("decomposition")
+    if not isinstance(dlb, dict):
+        raise SchemaError(f"config {path}: simulation.dlb must be an object, got {dlb!r}")
+    if dlb.get("enabled") is False:
         raise SchemaError(
             f'config {path} sets dlb.enabled=false; plain DDM is now balancer="none"'
+        )
+    unknown = sorted(set(dlb) - {"enabled", *PROTOCOL_SETTINGS})
+    setting = unknown[0] if unknown else off_protocol(dlb)
+    if setting is not None:
+        raise SchemaError(
+            f"config {path} sets simulation.dlb.{setting}={dlb[setting]!r}; the "
+            "balancer runs only the paper's protocol (a round every step, one "
+            "cell per PE, toward the fastest PE), which has no settings"
         )
     shape = decomposition.get("shape") if isinstance(decomposition, dict) else None
     if shape not in (None, "pillar"):

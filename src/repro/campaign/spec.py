@@ -31,7 +31,13 @@ import json
 from collections.abc import Callable, Iterable
 from dataclasses import InitVar, asdict, dataclass
 
-from ..config import BALANCER_NAMES, SimulationConfig, check_types, mode_label
+from ..config import (
+    BALANCER_NAMES,
+    PROTOCOL_SETTINGS,
+    SimulationConfig,
+    check_types,
+    mode_label,
+)
 from ..engine.base import ENGINE_NAMES
 from ..errors import CampaignError, ConfigurationError
 from ..experiments.common import geometry_for, simulation_config_for
@@ -98,9 +104,11 @@ class RunSpec:
         through the nested-parallelism guard without invalidating caches.
     balancer:
         Balancer of the ``preset`` kind (None = ``permanent``; ``"none"`` is
-        plain DDM). Part of the content hash when it names a strategy --
-        different strategies redistribute differently -- and omitted for
-        None and ``"none"`` so older stored specs keep their hashes.
+        plain DDM). ``"permanent"`` is folded to None at construction, so
+        the default has one spelling and one hash. Part of the content hash
+        when it names a rival strategy -- different strategies redistribute
+        differently -- and omitted for None and ``"none"`` so older stored
+        specs keep their hashes.
     mode:
         Constructor-only input (not a field), see :func:`fold_mode`.
     """
@@ -163,6 +171,9 @@ class RunSpec:
                     f"unknown balancer {self.balancer!r} (choose from "
                     f"{', '.join(BALANCER_NAMES)})"
                 )
+            if self.balancer == "permanent":
+                # One run, one hash: the default strategy has one spelling.
+                object.__setattr__(self, "balancer", None)
 
     # -- resolution and hashing -------------------------------------------
 
@@ -182,7 +193,8 @@ class RunSpec:
         metadata (the repetition index) is not, so re-gridding a campaign
         never re-executes work it has already stored. Hash-preserving:
         ``dlb.enabled`` and ``preset.mode`` are derived from the balancer,
-        and ``decomposition.shape`` is the one shape the runners implement.
+        the rest of ``dlb`` is the protocol's fixed settings, and
+        ``decomposition.shape`` is the one shape the runners implement.
         """
         mode = mode_label(self.balancer)
         knobs = {
@@ -211,13 +223,13 @@ class RunSpec:
             # independent by the engine's bit-identity guarantee).
             if self.engine is not None:
                 knobs["preset"]["engine"] = self.engine
-            # Hash-preserving likewise: balancer-less specs resolve to the
+            # Hash-preserving likewise: default specs resolve to the
             # permanent strategy and keep their pre-seam hash, and "none"
             # specs hash as the plain-DDM ("mode": "ddm") specs they are.
             if self.balancer not in (None, "none"):
                 knobs["preset"]["balancer"] = self.balancer
         config = asdict(self.resolved_config())
-        config["dlb"]["enabled"] = mode == "dlb"
+        config["dlb"] = dict(PROTOCOL_SETTINGS, enabled=mode == "dlb")
         config["decomposition"]["shape"] = "pillar"
         return {"schema": SPEC_SCHEMA, "config": config, "run": knobs}
 

@@ -24,6 +24,10 @@ still read as expired after it, which a per-boot monotonic clock cannot
 promise.  Tests inject skewed clocks to prove the CAS keeps the exactly-once
 guarantee even when clocks disagree.
 
+A run belongs to every campaign that registered it (the ``members`` table),
+so a campaign's status, report and pending runs cover the runs it shares
+with others; the row's own ``campaign`` column names only the first.
+
 Payloads are stored as canonical JSON (sorted keys, compact separators), so
 "same spec hash => same payload" is checkable byte-for-byte across serial
 and parallel executions.
@@ -46,8 +50,8 @@ from ..core.results import attach_schema_version, check_schema_version
 from ..errors import CampaignError
 from .spec import RunSpec
 
-#: Store schema version (bump on layout change; v1 stores migrate in place).
-STORE_SCHEMA = 2
+#: Store schema version (bump on layout change; older stores migrate in place).
+STORE_SCHEMA = 3
 
 #: Database filename inside a campaign directory.
 DB_NAME = "campaign.sqlite"
@@ -74,7 +78,11 @@ CREATE TABLE IF NOT EXISTS runs (
     lease_deadline REAL,
     failed_owners TEXT NOT NULL DEFAULT '[]'
 );
-CREATE INDEX IF NOT EXISTS runs_by_campaign ON runs (campaign, status);
+CREATE TABLE IF NOT EXISTS members (
+    campaign TEXT NOT NULL,
+    hash TEXT NOT NULL,
+    PRIMARY KEY (campaign, hash)
+);
 CREATE TABLE IF NOT EXISTS instances (
     id TEXT PRIMARY KEY,
     started_at REAL NOT NULL,
@@ -90,6 +98,17 @@ _MIGRATE_V1_SQL = (
     "ALTER TABLE runs ADD COLUMN lease_deadline REAL",
     "ALTER TABLE runs ADD COLUMN failed_owners TEXT NOT NULL DEFAULT '[]'",
 )
+
+#: Fills ``members`` from the rows of a v1/v2 store, which recorded only the
+#: first registering campaign of each run, and drops the index ``members``
+#: replaces (idempotent).
+_MIGRATE_V2_SQL = (
+    "INSERT OR IGNORE INTO members (campaign, hash) SELECT campaign, hash FROM runs",
+    "DROP INDEX IF EXISTS runs_by_campaign",
+)
+
+#: The clause selecting one campaign's runs (its one parameter is the name).
+_IN_CAMPAIGN = "hash IN (SELECT hash FROM members WHERE campaign = ?)"
 
 _ROW_COLUMNS = (
     "hash, campaign, spec_json, status, payload_json, error, attempts, "
@@ -150,6 +169,7 @@ class StoredRun:
     """One row of the run store."""
 
     hash: str
+    #: The campaign that registered the run first (it may belong to more).
     campaign: str
     spec: dict
     status: str
@@ -237,8 +257,8 @@ class RunStore:
                 (str(STORE_SCHEMA),),
             )
             self._db.commit()
-        elif int(row[0]) == 1:
-            self._migrate_v1()
+        elif int(row[0]) in (1, 2):
+            self._migrate(int(row[0]))
         elif int(row[0]) != STORE_SCHEMA:
             raise CampaignError(
                 f"run store schema {row[0]} != supported {STORE_SCHEMA} "
@@ -270,15 +290,19 @@ class RunStore:
                     f"{busy_timeout:g} s while switching to WAL mode"
                 ) from exc
 
-    def _migrate_v1(self) -> None:
-        """Upgrade a v1 store in place (additive columns; rows preserved)."""
-        existing = {
-            row[1] for row in self._db.execute("PRAGMA table_info(runs)")
-        }
-        for statement in _MIGRATE_V1_SQL:
-            column = statement.split(" ADD COLUMN ", 1)[1].split()[0]
-            if column not in existing:
-                self._db.execute(statement)
+    def _migrate(self, schema: int) -> None:
+        """Upgrade a v1 or v2 store in place (additive columns and the
+        ``members`` table; rows preserved)."""
+        if schema == 1:
+            existing = {
+                row[1] for row in self._db.execute("PRAGMA table_info(runs)")
+            }
+            for statement in _MIGRATE_V1_SQL:
+                column = statement.split(" ADD COLUMN ", 1)[1].split()[0]
+                if column not in existing:
+                    self._db.execute(statement)
+        for statement in _MIGRATE_V2_SQL:
+            self._db.execute(statement)
         self._db.execute(
             "UPDATE meta SET value = ? WHERE key = 'schema'", (str(STORE_SCHEMA),)
         )
@@ -316,7 +340,7 @@ class RunStore:
         """All stored runs (optionally restricted to one campaign/status)."""
         clauses, params = [], []
         if campaign is not None:
-            clauses.append("campaign = ?")
+            clauses.append(_IN_CAMPAIGN)
             params.append(campaign)
         if status is not None:
             clauses.append("status = ?")
@@ -357,7 +381,8 @@ class RunStore:
     # -- registration ------------------------------------------------------
 
     def register(self, spec: RunSpec, campaign: str, run_hash: str | None = None) -> str:
-        """Ensure a row exists for ``spec``; returns its hash.
+        """Ensure a row exists for ``spec`` and counts it a run of
+        ``campaign``; returns its hash.
 
         Existing rows keep their status and payload (exactly-once: a ``done``
         run stays done no matter how many campaigns resubmit it).
@@ -369,6 +394,10 @@ class RunStore:
             "created_at, updated_at) VALUES (?, ?, ?, 'pending', 0, ?, ?) "
             "ON CONFLICT(hash) DO NOTHING",
             (run_hash, campaign, canonical_payload(spec.to_dict()), now, now),
+        )
+        self._db.execute(
+            "INSERT OR IGNORE INTO members (campaign, hash) VALUES (?, ?)",
+            (campaign, run_hash),
         )
         self._db.commit()
         return run_hash
@@ -686,12 +715,13 @@ class RunStore:
         clause = f"status IN ({placeholders}) AND updated_at < ?"
         params: list = [*statuses, cutoff]
         if campaign is not None:
-            clause += " AND campaign = ?"
+            clause += f" AND {_IN_CAMPAIGN}"
             params.append(campaign)
         rows = self._db.execute(
             f"SELECT hash FROM runs WHERE {clause}", tuple(params)
         ).fetchall()
         self._db.execute(f"DELETE FROM runs WHERE {clause}", tuple(params))
+        self._db.execute("DELETE FROM members WHERE hash NOT IN (SELECT hash FROM runs)")
         self._db.commit()
         return [row[0] for row in rows]
 
@@ -729,7 +759,7 @@ class RunStore:
             ).fetchall()
         else:
             rows = self._db.execute(
-                "SELECT status, COUNT(*) FROM runs WHERE campaign = ? GROUP BY status",
+                f"SELECT status, COUNT(*) FROM runs WHERE {_IN_CAMPAIGN} GROUP BY status",
                 (campaign,),
             ).fetchall()
         counts = {status: 0 for status in _STATUSES}
@@ -739,6 +769,6 @@ class RunStore:
     def campaigns(self) -> list[str]:
         """Distinct campaign names present in the store."""
         rows = self._db.execute(
-            "SELECT DISTINCT campaign FROM runs ORDER BY campaign"
+            "SELECT DISTINCT campaign FROM members ORDER BY campaign"
         ).fetchall()
         return [row[0] for row in rows]

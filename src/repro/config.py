@@ -232,6 +232,25 @@ class MDConfig:
 BALANCER_NAMES = ("permanent", "diffusion", "sfc", "none")
 
 
+#: The balancer settings older saved configs and ``run.start`` records
+#: carried, at the one value Section 2.3 fixes: a round every step, at most
+#: one cell sent per PE, always toward the fastest PE (the threshold gated
+#: only a policy that is gone). A record holding another value describes a
+#: run this build cannot reproduce.
+PROTOCOL_SETTINGS = {
+    "interval": 1, "max_sends_per_step": 1, "policy": "fastest", "threshold": 0.1,
+}
+
+
+def off_protocol(record: dict) -> str | None:
+    """The first key of an older ``dlb`` record that sets one of
+    :data:`PROTOCOL_SETTINGS` to another value (or type), else None."""
+    return next((
+        key for key, paper in PROTOCOL_SETTINGS.items()
+        if key in record and not (type(record[key]) is type(paper) and record[key] == paper)
+    ), None)
+
+
 def mode_label(balancer: str | None) -> str:
     """``"ddm"`` for ``"none"``, else ``"dlb"``: the one derivation of the
     run-mode label metadata, metrics, events, payloads and hashes carry."""
@@ -301,45 +320,6 @@ class DecompositionConfig:
     def pillar_m(self) -> int:
         """Pillar cross-section size ``m = C^(1/3) / P^(1/2)`` (Figure 7)."""
         return self.cells_per_side // self.pe_side
-
-
-@dataclass(frozen=True)
-class DLBConfig:
-    """Behaviour of the permanent-cell dynamic load balancer.
-
-    Attributes
-    ----------
-    interval:
-        Redistribution period in steps. The paper's overhead is small enough
-        to run DLB every step (interval=1).
-    max_sends_per_step:
-        How many cell columns a PE may hand over per DLB invocation. The
-        paper's protocol sends one.
-    policy:
-        Receiver-selection policy: ``"fastest"`` is the paper's (send to the
-        fastest of the 8 neighbours); ``"threshold"`` only redistributes when
-        the local imbalance exceeds ``threshold``; used for ablations.
-    threshold:
-        Relative imbalance required by the ``"threshold"`` policy.
-    """
-
-    interval: int = 1
-    max_sends_per_step: int = 1
-    policy: str = "fastest"
-    threshold: float = 0.1
-
-    def __post_init__(self) -> None:
-        check_types(self)
-        if self.interval <= 0:
-            raise ConfigurationError(f"interval must be positive, got {self.interval}")
-        if self.max_sends_per_step <= 0:
-            raise ConfigurationError(
-                f"max_sends_per_step must be positive, got {self.max_sends_per_step}"
-            )
-        if self.policy not in ("fastest", "threshold"):
-            raise ConfigurationError(f"unknown policy {self.policy!r}")
-        if self.threshold < 0:
-            raise ConfigurationError(f"threshold must be non-negative, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -461,11 +441,15 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Bundle of every configuration a parallel MD simulation needs."""
+    """Bundle of every configuration a parallel MD simulation needs.
+
+    The balancer has no settings here: Section 2.3 fixes its protocol (every
+    step, each PE sends at most one cell toward the fastest PE it knows of),
+    and the strategy is the run's ``RunConfig.balancer``.
+    """
 
     md: MDConfig
     decomposition: DecompositionConfig
-    dlb: DLBConfig = field(default_factory=DLBConfig)
     machine: MachineConfig = field(default_factory=MachineConfig)
 
     def __post_init__(self) -> None:

@@ -110,12 +110,7 @@ class _ObservedRunner:
         #: no DLB protocol charge, no imbalance counterfactual.
         self.balancer_name = resolve_balancer_name(balancer)
         self.balancer = (
-            create_balancer(
-                self.assignment,
-                config.dlb,
-                injector=faults,
-                strategy=self.balancer_name,
-            )
+            create_balancer(self.assignment, injector=faults, strategy=self.balancer_name)
             if self.balancer_name != "none"
             else None
         )
@@ -157,36 +152,25 @@ class _ObservedRunner:
         if events is None:
             return
         dec = self.config.decomposition
-        dlb = self.config.dlb
         events.emit(
             0, "run.start",
             runner=self.kind,
             mode=self._mode_label,
             n_pes=dec.n_pes,
             cells_per_side=dec.cells_per_side,
-            dlb={
-                "enabled": self.balancer is not None,
-                "policy": dlb.policy,
-                "threshold": dlb.threshold,
-                "max_sends_per_step": dlb.max_sends_per_step,
-                "interval": dlb.interval,
-                "balancer": self.balancer_name,
-            },
+            dlb={"enabled": self.balancer is not None, "balancer": self.balancer_name},
         )
 
     # -- one step ------------------------------------------------------------
 
     def _rebalance(self) -> list:
-        """One balancer round, when the run has a balancer and the interval
-        is due.
+        """One balancer round, every step of a run with a balancer.
 
         The round decides on the previous step's times and counts, so none
         fires before the first step. Its migrations are charged to the next
         step's communication time.
         """
         if self.balancer is None or self.step_count == 0:
-            return []
-        if self.step_count % self.config.dlb.interval != 0:
             return []
         # The pre-round lent set must be captured before apply() mutates the
         # holder map; the decision event records the round's exact inputs.
@@ -351,10 +335,10 @@ class _ObservedRunner:
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self, result: RunResult | None = None) -> dict:
-        """Everything mutable, deep-copied: holder map, balancer timing view
-        and strategy state, pending accounting charges, clocks, the last
-        step's times and counts, the flight recorder, the partial records,
-        the executed steps and moves, and the runner's own keys (system
+        """Everything mutable, deep-copied: holder map, balancer timing view,
+        pending accounting charges, clocks, the last step's times and
+        counts, the flight recorder, the partial records, the executed
+        steps and moves, and the runner's own keys (system
         arrays and the neighbour list's build positions for MD, the
         configurations done for the driven runner)."""
         state = {

@@ -2,8 +2,9 @@
 
 Each PE's square-pillar domain keeps a wall of *permanent* cell columns that
 never migrate, guaranteeing the regular 8-neighbour communication pattern;
-the remaining *movable* columns flow toward faster neighbours one column per
-step, following the protocol of Section 2.3.
+the remaining *movable* cells flow toward faster neighbours, each PE sending
+at most one per step, following the protocol of Section 2.3. The protocol
+has no settings: every round runs every step, and strategies keep no state.
 
 Since the strategy seam landed, the permanent-cell protocol is one of
 three strategies behind the :class:`~repro.dlb.strategies.Balancer`

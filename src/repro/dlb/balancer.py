@@ -1,8 +1,8 @@
-"""The dynamic load balancer: protocol + policy + bookkeeping.
+"""The dynamic load balancer: protocol + bookkeeping.
 
 Since the strategy seam landed, this class is a *shell*: it owns the
-assignment, the policy config and the bounded-staleness timing view, and
-delegates the per-round decision to a
+assignment and the bounded-staleness timing view, and delegates the
+per-round decision to a
 :class:`~repro.dlb.strategies.Balancer` strategy instance. Build instances
 by name through :func:`repro.dlb.strategies.create_balancer` (or
 ``RunConfig.balancer`` for a whole run).
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DLBConfig
 from ..decomp.assignment import CellAssignment
 from ..errors import ConfigurationError
 from ..obs.events import scope
@@ -23,7 +22,7 @@ from .views import TimingView
 
 
 class DynamicLoadBalancer:
-    """Drives one redistribution round per (configured) step.
+    """Drives one redistribution round per step.
 
     All PEs decide simultaneously from the same per-PE times (the times of
     the *previous* step, exactly as in the paper where each PE broadcasts its
@@ -36,7 +35,6 @@ class DynamicLoadBalancer:
     def __init__(
         self,
         assignment: CellAssignment,
-        config: DLBConfig | None = None,
         injector=None,
         *,
         strategy: Balancer,
@@ -47,7 +45,6 @@ class DynamicLoadBalancer:
                 "smaller tori collapse the 8-neighbour offsets"
             )
         self.assignment = assignment
-        self.config = config or DLBConfig()
         self.topology = Torus2D(assignment.pe_side)
         self.strategy = strategy
         # Fault injection is strictly opt-in: with no injector the decision
@@ -56,11 +53,6 @@ class DynamicLoadBalancer:
         self._view: TimingView | None = None
         if injector is not None:
             self._view = TimingView(assignment.n_pes, injector.max_staleness)
-
-    @property
-    def strategy_name(self) -> str:
-        """Resolved name of the active strategy (stamped into run metadata)."""
-        return self.strategy.name
 
     @property
     def view(self) -> TimingView | None:
@@ -105,7 +97,6 @@ class DynamicLoadBalancer:
                 times=times,
                 assignment=self.assignment,
                 topology=self.topology,
-                config=self.config,
                 timing=self._view,
                 counts=counts,
             )
@@ -141,27 +132,14 @@ class DynamicLoadBalancer:
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Snapshot of balancer bookkeeping (assignment is snapshotted by
-        the runner; the two are restored together)."""
-        return {
-            "view": self._view.state_dict() if self._view is not None else None,
-            "strategy": {
-                "name": self.strategy.name,
-                "state": self.strategy.state_dict(),
-            },
-        }
+        """Snapshot of balancer bookkeeping: the timing view alone, since
+        strategies keep no state (the assignment is snapshotted by the
+        runner; the two are restored together)."""
+        return {"view": self._view.state_dict() if self._view is not None else None}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict` (an older
-        snapshot's ``stats`` key is ignored)."""
+        snapshot's ``stats`` and ``strategy`` keys are ignored: the config
+        token already binds the snapshot to its balancer)."""
         if state.get("view") is not None and self._view is not None:
             self._view.load_state_dict(state["view"])
-        recorded = state.get("strategy")  # absent in pre-seam checkpoints
-        if recorded is not None:
-            if recorded["name"] != self.strategy.name:
-                raise ConfigurationError(
-                    f"checkpoint was written by balancer {recorded['name']!r}; "
-                    f"this run uses {self.strategy.name!r} -- rerun with "
-                    f"--balancer {recorded['name']}"
-                )
-            self.strategy.load_state(recorded["state"])

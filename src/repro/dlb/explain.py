@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DLBConfig, from_dict
+from ..config import PROTOCOL_SETTINGS, off_protocol
 from ..decomp.assignment import CellAssignment
 from ..errors import AnalysisError, DecompositionError
 from ..parallel.topology import Torus2D
@@ -76,10 +76,11 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     a copy. For strategies where every PE decides for itself
     (``permanent``, ``diffusion``) the round's moves are narrated grouped
     by source PE, each PE from its own view of the round; global ones
-    (``sfc``) narrate move by move. A log recorded by a
-    strategy this build does not know, or whose grid and PE count admit no
-    pillar decomposition, raises :class:`~repro.errors.AnalysisError`
-    instead of reporting a spurious divergence.
+    (``sfc``) narrate move by move. A log recorded by a strategy this build
+    does not know, under protocol settings other than the paper's (older
+    logs record them), or whose grid and PE count admit no pillar
+    decomposition, raises :class:`~repro.errors.AnalysisError` instead of
+    reporting a spurious divergence.
     """
     dlb = run_start.get("dlb") or {}
     balancer_name = dlb.get("balancer", "permanent")
@@ -88,6 +89,13 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
             f"event log was recorded with balancer {balancer_name!r}, which "
             f"is not registered in this build (known: {list(available())}); "
             "cannot replay its decisions"
+        )
+    setting = off_protocol(dlb)
+    if setting is not None:
+        raise AnalysisError(
+            f"event log was recorded with dlb {setting}={dlb[setting]!r}; this "
+            f"build runs only the paper's protocol ({setting}="
+            f"{PROTOCOL_SETTINGS[setting]!r}), so it cannot replay its decisions"
         )
     n_pes = int(run_start["n_pes"])
     try:
@@ -109,15 +117,10 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
         timing = TimingView(n_pes)
         timing.load_state_dict(view_state)
     counts = event.get("counts")
-    # run.start logs the DLB config's fields beside the run's own two keys.
-    config = from_dict(
-        DLBConfig, {k: v for k, v in dlb.items() if k not in ("enabled", "balancer")}
-    )
     view = DecisionView(
         times=times,
         assignment=assignment,
         topology=Torus2D(assignment.pe_side),
-        config=config,
         timing=timing,
         counts=np.asarray(counts, dtype=np.int64) if counts is not None else None,
     )
@@ -156,44 +159,32 @@ def _verb(move: Move) -> str:
 def _narrate_per_pe(
     strategy: Balancer, view: DecisionView, moves: list[Move]
 ) -> list[str]:
-    """The round's moves grouped by source PE, in PE order, each PE narrated
-    from the fastest neighbour and policy verdict the round saw for it."""
-    sent_by: dict[int, list[Move]] = {}
-    for move in moves:
-        sent_by.setdefault(move.src, []).append(move)
+    """The round's moves by source PE, in PE order (a PE sends at most one
+    cell), each PE narrated from the fastest neighbour the round saw for it."""
+    sent = {move.src: move for move in moves}
     narrative: list[str] = []
-    threshold = view.config.threshold
-    for pe in range(view.assignment.n_pes):
+    for pe in np.flatnonzero(view.acting).tolist():
         fastest = int(view.fastest[pe])
-        if fastest == pe:
-            continue
         my_time = float(view.times[pe])
         fast_time = float(view.fast_time[pe])
-        if not view.acting[pe]:
-            narrative.append(
-                f"PE {pe} ({my_time:.4g} s) saw fastest neighbour PE {fastest} "
-                f"({fast_time:.4g} s) but stayed under the {threshold:g} "
-                f"imbalance threshold — no move"
-            )
-            continue
-        sent = sent_by.get(pe, [])
-        for move in sent:
+        move = sent.get(pe)
+        if move is not None:
             narrative.append(
                 f"PE {pe} ({my_time:.4g} s) {_verb(move)} cell {int(move.cell)} to "
                 f"PE {move.dst} ({fast_time:.4g} s"
                 + (", last-known report" if view.timing is not None else "")
                 + ")"
             )
-        if not sent:
-            reason = (
-                "had no eligible cell (permanent wall or nothing left to lend/return)"
-                if strategy.constrained
-                else f"the {strategy.name} rule moved no cell"
-            )
-            narrative.append(
-                f"PE {pe} ({my_time:.4g} s) wanted to offload toward fastest "
-                f"PE {fastest} ({fast_time:.4g} s) but {reason}"
-            )
+            continue
+        reason = (
+            "had no eligible cell (permanent wall or nothing left to lend/return)"
+            if strategy.constrained
+            else f"the {strategy.name} rule moved no cell"
+        )
+        narrative.append(
+            f"PE {pe} ({my_time:.4g} s) wanted to offload toward fastest "
+            f"PE {fastest} ({fast_time:.4g} s) but {reason}"
+        )
     return narrative
 
 

@@ -6,24 +6,30 @@ its config alone (``None`` means ``permanent``), and every layer downstream
 concrete name. The fourth balancer name, ``none``, has no strategy: it is
 plain DDM, and the runner builds no balancer for it.
 
+Every strategy runs one round per step at the protocol's fixed cadence
+(Section 2.3): there is no interval, no send quota and no imbalance
+threshold to set. Strategies are stateless -- a round is a pure function of
+its :class:`DecisionView` -- so a checkpoint holds no strategy state.
+
 Three strategies ship:
 
 ``permanent``
-    The paper's permanent-cell protocol (the default), decided for every PE
-    at once as arrays; tier-1 tests hold it move for move to the scalar
-    per-PE rule kept in ``tests/dlb/rank_rule.py``.
+    The paper's permanent-cell protocol (the default): each PE that is not
+    its own fastest sends at most one cell toward the fastest PE it knows
+    of, decided for every PE at once as arrays; tier-1 tests hold it move
+    for move to the scalar per-PE rule kept in ``tests/dlb/rank_rule.py``.
 ``diffusion``
     Nearest-neighbour load diffusion (Demirel & Sbalzarini): every
-    overloaded PE pushes cells toward its fastest neighbour, with the number
-    of cells proportional to half the time difference (each PE acts
+    overloaded PE sends one cell toward its fastest neighbour when half the
+    time difference covers at least one cell's estimated cost (each PE acts
     independently on cells it holds, so the scheme is conflict-free, like
     ``permanent``).
 ``sfc``
     Space-filling-curve repartition: cells are walked along a Morton
     (z-order) curve over the cross-section, weighted by particle counts,
-    and the curve is re-cut into ``P`` equal-weight chunks. This is a
-    *global* method -- it needs every PE's counts at once -- so it has no
-    per-PE decision.
+    and the curve is re-cut into ``P`` equal-weight chunks; the first ``P``
+    cells off their chunk move each round. This is a *global* method -- it
+    needs every PE's counts at once -- so it has no per-PE decision.
 
 Rival strategies (``diffusion``, ``sfc``) are **unconstrained**: they may
 move any cell anywhere, so they bypass the permanent-cell invariants (the
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import BALANCER_NAMES, DLBConfig
+from ..config import BALANCER_NAMES
 from ..decomp.assignment import CellAssignment
 from ..errors import ConfigurationError
 from ..parallel.topology import Torus2D
@@ -70,13 +76,12 @@ class DecisionView:
     Every PE decides at the same moment, so each one's beliefs are found
     here once, as arrays: ``fastest[pe]`` and ``fast_time[pe]`` (the fastest
     PE of its neighbourhood and that PE's time, as ``pe`` believes them) and
-    ``acting[pe]`` (not its own fastest, and the policy gate lets it offload).
+    ``acting[pe]`` (not its own fastest, so it offloads).
     """
 
     times: np.ndarray
     assignment: CellAssignment
     topology: Torus2D
-    config: DLBConfig
     timing: TimingView | None = None
     counts: np.ndarray | None = None
 
@@ -96,12 +101,6 @@ class DecisionView:
             self.fastest = table[pes, heard.argmin(axis=1)]
             self.fast_time = self.timing.times[pes, self.fastest]
         self.acting = self.fastest != pes
-        if self.config.policy == "threshold":
-            # Only move when the relative imbalance is large enough.
-            mine, fast = self.times, self.fast_time
-            with np.errstate(divide="ignore", invalid="ignore"):
-                imbalanced = (mine - fast) / fast > self.config.threshold
-            self.acting &= np.where(fast <= 0, mine > 0, imbalanced)
 
 
 class Balancer:
@@ -109,9 +108,8 @@ class Balancer:
 
     Subclasses implement :meth:`decide` -- one redistribution round, reading
     a :class:`DecisionView` and returning its moves (a :class:`Move` list or
-    a :class:`MoveBatch`) *without* mutating the assignment. Strategies with
-    internal state participate in checkpointing through :meth:`state_dict` /
-    :meth:`load_state`; all three built-ins are stateless.
+    a :class:`MoveBatch`) *without* mutating the assignment. A strategy keeps
+    no state between rounds, so checkpoints and replays need only the view.
     """
 
     #: Strategy name (its key in the strategy table); subclasses override.
@@ -128,13 +126,6 @@ class Balancer:
         """Run one decision round; must not mutate ``view.assignment``."""
         raise NotImplementedError
 
-    def state_dict(self) -> dict:
-        """Checkpoint snapshot of strategy-internal state."""
-        return {}
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-
 
 #: Per offset code (:attr:`Torus2D.offset_code`) of a PE's fastest neighbour:
 #: the :meth:`CellAssignment.movable_blocks` order it picks from, or -1 when
@@ -149,18 +140,15 @@ _PICK_ORDER = np.array([
 
 
 def _first_held(
-    holder: np.ndarray, blocks: np.ndarray, pes: np.ndarray, limit: int
+    holder: np.ndarray, blocks: np.ndarray, pes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(row, cell)``: the first ``limit`` cells of each row of ``blocks``
-    that ``pes[row]`` holds, row by row, each row in block order."""
+    """``(row, cell)``: the first cell of each row of ``blocks`` that
+    ``pes[row]`` holds, in row order; rows holding none are left out."""
     held = holder[blocks] == pes[:, None]
-    left = held.copy()
-    rows = np.arange(len(pes))
-    for _ in range(limit if held.size else 0):
-        # Clear each row's first cell still held (argmax reads 0 when none is).
-        left[rows, left.argmax(axis=1)] = False
-    picked = np.flatnonzero(held ^ left)
-    return picked // blocks.shape[1], blocks.ravel()[picked]
+    rows = np.flatnonzero(held.any(axis=1))
+    if not rows.size:
+        return rows, rows
+    return rows, blocks[rows, held[rows].argmax(axis=1)]
 
 
 class PermanentCellsBalancer(Balancer):
@@ -169,9 +157,9 @@ class PermanentCellsBalancer(Balancer):
     The offset of each acting PE's fastest neighbour picks its candidate
     block from the assignment's static tables -- Case 1 its own movable cells
     in lend order toward that offset, Case 3 the lender's movable cells in
-    ascending order -- and the PE sends the first ``max_sends_per_step`` of
-    them it still holds. PEs act only on cells they hold, so picks never
-    collide; moves come out in PE order, each PE's in pick order.
+    ascending order -- and the PE sends the first of them it still holds
+    (``C_send``, one cell). PEs act only on cells they hold, so picks never
+    collide; moves come out in PE order.
     """
 
     name = "permanent"
@@ -185,9 +173,7 @@ class PermanentCellsBalancer(Balancer):
         pes, fastest, order = pes[sending], fastest[sending], order[sending]
         lending = order != CellAssignment.ASCENDING
         blocks = view.assignment.movable_blocks(order, np.where(lending, pes, fastest))
-        rows, cells = _first_held(
-            view.assignment.holder, blocks, pes, view.config.max_sends_per_step
-        )
+        rows, cells = _first_held(view.assignment.holder, blocks, pes)
         return MoveBatch(cell=cells, src=pes[rows], dst=fastest[rows], lend=lending[rows])
 
 
@@ -211,12 +197,11 @@ class DiffusionBalancer(Balancer):
     """Nearest-neighbour load diffusion (Demirel & Sbalzarini).
 
     Every PE compares its own time against the fastest neighbour it knows
-    of; when slower, it sheds cells whose summed estimated cost approaches
-    half the time difference (the diffusive flux), capped by
-    ``max_sends_per_step``. Cost per cell is estimated as ``my_time /
+    of; when slower, it sends one cell once half the time difference (the
+    diffusive flux) covers one cell's estimated cost, ``my_time /
     cells_held`` -- crude, but self-correcting over steps exactly as
-    diffusion schemes are. Cells geometrically closest to the receiver move
-    first (ties broken by depth then id, like the paper's protocol), which
+    diffusion schemes are. The cell geometrically closest to the receiver
+    moves (ties broken by depth then id, like the paper's protocol), which
     keeps the partition roughly compact without enforcing it.
 
     Unconstrained: permanent cells may move and any 8-neighbour may receive,
@@ -237,20 +222,13 @@ class DiffusionBalancer(Balancer):
                 continue
             per_cell = my_time / held.size
             flux = 0.5 * (my_time - float(view.fast_time[pe]))
-            quota = min(
-                view.config.max_sends_per_step,
-                int(flux / per_cell),
-                int(held.size) - 1,
-            )
-            if quota <= 0:  # natural hysteresis: small imbalances stay put
+            if flux / per_cell < 1:  # natural hysteresis: small imbalances stay put
                 continue
             distance = _column_torus_distance(held, fastest, assignment)
             z = held % assignment.cells_per_side
-            order = np.lexsort((held, z, distance))
-            home = assignment.home
-            for cell in held[order[:quota]]:
-                kind = Case.RETURN_BORROWED if int(home[cell]) == fastest else Case.SEND_OWN
-                moves.append(Move(int(cell), pe, fastest, kind))
+            cell = int(held[np.lexsort((held, z, distance))[0]])
+            kind = Case.RETURN_BORROWED if int(assignment.home[cell]) == fastest else Case.SEND_OWN
+            moves.append(Move(cell, pe, fastest, kind))
         return moves
 
 
@@ -275,9 +253,9 @@ class SFCBalancer(Balancer):
     ``P`` chunks of equal cumulative weight. Chunk ``k`` belongs to the PE
     with Morton rank ``k``, so neighbouring chunks land on geometrically
     nearby PEs. Moves are the cells whose target differs from their current
-    holder, emitted in curve order and capped at ``max_sends_per_step * P``
-    per round -- the partition converges to the SFC cut over a few steps
-    instead of migrating half the box at once.
+    holder, in curve order and at most ``P`` per round -- the partition
+    converges to the SFC cut over a few steps instead of migrating half the
+    box at once.
 
     Global by construction (needs every cell's weight), hence no per-PE
     decision.
@@ -287,7 +265,7 @@ class SFCBalancer(Balancer):
     constrained = False
     needs_counts = True
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
+    def decide(self, view: DecisionView, step: int = 0) -> MoveBatch:
         assignment = view.assignment
         nc = assignment.cells_per_side
         n_cells = assignment.n_cells
@@ -322,19 +300,11 @@ class SFCBalancer(Balancer):
         target[walk] = pe_by_rank[chunk]
 
         holder = assignment.holder
-        home = assignment.home
-        budget = view.config.max_sends_per_step * n_pes
-        moves: list[Move] = []
-        for cell in walk:
-            if len(moves) >= budget:
-                break
-            src = int(holder[cell])
-            dst = int(target[cell])
-            if src == dst:
-                continue
-            kind = Case.RETURN_BORROWED if int(home[cell]) == dst else Case.SEND_OWN
-            moves.append(Move(int(cell), src, dst, kind))
-        return moves
+        cells = walk[holder[walk] != target[walk]][:n_pes]
+        dst = target[cells]
+        return MoveBatch(
+            cell=cells, src=holder[cells], dst=dst, lend=assignment.home[cells] != dst
+        )
 
 
 # -- the strategy table ----------------------------------------------------------
@@ -366,7 +336,6 @@ def create_strategy(name: str | None = None) -> Balancer:
 
 def create_balancer(
     assignment: CellAssignment,
-    config: DLBConfig | None = None,
     injector=None,
     strategy: str | None = None,
 ):
@@ -375,5 +344,5 @@ def create_balancer(
     from .balancer import DynamicLoadBalancer
 
     return DynamicLoadBalancer(
-        assignment, config, injector=injector, strategy=create_strategy(strategy)
+        assignment, injector=injector, strategy=create_strategy(strategy)
     )

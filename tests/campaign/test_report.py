@@ -33,6 +33,26 @@ def seeded_store(payloads: list[dict]) -> RunStore:
 
 
 class TestCampaignReport:
+    def test_covers_runs_shared_with_an_earlier_campaign(self):
+        """Campaign ``a = {x}`` then ``b = {x, y}`` in one store: ``b``'s
+        status and report count both runs, not only the one it registered
+        first."""
+        store = RunStore()
+        x, y = boundary_payload(1), boundary_payload(2)
+        for campaign, payloads in (("a", [x]), ("b", [x, y])):
+            for payload in payloads:
+                h = store.register(RunSpec(m=2, n_pes=9, n_steps=50,
+                                           seed=payload["seed"]), campaign)
+                lease = store.acquire_lease(h, ttl=60.0)
+                if lease is not None:
+                    store.complete(h, payload, 0.1, lease=lease)
+        report = campaign_report(store, "b")
+        assert report.counts["done"] == 2
+        (group,) = report.boundary_groups
+        assert group.seeds == (1, 2)
+        assert campaign_report(store, "a").counts["done"] == 1
+        store.close()
+
     def test_groups_by_geometry_and_keeps_every_repetition(self):
         store = seeded_store([
             boundary_payload(1), boundary_payload(2, diverged=False),

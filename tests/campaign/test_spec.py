@@ -108,9 +108,12 @@ class TestPinnedHashes:
             "1b55cd6b19bffa5d", "a63a9a9e2ee49330", "0a34ba5f3ed87322",
             "dd8b81aa08fffea3",
         ]),
+        # The two explicit "permanent" runs key as fig5-quick's default
+        # spelling of the same runs (they were 13c178b5286f468e and
+        # dfa438545d245e90 before "permanent" was folded into the default).
         ("balancer-matrix", [
-            "13c178b5286f468e", "3e26e6583cde0e9d", "4b270767bef0a9ad",
-            "1b55cd6b19bffa5d", "dfa438545d245e90", "0e6b9f240c649b5d",
+            "a63a9a9e2ee49330", "3e26e6583cde0e9d", "4b270767bef0a9ad",
+            "1b55cd6b19bffa5d", "dd8b81aa08fffea3", "0e6b9f240c649b5d",
             "4b23c36c05ccfbd3", "0a34ba5f3ed87322",
         ]),
     ])
@@ -123,6 +126,26 @@ class TestPinnedHashes:
 
     def test_default_spec(self):
         assert RunSpec().spec_hash() == "445a2bb6afc7805f"
+
+
+class TestDefaultBalancerSpelling:
+    """``"permanent"`` is the default strategy: one run, one hash."""
+
+    SPEC = {"kind": "preset", "preset": "bench-m2", "n_steps": 200, "seed": 7}
+
+    @pytest.mark.parametrize("selector", [{}, {"balancer": "permanent"}, {"mode": "dlb"},
+                                          {"mode": "dlb", "balancer": "permanent"}])
+    def test_every_spelling_of_the_default_hashes_equal(self, selector):
+        data = self.SPEC | selector
+        assert api.canonicalize_submission(data).run_hash == "a63a9a9e2ee49330"
+        spec = from_dict(RunSpec, data)
+        assert spec.balancer is None
+        assert spec.spec_hash() == "a63a9a9e2ee49330"
+        assert "balancer" not in spec.to_dict()
+
+    def test_permanent_outside_a_preset_is_still_refused(self):
+        with pytest.raises(CampaignError, match="preset runs only"):
+            RunSpec(kind="boundary", balancer="permanent")
 
 
 class TestModeCompatibility:

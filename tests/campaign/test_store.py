@@ -1,5 +1,7 @@
 """The persistent run store: lifecycle, exactly-once, resume semantics."""
 
+import time
+
 import pytest
 
 from repro.campaign import RunSpec, RunStore, canonical_payload
@@ -133,6 +135,36 @@ class TestSummaries:
             store.register(spec, "b")
             store.register(RunSpec(seed=9), "a")
             assert store.campaigns() == ["a", "b"]
+
+    def test_a_shared_run_belongs_to_every_campaign_that_registered_it(self, spec):
+        with RunStore() as store:
+            shared = store.register(spec, "a")
+            store.register(spec, "b")
+            store.register(RunSpec(seed=9), "b")
+            assert [row.hash for row in store.runs("a")] == [shared]
+            assert len(store.runs("b")) == 2
+            assert store.status_counts("b")["pending"] == 2
+            assert store.get(shared).campaign == "a"  # the first registrant
+            lease = store.acquire_lease(shared, ttl=60.0)
+            store.complete(shared, {"v": 1}, 0.1, lease=lease)
+            assert store.evict_older_than(0.0, campaign="a", now=time.time() + 10) == [shared]
+            assert store.campaigns() == ["b"]  # a kept no run
+
+    def test_older_store_gains_its_campaign_members(self, tmp_path, spec):
+        with RunStore(tmp_path) as store:
+            store.register(spec, "a")
+            store._db.execute("DROP TABLE members")
+            store._db.execute("CREATE INDEX runs_by_campaign ON runs (campaign, status)")
+            store._db.execute("UPDATE meta SET value = '2' WHERE key = 'schema'")
+            store._db.commit()
+        with RunStore(tmp_path) as store:
+            assert len(store.runs("a")) == 1
+            assert store.campaigns() == ["a"]
+            assert store._db.execute(
+                "SELECT name FROM sqlite_master WHERE name = 'runs_by_campaign'"
+            ).fetchall() == []
+            store.register(spec, "b")
+            assert len(store.runs("b")) == 1
 
     def test_runs_filter_by_campaign(self, spec):
         with RunStore() as store:

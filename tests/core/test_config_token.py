@@ -10,7 +10,6 @@ import pytest
 
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MachineConfig,
     MDConfig,
     RunConfig,
@@ -148,10 +147,6 @@ TOKEN_DEFAULTS = {
         "rescale_interval": 50, "attraction": 0.0, "n_attractors": 1,
     },
     "DecompositionConfig": {},
-    "DLBConfig": {
-        "interval": 1, "max_sends_per_step": 1, "policy": "fastest",
-        "threshold": 0.1,
-    },
     "MachineConfig": {
         "name": "t3e", "latency": 10e-6, "inv_bandwidth": 1.0 / 2.8e9,
         "tau_pair": 60e-9, "tau_particle": 150e-9, "tau_cell": 40e-9,
@@ -161,15 +156,15 @@ TOKEN_DEFAULTS = {
         "seed": None, "record_interval": 1, "force_backend": "kdtree",
         "skin": 0.4, "balancer": None,
     },
-    # dlb and machine default to the configs pinned above.
+    # machine defaults to the config pinned above.
     "SimulationConfig": {},
 }
 
 
 def test_token_defaults_are_pinned():
     actual = {"SNAPSHOT_FORMAT": SNAPSHOT_FORMAT}
-    for cls in (MDConfig, DecompositionConfig, DLBConfig, MachineConfig,
-                RunConfig, SimulationConfig):
+    for cls in (MDConfig, DecompositionConfig, MachineConfig, RunConfig,
+                SimulationConfig):
         actual[cls.__name__] = {
             f.name: f.default for f in dataclasses.fields(cls)
             if f.default is not dataclasses.MISSING

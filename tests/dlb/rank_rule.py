@@ -3,17 +3,15 @@
 ``repro`` decides a round for every PE at once, as arrays
 (:class:`~repro.dlb.strategies.PermanentCellsBalancer`). This module keeps
 the rule the way Section 2.3 states it -- one PE at a time: find the fastest
-PE of the neighbourhood, gate on the policy, classify the offset, then pick
-cells one by one with the already-picked ones excluded -- so the array round
-has something to be held to move for move. Nothing under ``src/`` imports
-it.
+PE of the neighbourhood, classify the offset, then pick the one cell
+``C_send`` -- so the array round has something to be held to move for move.
+Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.config import DLBConfig
 from repro.decomp.assignment import CellAssignment
 from repro.dlb.protocol import Case, Move, classify_case
 from repro.dlb.views import TimingView
@@ -34,32 +32,14 @@ def borrowed_by(assignment: CellAssignment, pe: int, lender: int) -> np.ndarray:
     return np.flatnonzero((assignment.home == lender) & (assignment.holder == pe))
 
 
-def first_free(cells: np.ndarray, exclude: set[int]) -> int | None:
-    """First of ``cells`` not in ``exclude``, or ``None``.
-
-    At most ``len(exclude)`` leading cells can be excluded, so one more than
-    that is all that needs looking at.
-    """
-    for cell in cells[: len(exclude) + 1].tolist():
-        if cell not in exclude:
-            return cell
-    return None
-
-
 def decide_move(
-    assignment: CellAssignment,
-    topology: Torus2D,
-    pe: int,
-    fastest: int,
-    exclude: set[int] | None = None,
+    assignment: CellAssignment, topology: Torus2D, pe: int, fastest: int
 ) -> Move | None:
     """Apply the case analysis for ``pe`` with ``fastest`` as the target.
 
     Returns the decided :class:`Move`, or ``None`` when the case yields
-    ``C_send = 0``. ``exclude`` lists cells already committed this step (used
-    when a PE may send more than one cell per step).
+    ``C_send = 0``.
     """
-    exclude = exclude or set()
     offset = topology.offset(pe, fastest)
     case = classify_case(offset)
     if case in (Case.SELF, Case.NOTHING):
@@ -70,8 +50,9 @@ def decide_move(
     else:
         # Case 3: return one previously borrowed cell to its home.
         cells = borrowed_by(assignment, pe, fastest)
-    cell = first_free(cells, exclude)
-    return None if cell is None else Move(cell=cell, src=pe, dst=fastest, kind=case)
+    if not cells.size:
+        return None
+    return Move(cell=int(cells[0]), src=pe, dst=fastest, kind=case)
 
 
 def fastest_for(
@@ -94,48 +75,30 @@ def fastest_for(
     return fastest, float(times[fastest])
 
 
-def wants_rebalance(config: DLBConfig, my_time: float, fast_time: float) -> bool:
-    """The receiver-selection policy gate."""
-    if config.policy == "fastest":
-        return True
-    if fast_time <= 0:
-        return my_time > 0
-    return (my_time - fast_time) / fast_time > config.threshold
-
-
 def decide_for_rank(
     assignment: CellAssignment,
     topology: Torus2D,
     times: np.ndarray,
-    config: DLBConfig,
     pe: int,
     timing: TimingView | None = None,
-) -> list[Move]:
-    """One PE's moves: up to ``max_sends_per_step`` picks toward its fastest."""
-    fastest, fast_time = fastest_for(times, topology, pe, timing)
-    if fastest == pe or not wants_rebalance(config, float(times[pe]), fast_time):
-        return []
-    moves: list[Move] = []
-    exclude: set[int] = set()
-    for _ in range(config.max_sends_per_step):
-        move = decide_move(assignment, topology, pe, fastest, exclude)
-        if move is None:
-            break
-        exclude.add(move.cell)
-        moves.append(move)
-    return moves
+) -> Move | None:
+    """One PE's move: at most one cell toward its fastest PE."""
+    fastest, _ = fastest_for(times, topology, pe, timing)
+    if fastest == pe:
+        return None
+    return decide_move(assignment, topology, pe, fastest)
 
 
 def rank_round(
     assignment: CellAssignment,
     times: np.ndarray,
-    config: DLBConfig,
     timing: TimingView | None = None,
 ) -> list[Move]:
     """A whole round: every PE's rule in PE order, none seeing another's picks
     (each PE only moves cells it holds, so none needs to)."""
     topology = Torus2D(assignment.pe_side)
-    moves: list[Move] = []
-    for pe in range(assignment.n_pes):
-        moves.extend(decide_for_rank(assignment, topology, times, config, pe, timing))
-    return moves
+    moves = (
+        decide_for_rank(assignment, topology, times, pe, timing)
+        for pe in range(assignment.n_pes)
+    )
+    return [move for move in moves if move is not None]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DLBConfig
 from repro.decomp.assignment import CellAssignment
 from repro.decomp.validation import check_eight_neighbor_property
 from repro.dlb.balancer import DynamicLoadBalancer
@@ -17,10 +16,8 @@ from repro.obs.imbalance import ImbalanceFold
 from tests.dlb.rank_rule import borrowed_by
 
 
-def make_balancer(nc: int = 9, n_pes: int = 9, **kwargs) -> DynamicLoadBalancer:
-    return create_balancer(
-        CellAssignment(nc, n_pes), DLBConfig(**kwargs), strategy="permanent"
-    )
+def make_balancer(nc: int = 9, n_pes: int = 9) -> DynamicLoadBalancer:
+    return create_balancer(CellAssignment(nc, n_pes), strategy="permanent")
 
 
 def run_stats(*rounds) -> LogFold:
@@ -65,35 +62,19 @@ class TestDecide:
             assert move.dst == fast
             assert move.kind is Case.SEND_OWN
 
-    def test_each_pe_sends_at_most_max_sends(self):
-        balancer = make_balancer(max_sends_per_step=2)
-        times = np.ones(9)
+    def test_each_pe_sends_at_most_one_cell(self):
+        balancer = make_balancer(12, 16)
+        times = np.ones(16)
         times[0] = 0.1
-        moves = balancer.decide(times)
-        per_src = {}
-        for move in moves:
-            per_src[move.src] = per_src.get(move.src, 0) + 1
-        assert all(v <= 2 for v in per_src.values())
+        sources = [move.src for move in balancer.decide(times)]
+        assert sources and len(sources) == len(set(sources))
 
     def test_no_duplicate_cells_in_one_round(self):
-        balancer = make_balancer(max_sends_per_step=3)
-        times = np.arange(9, dtype=float) + 1
+        balancer = make_balancer(12, 16)
+        times = np.arange(16, dtype=float) + 1
         moves = balancer.decide(times)
         cells = [m.cell for m in moves]
-        assert len(cells) == len(set(cells))
-
-    def test_threshold_policy_ignores_small_imbalance(self):
-        balancer = make_balancer(policy="threshold", threshold=0.5)
-        times = np.ones(9)
-        times[0] = 0.9  # only ~11% faster than the rest
-        assert balancer.decide(times) == []
-
-    def test_threshold_policy_acts_on_large_imbalance(self):
-        balancer = make_balancer(policy="threshold", threshold=0.5)
-        times = np.ones(9)
-        fast = balancer.assignment.pe_flat(0, 1)
-        times[fast] = 0.1
-        assert balancer.decide(times)
+        assert len(moves) > 3 and len(cells) == len(set(cells))
 
 
 class TestApplyAndStats:

@@ -81,11 +81,12 @@ class TestCase1SendOwn:
             assignment.transfer(int(cell), receiver)
         assert decide_move(assignment, topology, pe, receiver) is None
 
-    def test_exclusion_prevents_double_commit(self, assignment, topology):
-        pe, receiver = 4, None
+    def test_sent_cell_is_not_picked_again(self, assignment, topology):
+        pe = 4
         receiver = assignment.pe_flat(0, 1)
         first = decide_move(assignment, topology, pe, receiver)
-        second = decide_move(assignment, topology, pe, receiver, exclude={first.cell})
+        assignment.transfer(first.cell, receiver)
+        second = decide_move(assignment, topology, pe, receiver)
         assert second.cell != first.cell
 
 
@@ -163,13 +164,6 @@ class TestEdgeCases:
         assignment.transfer(back.cell, lender)
         assert np.array_equal(assignment.holder, assignment.home)
         assert decide_move(assignment, topology, borrower, lender) is None
-
-    def test_exclusion_can_exhaust_the_movable_set(self, assignment, topology):
-        # With every movable cell excluded, Case 1 has nothing left to pick.
-        pe = 4
-        receiver = assignment.pe_flat(0, 1)
-        exclude = {int(c) for c in assignment.movable_at_home(pe)}
-        assert decide_move(assignment, topology, pe, receiver, exclude) is None
 
     def test_permanent_cell_transfer_is_rejected(self, assignment):
         permanent_cell = int(np.flatnonzero(assignment.permanent)[0])

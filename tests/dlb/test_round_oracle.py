@@ -18,7 +18,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.config import DLBConfig
 from repro.decomp.assignment import CellAssignment
 from repro.dlb.protocol import Case, Move
 from repro.dlb.strategies import _column_torus_distance, create_balancer
@@ -47,12 +46,10 @@ def ref_offset(side, src, dst):
     return di, dj
 
 
-def ref_pick_own_movable(assignment, pe, offset, exclude):
+def ref_pick_own_movable(assignment, pe, offset):
     candidates = np.flatnonzero(
         (assignment.home == pe) & (assignment.holder == pe) & ~assignment.permanent
     )
-    if exclude:
-        candidates = candidates[~np.isin(candidates, list(exclude))]
     if len(candidates) == 0:
         return None
     nc = assignment.cells_per_side
@@ -70,18 +67,16 @@ def ref_pick_own_movable(assignment, pe, offset, exclude):
     return int(candidates[order[0]])
 
 
-def ref_decide_move(assignment, pe, fastest, exclude):
+def ref_decide_move(assignment, pe, fastest):
     offset = ref_offset(assignment.pe_side, pe, fastest)
     if offset in CASE1:
-        cell = ref_pick_own_movable(assignment, pe, offset, exclude)
+        cell = ref_pick_own_movable(assignment, pe, offset)
         if cell is None:
             return None
         return Move(cell=cell, src=pe, dst=fastest, kind=Case.SEND_OWN)
     if offset not in CASE3:
         return None
     borrowed = np.flatnonzero((assignment.home == fastest) & (assignment.holder == pe))
-    if exclude:
-        borrowed = borrowed[~np.isin(borrowed, list(exclude))]
     if len(borrowed) == 0:
         return None
     return Move(cell=int(borrowed[0]), src=pe, dst=fastest, kind=Case.RETURN_BORROWED)
@@ -123,59 +118,41 @@ def ref_fastest(assignment, times, pe, view):
     return best_pe, float(view.heard[pe, best_pe])
 
 
-def ref_wants_rebalance(config, my_time, fast_time):
-    if config.policy == "fastest":
-        return True
-    if fast_time <= 0:
-        return my_time > 0
-    return (my_time - fast_time) / fast_time > config.threshold
-
-
-def ref_permanent_round(assignment, times, config, view=None):
+def ref_permanent_round(assignment, times, view=None):
     moves = []
     for pe in range(assignment.n_pes):
-        fastest, fast_time = ref_fastest(assignment, times, pe, view)
+        fastest, _ = ref_fastest(assignment, times, pe, view)
         if fastest == pe:
             continue
-        if not ref_wants_rebalance(config, float(times[pe]), fast_time):
-            continue
-        exclude = set()
-        for _ in range(config.max_sends_per_step):
-            move = ref_decide_move(assignment, pe, fastest, exclude)
-            if move is None:
-                break
-            exclude.add(move.cell)
+        move = ref_decide_move(assignment, pe, fastest)
+        if move is not None:
             moves.append(move)
     return moves
 
 
-def ref_diffusion_round(assignment, times, config, view=None):
+def ref_diffusion_round(assignment, times, view=None):
     moves = []
     for pe in range(assignment.n_pes):
         fastest, fast_time = ref_fastest(assignment, times, pe, view)
         if fastest == pe:
             continue
         my_time = float(times[pe])
-        if not ref_wants_rebalance(config, my_time, fast_time):
-            continue
         held = np.flatnonzero(assignment.holder == pe)
         if held.size <= 1 or my_time <= 0:
             continue
         per_cell = my_time / held.size
         flux = 0.5 * (my_time - fast_time)
-        quota = min(config.max_sends_per_step, int(flux / per_cell), int(held.size) - 1)
-        if quota <= 0:
+        if int(flux / per_cell) <= 0:
             continue
         distance = _column_torus_distance(held, fastest, assignment)
         z = held % assignment.cells_per_side
-        order = np.lexsort((held, z, distance))
-        for cell in held[order[:quota]]:
-            kind = (
-                Case.RETURN_BORROWED
-                if int(assignment.home[cell]) == fastest
-                else Case.SEND_OWN
-            )
-            moves.append(Move(int(cell), pe, fastest, kind))
+        cell = held[np.lexsort((held, z, distance))[0]]
+        kind = (
+            Case.RETURN_BORROWED
+            if int(assignment.home[cell]) == fastest
+            else Case.SEND_OWN
+        )
+        moves.append(Move(int(cell), pe, fastest, kind))
     return moves
 
 
@@ -190,15 +167,12 @@ def tied_times(rng, n_pes):
     return rng.integers(1, 4, n_pes) / 4.0
 
 
-def run_in_lockstep(
-    strategy, nc, n_pes, schedule, config=None, plan=None, sabotage=None
-):
+def run_in_lockstep(strategy, nc, n_pes, schedule, plan=None, sabotage=None):
     """Balancer and reference side by side; returns the balancer's assignment."""
-    config = config or DLBConfig()
     live = CellAssignment(nc, n_pes)
     mirror = CellAssignment(nc, n_pes)
     injector = FaultInjector(plan, n_pes) if plan is not None else None
-    balancer = create_balancer(live, config, injector=injector, strategy=strategy)
+    balancer = create_balancer(live, injector=injector, strategy=strategy)
     if sabotage is not None:
         sabotage(balancer)
     view = RefView(n_pes, injector.max_staleness) if injector is not None else None
@@ -207,7 +181,7 @@ def run_in_lockstep(
     for step, times in enumerate(schedule):
         if view is not None:
             view.fold(step, times, injector)
-        expected = reference_round(mirror, times, config, view)
+        expected = reference_round(mirror, times, view)
         assert balancer.step(times, step=step) == expected, f"round {step}"
         for move in expected:
             mirror.holder[move.cell] = move.dst
@@ -224,45 +198,39 @@ def random_schedule(n_pes, rounds, seed, draw=tied_times):
 
 class TestRoundEqualsPerPEReference:
     @pytest.mark.parametrize("nc,n_pes", [(9, 9), (12, 16), (18, 36)])
-    @pytest.mark.parametrize("max_sends", [1, 3])
-    def test_permanent_on_tied_times(self, nc, n_pes, max_sends):
-        run_in_lockstep(
-            "permanent", nc, n_pes, random_schedule(n_pes, 30, seed=nc + max_sends),
-            DLBConfig(max_sends_per_step=max_sends),
-        )
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_permanent_on_tied_times(self, nc, n_pes, seed):
+        run_in_lockstep("permanent", nc, n_pes, random_schedule(n_pes, 30, seed=nc + seed))
 
-    def test_permanent_on_distinct_times_with_threshold(self):
+    def test_permanent_on_distinct_times(self):
         schedule = random_schedule(
             16, 30, seed=5, draw=lambda rng, n: rng.uniform(0.1, 2.0, n)
         )
-        run_in_lockstep(
-            "permanent", 12, 16, schedule, DLBConfig(policy="threshold", threshold=0.25)
-        )
+        run_in_lockstep("permanent", 12, 16, schedule)
 
     def test_permanent_through_exhausted_movable_sets(self):
         """One PE stays fastest until its lenders run dry, then each lender in
         turn is fastest until the slow sink has nothing of theirs left: empty
-        picks and cut-short bursts in both Case 1 and Case 3."""
+        picks in both Case 1 and Case 3."""
         n_pes, sink, lenders = 9, 0, (1, 3, 4)
         lend = np.ones(n_pes)
         lend[sink] = 0.1
-        schedule = [lend] * 15
-        live = run_in_lockstep("permanent", 9, n_pes, schedule, DLBConfig(max_sends_per_step=3))
+        schedule = [lend] * 40
+        live = run_in_lockstep("permanent", 9, n_pes, schedule)
         assert all(live.movable_at_home(pe).size == 0 for pe in lenders)
         assert all(borrowed_by(live, sink, pe).size == 36 for pe in lenders)
         for lender in lenders:
             back = np.ones(n_pes)
             back[sink], back[lender] = 5.0, 0.1
-            schedule = schedule + [back] * 15
-        live = run_in_lockstep("permanent", 9, n_pes, schedule, DLBConfig(max_sends_per_step=3))
+            schedule = schedule + [back] * 40
+        live = run_in_lockstep("permanent", 9, n_pes, schedule)
         assert all(borrowed_by(live, sink, pe).size == 0 for pe in lenders)
 
-    @pytest.mark.parametrize("max_sends", [1, 3])
-    def test_permanent_under_dropped_reports(self, max_sends):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_permanent_under_dropped_reports(self, seed):
         plan = FaultPlan(seed=11, timing=TimingFaultRule(drop=0.3, max_staleness=2))
         run_in_lockstep(
-            "permanent", 12, 16, random_schedule(16, 30, seed=7),
-            DLBConfig(max_sends_per_step=max_sends), plan=plan,
+            "permanent", 12, 16, random_schedule(16, 30, seed=6 + seed), plan=plan
         )
 
     @pytest.mark.parametrize("plan", [None, FaultPlan(seed=3, timing=TimingFaultRule(drop=0.3))])
@@ -270,9 +238,7 @@ class TestRoundEqualsPerPEReference:
         schedule = random_schedule(
             16, 25, seed=9, draw=lambda rng, n: rng.integers(1, 9, n) / 4.0
         )
-        run_in_lockstep(
-            "diffusion", 12, 16, schedule, DLBConfig(max_sends_per_step=3), plan=plan
-        )
+        run_in_lockstep("diffusion", 12, 16, schedule, plan=plan)
 
 
 # -- the comparison must trip on a wrong table ---------------------------------
@@ -300,12 +266,9 @@ class TestSeededTableBugsAreCaught:
     @pytest.mark.parametrize("strategy", ["permanent", "diffusion"])
     def test_wrong_column_order_changes_the_tie_break(self, strategy):
         schedule = random_schedule(16, 30, seed=1)
-        run_in_lockstep(strategy, 12, 16, schedule, DLBConfig(max_sends_per_step=3))
+        run_in_lockstep(strategy, 12, 16, schedule)
         with pytest.raises(AssertionError, match="round"):
-            run_in_lockstep(
-                strategy, 12, 16, schedule, DLBConfig(max_sends_per_step=3),
-                sabotage=swap_table_columns,
-            )
+            run_in_lockstep(strategy, 12, 16, schedule, sabotage=swap_table_columns)
 
     def test_lend_order_without_depth_changes_the_pick(self):
         schedule = random_schedule(16, 30, seed=1)
@@ -335,8 +298,6 @@ class TestSeededViewBugsAreCaught:
     def test_reference_folds_its_own_view(self, sabotage):
         plan = FaultPlan(seed=11, timing=TimingFaultRule(drop=0.3, max_staleness=2))
         schedule = random_schedule(16, 30, seed=7)
-        run_in_lockstep("permanent", 12, 16, schedule, DLBConfig(), plan=plan)
+        run_in_lockstep("permanent", 12, 16, schedule, plan=plan)
         with pytest.raises(AssertionError, match="round"):
-            run_in_lockstep(
-                "permanent", 12, 16, schedule, DLBConfig(), plan=plan, sabotage=sabotage
-            )
+            run_in_lockstep("permanent", 12, 16, schedule, plan=plan, sabotage=sabotage)

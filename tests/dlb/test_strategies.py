@@ -3,8 +3,8 @@
 Four contract groups:
 
 * **Seam equivalence** -- the ``permanent`` strategy through the registry is
-  move-for-move identical to the pre-seam inline decision loop (re-created
-  here verbatim), with and without the bounded-staleness timing view, and
+  move-for-move identical to the per-PE rule of ``tests/dlb/rank_rule.py``,
+  with and without the bounded-staleness timing view, and
   run-digest-identical end to end (sequential, multiprocess, kill→resume,
   under fault injection).
 * **Rivals** -- ``diffusion`` and ``sfc`` conserve ownership (every cell has
@@ -15,8 +15,9 @@ Four contract groups:
 * **Selection plumbing** -- a run's strategy comes from its config alone
   (``None`` is ``permanent``); the process environment never picks one, and
   unknown names fail with the known choices listed.
-* **State** -- strategy identity rides checkpoints; resuming under a
-  different strategy refuses with an actionable error.
+* **State** -- strategies keep none: a balancer snapshot is its timing view
+  alone, and the balancer name rides the config token, so resuming under a
+  different strategy refuses.
 """
 
 import json
@@ -30,8 +31,9 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.config import DLBConfig, RunConfig
+from repro.config import RunConfig
 from repro.decomp.assignment import CellAssignment
+from repro.dlb.protocol import MoveBatch
 from repro.dlb.strategies import (
     DecisionView,
     create_balancer,
@@ -41,76 +43,30 @@ from repro.dlb.strategies import (
 from repro.errors import ConfigurationError
 from repro.faults.audit import InvariantAuditor
 from repro.parallel.topology import Torus2D
-from tests.dlb.rank_rule import decide_move, fastest_for
+from tests.dlb.rank_rule import rank_round
 from tests.helpers import fig5_config
 
 
-def _legacy_decide(assignment, topology, times, config, view=None):
-    """The pre-seam ``DynamicLoadBalancer.decide`` loop, byte-for-byte.
-
-    This is the reference the seam is measured against: any drift in the
-    extracted ``PermanentCellsBalancer`` shows up as a move mismatch here.
-    """
-
-    def wants_rebalance(my_time, fast_time):
-        if config.policy == "fastest":
-            return True
-        if fast_time <= 0:
-            return my_time > 0
-        return (my_time - fast_time) / fast_time > config.threshold
-
-    moves = []
-    committed = {}
-    for pe in range(assignment.n_pes):
-        fastest, fast_time = fastest_for(times, topology, pe, view)
-        if fastest == pe:
-            continue
-        if not wants_rebalance(float(times[pe]), fast_time):
-            continue
-        exclude = committed.setdefault(pe, set())
-        for _ in range(config.max_sends_per_step):
-            move = decide_move(assignment, topology, pe, fastest, exclude)
-            if move is None:
-                break
-            exclude.add(move.cell)
-            moves.append(move)
-    return moves
-
-
-def _evolving_snapshots(nc=9, n_pes=9, rounds=25, seed=3, **config_kwargs):
-    """Yield (assignment_pair, topology, times, config) over an evolving run.
+def _evolving_snapshots(nc=9, n_pes=9, rounds=25, seed=3):
+    """Yield (seam, reference, times) over an evolving run.
 
     Two assignments are kept in lock-step -- one driven by the seam, one by
-    the legacy loop -- so equivalence is checked against *evolved* holder
+    the per-PE rule -- so equivalence is checked against *evolved* holder
     maps, not just the initial one.
     """
     rng = np.random.default_rng(seed)
-    config = DLBConfig(**config_kwargs)
     seam = CellAssignment(nc, n_pes)
-    legacy = CellAssignment(nc, n_pes)
-    topology = Torus2D(seam.pe_side)
+    reference = CellAssignment(nc, n_pes)
     for _ in range(rounds):
-        times = rng.uniform(0.1, 2.0, n_pes)
-        yield seam, legacy, topology, times, config
+        yield seam, reference, rng.uniform(0.1, 2.0, n_pes)
 
 
 class TestSeamEquivalence:
-    @pytest.mark.parametrize(
-        "config_kwargs",
-        [
-            {},
-            {"max_sends_per_step": 3},
-            {"policy": "threshold", "threshold": 0.25},
-        ],
-        ids=["default", "burst", "threshold"],
-    )
-    def test_permanent_matches_legacy_move_for_move(self, config_kwargs):
-        for seam_a, legacy_a, topology, times, config in _evolving_snapshots(
-            **config_kwargs
-        ):
-            balancer = create_balancer(seam_a, config, strategy="permanent")
+    def test_permanent_matches_legacy_move_for_move(self):
+        for seam_a, legacy_a, times in _evolving_snapshots():
+            balancer = create_balancer(seam_a, strategy="permanent")
             seam_moves = balancer.decide(times)
-            legacy_moves = _legacy_decide(legacy_a, topology, times, config)
+            legacy_moves = rank_round(legacy_a, times)
             assert seam_moves == legacy_moves
             balancer.apply(seam_moves)
             for move in legacy_moves:
@@ -124,7 +80,6 @@ class TestSeamEquivalence:
         rng = np.random.default_rng(11)
         assignment = CellAssignment(9, 9)
         topology = Torus2D(assignment.pe_side)
-        config = DLBConfig()
         view = TimingView(9, max_staleness=2)
 
         class DropSome:
@@ -140,13 +95,10 @@ class TestSeamEquivalence:
                 times=times,
                 assignment=assignment,
                 topology=topology,
-                config=config,
                 timing=view,
             )
             seam_moves = strategy.decide(decision_view, step)
-            legacy_moves = _legacy_decide(
-                assignment, topology, times, config, view=view
-            )
+            legacy_moves = rank_round(assignment, times, view)
             assert seam_moves == legacy_moves
             for move in seam_moves:
                 assignment.transfer(move.cell, move.dst)
@@ -207,14 +159,11 @@ class TestSeamEquivalence:
         assert explicit.digest() == base.digest()
 
 
-def _run_strategy_rounds(strategy_name, rounds=20, nc=9, n_pes=9, seed=4,
-                         **config_kwargs):
+def _run_strategy_rounds(strategy_name, rounds=20, nc=9, n_pes=9, seed=4):
     """Drive one strategy over random timing snapshots; returns the balancer."""
     rng = np.random.default_rng(seed)
     assignment = CellAssignment(nc, n_pes)
-    balancer = create_balancer(
-        assignment, DLBConfig(**config_kwargs), strategy=strategy_name
-    )
+    balancer = create_balancer(assignment, strategy=strategy_name)
     total_moves = 0
     counts = rng.poisson(2.0, nc * nc * nc).astype(np.int64)
     for step in range(rounds):
@@ -264,7 +213,8 @@ class TestRivalStrategies:
         assignment = CellAssignment(9, 9)
         balancer = create_balancer(assignment, strategy="sfc")
         moves = balancer.decide(rng.uniform(0.1, 2.0, 9))
-        assert isinstance(moves, list)  # no counts: geometry-only cut
+        # No counts: the geometry-only cut, at most one move per PE.
+        assert isinstance(moves, MoveBatch) and 0 < len(moves) <= 9
 
     def test_sfc_balances_clustered_counts(self):
         """The curve cut reacts to weight: a clustered occupancy ends with
@@ -275,8 +225,7 @@ class TestRivalStrategies:
         counts = np.zeros(nc * nc * nc, dtype=np.int64)
         # All particles piled into PE 0's home cells.
         counts[np.flatnonzero(assignment.home == 0)] = 50
-        balancer = create_balancer(assignment, DLBConfig(max_sends_per_step=8),
-                                   strategy="sfc")
+        balancer = create_balancer(assignment, strategy="sfc")
         for step in range(15):
             balancer.step(rng.uniform(0.9, 1.1, n_pes), step=step, counts=counts)
         per_pe = np.zeros(n_pes)
@@ -328,28 +277,19 @@ class TestSelectionPlumbing:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             balancer = create_balancer(CellAssignment(9, 9))
-        assert balancer.strategy_name == "permanent"
+        assert balancer.strategy.name == "permanent"
 
 
 class TestStateAndCheckpoints:
-    def test_state_dict_carries_strategy_identity(self):
-        balancer = create_balancer(CellAssignment(9, 9), strategy="diffusion")
-        state = balancer.state_dict()
-        assert state["strategy"] == {"name": "diffusion", "state": {}}
-
-    def test_strategy_mismatch_on_restore_is_actionable(self):
-        source = create_balancer(CellAssignment(9, 9), strategy="diffusion")
-        target = create_balancer(CellAssignment(9, 9), strategy="permanent")
-        with pytest.raises(ConfigurationError, match="--balancer diffusion"):
-            target.load_state_dict(source.state_dict())
-
     def test_pre_seam_checkpoint_without_strategy_key_restores(self):
+        """A snapshot is the timing view alone; the ``strategy`` and
+        ``stats`` keys older snapshots carry are ignored on restore."""
         source = create_balancer(CellAssignment(9, 9), strategy="permanent")
-        state = source.state_dict()
-        del state["strategy"]  # what a pre-seam snapshot looks like
-        target = create_balancer(CellAssignment(9, 9), strategy="permanent")
-        target.load_state_dict(state)
-        assert target.strategy_name == "permanent"
+        assert source.state_dict() == {"view": None}
+        older = {"view": None, "stats": {"lends": 3},
+                 "strategy": {"name": "permanent", "state": {}}}
+        for state in (source.state_dict(), older):
+            create_balancer(CellAssignment(9, 9), strategy="permanent").load_state_dict(state)
 
     def test_resume_under_different_balancer_refuses(self, tmp_path):
         """The balancer is part of the config token: a snapshot taken under

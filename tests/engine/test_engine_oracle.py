@@ -98,7 +98,7 @@ def hot_clustered_runner(engine) -> ParallelMDRunner:
     has to fire about every ten steps."""
     config, _ = CONFIGURATIONS["clustered"]
     md = MDConfig(n_particles=1000, density=0.256, temperature=2.0, dt=0.004)
-    hot = SimulationConfig(md=md, decomposition=config.decomposition, dlb=config.dlb)
+    hot = SimulationConfig(md=md, decomposition=config.decomposition)
     run = RunConfig(steps=100, seed=3, skin=0.1)
     return ParallelMDRunner(hot, run, system=clustered_system(md), engine=engine)
 

@@ -122,7 +122,7 @@ EXEMPT: dict[str, str] = {
     "repro/parallel/network.py:NetworkModel.particles_time":
         "scalar reference for the accountant's array charging",
     "repro/parallel/network.py:preset":
-        "machine presets the ablation tests sweep (tests/experiments/test_ablations.py)",
+        "machine presets the machine ablations sweep (tests/experiments/test_ablations.py)",
     "repro/parallel/message.py:TrafficLog.record_bulk":
         "scalar reference for the accountant's array charging",
     "repro/campaign/store.py:RunStore.renew_lease": "lease branch of product code",

@@ -126,6 +126,38 @@ class TestPersistedArtifacts:
             with pytest.raises(SchemaError, match='balancer="none"'):
                 api.load_config(path)
 
+    @pytest.mark.parametrize("setting, value, loads", [
+        (None, None, True),
+        ("interval", "1", True),
+        ("max_sends_per_step", "1", True),
+        ("policy", '"fastest"', True),
+        ("threshold", "0.1", True),
+        ("interval", "4", False),
+        ("interval", "1.0", False),
+        ("max_sends_per_step", "3", False),
+        ("policy", '"threshold"', False),
+        ("threshold", "0.3", False),
+        ("quota", "1", False),
+    ])
+    def test_older_config_with_dlb_settings(self, tmp_path, setting, value, loads):
+        """A config saved while ``DLBConfig`` existed. The protocol's fixed
+        settings (Section 2.3) load; any other value, or a key the block
+        never had, is refused naming the key rather than loaded as a run
+        it does not describe."""
+        dlb = '"enabled": true' + (f', "{setting}": {value}' if setting else "")
+        path = tmp_path / "older.json"
+        path.write_text(
+            '{"schema_version": "1.0", "simulation": {'
+            '"md": {"n_particles": 1000, "density": 0.256}, '
+            '"decomposition": {"cells_per_side": 6, "n_pes": 9}, '
+            '"dlb": {' + dlb + '}}}'
+        )
+        if loads:
+            assert api.load_config(path).simulation == small_config()
+        else:
+            with pytest.raises(SchemaError, match=f"simulation\\.dlb\\.{setting}="):
+                api.load_config(path)
+
     @pytest.mark.parametrize("shape", ["pillar", "plane", "cube"])
     def test_older_config_with_a_decomposition_shape(self, tmp_path, shape):
         """A config saved while ``DecompositionConfig.shape`` existed.

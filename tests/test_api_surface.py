@@ -145,7 +145,9 @@ class TestBalancerSurface:
             assert isinstance(strategy, Balancer)
             assert strategy.name == name
             assert callable(strategy.decide)
-            assert isinstance(strategy.state_dict(), dict)
+            # Strategies are stateless: no checkpoint hooks.
+            assert not hasattr(strategy, "state_dict")
+            assert not hasattr(strategy, "load_state")
             assert isinstance(strategy.constrained, bool)
             assert isinstance(strategy.needs_counts, bool)
 

@@ -560,6 +560,35 @@ class TestFlightRecorderFlags:
         assert main(["explain", str(events), "--step", "5"]) == 2
         assert "error: event log's run.start has no pillar grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, value, replays", [
+        ("interval", 1, True),
+        ("max_sends_per_step", 1, True),
+        ("policy", "fastest", True),
+        ("threshold", 0.1, True),
+        ("interval", 4, False),
+        ("max_sends_per_step", 3, False),
+        ("policy", "threshold", False),
+        ("threshold", 0.3, False),
+    ])
+    def test_explain_older_log_with_dlb_settings(
+        self, tmp_path, capsys, setting, value, replays
+    ):
+        """Older logs record the balancer's settings in ``run.start``. The
+        protocol's fixed values replay; any other was decided by a rule this
+        build no longer has, so it is refused, not reported as divergence."""
+        events = self.record(tmp_path, steps=8)
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        records[0]["dlb"][setting] = value
+        events.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        code = main(["explain", str(events)])
+        out, err = capsys.readouterr()
+        if replays:
+            assert code == 0 and "replay matches the log" in out
+        else:
+            assert code == 2 and "DIVERGES" not in out
+            assert f"error: event log was recorded with dlb {setting}=" in err
+
     def test_explain_flags_divergence(self, tmp_path, capsys):
         events = self.record(tmp_path, steps=8)
         records = [json.loads(line) for line in events.read_text().splitlines()]

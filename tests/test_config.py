@@ -7,7 +7,6 @@ import pytest
 
 from repro.config import (
     DecompositionConfig,
-    DLBConfig,
     MachineConfig,
     MDConfig,
     RunConfig,
@@ -78,27 +77,6 @@ class TestDecompositionConfig:
             DecompositionConfig(cells_per_side=13, n_pes=9)
 
 
-class TestDLBConfig:
-    def test_defaults(self):
-        config = DLBConfig()
-        assert config.interval == 1
-        # Whether a run balances is its balancer name ("none" is plain DDM).
-        assert not hasattr(config, "enabled")
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"interval": 0},
-            {"max_sends_per_step": 0},
-            {"policy": "oracle"},
-            {"threshold": -0.1},
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            DLBConfig(**kwargs)
-
-
 class TestMachineConfig:
     def test_rejects_negative_costs(self):
         with pytest.raises(ConfigurationError):
@@ -165,7 +143,6 @@ def _every_config_class_case():
     return [
         (md, "n_particles", 1000.0),
         (decomposition, "n_pes", "9"),
-        (DLBConfig(interval=2, policy="threshold"), "interval", 1.5),
         (MachineConfig(name="cm5", latency=1e-5), "bytes_per_particle", 48.0),
         (RunConfig(steps=10, seed=3, balancer="sfc"), "steps", 2.5),
         (SimulationConfig(md=md, decomposition=decomposition),
