@@ -40,7 +40,7 @@ from ..config import RunConfig, from_dict
 from ..core.checkpoint import CheckpointManager
 from ..errors import CampaignError, CheckpointMismatchError
 from ..experiments.fig10 import drive_sweep, run_boundary_repetition
-from ..theory.boundary import divergence_threshold, moving_average
+from ..theory.boundary import BASELINE_FRACTION, divergence_threshold, moving_average
 from ..theory.bounds import upper_bound
 from .artifacts import host_events_path
 from .pool import Batch
@@ -95,7 +95,6 @@ def _execute_boundary(
         schedule_seed=spec.seed,
         n_steps=spec.n_steps,
         rounds_per_config=spec.rounds_per_config,
-        detector_kwargs={"factor": spec.detector_factor, "sustain": spec.detector_sustain},
     )
     payload = {
         "kind": "boundary",
@@ -139,11 +138,11 @@ def _execute_probe(
     _write_events(observability, events_path)
     # Divergence oracle: after holding the level, is the (smoothed) spread
     # still pinned above the balanced-prefix baseline, by the boundary
-    # detector's threshold at the campaign detector's factor 2.5?
+    # detector's threshold?
     smooth = moving_average(result.spread, 5)
     n_prefix = index + 1
-    n_base = min(max(3, int(0.2 * n_prefix)), n_prefix)
-    threshold = divergence_threshold(smooth[:n_base], 2.5)
+    n_base = min(max(3, int(BASELINE_FRACTION * n_prefix)), n_prefix)
+    threshold = divergence_threshold(smooth[:n_base])
     tail = smooth[-max(1, hold // 2):]
     trajectory = result.trajectory
     return {

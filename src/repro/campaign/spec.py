@@ -42,6 +42,7 @@ from ..engine.base import ENGINE_NAMES
 from ..errors import CampaignError, ConfigurationError
 from ..experiments.common import geometry_for, simulation_config_for
 from ..rng import repetition_seeds
+from ..theory.boundary import FACTOR, SUSTAIN
 from ..units import PAPER_RHO_SWEEP
 
 #: Bump when the hashed content's layout changes (invalidates stored runs).
@@ -68,6 +69,23 @@ def fold_mode(mode: str | None, balancer: str | None) -> str | None:
     return "none"
 
 
+def _refuse_detector_settings(factor: float | None, sustain: int | None) -> None:
+    """Refuse a spec that asks for a detector other than the fixed one.
+
+    Every stored spec carries ``detector_factor`` and ``detector_sustain``
+    from when the boundary detector had settings; those that hold the fixed
+    :data:`~repro.theory.boundary.FACTOR` and
+    :data:`~repro.theory.boundary.SUSTAIN` load, and any other value would
+    describe a run this build cannot execute."""
+    for key, value, fixed in (
+        ("detector_factor", factor, FACTOR), ("detector_sustain", sustain, SUSTAIN),
+    ):
+        if value is not None and (type(value) is not type(fixed) or value != fixed):
+            raise CampaignError(
+                f"{key} must be {fixed!r} (the boundary detector is fixed), got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One schedulable run, fully determined by its fields.
@@ -90,8 +108,6 @@ class RunSpec:
         seed are the same run.
     rounds_per_config:
         Balancer rounds per configuration (None = ``auto_rounds``).
-    detector_factor, detector_sustain:
-        Boundary-detector knobs of the ``boundary`` kind.
     probe_index, probe_hold:
         Concentration level and hold length of the ``probe`` kind.
     preset:
@@ -111,6 +127,10 @@ class RunSpec:
         specs keep their hashes.
     mode:
         Constructor-only input (not a field), see :func:`fold_mode`.
+    detector_factor, detector_sustain:
+        Constructor-only inputs (not fields) that stored specs carry, see
+        :func:`_refuse_detector_settings`. The ``boundary`` kind runs the
+        fixed detector of :mod:`repro.theory.boundary`.
     """
 
     kind: str = "boundary"
@@ -121,8 +141,6 @@ class RunSpec:
     seed: int = 0
     repetition: int = 0
     rounds_per_config: int | None = None
-    detector_factor: float = 2.5
-    detector_sustain: int = 15
     probe_index: int | None = None
     probe_hold: int = 30
     preset: str | None = None
@@ -130,12 +148,17 @@ class RunSpec:
     engine_workers: int | None = None
     balancer: str | None = None
     mode: InitVar[str | None] = None
+    detector_factor: InitVar[float | None] = None
+    detector_sustain: InitVar[int | None] = None
 
     #: What the type check raises (a ``5.0`` or ``true`` would hash apart).
     error_type = CampaignError
 
-    def __post_init__(self, mode: str | None) -> None:
+    def __post_init__(
+        self, mode: str | None, detector_factor: float | None, detector_sustain: int | None
+    ) -> None:
         check_types(self)
+        _refuse_detector_settings(detector_factor, detector_sustain)
         object.__setattr__(self, "balancer", fold_mode(mode, self.balancer))
         if self.kind not in RUN_KINDS:
             raise CampaignError(f"unknown run kind {self.kind!r} (expected {RUN_KINDS})")
@@ -204,10 +227,9 @@ class RunSpec:
             "rounds_per_config": self.rounds_per_config,
         }
         if self.kind == "boundary":
-            knobs["detector"] = {
-                "factor": self.detector_factor,
-                "sustain": self.detector_sustain,
-            }
+            # Hash-preserving: the fixed detector, hashed as the settings
+            # every stored boundary spec was keyed by.
+            knobs["detector"] = {"factor": FACTOR, "sustain": SUSTAIN}
         elif self.kind == "probe":
             knobs["probe"] = {"index": self.probe_index, "hold": self.probe_hold}
         else:

@@ -696,10 +696,14 @@ class RunStore:
     ) -> list[str]:
         """Delete terminal rows not updated for ``age_s`` seconds.
 
-        Returns the evicted hashes so callers can clean per-run artifacts
-        (event logs, checkpoint directories).  An evicted run re-registers
-        as ``pending`` on resubmission and re-executes cleanly — eviction
-        trades storage for recomputation, never correctness.
+        With ``campaign``, only that campaign lets go of its old runs: a run
+        another campaign also registered keeps its row (and stays done in
+        that campaign's status and report), and a row is deleted once no
+        campaign holds it.  Returns the deleted hashes so callers can clean
+        per-run artifacts (event logs, checkpoint directories).  A deleted
+        run re-registers as ``pending`` on resubmission and re-executes
+        cleanly — eviction trades storage for recomputation, never
+        correctness.
         """
         for status in statuses:
             if status in ("pending", "running"):
@@ -712,17 +716,29 @@ class RunStore:
             raise CampaignError(f"eviction age must be >= 0, got {age_s}")
         cutoff = (now if now is not None else time.time()) - float(age_s)
         placeholders = ", ".join("?" for _ in statuses)
-        clause = f"status IN ({placeholders}) AND updated_at < ?"
-        params: list = [*statuses, cutoff]
-        if campaign is not None:
-            clause += f" AND {_IN_CAMPAIGN}"
-            params.append(campaign)
-        rows = self._db.execute(
-            f"SELECT hash FROM runs WHERE {clause}", tuple(params)
-        ).fetchall()
-        self._db.execute(f"DELETE FROM runs WHERE {clause}", tuple(params))
-        self._db.execute("DELETE FROM members WHERE hash NOT IN (SELECT hash FROM runs)")
-        self._db.commit()
+        old = f"status IN ({placeholders}) AND updated_at < ?"
+        params = (*statuses, cutoff)
+        clause = old
+        self._db.execute("BEGIN IMMEDIATE")
+        try:
+            if campaign is not None:
+                self._db.execute(
+                    f"DELETE FROM members WHERE campaign = ? "
+                    f"AND hash IN (SELECT hash FROM runs WHERE {old})",
+                    (campaign, *params),
+                )
+                clause += " AND hash NOT IN (SELECT hash FROM members)"
+            rows = self._db.execute(
+                f"SELECT hash FROM runs WHERE {clause}", params
+            ).fetchall()
+            self._db.execute(f"DELETE FROM runs WHERE {clause}", params)
+            self._db.execute(
+                "DELETE FROM members WHERE hash NOT IN (SELECT hash FROM runs)"
+            )
+            self._db.commit()
+        except BaseException:
+            self._db.rollback()
+            raise
         return [row[0] for row in rows]
 
     # -- instance heartbeats -----------------------------------------------

@@ -315,6 +315,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         summary = run_campaign(campaign, store, workers=args.workers)
         report = campaign_report(store, campaign.name)
     (group,) = report.boundary_groups or (None,)
+    # The fit through the sweep's one mean point is C0/C ÷ f(m, n) of it (not
+    # the JSON ``et_ratio``, the mean of each repetition's own ratio).
+    fit = report.fits().get((args.m, args.pes))
     if args.json:
         payload = {
             "m": args.m,
@@ -329,9 +332,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 payload[key] = (
                     {"mean": stats[0], "std": stats[1]} if stats else None
                 )
-            payload["mean_point_et"] = (
-                _mean_point_et(args.m, group) if group.points else None
-            )
+            payload["mean_point_et"] = fit.ratio if fit is not None else None
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     if group is None or not group.points:
@@ -364,21 +365,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ("C0/C at boundary (E)", f"{mean.c0_ratio:.4f} ± {c0_std:.4f}"),
         ("theoretical bound f(m, mean n) (T)",
          f"{float(upper_bound(args.m, mean.n)):.4f}"),
-        ("E/T of the mean point: mean C0/C ÷ f(m, mean n)",
-         f"{_mean_point_et(args.m, group):.3f}"),
+        ("E/T of the mean point: mean C0/C ÷ f(m, mean n)", f"{fit.ratio:.3f}"),
     ]
     print(format_table(["quantity", "value"], rows))
     return 0
-
-
-def _mean_point_et(m: int, group) -> float:
-    """Mean C0/C over the diverged repetitions ÷ f(m, their mean n).
-
-    Not the JSON ``et_ratio``, which is the mean of each repetition's own
-    C0/C ÷ f(m, n).
-    """
-    mean = group.mean_point
-    return mean.c0_ratio / float(upper_bound(m, mean.n))
 
 
 def _progress_printer(total: int):

@@ -84,7 +84,7 @@ def simulation_config_for(
     )
 
 
-def droplets_for(geometry: ExperimentGeometry, cells_per_droplet: float = 8.0) -> int:
+def droplets_for(geometry: ExperimentGeometry) -> int:
     """Initial nucleation-site count: one droplet per ~8 cells.
 
     Scaling with the cell count (not the PE count) keeps the early sweep
@@ -92,4 +92,4 @@ def droplets_for(geometry: ExperimentGeometry, cells_per_droplet: float = 8.0) -
     homogeneous nucleation is.
     """
     n_cells = geometry.cells_per_side**3
-    return max(12, int(round(n_cells / cells_per_droplet)))
+    return max(12, int(round(n_cells / 8.0)))

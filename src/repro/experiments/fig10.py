@@ -102,24 +102,18 @@ def run_boundary_repetition(
     schedule_seed: int,
     n_steps: int = 130,
     rounds_per_config: int | None = None,
-    detector_kwargs: dict | None = None,
 ) -> tuple[RunResult, BoundaryPoint | None]:
     """One concentration sweep: the unit of work a campaign schedules.
 
     Returns the driven run (its trajectory is Figure 9) and its boundary
-    point, None when the spread never diverged. ``schedule_seed`` fully
-    determines the run (geometry is derived from the arguments); the same
-    seed always reproduces the same outcome.
+    point from the fixed detector of :mod:`repro.theory.boundary`, None
+    when the spread never diverged. ``schedule_seed`` fully determines the
+    run (geometry is derived from the arguments); the same seed always
+    reproduces the same outcome.
     """
-    # A conservative detector (sustained exceedance well above baseline)
-    # avoids flagging the first noise bump as the boundary; the paper's own
-    # criterion ("begins to increase") is equally about a sustained rise.
-    detector_kwargs = {"factor": 2.5, "sustain": 15, **(detector_kwargs or {})}
     result = drive_sweep(m, n_pes, density, schedule_seed, n_steps, rounds_per_config)
     try:
-        point = boundary_point(
-            result.spread, result.trajectory, steps=result.steps, **detector_kwargs
-        )
+        point = boundary_point(result.spread, result.trajectory, steps=result.steps)
     except AnalysisError:
         point = None
     return result, point

@@ -57,42 +57,19 @@ def maxwell_boltzmann_velocities(
     return np.ascontiguousarray(velocities, dtype=np.float64)
 
 
-def _ball_sites(
-    n_points: int,
-    radius: float,
-    rng: np.random.Generator,
-    min_separation: float = 0.7,
-) -> np.ndarray:
-    """Jittered-grid points inside a ball around the origin.
-
-    The grid spacing bounds how tightly points pack so LJ forces on the
-    resulting configuration stay finite; the ball is refilled cyclically when
-    it undersupplies sites.
-    """
-    spacing = max(min_separation, 1e-3)
-    n_side = max(1, int(2 * radius / spacing))
-    axis = (np.arange(n_side) + 0.5) * spacing - radius
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    grid = np.column_stack((gx.ravel(), gy.ravel(), gz.ravel()))
-    inside = grid[np.sum(grid * grid, axis=1) <= radius * radius]
-    if len(inside) == 0:
-        inside = np.zeros((1, 3))
-    reps = int(np.ceil(n_points / len(inside)))
-    sites = np.tile(inside, (reps, 1))[:n_points]
-    jitter = rng.uniform(-0.25 * spacing, 0.25 * spacing, size=sites.shape)
-    return sites + jitter
-
-
 def ball_sites_sorted(
     n_points: int,
     radius: float,
     rng: np.random.Generator,
     min_separation: float = 0.7,
 ) -> np.ndarray:
-    """Like :func:`_ball_sites` but ordered inside-out (by distance).
+    """Jittered-grid points inside a ball around the origin, inside-out.
 
-    Used by incremental condensation schedules: filling the sites in order
-    grows the droplet shell by shell, so its radius tracks its occupancy.
+    The grid spacing bounds how tightly points pack so LJ forces on the
+    resulting configuration stay finite; the ball is refilled cyclically when
+    it undersupplies sites. The concentration schedule fills the sites in
+    order, growing a droplet shell by shell, so its radius tracks its
+    occupancy.
     """
     spacing = max(min_separation, 1e-3)
     n_side = max(1, int(2 * radius / spacing))
@@ -109,40 +86,3 @@ def ball_sites_sorted(
     sites = np.tile(inside, (reps, 1))[:n_points]
     jitter = rng.uniform(-0.25 * spacing, 0.25 * spacing, size=sites.shape)
     return sites + jitter
-
-
-def clustered_positions(
-    n_particles: int,
-    box_length: float,
-    cluster_fraction: float,
-    cluster_radius: float,
-    rng: np.random.Generator,
-    center: np.ndarray | None = None,
-    min_separation: float = 0.7,
-) -> np.ndarray:
-    """Uniform gas with a fraction of particles condensed into a ball.
-
-    Used by the concentration workloads: ``cluster_fraction`` of the particles
-    are placed inside a ball of ``cluster_radius`` around ``center`` (default:
-    box centre), the rest uniformly in the box. ``min_separation`` bounds how
-    tightly cluster particles may pack so the LJ forces stay finite: the ball
-    is filled from a jittered grid of that spacing.
-    """
-    if not 0.0 <= cluster_fraction <= 1.0:
-        raise GeometryError(f"cluster_fraction must be in [0, 1], got {cluster_fraction}")
-    if cluster_radius <= 0:
-        raise GeometryError(f"cluster_radius must be positive, got {cluster_radius}")
-    if center is None:
-        center = np.full(3, box_length / 2.0)
-    center = np.asarray(center, dtype=np.float64)
-
-    n_cluster = int(round(cluster_fraction * n_particles))
-    n_gas = n_particles - n_cluster
-
-    parts: list[np.ndarray] = []
-    if n_cluster:
-        parts.append(center + _ball_sites(n_cluster, cluster_radius, rng, min_separation))
-    if n_gas:
-        parts.append(rng.uniform(0.0, box_length, size=(n_gas, 3)))
-    positions = np.concatenate(parts, axis=0)
-    return np.ascontiguousarray(np.mod(positions, box_length), dtype=np.float64)

@@ -6,6 +6,11 @@ computing time begins to increase". This module implements that detector:
 smooth the ``Fmax - Fmin`` series, establish a baseline over the balanced
 early phase, and report the first step where the spread rises above the
 baseline by a sustained margin.
+
+The detector has one setting, the module constants below. It is
+conservative (a sustained exceedance well above the baseline), so the first
+noise bump is never taken for the boundary; the paper's own criterion
+("begins to increase") is equally about a sustained rise.
 """
 
 from __future__ import annotations
@@ -16,6 +21,16 @@ import numpy as np
 
 from ..errors import AnalysisError
 from .trajectory import Trajectory
+
+#: Moving-average window (records) that suppresses step-to-step noise.
+WINDOW = 11
+#: Fraction of the series (from the start) taken as the balanced baseline.
+BASELINE_FRACTION = 0.2
+#: The spread counts as diverged once it exceeds ``FACTOR`` times the
+#: baseline (see :func:`divergence_threshold`).
+FACTOR = 2.5
+#: The exceedance must persist for this many consecutive records.
+SUSTAIN = 15
 
 
 @dataclass(frozen=True)
@@ -48,14 +63,7 @@ def moving_average(series: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(np.asarray(series, dtype=float), kernel, mode="same") / weights
 
 
-def detect_divergence_step(
-    spread: np.ndarray,
-    steps: np.ndarray | None = None,
-    window: int = 11,
-    baseline_fraction: float = 0.2,
-    factor: float = 2.0,
-    sustain: int = 10,
-) -> int:
+def detect_divergence_step(spread: np.ndarray, steps: np.ndarray | None = None) -> int:
     """First step where the (smoothed) spread begins a sustained increase.
 
     Parameters
@@ -64,15 +72,6 @@ def detect_divergence_step(
         The ``Fmax - Fmin`` series.
     steps:
         Optional step labels aligned with ``spread``; defaults to indices.
-    window:
-        Moving-average window for noise suppression.
-    baseline_fraction:
-        Fraction of the series (from the start) treated as the balanced
-        baseline.
-    factor:
-        The spread counts as diverged once it exceeds ``factor * baseline``.
-    sustain:
-        The exceedance must persist for this many consecutive records.
 
     Raises
     ------
@@ -80,46 +79,43 @@ def detect_divergence_step(
         If the series is too short or never diverges.
     """
     spread = np.asarray(spread, dtype=float)
-    if len(spread) < max(3, sustain + 1):
+    if len(spread) < SUSTAIN + 1:
         raise AnalysisError(f"spread series too short ({len(spread)} records)")
-    if not 0 < baseline_fraction < 1:
-        raise AnalysisError(f"baseline_fraction must be in (0, 1), got {baseline_fraction}")
-    smooth = moving_average(spread, window)
-    n_base = max(1, int(len(smooth) * baseline_fraction))
-    threshold = divergence_threshold(smooth[:n_base], factor)
+    smooth = moving_average(spread, WINDOW)
+    n_base = max(1, int(len(smooth) * BASELINE_FRACTION))
+    threshold = divergence_threshold(smooth[:n_base])
 
     above = smooth > threshold
-    # Find the first index from which `sustain` consecutive records are above.
+    # Find the first index from which SUSTAIN consecutive records are above.
     run = 0
     for idx in range(len(above)):
         run = run + 1 if above[idx] else 0
-        if run >= sustain:
-            start = idx - sustain + 1
+        if run >= SUSTAIN:
+            start = idx - SUSTAIN + 1
             if steps is not None:
                 return int(np.asarray(steps)[start])
             return start
     raise AnalysisError("the spread never diverges: DLB stayed within its limit")
 
 
-def divergence_threshold(baseline: np.ndarray, factor: float) -> float:
+def divergence_threshold(baseline: np.ndarray) -> float:
     """The smoothed spread above which a run counts as diverged.
 
     ``baseline`` is the smoothed spread of the balanced prefix. The
-    threshold is ``factor`` times its median, at least 5 % over its peak,
+    threshold is :data:`FACTOR` times its median, at least 5 % over its peak,
     and never below an absolute floor that keeps a near-zero baseline from
     flagging noise.
     """
     median = float(np.median(baseline))
-    return max(factor * median, median + 1e-12, float(np.max(baseline)) * 1.05)
+    return max(FACTOR * median, median + 1e-12, float(np.max(baseline)) * 1.05)
 
 
 def boundary_point(
     spread: np.ndarray,
     trajectory: Trajectory,
     steps: np.ndarray | None = None,
-    **kwargs,
 ) -> BoundaryPoint:
     """Detect the divergence step and read its (n, C0/C) off the trajectory."""
-    step = detect_divergence_step(spread, steps=steps, **kwargs)
+    step = detect_divergence_step(spread, steps=steps)
     n, c0 = trajectory.point_at_step(step)
     return BoundaryPoint(step=step, n=n, c0_ratio=c0)

@@ -1,4 +1,4 @@
-"""Quasi-static concentration schedules.
+"""Quasi-static concentration schedule.
 
 The supercooled gas of the paper concentrates over ~10^4 MD steps; the
 effective-range experiments only care about *where* in (n, C0/C) space DLB
@@ -7,19 +7,11 @@ breaks down, not how long the gas takes to get there. A
 sweeping the (n, C0/C) trajectory from the dilute-uniform corner upward.
 See DESIGN.md, substitutions.
 
-Two modes:
-
-``"droplets"`` (default, physical)
-    A growing fraction of the particles condenses into many small droplets
-    scattered (with uneven weights) over the box -- the nucleation morphology
-    of a supercooled gas. Load imbalance comes from droplets landing
-    unevenly across domains; DLB can counteract it by moving columns until
-    the emptiness of the space exceeds its theoretical limit.
-
-``"ball"`` (adversarial)
-    Everything collapses into one shrinking ball: the worst case, where
-    beyond some point the load sits in fewer cells than any cell-granular
-    balancer can split.
+A growing fraction of the particles condenses into many small droplets
+scattered (with uneven weights) over the box -- the nucleation morphology of
+a supercooled gas. Load imbalance comes from droplets landing unevenly across
+domains; DLB can counteract it by moving columns until the emptiness of the
+space exceeds its theoretical limit.
 """
 
 from __future__ import annotations
@@ -30,8 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..md.lattice import ball_sites_sorted, clustered_positions
+from ..md.lattice import ball_sites_sorted
 from ..rng import generator
+
+#: Fraction of particles condensed at the end of the schedule.
+MAX_CLUSTER_FRACTION = 0.95
+#: Fraction of droplets that survive coarsening to the end of the sweep.
+SURVIVOR_FRACTION = 0.05
+#: Gamma shape of the droplet mass distribution; large values mean
+#: near-equal droplets (relative spread ``1/sqrt(shape)``).
+WEIGHT_SHAPE = 8.0
+#: Schedule parameter by which condensation completes (coarsening continues
+#: afterwards).
+CONDENSE_BY = 0.4
+#: Reduced density inside droplets; sets each droplet's radius from its
+#: occupancy (LJ liquid: ~0.8).
+LIQUID_DENSITY = 0.8
 
 
 @dataclass(frozen=True)
@@ -46,27 +52,8 @@ class ConcentrationSchedule:
         Periodic box edge.
     n_steps:
         Number of configurations the schedule produces.
-    mode:
-        ``"droplets"`` or ``"ball"`` (see module docstring).
-    max_cluster_fraction:
-        Fraction of particles condensed at the end of the schedule.
     n_droplets:
-        Initial droplet (nucleation site) count of the ``"droplets"`` mode.
-    survivor_fraction:
-        Fraction of droplets that survive coarsening to the end of the sweep.
-    condense_by:
-        Schedule parameter by which condensation completes (coarsening
-        continues afterwards).
-    weight_shape:
-        Gamma shape of the droplet mass distribution; large values mean
-        near-equal droplets (relative spread ``1/sqrt(shape)``).
-    liquid_density:
-        Reduced density inside droplets; sets each droplet's radius from its
-        occupancy (LJ liquid: ~0.8).
-    initial_radius, final_radius:
-        Ball radius sweep of the ``"ball"`` mode.
-    center:
-        Ball centre of the ``"ball"`` mode; ``None`` means the box centre.
+        Initial droplet (nucleation site) count.
     seed:
         Seed of droplet placement and per-step jitter (vary per run for the
         paper's independent repetitions).
@@ -75,16 +62,7 @@ class ConcentrationSchedule:
     n_particles: int
     box_length: float
     n_steps: int
-    mode: str = "droplets"
-    max_cluster_fraction: float = 0.95
     n_droplets: int = 64
-    survivor_fraction: float = 0.05
-    weight_shape: float = 8.0
-    condense_by: float = 0.4
-    liquid_density: float = 0.8
-    initial_radius: float | None = None
-    final_radius: float = 2.0
-    center: tuple[float, float, float] | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -94,42 +72,26 @@ class ConcentrationSchedule:
             raise ConfigurationError("box_length must be positive")
         if self.n_steps <= 0:
             raise ConfigurationError("n_steps must be positive")
-        if self.mode not in ("droplets", "ball"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if not 0 < self.max_cluster_fraction <= 1:
-            raise ConfigurationError("max_cluster_fraction must be in (0, 1]")
         if self.n_droplets <= 0:
             raise ConfigurationError("n_droplets must be positive")
-        if not 0 < self.survivor_fraction <= 1:
-            raise ConfigurationError("survivor_fraction must be in (0, 1]")
-        if self.weight_shape <= 0:
-            raise ConfigurationError("weight_shape must be positive")
-        if not 0 < self.condense_by <= 1:
-            raise ConfigurationError("condense_by must be in (0, 1]")
-        if self.liquid_density <= 0 or self.final_radius <= 0:
-            raise ConfigurationError("liquid_density and radii must be positive")
 
     def fraction_at(self, s: float) -> float:
         """Condensed fraction at schedule parameter ``s`` in [0, 1].
 
-        Ramps linearly to ``max_cluster_fraction`` by ``s = condense_by``;
+        Ramps linearly to :data:`MAX_CLUSTER_FRACTION` by ``s =``
+        :data:`CONDENSE_BY`;
         the remainder of the sweep is pure coarsening at constant condensed
         mass (gas exhaustion happens much faster than Ostwald ripening in a
         deeply supercooled gas).
         """
-        return np.minimum(s / self.condense_by, 1.0) * self.max_cluster_fraction
-
-    def ball_radius_at(self, s: float) -> float:
-        """Ball radius at schedule parameter ``s`` (``"ball"`` mode)."""
-        r0 = self.initial_radius if self.initial_radius is not None else self.box_length / 3.0
-        return r0 * (1.0 - s) + self.final_radius * s
+        return np.minimum(s / CONDENSE_BY, 1.0) * MAX_CLUSTER_FRACTION
 
     def _occupancy_matrix(self, rng: np.random.Generator) -> np.ndarray:
         """Per-step droplet occupancies: nucleation + coarsening.
 
         Returns an ``(n_steps, K)`` integer matrix whose row ``t`` holds each
         droplet's particle count at schedule step ``t``. The total condensed
-        mass grows linearly to ``max_cluster_fraction * N`` (nucleation), and
+        mass grows linearly to ``MAX_CLUSTER_FRACTION * N`` (nucleation), and
         most droplets die off smoothly along the way (Ostwald ripening): the
         survivors absorb their mass, so the late configurations hold the same
         mass in far fewer, larger droplets -- which is what empties cells and
@@ -140,12 +102,12 @@ class ConcentrationSchedule:
         # from *where* droplets sit (occupancy fluctuations across domains),
         # not from a heavy-tailed size distribution; large skew would break
         # the heavy side of the balancer in a way Section 4 does not model.
-        weights = rng.gamma(shape=self.weight_shape, scale=1.0, size=k)
-        n_survivors = max(2, int(round(self.survivor_fraction * k)))
+        weights = rng.gamma(shape=WEIGHT_SHAPE, scale=1.0, size=k)
+        n_survivors = max(2, int(round(SURVIVOR_FRACTION * k)))
         survivors = rng.choice(k, size=n_survivors, replace=False)
         # Death times of the dying droplets: coarsening overlaps the end of
         # condensation and continues to the end of the sweep.
-        death = rng.uniform(0.75 * self.condense_by, 1.0, size=k)
+        death = rng.uniform(0.75 * CONDENSE_BY, 1.0, size=k)
         death[survivors] = np.inf
 
         s_grid = np.arange(self.n_steps) / max(self.n_steps - 1, 1)
@@ -167,8 +129,9 @@ class ConcentrationSchedule:
                 occupancy[t, top] += 1
         return occupancy
 
-    def _droplet_configurations(self) -> Iterator[np.ndarray]:
-        """Smooth droplet sweep with nucleation and coarsening.
+    def configurations(self) -> Iterator[np.ndarray]:
+        """Yield the ``n_steps`` position arrays in schedule order: a smooth
+        droplet sweep with nucleation and coarsening.
 
         All randomness is drawn up front (droplet centres/weights/death
         times, gas positions, per-droplet inside-out site sequences), so
@@ -182,7 +145,7 @@ class ConcentrationSchedule:
         occupancy = self._occupancy_matrix(rng)
         max_occ = occupancy.max(axis=0)
 
-        spacing = (1.0 / self.liquid_density) ** (1.0 / 3.0)
+        spacing = (1.0 / LIQUID_DENSITY) ** (1.0 / 3.0)
         # Per-droplet site sequence, sorted inside-out: a droplet's particles
         # fill (and vacate) shell by shell, so its radius physically tracks
         # its occupancy at liquid density.
@@ -192,7 +155,7 @@ class ConcentrationSchedule:
                 site_lists.append(np.empty((0, 3)))
                 continue
             radius = 1.1 * (
-                3.0 * max_occ[k] / (4.0 * np.pi * self.liquid_density)
+                3.0 * max_occ[k] / (4.0 * np.pi * LIQUID_DENSITY)
             ) ** (1.0 / 3.0)
             radius = max(radius, spacing)
             site_lists.append(centers[k] + ball_sites_sorted(int(max_occ[k]), radius, rng, spacing))
@@ -205,26 +168,6 @@ class ConcentrationSchedule:
             parts.append(gas[: self.n_particles - n_cond])
             positions = np.concatenate(parts, axis=0)
             yield np.mod(positions, self.box_length)
-
-    def configurations(self) -> Iterator[np.ndarray]:
-        """Yield the ``n_steps`` position arrays in schedule order."""
-        if self.mode == "droplets":
-            yield from self._droplet_configurations()
-        else:
-            rng = generator(self.seed)
-            center = np.asarray(
-                self.center if self.center is not None else [self.box_length / 2.0] * 3
-            )
-            for step in range(self.n_steps):
-                s = step / max(self.n_steps - 1, 1)
-                yield clustered_positions(
-                    self.n_particles,
-                    self.box_length,
-                    cluster_fraction=self.fraction_at(s),
-                    cluster_radius=self.ball_radius_at(s),
-                    rng=rng,
-                    center=center,
-                )
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return self.configurations()

@@ -1,5 +1,6 @@
 """The campaign scheduler: execution, caching, retries, timeouts, metrics."""
 
+import hashlib
 import json
 import os
 
@@ -13,6 +14,7 @@ from repro.campaign import (
     executor,
     run_campaign,
 )
+from repro.campaign.store import canonical_payload
 from repro.errors import CampaignError
 from repro.obs import MetricsRegistry
 
@@ -65,6 +67,11 @@ PINNED_PROBES = [
     ),
 ]
 
+#: SHA-256 of the canonical payload of one short boundary run (m = 2, P = 9,
+#: 60 configurations, seed 0), recorded while the schedule and the detector
+#: still took their constants as arguments: inlining them must not move a bit.
+PINNED_BOUNDARY_SHA256 = "64af5205b4f26b4fc90acf6cd7d1c5e0f72317bf1723aa9956426cbe5f2880ba"
+
 
 class TestExecuteRun:
     def test_boundary_payload_shape(self):
@@ -90,6 +97,12 @@ class TestExecuteRun:
     def test_probe_payloads_are_pinned(self, spec, expected):
         payload = execute_run(RunSpec(**spec))
         assert json.dumps(payload, sort_keys=True) == expected
+
+    def test_boundary_payload_is_pinned(self):
+        payload = execute_run(RunSpec(m=2, n_pes=9, n_steps=60, seed=0))
+        assert payload["diverged"]  # the detector fired
+        digest = hashlib.sha256(canonical_payload(payload).encode()).hexdigest()
+        assert digest == PINNED_BOUNDARY_SHA256
 
     def test_preset_payload_has_summary(self):
         payload = execute_run(RunSpec(kind="preset", preset="bench-m2",

@@ -66,8 +66,6 @@ class TestSpecHash:
             RunSpec(density=0.384),
             RunSpec(n_steps=120),
             RunSpec(seed=1),
-            RunSpec(detector_factor=3.0),
-            RunSpec(detector_sustain=10),
             RunSpec(rounds_per_config=4),
         ]
         hashes = {spec.spec_hash() for spec in variants}
@@ -205,6 +203,62 @@ class TestModeCompatibility:
         )
         assert dlb["run"]["preset"]["balancer"] == "sfc"
         assert RunSpec().content()["config"]["dlb"]["enabled"] is True
+
+
+class TestStoredDetectorSettings:
+    """Every stored spec carries the detector settings ``to_dict`` once wrote
+    for every kind; only the fixed detector's values load."""
+
+    #: A boundary spec as a store wrote it, without the two detector keys.
+    STORED = {
+        "kind": "boundary", "m": 2, "n_pes": 9, "density": 0.256, "n_steps": 60,
+        "seed": 5, "repetition": 0, "rounds_per_config": None,
+        "probe_index": None, "probe_hold": 30, "preset": None,
+    }
+    #: Its hash, as stored.
+    HASH = "0fd038a1ec446d5e"
+
+    @staticmethod
+    def _from_store(tmp_path, spec_json: dict):
+        """``spec_json`` read back through a store row (pool adoption)."""
+        from repro.campaign import RunStore
+        from repro.campaign.store import canonical_payload
+
+        with RunStore(tmp_path) as store:
+            run_hash = store.register(RunSpec(), "old")
+            store._db.execute(
+                "UPDATE runs SET spec_json = ? WHERE hash = ?",
+                (canonical_payload(spec_json), run_hash),
+            )
+            store._db.commit()
+            return store.get(run_hash).run_spec()
+
+    def test_fixed_values_load_with_their_old_hash(self, tmp_path):
+        stored = self.STORED | {"detector_factor": 2.5, "detector_sustain": 15}
+        spec = from_dict(RunSpec, stored)
+        assert spec == from_dict(RunSpec, self.STORED)
+        assert spec.spec_hash() == self.HASH
+        assert self._from_store(tmp_path, stored).spec_hash() == self.HASH
+        assert api.canonicalize_submission(stored).run_hash == self.HASH
+        assert "detector_factor" not in spec.to_dict()
+
+    @pytest.mark.parametrize("key, value", [
+        ("detector_factor", 3.0),
+        ("detector_sustain", 10),
+        ("detector_factor", True),
+        ("detector_sustain", True),
+        ("detector_sustain", 15.0),
+    ])
+    def test_other_values_are_refused(self, tmp_path, key, value):
+        stored = self.STORED | {key: value}
+        with pytest.raises(CampaignError, match=key):
+            from_dict(RunSpec, stored)
+        with pytest.raises(CampaignError, match=key):
+            self._from_store(tmp_path, stored)
+        with pytest.raises(ConfigurationError, match=key):
+            api.canonicalize_submission(stored)
+        with pytest.raises(CampaignError, match=key):
+            RunSpec(**{key: value})
 
 
 class TestCampaignSpec:

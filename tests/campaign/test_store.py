@@ -147,7 +147,7 @@ class TestSummaries:
             assert store.get(shared).campaign == "a"  # the first registrant
             lease = store.acquire_lease(shared, ttl=60.0)
             store.complete(shared, {"v": 1}, 0.1, lease=lease)
-            assert store.evict_older_than(0.0, campaign="a", now=time.time() + 10) == [shared]
+            assert store.evict_older_than(0.0, campaign="a", now=time.time() + 10) == []
             assert store.campaigns() == ["b"]  # a kept no run
 
     def test_older_store_gains_its_campaign_members(self, tmp_path, spec):

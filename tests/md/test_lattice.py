@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import GeometryError
 from repro.md.lattice import (
     ball_sites_sorted,
-    clustered_positions,
     maxwell_boltzmann_velocities,
     simple_cubic_positions,
 )
@@ -78,23 +77,3 @@ class TestBallSitesSorted:
 
     def test_exact_count(self, rng):
         assert ball_sites_sorted(37, 2.0, rng).shape == (37, 3)
-
-
-class TestClusteredPositions:
-    def test_counts_and_bounds(self, rng):
-        pos = clustered_positions(200, 10.0, 0.5, 2.0, rng)
-        assert pos.shape == (200, 3)
-        assert np.all(pos >= 0) and np.all(pos < 10.0)
-
-    def test_fraction_zero_is_pure_gas(self, rng):
-        pos = clustered_positions(100, 10.0, 0.0, 2.0, rng)
-        assert pos.shape == (100, 3)
-
-    def test_fraction_one_concentrates_near_center(self, rng):
-        pos = clustered_positions(100, 20.0, 1.0, 2.0, rng)
-        center = np.full(3, 10.0)
-        assert np.max(np.linalg.norm(pos - center, axis=1)) < 4.0
-
-    def test_rejects_bad_fraction(self, rng):
-        with pytest.raises(GeometryError):
-            clustered_positions(10, 10.0, 1.5, 2.0, rng)

@@ -679,6 +679,37 @@ class TestRunsAndGcVerbs:
             assert store.get(done) is None
             assert store.get(poisoned).status == "quarantined"
 
+    def test_campaign_gc_keeps_the_runs_another_campaign_holds(
+        self, tmp_path, capsys
+    ):
+        from repro.campaign import RunSpec, RunStore
+        from repro.campaign.executor import execute_run
+
+        store_dir = str(tmp_path / "store")
+        shared_spec = RunSpec(m=2, n_pes=9, n_steps=40, seed=100)
+        own_spec = RunSpec(m=2, n_pes=9, n_steps=40, seed=101)
+        with RunStore(store_dir) as store:
+            shared = store.register(shared_spec, "a")
+            store.register(shared_spec, "b")
+            own = store.register(own_spec, "a")
+            for run_hash, spec in ((shared, shared_spec), (own, own_spec)):
+                lease = store.acquire_lease(run_hash, ttl=60.0)
+                store.complete(run_hash, execute_run(spec), 0.1, lease=lease)
+        assert main(["campaign", "gc", "a", "--older-than", "0",
+                     "--dir", store_dir, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["evicted"] == [own]
+
+        assert main(["campaign", "status", "--dir", store_dir, "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert list(status) == ["b"]
+        assert status["b"]["done"] == 1
+        assert main(["campaign", "report", "b", "--dir", store_dir,
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"]["done"] == 1
+        (group,) = report["boundary"]
+        assert [rep["seed"] for rep in group["repetitions"]] == [100]
+
     def test_service_ttl_sweep_and_campaign_gc_delete_the_same_files(
         self, tmp_path, capsys
     ):

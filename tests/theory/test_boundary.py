@@ -5,6 +5,10 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.theory.boundary import (
+    BASELINE_FRACTION,
+    FACTOR,
+    SUSTAIN,
+    WINDOW,
     BoundaryPoint,
     boundary_point,
     detect_divergence_step,
@@ -45,12 +49,12 @@ class TestMovingAverage:
 class TestDetectDivergence:
     def test_clean_divergence_found_near_rise(self):
         series = synthetic_spread(100, 60)
-        step = detect_divergence_step(series, window=5, sustain=5)
+        step = detect_divergence_step(series)
         assert 95 <= step <= 120
 
     def test_noisy_divergence_found(self):
         series = synthetic_spread(100, 60, noise=0.2)
-        step = detect_divergence_step(series, window=11, sustain=10)
+        step = detect_divergence_step(series)
         assert 90 <= step <= 130
 
     def test_flat_series_raises(self):
@@ -61,34 +65,44 @@ class TestDetectDivergence:
         rng = np.random.default_rng(3)
         series = 1.0 + rng.normal(0, 0.05, 200)
         with pytest.raises(AnalysisError):
-            detect_divergence_step(series, factor=2.0, sustain=10)
+            detect_divergence_step(series)
 
     def test_short_series_raises(self):
         with pytest.raises(AnalysisError):
             detect_divergence_step(np.array([1.0, 2.0]))
+        # A rise from the first record on, one record short of SUSTAIN + 1.
+        with pytest.raises(AnalysisError, match="too short"):
+            detect_divergence_step(np.arange(1.0, SUSTAIN + 1.0) ** 3)
 
     def test_transient_spike_not_flagged(self):
         series = np.full(200, 1.0)
-        series[80:84] = 10.0  # short spike, shorter than sustain
+        series[80:84] = 10.0  # short spike: above threshold for < SUSTAIN records
         with pytest.raises(AnalysisError):
-            detect_divergence_step(series, window=1, sustain=10)
+            detect_divergence_step(series)
 
     def test_steps_labels_are_used(self):
         series = synthetic_spread(100, 60)
         steps = np.arange(len(series)) * 10
-        step = detect_divergence_step(series, steps=steps, window=5, sustain=5)
+        step = detect_divergence_step(series, steps=steps)
         assert step % 10 == 0
         assert 900 <= step <= 1300
 
     def test_rejects_bad_baseline_fraction(self):
-        with pytest.raises(AnalysisError):
-            detect_divergence_step(synthetic_spread(50, 50), baseline_fraction=1.5)
+        # The detector has one setting: no call can pick another baseline.
+        assert (WINDOW, BASELINE_FRACTION, FACTOR, SUSTAIN) == (11, 0.2, 2.5, 15)
+        for knob in ("window", "baseline_fraction", "factor", "sustain"):
+            with pytest.raises(TypeError):
+                detect_divergence_step(synthetic_spread(50, 50), **{knob: 1.5})
 
     def test_sensitivity_to_factor(self):
-        series = synthetic_spread(100, 100)
-        early = detect_divergence_step(series, factor=1.5, window=5, sustain=5)
-        late = detect_divergence_step(series, factor=5.0, window=5, sustain=5)
-        assert late >= early
+        # A plateau just under FACTOR x the baseline never diverges; one just
+        # over it diverges where it begins.
+        below, above = np.full(200, 1.0), np.full(200, 1.0)
+        below[100:] = 0.95 * FACTOR
+        above[100:] = 1.05 * FACTOR
+        with pytest.raises(AnalysisError):
+            detect_divergence_step(below)
+        assert 95 <= detect_divergence_step(above) <= 105
 
 
 class TestDetectDivergenceEdgeCases:
@@ -98,24 +112,24 @@ class TestDetectDivergenceEdgeCases:
         # DLB better than the start for the whole sweep: no boundary.
         series = np.linspace(5.0, 1.0, 200)
         with pytest.raises(AnalysisError):
-            detect_divergence_step(series, window=5, sustain=10)
+            detect_divergence_step(series)
 
     def test_rise_shorter_than_sustain_window_not_flagged(self):
         # The exceedance must be *sustained*; a rise that starts but has
-        # fewer than `sustain` samples left in the series cannot qualify.
+        # fewer than SUSTAIN samples left in the series cannot qualify.
         series = np.full(120, 1.0)
-        series[-6:] = 50.0  # only 6 samples above threshold, sustain=10
+        series[-6:] = 50.0  # smoothed, only 11 records lie above threshold
         with pytest.raises(AnalysisError):
-            detect_divergence_step(series, window=1, sustain=10)
+            detect_divergence_step(series)
 
     def test_transient_bump_that_dips_back_below_baseline(self):
         # The spread exceeds the threshold for a while but recovers to the
         # baseline -- DLB caught up, so this is not a divergence.
         series = np.full(300, 1.0)
-        series[100:108] = 8.0   # sustained-looking bump ...
+        series[100:108] = 8.0   # above threshold for 14 smoothed records ...
         series[108:] = 1.0      # ... but the spread settles back down
         with pytest.raises(AnalysisError):
-            detect_divergence_step(series, window=1, factor=2.0, sustain=10)
+            detect_divergence_step(series)
 
     def test_bump_then_true_divergence_is_found_after_the_bump(self):
         # Same transient bump, but a genuine sustained rise later on: the
@@ -123,7 +137,7 @@ class TestDetectDivergenceEdgeCases:
         series = np.full(300, 1.0)
         series[100:108] = 8.0
         series[200:] = 1.0 + np.arange(100) * 0.5
-        step = detect_divergence_step(series, window=1, factor=2.0, sustain=10)
+        step = detect_divergence_step(series)
         assert step >= 200
 
     def test_whole_series_at_threshold_is_not_a_boundary(self):
@@ -131,7 +145,7 @@ class TestDetectDivergenceEdgeCases:
         # "begins", so no boundary exists even though nothing is below it.
         series = np.full(150, 2.0)
         with pytest.raises(AnalysisError):
-            detect_divergence_step(series, window=5, sustain=10)
+            detect_divergence_step(series)
 
 
 class TestBoundaryPoint:
@@ -143,7 +157,7 @@ class TestBoundaryPoint:
             n=np.linspace(1.0, 3.0, n_records),
             c0_ratio=np.linspace(0.0, 0.8, n_records),
         )
-        point = boundary_point(series, trajectory, window=5, sustain=5)
+        point = boundary_point(series, trajectory)
         assert isinstance(point, BoundaryPoint)
         assert 1.0 <= point.n <= 3.0
         assert 0.0 <= point.c0_ratio <= 0.8

@@ -5,7 +5,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.md.celllist import CellList
-from repro.workloads.concentration import ConcentrationSchedule
+from repro.workloads.concentration import (
+    CONDENSE_BY,
+    MAX_CLUSTER_FRACTION,
+    ConcentrationSchedule,
+)
 
 
 def schedule(**kwargs) -> ConcentrationSchedule:
@@ -21,15 +25,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             schedule(n_steps=0)
         with pytest.raises(ConfigurationError):
-            schedule(mode="explosions")
-        with pytest.raises(ConfigurationError):
-            schedule(max_cluster_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            schedule(survivor_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            schedule(condense_by=0.0)
-        with pytest.raises(ConfigurationError):
-            schedule(weight_shape=0.0)
+            schedule(n_droplets=0)
 
 
 class TestDropletMode:
@@ -70,15 +66,15 @@ class TestDropletMode:
         assert np.median(moved) < 0.1
 
     def test_occupancy_matrix_conserves_particles(self):
-        sched = schedule(max_cluster_fraction=0.9)
+        sched = schedule()
         occupancy = sched._occupancy_matrix(np.random.default_rng(0))
         total = occupancy.sum(axis=1)
         s = np.arange(20) / 19
-        expected = np.round(np.minimum(s / sched.condense_by, 1.0) * 0.9 * 800)
+        expected = np.round(np.minimum(s / CONDENSE_BY, 1.0) * MAX_CLUSTER_FRACTION * 800)
         assert np.allclose(total, expected)
 
     def test_coarsening_reduces_droplet_count(self):
-        sched = schedule(n_steps=30, n_droplets=50, survivor_fraction=0.1)
+        sched = schedule(n_steps=30, n_droplets=50)
         occupancy = sched._occupancy_matrix(np.random.default_rng(1))
         active_mid = (occupancy[15] > 0).sum()
         active_end = (occupancy[-1] > 0).sum()
@@ -86,32 +82,11 @@ class TestDropletMode:
         assert active_end >= 2
 
 
-class TestBallMode:
-    def test_yields_configurations(self):
-        configs = list(schedule(mode="ball", n_steps=10))
-        assert len(configs) == 10
-
-    def test_final_configuration_is_concentrated(self):
-        configs = list(schedule(mode="ball", n_steps=10, final_radius=2.0,
-                                max_cluster_fraction=1.0))
-        final = configs[-1]
-        center = np.full(3, 15.75 / 2)
-        from repro.md.pbc import pair_distance
-
-        d = pair_distance(final, np.broadcast_to(center, final.shape), 15.75)
-        assert np.median(d) < 4.0
-
-    def test_radius_shrinks(self):
-        sched = schedule(mode="ball", initial_radius=6.0, final_radius=1.0)
-        assert sched.ball_radius_at(0.0) == 6.0
-        assert sched.ball_radius_at(1.0) == 1.0
-        assert sched.ball_radius_at(0.5) == pytest.approx(3.5)
-
-
 class TestFractionSchedule:
     def test_fraction_ramps_and_saturates(self):
-        sched = schedule(condense_by=0.4, max_cluster_fraction=0.9)
+        sched = schedule()
+        assert (CONDENSE_BY, MAX_CLUSTER_FRACTION) == (0.4, 0.95)
         assert sched.fraction_at(0.0) == 0.0
-        assert sched.fraction_at(0.2) == pytest.approx(0.45)
-        assert sched.fraction_at(0.4) == pytest.approx(0.9)
-        assert sched.fraction_at(1.0) == pytest.approx(0.9)
+        assert sched.fraction_at(0.2) == pytest.approx(0.475)
+        assert sched.fraction_at(0.4) == pytest.approx(0.95)
+        assert sched.fraction_at(1.0) == pytest.approx(0.95)
