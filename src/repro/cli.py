@@ -709,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(ENGINE_NAMES),
         default=None,
         help="execution engine for the force pass (default: classic in-process; "
-        "multiprocess splits its force blocks over worker processes; every "
+        "multiprocess splits its force blocks over this and child processes; every "
         "engine gives the classic path's digest)",
     )
     run.add_argument(
@@ -717,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker-process count for --engine multiprocess "
-        "(default: min(4, cpu count))",
+        help="execution units for --engine multiprocess: this process "
+        "and N-1 children (default: min(4, cpu count))",
     )
     run.add_argument(
         "--trace",

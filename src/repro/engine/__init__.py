@@ -1,7 +1,8 @@
 """Pluggable execution engines for the force pass.
 
 ``sequential`` runs every force block in-process; ``multiprocess`` splits
-each pass's blocks across worker processes over shared memory. Both fold the
+each pass's blocks between the calling process and child processes over
+shared memory. Both fold the
 block partials in block order with the kernel's one fold function, so they
 give the classic path's run digest (DESIGN.md §10).
 """

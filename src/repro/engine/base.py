@@ -7,7 +7,8 @@ order by :func:`~repro.md.kernels.fold_partials`. Block size and fold order
 alone fix the bits, so every engine, at any worker count, gives the classic
 path's forces and run digest. Backends differ only in *where* the blocks
 are computed: the sequential engine runs them in-process; the multiprocess
-engine hands each worker a contiguous range of blocks.
+engine splits them, balanced by list rows, across its driver and child
+processes.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class EnginePass:
     #: Whether the pass rebuilt that list (as opposed to reusing it).
     list_rebuilt: bool
     #: Compute seconds of each execution unit (one for the sequential
-    #: engine, one per worker); named so because ledger/trace.py sums it.
+    #: engine; the driver's share first, then one per child process, for
+    #: the multiprocess engine); named so because ledger/trace.py sums it.
     per_pe_seconds: np.ndarray
 
 
@@ -121,7 +123,7 @@ class Engine(abc.ABC):
 
     @property
     def workers(self) -> int:
-        """Worker processes backing this engine (1 for in-process backends)."""
+        """Execution units computing this engine's blocks (1 in-process)."""
         return 1
 
     def bind(self, context: EngineContext) -> None:
@@ -163,7 +165,7 @@ class Engine(abc.ABC):
         self.close()
 
     def _emit_lifecycle(self, kind: str, **fields) -> None:
-        """One host-channel record per worker, in worker order."""
+        """One host-channel record per execution unit, in unit order."""
         obs = self._observability
         events = obs.events if obs is not None else None
         if events is None:

@@ -7,7 +7,7 @@ particle index (:func:`block_rows`), reduces each block to a partial force
 array, energy and virial (:func:`block_partial`) and folds the partials in
 block order (:func:`fold_partials`). :func:`fold_blocks` runs all three
 in-process (:func:`forces_from_pairs` first puts any list into canonical
-order); the multiprocess engine computes the partials in its workers and
+order); the multiprocess engine computes the partials in its units and
 folds them with the same function, so every path gives the same bits.
 
 A block holds the pairs whose first index lies in its particle range, and
@@ -15,6 +15,13 @@ surviving pairs keep their candidate order, so a block's accepted pairs --
 hence the result -- are a function of the positions alone, whichever
 beyond-cut-off rows a skinned list carries and whenever it was last rebuilt
 (DESIGN.md section 11).
+
+Layout: a pass makes one column-major copy of the positions, and the
+canonical list is column-major too, so a block's ``i``/``j`` columns and
+each coordinate row gather contiguously into ``(3, m)`` displacements
+(:func:`~repro.md.pbc.pair_displacements`). Every step is elementwise and
+``r²`` is summed in one fixed order (:func:`~repro.md.pbc.squared_norms`),
+so the layout moves no bit.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neighbors import canonical_pairs
-from .pbc import minimum_image_inplace
+from .pbc import pair_displacements
 from .potential import LennardJones
 
 #: Particles per force block: a canonical pair list is cut where its first
@@ -71,25 +78,24 @@ def pair_terms(
     ``candidates`` is an ``(M, 2)`` index array. Returns
     ``(i, j, fvec, energies, f_over_r, r_sq)`` filtered to pairs inside the
     cut-off, in original candidate order; ``fvec[k]`` is the force on
-    particle ``i[k]`` (and minus the force on ``j[k]``).
+    particle ``i[k]`` (and minus the force on ``j[k]``). Column-major
+    ``positions`` and candidates (as :func:`fold_blocks` and
+    :func:`~repro.md.neighbors.canonical_pairs` hand them over) make every
+    gather contiguous; any layout gives the same bits.
     """
     i = candidates[:, 0]
     j = candidates[:, 1]
-    # take/compress are the fast spellings of positions[i] / x[mask]; with a
-    # skinned candidate list (a third of it beyond the cut-off) they and the
-    # in-place subtraction keep this pass near the cost of an exact list.
-    delta = np.take(positions, i, axis=0)
-    delta -= np.take(positions, j, axis=0)
-    minimum_image_inplace(delta, box_length)
-    r_sq = np.einsum("ij,ij->i", delta, delta)
+    delta, r_sq = pair_displacements(positions, i, j, box_length)
     mask = r_sq < potential.cutoff_sq
     if not mask.all():
+        # compress is the fast spelling of x[mask]; with a skinned candidate
+        # list a third of the rows are beyond the cut-off.
         i, j, r_sq = np.compress(mask, i), np.compress(mask, j), np.compress(mask, r_sq)
-        delta = np.compress(mask, delta, axis=0)
+        delta = np.compress(mask, delta, axis=1)
     energies, f_over_r = potential.energy_force_sq(r_sq)
-    # Column-major, so each axis is a contiguous bincount weight vector.
-    fvec = np.multiply(delta.T, f_over_r, out=np.empty((3, len(r_sq)))).T
-    return i, j, fvec, energies, f_over_r, r_sq
+    # (3, m), so each axis is a contiguous bincount weight vector.
+    delta *= f_over_r
+    return i, j, delta.T, energies, f_over_r, r_sq
 
 
 def n_blocks(n_particles: int) -> int:
@@ -153,6 +159,7 @@ def fold_blocks(
 ) -> ForceResult:
     """The force pass in-process: every block of a canonical list, folded."""
     rows = block_rows(pairs, n_particles)
+    positions = np.asfortranarray(positions)  # one copy; every block gathers rows
     return fold_partials(
         (
             block_partial(positions, pairs[start:stop], box_length, potential,

@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 from ..errors import GeometryError
 from ..obs.events import scope
 from .celllist import HALF_STENCIL, CellList, CellSort
-from .pbc import minimum_image, minimum_image_inplace
+from .pbc import minimum_image, pair_displacements, squared_norms
 
 
 #: Pairs per block of the cut-off filter: bounds its displacement temporaries
@@ -38,16 +38,18 @@ _FILTER_BLOCK = 32768
 def _within_cutoff(
     positions: np.ndarray, pairs: np.ndarray, box_length: float, cutoff: float
 ) -> np.ndarray:
-    """Rows of ``pairs`` closer than ``cutoff`` (open interval), order preserved."""
+    """Rows of ``pairs`` closer than ``cutoff`` (open interval), order preserved.
+
+    The same displacement and ``r²`` as the kernel's cut-off test
+    (:func:`~repro.md.pbc.pair_displacements`), so the exact pairs are the
+    kernel's accepted pairs to the last ulp.
+    """
+    positions = np.asfortranarray(positions)
     keep = np.empty(len(pairs), dtype=bool)
     for start in range(0, len(pairs), _FILTER_BLOCK):
         block = pairs[start : start + _FILTER_BLOCK]
-        delta = np.take(positions, block[:, 0], axis=0)
-        delta -= np.take(positions, block[:, 1], axis=0)
-        minimum_image_inplace(delta, box_length)
-        keep[start : start + _FILTER_BLOCK] = (
-            np.einsum("ij,ij->i", delta, delta) < cutoff * cutoff
-        )
+        _, r_sq = pair_displacements(positions, block[:, 0], block[:, 1], box_length)
+        keep[start : start + _FILTER_BLOCK] = r_sq < cutoff * cutoff
     return np.ascontiguousarray(np.compress(keep, pairs, axis=0), dtype=np.int64)
 
 
@@ -179,9 +181,11 @@ def canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     keys *= base
     keys += hi
     keys.sort()
-    out = np.empty((len(keys), 2), dtype=np.int64)
-    np.divmod(keys, base, out=(out[:, 0], out[:, 1]))
-    return out
+    # Column-major: each column is contiguous, so the kernel's ``i``/``j``
+    # slices of a block are gathered from without a copy.
+    out = np.empty((2, len(keys)), dtype=np.int64)
+    np.divmod(keys, base, out=(out[0], out[1]))
+    return out.T
 
 
 # -- Verlet neighbour-list caching ----------------------------------------
@@ -354,7 +358,7 @@ class VerletList:
         if self._reference is None or len(positions) != len(self._reference):
             return np.inf
         delta = minimum_image(positions - self._reference, self.box_length)
-        return float(np.einsum("ij,ij->i", delta, delta).max(initial=0.0))
+        return float(squared_norms(delta.T).max(initial=0.0))
 
     def needs_rebuild(self, positions: np.ndarray) -> bool:
         """True when the cached list no longer covers ``positions``."""

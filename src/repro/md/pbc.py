@@ -41,10 +41,42 @@ def minimum_image(displacements: np.ndarray, box_length: float) -> np.ndarray:
 
 def minimum_image_inplace(displacements: np.ndarray, box_length: float) -> None:
     """In-place variant of :func:`minimum_image` (no temporary copies)."""
-    inv = 1.0 / box_length
-    shift = np.round(displacements * inv)
+    shift = displacements * (1.0 / box_length)
+    np.rint(shift, out=shift)  # np.round's own ufunc at 0 decimals, in place
     shift *= box_length
     displacements -= shift
+
+
+def squared_norms(delta: np.ndarray) -> np.ndarray:
+    """``r²`` of each column of a ``(3, m)`` displacement array.
+
+    Summed as ``(x² + z²) + y²``: the order ``np.einsum("ij,ij->i")`` took
+    over ``(m, 3)`` rows where it was measured (NumPy 2.4, x86-64), spelled
+    out so the bits no longer hang on einsum's SIMD dispatch. Every distance test of the
+    simulation (the kernel's cut-off, the exact-pair filter, the rebuild
+    trigger) goes through it, so two of them cannot disagree by an ulp.
+    """
+    r_sq = delta[0] * delta[0]
+    r_sq += delta[2] * delta[2]
+    r_sq += delta[1] * delta[1]
+    return r_sq
+
+
+def pair_displacements(
+    positions: np.ndarray, i: np.ndarray, j: np.ndarray, box_length: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-image ``positions[i] - positions[j]`` as ``(3, m)``, and its ``r²``.
+
+    Gathers, subtracts and folds one coordinate row at a time; pass
+    column-major ``(N, 3)`` positions (``np.asfortranarray``) and each row
+    is a contiguous gather. The layout moves no bit: every step is
+    elementwise.
+    """
+    coordinates = positions.T
+    delta = np.take(coordinates, i, axis=1)
+    delta -= np.take(coordinates, j, axis=1)
+    minimum_image_inplace(delta, box_length)
+    return delta, squared_norms(delta)
 
 
 def pair_distance(

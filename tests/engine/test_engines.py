@@ -1,12 +1,19 @@
 """Execution engines: bit-identity across backends, lifecycle, guards.
 
 The multiprocess engine must reproduce the sequential engine's SHA-256 run
-digest bit-for-bit, for any worker count, with and without a fault plan,
-and across a kill/resume cycle.
+digest bit-for-bit, for any unit count, with and without a fault plan,
+and across a kill/resume cycle; a failed pass must leave no process and no
+shared memory behind.
 """
+
+import os
+import signal
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.config import (
@@ -24,6 +31,8 @@ from repro.engine import (
     create_engine,
     effective_engine_workers,
 )
+from repro.engine import multiprocess
+from repro.engine.multiprocess import assign_blocks
 from repro.errors import ConfigurationError, EngineError
 from repro.faults.plan import FaultPlan
 from repro.md.potential import LennardJones
@@ -91,6 +100,18 @@ class TestDigestIdentity:
         )
         assert resumed.meta["resumed_at"] == 2
         assert resumed.digest() == full.digest()
+
+    def test_more_units_than_blocks_and_one_unit_keep_the_digest(self):
+        # fig5b-scaled is one block: at 4 units three of them compute nothing;
+        # at 1 unit the driver computes it and no child is spawned.
+        run = RunConfig(steps=3, seed=2)
+        want = api.simulate("fig5b-scaled", run=run).digest()
+        for units in (4, 1):
+            got = api.simulate(
+                "fig5b-scaled", run=run, engine="multiprocess", engine_workers=units
+            )
+            assert got.meta["engine_workers"] == units
+            assert got.digest() == want, units
 
     def test_engine_metadata_recorded(self):
         result = api.simulate(
@@ -194,6 +215,99 @@ class TestEngineLifecycle:
             EngineContext(0, 4, 10.0, LennardJones(cutoff=2.5))
         with pytest.raises(ConfigurationError):
             EngineContext(100, 0, 10.0, LennardJones(cutoff=2.5))
+
+
+class TestBlockAssignment:
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=60_000), min_size=1, max_size=12),
+        n_units=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_block_to_one_unit_within_the_bound(self, sizes, n_units):
+        rows = np.concatenate([[0], np.cumsum(sizes)])
+        shares = assign_blocks(rows, n_units)
+        assert len(shares) == n_units
+        assert np.array_equal(np.sort(np.concatenate(shares)), np.arange(len(sizes)))
+        loads = [int(np.sum(np.asarray(sizes)[share])) for share in shares]
+        assert max(loads) <= sum(sizes) / n_units + max(sizes)
+        again = assign_blocks(rows, n_units)
+        assert all(np.array_equal(a, b) for a, b in zip(shares, again))
+
+    def test_largest_block_first_to_the_least_loaded_unit(self):
+        # The md_engine workload's four blocks: 40.6k / 43.8k rows, where the
+        # contiguous middle-row split gave 32.9k / 51.6k.
+        rows = np.cumsum([0, 32_853, 26_578, 17_248, 7_768])
+        assert [share.tolist() for share in assign_blocks(rows, 2)] == [[0, 3], [1, 2]]
+        # Ties go to the lower block and the lower unit.
+        assert [share.tolist() for share in assign_blocks(np.arange(4), 2)] == [[0, 2], [1]]
+
+
+#: 100 particles on a 5 x 5 x 4 lattice in a box of 10: every unit has pairs.
+LATTICE = np.stack(
+    np.meshgrid(np.arange(5) * 2.0, np.arange(5) * 2.0, np.arange(4) * 2.5, indexing="ij"),
+    axis=-1,
+).reshape(-1, 3)
+
+
+def kill_a_child(engine: MultiprocessEngine, monkeypatch) -> None:
+    """Unit 1 dies between passes; the next pass names it."""
+    child = engine._children[0]
+    os.kill(child.pid, signal.SIGKILL)
+    child.join(timeout=10.0)
+    assert not child.is_alive()
+    with pytest.raises(EngineError, match=r"engine unit 1 died \(exitcode -9\)"):
+        engine.force_pass(LATTICE)
+
+
+def fail_the_driver_share(engine: MultiprocessEngine, monkeypatch) -> None:
+    """The driver's own share raises; every child it asked still replies
+    before the engine closes. The children were forked at bind, so the
+    patch reaches the driver alone."""
+    unit_pass = multiprocess._unit_pass
+
+    def failing(context, pair_list, positions, partials, unit, n_units):
+        if unit == 0:
+            raise RuntimeError("driver share failed")
+        return unit_pass(context, pair_list, positions, partials, unit, n_units)
+
+    collected = []
+    recv = engine._recv
+    monkeypatch.setattr(multiprocess, "_unit_pass", failing)
+    monkeypatch.setattr(engine, "_recv", lambda unit: collected.append(unit) or recv(unit))
+    with pytest.raises(RuntimeError, match="driver share failed"):
+        engine.force_pass(LATTICE)
+    assert collected == list(range(1, engine.workers))
+
+
+class TestEngineFailure:
+    def bound_engine(self) -> MultiprocessEngine:
+        engine = MultiprocessEngine(workers=3)
+        engine.bind(EngineContext(100, 4, 10.0, LennardJones(cutoff=2.5)))
+        engine.force_pass(LATTICE)  # one good pass first
+        return engine
+
+    def test_a_child_killed_between_passes_fails_the_next_pass(self, monkeypatch):
+        with self.bound_engine() as engine:
+            kill_a_child(engine, monkeypatch)
+
+    def test_a_failing_driver_share_collects_every_reply_then_closes(self, monkeypatch):
+        with self.bound_engine() as engine:
+            fail_the_driver_share(engine, monkeypatch)
+            with pytest.raises(EngineError, match="closed"):
+                engine.force_pass(LATTICE)
+
+    @pytest.mark.parametrize("fail", [kill_a_child, fail_the_driver_share])
+    def test_close_after_a_failure_reaps_the_children_and_unlinks(self, fail, monkeypatch):
+        engine = self.bound_engine()
+        children = list(engine._children)
+        segments = [shm.name for shm in engine._segments]
+        fail(engine, monkeypatch)
+        engine.close()
+        assert not engine._children and not engine._segments
+        assert all(child.exitcode is not None for child in children)
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
 
 class TestRunnerIntegration:

@@ -18,8 +18,8 @@ from repro.cli import main
 from repro.config import RunConfig
 from repro.md import kernels
 from repro.md.kernels import ForceResult, forces_from_pairs, pair_terms
-from repro.md.neighbors import canonical_pairs, pairs_kdtree
-from repro.md.pbc import minimum_image
+from repro.md.neighbors import VerletList, canonical_pairs, pairs_kdtree
+from repro.md.pbc import minimum_image, pair_displacements
 from repro.md.potential import LennardJones
 
 POTENTIAL = LennardJones()
@@ -78,9 +78,11 @@ def test_forces_are_pair_terms_scattered_in_candidate_order(regime, seed, n):
     i, j, fvec, energies, f_over_r, r_sq = pair_terms(positions, candidates, box, POTENTIAL)
 
     # Survivors are the within-cut-off rows of the plain fancy-indexed
-    # distance computation, in original candidate order.
+    # distance computation, in original candidate order; r² is summed in
+    # the kernel's spelled-out order, (x² + z²) + y².
     delta = minimum_image(positions[candidates[:, 0]] - positions[candidates[:, 1]], box)
-    within = np.einsum("ij,ij->i", delta, delta) < POTENTIAL.cutoff_sq
+    dx, dy, dz = delta.T
+    within = (dx * dx + dz * dz) + dy * dy < POTENTIAL.cutoff_sq
     assert np.array_equal(np.column_stack([i, j]), candidates[within])
     assert np.array_equal(fvec, delta[within] * f_over_r[:, None])
 
@@ -96,6 +98,33 @@ def test_forces_are_pair_terms_scattered_in_candidate_order(regime, seed, n):
     assert result.potential_energy == float(energies.sum())
     assert result.virial == float(np.sum(f_over_r * r_sq))
     assert result.n_pairs == len(i)
+
+
+def cutoff_shell_gas(seed: int, n: int, box: float) -> np.ndarray:
+    """Partners at exactly ``r_c`` along random directions from centres kept
+    off the walls: each pair's r² lands within an ulp or two of r_c², where
+    the summation order of r² alone decides whether it is accepted."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(CUTOFF, box - CUTOFF, (n // 2, 3))
+    directions = rng.normal(size=(n // 2, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return np.vstack([centers, centers + CUTOFF * directions])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_pairs_are_the_kernels_survivors_at_the_cutoff(seed):
+    # The exact-pair filter and the kernel share one r², so no pair on the
+    # cut-off shell is accepted by one and refused by the other.
+    n, box = 800, 20.0
+    positions = cutoff_shell_gas(seed, n, box)
+    candidates = candidate_list(positions, box)
+    exact = VerletList(box, CUTOFF, 0.4).pairs(positions)
+    i, j = pair_terms(positions, candidates, box, POTENTIAL)[:2]
+    assert np.array_equal(np.column_stack([i, j]), exact)
+    # The gas has teeth: summed (x² + y²) + z², some pair changes side.
+    delta, r_sq = pair_displacements(positions, candidates[:, 0], candidates[:, 1], box)
+    x_y_z = (delta[0] * delta[0] + delta[1] * delta[1]) + delta[2] * delta[2]
+    assert ((x_y_z < POTENTIAL.cutoff_sq) != (r_sq < POTENTIAL.cutoff_sq)).any()
 
 
 def test_empty_and_all_rejected_candidates():

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from repro.md.pbc import (
     minimum_image,
     minimum_image_inplace,
+    pair_displacements,
     pair_distance,
     wrap_positions,
     wrap_positions_inplace,
@@ -121,3 +122,30 @@ class TestPairDistance:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+class TestPairDisplacements:
+    #: Rows whose r² takes a different last bit in each summation order.
+    POSITIONS = np.array([
+        [3.3, 7.88, 3.03], [4.53, 1.34, 4.03],
+        [2.74, 0.07, 6.46], [7.2, 8.36, 2.82],
+        [8.95, 4.23, 5.9], [0.24, 6.73, 9.19],
+    ])
+
+    def test_r_sq_is_summed_x_z_then_y(self):
+        i, j = np.array([0, 2, 4]), np.array([1, 3, 5])
+        delta, r_sq = pair_displacements(np.asfortranarray(self.POSITIONS), i, j, 10.0)
+        assert [float(r).hex() for r in r_sq] == [
+            "0x1.cf810624dd2f3p+3", "0x1.2085bc01a36e3p+5", "0x1.2bcfaacd9e83ep+4",
+        ]
+        assert delta.shape == (3, 3)
+        assert np.array_equal(delta.T, minimum_image(
+            self.POSITIONS[i] - self.POSITIONS[j], 10.0
+        ))
+
+    def test_layout_moves_no_bit(self):
+        i, j = np.array([0, 2, 4, 1]), np.array([1, 3, 5, 5])
+        row_major = pair_displacements(self.POSITIONS, i, j, 10.0)
+        column_major = pair_displacements(np.asfortranarray(self.POSITIONS), i, j, 10.0)
+        for a, b in zip(row_major, column_major):
+            assert np.array_equal(a, b)

@@ -315,6 +315,16 @@ def report(functions: list[Function], status: dict[str, str]) -> tuple[str, list
     return "\n".join(out), test_only_modules
 
 
+def clean_up(scratch: Path, keep: bool) -> None:
+    """Delete the scratch directory after a clean run; after a failed pass
+    keep it, since a failed group's report names its files under
+    ``work/<group>``."""
+    if keep:
+        print(f"kept {scratch} (failed groups' files are in its work/)", flush=True)
+    else:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sightings", type=Path, default=None,
@@ -328,6 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="reachability-"))
     root = args.sightings or scratch / "sightings"
     failed = []
+    finished = False
     try:
         if not args.report_only:
             write_hook(scratch / "hook")
@@ -339,8 +350,9 @@ def main(argv: list[str] | None = None) -> int:
         status = classify(functions, load_sightings(root / "product"),
                           load_sightings(root / "tests"))
         text, test_only_modules = report(functions, status)
+        finished = True
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        clean_up(scratch, keep=bool(failed) or not finished)
     print(text)
     if failed:
         print("failed passes:", ", ".join(failed))

@@ -4,7 +4,9 @@ take their product scenarios from it. No scenario runs here."""
 from __future__ import annotations
 
 import ast
+import importlib
 import re
+import tempfile
 from pathlib import Path
 
 from tests import scenarios
@@ -92,3 +94,37 @@ class TestReachability:
         assert not strings & labels, sorted(strings & labels)
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not names & {"PRODUCT", "FAULT_PLAN"}, names & {"PRODUCT", "FAULT_PLAN"}
+
+
+class TestReachabilityScratch:
+    """The tool keeps its scratch directory when a pass failed (its report
+    names a failed group's files there) and deletes it only after a clean
+    run. Every pass is stubbed; nothing runs."""
+
+    def run_main(self, monkeypatch, tmp_path, failed_groups: list[str]) -> Path:
+        monkeypatch.syspath_prepend(str(REPO / "tests"))
+        reachability = importlib.import_module("reachability")
+
+        def run_product(hook, sightings, work):
+            for group in failed_groups:
+                (work / group).mkdir(parents=True)
+                (work / group / "step.log").write_text("the failing step's output")
+            return list(failed_groups)
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(reachability, "write_hook", lambda hook: None)
+        monkeypatch.setattr(reachability, "run_tier1", lambda hook, sightings: 0)
+        monkeypatch.setattr(reachability, "run_product", run_product)
+        monkeypatch.setattr(reachability, "scan", lambda: [])
+        assert reachability.main([]) == (1 if failed_groups else 0)
+        return tmp_path
+
+    def test_a_failed_group_keeps_its_files(self, monkeypatch, tmp_path, capsys):
+        root = self.run_main(monkeypatch, tmp_path, ["ledger"])
+        (scratch,) = root.iterdir()
+        assert (scratch / "work" / "ledger" / "step.log").is_file()
+        assert f"kept {scratch}" in capsys.readouterr().out
+
+    def test_a_clean_run_leaves_nothing(self, monkeypatch, tmp_path):
+        root = self.run_main(monkeypatch, tmp_path, [])
+        assert list(root.iterdir()) == []
